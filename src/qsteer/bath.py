@@ -17,9 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GapCollapse, OutOfRange
-
-GAP_FLOOR = 1e-9
+from .errors import GAP_FLOOR, GapCollapse, OutOfRange
 
 
 @dataclass(frozen=True)

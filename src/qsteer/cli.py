@@ -11,6 +11,7 @@ metadata.
 from __future__ import annotations
 
 import argparse
+import cmath
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -45,7 +46,10 @@ from .dynamics import (
     rhs_secular,
 )
 from .errors import ParseError, QSteerError, ValidationError
-from .gauge import berry_phase, optimal_schedule, phase_shifted_frame
+from .gauge import berry_phase
+
+# Not called here; perfbench's tracer and its self-tests patch this name.
+from .gauge import phase_shifted_frame  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,14 +64,19 @@ class PathConfig:
     csv_file: Optional[str] = None
 
     @property
-    def duration(self) -> float:
+    def duration(self) -> Optional[float]:
+        """Explicit duration, else one drive period; None for a sampled path without one."""
         if self.duration_time is not None:
             return self.duration_time
-        return 2 * math.pi / abs(self.drive_omega_rad_per_time)
+        if self.drive_omega_rad_per_time is not None:
+            return 2 * math.pi / abs(self.drive_omega_rad_per_time)
+        return None
 
 
 @dataclass(frozen=True)
 class BathConfig:
+    """Bath model parameters; ``cutoff_energy`` None means no cutoff."""
+
     model: str
     s0_rate: Optional[float] = None
     eta_coupling: Optional[float] = None
@@ -149,22 +158,35 @@ class Scenario:
 
 
 def _complex_entry(value, where, problems):
+    z = None
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
         try:
-            return complex(float(value[0]), float(value[1]))
+            z = complex(float(value[0]), float(value[1]))
         except (TypeError, ValueError):
             pass
-    problems.append(f"{where}: expected a number or [re, im] pair")
-    return 0j
+    if z is None or not cmath.isfinite(z):
+        problems.append(f"{where}: expected a finite number or [re, im] pair")
+        return 0j
+    return z
 
 
-def _positive(value, where, problems, allow_zero=False):
+def _number(value, where, problems):
     try:
         v = float(value)
     except (TypeError, ValueError):
         problems.append(f"{where}: expected a number")
+        return None
+    if not math.isfinite(v):
+        problems.append(f"{where}: must be finite")
+        return None
+    return v
+
+
+def _positive(value, where, problems, allow_zero=False):
+    v = _number(value, where, problems)
+    if v is None:
         return None
     if v < 0 or (v == 0 and not allow_zero):
         problems.append(f"{where}: must be positive")
@@ -184,8 +206,8 @@ def _build_path(data, problems) -> Optional[PathConfig]:
             problems.append("path.theta_rad: must be a number in [0, pi]")
             theta = None
         omega = data.get("drive_omega_rad_per_time")
-        if not isinstance(omega, (int, float)) or omega == 0:
-            problems.append("path.drive_omega_rad_per_time: must be a nonzero number")
+        if not isinstance(omega, (int, float)) or not math.isfinite(omega) or omega == 0:
+            problems.append("path.drive_omega_rad_per_time: must be a finite nonzero number")
             omega = None
         duration = data.get("duration_time")
         if duration is not None:
@@ -201,8 +223,8 @@ def _build_path(data, problems) -> Optional[PathConfig]:
         )
     if kind == "linear_sweep":
         slope = data.get("slope_energy_per_time")
-        if not isinstance(slope, (int, float)):
-            problems.append("path.slope_energy_per_time: must be a number")
+        if not isinstance(slope, (int, float)) or not math.isfinite(slope):
+            problems.append("path.slope_energy_per_time: must be a finite number")
             slope = None
         gap = _positive(data.get("gap_energy"), "path.gap_energy", problems)
         duration = _positive(data.get("duration_time"), "path.duration_time", problems)
@@ -219,7 +241,12 @@ def _build_path(data, problems) -> Optional[PathConfig]:
         if not isinstance(csv_file, str):
             problems.append("path.csv_file: required for sampled paths")
             return None
-        return PathConfig(kind=kind, csv_file=csv_file, duration_time=data.get("duration_time"))
+        duration = data.get("duration_time")
+        if duration is not None:
+            duration = _positive(duration, "path.duration_time", problems)
+            if duration is None:
+                return None
+        return PathConfig(kind=kind, csv_file=csv_file, duration_time=duration)
     problems.append("path.kind: must be rotating_cone, linear_sweep or sampled")
     return None
 
@@ -257,15 +284,21 @@ def _build_bath(data, problems) -> Optional[BathConfig]:
         eta = _positive(data.get("eta_coupling"), "bath.eta_coupling", problems, allow_zero=True)
         T = _positive(data.get("temperature_energy"), "bath.temperature_energy", problems)
         cut = data.get("cutoff_energy")
-        cut = math.inf if cut is None else _positive(cut, "bath.cutoff_energy", problems)
-        if None in (eta, T, cut):
+        if cut is not None:
+            cut = _positive(cut, "bath.cutoff_energy", problems)
+            if cut is None:
+                return None
+        if None in (eta, T):
             return None
         return BathConfig(model=model, eta_coupling=eta, temperature_energy=T, cutoff_energy=cut)
     if model == "zero_temperature_ohmic":
         eta = _positive(data.get("eta_coupling"), "bath.eta_coupling", problems, allow_zero=True)
         cut = data.get("cutoff_energy")
-        cut = math.inf if cut is None else _positive(cut, "bath.cutoff_energy", problems)
-        if None in (eta, cut):
+        if cut is not None:
+            cut = _positive(cut, "bath.cutoff_energy", problems)
+            if cut is None:
+                return None
+        if eta is None:
             return None
         return BathConfig(model=model, eta_coupling=eta, cutoff_energy=cut)
     if model == "tabulated":
@@ -283,11 +316,16 @@ def _build_bath(data, problems) -> Optional[BathConfig]:
 def _build_solver(data, duration, problems) -> Optional[SolverConfig]:
     data = data if isinstance(data, dict) else {}
     method = data.get("method", "rk45_adaptive")
-    t0 = float(data.get("t0_time", 0.0))
+    t0 = _number(data.get("t0_time", 0.0), "solver.t0_time", problems)
     t1 = data.get("t1_time")
-    t1 = float(t1) if t1 is not None else (t0 + duration if duration else None)
-    ok = True
-    if t1 is None or not t1 > t0:
+    if t1 is not None:
+        t1 = _number(t1, "solver.t1_time", problems)
+    elif duration is None:
+        problems.append("solver.t1_time: required when the path has no path.duration_time")
+    elif t0 is not None:
+        t1 = t0 + duration
+    ok = t0 is not None and t1 is not None
+    if ok and not t1 > t0:
         problems.append("solver.t1_time: must exceed solver.t0_time")
         ok = False
     stride = data.get("record_stride", 1)
@@ -365,9 +403,9 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(raw, list):
             problems.append("run.sweep_periods_time: expected a list of positive numbers")
         else:
-            ok = [p for p in raw if isinstance(p, (int, float)) and p > 0]
+            ok = [p for p in raw if isinstance(p, (int, float)) and 0 < p < math.inf]
             if len(ok) != len(raw):
-                problems.append("run.sweep_periods_time: entries must be positive numbers")
+                problems.append("run.sweep_periods_time: entries must be finite positive numbers")
             sweep_periods = tuple(float(p) for p in ok)
     if mode == "sweep":
         if not sweep_periods:
@@ -431,24 +469,18 @@ def build_path(cfg: PathConfig, coupling) -> ControlPath:
     return path_from_csv(cfg.csv_file, A)
 
 
+def _cutoff(cfg: BathConfig) -> float:
+    return math.inf if cfg.cutoff_energy is None else cfg.cutoff_energy
+
+
 def build_bath(cfg: BathConfig) -> SpectralDensity:
     if cfg.model == "flat":
         return flat(cfg.s0_rate)
     if cfg.model == "ohmic_thermal":
-        return ohmic_thermal(cfg.eta_coupling, cfg.temperature_energy, cfg.cutoff_energy)
+        return ohmic_thermal(cfg.eta_coupling, cfg.temperature_energy, _cutoff(cfg))
     if cfg.model == "zero_temperature_ohmic":
-        return zero_temperature_ohmic(cfg.eta_coupling, cfg.cutoff_energy)
+        return zero_temperature_ohmic(cfg.eta_coupling, _cutoff(cfg))
     return spectrum_from_csv(cfg.csv_file)
-
-
-def _providers(scenario: Scenario, path: ControlPath):
-    """Frame provider (plain or optimally phase shifted) plus the schedule used."""
-    base = lambda t: frame_at(path, t)
-    if not scenario.optimal_phase:
-        return base, None
-    history = sample_history(path, scenario.solver.t0, scenario.solver.t1, scenario.history_samples)
-    schedule = optimal_schedule(history)
-    return (lambda t: phase_shifted_frame(base(t), schedule, t)), schedule
 
 
 def _integrate_variant(scenario: Scenario, variant: str) -> Trajectory:
@@ -462,17 +494,18 @@ def _integrate_variant(scenario: Scenario, variant: str) -> Trajectory:
             lambda t, s, f: rhs_nonsteered(s, r0, frame0.omega01),
             initial, scenario.solver, frame_provider=lambda t: frame0,
         )
+    provider = lambda t: frame_at(path, t)
     if variant == "secular":
-        provider = lambda t: frame_at(path, t)
         return integrate(
             lambda t, s, f: rhs_secular(s, rates(f.m1, f.m2, f.omega01, sd), f.omega01),
             initial, scenario.solver, frame_provider=provider,
         )
-    provider, schedule = _providers(scenario, path)
-    shift = scenario.spectral_shift
+    # The optimal-phase run is the plain run seen in the rotated basis; the
+    # spectral shift vanishes there, and rhs_full is covariant without it.
+    shift = scenario.spectral_shift and not scenario.optimal_phase
     return integrate(
         lambda t, s, f: rhs_full(s, f, sd, spectral_shift=shift),
-        initial, scenario.solver, frame_provider=provider, phase_schedule=schedule,
+        initial, scenario.solver, frame_provider=provider, track_phases=scenario.optimal_phase,
     )
 
 
@@ -609,7 +642,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
         metadata["invariants"] = invariants
         metadata["files"] = files
         with open(run_dir / "metadata.json", "w") as fh:
-            json.dump(metadata, fh, indent=2, sort_keys=True)
+            json.dump(metadata, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return RunArtifacts(run_dir=run_dir, metadata=metadata, files=[run_dir / f for f in files])
 

@@ -29,10 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GapCollapse, StepTooCoarse
+from .errors import GAP_FLOOR, GapCollapse, StepTooCoarse
 from .gauge import hs_norm
 
-GAP_FLOOR = 1e-9
 HERMITICITY_TOL = 1e-8
 
 Vec3 = tuple[float, float, float]

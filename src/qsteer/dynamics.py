@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .bath import RateSet, SpectralDensity, rates_from_spectra, superadiabatic_elements
-from .errors import GapCollapse, NonFiniteState, StepRejectionLimit
+from .errors import GAP_FLOOR, GapCollapse, NonFiniteState, StepRejectionLimit
 from .frames import to_superadiabatic
+from .gauge import apply_phase_frame, phase_factor
 
-GAP_FLOOR = 1e-9
 TOL_POSITIVITY = 1e-6
 
 
@@ -290,6 +290,7 @@ _DP_E = (  # b5 - b4
     11 / 84 - 187 / 2100,
     -1 / 40,
 )
+_RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
 _MAX_REJECTIONS = 60
 
 
@@ -305,12 +306,22 @@ def _axpy(y, ks, coeffs, dt):
     return g, x, i
 
 
+def _advance_phases(lam, frames, weights, dt):
+    """One step of d lambda_g/dt = -w_gg, d lambda_e/dt = -w_ee by the step's own quadrature."""
+    sum_g = sum_e = 0.0
+    for fr, b in zip(frames, weights):
+        if b != 0.0:
+            sum_g += b * fr.w_gg
+            sum_e += b * fr.w_ee
+    return lam[0] - dt * sum_g, lam[1] - dt * sum_e
+
+
 def integrate(
     rhs: Callable,
     initial: DensityState,
     cfg: SolverConfig,
     frame_provider: Optional[Callable] = None,
-    phase_schedule=None,
+    track_phases: bool = False,
 ) -> Trajectory:
     """Integrate d(state)/dt = rhs(t, state, frame) over [cfg.t0, cfg.t1].
 
@@ -319,7 +330,19 @@ def integrate(
     generators). Frames are evaluated at every stage time. Purity is
     monitored against 1 + 1e-6 and the worst excess reported on the
     trajectory (with a warning), never corrected.
+
+    With ``track_phases`` the samples are reported in the optimally phase
+    shifted basis. The stepper accumulates lambda_g, lambda_e (from 0 at t0,
+    d lambda/dt = -w_diag) with each accepted step's own quadrature weights
+    on the stage frames it already evaluated; the phases stay out of the
+    error norm, so steps and rho_gg equal the plain run's exactly. At each
+    record point rho_ge is rotated by e^{i(lambda_e - lambda_g)} and the
+    frame re-expressed in that basis, where its w diagonals vanish. This is
+    the optimal-phase run only for generators covariant under the basis
+    phase (``rhs_full`` without ``spectral_shift``).
     """
+    if track_phases and frame_provider is None:
+        raise ValueError("track_phases requires a frame_provider")
 
     def f(t, y):
         frame = frame_provider(t) if frame_provider is not None else None
@@ -329,16 +352,17 @@ def integrate(
 
     traj = Trajectory()
 
-    def record(t, y, frame):
+    def record(t, y, frame, lam):
         st = DensityState(y[0], complex(y[1], y[2]))
         p = purity(st)
         if p - 1.0 > traj.max_positivity_violation:
             traj.max_positivity_violation = p - 1.0
+        if track_phases:
+            st = DensityState(st.rho_gg, st.rho_ge * phase_factor(*lam))
+            frame = apply_phase_frame(frame, lam[0], lam[1], -frame.w_gg, -frame.w_ee)
         if frame is not None and frame.alpha > traj.max_alpha:
             traj.max_alpha = frame.alpha
-        lam_g = phase_schedule.lambda_g(t) if phase_schedule is not None else 0.0
-        lam_e = phase_schedule.lambda_e(t) if phase_schedule is not None else 0.0
-        traj.samples.append(TrajectorySample(t, st, frame, lam_g, lam_e, p))
+        traj.samples.append(TrajectorySample(t, st, frame, lam[0], lam[1], p))
 
     def check_finite(t, y):
         if not (math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])):
@@ -346,34 +370,38 @@ def integrate(
 
     y = (initial.rho_gg, complex(initial.rho_ge).real, complex(initial.rho_ge).imag)
     t = cfg.t0
+    lam = (0.0, 0.0)
     frame0 = frame_provider(t) if frame_provider is not None else None
-    record(t, y, frame0)
+    record(t, y, frame0, lam)
 
     if cfg.method == "rk4_fixed":
         n_steps = max(1, round((cfg.t1 - cfg.t0) / cfg.dt))
         dt = (cfg.t1 - cfg.t0) / n_steps
         for i in range(n_steps):
             t = cfg.t0 + i * dt
-            k1, fr = f(t, y)
-            k2, _ = f(t + dt / 2, _axpy(y, (k1,), (0.5,), dt))
-            k3, _ = f(t + dt / 2, _axpy(y, (k2,), (0.5,), dt))
-            k4, _ = f(t + dt, _axpy(y, (k3,), (1.0,), dt))
-            y = _axpy(y, (k1, k2, k3, k4), (1 / 6, 1 / 3, 1 / 3, 1 / 6), dt)
+            k1, f1 = f(t, y)
+            k2, f2 = f(t + dt / 2, _axpy(y, (k1,), (0.5,), dt))
+            k3, f3 = f(t + dt / 2, _axpy(y, (k2,), (0.5,), dt))
+            k4, f4 = f(t + dt, _axpy(y, (k3,), (1.0,), dt))
+            y = _axpy(y, (k1, k2, k3, k4), _RK4_B, dt)
+            if track_phases:
+                lam = _advance_phases(lam, (f1, f2, f3, f4), _RK4_B, dt)
             t = cfg.t0 + (i + 1) * dt
             check_finite(t, y)
             if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                record(t, y, frame_provider(t) if frame_provider is not None else None)
+                record(t, y, frame_provider(t) if frame_provider is not None else None, lam)
     else:
         dt_max = cfg.dt_max if cfg.dt_max is not None else (cfg.t1 - cfg.t0) / 10
         dt = min(dt_max, (cfg.t1 - cfg.t0) / 100)
         rejections = 0
         accepted = 0
         ks = [None] * 7
+        frames = [None] * 7
         while t < cfg.t1 - 1e-14 * (cfg.t1 - cfg.t0):
             dt = min(dt, cfg.t1 - t)
             for s in range(7):
                 ys = _axpy(y, ks[:s], _DP_A[s], dt) if s else y
-                ks[s], _ = f(t + _DP_C[s] * dt, ys)
+                ks[s], frames[s] = f(t + _DP_C[s] * dt, ys)
             y_new = _axpy(y, ks, _DP_B5, dt)
             err = _axpy((0.0, 0.0, 0.0), ks, _DP_E, dt)
             norm = 0.0
@@ -382,13 +410,15 @@ def integrate(
                 norm += (err[j] / sc) ** 2
             norm = math.sqrt(norm / 3)
             if norm <= 1.0:
+                if track_phases:
+                    lam = _advance_phases(lam, frames, _DP_B5, dt)
                 t += dt
                 y = y_new
                 check_finite(t, y)
                 accepted += 1
                 rejections = 0
                 if accepted % cfg.record_stride == 0 or t >= cfg.t1 - 1e-14 * (cfg.t1 - cfg.t0):
-                    record(t, y, frame_provider(t) if frame_provider is not None else None)
+                    record(t, y, frame_provider(t) if frame_provider is not None else None, lam)
             else:
                 rejections += 1
                 if rejections > _MAX_REJECTIONS:

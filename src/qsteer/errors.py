@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the gap floor behind GapCollapse."""
 
 
 class QSteerError(Exception):
     """Base class for all package-specific errors."""
+
+
+# Gaps at or below this are treated as degenerate and raise GapCollapse.
+GAP_FLOOR = 1e-9
 
 
 class GapCollapse(QSteerError):

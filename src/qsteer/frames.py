@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapCollapse
-
-GAP_FLOOR = 1e-9
+from .errors import GAP_FLOOR, GapCollapse
 
 
 @dataclass(frozen=True)

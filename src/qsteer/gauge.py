@@ -27,17 +27,18 @@ def hs_norm(w_gg: float, w_ee: float, w_ge: complex) -> float:
     return math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * a * a)
 
 
+def phase_factor(lam_g: float, lam_e: float) -> complex:
+    """e^{i(lambda_e - lambda_g)}: the factor rho_ge, w_ge and m2 pick up under the shift."""
+    return complex(math.cos(lam_e - lam_g), math.sin(lam_e - lam_g))
+
+
 def apply_phase(w_gg, w_ee, w_ge, lam_g, lam_e, dlam_g, dlam_e):
     """w elements after the basis phase shift (lambda_g, lambda_e).
 
     Diagonals pick up the phase velocities; the off-diagonal is rotated by
     the phase difference; Hermiticity is preserved.
     """
-    return (
-        w_gg + dlam_g,
-        w_ee + dlam_e,
-        w_ge * complex(math.cos(lam_e - lam_g), math.sin(lam_e - lam_g)),
-    )
+    return w_gg + dlam_g, w_ee + dlam_e, w_ge * phase_factor(lam_g, lam_e)
 
 
 def apply_phase_frame(frame, lam_g, lam_e, dlam_g, dlam_e):
@@ -46,7 +47,7 @@ def apply_phase_frame(frame, lam_g, lam_e, dlam_g, dlam_e):
     m1 and omega01 are invariant; m2 and w_ge rotate by the phase difference;
     the w diagonals shift by the phase velocities and alpha is recomputed.
     """
-    rot = complex(math.cos(lam_e - lam_g), math.sin(lam_e - lam_g))
+    rot = phase_factor(lam_g, lam_e)
     w_gg = frame.w_gg + dlam_g
     w_ee = frame.w_ee + dlam_e
     w_ge = frame.w_ge * rot
@@ -224,7 +225,7 @@ def phase_shifted_frame(frame, schedule: PhaseSchedule, t: Optional[float] = Non
         t = frame.t
     lam_g = schedule.lambda_g(t)
     lam_e = schedule.lambda_e(t)
-    rot = complex(math.cos(lam_e - lam_g), math.sin(lam_e - lam_g))
+    rot = phase_factor(lam_g, lam_e)
     w_ge = frame.w_ge * rot
     return PhaseShiftedFrame(
         t=frame.t,

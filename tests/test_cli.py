@@ -1,10 +1,11 @@
+import cmath
 import json
 import math
 
 import pytest
 
 import qsteer as q
-from qsteer.cli import load_scenario, main, run
+from qsteer.cli import build_path, load_scenario, main, run
 
 MINIMAL_CONE = """
 path:
@@ -22,6 +23,13 @@ solver:
   dt_time: 0.02
   record_stride: 50
 """
+
+# neither path.duration_time nor solver.t1_time fixes the end of the run
+SAMPLED_WITHOUT_DURATION = MINIMAL_CONE.replace(
+    "kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+    "  drive_omega_rad_per_time: 0.2",
+    "kind: sampled\n  csv_file: path.csv",
+)
 
 
 class TestLoadScenario:
@@ -99,6 +107,27 @@ solver:
         )
         sc = load_scenario(text)
         assert sc.coupling[0][1] == -1j
+
+    def test_sampled_path_without_duration_names_keys(self):
+        text = SAMPLED_WITHOUT_DURATION
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        assert any("solver.t1_time" in p and "path.duration_time" in p for p in exc.value.problems)
+        sc = load_scenario(text.replace("  method: rk4_fixed", "  method: rk4_fixed\n  t1_time: 5.0"))
+        assert sc.solver.t1 == 5.0 and sc.path.duration is None
+
+    def test_non_finite_numbers_rejected(self):
+        text = (
+            MINIMAL_CONE.replace("[[0.0, 1.0], [1.0, 0.0]]", "[[0.0, 1.0], [1.0, .nan]]")
+            .replace("model: flat\n  s0_rate: 0.1",
+                     "model: zero_temperature_ohmic\n  eta_coupling: 0.1\n  cutoff_energy: .inf")
+            .replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: .inf")
+        )
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        joined = "\n".join(exc.value.problems)
+        for needle in ("coupling.matrix[1][1]", "bath.cutoff_energy", "solver.t1_time"):
+            assert needle in joined
 
     def test_unphysical_initial_state_rejected(self):
         text = MINIMAL_CONE + "initial:\n  rho_gg: 0.9\n  rho_ge: [0.5, 0.0]\n"
@@ -181,6 +210,61 @@ class TestRun:
         last = lines[-1].split(",")
         assert float(last[7]) != 0.0  # lambda_g accumulated
 
+    @pytest.mark.parametrize("solver", [
+        "  method: rk4_fixed\n  dt_time: 0.02\n  record_stride: 50\n",
+        "  method: rk45_adaptive\n  rtol: 1.0e-9\n  record_stride: 10\n",
+    ], ids=["rk4", "rk45"])
+    def test_optimal_phase_is_plain_run_in_rotated_basis(self, tmp_path, solver):
+        base = MINIMAL_CONE.replace(
+            "[[0.0, 1.0], [1.0, 0.0]]", "[[0.3, 1.0], [1.0, -0.3]]"
+        ).replace(
+            "model: flat\n  s0_rate: 0.1",
+            "model: ohmic_thermal\n  eta_coupling: 0.1\n  temperature_energy: 0.5\n"
+            "  cutoff_energy: 20.0",
+        )
+        base = base[: base.index("solver:\n") + len("solver:\n")] + solver
+
+        def trajectory(name, run_block):
+            sc = load_scenario(base + run_block)
+            art = run(sc, out_dir=tmp_path / name)
+            text = (art.run_dir / "trajectory.csv").read_text()
+            return sc, text, [line.split(",") for line in text.splitlines()[1:]]
+
+        _, _, plain = trajectory("plain", "run:\n  optimal_phase: false\n")
+        sc, opt_text, opt = trajectory("opt", "run:\n  optimal_phase: true\n")
+        _, shifted_text, _ = trajectory(
+            "opt_shift", "run:\n  optimal_phase: true\n  spectral_shift: true\n"
+        )
+        assert shifted_text == opt_text
+
+        assert [r[:2] for r in opt] == [r[:2] for r in plain]  # t, rho_gg byte-identical
+        path = build_path(sc.path, sc.coupling)
+        for p, o in zip(plain, opt):
+            lam_g, lam_e = float(o[7]), float(o[8])
+            expected = complex(float(p[2]), float(p[3])) * cmath.exp(1j * (lam_e - lam_g))
+            assert abs(complex(float(o[2]), float(o[3])) - expected) <= 1e-14
+            frame = q.frame_at(path, float(o[0]))
+            assert float(o[5]) == pytest.approx(
+                math.sqrt(2.0) * abs(frame.w_ge) / frame.omega01, rel=1e-12
+            )
+
+        schedule = q.optimal_schedule(q.sample_history(path, 0.0, sc.solver.t1, 4097))
+        assert float(opt[-1][7]) == pytest.approx(schedule.lambda_g_values[-1], abs=1e-8)
+        assert float(opt[-1][8]) == pytest.approx(schedule.lambda_e_values[-1], abs=1e-8)
+
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    def test_metadata_is_strict_json(self, tmp_path):
+        text = MINIMAL_CONE.replace(
+            "model: flat\n  s0_rate: 0.1", "model: zero_temperature_ohmic\n  eta_coupling: 0.01"
+        )
+        art = run(load_scenario(text), out_dir=tmp_path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        meta = json.loads((art.run_dir / "metadata.json").read_text(), parse_constant=reject)
+        assert meta["scenario"]["bath"] == {"model": "zero_temperature_ohmic", "eta_coupling": 0.01}
+
     def test_failed_run_marked(self, tmp_path):
         # tabulated spectrum too narrow for the gap: OutOfRange mid-run
         spec = tmp_path / "spec.csv"
@@ -222,6 +306,11 @@ class TestMain:
         assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
         out = capsys.readouterr().out.strip()
         assert (tmp_path / "runs") in [p.parent for p in [__import__("pathlib").Path(out)]]
+
+    def test_sampled_path_without_duration_exit_1(self, tmp_path, capsys):
+        fn = self.write_config(tmp_path, SAMPLED_WITHOUT_DURATION)
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        assert "solver.t1_time" in capsys.readouterr().err
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
