@@ -7,12 +7,10 @@ A spectrum with physical units is recovered via S_X(omega) = hbar^2 S(omega).
 from .bath import (
     RateSet,
     SpectralDensity,
-    eval_spectrum,
     flat,
     ohmic_thermal,
     rates,
     rates_from_spectra,
-    shifted_rates,
     spectrum_from_csv,
     superadiabatic_elements,
     tabulated,
@@ -70,7 +68,6 @@ from .frames import (
 from .gauge import (
     BerryPhases,
     PhaseSchedule,
-    PhaseShiftedFrame,
     apply_phase,
     apply_phase_frame,
     berry_phase,

@@ -132,11 +132,6 @@ def spectrum_from_csv(csv_path) -> SpectralDensity:
     return tabulated(om, vals)
 
 
-def eval_spectrum(sd: SpectralDensity, omega: float) -> float:
-    """S(omega); provided as a free function alongside the callable form."""
-    return sd(omega)
-
-
 @dataclass(frozen=True)
 class RateSet:
     """The eight bath-induced rates of the two-level master equation.
@@ -210,22 +205,3 @@ def superadiabatic_elements(m1: float, m2: complex, w_ge: complex, omega01: floa
     m2_2 = m2 + 2.0 * m1 * w_ge / omega01
     return m1_2, m2_2
 
-
-def shifted_rates(
-    m1: float,
-    m2: complex,
-    omega01: float,
-    w_gg: float,
-    w_ee: float,
-    sd: SpectralDensity,
-) -> RateSet:
-    """Rates with the spectrum sampled at the gauge-corrected gap.
-
-    S(+-omega01) is replaced by S(+-(omega01 + w_ee - w_gg)); S(0) is kept.
-    The shift depends on the local gauge of the basis states, so callers own
-    that choice; with the optimal phase schedule active the shift vanishes.
-    """
-    if omega01 <= GAP_FLOOR:
-        raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    shifted = omega01 + (w_ee - w_gg)
-    return rates_from_spectra(m1, complex(m2), sd(shifted), sd(-shifted), sd(0.0))

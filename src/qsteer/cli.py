@@ -159,13 +159,13 @@ class Scenario:
 
 def _complex_entry(value, where, problems):
     z = None
-    if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
+    try:
+        if isinstance(value, (int, float)):
+            z = complex(value)
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
             z = complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
+    except (TypeError, ValueError, OverflowError):
+        pass
     if z is None or not cmath.isfinite(z):
         problems.append(f"{where}: expected a finite number or [re, im] pair")
         return 0j
@@ -178,10 +178,20 @@ def _number(value, where, problems):
     except (TypeError, ValueError):
         problems.append(f"{where}: expected a number")
         return None
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         problems.append(f"{where}: must be finite")
         return None
     return v
+
+
+def _flag(run, key, problems) -> bool:
+    value = run.get(key, False)
+    if not isinstance(value, bool):
+        problems.append(f"run.{key}: expected true or false")
+        return False
+    return value
 
 
 def _positive(value, where, problems, allow_zero=False):
@@ -205,9 +215,11 @@ def _build_path(data, problems) -> Optional[PathConfig]:
         if not isinstance(theta, (int, float)) or not 0 <= theta <= math.pi:
             problems.append("path.theta_rad: must be a number in [0, pi]")
             theta = None
-        omega = data.get("drive_omega_rad_per_time")
-        if not isinstance(omega, (int, float)) or not math.isfinite(omega) or omega == 0:
-            problems.append("path.drive_omega_rad_per_time: must be a finite nonzero number")
+        omega = _number(
+            data.get("drive_omega_rad_per_time"), "path.drive_omega_rad_per_time", problems
+        )
+        if omega == 0:
+            problems.append("path.drive_omega_rad_per_time: must be nonzero")
             omega = None
         duration = data.get("duration_time")
         if duration is not None:
@@ -218,21 +230,18 @@ def _build_path(data, problems) -> Optional[PathConfig]:
             kind=kind,
             field_energy=Omega,
             theta_rad=float(theta),
-            drive_omega_rad_per_time=float(omega),
+            drive_omega_rad_per_time=omega,
             duration_time=duration,
         )
     if kind == "linear_sweep":
-        slope = data.get("slope_energy_per_time")
-        if not isinstance(slope, (int, float)) or not math.isfinite(slope):
-            problems.append("path.slope_energy_per_time: must be a finite number")
-            slope = None
+        slope = _number(data.get("slope_energy_per_time"), "path.slope_energy_per_time", problems)
         gap = _positive(data.get("gap_energy"), "path.gap_energy", problems)
         duration = _positive(data.get("duration_time"), "path.duration_time", problems)
         if None in (slope, gap, duration):
             return None
         return PathConfig(
             kind=kind,
-            slope_energy_per_time=float(slope),
+            slope_energy_per_time=slope,
             gap_energy=gap,
             duration_time=duration,
         )
@@ -359,6 +368,18 @@ def _build_solver(data, duration, problems) -> Optional[SolverConfig]:
         return None
 
 
+def _mode_problems(mode, path, sweep_periods, berry_thetas) -> list:
+    """The sweep and berry modes need their grid and a rotating_cone path."""
+    problems = []
+    if mode == "sweep" and not sweep_periods:
+        problems.append("run.sweep_periods_time: required non-empty list for sweep mode")
+    if mode == "berry" and not berry_thetas:
+        problems.append("run.berry_theta_grid_rad: required non-empty list for berry mode")
+    if mode in ("sweep", "berry") and path is not None and path.kind != "rotating_cone":
+        problems.append(f"run.mode: {mode} requires a rotating_cone path")
+    return problems
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a YAML scenario, reporting every problem at once."""
     try:
@@ -380,7 +401,8 @@ def load_scenario(text: str) -> Scenario:
         problems.append("initial.rho_gg: must be in [0, 1]")
         rho_gg = 1.0
     rho_ge = _complex_entry(initial.get("rho_ge", 0.0), "initial.rho_ge", problems)
-    if rho_gg * (1.0 - rho_gg) - abs(rho_ge) ** 2 < -1e-12:
+    ge2 = rho_ge.real * rho_ge.real + rho_ge.imag * rho_ge.imag  # abs() ** 2 can overflow
+    if rho_gg * (1.0 - rho_gg) - ge2 < -1e-12:
         problems.append("initial: state not positive (|rho_ge|^2 > rho_gg rho_ee)")
 
     run = data.get("run", {})
@@ -388,8 +410,8 @@ def load_scenario(text: str) -> Scenario:
     mode = run.get("mode", "simulate")
     if mode not in ("simulate", "sweep", "compare", "berry"):
         problems.append("run.mode: must be simulate, sweep, compare or berry")
-    optimal_phase = bool(run.get("optimal_phase", False))
-    spectral_shift = bool(run.get("spectral_shift", False))
+    optimal_phase = _flag(run, "optimal_phase", problems)
+    spectral_shift = _flag(run, "spectral_shift", problems)
     history_samples = run.get("history_samples", 4097)
     if not isinstance(history_samples, int) or history_samples < 3:
         problems.append("run.history_samples: must be an integer >= 3")
@@ -403,15 +425,10 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(raw, list):
             problems.append("run.sweep_periods_time: expected a list of positive numbers")
         else:
-            ok = [p for p in raw if isinstance(p, (int, float)) and 0 < p < math.inf]
+            ok = [p for p in raw if isinstance(p, (int, float)) and 0 < p <= sys.float_info.max]
             if len(ok) != len(raw):
                 problems.append("run.sweep_periods_time: entries must be finite positive numbers")
             sweep_periods = tuple(float(p) for p in ok)
-    if mode == "sweep":
-        if not sweep_periods:
-            problems.append("run.sweep_periods_time: required non-empty list for sweep mode")
-        if path is not None and path.kind != "rotating_cone":
-            problems.append("run.mode: sweep requires a rotating_cone path")
 
     berry_thetas = ()
     raw = run.get("berry_theta_grid_rad")
@@ -423,11 +440,7 @@ def load_scenario(text: str) -> Scenario:
             if len(ok) != len(raw):
                 problems.append("run.berry_theta_grid_rad: entries must lie in [0, pi]")
             berry_thetas = tuple(float(v) for v in ok)
-    if mode == "berry":
-        if not berry_thetas:
-            problems.append("run.berry_theta_grid_rad: required non-empty list for berry mode")
-        if path is not None and path.kind != "rotating_cone":
-            problems.append("run.mode: berry requires a rotating_cone path")
+    problems.extend(_mode_problems(mode, path, sweep_periods, berry_thetas))
 
     solver = _build_solver(data.get("solver"), path.duration if path else None, problems)
 
@@ -663,6 +676,13 @@ def main(argv=None) -> int:
 
     try:
         scenario = scenario_from_file(args.config)
+        if args.command not in ("validate", scenario.mode):
+            problems = _mode_problems(
+                args.command, scenario.path, scenario.sweep_periods, scenario.berry_thetas
+            )
+            if problems:
+                raise ValidationError(problems)
+            scenario = dataclasses.replace(scenario, mode=args.command)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -678,18 +698,6 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print("scenario OK")
         return 0
-
-    if args.command != scenario.mode:
-        scenario = dataclasses.replace(scenario, mode=args.command)
-        if args.command == "sweep" and not scenario.sweep_periods:
-            print("scenario invalid:\n  - run.sweep_periods_time: required for sweep", file=sys.stderr)
-            return 1
-        if args.command == "berry" and not scenario.berry_thetas:
-            print("scenario invalid:\n  - run.berry_theta_grid_rad: required for berry", file=sys.stderr)
-            return 1
-        if args.command in ("sweep", "berry") and scenario.path.kind != "rotating_cone":
-            print(f"scenario invalid:\n  - run.mode: {args.command} requires a rotating_cone path", file=sys.stderr)
-            return 1
 
     try:
         artifacts = run(scenario, out_dir=args.out, jobs=args.jobs, seed=args.seed)

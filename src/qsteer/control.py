@@ -10,12 +10,13 @@ in that basis, and the local adiabatic parameter alpha = ||w|| / omega01.
 Gauge convention
 ----------------
 Eigenvector phases are fixed pointwise: for each branch, the component that
-dominates the t = 0 eigenvector (ties prefer the second component) is rotated
-to the positive real axis and that anchor index is kept for all t.  The gauge
+dominates the eigenvector at the path's start (t = 0, or the first sample
+time of a sampled path; ties prefer the second component) is rotated to the
+positive real axis and that anchor index is kept for all t.  The gauge
 therefore depends only on the instantaneous field, is single valued around
 closed control loops (so accumulated phases are meaningful Berry phases), and
 is C^1 wherever the anchored component stays away from zero.  Paths that
-steer an eigenstate close to the antipode of its t = 0 orientation need the
+steer an eigenstate close to the antipode of its initial orientation need the
 explicit ``prev`` continuation instead; chaining ``prev`` at small steps
 realizes the parallel-transport gauge, in which the w diagonals vanish.
 """
@@ -43,7 +44,7 @@ class ControlPath:
 
     ``b`` maps time to the field vector (b_x, b_y, b_z); ``b_dot`` is its
     analytic derivative when available (None forces central differences in
-    :func:`compute_w`).  ``coupling_A`` is the Hermitian system part of the
+    :func:`frame_at`).  ``coupling_A`` is the Hermitian system part of the
     system-environment coupling, given in the fixed basis.
     """
 
@@ -75,9 +76,13 @@ class ControlPath:
         )
 
     def anchors(self) -> tuple[int, int]:
-        """Anchor component indices (ground, excited) fixed from the t=0 eigenvectors."""
+        """Anchor component indices (ground, excited), fixed at the start of the path.
+
+        The start is ``params["t_start"]`` for sampled paths and t = 0 otherwise,
+        so a sampled path is never evaluated outside its samples here.
+        """
         if self._anchors is None:
-            g, e, _, _ = _eig_raw(*self.b(0.0))
+            g, e, _, _ = _eig_raw(*self.b(self.params.get("t_start", 0.0)))
             cg = 1 if abs(g[1]) >= abs(g[0]) else 0
             ce = 1 if abs(e[1]) >= abs(e[0]) else 0
             self._anchors = (cg, ce)
@@ -202,7 +207,6 @@ class EigenFrame:
     excited: np.ndarray
     E_g: float
     E_e: float
-    phase_reference: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def omega01(self) -> float:
@@ -326,7 +330,6 @@ def eigensystem(path: ControlPath, t: float, prev: Optional[EigenFrame] = None) 
     bx, by, bz = path.b(t)
     cg, ce = path.anchors()
     g, e, E_g, E_e = _eig_anchored(bx, by, bz, cg, ce)
-    phase_ref = None
     if prev is not None:
         def continue_from(p, vec):
             ov = complex(p[0]).conjugate() * vec[0] + complex(p[1]).conjugate() * vec[1]
@@ -338,24 +341,22 @@ def eigensystem(path: ControlPath, t: float, prev: Optional[EigenFrame] = None) 
 
         g = continue_from(prev.ground, g)
         e = continue_from(prev.excited, e)
-        phase_ref = (prev.ground.copy(), prev.excited.copy())
     return EigenFrame(
         t=t,
         ground=np.array(g, dtype=complex),
         excited=np.array(e, dtype=complex),
         E_g=E_g,
         E_e=E_e,
-        phase_reference=phase_ref,
     )
 
 
-def w_from_eigenframes(minus, center, plus, h: float, hermiticity_tol: float = HERMITICITY_TOL):
+def w_from_eigenframes(minus, center, plus, h: float):
     """Central-difference w elements from eigenvector pairs at t-h, t, t+h.
 
     Each argument is a (ground, excited) pair of 2-vectors sharing one
     continuous gauge. Exposed separately so alternative gauges can be fed in
     directly. Raises StepTooCoarse when the Hermiticity residual of the
-    reconstructed w exceeds ``hermiticity_tol``.
+    reconstructed w exceeds HERMITICITY_TOL.
     """
     gm, em = minus
     g0, e0 = center
@@ -372,36 +373,25 @@ def w_from_eigenframes(minus, center, plus, h: float, hermiticity_tol: float = H
     residual = max(
         abs(w_gg_raw.imag), abs(w_ee_raw.imag), abs(w_eg_raw - w_ge_raw.conjugate())
     )
-    if residual > hermiticity_tol:
+    if residual > HERMITICITY_TOL:
         raise StepTooCoarse(
-            f"central-difference Hermiticity residual {residual:.3e} > {hermiticity_tol:.0e}"
+            f"central-difference Hermiticity residual {residual:.3e} > {HERMITICITY_TOL:.0e}"
         )
     w_ge = (w_ge_raw + w_eg_raw.conjugate()) / 2
     return w_gg_raw.real, w_ee_raw.real, w_ge
 
 
 def compute_w(path: ControlPath, t: float, method: str = "analytic", h: Optional[float] = None):
-    """w elements (w_gg, w_ee, w_ge) at time t in the path's anchored gauge.
+    """w elements (w_gg, w_ee, w_ge) of :func:`frame_at` at time t.
 
-    ``method`` is "analytic" (requires path.b_dot) or "central_difference"
-    with step ``h`` (default 1e-4 * duration).
+    Unlike :func:`frame_at`, "analytic" requires path.b_dot (no fallback).
     """
-    cg, ce = path.anchors()
-    if method == "analytic":
-        if path.b_dot is None:
-            raise ValueError("analytic w requires a path with b_dot")
-        bx, by, bz = path.b(t)
-        g, e, E_g, E_e = _eig_anchored(bx, by, bz, cg, ce)
-        return _w_analytic(g, e, E_e - E_g, cg, ce, *path.b_dot(t))
-    if method == "central_difference":
-        if h is None:
-            h = 1e-4 * path.duration
-        trip = []
-        for s in (t - h, t, t + h):
-            g, e, _, _ = _eig_anchored(*path.b(s), cg, ce)
-            trip.append((g, e))
-        return w_from_eigenframes(trip[0], trip[1], trip[2], h)
-    raise ValueError(f"unknown method {method!r}")
+    if method == "analytic" and path.b_dot is None:
+        raise ValueError("analytic w requires a path with b_dot")
+    if method not in ("analytic", "central_difference"):
+        raise ValueError(f"unknown method {method!r}")
+    f = frame_at(path, t, method=method, h=h)
+    return f.w_gg, f.w_ee, f.w_ge
 
 
 def coupling_elements(A, frame: EigenFrame):
@@ -438,11 +428,11 @@ def frame_at(
 ) -> AdiabaticFrame:
     """Full adiabatic-frame snapshot at time t.
 
-    ``method`` selects how the w elements are obtained, as in
-    :func:`compute_w`; "analytic" falls back to central differences when the
-    path has no derivative. ``prev`` is honored for the eigenvector gauge
-    (parallel-transport continuation), in which case the w elements are
-    produced by central differences continued from the same frame.
+    ``method`` is "analytic" (central differences when the path has no
+    derivative) or "central_difference" with step ``h`` (default 1e-4 *
+    duration). ``prev`` is honored for the eigenvector gauge (parallel-transport
+    continuation), in which case the w elements are produced by central
+    differences continued from the same frame.
     """
     if prev is not None:
         ef = eigensystem(path, t, prev)

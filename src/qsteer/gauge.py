@@ -44,37 +44,20 @@ def apply_phase(w_gg, w_ee, w_ge, lam_g, lam_e, dlam_g, dlam_e):
 def apply_phase_frame(frame, lam_g, lam_e, dlam_g, dlam_e):
     """Adiabatic frame re-expressed in the phase-shifted basis.
 
-    m1 and omega01 are invariant; m2 and w_ge rotate by the phase difference;
-    the w diagonals shift by the phase velocities and alpha is recomputed.
+    m1 and omega01 are invariant; m2 rotates with w_ge (see
+    :func:`apply_phase`) and alpha is recomputed.
     """
-    rot = phase_factor(lam_g, lam_e)
-    w_gg = frame.w_gg + dlam_g
-    w_ee = frame.w_ee + dlam_e
-    w_ge = frame.w_ge * rot
+    w_gg, w_ee, w_ge = apply_phase(
+        frame.w_gg, frame.w_ee, frame.w_ge, lam_g, lam_e, dlam_g, dlam_e
+    )
     return dataclasses.replace(
         frame,
         w_gg=w_gg,
         w_ee=w_ee,
         w_ge=w_ge,
-        m2=frame.m2 * rot,
+        m2=frame.m2 * phase_factor(lam_g, lam_e),
         alpha=hs_norm(w_gg, w_ee, w_ge) / frame.omega01,
     )
-
-
-@dataclass(frozen=True)
-class PhaseShiftedFrame:
-    """Frame after the optimal phase selection: w diagonals vanish by construction."""
-
-    t: float
-    omega01: float
-    w_gg: float
-    w_ee: float
-    w_ge: complex
-    m1: float
-    m2: complex
-    alpha: float
-    lambda_g: float
-    lambda_e: float
 
 
 @dataclass
@@ -92,8 +75,6 @@ class PhaseSchedule:
     lambda_e_values: np.ndarray
     dlambda_g_values: np.ndarray
     dlambda_e_values: np.ndarray
-    lambda_g0: float
-    lambda_e0: float
     quadrature_error: float
     _spline_g: object = dataclasses.field(default=None, repr=False)
     _spline_e: object = dataclasses.field(default=None, repr=False)
@@ -111,11 +92,6 @@ class PhaseSchedule:
 
     def lambda_e(self, t: float) -> float:
         return float(self._splines()[1](t))
-
-    def delta(self, t: float) -> float:
-        """lambda_e(t) - lambda_g(t)."""
-        sg, se = self._splines()
-        return float(se(t) - sg(t))
 
 
 def _cumulative_integral(y: np.ndarray, h: float) -> tuple[np.ndarray, float]:
@@ -171,8 +147,6 @@ def optimal_schedule(history, lambda_g0: float = 0.0, lambda_e0: float = 0.0) ->
         lambda_e_values=le + lambda_e0,
         dlambda_g_values=-w_gg_u,
         dlambda_e_values=-w_ee_u,
-        lambda_g0=lambda_g0,
-        lambda_e0=lambda_e0,
         quadrature_error=max(err_g, err_e),
     )
 
@@ -214,7 +188,7 @@ def berry_phase(history, loop_tol: float = 1e-10) -> BerryPhases:
     return BerryPhases(dg, de, _wrap(dg), _wrap(de))
 
 
-def phase_shifted_frame(frame, schedule: PhaseSchedule, t: Optional[float] = None) -> PhaseShiftedFrame:
+def phase_shifted_frame(frame, schedule: PhaseSchedule, t: Optional[float] = None):
     """Frame expressed in the optimally phase-shifted basis.
 
     The schedule must have been built from the same gauge as ``frame``. The
@@ -223,19 +197,6 @@ def phase_shifted_frame(frame, schedule: PhaseSchedule, t: Optional[float] = Non
     """
     if t is None:
         t = frame.t
-    lam_g = schedule.lambda_g(t)
-    lam_e = schedule.lambda_e(t)
-    rot = phase_factor(lam_g, lam_e)
-    w_ge = frame.w_ge * rot
-    return PhaseShiftedFrame(
-        t=frame.t,
-        omega01=frame.omega01,
-        w_gg=0.0,
-        w_ee=0.0,
-        w_ge=w_ge,
-        m1=frame.m1,
-        m2=frame.m2 * rot,
-        alpha=math.sqrt(2.0) * abs(w_ge) / frame.omega01,
-        lambda_g=lam_g,
-        lambda_e=lam_e,
+    return apply_phase_frame(
+        frame, schedule.lambda_g(t), schedule.lambda_e(t), -frame.w_gg, -frame.w_ee
     )

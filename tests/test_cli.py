@@ -135,6 +135,21 @@ solver:
             load_scenario(text)
         assert any("initial" in p for p in exc.value.problems)
 
+    def test_huge_coherence_rejected_without_overflow(self):
+        text = MINIMAL_CONE + "initial:\n  rho_ge: [1.0e308, 1.0e308]\n"
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        assert any(p.startswith("initial") for p in exc.value.problems)
+
+    def test_flags_must_be_yaml_booleans(self):
+        text = MINIMAL_CONE + "run:\n  optimal_phase: 'false'\n  spectral_shift: 1\n"
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        joined = "\n".join(exc.value.problems)
+        assert "run.optimal_phase" in joined and "run.spectral_shift" in joined
+        sc = load_scenario(MINIMAL_CONE + "run:\n  optimal_phase: true\n  spectral_shift: false\n")
+        assert sc.optimal_phase is True and sc.spectral_shift is False
+
 
 class TestRun:
     def test_simulate_artifacts(self, tmp_path):
@@ -312,6 +327,11 @@ class TestMain:
         assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
         assert "solver.t1_time" in capsys.readouterr().err
 
+    def test_validate_huge_coherence_exit_1(self, tmp_path, capsys):
+        fn = self.write_config(tmp_path, MINIMAL_CONE + "initial:\n  rho_ge: [1.0e308, 1.0e308]\n")
+        assert main(["validate", "--config", str(fn)]) == 1
+        assert "initial" in capsys.readouterr().err
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
 
@@ -322,6 +342,15 @@ class TestMain:
         assert main(["sweep", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
         run_dir = next((tmp_path / "runs").iterdir())
         assert (run_dir / "summary.csv").exists()
+
+    def test_subcommand_override_reports_like_validation(self, tmp_path, capsys):
+        fn = self.write_config(tmp_path)
+        assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(MINIMAL_CONE + "run:\n  mode: berry\n")
+        assert exc.value.problems and all(p in err for p in exc.value.problems)
+        assert not (tmp_path / "runs").exists()
 
     def test_sweep_without_periods_exit_1(self, tmp_path):
         fn = self.write_config(tmp_path)

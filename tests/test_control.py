@@ -73,7 +73,6 @@ class TestEigensystem:
             assert (prev.ground.conj() @ f.ground).real > 0
             assert (prev.excited.conj() @ f.excited).real > 0
             assert abs((prev.ground.conj() @ f.ground).imag) < 1e-12
-            assert f.phase_reference is not None
             prev = f
 
     def test_pointwise_gauge_continuity(self, cone_path):
@@ -293,6 +292,18 @@ class TestSampledPaths:
         path = q.path_from_csv(fn, SX)
         assert path.duration == pytest.approx(5.0)
         np.testing.assert_allclose(path.b(2.5), bs[10], atol=1e-9)
+
+    def test_gauge_anchored_at_first_sample(self):
+        # b(t) = (0.1 t, 0, 0) sampled on [5, 10]: extrapolating the spline
+        # back to t = 0 would land on the gap collapse at b = 0
+        ts = np.linspace(5.0, 10.0, 11)
+        bs = np.stack([0.1 * ts, np.zeros_like(ts), np.zeros_like(ts)], axis=1)
+        path = q.sampled_path(ts, bs, SZ)
+        assert path.anchors() == static_path((0.5, 0.0, 0.0)).anchors()
+        f = q.frame_at(path, 5.0)
+        assert f.omega01 == pytest.approx(0.5, rel=1e-12)
+        assert f.w_gg == pytest.approx(0.0, abs=1e-12)
+        assert abs(f.w_ge) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
