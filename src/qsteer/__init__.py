@@ -67,12 +67,10 @@ from .frames import (
 )
 from .gauge import (
     BerryPhases,
-    PhaseSchedule,
     apply_phase,
     apply_phase_frame,
     berry_phase,
     hs_norm,
-    optimal_schedule,
     phase_shifted_frame,
 )
 

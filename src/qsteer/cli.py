@@ -51,6 +51,10 @@ from .gauge import berry_phase
 # Not called here; perfbench's tracer and its self-tests patch this name.
 from .gauge import phase_shifted_frame  # noqa: F401
 
+# Largest berry-mode frame history: it holds one frame per sample, and a count
+# beyond the C integer range would fail in np.linspace at run time.
+_MAX_HISTORY_SAMPLES = 2**16 + 1
+
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -413,8 +417,8 @@ def load_scenario(text: str) -> Scenario:
     optimal_phase = _flag(run, "optimal_phase", problems)
     spectral_shift = _flag(run, "spectral_shift", problems)
     history_samples = run.get("history_samples", 4097)
-    if not isinstance(history_samples, int) or history_samples < 3:
-        problems.append("run.history_samples: must be an integer >= 3")
+    if not isinstance(history_samples, int) or not 3 <= history_samples <= _MAX_HISTORY_SAMPLES:
+        problems.append(f"run.history_samples: must be an integer in [3, {_MAX_HISTORY_SAMPLES}]")
         history_samples = 4097
 
     # grids are parsed whenever present so a CLI subcommand can switch modes;
@@ -565,7 +569,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
         "status": "running",
     }
     files: list = []
-    invariants = {"trace_residual": 0.0, "max_positivity_violation": 0.0, "max_alpha": 0.0}
+    invariants = {"max_positivity_violation": 0.0, "max_alpha": 0.0}
 
     def note(traj: Trajectory):
         invariants["max_positivity_violation"] = max(
@@ -630,6 +634,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
                     invariants["max_alpha"] = max(invariants["max_alpha"], row["max_alpha"])
             files.append("summary.csv")
         elif scenario.mode == "berry":
+            invariants.update(max_quadrature_error=0.0, max_loop_gap=0.0)
             with open(run_dir / "berry.csv", "w") as fh:
                 fh.write(
                     "theta_rad,delta_lambda_g,delta_lambda_e,"
@@ -640,6 +645,13 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
                     path = build_path(cfg, scenario.coupling)
                     history = sample_history(path, 0.0, path.duration, scenario.history_samples)
                     phases = berry_phase(history)
+                    invariants["max_alpha"] = max(
+                        invariants["max_alpha"], *(f.alpha for f in history.frames)
+                    )
+                    invariants["max_quadrature_error"] = max(
+                        invariants["max_quadrature_error"], phases.quadrature_error
+                    )
+                    invariants["max_loop_gap"] = max(invariants["max_loop_gap"], phases.loop_gap)
                     fh.write(
                         f"{theta:.17g},{phases.delta_lambda_g:.17g},"
                         f"{phases.delta_lambda_e:.17g},{phases.delta_lambda_g_mod:.17g},"

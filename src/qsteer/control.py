@@ -234,7 +234,7 @@ class AdiabaticFrame:
 
 @dataclass(frozen=True)
 class FrameHistory:
-    """Uniformly sampled frame snapshots along a path, for schedules and loops."""
+    """Uniformly sampled frame snapshots along a path, for Berry loops."""
 
     times: np.ndarray
     frames: list
@@ -471,16 +471,10 @@ def frame_at(
     )
 
 
-def sample_history(
-    path: ControlPath,
-    t0: float,
-    t1: float,
-    num: int,
-    method: str = "analytic",
-) -> FrameHistory:
+def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHistory:
     """Frames on a uniform grid of ``num`` points over [t0, t1]."""
     if num < 3:
         raise ValueError("history needs at least 3 samples")
     times = np.linspace(t0, t1, num)
-    frames = [frame_at(path, float(t), method=method) for t in times]
+    frames = [frame_at(path, float(t)) for t in times]
     return FrameHistory(times=times, frames=frames, b_start=path.b(t0), b_end=path.b(t1))

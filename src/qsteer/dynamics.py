@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .bath import RateSet, SpectralDensity, rates_from_spectra, superadiabatic_elements
 from .errors import GAP_FLOOR, GapCollapse, NonFiniteState, StepRejectionLimit
 from .frames import to_superadiabatic
-from .gauge import apply_phase_frame, phase_factor
+from .gauge import phase_factor, phase_shifted_frame
 
 TOL_POSITIVITY = 1e-6
 
@@ -105,7 +105,7 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity, spectral_shift: bo
     At w = 0 this reduces exactly to :func:`rhs_nonsteered` with the frame's
     rates. With ``spectral_shift`` the spectrum is sampled at the
     gauge-corrected gap (caller owns the gauge choice; inert for flat
-    spectra and under the optimal phase schedule).
+    spectra and in the optimally phase-shifted basis).
     """
     w01 = frame.omega01
     if w01 <= GAP_FLOOR:
@@ -359,7 +359,7 @@ def integrate(
             traj.max_positivity_violation = p - 1.0
         if track_phases:
             st = DensityState(st.rho_gg, st.rho_ge * phase_factor(*lam))
-            frame = apply_phase_frame(frame, lam[0], lam[1], -frame.w_gg, -frame.w_ee)
+            frame = phase_shifted_frame(frame, lam[0], lam[1])
         if frame is not None and frame.alpha > traj.max_alpha:
             traj.max_alpha = frame.alpha
         traj.samples.append(TrajectorySample(t, st, frame, lam[0], lam[1], p))

@@ -26,7 +26,7 @@ class LoopNotClosed(QSteerError):
 
 
 class NonUniformGridUnsupported(QSteerError):
-    """Frame-history grid too short or not strictly increasing for quadrature."""
+    """Frame-history grid too short, not strictly increasing or not uniform (never resampled)."""
 
 
 class NonFiniteState(QSteerError):

@@ -1,11 +1,18 @@
 import cmath
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qsteer as q
 from qsteer.cli import build_path, load_scenario, main, run
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 MINIMAL_CONE = """
 path:
@@ -159,8 +166,7 @@ class TestRun:
         meta = json.loads((art.run_dir / "metadata.json").read_text())
         assert meta["status"] == "ok"
         assert meta["seed"] == 7
-        assert meta["invariants"]["trace_residual"] == 0.0
-        assert "max_positivity_violation" in meta["invariants"]
+        assert set(meta["invariants"]) == {"max_positivity_violation", "max_alpha"}
         assert meta["invariants"]["max_alpha"] > 0
         assert meta["scenario_hash"] == sc.scenario_hash()
         lines = (art.run_dir / "trajectory.csv").read_text().splitlines()
@@ -218,6 +224,26 @@ class TestRun:
             theta, dg = (float(x) for x in ln.split(",")[:2])
             assert abs(dg) == pytest.approx(math.pi * (1 - math.cos(theta)), abs=1e-4)
 
+    def test_berry_metadata_is_measured(self, tmp_path):
+        sc = load_scenario(
+            MINIMAL_CONE + "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5, 2.0]\n"
+            "  history_samples: 257\n"
+        )
+        art = run(sc, out_dir=tmp_path)
+        invariants = json.loads((art.run_dir / "metadata.json").read_text())["invariants"]
+        alphas, errors, gaps = [], [], []
+        for theta in sc.berry_thetas:
+            path = build_path(dataclasses.replace(sc.path, theta_rad=theta), sc.coupling)
+            history = q.sample_history(path, 0.0, path.duration, 257)
+            loop = q.berry_phase(history)
+            alphas += [f.alpha for f in history.frames]
+            errors.append(loop.quadrature_error)
+            gaps.append(loop.loop_gap)
+        assert invariants["max_alpha"] == max(alphas) > 0.0
+        assert invariants["max_quadrature_error"] == max(errors)
+        assert invariants["max_loop_gap"] == max(gaps)
+        assert invariants["max_positivity_violation"] == 0.0
+
     def test_optimal_phase_run(self, tmp_path):
         text = MINIMAL_CONE + "run:\n  mode: simulate\n  optimal_phase: true\n  history_samples: 513\n"
         art = run(load_scenario(text), out_dir=tmp_path)
@@ -263,9 +289,9 @@ class TestRun:
                 math.sqrt(2.0) * abs(frame.w_ge) / frame.omega01, rel=1e-12
             )
 
-        schedule = q.optimal_schedule(q.sample_history(path, 0.0, sc.solver.t1, 4097))
-        assert float(opt[-1][7]) == pytest.approx(schedule.lambda_g_values[-1], abs=1e-8)
-        assert float(opt[-1][8]) == pytest.approx(schedule.lambda_e_values[-1], abs=1e-8)
+        loop = q.berry_phase(q.sample_history(path, 0.0, sc.solver.t1, 4097))
+        assert float(opt[-1][7]) == pytest.approx(loop.delta_lambda_g, abs=1e-8)
+        assert float(opt[-1][8]) == pytest.approx(loop.delta_lambda_e, abs=1e-8)
 
     @pytest.mark.filterwarnings("ignore:purity exceeded")
     def test_metadata_is_strict_json(self, tmp_path):
@@ -331,6 +357,38 @@ class TestMain:
         fn = self.write_config(tmp_path, MINIMAL_CONE + "initial:\n  rho_ge: [1.0e308, 1.0e308]\n")
         assert main(["validate", "--config", str(fn)]) == 1
         assert "initial" in capsys.readouterr().err
+
+    def test_history_samples_bounded(self, tmp_path, capsys):
+        berry = MINIMAL_CONE + "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5]\n"
+        assert load_scenario(berry + "  history_samples: 65537\n").history_samples == 65537
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(berry + "  history_samples: 65538\n")
+        assert any("run.history_samples" in p for p in exc.value.problems)
+        fn = self.write_config(tmp_path, berry + "  history_samples: 100000000000000000000000000\n")
+        assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        assert "run.history_samples" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_validates(self, config):
+        assert main(["validate", "--config", str(config)]) == 0
+
+    def test_berry_run_loads_no_scipy_quadrature(self, tmp_path):
+        fn = self.write_config(
+            tmp_path, MINIMAL_CONE + "run:\n  berry_theta_grid_rad: [0.5]\n  history_samples: 65\n"
+        )
+        src = str(Path(q.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\nfrom qsteer.cli import main\n"
+            "code = main(['berry', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, 'scipy.integrate' in sys.modules, 'scipy.interpolate' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(fn), str(tmp_path / "runs")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.split()[-3:] == ["0", "False", "False"]
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1

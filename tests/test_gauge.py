@@ -40,6 +40,16 @@ def history_of(path, n=801, t0=0.0, t1=None):
     return q.sample_history(path, t0, path.duration if t1 is None else t1, n)
 
 
+def tracked_phases(path, t1, dt, record_stride):
+    """Samples of a plain flat-bath run whose stepper accumulates the optimal phase."""
+    sd = q.flat(0.1)
+    cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=t1, dt=dt, record_stride=record_stride)
+    return q.integrate(
+        lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+        frame_provider=lambda t: q.frame_at(path, t), track_phases=True,
+    ).samples
+
+
 class TestOptimalSchedule:
     def test_constant_when_diagonals_vanish(self):
         # static path: w identically zero
@@ -47,30 +57,24 @@ class TestOptimalSchedule:
             kind="custom", b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
             coupling_A=SX, duration=10.0,
         )
-        sched = q.optimal_schedule(history_of(path, 101, t1=10.0), lambda_g0=0.4)
-        np.testing.assert_allclose(sched.lambda_g_values, 0.4, atol=1e-15)
-        assert sched.lambda_g(3.7) == pytest.approx(0.4)
+        samples = tracked_phases(path, 10.0, 0.1, 10)
+        assert all(s.lambda_g == 0.0 and s.lambda_e == 0.0 for s in samples)
 
     def test_cone_ground_branch_linear_in_time(self):
         # w_gg = -omega sin^2(theta/2) = -0.05 on the ground branch
         path = q.rotating_cone(1.0, math.pi / 2, 0.1, SX)
-        sched = q.optimal_schedule(history_of(path, 2001), lambda_g0=0.25)
-        for t in (5.0, 20.0, 50.0):
-            assert sched.lambda_g(t) == pytest.approx(0.05 * t + 0.25, abs=1e-10)
+        samples = tracked_phases(path, 50.0, 0.05, 100)
+        assert len(samples) == 11
+        for s in samples:
+            assert s.lambda_g == pytest.approx(0.05 * s.t, abs=1e-10)
 
     def test_schedule_invariants(self, cone_path):
-        sched = q.optimal_schedule(history_of(cone_path, 501), 0.1, -0.2)
-        assert sched.lambda_g_values[0] == pytest.approx(0.1)
-        assert sched.lambda_e_values[0] == pytest.approx(-0.2)
-        frames = history_of(cone_path, 501).frames
-        np.testing.assert_allclose(
-            sched.dlambda_g_values, [-f.w_gg for f in frames], atol=1e-15
-        )
-        assert sched.quadrature_error < 1e-8
+        bp = q.berry_phase(history_of(cone_path, 501))
+        assert bp.quadrature_error < 1e-8
+        assert bp.loop_gap <= 1e-10
 
     def test_minimality_against_random_schedules(self, cone_path, rng):
         hist = history_of(cone_path, 301)
-        sched = q.optimal_schedule(hist)
         ts = hist.times
         w = [(f.w_gg, f.w_ee, f.w_ge) for f in hist.frames]
         hs_opt = np.array(
@@ -109,21 +113,22 @@ class TestOptimalSchedule:
             b_start=hist.b_start, b_end=hist.b_end,
         )
         with pytest.raises(q.NonUniformGridUnsupported):
-            q.optimal_schedule(bad)
+            q.berry_phase(bad)
         tiny = FrameHistory(
             times=hist.times[:2], frames=hist.frames[:2],
             b_start=hist.b_start, b_end=hist.b_end,
         )
         with pytest.raises(q.NonUniformGridUnsupported):
-            q.optimal_schedule(tiny)
+            q.berry_phase(tiny)
 
-    def test_nonuniform_grid_resampled(self, cone_path):
-        ts = np.sort(np.concatenate([np.linspace(0, 40.0, 900), [13.37]]))
+    def test_nonuniform_grid_rejected(self, cone_path):
+        # a closed loop with one extra sample: rejected, not resampled
+        t1 = cone_path.duration
+        ts = np.sort(np.concatenate([np.linspace(0, t1, 900), [13.37]]))
         frames = [q.frame_at(cone_path, float(t)) for t in ts]
-        hist = FrameHistory(times=ts, frames=frames, b_start=cone_path.b(0), b_end=cone_path.b(40.0))
-        sched = q.optimal_schedule(hist)
-        ref = q.optimal_schedule(history_of(cone_path, 901, t1=40.0))
-        assert sched.lambda_g(20.0) == pytest.approx(ref.lambda_g(20.0), abs=1e-8)
+        hist = FrameHistory(times=ts, frames=frames, b_start=cone_path.b(0), b_end=cone_path.b(t1))
+        with pytest.raises(q.NonUniformGridUnsupported, match="uniformly spaced"):
+            q.berry_phase(hist)
 
 
 class TestBerryPhase:
@@ -175,6 +180,17 @@ class TestBerryPhase:
         diff = bp.delta_lambda_g - bp.delta_lambda_g_mod
         assert diff == pytest.approx(2 * math.pi * round(diff / (2 * math.pi)), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [5, 6, 1024, 1025])
+    def test_quadrature_matches_scipy_simpson(self, cone_path, n):
+        from scipy.integrate import cumulative_simpson
+
+        hist = history_of(cone_path, n)
+        h = hist.times[1] - hist.times[0]
+        bp = q.berry_phase(hist)
+        for got, w in ((bp.delta_lambda_g, "w_gg"), (bp.delta_lambda_e, "w_ee")):
+            y = [-getattr(f, w) for f in hist.frames]
+            assert got == pytest.approx(cumulative_simpson(y, dx=h)[-1], abs=1e-12)
+
     def test_open_arc_rejected(self):
         path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX)
         with pytest.raises(q.LoopNotClosed):
@@ -183,10 +199,8 @@ class TestBerryPhase:
 
 class TestPhaseShiftedFrame:
     def test_zero_diagonals_and_invariants(self, cone_path):
-        hist = history_of(cone_path, 801)
-        sched = q.optimal_schedule(hist)
         f = q.frame_at(cone_path, 31.0)
-        pf = q.phase_shifted_frame(f, sched, 31.0)
+        pf = q.phase_shifted_frame(f, -31.0 * f.w_gg, -31.0 * f.w_ee)
         assert pf.w_gg == 0.0 and pf.w_ee == 0.0
         assert abs(pf.w_ge) == pytest.approx(abs(f.w_ge), rel=1e-15)
         assert abs(pf.m2) == pytest.approx(abs(f.m2), rel=1e-15)
@@ -195,15 +209,13 @@ class TestPhaseShiftedFrame:
         assert pf.alpha == pytest.approx(math.sqrt(2) * abs(f.w_ge) / f.omega01, rel=1e-15)
 
     def test_trivial_schedule_constant_phase_only(self):
-        # diagonals already vanish: only the constant phase e^{i(le0-lg0)} acts
+        # diagonals already vanish: only the phase e^{i(lambda_e - lambda_g)} acts
         path = q.ControlPath(
             kind="custom", b=lambda t: (0.5, 0.0, 0.8), b_dot=lambda t: (0, 0, 0),
             coupling_A=SX, duration=10.0,
         )
-        hist = history_of(path, 101, t1=10.0)
-        sched = q.optimal_schedule(hist, lambda_g0=0.3, lambda_e0=0.9)
-        f = hist.frames[40]
-        pf = q.phase_shifted_frame(f, sched, hist.times[40])
+        f = q.frame_at(path, 4.0)
+        pf = q.phase_shifted_frame(f, 0.3, 0.9)
         rot = cmath.exp(1j * 0.6)
         assert abs(pf.m2 - f.m2 * rot) < 1e-12
         assert abs(pf.w_ge - f.w_ge * rot) < 1e-12
@@ -218,21 +230,24 @@ class TestPhaseShiftedFrame:
 
     def test_observables_match_unshifted_run_flat_spectrum(self, cone_path):
         # same physics in two gauges: rho_gg(t) and |rho_ge(t)| must agree;
-        # a flat spectrum keeps the spectral-shift question out of the way
+        # a flat spectrum keeps the spectral-shift question out of the way.
+        # The cone's w diagonals are constant, so lambda = -w_diag t exactly.
         sd = q.flat(0.4)
         t1 = cone_path.duration
-        sched = q.optimal_schedule(q.sample_history(cone_path, 0.0, t1, 2049))
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=t1, dt=t1 / 8192, record_stride=32)
         rhs = lambda t, s, f: q.rhs_full(s, f, sd)
+
+        def shifted_frame(t):
+            f = q.frame_at(cone_path, t)
+            return q.phase_shifted_frame(f, -f.w_gg * t, -f.w_ee * t)
+
         plain = q.integrate(
             rhs, q.DensityState(1.0, 0j), cfg,
             frame_provider=lambda t: q.frame_at(cone_path, t),
         )
         shifted = q.integrate(
             rhs, q.DensityState(1.0, 0j), cfg,
-            frame_provider=lambda t: q.phase_shifted_frame(
-                q.frame_at(cone_path, t), sched, t
-            ),
+            frame_provider=shifted_frame,
         )
         diff = max(
             max(
