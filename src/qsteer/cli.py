@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,45 +58,15 @@ _MAX_HISTORY_SAMPLES = 2**16 + 1
 
 
 @dataclass(frozen=True)
-class PathConfig:
-    kind: str
-    field_energy: Optional[float] = None
-    theta_rad: Optional[float] = None
-    drive_omega_rad_per_time: Optional[float] = None
-    duration_time: Optional[float] = None
-    slope_energy_per_time: Optional[float] = None
-    gap_energy: Optional[float] = None
-    csv_file: Optional[str] = None
-
-    @property
-    def duration(self) -> Optional[float]:
-        """Explicit duration, else one drive period; None for a sampled path without one."""
-        if self.duration_time is not None:
-            return self.duration_time
-        if self.drive_omega_rad_per_time is not None:
-            return 2 * math.pi / abs(self.drive_omega_rad_per_time)
-        return None
-
-
-@dataclass(frozen=True)
-class BathConfig:
-    """Bath model parameters; ``cutoff_energy`` None means no cutoff."""
-
-    model: str
-    s0_rate: Optional[float] = None
-    eta_coupling: Optional[float] = None
-    temperature_energy: Optional[float] = None
-    cutoff_energy: Optional[float] = None
-    csv_file: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Fully validated, picklable description of one run."""
+    """Fully validated, picklable description of one run.
 
-    path: PathConfig
+    ``path`` and ``bath`` hold the checked keys of their YAML sections.
+    """
+
+    path: dict
     coupling: tuple
-    bath: BathConfig
+    bath: dict
     initial_rho_gg: float
     initial_rho_ge: complex
     solver: SolverConfig
@@ -112,10 +83,10 @@ class Scenario:
             return [z.real, z.imag]
 
         return {
-            "path": {k: v for k, v in dataclasses.asdict(self.path).items() if v is not None},
+            "path": dict(self.path),
             "coupling": {"matrix": [[c2l(self.coupling[0][0]), c2l(self.coupling[0][1])],
                                     [c2l(self.coupling[1][0]), c2l(self.coupling[1][1])]]},
-            "bath": {k: v for k, v in dataclasses.asdict(self.bath).items() if v is not None},
+            "bath": dict(self.bath),
             "initial": {"rho_gg": self.initial_rho_gg, "rho_ge": c2l(self.initial_rho_ge)},
             "solver": {k: v for k, v in dataclasses.asdict(self.solver).items() if v is not None},
             "run": {
@@ -152,21 +123,26 @@ class Scenario:
                 dt=None if self.solver.dt is None else self.solver.dt * scale,
                 dt_max=None if self.solver.dt_max is None else self.solver.dt_max * scale,
             )
-            path = dataclasses.replace(
-                self.path, drive_omega_rad_per_time=2 * math.pi / p, duration_time=p
-            )
+            path = {**self.path, "drive_omega_rad_per_time": 2 * math.pi / p, "duration_time": p}
             subs.append(
                 dataclasses.replace(self, path=path, solver=solver, mode="simulate", sweep_periods=())
             )
         return subs
 
 
+def _is_real(value) -> bool:
+    """An int or a float; YAML booleans load as Python ints but are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_entry(value, where, problems):
     z = None
     try:
-        if isinstance(value, (int, float)):
+        if _is_real(value):
             z = complex(value)
-        elif isinstance(value, (list, tuple)) and len(value) == 2:
+        elif isinstance(value, (list, tuple)) and len(value) == 2 and not any(
+            isinstance(v, bool) for v in value
+        ):
             z = complex(float(value[0]), float(value[1]))
     except (TypeError, ValueError, OverflowError):
         pass
@@ -178,6 +154,8 @@ def _complex_entry(value, where, problems):
 
 def _number(value, where, problems):
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         v = float(value)
     except (TypeError, ValueError):
         problems.append(f"{where}: expected a number")
@@ -208,60 +186,105 @@ def _positive(value, where, problems, allow_zero=False):
     return v
 
 
-def _build_path(data, problems) -> Optional[PathConfig]:
-    if not isinstance(data, dict):
-        problems.append("path: expected a mapping")
+def _nonnegative(value, where, problems):
+    return _positive(value, where, problems, allow_zero=True)
+
+
+def _nonzero(value, where, problems):
+    v = _number(value, where, problems)
+    if v == 0:
+        problems.append(f"{where}: must be nonzero")
         return None
-    kind = data.get("kind")
-    if kind == "rotating_cone":
-        Omega = _positive(data.get("field_energy"), "path.field_energy", problems)
-        theta = data.get("theta_rad")
-        if not isinstance(theta, (int, float)) or not 0 <= theta <= math.pi:
-            problems.append("path.theta_rad: must be a number in [0, pi]")
-            theta = None
-        omega = _number(
-            data.get("drive_omega_rad_per_time"), "path.drive_omega_rad_per_time", problems
-        )
-        if omega == 0:
-            problems.append("path.drive_omega_rad_per_time: must be nonzero")
-            omega = None
-        duration = data.get("duration_time")
-        if duration is not None:
-            duration = _positive(duration, "path.duration_time", problems)
-        if None in (Omega, theta, omega):
-            return None
-        return PathConfig(
-            kind=kind,
-            field_energy=Omega,
-            theta_rad=float(theta),
-            drive_omega_rad_per_time=omega,
-            duration_time=duration,
-        )
-    if kind == "linear_sweep":
-        slope = _number(data.get("slope_energy_per_time"), "path.slope_energy_per_time", problems)
-        gap = _positive(data.get("gap_energy"), "path.gap_energy", problems)
-        duration = _positive(data.get("duration_time"), "path.duration_time", problems)
-        if None in (slope, gap, duration):
-            return None
-        return PathConfig(
-            kind=kind,
-            slope_energy_per_time=slope,
-            gap_energy=gap,
-            duration_time=duration,
-        )
-    if kind == "sampled":
-        csv_file = data.get("csv_file")
-        if not isinstance(csv_file, str):
-            problems.append("path.csv_file: required for sampled paths")
-            return None
-        duration = data.get("duration_time")
-        if duration is not None:
-            duration = _positive(duration, "path.duration_time", problems)
-            if duration is None:
-                return None
-        return PathConfig(kind=kind, csv_file=csv_file, duration_time=duration)
-    problems.append("path.kind: must be rotating_cone, linear_sweep or sampled")
-    return None
+    return v
+
+
+def _angle(value, where, problems):
+    if not _is_real(value) or not 0 <= value <= math.pi:
+        problems.append(f"{where}: must be a number in [0, pi]")
+        return None
+    return float(value)
+
+
+def _file_name(value, where, problems):
+    if not isinstance(value, str):
+        problems.append(f"{where}: expected a file name")
+        return None
+    return value
+
+
+# The path and bath sections, one entry per kind: the library constructor and
+# {YAML key: (constructor argument, check, required)}. A key without an
+# argument is validated and echoed but not passed on.
+_PATHS = {
+    "rotating_cone": (rotating_cone, {
+        "field_energy": ("Omega", _positive, True),
+        "theta_rad": ("theta", _angle, True),
+        "drive_omega_rad_per_time": ("omega", _nonzero, True),
+        "duration_time": ("duration", _positive, False),
+    }),
+    "linear_sweep": (linear_sweep, {
+        "slope_energy_per_time": ("slope", _number, True),
+        "gap_energy": ("gap", _positive, True),
+        "duration_time": ("duration", _positive, True),
+    }),
+    # a sampled path's duration only sets the default solver window
+    "sampled": (path_from_csv, {
+        "csv_file": ("csv_path", _file_name, True),
+        "duration_time": (None, _positive, False),
+    }),
+}
+_BATHS = {
+    "flat": (flat, {"s0_rate": ("s0", _nonnegative, True)}),
+    "ohmic_thermal": (ohmic_thermal, {
+        "eta_coupling": ("eta", _nonnegative, True),
+        "temperature_energy": ("temperature", _positive, True),
+        "cutoff_energy": ("cutoff", _positive, False),
+    }),
+    "zero_temperature_ohmic": (zero_temperature_ohmic, {
+        "eta_coupling": ("eta", _nonnegative, True),
+        "cutoff_energy": ("cutoff", _positive, False),
+    }),
+    "tabulated": (spectrum_from_csv, {"csv_file": ("csv_path", _file_name, True)}),
+}
+
+
+def _section(name, data, tag, table, problems) -> Optional[dict]:
+    """The checked keys of one section, or None if its kind or a required key is invalid.
+
+    An invalid optional key is reported and left out.
+    """
+    if not isinstance(data, dict):
+        problems.append(f"{name}: expected a mapping")
+        return None
+    kind = data.get(tag)
+    if not isinstance(kind, str) or kind not in table:
+        *kinds, last = table
+        problems.append(f"{name}.{tag}: must be {', '.join(kinds)} or {last}")
+        return None
+    cfg, ok = {tag: kind}, True
+    for key, (_, check, required) in table[kind][1].items():
+        if data.get(key) is None and not required:
+            continue
+        value = check(data.get(key), f"{name}.{key}", problems)
+        if value is not None:
+            cfg[key] = value
+        elif required:
+            ok = False
+    return cfg if ok else None
+
+
+def _construct(table, tag, cfg, **extra):
+    make, fields = table[cfg[tag]]
+    args = {arg: cfg[key] for key, (arg, _, _) in fields.items() if arg and key in cfg}
+    return make(**extra, **args)
+
+
+def _path_duration(path: dict) -> Optional[float]:
+    """Explicit duration, else one drive period; None for a sampled path without one."""
+    if "duration_time" in path:
+        return path["duration_time"]
+    omega = path.get("drive_omega_rad_per_time")
+    return None if omega is None else 2 * math.pi / abs(omega)
 
 
 def _build_coupling(data, problems):
@@ -285,47 +308,6 @@ def _build_coupling(data, problems):
     return m
 
 
-def _build_bath(data, problems) -> Optional[BathConfig]:
-    if not isinstance(data, dict):
-        problems.append("bath: expected a mapping")
-        return None
-    model = data.get("model")
-    if model == "flat":
-        s0 = _positive(data.get("s0_rate"), "bath.s0_rate", problems, allow_zero=True)
-        return None if s0 is None else BathConfig(model=model, s0_rate=s0)
-    if model == "ohmic_thermal":
-        eta = _positive(data.get("eta_coupling"), "bath.eta_coupling", problems, allow_zero=True)
-        T = _positive(data.get("temperature_energy"), "bath.temperature_energy", problems)
-        cut = data.get("cutoff_energy")
-        if cut is not None:
-            cut = _positive(cut, "bath.cutoff_energy", problems)
-            if cut is None:
-                return None
-        if None in (eta, T):
-            return None
-        return BathConfig(model=model, eta_coupling=eta, temperature_energy=T, cutoff_energy=cut)
-    if model == "zero_temperature_ohmic":
-        eta = _positive(data.get("eta_coupling"), "bath.eta_coupling", problems, allow_zero=True)
-        cut = data.get("cutoff_energy")
-        if cut is not None:
-            cut = _positive(cut, "bath.cutoff_energy", problems)
-            if cut is None:
-                return None
-        if eta is None:
-            return None
-        return BathConfig(model=model, eta_coupling=eta, cutoff_energy=cut)
-    if model == "tabulated":
-        csv_file = data.get("csv_file")
-        if not isinstance(csv_file, str):
-            problems.append("bath.csv_file: required for tabulated spectra")
-            return None
-        return BathConfig(model=model, csv_file=csv_file)
-    problems.append(
-        "bath.model: must be flat, ohmic_thermal, zero_temperature_ohmic or tabulated"
-    )
-    return None
-
-
 def _build_solver(data, duration, problems) -> Optional[SolverConfig]:
     data = data if isinstance(data, dict) else {}
     method = data.get("method", "rk45_adaptive")
@@ -342,7 +324,7 @@ def _build_solver(data, duration, problems) -> Optional[SolverConfig]:
         problems.append("solver.t1_time: must exceed solver.t0_time")
         ok = False
     stride = data.get("record_stride", 1)
-    if not isinstance(stride, int) or stride < 1:
+    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
         problems.append("solver.record_stride: must be an integer >= 1")
         ok = False
     dt = rtol = atol = dt_max = None
@@ -379,7 +361,7 @@ def _mode_problems(mode, path, sweep_periods, berry_thetas) -> list:
         problems.append("run.sweep_periods_time: required non-empty list for sweep mode")
     if mode == "berry" and not berry_thetas:
         problems.append("run.berry_theta_grid_rad: required non-empty list for berry mode")
-    if mode in ("sweep", "berry") and path is not None and path.kind != "rotating_cone":
+    if mode in ("sweep", "berry") and path is not None and path["kind"] != "rotating_cone":
         problems.append(f"run.mode: {mode} requires a rotating_cone path")
     return problems
 
@@ -394,14 +376,14 @@ def load_scenario(text: str) -> Scenario:
         raise ParseError("scenario must be a mapping at top level")
 
     problems: list[str] = []
-    path = _build_path(data.get("path"), problems)
+    path = _section("path", data.get("path"), "kind", _PATHS, problems)
     coupling = _build_coupling(data.get("coupling"), problems)
-    bath_cfg = _build_bath(data.get("bath"), problems)
+    bath_cfg = _section("bath", data.get("bath"), "model", _BATHS, problems)
 
     initial = data.get("initial", {})
     initial = initial if isinstance(initial, dict) else {}
     rho_gg = initial.get("rho_gg", 1.0)
-    if not isinstance(rho_gg, (int, float)) or not 0.0 <= rho_gg <= 1.0:
+    if not _is_real(rho_gg) or not 0.0 <= rho_gg <= 1.0:
         problems.append("initial.rho_gg: must be in [0, 1]")
         rho_gg = 1.0
     rho_ge = _complex_entry(initial.get("rho_ge", 0.0), "initial.rho_ge", problems)
@@ -417,7 +399,8 @@ def load_scenario(text: str) -> Scenario:
     optimal_phase = _flag(run, "optimal_phase", problems)
     spectral_shift = _flag(run, "spectral_shift", problems)
     history_samples = run.get("history_samples", 4097)
-    if not isinstance(history_samples, int) or not 3 <= history_samples <= _MAX_HISTORY_SAMPLES:
+    if (isinstance(history_samples, bool) or not isinstance(history_samples, int)
+            or not 3 <= history_samples <= _MAX_HISTORY_SAMPLES):
         problems.append(f"run.history_samples: must be an integer in [3, {_MAX_HISTORY_SAMPLES}]")
         history_samples = 4097
 
@@ -429,7 +412,7 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(raw, list):
             problems.append("run.sweep_periods_time: expected a list of positive numbers")
         else:
-            ok = [p for p in raw if isinstance(p, (int, float)) and 0 < p <= sys.float_info.max]
+            ok = [p for p in raw if _is_real(p) and 0 < p <= sys.float_info.max]
             if len(ok) != len(raw):
                 problems.append("run.sweep_periods_time: entries must be finite positive numbers")
             sweep_periods = tuple(float(p) for p in ok)
@@ -440,13 +423,13 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(raw, list):
             problems.append("run.berry_theta_grid_rad: expected a list of angles in [0, pi]")
         else:
-            ok = [v for v in raw if isinstance(v, (int, float)) and 0 <= v <= math.pi]
+            ok = [v for v in raw if _is_real(v) and 0 <= v <= math.pi]
             if len(ok) != len(raw):
                 problems.append("run.berry_theta_grid_rad: entries must lie in [0, pi]")
             berry_thetas = tuple(float(v) for v in ok)
     problems.extend(_mode_problems(mode, path, sweep_periods, berry_thetas))
 
-    solver = _build_solver(data.get("solver"), path.duration if path else None, problems)
+    solver = _build_solver(data.get("solver"), _path_duration(path) if path else None, problems)
 
     if problems:
         raise ValidationError(problems)
@@ -474,30 +457,13 @@ def scenario_from_file(path) -> Scenario:
 # materialization and execution
 # ----------------------------------------------------------------------
 
-def build_path(cfg: PathConfig, coupling) -> ControlPath:
+def build_path(cfg: dict, coupling) -> ControlPath:
     A = [[coupling[0][0], coupling[0][1]], [coupling[1][0], coupling[1][1]]]
-    if cfg.kind == "rotating_cone":
-        return rotating_cone(
-            cfg.field_energy, cfg.theta_rad, cfg.drive_omega_rad_per_time, A,
-            duration=cfg.duration_time,
-        )
-    if cfg.kind == "linear_sweep":
-        return linear_sweep(cfg.slope_energy_per_time, cfg.gap_energy, cfg.duration_time, A)
-    return path_from_csv(cfg.csv_file, A)
+    return _construct(_PATHS, "kind", cfg, coupling_A=A)
 
 
-def _cutoff(cfg: BathConfig) -> float:
-    return math.inf if cfg.cutoff_energy is None else cfg.cutoff_energy
-
-
-def build_bath(cfg: BathConfig) -> SpectralDensity:
-    if cfg.model == "flat":
-        return flat(cfg.s0_rate)
-    if cfg.model == "ohmic_thermal":
-        return ohmic_thermal(cfg.eta_coupling, cfg.temperature_energy, _cutoff(cfg))
-    if cfg.model == "zero_temperature_ohmic":
-        return zero_temperature_ohmic(cfg.eta_coupling, _cutoff(cfg))
-    return spectrum_from_csv(cfg.csv_file)
+def build_bath(cfg: dict) -> SpectralDensity:
+    return _construct(_BATHS, "model", cfg)
 
 
 def _integrate_variant(scenario: Scenario, variant: str) -> Trajectory:
@@ -610,8 +576,10 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
         elif scenario.mode == "sweep":
             subs = scenario.sub_scenarios()
             tasks = [(sub, str(run_dir), i) for i, sub in enumerate(subs)]
-            if jobs > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            # fork starts every worker at once, so never more than the work or the CPUs
+            workers = min(jobs, len(tasks), os.cpu_count() or 1)
+            if workers > 1:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
                     results = dict(pool.map(_sweep_worker, tasks))
             else:
                 results = dict(map(_sweep_worker, tasks))
@@ -634,15 +602,17 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
                     invariants["max_alpha"] = max(invariants["max_alpha"], row["max_alpha"])
             files.append("summary.csv")
         elif scenario.mode == "berry":
+            # no state is integrated, so positivity is not measured
+            del invariants["max_positivity_violation"]
             invariants.update(max_quadrature_error=0.0, max_loop_gap=0.0)
             with open(run_dir / "berry.csv", "w") as fh:
                 fh.write(
                     "theta_rad,delta_lambda_g,delta_lambda_e,"
                     "delta_lambda_g_mod_2pi,delta_lambda_e_mod_2pi\n"
                 )
+                loop = {k: v for k, v in scenario.path.items() if k != "duration_time"}
                 for theta in scenario.berry_thetas:
-                    cfg = dataclasses.replace(scenario.path, theta_rad=theta, duration_time=None)
-                    path = build_path(cfg, scenario.coupling)
+                    path = build_path({**loop, "theta_rad": theta}, scenario.coupling)
                     history = sample_history(path, 0.0, path.duration, scenario.history_samples)
                     phases = berry_phase(history)
                     invariants["max_alpha"] = max(

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 import os
@@ -10,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qsteer as q
+from qsteer import cli
 from qsteer.cli import build_path, load_scenario, main, run
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
@@ -48,7 +48,7 @@ class TestLoadScenario:
         assert sc.initial_rho_gg == 1.0
         assert sc.initial_rho_ge == 0j
         assert not sc.optimal_phase
-        assert sc.path.duration == pytest.approx(2 * math.pi / 0.2)
+        assert build_path(sc.path, sc.coupling).duration == pytest.approx(2 * math.pi / 0.2)
 
     def test_negative_temperature_names_field(self):
         text = MINIMAL_CONE.replace(
@@ -69,7 +69,7 @@ class TestLoadScenario:
         for sub, period in zip(subs, (10, 20, 30, 40, 50, 60, 70, 80)):
             assert sub.mode == "simulate"
             assert sub.solver.t1 == pytest.approx(period)
-            assert sub.path.drive_omega_rad_per_time == pytest.approx(2 * math.pi / period)
+            assert sub.path["drive_omega_rad_per_time"] == pytest.approx(2 * math.pi / period)
 
     def test_all_errors_reported_at_once(self):
         text = """
@@ -121,7 +121,7 @@ solver:
             load_scenario(text)
         assert any("solver.t1_time" in p and "path.duration_time" in p for p in exc.value.problems)
         sc = load_scenario(text.replace("  method: rk4_fixed", "  method: rk4_fixed\n  t1_time: 5.0"))
-        assert sc.solver.t1 == 5.0 and sc.path.duration is None
+        assert sc.solver.t1 == 5.0 and "duration_time" not in sc.path
 
     def test_non_finite_numbers_rejected(self):
         text = (
@@ -209,6 +209,40 @@ class TestRun:
             b.run_dir / "period_001.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("jobs, cpus, periods, workers", [
+        (5000, 8, [20, 40], 2),
+        (5000, 2, [20, 30, 40], 2),
+        (2, 8, [20, 30, 40], 2),
+        (5000, 1, [20, 40], None),
+        (5000, None, [20, 40], None),
+    ], ids=["work-cap", "cpu-cap", "jobs-cap", "one-cpu", "cpus-unknown"])
+    def test_sweep_pool_sized_by_the_work(
+        self, tmp_path, monkeypatch, jobs, cpus, periods, workers
+    ):
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process: the test starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        text = MINIMAL_CONE + f"run:\n  mode: sweep\n  sweep_periods_time: {periods}\n"
+        art = run(load_scenario(text), out_dir=tmp_path, jobs=jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert len((art.run_dir / "summary.csv").read_text().splitlines()) == 1 + len(periods)
+
     def test_berry_mode(self, tmp_path):
         text = MINIMAL_CONE + (
             "run:\n  mode: berry\n  berry_theta_grid_rad: "
@@ -233,7 +267,7 @@ class TestRun:
         invariants = json.loads((art.run_dir / "metadata.json").read_text())["invariants"]
         alphas, errors, gaps = [], [], []
         for theta in sc.berry_thetas:
-            path = build_path(dataclasses.replace(sc.path, theta_rad=theta), sc.coupling)
+            path = build_path({**sc.path, "theta_rad": theta}, sc.coupling)
             history = q.sample_history(path, 0.0, path.duration, 257)
             loop = q.berry_phase(history)
             alphas += [f.alpha for f in history.frames]
@@ -242,7 +276,7 @@ class TestRun:
         assert invariants["max_alpha"] == max(alphas) > 0.0
         assert invariants["max_quadrature_error"] == max(errors)
         assert invariants["max_loop_gap"] == max(gaps)
-        assert invariants["max_positivity_violation"] == 0.0
+        assert "max_positivity_violation" not in invariants  # no state is integrated
 
     def test_optimal_phase_run(self, tmp_path):
         text = MINIMAL_CONE + "run:\n  mode: simulate\n  optimal_phase: true\n  history_samples: 513\n"

@@ -8,6 +8,7 @@ YAML booleans.
 """
 
 import copy
+import itertools
 import math
 
 import pytest
@@ -34,6 +35,58 @@ VALID = {
 
 FLAGS = {("run", "optimal_phase"), ("run", "spectral_shift")}
 
+# Between them these carry every number field of the schema.
+NUMERIC = {
+    "cone": {
+        "path": {
+            "kind": "rotating_cone",
+            "field_energy": 1.0,
+            "theta_rad": 1.0,
+            "drive_omega_rad_per_time": 0.2,
+            "duration_time": 30.0,
+        },
+        "coupling": {"matrix": [[0.3, 1.0], [1.0, -0.3]]},
+        "bath": {
+            "model": "ohmic_thermal",
+            "eta_coupling": 0.1,
+            "temperature_energy": 0.5,
+            "cutoff_energy": 20.0,
+        },
+        "initial": {"rho_gg": 0.9, "rho_ge": [0.1, 0.0]},
+        "solver": {
+            "method": "rk45_adaptive",
+            "rtol": 1e-9,
+            "atol": 1e-12,
+            "dt_max_time": 1.0,
+            "t0_time": 0.5,
+            "t1_time": 30.0,
+            "record_stride": 10,
+        },
+        "run": {
+            "history_samples": 257,
+            "sweep_periods_time": [20.0, 40.0],
+            "berry_theta_grid_rad": [0.5, 1.0],
+        },
+    },
+    "sweep": {
+        "path": {
+            "kind": "linear_sweep",
+            "slope_energy_per_time": 0.5,
+            "gap_energy": 0.4,
+            "duration_time": 10.0,
+        },
+        "coupling": {"matrix": [[0.0, 1.0], [1.0, 0.0]]},
+        "bath": {"model": "zero_temperature_ohmic", "eta_coupling": 0.1, "cutoff_energy": 20.0},
+        "initial": {"rho_gg": 1, "rho_ge": 0.0},
+        "solver": {"method": "rk4_fixed", "dt_time": 0.02},
+    },
+    "sampled": {
+        "path": {"kind": "sampled", "csv_file": "path.csv", "duration_time": 5.0},
+        "coupling": {"matrix": [[0.0, 1.0], [1.0, 0.0]]},
+        "bath": {"model": "flat", "s0_rate": 0.1},
+    },
+}
+
 
 def leaves(node, prefix=()):
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -44,8 +97,8 @@ def leaves(node, prefix=()):
             yield prefix + (key,)
 
 
-def mutated(where, value):
-    data = copy.deepcopy(VALID)
+def mutated(where, value, base=VALID):
+    data = copy.deepcopy(base)
     node = data
     for key in where[:-1]:
         node = node[key]
@@ -69,9 +122,32 @@ values = st.one_of(
 )
 
 
+def value_at(data, where):
+    for key in where:
+        data = data[key]
+    return data
+
+
 def test_leaves_cover_the_scenario():
     assert len(list(leaves(VALID))) == 19
-    assert isinstance(load_scenario(yaml.safe_dump(VALID)), q.cli.Scenario)
+    for data in (VALID, *NUMERIC.values()):
+        assert isinstance(load_scenario(yaml.safe_dump(data)), q.cli.Scenario)
+
+
+NUMBER_LEAVES = [
+    pytest.param(name, where, id=f"{name}-" + ".".join(map(str, where)))
+    for name, data in NUMERIC.items()
+    for where in leaves(data)
+    if isinstance(value_at(data, where), (int, float))
+]
+
+
+@pytest.mark.parametrize("name, where", NUMBER_LEAVES)
+def test_boolean_is_not_a_number(name, where):
+    key = ".".join(itertools.takewhile(lambda k: isinstance(k, str), where))
+    with pytest.raises(q.ValidationError) as exc:
+        load_scenario(mutated(where, True, NUMERIC[name]))
+    assert any(p.startswith(key) for p in exc.value.problems), exc.value.problems
 
 
 @pytest.mark.parametrize("where", list(leaves(VALID)), ids=lambda w: ".".join(map(str, w)))
