@@ -140,11 +140,9 @@ def _complex_entry(value, where, problems):
     try:
         if _is_real(value):
             z = complex(value)
-        elif isinstance(value, (list, tuple)) and len(value) == 2 and not any(
-            isinstance(v, bool) for v in value
-        ):
+        elif isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
             z = complex(float(value[0]), float(value[1]))
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         pass
     if z is None or not cmath.isfinite(z):
         problems.append(f"{where}: expected a finite number or [re, im] pair")
@@ -153,13 +151,11 @@ def _complex_entry(value, where, problems):
 
 
 def _number(value, where, problems):
-    try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
-        v = float(value)
-    except (TypeError, ValueError):
+    if not _is_real(value):  # YAML text such as "1.0" or 1e-9 is a string, not a number
         problems.append(f"{where}: expected a number")
         return None
+    try:
+        v = float(value)
     except OverflowError:  # an integer beyond the float range
         v = math.inf
     if not math.isfinite(v):
@@ -308,17 +304,23 @@ def _build_coupling(data, problems):
     return m
 
 
-def _build_solver(data, duration, problems) -> Optional[SolverConfig]:
+def _build_solver(data, path, problems) -> Optional[SolverConfig]:
+    """The solver section; without ``t1_time`` the window is the duration of ``path``.
+
+    ``path`` is None when the path section is invalid, which is reported there.
+    """
     data = data if isinstance(data, dict) else {}
     method = data.get("method", "rk45_adaptive")
     t0 = _number(data.get("t0_time", 0.0), "solver.t0_time", problems)
     t1 = data.get("t1_time")
     if t1 is not None:
         t1 = _number(t1, "solver.t1_time", problems)
-    elif duration is None:
-        problems.append("solver.t1_time: required when the path has no path.duration_time")
-    elif t0 is not None:
-        t1 = t0 + duration
+    elif path is not None:
+        duration = _path_duration(path)
+        if duration is None:
+            problems.append("solver.t1_time: required when the path has no path.duration_time")
+        elif t0 is not None:
+            t1 = t0 + duration
     ok = t0 is not None and t1 is not None
     if ok and not t1 > t0:
         problems.append("solver.t1_time: must exceed solver.t0_time")
@@ -354,8 +356,11 @@ def _build_solver(data, duration, problems) -> Optional[SolverConfig]:
         return None
 
 
-def _mode_problems(mode, path, sweep_periods, berry_thetas) -> list:
-    """The sweep and berry modes need their grid and a rotating_cone path."""
+def _mode_problems(mode, path, solver, sweep_periods, berry_thetas) -> list:
+    """The sweep and berry modes need their grid, a rotating_cone path and t0 = 0.
+
+    Both modes integrate each loop or period from t = 0.
+    """
     problems = []
     if mode == "sweep" and not sweep_periods:
         problems.append("run.sweep_periods_time: required non-empty list for sweep mode")
@@ -363,6 +368,8 @@ def _mode_problems(mode, path, sweep_periods, berry_thetas) -> list:
         problems.append("run.berry_theta_grid_rad: required non-empty list for berry mode")
     if mode in ("sweep", "berry") and path is not None and path["kind"] != "rotating_cone":
         problems.append(f"run.mode: {mode} requires a rotating_cone path")
+    if mode in ("sweep", "berry") and solver is not None and solver.t0 != 0.0:
+        problems.append(f"solver.t0_time: must be 0 in {mode} mode")
     return problems
 
 
@@ -427,9 +434,8 @@ def load_scenario(text: str) -> Scenario:
             if len(ok) != len(raw):
                 problems.append("run.berry_theta_grid_rad: entries must lie in [0, pi]")
             berry_thetas = tuple(float(v) for v in ok)
-    problems.extend(_mode_problems(mode, path, sweep_periods, berry_thetas))
-
-    solver = _build_solver(data.get("solver"), _path_duration(path) if path else None, problems)
+    solver = _build_solver(data.get("solver"), path, problems)
+    problems.extend(_mode_problems(mode, path, solver, sweep_periods, berry_thetas))
 
     if problems:
         raise ValidationError(problems)
@@ -510,6 +516,7 @@ def _sweep_worker(args):
     row = _summary_row(traj)
     row["period_time"] = sub.solver.t1 - sub.solver.t0
     row["file"] = name
+    row["work"] = dataclasses.asdict(traj.work)
     return index, row
 
 
@@ -536,17 +543,19 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     }
     files: list = []
     invariants = {"max_positivity_violation": 0.0, "max_alpha": 0.0}
+    work = {}  # trajectory file -> its integration's SolverWork fields
 
-    def note(traj: Trajectory):
+    def note(traj: Trajectory, name: str):
         invariants["max_positivity_violation"] = max(
             invariants["max_positivity_violation"], traj.max_positivity_violation
         )
         invariants["max_alpha"] = max(invariants["max_alpha"], traj.max_alpha)
+        work[name] = dataclasses.asdict(traj.work)
 
     try:
         if scenario.mode == "simulate":
             traj = _integrate_variant(scenario, "full")
-            note(traj)
+            note(traj, "trajectory.csv")
             with open(run_dir / "trajectory.csv", "w") as fh:
                 traj.write_csv(fh)
             files.append("trajectory.csv")
@@ -554,8 +563,8 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
             rows = []
             for variant in ("full", "secular", "nonsteered"):
                 traj = _integrate_variant(scenario, variant)
-                note(traj)
                 name = f"{variant}.csv"
+                note(traj, name)
                 with open(run_dir / name, "w") as fh:
                     traj.write_csv(fh)
                 files.append(name)
@@ -591,6 +600,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
                 for i in sorted(results):
                     row = results[i]
                     files.append(row["file"])
+                    work[row["file"]] = row["work"]
                     fh.write(
                         f"{row['period_time']:.17g},{row['final_rho_gg']:.17g},"
                         f"{row['max_excited_population']:.17g},"
@@ -635,6 +645,8 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     finally:
         metadata["wall_time_s"] = time.monotonic() - started
         metadata["invariants"] = invariants
+        if scenario.mode != "berry":  # a berry run integrates nothing
+            metadata["solver_work"] = work
         metadata["files"] = files
         with open(run_dir / "metadata.json", "w") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -660,7 +672,8 @@ def main(argv=None) -> int:
         scenario = scenario_from_file(args.config)
         if args.command not in ("validate", scenario.mode):
             problems = _mode_problems(
-                args.command, scenario.path, scenario.sweep_periods, scenario.berry_thetas
+                args.command, scenario.path, scenario.solver, scenario.sweep_periods,
+                scenario.berry_thetas,
             )
             if problems:
                 raise ValidationError(problems)

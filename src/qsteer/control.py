@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -213,8 +213,7 @@ class EigenFrame:
         return self.E_e - self.E_g
 
 
-@dataclass(frozen=True)
-class AdiabaticFrame:
+class AdiabaticFrame(NamedTuple):
     """One-time snapshot of every frame quantity the master equations consume.
 
     ``m1`` and ``m2`` are the coupling-operator elements after the traceless

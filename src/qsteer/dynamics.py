@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bath import RateSet, SpectralDensity, rates_from_spectra, superadiabatic_elements
 from .errors import GAP_FLOOR, GapCollapse, NonFiniteState, StepRejectionLimit
@@ -27,8 +27,7 @@ from .gauge import phase_factor, phase_shifted_frame
 TOL_POSITIVITY = 1e-6
 
 
-@dataclass(frozen=True)
-class DensityState:
+class DensityState(NamedTuple):
     """Reduced two-level state; rho_ee = 1 - rho_gg and rho_eg = conj(rho_ge)."""
 
     rho_gg: float
@@ -234,13 +233,32 @@ class TrajectorySample:
     purity: float
 
 
+@dataclass(frozen=True)
+class SolverWork:
+    """What one integration did: steps, evaluations and accepted step sizes.
+
+    ``dt_max`` and ``dt_min`` range over the accepted steps (the last one is
+    cut to end at t1). ``t_max_positivity_violation`` is the record time of
+    the worst purity excess, None when purity never exceeded 1.
+    """
+
+    accepted_steps: int
+    rejected_steps: int
+    rhs_evals: int
+    frame_evals: int
+    dt_min: float
+    dt_max: float
+    t_max_positivity_violation: Optional[float]
+
+
 @dataclass
 class Trajectory:
-    """Recorded samples plus run-level invariant diagnostics."""
+    """Recorded samples plus run-level invariant diagnostics and solver work."""
 
     samples: list = field(default_factory=list)
     max_positivity_violation: float = 0.0
     max_alpha: float = 0.0
+    work: Optional[SolverWork] = None
 
     def times(self):
         return [s.t for s in self.samples]
@@ -269,9 +287,14 @@ class Trajectory:
             fh.write(",".join(f"{v:.17g}" for v in fields) + "\n")
 
 
-# Dormand-Prince 5(4) tableau
+def _terms(row):
+    """The nonzero (stage, coefficient) pairs of one tableau row, in stage order."""
+    return tuple((s, c) for s, c in enumerate(row) if c != 0.0)
+
+
+# Dormand-Prince 5(4) tableau, rows as (stage, coefficient) pairs
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+_DP_A = tuple(_terms(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -279,9 +302,11 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_E = (  # b5 - b4
+))
+# The last row of A is b5: the seventh stage is evaluated at the step's
+# 5th-order solution and is the next step's first (first same as last).
+_DP_B5 = _DP_A[6]
+_DP_E = _terms((  # b5 - b4
     35 / 384 - 5179 / 57600,
     0.0,
     500 / 1113 - 7571 / 16695,
@@ -289,30 +314,31 @@ _DP_E = (  # b5 - b4
     -2187 / 6784 + 92097 / 339200,
     11 / 84 - 187 / 2100,
     -1 / 40,
-)
-_RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
+))
+_RK4_C = (0.0, 0.5, 0.5, 1.0)
+_RK4_A = tuple(_terms(row) for row in ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)))
+_RK4_B = _terms((1 / 6, 1 / 3, 1 / 3, 1 / 6))
 _MAX_REJECTIONS = 60
 
 
-def _axpy(y, ks, coeffs, dt):
+def _axpy(y, ks, terms, dt):
+    """y + dt * sum of c * ks[s] over the (stage, coefficient) pairs ``terms``, in order."""
     g, x, i = y
-    for k, c in zip(ks, coeffs):
-        if c == 0.0:
-            continue
+    for s, c in terms:
         cdt = c * dt
+        k = ks[s]
         g += cdt * k[0]
         x += cdt * k[1]
         i += cdt * k[2]
     return g, x, i
 
 
-def _advance_phases(lam, frames, weights, dt):
+def _advance_phases(lam, frames, terms, dt):
     """One step of d lambda_g/dt = -w_gg, d lambda_e/dt = -w_ee by the step's own quadrature."""
     sum_g = sum_e = 0.0
-    for fr, b in zip(frames, weights):
-        if b != 0.0:
-            sum_g += b * fr.w_gg
-            sum_e += b * fr.w_ee
+    for s, b in terms:
+        sum_g += b * frames[s].w_gg
+        sum_e += b * frames[s].w_ee
     return lam[0] - dt * sum_g, lam[1] - dt * sum_e
 
 
@@ -327,9 +353,14 @@ def integrate(
 
     ``rhs`` returns (d rho_gg/dt, d rho_ge/dt); ``frame_provider`` maps a
     time to the frame passed through to ``rhs`` (None for frame-free
-    generators). Frames are evaluated at every stage time. Purity is
-    monitored against 1 + 1e-6 and the worst excess reported on the
-    trajectory (with a warning), never corrected.
+    generators). The provider is called once per stage, and every ``rhs``
+    call gets that stage's frame. "rk45_adaptive" evaluates six stages per
+    attempted step: the first stage of a step is the last stage of the
+    previous accepted one, and its frame is also the one recorded there.
+    "rk4_fixed" evaluates four stages per step plus one frame per record
+    point after the first. Purity is monitored against 1 + 1e-6 and the worst
+    excess reported on the trajectory (with a warning), never corrected.
+    ``Trajectory.work`` reports the steps, evaluations and step sizes used.
 
     With ``track_phases`` the samples are reported in the optimally phase
     shifted basis. The stepper accumulates lambda_g, lambda_e (from 0 at t0,
@@ -343,20 +374,25 @@ def integrate(
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
+    n_rhs = n_record_frames = 0
 
     def f(t, y):
+        nonlocal n_rhs
+        n_rhs += 1
         frame = frame_provider(t) if frame_provider is not None else None
         dgg, dge = rhs(t, DensityState(y[0], complex(y[1], y[2])), frame)
-        dge = complex(dge)
         return (dgg, dge.real, dge.imag), frame
 
     traj = Trajectory()
+    t_worst = None
 
     def record(t, y, frame, lam):
+        nonlocal t_worst
         st = DensityState(y[0], complex(y[1], y[2]))
         p = purity(st)
         if p - 1.0 > traj.max_positivity_violation:
             traj.max_positivity_violation = p - 1.0
+            t_worst = t
         if track_phases:
             st = DensityState(st.rho_gg, st.rho_ge * phase_factor(*lam))
             frame = phase_shifted_frame(frame, lam[0], lam[1])
@@ -371,38 +407,44 @@ def integrate(
     y = (initial.rho_gg, complex(initial.rho_ge).real, complex(initial.rho_ge).imag)
     t = cfg.t0
     lam = (0.0, 0.0)
-    frame0 = frame_provider(t) if frame_provider is not None else None
-    record(t, y, frame0, lam)
+    ks = [None] * 7
+    frames = [None] * 7
+    ks[0], frames[0] = f(t, y)
+    record(t, y, frames[0], lam)
+    rejected = 0
 
     if cfg.method == "rk4_fixed":
         n_steps = max(1, round((cfg.t1 - cfg.t0) / cfg.dt))
-        dt = (cfg.t1 - cfg.t0) / n_steps
+        dt = dt_lo = dt_hi = (cfg.t1 - cfg.t0) / n_steps
+        accepted = n_steps
         for i in range(n_steps):
             t = cfg.t0 + i * dt
-            k1, f1 = f(t, y)
-            k2, f2 = f(t + dt / 2, _axpy(y, (k1,), (0.5,), dt))
-            k3, f3 = f(t + dt / 2, _axpy(y, (k2,), (0.5,), dt))
-            k4, f4 = f(t + dt, _axpy(y, (k3,), (1.0,), dt))
-            y = _axpy(y, (k1, k2, k3, k4), _RK4_B, dt)
+            if i:
+                ks[0], frames[0] = f(t, y)
+            for s in range(1, 4):
+                ks[s], frames[s] = f(t + _RK4_C[s] * dt, _axpy(y, ks, _RK4_A[s], dt))
+            y = _axpy(y, ks, _RK4_B, dt)
             if track_phases:
-                lam = _advance_phases(lam, (f1, f2, f3, f4), _RK4_B, dt)
+                lam = _advance_phases(lam, frames, _RK4_B, dt)
             t = cfg.t0 + (i + 1) * dt
             check_finite(t, y)
             if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
+                # t0 + (i + 1) dt can differ by an ulp from the last stage's t0 + i dt + dt
                 record(t, y, frame_provider(t) if frame_provider is not None else None, lam)
+                n_record_frames += 1
     else:
         dt_max = cfg.dt_max if cfg.dt_max is not None else (cfg.t1 - cfg.t0) / 10
         dt = min(dt_max, (cfg.t1 - cfg.t0) / 100)
+        dt_lo, dt_hi = math.inf, 0.0
+        t_end = cfg.t1 - 1e-14 * (cfg.t1 - cfg.t0)
         rejections = 0
         accepted = 0
-        ks = [None] * 7
-        frames = [None] * 7
-        while t < cfg.t1 - 1e-14 * (cfg.t1 - cfg.t0):
+        while t < t_end:
             dt = min(dt, cfg.t1 - t)
-            for s in range(7):
-                ys = _axpy(y, ks[:s], _DP_A[s], dt) if s else y
-                ks[s], frames[s] = f(t + _DP_C[s] * dt, ys)
-            y_new = _axpy(y, ks, _DP_B5, dt)
+            for s in range(1, 7):
+                y_new = _axpy(y, ks, _DP_A[s], dt)
+                ks[s], frames[s] = f(t + _DP_C[s] * dt, y_new)
+            # the last stage state is the 5th-order solution, so y_new is the step's result
             err = _axpy((0.0, 0.0, 0.0), ks, _DP_E, dt)
             norm = 0.0
             for j in range(3):
@@ -417,9 +459,12 @@ def integrate(
                 check_finite(t, y)
                 accepted += 1
                 rejections = 0
-                if accepted % cfg.record_stride == 0 or t >= cfg.t1 - 1e-14 * (cfg.t1 - cfg.t0):
-                    record(t, y, frame_provider(t) if frame_provider is not None else None, lam)
+                dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+                ks[0], frames[0] = ks[6], frames[6]
+                if accepted % cfg.record_stride == 0 or t >= t_end:
+                    record(t, y, frames[0], lam)
             else:
+                rejected += 1
                 rejections += 1
                 if rejections > _MAX_REJECTIONS:
                     raise StepRejectionLimit(
@@ -428,6 +473,15 @@ def integrate(
             factor = 0.9 * norm ** -0.2 if norm > 0 else 5.0
             dt = min(dt * min(5.0, max(0.2, factor)), dt_max)
 
+    traj.work = SolverWork(
+        accepted_steps=accepted,
+        rejected_steps=rejected,
+        rhs_evals=n_rhs,
+        frame_evals=0 if frame_provider is None else n_rhs + n_record_frames,
+        dt_min=dt_lo,
+        dt_max=dt_hi,
+        t_max_positivity_violation=t_worst,
+    )
     if traj.max_positivity_violation > TOL_POSITIVITY:
         warnings.warn(
             f"purity exceeded 1 by {traj.max_positivity_violation:.3e} "

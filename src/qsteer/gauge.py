@@ -10,7 +10,6 @@ control loop its increments are the Berry phases of the branches.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -53,8 +52,7 @@ def apply_phase_frame(frame, lam_g, lam_e, dlam_g, dlam_e):
     w_gg, w_ee, w_ge = apply_phase(
         frame.w_gg, frame.w_ee, frame.w_ge, lam_g, lam_e, dlam_g, dlam_e
     )
-    return dataclasses.replace(
-        frame,
+    return frame._replace(
         w_gg=w_gg,
         w_ee=w_ee,
         w_ge=w_ge,

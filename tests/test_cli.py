@@ -123,6 +123,36 @@ solver:
         sc = load_scenario(text.replace("  method: rk4_fixed", "  method: rk4_fixed\n  t1_time: 5.0"))
         assert sc.solver.t1 == 5.0 and "duration_time" not in sc.path
 
+    def test_invalid_path_reports_only_its_own_key(self):
+        text = MINIMAL_CONE.replace("field_energy: 1.0", "field_energy: -1.0")
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        assert exc.value.problems == ["path.field_energy: must be positive"]
+
+    def test_quoted_numbers_rejected(self):
+        for old, new, key in (
+            ("field_energy: 1.0", 'field_energy: "1.0"', "path.field_energy"),
+            ("dt_time: 0.02", "dt_time: 2e-2", "solver.dt_time"),  # YAML 1.1 text, not a float
+        ):
+            with pytest.raises(q.ValidationError) as exc:
+                load_scenario(MINIMAL_CONE.replace(old, new))
+            assert exc.value.problems == [f"{key}: expected a number"]
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(MINIMAL_CONE + 'initial:\n  rho_ge: ["0", "0"]\n')
+        assert exc.value.problems == ["initial.rho_ge: expected a finite number or [re, im] pair"]
+
+    @pytest.mark.parametrize("run_section", [
+        "run:\n  mode: sweep\n  sweep_periods_time: [20, 40]\n",
+        "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5]\n",
+    ], ids=["sweep", "berry"])
+    def test_nonzero_t0_rejected_where_runs_start_at_zero(self, run_section):
+        text = MINIMAL_CONE.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t0_time: 1.0")
+        assert load_scenario(text).solver.t0 == 1.0  # simulate honours it
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text + run_section)
+        mode = run_section.split()[2]
+        assert exc.value.problems == [f"solver.t0_time: must be 0 in {mode} mode"]
+
     def test_non_finite_numbers_rejected(self):
         text = (
             MINIMAL_CONE.replace("[[0.0, 1.0], [1.0, 0.0]]", "[[0.0, 1.0], [1.0, .nan]]")
@@ -277,6 +307,24 @@ class TestRun:
         assert invariants["max_quadrature_error"] == max(errors)
         assert invariants["max_loop_gap"] == max(gaps)
         assert "max_positivity_violation" not in invariants  # no state is integrated
+        assert "solver_work" not in json.loads((art.run_dir / "metadata.json").read_text())
+
+    @pytest.mark.parametrize("mode, names", [
+        ("simulate", ["trajectory.csv"]),
+        ("compare", ["full.csv", "nonsteered.csv", "secular.csv"]),
+        ("sweep", ["period_000.csv", "period_001.csv"]),
+    ])
+    def test_metadata_reports_solver_work(self, tmp_path, mode, names):
+        text = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", "")
+        sc = load_scenario(text + f"run:\n  mode: {mode}\n  sweep_periods_time: [20, 40]\n")
+        art = run(sc, out_dir=tmp_path)
+        meta = json.loads((art.run_dir / "metadata.json").read_text())
+        assert sorted(meta["solver_work"]) == names
+        for work in meta["solver_work"].values():
+            attempts = work["accepted_steps"] + work["rejected_steps"]
+            assert work["rhs_evals"] == work["frame_evals"] == 6 * attempts + 1
+            assert 0.0 < work["dt_min"] <= work["dt_max"]
+            assert work["t_max_positivity_violation"] is None
 
     def test_optimal_phase_run(self, tmp_path):
         text = MINIMAL_CONE + "run:\n  mode: simulate\n  optimal_phase: true\n  history_samples: 513\n"
@@ -442,6 +490,17 @@ class TestMain:
         with pytest.raises(q.ValidationError) as exc:
             load_scenario(MINIMAL_CONE + "run:\n  mode: berry\n")
         assert exc.value.problems and all(p in err for p in exc.value.problems)
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command, grid", [
+        ("sweep", "sweep_periods_time: [20, 40]"),
+        ("berry", "berry_theta_grid_rad: [0.5]"),
+    ])
+    def test_subcommand_override_rejects_nonzero_t0(self, tmp_path, capsys, command, grid):
+        text = MINIMAL_CONE.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t0_time: 1.0")
+        fn = self.write_config(tmp_path, text + f"run:\n  mode: simulate\n  {grid}\n")
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        assert f"solver.t0_time: must be 0 in {command} mode" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_sweep_without_periods_exit_1(self, tmp_path):

@@ -257,6 +257,7 @@ class TestIntegrate:
                 q.DensityState(1.0, 0.01), cfg,
             )
         assert traj.max_positivity_violation > TOL_POSITIVITY
+        assert traj.work.t_max_positivity_violation == traj.final.t  # |rho_ge| only grows
         final = abs(complex(traj.final.state.rho_ge))
         assert final == pytest.approx(0.01 * math.exp(0.01), rel=1e-10)
 
@@ -265,7 +266,11 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0, record_stride=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9, 0.1j), cfg)
+            traj = integrate(
+                lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9, 0.1j), cfg
+            )
+        assert traj.max_positivity_violation == 0.0
+        assert traj.work.t_max_positivity_violation is None
 
     def test_record_stride_and_monotone_times(self, cone_path):
         sd = q.flat(0.2)
@@ -279,6 +284,66 @@ class TestIntegrate:
         assert ts[0] == 0.0
         assert ts[-1] == pytest.approx(5.0)
         assert traj.max_alpha > 0
+
+
+class TestSolverWork:
+    """Trajectory.work counts what the stepper evaluated, checked against counting callbacks."""
+
+    @staticmethod
+    def counted(cone_path):
+        calls = {"rhs": 0, "frame": 0}
+        sd = q.flat(0.2)
+
+        def provider(t):
+            calls["frame"] += 1
+            return q.frame_at(cone_path, t)
+
+        def rhs(t, s, f):
+            calls["rhs"] += 1
+            return q.rhs_full(s, f, sd)
+
+        return calls, provider, rhs
+
+    def test_rk45_evaluates_six_stages_per_attempt(self, cone_path):
+        calls, provider, rhs = self.counted(cone_path)
+        # the opening step (a hundredth of the window) is too long at this
+        # tolerance, so the count also covers rejected attempts
+        cfg = q.SolverConfig(
+            method="rk45_adaptive", t0=0.0, t1=cone_path.duration / 4, rtol=1e-11,
+            record_stride=7,
+        )
+        traj = integrate(rhs, q.DensityState(0.9, 0.1j), cfg, frame_provider=provider)
+        w = traj.work
+        assert w.accepted_steps > 10 and w.rejected_steps > 0
+        assert w.rhs_evals == 6 * (w.accepted_steps + w.rejected_steps) + 1 == calls["rhs"]
+        assert w.frame_evals == w.rhs_evals == calls["frame"]
+        assert 0.0 < w.dt_min <= w.dt_max <= cfg.t1 / 10  # the default step cap
+
+    def test_rk45_records_the_frame_at_the_record_time(self, cone_path):
+        _, provider, rhs = self.counted(cone_path)
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=1.0, t1=30.0, record_stride=3)
+        traj = integrate(rhs, q.DensityState(1.0, 0j), cfg, frame_provider=provider)
+        assert traj.samples[0].t == 1.0 and traj.final.t == 30.0
+        for sample in traj.samples:
+            assert sample.frame == q.frame_at(cone_path, sample.t)
+
+    def test_rk4_evaluates_four_stages_per_step(self, cone_path):
+        calls, provider, rhs = self.counted(cone_path)
+        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.01, record_stride=7)
+        traj = integrate(rhs, q.DensityState(1.0, 0j), cfg, frame_provider=provider)
+        w = traj.work
+        assert (w.accepted_steps, w.rejected_steps) == (100, 0)
+        assert w.rhs_evals == 4 * 100 == calls["rhs"]
+        # one more frame per record point after the first
+        assert w.frame_evals == 4 * 100 + len(traj.samples) - 1 == calls["frame"]
+        assert w.dt_min == w.dt_max == pytest.approx(0.01)
+
+    def test_frame_free_generator_evaluates_no_frame(self):
+        r = q.rates(0.0, 1.0, 1.0, q.flat(0.5))
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0)
+        traj = integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9), cfg)
+        assert traj.work.frame_evals == 0
+        assert traj.work.rhs_evals == 6 * (traj.work.accepted_steps + traj.work.rejected_steps) + 1
 
 
 class TestTrajectoryCsv:

@@ -150,6 +150,15 @@ def test_boolean_is_not_a_number(name, where):
     assert any(p.startswith(key) for p in exc.value.problems), exc.value.problems
 
 
+@pytest.mark.parametrize("name, where", NUMBER_LEAVES)
+def test_quoted_number_is_not_a_number(name, where):
+    key = ".".join(itertools.takewhile(lambda k: isinstance(k, str), where))
+    quoted = str(value_at(NUMERIC[name], where))
+    with pytest.raises(q.ValidationError) as exc:
+        load_scenario(mutated(where, quoted, NUMERIC[name]))
+    assert any(p.startswith(key) for p in exc.value.problems), exc.value.problems
+
+
 @pytest.mark.parametrize("where", list(leaves(VALID)), ids=lambda w: ".".join(map(str, w)))
 @settings(max_examples=40, deadline=None)
 @given(value=values)
