@@ -19,19 +19,13 @@ from .bath import (
 from .control import (
     AdiabaticFrame,
     ControlPath,
-    EigenFrame,
     FrameHistory,
-    compute_w,
-    coupling_elements,
-    eigensystem,
     frame_at,
     linear_sweep,
-    local_alpha,
     path_from_csv,
     rotating_cone,
     sample_history,
     sampled_path,
-    w_from_eigenframes,
 )
 from .dynamics import (
     DensityState,
@@ -44,6 +38,7 @@ from .dynamics import (
     rhs_secular,
     rhs_superadiabatic_oracle,
     superadiabatic_oracle_pullback,
+    to_superadiabatic,
 )
 from .errors import (
     GapCollapse,
@@ -54,16 +49,7 @@ from .errors import (
     ParseError,
     QSteerError,
     StepRejectionLimit,
-    StepTooCoarse,
     ValidationError,
-)
-from .frames import (
-    SuperadiabaticBasis,
-    from_superadiabatic,
-    interaction_to_schrodinger,
-    schrodinger_to_interaction,
-    superadiabatic_basis,
-    to_superadiabatic,
 )
 from .gauge import (
     BerryPhases,

@@ -295,9 +295,9 @@ def _build_coupling(data, problems):
             _complex_entry(v, f"coupling.matrix[{i}][{j}]", problems) for j, v in enumerate(row)
         ))
     m = tuple(rows)
-    herm = max(
-        abs(m[0][0].imag), abs(m[1][1].imag), abs(m[0][1] - m[1][0].conjugate())
-    )
+    d = m[0][1] - m[1][0].conjugate()
+    # hypot gives inf where abs() of a complex near the float limit raises OverflowError
+    herm = max(abs(m[0][0].imag), abs(m[1][1].imag), math.hypot(d.real, d.imag))
     if herm > 1e-14:
         problems.append(f"coupling.matrix: not Hermitian (residual {herm:.3e})")
         return None

@@ -2,10 +2,11 @@
 
 The system Hamiltonian is H(t) = (1/2) b(t) . sigma with a three-component
 control field b(t); energies and rates are in units of 1/time (hbar = 1).
-Everything downstream consumes :class:`AdiabaticFrame` snapshots built here:
-the instantaneous gap, the matrix elements of the steering generator
-w = -i D^dag dD/dt in the smooth eigenbasis, the coupling-operator elements
-in that basis, and the local adiabatic parameter alpha = ||w|| / omega01.
+Everything downstream consumes :class:`AdiabaticFrame` snapshots, built here
+by :func:`frame_at`: the instantaneous gap, the matrix elements of the
+steering generator w = -i D^dag dD/dt in the smooth eigenbasis, the
+coupling-operator elements in that basis, and the local adiabatic parameter
+alpha = ||w|| / omega01.
 
 Gauge convention
 ----------------
@@ -15,10 +16,11 @@ time of a sampled path; ties prefer the second component) is rotated to the
 positive real axis and that anchor index is kept for all t.  The gauge
 therefore depends only on the instantaneous field, is single valued around
 closed control loops (so accumulated phases are meaningful Berry phases), and
-is C^1 wherever the anchored component stays away from zero.  Paths that
-steer an eigenstate close to the antipode of its initial orientation need the
-explicit ``prev`` continuation instead; chaining ``prev`` at small steps
-realizes the parallel-transport gauge, in which the w diagonals vanish.
+is C^1 wherever the anchored component stays away from zero.  Near the
+antipode of an eigenstate's initial orientation the w diagonals stay bounded
+by the azimuthal rate of the field and jump only at the antipode itself.
+The parallel-transport gauge, in which the w diagonals vanish, is the
+optimal-phase gauge that ``integrate(track_phases=True)`` reports.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import GAP_FLOOR, GapCollapse, StepTooCoarse
-from .gauge import hs_norm
-
-HERMITICITY_TOL = 1e-8
+from .errors import GAP_FLOOR, GapCollapse
 
 Vec3 = tuple[float, float, float]
 
@@ -42,15 +41,14 @@ Vec3 = tuple[float, float, float]
 class ControlPath:
     """Time-parametrized control field plus the fixed system coupling operator.
 
-    ``b`` maps time to the field vector (b_x, b_y, b_z); ``b_dot`` is its
-    analytic derivative when available (None forces central differences in
-    :func:`frame_at`).  ``coupling_A`` is the Hermitian system part of the
-    system-environment coupling, given in the fixed basis.
+    ``b`` maps time to the field vector (b_x, b_y, b_z) and ``b_dot`` to its
+    time derivative; both are required.  ``coupling_A`` is the Hermitian
+    system part of the system-environment coupling, given in the fixed basis.
     """
 
     kind: str
     b: Callable[[float], Vec3]
-    b_dot: Optional[Callable[[float], Vec3]]
+    b_dot: Callable[[float], Vec3]
     coupling_A: np.ndarray
     duration: float
     params: dict = field(default_factory=dict)
@@ -60,6 +58,8 @@ class ControlPath:
     )
 
     def __post_init__(self):
+        if self.b_dot is None:
+            raise ValueError("b_dot is required: frames take w from the field derivative")
         A = np.asarray(self.coupling_A, dtype=complex)
         if A.shape != (2, 2):
             raise ValueError("coupling_A must be a 2x2 matrix")
@@ -198,21 +198,6 @@ def path_from_csv(csv_path, coupling_A) -> ControlPath:
     return sampled_path(times, vecs, coupling_A)
 
 
-@dataclass(frozen=True)
-class EigenFrame:
-    """Instantaneous orthonormal eigenpair of H(t) in a fixed gauge."""
-
-    t: float
-    ground: np.ndarray
-    excited: np.ndarray
-    E_g: float
-    E_e: float
-
-    @property
-    def omega01(self) -> float:
-        return self.E_e - self.E_g
-
-
 class AdiabaticFrame(NamedTuple):
     """One-time snapshot of every frame quantity the master equations consume.
 
@@ -318,149 +303,18 @@ def _coupling(g, e, A00, A01, A11):
 # public operations
 # ----------------------------------------------------------------------
 
-def eigensystem(path: ControlPath, t: float, prev: Optional[EigenFrame] = None) -> EigenFrame:
-    """Instantaneous eigenpair of H(t) with E_g <= E_e and a fixed gauge.
+def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
+    """Full adiabatic-frame snapshot at time t, in the anchored gauge.
 
-    Without ``prev`` the pointwise anchored gauge described in the module
-    docstring applies. With ``prev`` each eigenvector is instead rotated so
-    its overlap with the previous frame's vector is real and positive
-    (discrete parallel transport).
+    The eigenpair is closed form. The w elements follow from the field
+    derivative ``path.b_dot(t)`` by first-order perturbation theory, and the
+    coupling elements use the traceless part of ``path.coupling_A``.
     """
-    bx, by, bz = path.b(t)
-    cg, ce = path.anchors()
-    g, e, E_g, E_e = _eig_anchored(bx, by, bz, cg, ce)
-    if prev is not None:
-        def continue_from(p, vec):
-            ov = complex(p[0]).conjugate() * vec[0] + complex(p[1]).conjugate() * vec[1]
-            m = abs(ov)
-            if m == 0.0:
-                return vec
-            ph = ov / m
-            return (vec[0] / ph, vec[1] / ph)
-
-        g = continue_from(prev.ground, g)
-        e = continue_from(prev.excited, e)
-    return EigenFrame(
-        t=t,
-        ground=np.array(g, dtype=complex),
-        excited=np.array(e, dtype=complex),
-        E_g=E_g,
-        E_e=E_e,
-    )
-
-
-def w_from_eigenframes(minus, center, plus, h: float):
-    """Central-difference w elements from eigenvector pairs at t-h, t, t+h.
-
-    Each argument is a (ground, excited) pair of 2-vectors sharing one
-    continuous gauge. Exposed separately so alternative gauges can be fed in
-    directly. Raises StepTooCoarse when the Hermiticity residual of the
-    reconstructed w exceeds HERMITICITY_TOL.
-    """
-    gm, em = minus
-    g0, e0 = center
-    gp, ep = plus
-
-    def ip(u, v):
-        return complex(u[0]).conjugate() * complex(v[0]) + complex(u[1]).conjugate() * complex(v[1])
-
-    inv2h = 1.0 / (2.0 * h)
-    w_gg_raw = -1j * (ip(g0, gp) - ip(g0, gm)) * inv2h
-    w_ee_raw = -1j * (ip(e0, ep) - ip(e0, em)) * inv2h
-    w_ge_raw = -1j * (ip(g0, ep) - ip(g0, em)) * inv2h
-    w_eg_raw = -1j * (ip(e0, gp) - ip(e0, gm)) * inv2h
-    residual = max(
-        abs(w_gg_raw.imag), abs(w_ee_raw.imag), abs(w_eg_raw - w_ge_raw.conjugate())
-    )
-    if residual > HERMITICITY_TOL:
-        raise StepTooCoarse(
-            f"central-difference Hermiticity residual {residual:.3e} > {HERMITICITY_TOL:.0e}"
-        )
-    w_ge = (w_ge_raw + w_eg_raw.conjugate()) / 2
-    return w_gg_raw.real, w_ee_raw.real, w_ge
-
-
-def compute_w(path: ControlPath, t: float, method: str = "analytic", h: Optional[float] = None):
-    """w elements (w_gg, w_ee, w_ge) of :func:`frame_at` at time t.
-
-    Unlike :func:`frame_at`, "analytic" requires path.b_dot (no fallback).
-    """
-    if method == "analytic" and path.b_dot is None:
-        raise ValueError("analytic w requires a path with b_dot")
-    if method not in ("analytic", "central_difference"):
-        raise ValueError(f"unknown method {method!r}")
-    f = frame_at(path, t, method=method, h=h)
-    return f.w_gg, f.w_ee, f.w_ge
-
-
-def coupling_elements(A, frame: EigenFrame):
-    """(m1, m2) of the coupling operator in the frame's eigenbasis.
-
-    The traceless convention is enforced by subtracting (Tr A)/2 before
-    projecting, so <g|A'|g> = -<e|A'|e> identically and m1 is real.
-    """
-    A = np.asarray(A, dtype=complex)
-    if np.max(np.abs(A - A.conj().T)) > 1e-14:
-        raise ValueError("coupling operator must be Hermitian to 1e-14")
-    half_trace = (A[0, 0] + A[1, 1]) / 2
-    g = (complex(frame.ground[0]), complex(frame.ground[1]))
-    e = (complex(frame.excited[0]), complex(frame.excited[1]))
-    m1c, m2 = _coupling(g, e, A[0, 0] - half_trace, A[0, 1], A[1, 1] - half_trace)
-    if abs(m1c.imag) > 1e-12:
-        raise ValueError(f"<g|A|g> has imaginary residue {m1c.imag:.3e}")
-    return m1c.real, m2
-
-
-def local_alpha(w_gg: float, w_ee: float, w_ge: complex, omega01: float) -> float:
-    """Local adiabatic parameter ||w|| / omega01."""
-    if omega01 <= GAP_FLOOR:
-        raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    return hs_norm(w_gg, w_ee, w_ge) / omega01
-
-
-def frame_at(
-    path: ControlPath,
-    t: float,
-    prev: Optional[EigenFrame] = None,
-    method: str = "analytic",
-    h: Optional[float] = None,
-) -> AdiabaticFrame:
-    """Full adiabatic-frame snapshot at time t.
-
-    ``method`` is "analytic" (central differences when the path has no
-    derivative) or "central_difference" with step ``h`` (default 1e-4 *
-    duration). ``prev`` is honored for the eigenvector gauge (parallel-transport
-    continuation), in which case the w elements are produced by central
-    differences continued from the same frame.
-    """
-    if prev is not None:
-        ef = eigensystem(path, t, prev)
-        if h is None:
-            h = 1e-4 * path.duration
-        em = eigensystem(path, t - h, ef)
-        ep = eigensystem(path, t + h, ef)
-        w_gg, w_ee, w_ge = w_from_eigenframes(
-            (em.ground, em.excited), (ef.ground, ef.excited), (ep.ground, ep.excited), h
-        )
-        omega01 = ef.omega01
-        m1, m2 = coupling_elements(path.coupling_A, ef)
-        return AdiabaticFrame(
-            t=t, omega01=omega01, w_gg=w_gg, w_ee=w_ee, w_ge=w_ge, m1=m1, m2=m2,
-            alpha=local_alpha(w_gg, w_ee, w_ge, omega01),
-        )
-
     cg, ce = path.anchors()
     bx, by, bz = path.b(t)
     g, e, E_g, E_e = _eig_anchored(bx, by, bz, cg, ce)
     omega01 = E_e - E_g
-    if method == "analytic" and path.b_dot is not None:
-        w_gg, w_ee, w_ge = _w_analytic(g, e, omega01, cg, ce, *path.b_dot(t))
-    else:
-        if h is None:
-            h = 1e-4 * path.duration
-        gm, em_, _, _ = _eig_anchored(*path.b(t - h), cg, ce)
-        gp, ep_, _, _ = _eig_anchored(*path.b(t + h), cg, ce)
-        w_gg, w_ee, w_ge = w_from_eigenframes((gm, em_), (g, e), (gp, ep_), h)
+    w_gg, w_ee, w_ge = _w_analytic(g, e, omega01, cg, ce, *path.b_dot(t))
     A00, A01, A11 = path._A_traceless
     m1c, m2 = _coupling(g, e, A00, A01, A11)
     alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (w_ge.real ** 2 + w_ge.imag ** 2)) / omega01

@@ -21,7 +21,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .bath import RateSet, SpectralDensity, rates_from_spectra, superadiabatic_elements
 from .errors import GAP_FLOOR, GapCollapse, NonFiniteState, StepRejectionLimit
-from .frames import to_superadiabatic
 from .gauge import phase_factor, phase_shifted_frame
 
 TOL_POSITIVITY = 1e-6
@@ -168,6 +167,25 @@ def rhs_superadiabatic_oracle(state2: DensityState, frame, sd: SpectralDensity):
     return rhs_nonsteered(state2, r2, omega01_2)
 
 
+def to_superadiabatic(rho_gg: float, rho_ge: complex, frame):
+    """Density components in the superadiabatic frame, to linear order.
+
+    The first superadiabatic basis corrects the adiabatic states by the
+    steering admixture x = w_ge / omega01, unnormalized (normalization enters
+    only at quadratic order):
+    rho_gg2 = rho_gg - 2 Re(conj(x) rho_ge),
+    rho_ge2 = rho_ge + x (2 rho_gg - 1).
+    """
+    w01 = frame.omega01
+    if w01 <= GAP_FLOOR:
+        raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    x = frame.w_ge / w01
+    rho_ge = complex(rho_ge)
+    rho_gg2 = rho_gg - 2.0 * (x.conjugate() * rho_ge).real
+    rho_ge2 = rho_ge + x * (2.0 * rho_gg - 1.0)
+    return rho_gg2, rho_ge2
+
+
 def superadiabatic_oracle_pullback(state: DensityState, frame, sd: SpectralDensity):
     """Adiabatic-frame derivative predicted by the superadiabatic oracle.
 
@@ -238,8 +256,9 @@ class SolverWork:
     """What one integration did: steps, evaluations and accepted step sizes.
 
     ``dt_max`` and ``dt_min`` range over the accepted steps (the last one is
-    cut to end at t1). ``t_max_positivity_violation`` is the record time of
-    the worst purity excess, None when purity never exceeded 1.
+    cut to end at t1). ``t_max_positivity_violation`` is the time of the
+    accepted step (or t0) with the worst purity excess, None when purity
+    never exceeded 1.
     """
 
     accepted_steps: int
@@ -259,15 +278,6 @@ class Trajectory:
     max_positivity_violation: float = 0.0
     max_alpha: float = 0.0
     work: Optional[SolverWork] = None
-
-    def times(self):
-        return [s.t for s in self.samples]
-
-    def rho_gg(self):
-        return [s.state.rho_gg for s in self.samples]
-
-    def rho_ge(self):
-        return [s.state.rho_ge for s in self.samples]
 
     @property
     def final(self) -> TrajectorySample:
@@ -357,9 +367,11 @@ def integrate(
     call gets that stage's frame. "rk45_adaptive" evaluates six stages per
     attempted step: the first stage of a step is the last stage of the
     previous accepted one, and its frame is also the one recorded there.
-    "rk4_fixed" evaluates four stages per step plus one frame per record
-    point after the first. Purity is monitored against 1 + 1e-6 and the worst
-    excess reported on the trajectory (with a warning), never corrected.
+    "rk4_fixed" evaluates each step's first stage at the end of the previous
+    step, so it makes 4 * steps + 1 calls and records that stage's frame.
+    Purity is checked at t0 and at every accepted step, independent of
+    ``record_stride``, against 1 + 1e-6; the worst excess is reported on the
+    trajectory (with a warning), never corrected.
     ``Trajectory.work`` reports the steps, evaluations and step sizes used.
 
     With ``track_phases`` the samples are reported in the optimally phase
@@ -374,7 +386,7 @@ def integrate(
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
-    n_rhs = n_record_frames = 0
+    n_rhs = 0
 
     def f(t, y):
         nonlocal n_rhs
@@ -386,13 +398,19 @@ def integrate(
     traj = Trajectory()
     t_worst = None
 
-    def record(t, y, frame, lam):
+    def monitor(t, y):
+        """Check one accepted state for finiteness and positivity; returns its purity."""
         nonlocal t_worst
-        st = DensityState(y[0], complex(y[1], y[2]))
-        p = purity(st)
+        if not (math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])):
+            raise NonFiniteState(f"non-finite state at t = {t:g}")
+        p = purity(DensityState(y[0], complex(y[1], y[2])))
         if p - 1.0 > traj.max_positivity_violation:
             traj.max_positivity_violation = p - 1.0
             t_worst = t
+        return p
+
+    def record(t, y, p, frame, lam):
+        st = DensityState(y[0], complex(y[1], y[2]))
         if track_phases:
             st = DensityState(st.rho_gg, st.rho_ge * phase_factor(*lam))
             frame = phase_shifted_frame(frame, lam[0], lam[1])
@@ -400,17 +418,13 @@ def integrate(
             traj.max_alpha = frame.alpha
         traj.samples.append(TrajectorySample(t, st, frame, lam[0], lam[1], p))
 
-    def check_finite(t, y):
-        if not (math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])):
-            raise NonFiniteState(f"non-finite state at t = {t:g}")
-
     y = (initial.rho_gg, complex(initial.rho_ge).real, complex(initial.rho_ge).imag)
     t = cfg.t0
     lam = (0.0, 0.0)
     ks = [None] * 7
     frames = [None] * 7
     ks[0], frames[0] = f(t, y)
-    record(t, y, frames[0], lam)
+    record(t, y, monitor(t, y), frames[0], lam)
     rejected = 0
 
     if cfg.method == "rk4_fixed":
@@ -419,19 +433,17 @@ def integrate(
         accepted = n_steps
         for i in range(n_steps):
             t = cfg.t0 + i * dt
-            if i:
-                ks[0], frames[0] = f(t, y)
             for s in range(1, 4):
                 ks[s], frames[s] = f(t + _RK4_C[s] * dt, _axpy(y, ks, _RK4_A[s], dt))
             y = _axpy(y, ks, _RK4_B, dt)
             if track_phases:
                 lam = _advance_phases(lam, frames, _RK4_B, dt)
             t = cfg.t0 + (i + 1) * dt
-            check_finite(t, y)
+            p = monitor(t, y)
+            # the next step's first stage: t is the same float as that step's t0 + i dt
+            ks[0], frames[0] = f(t, y)
             if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                # t0 + (i + 1) dt can differ by an ulp from the last stage's t0 + i dt + dt
-                record(t, y, frame_provider(t) if frame_provider is not None else None, lam)
-                n_record_frames += 1
+                record(t, y, p, frames[0], lam)
     else:
         dt_max = cfg.dt_max if cfg.dt_max is not None else (cfg.t1 - cfg.t0) / 10
         dt = min(dt_max, (cfg.t1 - cfg.t0) / 100)
@@ -456,13 +468,13 @@ def integrate(
                     lam = _advance_phases(lam, frames, _DP_B5, dt)
                 t += dt
                 y = y_new
-                check_finite(t, y)
+                p = monitor(t, y)
                 accepted += 1
                 rejections = 0
                 dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
                 ks[0], frames[0] = ks[6], frames[6]
                 if accepted % cfg.record_stride == 0 or t >= t_end:
-                    record(t, y, frames[0], lam)
+                    record(t, y, p, frames[0], lam)
             else:
                 rejected += 1
                 rejections += 1
@@ -477,7 +489,7 @@ def integrate(
         accepted_steps=accepted,
         rejected_steps=rejected,
         rhs_evals=n_rhs,
-        frame_evals=0 if frame_provider is None else n_rhs + n_record_frames,
+        frame_evals=0 if frame_provider is None else n_rhs,
         dt_min=dt_lo,
         dt_max=dt_hi,
         t_max_positivity_violation=t_worst,

@@ -13,10 +13,6 @@ class GapCollapse(QSteerError):
     """Instantaneous spectrum is (numerically) degenerate; the equations divide by the gap."""
 
 
-class StepTooCoarse(QSteerError):
-    """Central-difference step failed the Hermiticity self-check."""
-
-
 class OutOfRange(QSteerError):
     """Query outside the domain of a tabulated quantity."""
 

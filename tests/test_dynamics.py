@@ -279,7 +279,7 @@ class TestIntegrate:
             lambda t, s, f: q.rhs_full(s, f, sd),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(cone_path, t),
         )
-        ts = traj.times()
+        ts = [s.t for s in traj.samples]
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert ts[0] == 0.0
         assert ts[-1] == pytest.approx(5.0)
@@ -333,10 +333,28 @@ class TestSolverWork:
         traj = integrate(rhs, q.DensityState(1.0, 0j), cfg, frame_provider=provider)
         w = traj.work
         assert (w.accepted_steps, w.rejected_steps) == (100, 0)
-        assert w.rhs_evals == 4 * 100 == calls["rhs"]
-        # one more frame per record point after the first
-        assert w.frame_evals == 4 * 100 + len(traj.samples) - 1 == calls["frame"]
+        # each step's first stage is evaluated at the end of the step before
+        assert w.rhs_evals == 4 * 100 + 1 == calls["rhs"]
+        assert w.frame_evals == w.rhs_evals == calls["frame"]
         assert w.dt_min == w.dt_max == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
+    def test_positivity_is_checked_at_every_accepted_step(self, cone_path, method):
+        sd = q.zero_temperature_ohmic(0.1, 20.0)
+        worst = []
+        for stride in (1, 7):
+            cfg = q.SolverConfig(
+                method=method, t0=0.0, t1=cone_path.duration / 2, dt=0.25, record_stride=stride,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                traj = integrate(
+                    lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+                    frame_provider=lambda t: q.frame_at(cone_path, t),
+                )
+            worst.append((traj.max_positivity_violation, traj.work.t_max_positivity_violation))
+        assert worst[0] == worst[1]
+        assert worst[0][0] > 0.0
 
     def test_frame_free_generator_evaluates_no_frame(self):
         r = q.rates(0.0, 1.0, 1.0, q.flat(0.5))

@@ -1,4 +1,4 @@
-import math
+"""The linear-order superadiabatic density map, dynamics.to_superadiabatic."""
 
 import numpy as np
 import pytest
@@ -13,38 +13,6 @@ def make_frame(omega01=1.0, w_gg=0.0, w_ee=0.0, w_ge=0j, m1=0.0, m2=1.0):
         t=0.0, omega01=omega01, w_gg=w_gg, w_ee=w_ee, w_ge=complex(w_ge),
         m1=m1, m2=complex(m2), alpha=q.hs_norm(w_gg, w_ee, w_ge) / omega01,
     )
-
-
-class TestSuperadiabaticBasis:
-    def test_zero_w_identity(self):
-        sb = q.superadiabatic_basis(make_frame())
-        np.testing.assert_array_equal(sb.g2, [1.0, 0.0])
-        np.testing.assert_array_equal(sb.e2, [0.0, 1.0])
-        assert sb.omega01_2 == 1.0
-
-    def test_offdiagonal_correction(self):
-        sb = q.superadiabatic_basis(make_frame(w_ge=0.05))
-        np.testing.assert_allclose(sb.g2, [1.0, -0.05])
-        np.testing.assert_allclose(sb.e2, [0.05, 1.0])
-        assert sb.omega01_2 == 1.0
-
-    def test_gap_correction(self):
-        sb = q.superadiabatic_basis(make_frame(w_gg=0.02, w_ee=-0.03))
-        assert sb.omega01_2 == pytest.approx(0.95)
-        assert sb.E_g2 == pytest.approx(-0.5 + 0.02)
-        assert sb.E_e2 == pytest.approx(0.5 - 0.03)
-
-    def test_overlap_bound(self, rng):
-        for _ in range(200):
-            f = random_frame(rng)
-            sb = q.superadiabatic_basis(f)
-            overlap = abs(sb.g2.conj() @ sb.e2)
-            assert overlap <= 2 * f.alpha**2 + 1e-15
-
-    def test_gap_restored_under_optimal_phases(self, rng):
-        f = random_frame(rng)
-        f0 = make_frame(omega01=f.omega01, w_ge=f.w_ge, m1=f.m1, m2=f.m2)
-        assert q.superadiabatic_basis(f0).omega01_2 == f.omega01
 
 
 def exact_basis_change_oracle(rho_gg, rho_ge, frame):
@@ -63,7 +31,6 @@ def exact_basis_change_oracle(rho_gg, rho_ge, frame):
 class TestDensityMaps:
     def test_identity_at_zero_w(self):
         assert q.to_superadiabatic(0.7, 0.1 + 0.2j, make_frame()) == (0.7, 0.1 + 0.2j)
-        assert q.from_superadiabatic(0.7, 0.1 + 0.2j, make_frame()) == (0.7, 0.1 + 0.2j)
 
     def test_ground_state_acquires_coherence(self):
         gg2, ge2 = q.to_superadiabatic(1.0, 0j, make_frame(w_ge=0.05))
@@ -85,59 +52,7 @@ class TestDensityMaps:
             assert abs(got[0] - ref[0]) < bound
             assert abs(got[1] - ref[1]) < bound
 
-    def test_round_trip_quadratic_in_alpha(self, cone_path):
-        slow = q.rotating_cone(1.0, math.pi / 3, 0.025, cone_path.coupling_A)
-        f_fast = q.frame_at(cone_path, 10.0)
-        f_slow = q.frame_at(slow, 20.0)  # same cone point, half the rate
-        assert f_slow.alpha == pytest.approx(f_fast.alpha / 2, rel=1e-12)
-
-        def residual(frame):
-            gg, ge = 0.62, 0.21 - 0.13j
-            gg2, ge2 = q.to_superadiabatic(gg, ge, frame)
-            back = q.from_superadiabatic(gg2, ge2, frame)
-            return max(abs(back[0] - gg), abs(back[1] - ge))
-
-        r_fast, r_slow = residual(f_fast), residual(f_slow)
-        assert r_fast > 0
-        assert r_fast / r_slow >= 3.5
-
-    def test_round_trip_both_directions(self, rng):
-        for _ in range(50):
-            f = random_frame(rng)
-            s = random_state(rng)
-            gg2, ge2 = q.to_superadiabatic(s.rho_gg, s.rho_ge, f)
-            back = q.from_superadiabatic(gg2, ge2, f)
-            c = 8 * f.alpha**2 + 1e-15
-            assert abs(back[0] - s.rho_gg) < c
-            assert abs(back[1] - s.rho_ge) < c
-            fwd = q.to_superadiabatic(*q.from_superadiabatic(s.rho_gg, s.rho_ge, f), f)
-            assert abs(fwd[0] - s.rho_gg) < c
-            assert abs(fwd[1] - s.rho_ge) < c
-
     def test_gap_collapse(self):
         bad = q.AdiabaticFrame(0.0, 0.0, 0.0, 0.0, 0j, 0.0, 1.0, 0.0)
         with pytest.raises(q.GapCollapse):
             q.to_superadiabatic(1.0, 0j, bad)
-
-
-class TestPictureTransform:
-    def test_identity_at_t0(self):
-        assert q.interaction_to_schrodinger(0.4, 0.2j, 0.0, 3.0) == (0.4, 0.2j)
-
-    def test_half_period_flip(self):
-        _, ge = q.interaction_to_schrodinger(0.5, 1.0, 1.0, math.pi)
-        assert ge == pytest.approx(-1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("t,omega01", [(0.0, 1.0), (2.7, 3.1), (100.0, 0.01)])
-    def test_round_trip(self, t, omega01):
-        gg, ge = 0.3, 0.25 - 0.1j
-        back = q.schrodinger_to_interaction(
-            *q.interaction_to_schrodinger(gg, ge, t, omega01), t, omega01
-        )
-        assert back[0] == gg
-        assert abs(back[1] - ge) < 1e-15
-
-    def test_preserves_population_and_coherence_magnitude(self):
-        gg, ge = q.interaction_to_schrodinger(0.37, 0.2 - 0.3j, 5.1, 1.7)
-        assert gg == 0.37
-        assert abs(ge) == pytest.approx(abs(0.2 - 0.3j), rel=1e-15)

@@ -167,6 +167,7 @@ def test_quoted_number_is_not_a_number(name, where):
 @example(value=math.nan)
 @example(value="false")
 @example(value=[1.0e308, 1.0e308])
+@example(value=[1.3e308, 1.3e308])
 def test_mutated_value_loads_or_names_its_section(where, value):
     try:
         sc = load_scenario(mutated(where, value))
