@@ -37,7 +37,7 @@ def main():
             lambda t, s, f: q.rhs_full(s, f, sd),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(path, t),
         )
-        peak = max(1.0 - s.state.rho_gg for s in traj.samples)
+        peak = traj.max_excited_population
         alpha = q.frame_at(path, 0.0).alpha
         rows.append((period, alpha, peak, traj.max_positivity_violation))
         print(f"period {period:10.2f}  alpha {alpha:.4f}  max rho_ee {peak:.3e}")

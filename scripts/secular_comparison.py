@@ -46,7 +46,7 @@ def main():
     for name, rhs in variants.items():
         traj = q.integrate(rhs, initial, cfg, frame_provider=provider)
         final = traj.final.state.rho_gg
-        peak = max(1.0 - s.state.rho_gg for s in traj.samples)
+        peak = traj.max_excited_population
         rows.append((name, final, peak))
         print(f"{name:11s} final rho_gg {final:.12f}   max rho_ee {peak:.3e}")
 

@@ -124,11 +124,14 @@ def spectrum_from_csv(csv_path) -> SpectralDensity:
         for row in csv.reader(fh):
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"spectrum rows need omega and S, got {','.join(row)!r}")
             try:
-                om.append(float(row[0]))
-                vals.append(float(row[1]))
+                omega, s = float(row[0]), float(row[1])
             except ValueError:
-                continue
+                continue  # header
+            om.append(omega)
+            vals.append(s)
     return tabulated(om, vals)
 
 

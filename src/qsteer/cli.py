@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,7 +41,6 @@ from .control import ControlPath, frame_at, linear_sweep, path_from_csv, rotatin
 from .dynamics import (
     DensityState,
     SolverConfig,
-    Trajectory,
     integrate,
     rhs_full,
     rhs_nonsteered,
@@ -269,10 +269,15 @@ def _section(name, data, tag, table, problems) -> Optional[dict]:
     return cfg if ok else None
 
 
-def _construct(table, tag, cfg, **extra):
+def _construct(section, table, tag, cfg, **extra):
     make, fields = table[cfg[tag]]
     args = {arg: cfg[key] for key, (arg, _, _) in fields.items() if arg and key in cfg}
-    return make(**extra, **args)
+    try:
+        return make(**extra, **args)
+    except ValueError as exc:
+        if "csv_file" not in cfg:  # load_scenario checked every other value
+            raise
+        raise ParseError(f"{section}.csv_file {cfg['csv_file']}: {exc}") from exc
 
 
 def _path_duration(path: dict) -> Optional[float]:
@@ -465,59 +470,83 @@ def scenario_from_file(path) -> Scenario:
 
 def build_path(cfg: dict, coupling) -> ControlPath:
     A = [[coupling[0][0], coupling[0][1]], [coupling[1][0], coupling[1][1]]]
-    return _construct(_PATHS, "kind", cfg, coupling_A=A)
+    return _construct("path", _PATHS, "kind", cfg, coupling_A=A)
 
 
 def build_bath(cfg: dict) -> SpectralDensity:
-    return _construct(_BATHS, "model", cfg)
+    return _construct("bath", _BATHS, "model", cfg)
 
 
-def _integrate_variant(scenario: Scenario, variant: str) -> Trajectory:
-    path = build_path(scenario.path, scenario.coupling)
-    sd = build_bath(scenario.bath)
-    initial = DensityState(scenario.initial_rho_gg, scenario.initial_rho_ge)
+# Each mode's summary table: its file (None for none) and columns, one row per member
+_SUMMARIES = {
+    "simulate": (None, ""),
+    "compare": ("summary.csv",
+                "variant,final_rho_gg,max_excited_population,max_positivity_violation"),
+    "sweep": ("summary.csv",
+              "period_time,final_rho_gg,max_excited_population,max_positivity_violation,file"),
+    "berry": ("berry.csv", "theta_rad,delta_lambda_g,delta_lambda_e,"
+              "delta_lambda_g_mod_2pi,delta_lambda_e_mod_2pi"),
+}
+
+
+def _members(scenario: Scenario) -> list:
+    """(scenario, variant, trajectory file, own summary columns) for each member of a run.
+
+    A Berry loop is the variant "berry" and writes no trajectory file.
+    """
+    if scenario.mode == "compare":
+        return [(scenario, v, f"{v}.csv", {"variant": v}) for v in ("full", "secular", "nonsteered")]
+    if scenario.mode == "sweep":
+        return [(sub, "full", f"period_{i:03d}.csv", {"period_time": sub.solver.t1 - sub.solver.t0})
+                for i, sub in enumerate(scenario.sub_scenarios())]
+    if scenario.mode == "berry":
+        loop = {k: v for k, v in scenario.path.items() if k != "duration_time"}
+        return [(dataclasses.replace(scenario, path={**loop, "theta_rad": theta}), "berry", None,
+                 {"theta_rad": theta}) for theta in scenario.berry_thetas]
+    return [(scenario, "full", "trajectory.csv", {})]
+
+
+def _run_member(task):
+    """Run one member in ``run_dir``; returns its summary row, maxima, work and wall time.
+
+    A Berry loop integrates no state, so it reports no positivity and no work.
+    """
+    (sc, variant, name, labels), run_dir = task
+    started = time.monotonic()
+    path = build_path(sc.path, sc.coupling)
+    if variant == "berry":
+        history = sample_history(path, 0.0, path.duration, sc.history_samples)
+        ph = berry_phase(history)
+        row = dict(labels, delta_lambda_g=ph.delta_lambda_g, delta_lambda_e=ph.delta_lambda_e,
+                   delta_lambda_g_mod_2pi=ph.delta_lambda_g_mod,
+                   delta_lambda_e_mod_2pi=ph.delta_lambda_e_mod)
+        maxima = {"max_alpha": max(f.alpha for f in history.frames),
+                  "max_quadrature_error": ph.quadrature_error, "max_loop_gap": ph.loop_gap}
+        return row, maxima, None, time.monotonic() - started
+    sd = build_bath(sc.bath)
+    initial = DensityState(sc.initial_rho_gg, sc.initial_rho_ge)
     if variant == "nonsteered":
-        frame0 = frame_at(path, scenario.solver.t0)
+        frame0 = frame_at(path, sc.solver.t0)
         r0 = rates(frame0.m1, frame0.m2, frame0.omega01, sd)
-        return integrate(
-            lambda t, s, f: rhs_nonsteered(s, r0, frame0.omega01),
-            initial, scenario.solver, frame_provider=lambda t: frame0,
-        )
-    provider = lambda t: frame_at(path, t)
-    if variant == "secular":
-        return integrate(
-            lambda t, s, f: rhs_secular(s, rates(f.m1, f.m2, f.omega01, sd), f.omega01),
-            initial, scenario.solver, frame_provider=provider,
-        )
-    # The optimal-phase run is the plain run seen in the rotated basis; the
-    # spectral shift vanishes there, and rhs_full is covariant without it.
-    shift = scenario.spectral_shift and not scenario.optimal_phase
-    return integrate(
-        lambda t, s, f: rhs_full(s, f, sd, spectral_shift=shift),
-        initial, scenario.solver, frame_provider=provider, track_phases=scenario.optimal_phase,
-    )
-
-
-def _summary_row(traj: Trajectory) -> dict:
-    return {
-        "final_rho_gg": traj.final.state.rho_gg,
-        "max_excited_population": max(1.0 - s.state.rho_gg for s in traj.samples),
-        "max_positivity_violation": traj.max_positivity_violation,
-        "max_alpha": traj.max_alpha,
-    }
-
-
-def _sweep_worker(args):
-    sub, run_dir, index = args
-    traj = _integrate_variant(sub, "full")
-    name = f"period_{index:03d}.csv"
-    with open(Path(run_dir) / name, "w") as fh:
+        traj = integrate(lambda t, s, f: rhs_nonsteered(s, r0, frame0.omega01),
+                         initial, sc.solver, frame_provider=lambda t: frame0)
+    elif variant == "secular":
+        traj = integrate(lambda t, s, f: rhs_secular(s, rates(f.m1, f.m2, f.omega01, sd), f.omega01),
+                         initial, sc.solver, frame_provider=lambda t: frame_at(path, t))
+    else:
+        # The optimal-phase run is the plain run seen in the rotated basis; the
+        # spectral shift vanishes there, and rhs_full is covariant without it.
+        shift = sc.spectral_shift and not sc.optimal_phase
+        traj = integrate(lambda t, s, f: rhs_full(s, f, sd, spectral_shift=shift), initial,
+                         sc.solver, frame_provider=lambda t: frame_at(path, t),
+                         track_phases=sc.optimal_phase)
+    with open(run_dir / name, "w") as fh:
         traj.write_csv(fh)
-    row = _summary_row(traj)
-    row["period_time"] = sub.solver.t1 - sub.solver.t0
-    row["file"] = name
-    row["work"] = dataclasses.asdict(traj.work)
-    return index, row
+    row = dict(labels, file=name, final_rho_gg=traj.final.state.rho_gg,
+               max_excited_population=traj.max_excited_population,
+               max_positivity_violation=traj.max_positivity_violation)
+    maxima = {"max_positivity_violation": traj.max_positivity_violation, "max_alpha": traj.max_alpha}
+    return row, maxima, dataclasses.asdict(traj.work), time.monotonic() - started
 
 
 @dataclass
@@ -528,7 +557,15 @@ class RunArtifacts:
 
 
 def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] = None) -> RunArtifacts:
-    """Execute a scenario and persist its artifacts under a fresh run directory."""
+    """Execute a scenario and persist its artifacts under a fresh run directory.
+
+    Every mode is a list of independent members (see ``_members``): one
+    trajectory (simulate), the full, secular and non-steered variants
+    (compare), one trajectory per period (sweep) or one Berry loop per angle
+    (berry). Up to ``jobs`` members run at once, never more than the members
+    or the CPUs. Each member adds one row to the mode's summary table, its
+    maxima to the invariants and its wall time to ``member_wall_s``.
+    """
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     run_dir = Path(out_dir) / f"{stamp}-{scenario.scenario_hash()}"
     run_dir.mkdir(parents=True, exist_ok=False)
@@ -541,111 +578,41 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
         "seed": seed,
         "status": "running",
     }
+    members = _members(scenario)
+    summary, columns = _SUMMARIES[scenario.mode]
     files: list = []
-    invariants = {"max_positivity_violation": 0.0, "max_alpha": 0.0}
+    invariants: dict = {}
     work = {}  # trajectory file -> its integration's SolverWork fields
-
-    def note(traj: Trajectory, name: str):
-        invariants["max_positivity_violation"] = max(
-            invariants["max_positivity_violation"], traj.max_positivity_violation
-        )
-        invariants["max_alpha"] = max(invariants["max_alpha"], traj.max_alpha)
-        work[name] = dataclasses.asdict(traj.work)
-
+    rows, walls = [], []  # one summary row and one wall time per member
+    # fork starts every worker at once, so never more than the work or the CPUs
+    workers = min(jobs, len(members), os.cpu_count() or 1)
     try:
-        if scenario.mode == "simulate":
-            traj = _integrate_variant(scenario, "full")
-            note(traj, "trajectory.csv")
-            with open(run_dir / "trajectory.csv", "w") as fh:
-                traj.write_csv(fh)
-            files.append("trajectory.csv")
-        elif scenario.mode == "compare":
-            rows = []
-            for variant in ("full", "secular", "nonsteered"):
-                traj = _integrate_variant(scenario, variant)
-                name = f"{variant}.csv"
-                note(traj, name)
-                with open(run_dir / name, "w") as fh:
-                    traj.write_csv(fh)
-                files.append(name)
-                row = _summary_row(traj)
-                row["variant"] = variant
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            results = (pool.map if pool else map)(_run_member, [(m, run_dir) for m in members])
+            for (_, _, name, _), (row, maxima, w, wall) in zip(members, results):
                 rows.append(row)
-            with open(run_dir / "summary.csv", "w") as fh:
-                fh.write(
-                    "variant,final_rho_gg,max_excited_population,max_positivity_violation\n"
-                )
+                walls.append(wall)
+                for key, value in maxima.items():
+                    invariants[key] = max(invariants.get(key, 0.0), value)
+                if name:
+                    files.append(name)
+                    work[name] = w
+        if summary:
+            with open(run_dir / summary, "w") as fh:
+                fh.write(columns + "\n")
                 for row in rows:
-                    fh.write(
-                        f"{row['variant']},{row['final_rho_gg']:.17g},"
-                        f"{row['max_excited_population']:.17g},"
-                        f"{row['max_positivity_violation']:.17g}\n"
-                    )
-            files.append("summary.csv")
-        elif scenario.mode == "sweep":
-            subs = scenario.sub_scenarios()
-            tasks = [(sub, str(run_dir), i) for i, sub in enumerate(subs)]
-            # fork starts every worker at once, so never more than the work or the CPUs
-            workers = min(jobs, len(tasks), os.cpu_count() or 1)
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = dict(pool.map(_sweep_worker, tasks))
-            else:
-                results = dict(map(_sweep_worker, tasks))
-            with open(run_dir / "summary.csv", "w") as fh:
-                fh.write(
-                    "period_time,final_rho_gg,max_excited_population,"
-                    "max_positivity_violation,file\n"
-                )
-                for i in sorted(results):
-                    row = results[i]
-                    files.append(row["file"])
-                    work[row["file"]] = row["work"]
-                    fh.write(
-                        f"{row['period_time']:.17g},{row['final_rho_gg']:.17g},"
-                        f"{row['max_excited_population']:.17g},"
-                        f"{row['max_positivity_violation']:.17g},{row['file']}\n"
-                    )
-                    invariants["max_positivity_violation"] = max(
-                        invariants["max_positivity_violation"], row["max_positivity_violation"]
-                    )
-                    invariants["max_alpha"] = max(invariants["max_alpha"], row["max_alpha"])
-            files.append("summary.csv")
-        elif scenario.mode == "berry":
-            # no state is integrated, so positivity is not measured
-            del invariants["max_positivity_violation"]
-            invariants.update(max_quadrature_error=0.0, max_loop_gap=0.0)
-            with open(run_dir / "berry.csv", "w") as fh:
-                fh.write(
-                    "theta_rad,delta_lambda_g,delta_lambda_e,"
-                    "delta_lambda_g_mod_2pi,delta_lambda_e_mod_2pi\n"
-                )
-                loop = {k: v for k, v in scenario.path.items() if k != "duration_time"}
-                for theta in scenario.berry_thetas:
-                    path = build_path({**loop, "theta_rad": theta}, scenario.coupling)
-                    history = sample_history(path, 0.0, path.duration, scenario.history_samples)
-                    phases = berry_phase(history)
-                    invariants["max_alpha"] = max(
-                        invariants["max_alpha"], *(f.alpha for f in history.frames)
-                    )
-                    invariants["max_quadrature_error"] = max(
-                        invariants["max_quadrature_error"], phases.quadrature_error
-                    )
-                    invariants["max_loop_gap"] = max(invariants["max_loop_gap"], phases.loop_gap)
-                    fh.write(
-                        f"{theta:.17g},{phases.delta_lambda_g:.17g},"
-                        f"{phases.delta_lambda_e:.17g},{phases.delta_lambda_g_mod:.17g},"
-                        f"{phases.delta_lambda_e_mod:.17g}\n"
-                    )
-            files.append("berry.csv")
+                    cells = (row[c] for c in columns.split(","))
+                    fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in cells) + "\n")
+            files.append(summary)
         metadata["status"] = "ok"
     except Exception as exc:
         metadata["status"] = f"failed: {exc}"
         raise
     finally:
         metadata["wall_time_s"] = time.monotonic() - started
+        metadata["member_wall_s"] = walls
         metadata["invariants"] = invariants
-        if scenario.mode != "berry":  # a berry run integrates nothing
+        if any(name for _, _, name, _ in members):  # a berry run integrates nothing
             metadata["solver_work"] = work
         metadata["files"] = files
         with open(run_dir / "metadata.json", "w") as fh:
@@ -664,7 +631,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent sub-runs for sweeps")
+        p.add_argument("--jobs", type=int, default=1, help="concurrent members (default: 1)")
         p.add_argument("--seed", type=int, default=None, help="recorded in metadata")
     args = parser.parse_args(argv)
 

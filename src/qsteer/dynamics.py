@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .bath import RateSet, SpectralDensity, rates_from_spectra, superadiabatic_elements
 from .errors import GAP_FLOOR, GapCollapse, NonFiniteState, StepRejectionLimit
-from .gauge import phase_factor, phase_shifted_frame
+from .gauge import hs_norm, phase_factor, phase_shifted_frame
 
 TOL_POSITIVITY = 1e-6
 
@@ -272,10 +272,14 @@ class SolverWork:
 
 @dataclass
 class Trajectory:
-    """Recorded samples plus run-level invariant diagnostics and solver work."""
+    """Recorded samples plus run-level invariant diagnostics and solver work.
+
+    The maxima range over t0 and every accepted step, not only the recorded ones.
+    """
 
     samples: list = field(default_factory=list)
     max_positivity_violation: float = 0.0
+    max_excited_population: float = -math.inf
     max_alpha: float = 0.0
     work: Optional[SolverWork] = None
 
@@ -371,7 +375,9 @@ def integrate(
     step, so it makes 4 * steps + 1 calls and records that stage's frame.
     Purity is checked at t0 and at every accepted step, independent of
     ``record_stride``, against 1 + 1e-6; the worst excess is reported on the
-    trajectory (with a warning), never corrected.
+    trajectory (with a warning), never corrected. The trajectory's
+    ``max_excited_population`` and ``max_alpha`` range over the same points,
+    alpha in the basis the samples are reported in.
     ``Trajectory.work`` reports the steps, evaluations and step sizes used.
 
     With ``track_phases`` the samples are reported in the optimally phase
@@ -398,8 +404,8 @@ def integrate(
     traj = Trajectory()
     t_worst = None
 
-    def monitor(t, y):
-        """Check one accepted state for finiteness and positivity; returns its purity."""
+    def monitor(t, y, frame, lam):
+        """Check one accepted state and fold it into the trajectory's maxima; returns its purity."""
         nonlocal t_worst
         if not (math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])):
             raise NonFiniteState(f"non-finite state at t = {t:g}")
@@ -407,6 +413,14 @@ def integrate(
         if p - 1.0 > traj.max_positivity_violation:
             traj.max_positivity_violation = p - 1.0
             t_worst = t
+        if 1.0 - y[0] > traj.max_excited_population:
+            traj.max_excited_population = 1.0 - y[0]
+        if frame is not None:
+            # alpha in the reported basis; phase_shifted_frame gives the same float
+            alpha = (hs_norm(0.0, 0.0, frame.w_ge * phase_factor(*lam)) / frame.omega01
+                     if track_phases else frame.alpha)
+            if alpha > traj.max_alpha:
+                traj.max_alpha = alpha
         return p
 
     def record(t, y, p, frame, lam):
@@ -414,8 +428,6 @@ def integrate(
         if track_phases:
             st = DensityState(st.rho_gg, st.rho_ge * phase_factor(*lam))
             frame = phase_shifted_frame(frame, lam[0], lam[1])
-        if frame is not None and frame.alpha > traj.max_alpha:
-            traj.max_alpha = frame.alpha
         traj.samples.append(TrajectorySample(t, st, frame, lam[0], lam[1], p))
 
     y = (initial.rho_gg, complex(initial.rho_ge).real, complex(initial.rho_ge).imag)
@@ -424,7 +436,7 @@ def integrate(
     ks = [None] * 7
     frames = [None] * 7
     ks[0], frames[0] = f(t, y)
-    record(t, y, monitor(t, y), frames[0], lam)
+    record(t, y, monitor(t, y, frames[0], lam), frames[0], lam)
     rejected = 0
 
     if cfg.method == "rk4_fixed":
@@ -439,9 +451,9 @@ def integrate(
             if track_phases:
                 lam = _advance_phases(lam, frames, _RK4_B, dt)
             t = cfg.t0 + (i + 1) * dt
-            p = monitor(t, y)
             # the next step's first stage: t is the same float as that step's t0 + i dt
             ks[0], frames[0] = f(t, y)
+            p = monitor(t, y, frames[0], lam)
             if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
                 record(t, y, p, frames[0], lam)
     else:
@@ -468,11 +480,11 @@ def integrate(
                     lam = _advance_phases(lam, frames, _DP_B5, dt)
                 t += dt
                 y = y_new
-                p = monitor(t, y)
                 accepted += 1
                 rejections = 0
                 dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
                 ks[0], frames[0] = ks[6], frames[6]
+                p = monitor(t, y, frames[0], lam)
                 if accepted % cfg.record_stride == 0 or t >= t_end:
                     record(t, y, p, frames[0], lam)
             else:

@@ -229,25 +229,33 @@ class TestRun:
         assert (art.run_dir / "period_000.csv").exists()
         assert (art.run_dir / "period_001.csv").exists()
 
-    def test_sweep_parallel_matches_serial(self, tmp_path):
-        text = MINIMAL_CONE + "run:\n  mode: sweep\n  sweep_periods_time: [20, 40]\n"
-        sc = load_scenario(text)
+    @pytest.mark.parametrize("run_block", [
+        "run:\n  mode: simulate\n",
+        "run:\n  mode: compare\n",
+        "run:\n  mode: sweep\n  sweep_periods_time: [20, 40]\n",
+        "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5, 1.0, 2.0]\n  history_samples: 257\n",
+    ], ids=["simulate", "compare", "sweep", "berry"])
+    def test_sweep_parallel_matches_serial(self, tmp_path, run_block):
+        sc = load_scenario(MINIMAL_CONE + run_block)
         a = run(sc, out_dir=tmp_path / "serial", jobs=1)
         b = run(sc, out_dir=tmp_path / "parallel", jobs=2)
-        assert (a.run_dir / "summary.csv").read_bytes() == (b.run_dir / "summary.csv").read_bytes()
-        assert (a.run_dir / "period_001.csv").read_bytes() == (
-            b.run_dir / "period_001.csv"
-        ).read_bytes()
+        assert a.metadata["files"] == b.metadata["files"]
+        for name in a.metadata["files"]:
+            assert (a.run_dir / name).read_bytes() == (b.run_dir / name).read_bytes(), name
 
-    @pytest.mark.parametrize("jobs, cpus, periods, workers", [
-        (5000, 8, [20, 40], 2),
-        (5000, 2, [20, 30, 40], 2),
-        (2, 8, [20, 30, 40], 2),
-        (5000, 1, [20, 40], None),
-        (5000, None, [20, 40], None),
-    ], ids=["work-cap", "cpu-cap", "jobs-cap", "one-cpu", "cpus-unknown"])
+    @pytest.mark.parametrize("jobs, cpus, run_block, members, workers", [
+        (5000, 8, "mode: sweep\n  sweep_periods_time: [20, 40]", 2, 2),
+        (5000, 2, "mode: sweep\n  sweep_periods_time: [20, 30, 40]", 3, 2),
+        (2, 8, "mode: sweep\n  sweep_periods_time: [20, 30, 40]", 3, 2),
+        (5000, 1, "mode: sweep\n  sweep_periods_time: [20, 40]", 2, None),
+        (5000, None, "mode: sweep\n  sweep_periods_time: [20, 40]", 2, None),
+        (5000, 8, "mode: compare", 3, 3),
+        (2, 8, "mode: berry\n  berry_theta_grid_rad: [0.5, 1.0, 2.0]\n  history_samples: 65", 3, 2),
+        (5000, 8, "mode: simulate", 1, None),
+    ], ids=["work-cap", "cpu-cap", "jobs-cap", "one-cpu", "cpus-unknown", "compare", "berry",
+            "simulate"])
     def test_sweep_pool_sized_by_the_work(
-        self, tmp_path, monkeypatch, jobs, cpus, periods, workers
+        self, tmp_path, monkeypatch, jobs, cpus, run_block, members, workers
     ):
         sizes = []
 
@@ -268,10 +276,12 @@ class TestRun:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        text = MINIMAL_CONE + f"run:\n  mode: sweep\n  sweep_periods_time: {periods}\n"
-        art = run(load_scenario(text), out_dir=tmp_path, jobs=jobs)
+        art = run(load_scenario(MINIMAL_CONE + f"run:\n  {run_block}\n"), out_dir=tmp_path, jobs=jobs)
         assert sizes == ([] if workers is None else [workers])
-        assert len((art.run_dir / "summary.csv").read_text().splitlines()) == 1 + len(periods)
+        walls = json.loads((art.run_dir / "metadata.json").read_text())["member_wall_s"]
+        assert len(walls) == members and all(w > 0.0 for w in walls)
+        if members > 1:  # the summary table is the last file, one row per member
+            assert len(art.files[-1].read_text().splitlines()) == 1 + members
 
     def test_berry_mode(self, tmp_path):
         text = MINIMAL_CONE + (
@@ -502,6 +512,28 @@ class TestMain:
         assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
         assert f"solver.t0_time: must be 0 in {command} mode" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("section, rows, message", [
+        ("path", "0,0,0,1\n1,0,0,1\n2,0,0,1\n", "at least 4 time samples"),
+        ("path", "0,1\n1,1\n2,1\n3,1\n4,1\n", "shape (n_times, 3)"),
+        ("bath", "1.0,0.1\n", "at least 2 samples"),
+        ("bath", "-2.0\n0.0\n2.0\n", "omega and S"),
+    ], ids=["path-3-rows", "path-2-columns", "spectrum-1-row", "spectrum-1-column"])
+    def test_malformed_data_file_exit_2(self, tmp_path, capsys, section, rows, message):
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
+        if section == "path":
+            text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {data}")
+            text = text.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 3.0")
+        else:
+            text = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1",
+                                        f"model: tabulated\n  csv_file: {data}")
+        fn = self.write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed: {section}.csv_file") and message in err
+        meta = json.loads((next((tmp_path / "runs").iterdir()) / "metadata.json").read_text())
+        assert meta["status"].startswith(f"failed: {section}.csv_file")
 
     def test_sweep_without_periods_exit_1(self, tmp_path):
         fn = self.write_config(tmp_path)

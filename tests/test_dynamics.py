@@ -352,9 +352,12 @@ class TestSolverWork:
                     lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
                     frame_provider=lambda t: q.frame_at(cone_path, t),
                 )
-            worst.append((traj.max_positivity_violation, traj.work.t_max_positivity_violation))
+            worst.append((
+                traj.max_positivity_violation, traj.work.t_max_positivity_violation,
+                traj.max_excited_population, traj.max_alpha,
+            ))
         assert worst[0] == worst[1]
-        assert worst[0][0] > 0.0
+        assert worst[0][0] > 0.0 and worst[0][2] > 0.0 and worst[0][3] > 0.0
 
     def test_frame_free_generator_evaluates_no_frame(self):
         r = q.rates(0.0, 1.0, 1.0, q.flat(0.5))
