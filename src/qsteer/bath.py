@@ -118,18 +118,23 @@ def tabulated(omegas, values) -> SpectralDensity:
 
 
 def spectrum_from_csv(csv_path) -> SpectralDensity:
-    """Tabulated spectrum from CSV rows (omega, S); a header row is skipped if present."""
+    """Tabulated spectrum from CSV rows (omega, S).
+
+    The first non-empty row is skipped as a header if it does not parse; any
+    later row that does not parse raises ValueError.
+    """
     om, vals = [], []
     with open(csv_path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        reader = csv.reader(fh)
+        for i, row in enumerate(row for row in reader if row):
             if len(row) < 2:
                 raise ValueError(f"spectrum rows need omega and S, got {','.join(row)!r}")
             try:
                 omega, s = float(row[0]), float(row[1])
             except ValueError:
-                continue  # header
+                if i == 0:
+                    continue  # header
+                raise ValueError(f"line {reader.line_num} does not parse: {','.join(row)!r}") from None
             om.append(omega)
             vals.append(s)
     return tabulated(om, vals)

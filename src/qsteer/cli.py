@@ -52,8 +52,9 @@ from .gauge import berry_phase
 # Not called here; perfbench's tracer and its self-tests patch this name.
 from .gauge import phase_shifted_frame  # noqa: F401
 
-# Largest berry-mode frame history: it holds one frame per sample, and a count
-# beyond the C integer range would fail in np.linspace at run time.
+# Largest berry-mode frame history: each loop evaluates the path once per sample
+# and holds a few float columns of this length, and a count beyond the C integer
+# range would fail in np.linspace at run time.
 _MAX_HISTORY_SAMPLES = 2**16 + 1
 
 
@@ -520,7 +521,7 @@ def _run_member(task):
         row = dict(labels, delta_lambda_g=ph.delta_lambda_g, delta_lambda_e=ph.delta_lambda_e,
                    delta_lambda_g_mod_2pi=ph.delta_lambda_g_mod,
                    delta_lambda_e_mod_2pi=ph.delta_lambda_e_mod)
-        maxima = {"max_alpha": max(f.alpha for f in history.frames),
+        maxima = {"max_alpha": float(history.alpha.max()),
                   "max_quadrature_error": ph.quadrature_error, "max_loop_gap": ph.loop_gap}
         return row, maxima, None, time.monotonic() - started
     sd = build_bath(sc.bath)

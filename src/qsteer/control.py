@@ -183,16 +183,21 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
 
 
 def path_from_csv(csv_path, coupling_A) -> ControlPath:
-    """Sampled path from CSV rows (t, b_x, b_y, b_z); a header row is skipped if present."""
+    """Sampled path from CSV rows (t, b_x, b_y, b_z).
+
+    The first non-empty row is skipped as a header if it does not parse; any
+    later row that does not parse raises ValueError.
+    """
     times, vecs = [], []
     with open(csv_path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        reader = csv.reader(fh)
+        for i, row in enumerate(row for row in reader if row):
             try:
                 vals = [float(x) for x in row[:4]]
             except ValueError:
-                continue  # header
+                if i == 0:
+                    continue  # header
+                raise ValueError(f"line {reader.line_num} does not parse: {','.join(row)!r}") from None
             times.append(vals[0])
             vecs.append(vals[1:4])
     return sampled_path(times, vecs, coupling_A)
@@ -218,10 +223,16 @@ class AdiabaticFrame(NamedTuple):
 
 @dataclass(frozen=True)
 class FrameHistory:
-    """Uniformly sampled frame snapshots along a path, for Berry loops."""
+    """Frame columns on a uniform time grid along a path, for Berry loops.
+
+    ``w_gg``, ``w_ee`` and ``alpha`` hold one entry per sample time, equal to
+    the fields of :func:`frame_at` at that time.
+    """
 
     times: np.ndarray
-    frames: list
+    w_gg: np.ndarray
+    w_ee: np.ndarray
+    alpha: np.ndarray
     b_start: Vec3
     b_end: Vec3
 
@@ -267,36 +278,95 @@ def _eig_anchored(bx, by, bz, cg, ce):
     return _anchor(g, cg), _anchor(e, ce), E_g, E_e
 
 
-def _sandwich(u, M00, M01, M11, v):
-    """<u| M |v> for Hermitian M = [[M00, M01], [conj(M01), M11]]."""
-    r0 = M00 * v[0] + M01 * v[1]
-    r1 = M01.conjugate() * v[0] + M11 * v[1]
-    return u[0].conjugate() * r0 + u[1].conjugate() * r1
+# ----------------------------------------------------------------------
+# array internals: frame_at's arithmetic over columns of samples
+# ----------------------------------------------------------------------
+# A value is a pair (re, im) of float arrays, with im None where frame_at
+# holds a Python float. As in CPython, a float meeting a complex is promoted
+# to (x, 0.0) and complex division is _Py_c_quot's (numpy's multiplies by a
+# reciprocal), so every column equals frame_at's floats bit for bit.
+
+def _promote(a):
+    return a if a[1] is not None else (a[0], 0.0)
 
 
-def _w_analytic(g, e, omega01, cg, ce, bdx, bdy, bdz):
-    """w elements from first-order perturbation theory in the anchored gauge.
+def _neg(a):
+    return -a[0], None if a[1] is None else -a[1]
 
-    Off-diagonals follow from <g|dH/dt|e> / omega01; diagonals from the
-    requirement that the anchored component stays on the real axis.
+
+def _conj(a):
+    return a[0], None if a[1] is None else -a[1]
+
+
+def _add(a, b):
+    if a[1] is None and b[1] is None:
+        return a[0] + b[0], None
+    (ar, ai), (br, bi) = _promote(a), _promote(b)
+    return ar + br, ai + bi
+
+
+def _mul(a, b):
+    if a[1] is None and b[1] is None:
+        return a[0] * b[0], None
+    (ar, ai), (br, bi) = _promote(a), _promote(b)
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(a, b):
+    if a[1] is None and b[1] is None:
+        return a[0] / b[0], None
+    (ar, ai), (br, bi) = _promote(a), _promote(b)
+    if b[1] is None:  # |b.real| >= |b.imag| = 0: _Py_c_quot's first branch
+        ratio = bi / br
+        denom = br + bi * ratio
+        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _anchor_columns(vec, c):
+    """:func:`_anchor` over columns; also returns the anchor modulus (0 where it is undefined)."""
+    vc = vec[c]
+    m = np.abs(vc[0]) if vc[1] is None else np.hypot(vc[0], vc[1])
+    ph = _div(vc, (m, None))
+    return (_div(vec[0], ph), _div(vec[1], ph)), m
+
+
+def _branch_columns(upper, r, b, nb, bd, nbd, cg, ce):
+    """w_gg, w_ee, alpha and the anchor moduli on samples of one :func:`_eig_raw` branch.
+
+    ``r`` is |b|; ``nb`` and ``nbd`` are the negated fields, negated before
+    the cast to float as Python negates an integer field.
     """
-    H00 = 0.5 * bdz
-    H01 = 0.5 * complex(bdx, -bdy)
-    H11 = -0.5 * bdz
-    ge = _sandwich(g, H00, H01, H11, e)  # <g|Hdot|e>
-    w_ge = -1j * ge / omega01
-    # d|g>/dt = -|e><e|Hdot|g>/omega01 + i kappa_g |g>, kappa fixed by the anchor
-    perp_g_c = -e[cg] * ge.conjugate() / omega01
-    perp_e_c = g[ce] * ge / omega01
-    w_gg = -perp_g_c.imag / g[cg].real
-    w_ee = -perp_e_c.imag / e[ce].real
-    return w_gg, w_ee, w_ge
-
-
-def _coupling(g, e, A00, A01, A11):
-    m1c = _sandwich(g, A00, A01, A11, g)
-    m2 = _sandwich(g, A00, A01, A11, e)
-    return m1c, m2
+    bx, by, bz = b
+    if upper:
+        n = np.sqrt(2 * r * (r + bz))
+        d = ((r + bz) / n, None)
+        e = (d, _div((bx, by), (n, None)))
+        g = (_div((nb[0], by), (n, None)), d)
+    else:
+        n = np.sqrt(2 * r * (r - bz))
+        d = ((r - bz) / n, None)
+        e = (_div((bx, nb[1]), (n, None)), d)
+        g = (((-(r - bz)) / n, None), _div((bx, by), (n, None)))
+    g, mg = _anchor_columns(g, cg)
+    e, me = _anchor_columns(e, ce)
+    omega01 = (r / 2 - (-r) / 2, None)  # E_e - E_g
+    H00 = (0.5 * bd[2], None)
+    H01 = _mul((0.5, None), (bd[0], nbd[1]))
+    H11 = (-0.5 * bd[2], None)
+    gc0, gc1 = _conj(g[0]), _conj(g[1])
+    ge = _add(_mul(gc0, _add(_mul(H00, e[0]), _mul(H01, e[1]))),
+              _mul(gc1, _add(_mul(_conj(H01), e[0]), _mul(H11, e[1]))))
+    w_ge = _div(_mul((-0.0, -1.0), ge), omega01)
+    w_gg = -_div(_mul(_neg(e[cg]), _conj(ge)), omega01)[1] / g[cg][0]
+    w_ee = -_div(_mul(g[ce], ge), omega01)[1] / e[ce][0]
+    alpha = np.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (w_ge[0] ** 2 + w_ge[1] ** 2)) / omega01[0]
+    return w_gg, w_ee, alpha, np.minimum(mg, me)
 
 
 # ----------------------------------------------------------------------
@@ -307,27 +377,72 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     """Full adiabatic-frame snapshot at time t, in the anchored gauge.
 
     The eigenpair is closed form. The w elements follow from the field
-    derivative ``path.b_dot(t)`` by first-order perturbation theory, and the
-    coupling elements use the traceless part of ``path.coupling_A``.
+    derivative ``path.b_dot(t)`` by first-order perturbation theory:
+    w_ge = -i <g|dH/dt|e> / omega01, and the diagonals keep the anchored
+    components on the real axis. The coupling elements use the traceless
+    part of ``path.coupling_A``. Straight-line code: each eigenvector is
+    conjugated once and every matrix element is written out.
     """
     cg, ce = path.anchors()
-    bx, by, bz = path.b(t)
-    g, e, E_g, E_e = _eig_anchored(bx, by, bz, cg, ce)
+    g, e, E_g, E_e = _eig_anchored(*path.b(t), cg, ce)
     omega01 = E_e - E_g
-    w_gg, w_ee, w_ge = _w_analytic(g, e, omega01, cg, ce, *path.b_dot(t))
+    g0, g1 = g
+    e0, e1 = e
+    gc0, gc1 = g0.conjugate(), g1.conjugate()
+    bdx, bdy, bdz = path.b_dot(t)
+    # dH/dt = (1/2) b_dot . sigma = [[H00, H01], [conj(H01), H11]]
+    H00 = 0.5 * bdz
+    H01 = 0.5 * complex(bdx, -bdy)
+    H11 = -0.5 * bdz
+    ge = gc0 * (H00 * e0 + H01 * e1) + gc1 * (H01.conjugate() * e0 + H11 * e1)  # <g|dH/dt|e>
+    w_ge = -1j * ge / omega01
+    # d|g>/dt = -|e><e|dH/dt|g>/omega01 + i kappa_g |g>, kappa fixed by the anchor
+    w_gg = -(-e[cg] * ge.conjugate() / omega01).imag / g[cg].real
+    w_ee = -(g[ce] * ge / omega01).imag / e[ce].real
     A00, A01, A11 = path._A_traceless
-    m1c, m2 = _coupling(g, e, A00, A01, A11)
+    A10 = A01.conjugate()
+    m1 = gc0 * (A00 * g0 + A01 * g1) + gc1 * (A10 * g0 + A11 * g1)  # <g|A|g>
+    m2 = gc0 * (A00 * e0 + A01 * e1) + gc1 * (A10 * e0 + A11 * e1)  # <g|A|e>
     alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (w_ge.real ** 2 + w_ge.imag ** 2)) / omega01
     return AdiabaticFrame(
         t=t, omega01=omega01, w_gg=w_gg, w_ee=w_ee, w_ge=w_ge,
-        m1=m1c.real, m2=m2, alpha=alpha,
+        m1=m1.real, m2=m2, alpha=alpha,
     )
 
 
 def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHistory:
-    """Frames on a uniform grid of ``num`` points over [t0, t1]."""
+    """Frame columns on a uniform grid of ``num`` points over [t0, t1].
+
+    ``path.b`` and ``path.b_dot`` are evaluated once per sample; the
+    eigenpair, its anchoring, w_gg, w_ee and alpha are then numpy columns
+    computed with :func:`frame_at`'s float operations, so each entry equals
+    that field of ``frame_at(path, t)`` (alpha to within an ulp). A sample
+    where an anchored component vanishes (the anchor keeps the raw phase
+    there) is left to ``frame_at`` itself, so it fails the same way. Raises
+    GapCollapse where |b| is at or below GAP_FLOOR.
+    """
     if num < 3:
         raise ValueError("history needs at least 3 samples")
     times = np.linspace(t0, t1, num)
-    frames = [frame_at(path, float(t)) for t in times]
-    return FrameHistory(times=times, frames=frames, b_start=path.b(t0), b_end=path.b(t1))
+    ts = times.tolist()
+    b = np.array([path.b(t) for t in ts])
+    bd = np.array([path.b_dot(t) for t in ts])
+    nb, nbd = (np.asarray(-x, dtype=float).T for x in (b, bd))
+    b, bd = (np.asarray(x, dtype=float).T for x in (b, bd))
+    r = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
+    if np.any(r <= GAP_FLOOR):
+        raise GapCollapse(f"|b| = {r[r <= GAP_FLOOR][0]:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    cg, ce = path.anchors()
+    w_gg, w_ee, alpha, m = (np.empty(num) for _ in range(4))
+    upper = b[2] >= 0.0
+    # np.where evaluates both _Py_c_quot branches; the raw-phase samples are redone below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for up, k in ((True, upper), (False, ~upper)):
+            if k.any():
+                w_gg[k], w_ee[k], alpha[k], m[k] = _branch_columns(
+                    up, r[k], b[:, k], nb[:, k], bd[:, k], nbd[:, k], cg, ce)
+    for i in np.flatnonzero(m == 0.0):
+        f = frame_at(path, ts[i])
+        w_gg[i], w_ee[i], alpha[i] = f.w_gg, f.w_ee, f.alpha
+    return FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=alpha,
+                        b_start=path.b(t0), b_end=path.b(t1))

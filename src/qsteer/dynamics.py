@@ -255,10 +255,11 @@ class TrajectorySample:
 class SolverWork:
     """What one integration did: steps, evaluations and accepted step sizes.
 
-    ``dt_max`` and ``dt_min`` range over the accepted steps (the last one is
-    cut to end at t1). ``t_max_positivity_violation`` is the time of the
-    accepted step (or t0) with the worst purity excess, None when purity
-    never exceeded 1.
+    ``frame_evals`` counts the frame provider's calls, one per distinct
+    stage time (0 without a provider). ``dt_max`` and ``dt_min`` range over
+    the accepted steps (the last one is cut to end at t1).
+    ``t_max_positivity_violation`` is the time of the accepted step (or t0)
+    with the worst purity excess, None when purity never exceeded 1.
     """
 
     accepted_steps: int
@@ -332,6 +333,10 @@ _DP_E = _terms((  # b5 - b4
 _RK4_C = (0.0, 0.5, 0.5, 1.0)
 _RK4_A = tuple(_terms(row) for row in ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)))
 _RK4_B = _terms((1 / 6, 1 / 3, 1 / 3, 1 / 6))
+# Stages whose node equals the previous stage's are evaluated at the same t
+# and reuse its frame: DP5's last two stages (c = 1), RK4's middle two (c = 1/2).
+_DP_SAME_T = tuple(s > 0 and _DP_C[s] == _DP_C[s - 1] for s in range(len(_DP_C)))
+_RK4_SAME_T = tuple(s > 0 and _RK4_C[s] == _RK4_C[s - 1] for s in range(len(_RK4_C)))
 _MAX_REJECTIONS = 60
 
 
@@ -367,12 +372,17 @@ def integrate(
 
     ``rhs`` returns (d rho_gg/dt, d rho_ge/dt); ``frame_provider`` maps a
     time to the frame passed through to ``rhs`` (None for frame-free
-    generators). The provider is called once per stage, and every ``rhs``
-    call gets that stage's frame. "rk45_adaptive" evaluates six stages per
-    attempted step: the first stage of a step is the last stage of the
-    previous accepted one, and its frame is also the one recorded there.
-    "rk4_fixed" evaluates each step's first stage at the end of the previous
-    step, so it makes 4 * steps + 1 calls and records that stage's frame.
+    generators). The provider is called once per distinct stage time: a
+    stage whose tableau node equals the previous stage's reuses that stage's
+    frame, and every ``rhs`` call gets its stage's frame. "rk45_adaptive"
+    evaluates six stages per attempted step: the first stage of a step is
+    the last stage of the previous accepted one, and its frame is also the
+    one recorded there. The last two stages share t + dt, so an attempt
+    makes 6 RHS calls and 5 frame evaluations (6 * attempts + 1 and
+    5 * attempts + 1 in all). "rk4_fixed" evaluates each step's first stage
+    at the end of the previous step and records that stage's frame; its two
+    middle stages share t + dt/2, so it makes 4 * steps + 1 RHS calls and
+    3 * steps + 1 frame evaluations.
     Purity is checked at t0 and at every accepted step, independent of
     ``record_stride``, against 1 + 1e-6; the worst excess is reported on the
     trajectory (with a warning), never corrected. The trajectory's
@@ -392,12 +402,15 @@ def integrate(
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
-    n_rhs = 0
+    n_rhs = n_frames = 0
 
-    def f(t, y):
-        nonlocal n_rhs
+    def f(t, y, frame=None):
+        """One RHS call; ``frame`` is the frame of an earlier stage at this same t, if any."""
+        nonlocal n_rhs, n_frames
         n_rhs += 1
-        frame = frame_provider(t) if frame_provider is not None else None
+        if frame is None and frame_provider is not None:
+            n_frames += 1
+            frame = frame_provider(t)
         dgg, dge = rhs(t, DensityState(y[0], complex(y[1], y[2])), frame)
         return (dgg, dge.real, dge.imag), frame
 
@@ -446,7 +459,8 @@ def integrate(
         for i in range(n_steps):
             t = cfg.t0 + i * dt
             for s in range(1, 4):
-                ks[s], frames[s] = f(t + _RK4_C[s] * dt, _axpy(y, ks, _RK4_A[s], dt))
+                ks[s], frames[s] = f(t + _RK4_C[s] * dt, _axpy(y, ks, _RK4_A[s], dt),
+                                     frames[s - 1] if _RK4_SAME_T[s] else None)
             y = _axpy(y, ks, _RK4_B, dt)
             if track_phases:
                 lam = _advance_phases(lam, frames, _RK4_B, dt)
@@ -467,7 +481,8 @@ def integrate(
             dt = min(dt, cfg.t1 - t)
             for s in range(1, 7):
                 y_new = _axpy(y, ks, _DP_A[s], dt)
-                ks[s], frames[s] = f(t + _DP_C[s] * dt, y_new)
+                ks[s], frames[s] = f(t + _DP_C[s] * dt, y_new,
+                                     frames[s - 1] if _DP_SAME_T[s] else None)
             # the last stage state is the 5th-order solution, so y_new is the step's result
             err = _axpy((0.0, 0.0, 0.0), ks, _DP_E, dt)
             norm = 0.0
@@ -501,7 +516,7 @@ def integrate(
         accepted_steps=accepted,
         rejected_steps=rejected,
         rhs_evals=n_rhs,
-        frame_evals=0 if frame_provider is None else n_rhs,
+        frame_evals=n_frames,
         dt_min=dt_lo,
         dt_max=dt_hi,
         t_max_positivity_violation=t_worst,

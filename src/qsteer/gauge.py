@@ -127,7 +127,7 @@ def _simpson(y: np.ndarray, h: float) -> tuple[float, float]:
 
 
 def berry_phase(history) -> BerryPhases:
-    """Berry phases of both branches from a closed-loop frame history.
+    """Berry phases of both branches from the w_gg, w_ee columns of a closed-loop frame history.
 
     The history gauge must be single valued around the loop (the pointwise
     anchored gauge is); the increments are then - integral of the w diagonals.
@@ -142,6 +142,6 @@ def berry_phase(history) -> BerryPhases:
     if gap > _LOOP_TOL:
         raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {_LOOP_TOL:.0e}")
     h = _uniform_step(np.asarray(history.times, dtype=float))
-    dg, err_g = _simpson(-np.array([f.w_gg for f in history.frames], dtype=float), h)
-    de, err_e = _simpson(-np.array([f.w_ee for f in history.frames], dtype=float), h)
+    dg, err_g = _simpson(-np.asarray(history.w_gg, dtype=float), h)
+    de, err_e = _simpson(-np.asarray(history.w_ee, dtype=float), h)
     return BerryPhases(dg, de, _wrap(dg), _wrap(de), max(err_g, err_e), gap)

@@ -177,10 +177,11 @@ def test_criterion_07_optimal_phase_minimality():
     rng = np.random.default_rng(42)
     path = cone(math.pi / 3, 0.05)
     history = q.sample_history(path, 0.0, path.duration, 1001)
-    w = [(f.w_gg, f.w_ee, f.w_ge) for f in history.frames]
+    frames = [q.frame_at(path, float(t)) for t in history.times]
+    w = [(f.w_gg, f.w_ee, f.w_ge) for f in frames]
     ts = history.times
     # the diagonals depend only on the phase rates, not on the phase values
-    shifted = [q.phase_shifted_frame(f, 0.0, 0.0) for f in history.frames]
+    shifted = [q.phase_shifted_frame(f, 0.0, 0.0) for f in frames]
     diag_residual = max(max(abs(f.w_gg), abs(f.w_ee)) for f in shifted)
     hs_opt = np.array(
         [q.hs_norm(*q.apply_phase(*wk, 0.0, 0.0, -wk[0], -wk[1])) for wk in w]

@@ -227,6 +227,54 @@ class TestFrameAt:
             )
 
 
+class TestSampleHistory:
+    """The history's columns are frame_at's fields at the sample times."""
+
+    @staticmethod
+    def assert_columns_match(path, t0, t1, num=257):
+        hist = q.sample_history(path, t0, t1, num)
+        frames = [q.frame_at(path, float(t)) for t in hist.times]
+        for name in ("w_gg", "w_ee"):
+            want = np.array([getattr(f, name) for f in frames])
+            # bit for bit, signed zeros included
+            np.testing.assert_array_equal(getattr(hist, name).view(np.int64), want.view(np.int64))
+        alpha = np.array([f.alpha for f in frames])
+        assert np.all(np.abs(hist.alpha - alpha) <= np.spacing(alpha))
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
+    def test_cone(self, theta):
+        # theta below and above pi/2: both _eig_raw branches (b_z >= 0, < 0) and both anchor pairs
+        path = q.rotating_cone(1.0, theta, 0.1, SX)
+        self.assert_columns_match(path, 0.0, path.duration)
+
+    def test_sweep_crossing_bz_zero(self):
+        # anchors fixed at b_z < 0 land on the complex components once b_z >= 0
+        path = q.linear_sweep(0.05, 1.0, 100.0, SZ)
+        assert path.b(0.0)[2] < 0.0 < path.b(100.0)[2]
+        self.assert_columns_match(path, 0.0, 100.0)
+
+    def test_sampled_path(self):
+        ts = np.linspace(0.0, 20.0, 30)
+        bs = np.stack([np.cos(ts), np.sin(ts), 0.5 * np.cos(0.3 * ts)], axis=1)
+        self.assert_columns_match(q.sampled_path(ts, bs, SX), 0.0, 20.0)
+
+    def test_static_path_integer_b_dot(self):
+        path = q.ControlPath(
+            kind="custom", b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
+            coupling_A=SX, duration=10.0,
+        )
+        self.assert_columns_match(path, 0.0, 10.0, 101)
+
+    def test_gap_collapse(self):
+        # b_z sweeps through 0 at a sample time, with no transverse field there
+        path = q.ControlPath(
+            kind="custom", b=lambda t: (0.0, 0.0, t - 5.0), b_dot=lambda t: (0.0, 0.0, 1.0),
+            coupling_A=SX, duration=10.0,
+        )
+        with pytest.raises(q.GapCollapse):
+            q.sample_history(path, 0.0, 10.0, 11)
+
+
 class TestSampledPaths:
     def test_sampled_reproduces_cone(self):
         theta, omega = math.pi / 3, 0.1

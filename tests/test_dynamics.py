@@ -316,8 +316,33 @@ class TestSolverWork:
         w = traj.work
         assert w.accepted_steps > 10 and w.rejected_steps > 0
         assert w.rhs_evals == 6 * (w.accepted_steps + w.rejected_steps) + 1 == calls["rhs"]
-        assert w.frame_evals == w.rhs_evals == calls["frame"]
+        assert w.frame_evals == 5 * (w.accepted_steps + w.rejected_steps) + 1 == calls["frame"]
         assert 0.0 < w.dt_min <= w.dt_max <= cfg.t1 / 10  # the default step cap
+
+    def test_rk45_attempt_evaluates_five_distinct_frame_times(self, cone_path):
+        # the last two DP5 stages share the node c = 1: one frame, two RHS calls
+        frame_times, rhs_calls = [], []
+        sd = q.flat(0.2)
+
+        def provider(t):
+            frame_times.append(t)
+            return q.frame_at(cone_path, t)
+
+        def rhs(t, s, f):
+            rhs_calls.append((t, f))
+            return q.rhs_full(s, f, sd)
+
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=cone_path.duration / 4, rtol=1e-11)
+        w = integrate(rhs, q.DensityState(0.9, 0.1j), cfg, frame_provider=provider).work
+        attempts = w.accepted_steps + w.rejected_steps
+        assert w.rejected_steps > 0
+        assert len(frame_times) == 5 * attempts + 1 and len(rhs_calls) == 6 * attempts + 1
+        for k in range(attempts):
+            times = frame_times[1 + 5 * k: 6 + 5 * k]
+            assert len(set(times)) == 5
+            stages = rhs_calls[1 + 6 * k: 7 + 6 * k]
+            assert [t for t, _ in stages[:5]] == times
+            assert stages[5][0] == stages[4][0] and stages[5][1] is stages[4][1]
 
     def test_rk45_records_the_frame_at_the_record_time(self, cone_path):
         _, provider, rhs = self.counted(cone_path)
@@ -335,7 +360,7 @@ class TestSolverWork:
         assert (w.accepted_steps, w.rejected_steps) == (100, 0)
         # each step's first stage is evaluated at the end of the step before
         assert w.rhs_evals == 4 * 100 + 1 == calls["rhs"]
-        assert w.frame_evals == w.rhs_evals == calls["frame"]
+        assert w.frame_evals == 3 * 100 + 1 == calls["frame"]  # the middle stages share t + dt/2
         assert w.dt_min == w.dt_max == pytest.approx(0.01)
 
     @pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])

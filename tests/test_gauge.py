@@ -76,7 +76,7 @@ class TestOptimalSchedule:
     def test_minimality_against_random_schedules(self, cone_path, rng):
         hist = history_of(cone_path, 301)
         ts = hist.times
-        w = [(f.w_gg, f.w_ee, f.w_ge) for f in hist.frames]
+        w = [(f.w_gg, f.w_ee, f.w_ge) for f in (q.frame_at(cone_path, float(t)) for t in ts)]
         hs_opt = np.array(
             [
                 q.hs_norm(*q.apply_phase(*wk, 0.0, 0.0, -wk[0], -wk[1]))
@@ -100,7 +100,7 @@ class TestOptimalSchedule:
 
     def test_offdiagonal_modulus_invariant_under_any_schedule(self, cone_path, rng):
         hist = history_of(cone_path, 101)
-        for f in hist.frames[:: 20]:
+        for f in (q.frame_at(cone_path, float(t)) for t in hist.times[:: 20]):
             lam = rng.uniform(-3, 3, 2)
             dlam = rng.uniform(-1, 1, 2)
             _, _, w_ge = q.apply_phase(f.w_gg, f.w_ee, f.w_ge, *lam, *dlam)
@@ -109,14 +109,14 @@ class TestOptimalSchedule:
     def test_grid_validation(self, cone_path):
         hist = history_of(cone_path, 301)
         bad = FrameHistory(
-            times=hist.times[::-1], frames=hist.frames[::-1],
-            b_start=hist.b_start, b_end=hist.b_end,
+            times=hist.times[::-1], w_gg=hist.w_gg[::-1], w_ee=hist.w_ee[::-1],
+            alpha=hist.alpha[::-1], b_start=hist.b_start, b_end=hist.b_end,
         )
         with pytest.raises(q.NonUniformGridUnsupported):
             q.berry_phase(bad)
         tiny = FrameHistory(
-            times=hist.times[:2], frames=hist.frames[:2],
-            b_start=hist.b_start, b_end=hist.b_end,
+            times=hist.times[:2], w_gg=hist.w_gg[:2], w_ee=hist.w_ee[:2],
+            alpha=hist.alpha[:2], b_start=hist.b_start, b_end=hist.b_end,
         )
         with pytest.raises(q.NonUniformGridUnsupported):
             q.berry_phase(tiny)
@@ -126,7 +126,10 @@ class TestOptimalSchedule:
         t1 = cone_path.duration
         ts = np.sort(np.concatenate([np.linspace(0, t1, 900), [13.37]]))
         frames = [q.frame_at(cone_path, float(t)) for t in ts]
-        hist = FrameHistory(times=ts, frames=frames, b_start=cone_path.b(0), b_end=cone_path.b(t1))
+        hist = FrameHistory(
+            times=ts, w_gg=np.array([f.w_gg for f in frames]), w_ee=np.array([f.w_ee for f in frames]),
+            alpha=np.array([f.alpha for f in frames]), b_start=cone_path.b(0), b_end=cone_path.b(t1),
+        )
         with pytest.raises(q.NonUniformGridUnsupported, match="uniformly spaced"):
             q.berry_phase(hist)
 
@@ -188,7 +191,7 @@ class TestBerryPhase:
         h = hist.times[1] - hist.times[0]
         bp = q.berry_phase(hist)
         for got, w in ((bp.delta_lambda_g, "w_gg"), (bp.delta_lambda_e, "w_ee")):
-            y = [-getattr(f, w) for f in hist.frames]
+            y = [-getattr(q.frame_at(cone_path, float(t)), w) for t in hist.times]
             assert got == pytest.approx(cumulative_simpson(y, dx=h)[-1], abs=1e-12)
 
     def test_open_arc_rejected(self):
