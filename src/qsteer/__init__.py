@@ -42,6 +42,7 @@ from .dynamics import (
 )
 from .errors import (
     GapCollapse,
+    GaugeUndefined,
     LoopNotClosed,
     NonFiniteState,
     NonUniformGridUnsupported,

@@ -13,54 +13,100 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import GAP_FLOOR, GapCollapse, OutOfRange
 
 
+def _flat(s0, omega):
+    return s0
+
+
+def _ohmic_thermal(eta, T, wc, omega):
+    x = omega / T
+    if omega == 0.0 or x == 0.0:  # x underflows for subnormal omega
+        return eta * T
+    # omega / (1 - exp(-omega/T)) without overflow on either sign
+    if x > 0:
+        bose_like = omega / (-math.expm1(-x))
+    else:
+        bose_like = omega * math.exp(x) / math.expm1(x)
+    cut = math.exp(-abs(omega) / wc) if math.isfinite(wc) else 1.0
+    return eta * bose_like * cut
+
+
+def _zero_temperature_ohmic(eta, wc, omega):
+    if omega <= 0.0:
+        return 0.0
+    cut = math.exp(-omega / wc) if math.isfinite(wc) else 1.0
+    return eta * omega * cut
+
+
+def _tabulated(grid, values, omega):
+    if omega < grid[0] or omega > grid[-1]:
+        raise OutOfRange(
+            f"omega = {omega:g} outside tabulated range [{grid[0]:g}, {grid[-1]:g}]"
+        )
+    return float(np.interp(omega, grid, values))
+
+
+# Each model's formula and the params it takes, in argument order; omega comes last
+_MODELS = {
+    "flat": (_flat, ("s0",)),
+    "ohmic_thermal": (_ohmic_thermal, ("eta", "temperature", "cutoff")),
+    "zero_temperature_ohmic": (_zero_temperature_ohmic, ("eta", "cutoff")),
+}
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Callable bath spectrum S(omega) >= 0 with a tagged model and parameters."""
+    """Callable bath spectrum S(omega) >= 0 with a tagged model and parameters.
+
+    The model's formula is bound to its parameters once, at construction, as
+    a partial of a module-level function, so the object pickles. ``at_gap``
+    keeps the samples of the last nonzero gap; the bound formula and that
+    memo take no part in equality.
+    """
 
     model: str
     params: dict = field(default_factory=dict)
     _grid: Optional[np.ndarray] = field(default=None, repr=False)
     _values: Optional[np.ndarray] = field(default=None, repr=False)
+    _formula: Callable = field(init=False, repr=False, compare=False)
+    _memo: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.model == "tabulated":
+            formula = partial(_tabulated, self._grid, self._values)
+        elif self.model in _MODELS:
+            fn, names = _MODELS[self.model]
+            formula = partial(fn, *(self.params[k] for k in names))
+        else:
+            raise ValueError(f"unknown spectral model {self.model!r}")
+        object.__setattr__(self, "_formula", formula)
+        object.__setattr__(self, "_memo", [math.nan, None])
 
     def __call__(self, omega: float) -> float:
-        if self.model == "flat":
-            return self.params["s0"]
-        if self.model == "ohmic_thermal":
-            eta = self.params["eta"]
-            T = self.params["temperature"]
-            wc = self.params["cutoff"]
-            x = omega / T
-            if omega == 0.0 or x == 0.0:  # x underflows for subnormal omega
-                return eta * T
-            # omega / (1 - exp(-omega/T)) without overflow on either sign
-            if x > 0:
-                bose_like = omega / (-math.expm1(-x))
-            else:
-                bose_like = omega * math.exp(x) / math.expm1(x)
-            cut = math.exp(-abs(omega) / wc) if math.isfinite(wc) else 1.0
-            return eta * bose_like * cut
-        if self.model == "zero_temperature_ohmic":
-            if omega <= 0.0:
-                return 0.0
-            eta = self.params["eta"]
-            wc = self.params["cutoff"]
-            cut = math.exp(-omega / wc) if math.isfinite(wc) else 1.0
-            return eta * omega * cut
-        if self.model == "tabulated":
-            grid = self._grid
-            if omega < grid[0] or omega > grid[-1]:
-                raise OutOfRange(
-                    f"omega = {omega:g} outside tabulated range [{grid[0]:g}, {grid[-1]:g}]"
-                )
-            return float(np.interp(omega, grid, self._values))
-        raise ValueError(f"unknown spectral model {self.model!r}")
+        return self._formula(omega)
+
+    def at_gap(self, omega: float) -> tuple:
+        """(S(omega), S(-omega), S(0)), the three samples a gap's rates need.
+
+        The last nonzero gap and its samples are kept, so a repeated gap
+        (constant on a cone) costs no sample. A zero gap is not kept, since
+        +0.0 == -0.0 while S(+0) and S(-0) are separate samples; a lookup that
+        raises keeps the previous gap.
+        """
+        memo = self._memo
+        if omega == memo[0]:
+            return memo[1]
+        samples = (self(omega), self(-omega), self(0.0))
+        if omega:
+            memo[0], memo[1] = omega, samples
+        return samples
 
 
 def flat(s0: float) -> SpectralDensity:
@@ -140,8 +186,7 @@ def spectrum_from_csv(csv_path) -> SpectralDensity:
     return tabulated(om, vals)
 
 
-@dataclass(frozen=True)
-class RateSet:
+class RateSet(NamedTuple):
     """The eight bath-induced rates of the two-level master equation.
 
     gamma_ge / gamma_eg drive excitation / decay, gamma_phi is pure dephasing,
@@ -162,15 +207,18 @@ class RateSet:
 def rates_from_spectra(m1: float, m2: complex, s_plus: float, s_minus: float, s_zero: float) -> RateSet:
     """Rate set from coupling elements and the three spectrum samples S(+-omega01), S(0)."""
     mod2 = m2.real * m2.real + m2.imag * m2.imag
+    cross = -m1 * m2
+    m2_sq = m2 * m2
+    # positional, in field order: keywords would double the construction cost
     return RateSet(
-        gamma_ge=mod2 * s_minus,
-        gamma_eg=mod2 * s_plus,
-        gamma_tilde0=m2.conjugate() * (2.0 * m1) * s_zero,
-        gamma_tilde_plus=-m1 * m2 * s_plus,
-        gamma_tilde_minus=-m1 * m2 * s_minus,
-        gamma_phi=2.0 * m1 * m1 * s_zero,
-        gamma_alpha=m2 * m2 * s_plus / 2.0,
-        gamma_beta=m2 * m2 * s_minus / 2.0,
+        mod2 * s_minus,                      # gamma_ge
+        mod2 * s_plus,                       # gamma_eg
+        m2.conjugate() * (2.0 * m1) * s_zero,  # gamma_tilde0
+        cross * s_plus,                      # gamma_tilde_plus
+        cross * s_minus,                     # gamma_tilde_minus
+        2.0 * m1 * m1 * s_zero,              # gamma_phi
+        m2_sq * s_plus / 2.0,                # gamma_alpha
+        m2_sq * s_minus / 2.0,               # gamma_beta
     )
 
 
@@ -189,7 +237,7 @@ def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSe
     """
     if omega01 <= GAP_FLOOR:
         raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    return rates_from_spectra(m1, complex(m2), sd(omega01), sd(-omega01), sd(0.0))
+    return rates_from_spectra(m1, complex(m2), *sd.at_gap(omega01))
 
 
 def superadiabatic_elements(m1: float, m2: complex, w_ge: complex, omega01: float):

@@ -508,24 +508,30 @@ def _members(scenario: Scenario) -> list:
 
 
 def _run_member(task):
-    """Run one member in ``run_dir``; returns its summary row, maxima, work and wall time.
+    """Run one member in ``run_dir``.
 
+    Returns its summary row, maxima, work, wall time and the wall times of
+    its phases: build (path and bath), solve (the integration, or the
+    history and Berry quadrature of a loop) and write (the trajectory CSV).
     A Berry loop integrates no state, so it reports no positivity and no work.
     """
     (sc, variant, name, labels), run_dir = task
     started = time.monotonic()
     path = build_path(sc.path, sc.coupling)
     if variant == "berry":
+        built = time.monotonic()
         history = sample_history(path, 0.0, path.duration, sc.history_samples)
         ph = berry_phase(history)
+        solved = time.monotonic()
         row = dict(labels, delta_lambda_g=ph.delta_lambda_g, delta_lambda_e=ph.delta_lambda_e,
                    delta_lambda_g_mod_2pi=ph.delta_lambda_g_mod,
                    delta_lambda_e_mod_2pi=ph.delta_lambda_e_mod)
         maxima = {"max_alpha": float(history.alpha.max()),
                   "max_quadrature_error": ph.quadrature_error, "max_loop_gap": ph.loop_gap}
-        return row, maxima, None, time.monotonic() - started
+        return row, maxima, None, solved - started, (built - started, solved - built, 0.0)
     sd = build_bath(sc.bath)
     initial = DensityState(sc.initial_rho_gg, sc.initial_rho_ge)
+    built = time.monotonic()
     if variant == "nonsteered":
         frame0 = frame_at(path, sc.solver.t0)
         r0 = rates(frame0.m1, frame0.m2, frame0.omega01, sd)
@@ -538,16 +544,19 @@ def _run_member(task):
         # The optimal-phase run is the plain run seen in the rotated basis; the
         # spectral shift vanishes there, and rhs_full is covariant without it.
         shift = sc.spectral_shift and not sc.optimal_phase
-        traj = integrate(lambda t, s, f: rhs_full(s, f, sd, spectral_shift=shift), initial,
+        traj = integrate(lambda t, s, f: rhs_full(s, f, sd, shift), initial,
                          sc.solver, frame_provider=lambda t: frame_at(path, t),
                          track_phases=sc.optimal_phase)
+    solved = time.monotonic()
     with open(run_dir / name, "w") as fh:
         traj.write_csv(fh)
+    written = time.monotonic()
     row = dict(labels, file=name, final_rho_gg=traj.final.state.rho_gg,
                max_excited_population=traj.max_excited_population,
                max_positivity_violation=traj.max_positivity_violation)
     maxima = {"max_positivity_violation": traj.max_positivity_violation, "max_alpha": traj.max_alpha}
-    return row, maxima, dataclasses.asdict(traj.work), time.monotonic() - started
+    phases = (built - started, solved - built, written - solved)
+    return row, maxima, dataclasses.asdict(traj.work), written - started, phases
 
 
 @dataclass
@@ -566,6 +575,8 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     (berry). Up to ``jobs`` members run at once, never more than the members
     or the CPUs. Each member adds one row to the mode's summary table, its
     maxima to the invariants and its wall time to ``member_wall_s``.
+    ``phase_wall_s`` sums the members' build, solve and write times; write
+    also holds the summary CSV.
     """
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     run_dir = Path(out_dir) / f"{stamp}-{scenario.scenario_hash()}"
@@ -585,26 +596,31 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     invariants: dict = {}
     work = {}  # trajectory file -> its integration's SolverWork fields
     rows, walls = [], []  # one summary row and one wall time per member
+    phases = {"build": 0.0, "solve": 0.0, "write": 0.0}
     # fork starts every worker at once, so never more than the work or the CPUs
     workers = min(jobs, len(members), os.cpu_count() or 1)
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             results = (pool.map if pool else map)(_run_member, [(m, run_dir) for m in members])
-            for (_, _, name, _), (row, maxima, w, wall) in zip(members, results):
+            for (_, _, name, _), (row, maxima, w, wall, phase) in zip(members, results):
                 rows.append(row)
                 walls.append(wall)
+                for key, value in zip(phases, phase):
+                    phases[key] += value
                 for key, value in maxima.items():
                     invariants[key] = max(invariants.get(key, 0.0), value)
                 if name:
                     files.append(name)
                     work[name] = w
         if summary:
+            written = time.monotonic()
             with open(run_dir / summary, "w") as fh:
                 fh.write(columns + "\n")
                 for row in rows:
                     cells = (row[c] for c in columns.split(","))
                     fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in cells) + "\n")
             files.append(summary)
+            phases["write"] += time.monotonic() - written
         metadata["status"] = "ok"
     except Exception as exc:
         metadata["status"] = f"failed: {exc}"
@@ -612,6 +628,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     finally:
         metadata["wall_time_s"] = time.monotonic() - started
         metadata["member_wall_s"] = walls
+        metadata["phase_wall_s"] = phases
         metadata["invariants"] = invariants
         if any(name for _, _, name, _ in members):  # a berry run integrates nothing
             metadata["solver_work"] = work

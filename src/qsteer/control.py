@@ -18,7 +18,9 @@ therefore depends only on the instantaneous field, is single valued around
 closed control loops (so accumulated phases are meaningful Berry phases), and
 is C^1 wherever the anchored component stays away from zero.  Near the
 antipode of an eigenstate's initial orientation the w diagonals stay bounded
-by the azimuthal rate of the field and jump only at the antipode itself.
+by the azimuthal rate of the field; at the antipode itself the anchored
+component is exactly 0, the gauge is undefined and frame evaluation raises
+GaugeUndefined.
 The parallel-transport gauge, in which the w diagonals vanish, is the
 optimal-phase gauge that ``integrate(track_phases=True)`` reports.
 """
@@ -32,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import GAP_FLOOR, GapCollapse
+from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined
 
 Vec3 = tuple[float, float, float]
 
@@ -262,20 +264,21 @@ def _eig_raw(bx: float, by: float, bz: float):
     return g, e, -r / 2, r / 2
 
 
-def _anchor(vec, c):
-    """Rotate vec so component c is real positive."""
+def _gauge_undefined(t):
+    return GaugeUndefined(
+        f"an anchored eigenvector component vanishes at t = {t:g}: the path reached the "
+        "antipode of its start orientation, where the anchored gauge is undefined"
+    )
+
+
+def _anchor(vec, c, t):
+    """Rotate vec so component c is real positive; raises GaugeUndefined, naming t, if it is 0."""
     vc = vec[c]
     m = abs(vc)
     if m == 0.0:
-        # anchored gauge undefined here; keep the raw phase rather than inventing one
-        return vec
+        raise _gauge_undefined(t)
     ph = vc / m
     return (vec[0] / ph, vec[1] / ph)
-
-
-def _eig_anchored(bx, by, bz, cg, ce):
-    g, e, E_g, E_e = _eig_raw(bx, by, bz)
-    return _anchor(g, cg), _anchor(e, ce), E_g, E_e
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +387,9 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     conjugated once and every matrix element is written out.
     """
     cg, ce = path.anchors()
-    g, e, E_g, E_e = _eig_anchored(*path.b(t), cg, ce)
+    g, e, E_g, E_e = _eig_raw(*path.b(t))
+    g = _anchor(g, cg, t)
+    e = _anchor(e, ce, t)
     omega01 = E_e - E_g
     g0, g1 = g
     e0, e1 = e
@@ -404,10 +409,7 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     m1 = gc0 * (A00 * g0 + A01 * g1) + gc1 * (A10 * g0 + A11 * g1)  # <g|A|g>
     m2 = gc0 * (A00 * e0 + A01 * e1) + gc1 * (A10 * e0 + A11 * e1)  # <g|A|e>
     alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (w_ge.real ** 2 + w_ge.imag ** 2)) / omega01
-    return AdiabaticFrame(
-        t=t, omega01=omega01, w_gg=w_gg, w_ee=w_ee, w_ge=w_ge,
-        m1=m1.real, m2=m2, alpha=alpha,
-    )
+    return AdiabaticFrame(t, omega01, w_gg, w_ee, w_ge, m1.real, m2, alpha)
 
 
 def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHistory:
@@ -416,10 +418,9 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
     ``path.b`` and ``path.b_dot`` are evaluated once per sample; the
     eigenpair, its anchoring, w_gg, w_ee and alpha are then numpy columns
     computed with :func:`frame_at`'s float operations, so each entry equals
-    that field of ``frame_at(path, t)`` (alpha to within an ulp). A sample
-    where an anchored component vanishes (the anchor keeps the raw phase
-    there) is left to ``frame_at`` itself, so it fails the same way. Raises
-    GapCollapse where |b| is at or below GAP_FLOOR.
+    that field of ``frame_at(path, t)`` (alpha to within an ulp). Raises
+    GapCollapse where |b| is at or below GAP_FLOOR and, like ``frame_at``,
+    GaugeUndefined at the first sample where an anchored component is 0.
     """
     if num < 3:
         raise ValueError("history needs at least 3 samples")
@@ -435,14 +436,14 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
     cg, ce = path.anchors()
     w_gg, w_ee, alpha, m = (np.empty(num) for _ in range(4))
     upper = b[2] >= 0.0
-    # np.where evaluates both _Py_c_quot branches; the raw-phase samples are redone below
+    # np.where evaluates both _Py_c_quot branches; a zero anchor modulus is checked below
     with np.errstate(divide="ignore", invalid="ignore"):
         for up, k in ((True, upper), (False, ~upper)):
             if k.any():
                 w_gg[k], w_ee[k], alpha[k], m[k] = _branch_columns(
                     up, r[k], b[:, k], nb[:, k], bd[:, k], nbd[:, k], cg, ce)
-    for i in np.flatnonzero(m == 0.0):
-        f = frame_at(path, ts[i])
-        w_gg[i], w_ee[i], alpha[i] = f.w_gg, f.w_ee, f.alpha
+    zero = np.flatnonzero(m == 0.0)
+    if zero.size:
+        raise _gauge_undefined(ts[zero[0]])
     return FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=alpha,
                         b_start=path.b(t0), b_end=path.b(t1))

@@ -90,62 +90,65 @@ def rhs_secular(state: DensityState, r: RateSet, omega01: float):
     return dgg, dge
 
 
-def _spectra(frame, sd: SpectralDensity, spectral_shift: bool):
-    if spectral_shift:
-        shifted = frame.omega01 + (frame.w_ee - frame.w_gg)
-        return sd(shifted), sd(-shifted), sd(0.0)
-    return sd(frame.omega01), sd(-frame.omega01), sd(0.0)
-
-
 def rhs_full(state: DensityState, frame, sd: SpectralDensity, spectral_shift: bool = False):
     """Complete linear-order generator for a steered frame, term for term.
 
     At w = 0 this reduces exactly to :func:`rhs_nonsteered` with the frame's
     rates. With ``spectral_shift`` the spectrum is sampled at the
     gauge-corrected gap (caller owns the gauge choice; inert for flat
-    spectra and in the optimally phase-shifted basis).
+    spectra and in the optimally phase-shifted basis). Each repeated
+    subexpression is computed once; the float operations are the written
+    terms', in their order.
     """
     w01 = frame.omega01
     if w01 <= GAP_FLOOR:
         raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    s_plus, s_minus, s_zero = _spectra(frame, sd, spectral_shift)
+    if spectral_shift:
+        s_plus, s_minus, s_zero = sd.at_gap(w01 + (frame.w_ee - frame.w_gg))
+    else:
+        s_plus, s_minus, s_zero = sd.at_gap(w01)
     m1 = frame.m1
     m2 = complex(frame.m2)
     wge = complex(frame.w_ge)
     rgg = state.rho_gg
     rge = complex(state.rho_ge)
+    m2r, m2i = m2.real, m2.imag
+    wr, wi = wge.real, wge.imag
+    rr, ri = rge.real, rge.imag
 
-    k1 = (2.0 * s_zero - s_minus - s_plus) / w01
-    k2 = (s_zero - s_plus) / w01
+    s_sum = s_minus + s_plus
+    k1x2 = 2.0 * ((2.0 * s_zero - s_minus - s_plus) / w01)
+    k2x2 = 2.0 * ((s_zero - s_plus) / w01)
     k3 = (s_minus - s_plus) / w01
-    mod2 = m2.real * m2.real + m2.imag * m2.imag
-    re_m2_w = m2.imag * wge.imag + m2.real * wge.real   # Re(conj(m2) w_ge)
-    re_m2_r = m2.imag * rge.imag + m2.real * rge.real   # Re(conj(m2) rho_ge)
+    mod2 = m2r * m2r + m2i * m2i
+    re_m2_w = m2i * wi + m2r * wr   # Re(conj(m2) w_ge)
+    re_m2_r = m2i * ri + m2r * rr   # Re(conj(m2) rho_ge)
+    k1w = k1x2 * re_m2_w
+    k1m1 = k1x2 * m1
+    k2m1 = k2x2 * m1
+    im2 = 1j * m2
 
     dgg = (
-        -2.0 * (wge.conjugate() * rge).imag
+        -2.0 * (wr * ri - wi * rr)   # Im(conj(w_ge) rho_ge)
         + s_plus * mod2
-        - (s_minus + s_plus) * mod2 * rgg
+        - s_sum * mod2 * rgg
         + 2.0 * re_m2_r * s_zero * m1
-        - 2.0 * k1 * re_m2_w * re_m2_r
-        + 2.0 * k1 * re_m2_w * m1 * rgg
-        - 2.0 * k2 * m1 * re_m2_w
+        - k1w * re_m2_r
+        + k1w * m1 * rgg
+        - k2m1 * re_m2_w
     )
     dge = (
         1j * wge * (2.0 * rgg - 1.0)
         + 1j * (frame.w_ee - frame.w_gg) * rge
         + 1j * w01 * rge
         - s_plus * m1 * m2
-        + (s_minus + s_plus) * m1 * m2 * rgg
+        + s_sum * m1 * m2 * rgg
         - 2.0 * s_zero * m1 * m1 * rge
-        - 1j * (s_minus + s_plus) * m2 * (rge.imag * m2.real - m2.imag * rge.real)
-        - 2.0 * k1 * m1 * m1 * wge * rgg
-        + 2.0 * k2 * m1 * m1 * wge
-        - 1j * m2 * k3 * (m2.imag * wge.real - wge.imag * m2.real)
-        - 2.0 * k1 * m1 * (
-            1j * m2 * (wge.imag * rge.real - rge.imag * wge.real)
-            - re_m2_w * rge
-        )
+        - 1j * s_sum * m2 * (ri * m2r - m2i * rr)
+        - k1m1 * m1 * wge * rgg
+        + k2m1 * m1 * wge
+        - im2 * k3 * (m2i * wr - wi * m2r)
+        - k1m1 * (im2 * (wi * rr - ri * wr) - re_m2_w * rge)
     )
     return dgg, dge
 
@@ -162,7 +165,7 @@ def rhs_superadiabatic_oracle(state2: DensityState, frame, sd: SpectralDensity):
     if w01 <= GAP_FLOOR:
         raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
     m1_2, m2_2 = superadiabatic_elements(frame.m1, frame.m2, frame.w_ge, w01)
-    r2 = rates_from_spectra(m1_2, m2_2, sd(w01), sd(-w01), sd(0.0))
+    r2 = rates_from_spectra(m1_2, m2_2, *sd.at_gap(w01))
     omega01_2 = w01 + (frame.w_ee - frame.w_gg)
     return rhs_nonsteered(state2, r2, omega01_2)
 
@@ -333,11 +336,25 @@ _DP_E = _terms((  # b5 - b4
 _RK4_C = (0.0, 0.5, 0.5, 1.0)
 _RK4_A = tuple(_terms(row) for row in ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)))
 _RK4_B = _terms((1 / 6, 1 / 3, 1 / 3, 1 / 6))
-# Stages whose node equals the previous stage's are evaluated at the same t
-# and reuse its frame: DP5's last two stages (c = 1), RK4's middle two (c = 1/2).
-_DP_SAME_T = tuple(s > 0 and _DP_C[s] == _DP_C[s - 1] for s in range(len(_DP_C)))
-_RK4_SAME_T = tuple(s > 0 and _RK4_C[s] == _RK4_C[s - 1] for s in range(len(_RK4_C)))
+
+
+def _stages(c, a):
+    """(stage, node, A row, same t) for each stage after the first, from one tableau.
+
+    A stage whose node equals the previous stage's is evaluated at the same t
+    and reuses its frame: DP5's last two stages (c = 1), RK4's middle two
+    (c = 1/2).
+    """
+    return tuple((s, c[s], a[s], c[s] == c[s - 1]) for s in range(1, len(c)))
+
+
+_DP_STAGES = _stages(_DP_C, _DP_A)
+_RK4_STAGES = _stages(_RK4_C, _RK4_A)
 _MAX_REJECTIONS = 60
+
+
+def _no_frame(t):
+    return None
 
 
 def _axpy(y, ks, terms, dt):
@@ -402,18 +419,9 @@ def integrate(
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
-    n_rhs = n_frames = 0
-
-    def f(t, y, frame=None):
-        """One RHS call; ``frame`` is the frame of an earlier stage at this same t, if any."""
-        nonlocal n_rhs, n_frames
-        n_rhs += 1
-        if frame is None and frame_provider is not None:
-            n_frames += 1
-            frame = frame_provider(t)
-        dgg, dge = rhs(t, DensityState(y[0], complex(y[1], y[2])), frame)
-        return (dgg, dge.real, dge.imag), frame
-
+    # Each stage is evaluated inline: its frame (the provider's, or the previous
+    # stage's at the same t), the generator and the slope as a real triple.
+    provider = frame_provider if frame_provider is not None else _no_frame
     traj = Trajectory()
     t_worst = None
 
@@ -448,7 +456,10 @@ def integrate(
     lam = (0.0, 0.0)
     ks = [None] * 7
     frames = [None] * 7
-    ks[0], frames[0] = f(t, y)
+    frames[0] = provider(t)
+    dgg, dge = rhs(t, DensityState(y[0], complex(y[1], y[2])), frames[0])
+    ks[0] = (dgg, dge.real, dge.imag)
+    n_rhs = n_frames = 1
     record(t, y, monitor(t, y, frames[0], lam), frames[0], lam)
     rejected = 0
 
@@ -458,38 +469,59 @@ def integrate(
         accepted = n_steps
         for i in range(n_steps):
             t = cfg.t0 + i * dt
-            for s in range(1, 4):
-                ks[s], frames[s] = f(t + _RK4_C[s] * dt, _axpy(y, ks, _RK4_A[s], dt),
-                                     frames[s - 1] if _RK4_SAME_T[s] else None)
+            for s, c, terms, same_t in _RK4_STAGES:
+                ts = t + c * dt
+                ys = _axpy(y, ks, terms, dt)
+                if same_t:
+                    frame = frames[s - 1]
+                else:
+                    frame = provider(ts)
+                    n_frames += 1
+                dgg, dge = rhs(ts, DensityState(ys[0], complex(ys[1], ys[2])), frame)
+                ks[s] = (dgg, dge.real, dge.imag)
+                frames[s] = frame
             y = _axpy(y, ks, _RK4_B, dt)
             if track_phases:
                 lam = _advance_phases(lam, frames, _RK4_B, dt)
             t = cfg.t0 + (i + 1) * dt
             # the next step's first stage: t is the same float as that step's t0 + i dt
-            ks[0], frames[0] = f(t, y)
-            p = monitor(t, y, frames[0], lam)
+            frames[0] = frame = provider(t)
+            dgg, dge = rhs(t, DensityState(y[0], complex(y[1], y[2])), frame)
+            ks[0] = (dgg, dge.real, dge.imag)
+            n_rhs += 4
+            n_frames += 1
+            p = monitor(t, y, frame, lam)
             if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                record(t, y, p, frames[0], lam)
+                record(t, y, p, frame, lam)
     else:
         dt_max = cfg.dt_max if cfg.dt_max is not None else (cfg.t1 - cfg.t0) / 10
         dt = min(dt_max, (cfg.t1 - cfg.t0) / 100)
         dt_lo, dt_hi = math.inf, 0.0
         t_end = cfg.t1 - 1e-14 * (cfg.t1 - cfg.t0)
+        atol, rtol = cfg.atol, cfg.rtol
         rejections = 0
         accepted = 0
         while t < t_end:
             dt = min(dt, cfg.t1 - t)
-            for s in range(1, 7):
-                y_new = _axpy(y, ks, _DP_A[s], dt)
-                ks[s], frames[s] = f(t + _DP_C[s] * dt, y_new,
-                                     frames[s - 1] if _DP_SAME_T[s] else None)
+            for s, c, terms, same_t in _DP_STAGES:
+                ts = t + c * dt
+                y_new = _axpy(y, ks, terms, dt)
+                if same_t:
+                    frame = frames[s - 1]
+                else:
+                    frame = provider(ts)
+                    n_frames += 1
+                dgg, dge = rhs(ts, DensityState(y_new[0], complex(y_new[1], y_new[2])), frame)
+                ks[s] = (dgg, dge.real, dge.imag)
+                frames[s] = frame
+            n_rhs += 6
             # the last stage state is the 5th-order solution, so y_new is the step's result
             err = _axpy((0.0, 0.0, 0.0), ks, _DP_E, dt)
-            norm = 0.0
-            for j in range(3):
-                sc = cfg.atol + cfg.rtol * max(abs(y[j]), abs(y_new[j]))
-                norm += (err[j] / sc) ** 2
-            norm = math.sqrt(norm / 3)
+            norm = math.sqrt((
+                (err[0] / (atol + rtol * max(abs(y[0]), abs(y_new[0])))) ** 2
+                + (err[1] / (atol + rtol * max(abs(y[1]), abs(y_new[1])))) ** 2
+                + (err[2] / (atol + rtol * max(abs(y[2]), abs(y_new[2])))) ** 2
+            ) / 3)
             if norm <= 1.0:
                 if track_phases:
                     lam = _advance_phases(lam, frames, _DP_B5, dt)
@@ -516,7 +548,7 @@ def integrate(
         accepted_steps=accepted,
         rejected_steps=rejected,
         rhs_evals=n_rhs,
-        frame_evals=n_frames,
+        frame_evals=n_frames if frame_provider is not None else 0,
         dt_min=dt_lo,
         dt_max=dt_hi,
         t_max_positivity_violation=t_worst,

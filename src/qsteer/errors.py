@@ -13,6 +13,14 @@ class GapCollapse(QSteerError):
     """Instantaneous spectrum is (numerically) degenerate; the equations divide by the gap."""
 
 
+class GaugeUndefined(QSteerError):
+    """An anchored eigenvector component is exactly zero: the path reached its antipode.
+
+    The anchored gauge rotates that component to the positive real axis, so it
+    has no phase to fix there and the w diagonals divide by it.
+    """
+
+
 class OutOfRange(QSteerError):
     """Query outside the domain of a tabulated quantity."""
 

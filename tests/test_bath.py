@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -74,6 +75,86 @@ class TestSpectralDensity:
             q.tabulated([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             q.tabulated([1.0, 0.0], [1.0, 1.0])
+
+
+# a fresh bath of each model, so no test sees another's memo; the table spans
+# both signs of the gaps sampled below
+BATHS = {
+    "flat": lambda: q.flat(0.2),
+    "ohmic_thermal": lambda: q.ohmic_thermal(0.1, 0.5, 20.0),
+    "zero_temperature_ohmic": lambda: q.zero_temperature_ohmic(0.1, 20.0),
+    "tabulated": lambda: q.tabulated([-3.0, -1.0, 0.0, 0.5, 3.0], [0.01, 0.2, 0.3, 0.5, 1.5]),
+}
+
+
+def bits(x):
+    """A float or a tuple of floats by value and sign, so -0.0 differs from 0.0."""
+    return tuple(map(float.hex, x)) if isinstance(x, tuple) else float.hex(x)
+
+
+class TestAtGap:
+    @pytest.mark.parametrize("model", BATHS)
+    def test_alternating_gaps_return_their_own_samples(self, model):
+        sd = BATHS[model]()
+        for gap in (1.0, 1.0000000000000002, 1.0, 1.0, 2.5, 1.0000000000000002, 0.3, 0.3):
+            assert bits(sd.at_gap(gap)) == bits((sd(gap), sd(-gap), sd(0.0)))
+
+    @pytest.mark.parametrize("model", BATHS)
+    def test_signed_zero_gaps(self, model):
+        sd = BATHS[model]()
+        for gap in (0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 1.0):
+            assert bits(sd.at_gap(gap)) == bits((sd(gap), sd(-gap), sd(0.0)))
+
+    def test_repeated_gap_is_not_sampled_again(self, monkeypatch):
+        sd = q.ohmic_thermal(0.1, 0.5, 20.0)
+        calls = []
+        original = q.SpectralDensity.__call__
+        monkeypatch.setattr(q.SpectralDensity, "__call__",
+                            lambda self, w: calls.append(w) or original(self, w))
+        first = sd.at_gap(1.0)
+        assert sd.at_gap(1.0) is first and len(calls) == 3
+        sd.at_gap(2.0)
+        sd.at_gap(1.0)
+        assert calls == [1.0, -1.0, 0.0, 2.0, -2.0, 0.0, 1.0, -1.0, 0.0]
+        # +0.0 == -0.0, so a zero gap is never kept: each sign gets its own samples
+        del calls[:]
+        sd.at_gap(0.0)
+        sd.at_gap(-0.0)
+        assert bits(tuple(calls)) == bits((0.0, -0.0, 0.0, -0.0, 0.0, 0.0))
+
+    def test_tabulated_range_raises_and_is_not_kept(self):
+        sd = q.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 3.0])
+        kept = sd.at_gap(1.0)
+        for _ in range(2):  # a failed lookup leaves the memo as it was
+            with pytest.raises(q.OutOfRange):
+                sd.at_gap(1.5)  # S(-1.5) is off the grid
+        assert sd.at_gap(1.0) == kept
+        with pytest.raises(q.OutOfRange):
+            sd.at_gap(1.5)
+
+    @pytest.mark.parametrize("model", ["flat", "ohmic_thermal", "zero_temperature_ohmic"])
+    @pytest.mark.parametrize("gaps", [(), (1.0,), (1.0, 0.5), (0.0,)])
+    def test_pickles_and_compares_equal_whatever_the_memo_holds(self, model, gaps):
+        fresh = BATHS[model]()
+        used = BATHS[model]()
+        for gap in gaps:
+            used.at_gap(gap)
+        copy = pickle.loads(pickle.dumps(used))
+        assert used == fresh and copy == fresh and copy == used
+        for gap in (0.5, 1.0, 0.7):
+            assert bits(copy.at_gap(gap)) == bits(fresh.at_gap(gap))
+
+    def test_tabulated_pickles(self):
+        sd = BATHS["tabulated"]()
+        sd.at_gap(0.5)
+        copy = pickle.loads(pickle.dumps(sd))
+        assert copy.model == sd.model and copy.params == sd.params
+        for gap in (0.5, 1.0, 0.7):
+            assert bits(copy.at_gap(gap)) == bits(sd.at_gap(gap))
+
+    def test_unknown_model_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown spectral model"):
+            q.SpectralDensity(model="lorentzian")
 
 
 class TestRates:

@@ -337,6 +337,19 @@ class TestRun:
             assert 0.0 < work["dt_min"] <= work["dt_max"]
             assert work["t_max_positivity_violation"] is None
 
+    @pytest.mark.parametrize("run_block", [
+        "mode: simulate", "mode: compare", "mode: sweep\n  sweep_periods_time: [20, 40]",
+        "mode: berry\n  berry_theta_grid_rad: [0.5, 1.0]\n  history_samples: 257",
+    ])
+    def test_metadata_reports_phase_wall_times(self, tmp_path, run_block):
+        art = run(load_scenario(MINIMAL_CONE + f"run:\n  {run_block}\n"), out_dir=tmp_path)
+        meta = json.loads((art.run_dir / "metadata.json").read_text())
+        phases = meta["phase_wall_s"]
+        assert sorted(phases) == ["build", "solve", "write"]
+        assert all(v >= 0.0 for v in phases.values()) and phases["solve"] > 0.0
+        # serial members: the phases are disjoint parts of the run
+        assert sum(phases.values()) <= meta["wall_time_s"]
+
     def test_optimal_phase_run(self, tmp_path):
         text = MINIMAL_CONE + "run:\n  mode: simulate\n  optimal_phase: true\n  history_samples: 513\n"
         art = run(load_scenario(text), out_dir=tmp_path)
@@ -539,6 +552,20 @@ class TestMain:
         assert err.startswith(f"run failed: {section}.csv_file") and message in err
         meta = json.loads((next((tmp_path / "runs").iterdir()) / "metadata.json").read_text())
         assert meta["status"].startswith(f"failed: {section}.csv_file")
+
+    def test_path_through_antipode_exit_2(self, tmp_path, capsys):
+        # from +z through the xz plane to exactly -z at the last knot, where the
+        # excited state's anchored component is 0
+        data = tmp_path / "path.csv"
+        h = math.sqrt(0.5)
+        data.write_text(f"t,bx,by,bz\n0,0,0,1\n1,{h!r},0,{h!r}\n2,1,0,0\n3,{h!r},0,{-h!r}\n4,0,0,-1\n")
+        text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {data}")
+        fn = self.write_config(tmp_path, text.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 4.0"))
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        message = "an anchored eigenvector component vanishes at t = 4:"
+        assert capsys.readouterr().err.startswith(f"run failed: {message}")
+        meta = json.loads((next((tmp_path / "runs").iterdir()) / "metadata.json").read_text())
+        assert meta["status"].startswith(f"failed: {message}")
 
     def test_sweep_without_periods_exit_1(self, tmp_path):
         fn = self.write_config(tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsteer as q
-from qsteer.control import GAP_FLOOR, _eig_anchored
+from qsteer.control import GAP_FLOOR, _anchor, _eig_raw
 
 from conftest import SX, SZ, cone_field, cone_states, hamiltonian, numdiff_w
 
@@ -20,8 +20,22 @@ def static_path(b, A=SX, duration=10.0):
 
 def eig(path, t):
     """The path's anchored eigenpair at t: (ground, excited, E_g, E_e), vectors as arrays."""
-    g, e, E_g, E_e = _eig_anchored(*path.b(t), *path.anchors())
+    cg, ce = path.anchors()
+    g, e, E_g, E_e = _eig_raw(*path.b(t))
+    g, e = _anchor(g, cg, t), _anchor(e, ce, t)
     return np.array(g, dtype=complex), np.array(e, dtype=complex), E_g, E_e
+
+
+def antipode_path():
+    """From +z through the xz plane to exactly -z at t = 1.
+
+    The excited state is anchored on its first component, which dominates at
+    +z and is exactly 0 at -z.
+    """
+    return q.ControlPath(
+        kind="custom", b=lambda t: (t * (1.0 - t), 0.0, 1.0 - 2.0 * t),
+        b_dot=lambda t: (1.0 - 2.0 * t, 0.0, -2.0), coupling_A=SX, duration=1.0,
+    )
 
 
 def anchored_states(path):
@@ -219,6 +233,13 @@ class TestFrameAt:
             a_slow = q.frame_at(slow, t * k).alpha
             assert a_slow * k == pytest.approx(a_base, rel=1e-13)
 
+    def test_antipode_raises_gauge_undefined(self):
+        path = antipode_path()
+        assert q.frame_at(path, 0.999).omega01 > 0.9
+        with pytest.raises(q.GaugeUndefined, match="t = 1:") as info:
+            q.frame_at(path, 1.0)
+        assert isinstance(info.value, q.QSteerError)
+
     def test_b_dot_required(self):
         with pytest.raises(ValueError, match="b_dot"):
             q.ControlPath(
@@ -264,6 +285,12 @@ class TestSampleHistory:
             coupling_A=SX, duration=10.0,
         )
         self.assert_columns_match(path, 0.0, 10.0, 101)
+
+    def test_antipode_raises_gauge_undefined(self):
+        path = antipode_path()
+        self.assert_columns_match(path, 0.0, 0.9, 91)
+        with pytest.raises(q.GaugeUndefined, match="t = 1:"):
+            q.sample_history(path, 0.0, 1.0, 11)
 
     def test_gap_collapse(self):
         # b_z sweeps through 0 at a sample time, with no transverse field there

@@ -86,6 +86,74 @@ class TestRhsSecular:
         assert dge == 0j  # no coherence, no source: tildes dropped
 
 
+def rhs_full_written_out(state, frame, sd, spectral_shift=False):
+    """The generator as the paper's terms are written, one sample per S call.
+
+    A term-for-term reference for :func:`qsteer.rhs_full`, which computes the
+    repeated subexpressions once and must give the same floats.
+    """
+    w01 = frame.omega01
+    if spectral_shift:
+        shifted = frame.omega01 + (frame.w_ee - frame.w_gg)
+        s_plus, s_minus, s_zero = sd(shifted), sd(-shifted), sd(0.0)
+    else:
+        s_plus, s_minus, s_zero = sd(frame.omega01), sd(-frame.omega01), sd(0.0)
+    m1 = frame.m1
+    m2 = complex(frame.m2)
+    wge = complex(frame.w_ge)
+    rgg = state.rho_gg
+    rge = complex(state.rho_ge)
+
+    k1 = (2.0 * s_zero - s_minus - s_plus) / w01
+    k2 = (s_zero - s_plus) / w01
+    k3 = (s_minus - s_plus) / w01
+    mod2 = m2.real * m2.real + m2.imag * m2.imag
+    re_m2_w = m2.imag * wge.imag + m2.real * wge.real
+    re_m2_r = m2.imag * rge.imag + m2.real * rge.real
+
+    dgg = (
+        -2.0 * (wge.conjugate() * rge).imag
+        + s_plus * mod2
+        - (s_minus + s_plus) * mod2 * rgg
+        + 2.0 * re_m2_r * s_zero * m1
+        - 2.0 * k1 * re_m2_w * re_m2_r
+        + 2.0 * k1 * re_m2_w * m1 * rgg
+        - 2.0 * k2 * m1 * re_m2_w
+    )
+    dge = (
+        1j * wge * (2.0 * rgg - 1.0)
+        + 1j * (frame.w_ee - frame.w_gg) * rge
+        + 1j * w01 * rge
+        - s_plus * m1 * m2
+        + (s_minus + s_plus) * m1 * m2 * rgg
+        - 2.0 * s_zero * m1 * m1 * rge
+        - 1j * (s_minus + s_plus) * m2 * (rge.imag * m2.real - m2.imag * rge.real)
+        - 2.0 * k1 * m1 * m1 * wge * rgg
+        + 2.0 * k2 * m1 * m1 * wge
+        - 1j * m2 * k3 * (m2.imag * wge.real - wge.imag * m2.real)
+        - 2.0 * k1 * m1 * (
+            1j * m2 * (wge.imag * rge.real - rge.imag * wge.real)
+            - re_m2_w * rge
+        )
+    )
+    return dgg, dge
+
+
+def bits(d):
+    """(dgg, dge) as hex strings, so equal means the same floats down to the sign of zero."""
+    dgg, dge = d
+    return dgg.hex(), dge.real.hex(), dge.imag.hex()
+
+
+# one bath per model; the table covers every gap random_frame gives, shifted or not
+BATHS = [
+    q.flat(0.3),
+    q.ohmic_thermal(0.1, 0.5, 20.0),
+    q.zero_temperature_ohmic(0.1, 20.0),
+    q.tabulated(np.linspace(-4.0, 4.0, 33), np.linspace(0.0, 2.0, 33) ** 2),
+]
+
+
 class TestRhsFull:
     def test_reduces_to_nonsteered_at_zero_w(self, rng):
         worst = 0.0
@@ -98,6 +166,14 @@ class TestRhsFull:
             d_ref = q.rhs_nonsteered(s, q.rates(f.m1, f.m2, f.omega01, sd), f.omega01)
             worst = max(worst, abs(d_full[0] - d_ref[0]), abs(d_full[1] - d_ref[1]))
         assert worst < 1e-14
+
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("sd", BATHS, ids=lambda sd: sd.model)
+    def test_equals_the_written_out_terms(self, rng, sd, shift):
+        for i in range(400):
+            f = random_frame(rng, with_w=i % 4 != 0)
+            s = random_state(rng) if i % 5 else q.DensityState(rng.uniform(0.0, 1.0), 0j)
+            assert bits(q.rhs_full(s, f, sd, shift)) == bits(rhs_full_written_out(s, f, sd, shift))
 
     def test_unitary_part_only(self):
         f = q.AdiabaticFrame(0.0, 1.0, 0.0, 0.0, 0.05j, 0.0, 1.0, 0.0)
