@@ -6,6 +6,9 @@ weight drives decay, negative-frequency weight drives excitation, and a
 thermal bath obeys detailed balance S(-omega) = exp(-omega/T) S(omega)
 (k_B = 1). Rate formulas keep only the real parts of the bath integrals;
 the principal-value (Lamb shift) contributions are dropped throughout.
+
+The analytic models are pure Python. Only a tabulated spectrum holds arrays,
+so numpy is imported by :func:`tabulated` and its bound formula alone.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .errors import GAP_FLOOR, GapCollapse, OutOfRange
 
@@ -46,6 +47,8 @@ def _zero_temperature_ohmic(eta, wc, omega):
 
 
 def _tabulated(grid, values, omega):
+    import numpy as np
+
     if omega < grid[0] or omega > grid[-1]:
         raise OutOfRange(
             f"omega = {omega:g} outside tabulated range [{grid[0]:g}, {grid[-1]:g}]"
@@ -66,21 +69,24 @@ class SpectralDensity:
     """Callable bath spectrum S(omega) >= 0 with a tagged model and parameters.
 
     The model's formula is bound to its parameters once, at construction, as
-    a partial of a module-level function, so the object pickles. ``at_gap``
-    keeps the samples of the last nonzero gap; the bound formula and that
-    memo take no part in equality.
+    a partial of a module-level function, so the object pickles. A tabulated
+    model keeps its grid and values as tuples of floats and gives arrays of
+    them to its formula only. ``at_gap`` keeps the samples of the last
+    nonzero gap; the bound formula and that memo take no part in equality.
     """
 
     model: str
     params: dict = field(default_factory=dict)
-    _grid: Optional[np.ndarray] = field(default=None, repr=False)
-    _values: Optional[np.ndarray] = field(default=None, repr=False)
+    _grid: Optional[tuple] = field(default=None, repr=False)
+    _values: Optional[tuple] = field(default=None, repr=False)
     _formula: Callable = field(init=False, repr=False, compare=False)
     _memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model == "tabulated":
-            formula = partial(_tabulated, self._grid, self._values)
+            import numpy as np
+
+            formula = partial(_tabulated, np.array(self._grid), np.array(self._values))
         elif self.model in _MODELS:
             fn, names = _MODELS[self.model]
             formula = partial(fn, *(self.params[k] for k in names))
@@ -147,6 +153,8 @@ def zero_temperature_ohmic(eta: float, cutoff: float = math.inf) -> SpectralDens
 
 def tabulated(omegas, values) -> SpectralDensity:
     """Linear interpolation of (omega, S) samples; queries outside the grid raise OutOfRange."""
+    import numpy as np
+
     omegas = np.asarray(omegas, dtype=float)
     values = np.asarray(values, dtype=float)
     if omegas.ndim != 1 or omegas.size < 2:
@@ -158,8 +166,8 @@ def tabulated(omegas, values) -> SpectralDensity:
     return SpectralDensity(
         model="tabulated",
         params={"omega_min": float(omegas[0]), "omega_max": float(omegas[-1])},
-        _grid=omegas,
-        _values=values,
+        _grid=tuple(omegas.tolist()),
+        _values=tuple(values.tolist()),
     )
 
 

@@ -470,8 +470,7 @@ def scenario_from_file(path) -> Scenario:
 # ----------------------------------------------------------------------
 
 def build_path(cfg: dict, coupling) -> ControlPath:
-    A = [[coupling[0][0], coupling[0][1]], [coupling[1][0], coupling[1][1]]]
-    return _construct("path", _PATHS, "kind", cfg, coupling_A=A)
+    return _construct("path", _PATHS, "kind", cfg, coupling_A=coupling)
 
 
 def build_bath(cfg: dict) -> SpectralDensity:
@@ -576,8 +575,10 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     or the CPUs. Each member adds one row to the mode's summary table, its
     maxima to the invariants and its wall time to ``member_wall_s``.
     ``phase_wall_s`` sums the members' build, solve and write times; write
-    also holds the summary CSV.
+    also holds the summary CSV. ``jobs`` below 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     run_dir = Path(out_dir) / f"{stamp}-{scenario.scenario_hash()}"
     run_dir.mkdir(parents=True, exist_ok=False)
@@ -639,6 +640,17 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     return RunArtifacts(run_dir=run_dir, metadata=metadata, files=[run_dir / f for f in files])
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: an integer of at least 1, else an argparse error naming the option."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qsteer",
@@ -649,7 +661,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent members (default: 1)")
+        p.add_argument("--jobs", type=_jobs, default=1, help="concurrent members (default: 1)")
         p.add_argument("--seed", type=int, default=None, help="recorded in metadata")
     args = parser.parse_args(argv)
 

@@ -23,6 +23,13 @@ component is exactly 0, the gauge is undefined and frame evaluation raises
 GaugeUndefined.
 The parallel-transport gauge, in which the w diagonals vanish, is the
 optimal-phase gauge that ``integrate(track_phases=True)`` reports.
+
+Scalars and arrays
+------------------
+:class:`ControlPath`, the analytic paths and :func:`frame_at` are pure
+Python. numpy is imported inside the functions that hold arrays
+(:func:`sample_history` and its column helpers, and :func:`sampled_path`,
+which also loads scipy), so a run on an analytic path loads neither.
 """
 
 from __future__ import annotations
@@ -30,13 +37,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined
 
+if TYPE_CHECKING:
+    import numpy as np
+
 Vec3 = tuple[float, float, float]
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 @dataclass
@@ -45,13 +54,15 @@ class ControlPath:
 
     ``b`` maps time to the field vector (b_x, b_y, b_z) and ``b_dot`` to its
     time derivative; both are required.  ``coupling_A`` is the Hermitian
-    system part of the system-environment coupling, given in the fixed basis.
+    system part of the system-environment coupling, given in the fixed basis
+    as any 2x2 nested sequence of numbers (lists, tuples or an array) and
+    stored as a tuple of two rows of two complex numbers.
     """
 
     kind: str
     b: Callable[[float], Vec3]
     b_dot: Callable[[float], Vec3]
-    coupling_A: np.ndarray
+    coupling_A: Matrix2
     duration: float
     params: dict = field(default_factory=dict)
     _anchors: Optional[tuple[int, int]] = field(default=None, init=False, repr=False)
@@ -62,20 +73,18 @@ class ControlPath:
     def __post_init__(self):
         if self.b_dot is None:
             raise ValueError("b_dot is required: frames take w from the field derivative")
-        A = np.asarray(self.coupling_A, dtype=complex)
-        if A.shape != (2, 2):
-            raise ValueError("coupling_A must be a 2x2 matrix")
-        if np.max(np.abs(A - A.conj().T)) > 1e-14:
+        A = _coupling_matrix(self.coupling_A)
+        (a, b), (c, d) = A
+        # |A - A^dag| entrywise (its two off-diagonal entries have one modulus);
+        # hypot gives inf where abs() of a huge complex raises OverflowError
+        residuals = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
+        if any(math.hypot(z.real, z.imag) > 1e-14 for z in residuals):
             raise ValueError("coupling_A must be Hermitian to 1e-14")
         if not (self.duration > 0 and math.isfinite(self.duration)):
             raise ValueError("duration must be positive and finite")
         self.coupling_A = A
-        half_trace = (A[0, 0] + A[1, 1]) / 2
-        self._A_traceless = (
-            complex(A[0, 0] - half_trace),
-            complex(A[0, 1]),
-            complex(A[1, 1] - half_trace),
-        )
+        half_trace = (a + d) / 2
+        self._A_traceless = (a - half_trace, b, d - half_trace)
 
     def anchors(self) -> tuple[int, int]:
         """Anchor component indices (ground, excited), fixed at the start of the path.
@@ -89,6 +98,22 @@ class ControlPath:
             ce = 1 if abs(e[1]) >= abs(e[0]) else 0
             self._anchors = (cg, ce)
         return self._anchors
+
+
+def _coupling_matrix(A) -> Matrix2:
+    """A as two rows of two complex numbers; ValueError unless it is 2x2.
+
+    Entries convert with ``complex()``, so a numeric string parses and any
+    other string raises complex()'s ValueError; a non-numeric entry, such as
+    a nested row, makes the matrix not 2x2.
+    """
+    try:
+        rows = [list(row) for row in A]
+        if len(rows) == 2 and all(len(row) == 2 for row in rows):
+            return tuple(tuple(complex(x) for x in row) for row in rows)
+    except TypeError:
+        pass
+    raise ValueError("coupling_A must be a 2x2 matrix")
 
 
 def rotating_cone(
@@ -152,6 +177,7 @@ def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> Contr
 
 def sampled_path(times, b_values, coupling_A) -> ControlPath:
     """Cubic-spline interpolation of tabulated (t, b) samples; C^1 by construction."""
+    import numpy as np
     from scipy.interpolate import CubicSpline
 
     times = np.asarray(times, dtype=float)
@@ -323,6 +349,8 @@ def _div(a, b):
         ratio = bi / br
         denom = br + bi * ratio
         return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    import numpy as np
+
     by_re = np.abs(br) >= np.abs(bi)
     ratio = np.where(by_re, bi / br, br / bi)
     denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
@@ -333,6 +361,8 @@ def _div(a, b):
 
 def _anchor_columns(vec, c):
     """:func:`_anchor` over columns; also returns the anchor modulus (0 where it is undefined)."""
+    import numpy as np
+
     vc = vec[c]
     m = np.abs(vc[0]) if vc[1] is None else np.hypot(vc[0], vc[1])
     ph = _div(vc, (m, None))
@@ -345,6 +375,8 @@ def _branch_columns(upper, r, b, nb, bd, nbd, cg, ce):
     ``r`` is |b|; ``nb`` and ``nbd`` are the negated fields, negated before
     the cast to float as Python negates an integer field.
     """
+    import numpy as np
+
     bx, by, bz = b
     if upper:
         n = np.sqrt(2 * r * (r + bz))
@@ -422,6 +454,8 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
     GapCollapse where |b| is at or below GAP_FLOOR and, like ``frame_at``,
     GaugeUndefined at the first sample where an anchored component is 0.
     """
+    import numpy as np
+
     if num < 3:
         raise ValueError("history needs at least 3 samples")
     times = np.linspace(t0, t1, num)

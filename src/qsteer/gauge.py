@@ -6,16 +6,21 @@ one. The optimal phase lambda = -integral of the w diagonals makes them
 vanish, which minimizes the Hilbert-Schmidt norm of w; the integrator
 accumulates it along a run (``integrate(track_phases=True)``). Over a closed
 control loop its increments are the Berry phases of the branches.
+
+The phase rotations an integration applies are pure Python; numpy is
+imported by :func:`berry_phase` and its quadrature helpers alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import LoopNotClosed, NonUniformGridUnsupported
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,6 +101,8 @@ def _wrap(x: float) -> float:
 
 def _uniform_step(times: np.ndarray) -> float:
     """Spacing of a uniform, strictly increasing grid of at least 3 samples."""
+    import numpy as np
+
     if times.size < 3:
         raise NonUniformGridUnsupported("history needs at least 3 samples")
     dt = np.diff(times)
@@ -113,6 +120,8 @@ def _simpson(y: np.ndarray, h: float) -> tuple[float, float]:
     last three samples. The estimate is |full - half-grid trapezoid| / 3 (odd
     count) or |trapezoid - Simpson| (even count).
     """
+    import numpy as np
+
     n = y.size
     m = n if n % 2 else n - 1
     total = h / 3.0 * (y[0] + 4.0 * y[1:m - 1:2].sum() + 2.0 * y[2:m - 1:2].sum() + y[m - 1])
@@ -136,6 +145,8 @@ def berry_phase(history) -> BerryPhases:
     other than the uniform one of :func:`sample_history` raises
     NonUniformGridUnsupported.
     """
+    import numpy as np
+
     b0 = np.asarray(history.b_start, dtype=float)
     b1 = np.asarray(history.b_end, dtype=float)
     gap = float(np.linalg.norm(b1 - b0))

@@ -132,7 +132,7 @@ class TestAtGap:
         with pytest.raises(q.OutOfRange):
             sd.at_gap(1.5)
 
-    @pytest.mark.parametrize("model", ["flat", "ohmic_thermal", "zero_temperature_ohmic"])
+    @pytest.mark.parametrize("model", BATHS)
     @pytest.mark.parametrize("gaps", [(), (1.0,), (1.0, 0.5), (0.0,)])
     def test_pickles_and_compares_equal_whatever_the_memo_holds(self, model, gaps):
         fresh = BATHS[model]()

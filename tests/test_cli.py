@@ -283,6 +283,12 @@ class TestRun:
         if members > 1:  # the summary table is the last file, one row per member
             assert len(art.files[-1].read_text().splitlines()) == 1 + members
 
+    def test_jobs_below_one_rejected(self, tmp_path):
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+                run(load_scenario(MINIMAL_CONE), out_dir=tmp_path, jobs=jobs)
+        assert not any(tmp_path.iterdir())
+
     def test_berry_mode(self, tmp_path):
         text = MINIMAL_CONE + (
             "run:\n  mode: berry\n  berry_theta_grid_rad: "
@@ -495,6 +501,63 @@ class TestMain:
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         assert out.stdout.split()[-3:] == ["0", "False", "False"]
+
+    def test_scalar_runs_load_no_numpy(self, tmp_path):
+        # analytic paths and spectra in every mode that integrates, then the
+        # inputs that hold arrays, which load numpy on demand
+        thermal = MINIMAL_CONE.replace(
+            "model: flat\n  s0_rate: 0.1",
+            "model: ohmic_thermal\n  eta_coupling: 0.05\n  temperature_energy: 0.5",
+        )
+        sweep_zero_t = MINIMAL_CONE.replace(
+            "kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+            "  drive_omega_rad_per_time: 0.2",
+            "kind: linear_sweep\n  slope_energy_per_time: 0.5\n  gap_energy: 0.5\n"
+            "  duration_time: 10.0",
+        ).replace("model: flat\n  s0_rate: 0.1", "model: zero_temperature_ohmic\n  eta_coupling: 0.05")
+        path_csv, bath_csv = tmp_path / "path.csv", tmp_path / "bath.csv"
+        path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
+        bath_csv.write_text("omega,S\n-3,0.01\n0,0.1\n3,0.2\n")
+        sampled = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {path_csv}")
+        sampled = sampled.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 3.0")
+        tabulated = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1",
+                                         f"model: tabulated\n  csv_file: {bath_csv}")
+        scalar = [("simulate", MINIMAL_CONE), ("simulate", sweep_zero_t), ("compare", thermal),
+                  ("sweep", MINIMAL_CONE + "run:\n  sweep_periods_time: [10, 20]\n"),
+                  ("validate", MINIMAL_CONE)]
+        arrays = [("berry", MINIMAL_CONE + "run:\n  berry_theta_grid_rad: [0.5]\n  history_samples: 65\n"),
+                  ("simulate", sampled), ("simulate", tabulated)]
+        runs = []
+        for i, (command, text) in enumerate(scalar + arrays):
+            fn = tmp_path / f"scenario_{i}.yaml"
+            fn.write_text(text)
+            runs.append([command, "--config", str(fn), "--out", str(tmp_path / "runs")])
+        src = str(Path(q.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import json, sys\nfrom qsteer.cli import main\n"
+            "runs, n = json.loads(sys.argv[1]), int(sys.argv[2])\n"
+            "scalar = [main(argv) for argv in runs[:n]]\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "arrays = [main(argv) for argv in runs[n:]]\n"
+            "print(json.dumps([scalar, loaded, arrays, 'numpy' in sys.modules]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs), str(len(scalar))],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        codes, loaded, array_codes, loaded_after = json.loads(out.stdout.splitlines()[-1])
+        assert codes == [0] * len(scalar) and not loaded
+        assert array_codes == [0] * len(arrays) and loaded_after
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_invalid_jobs_exit_2(self, tmp_path, capsys, value):
+        fn = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs"), "--jobs", value])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1

@@ -26,6 +26,31 @@ def eig(path, t):
     return np.array(g, dtype=complex), np.array(e, dtype=complex), E_g, E_e
 
 
+def traceless_reference(A):
+    """The coupling check and traceless part as computed on numpy arrays, kept as the oracle."""
+    A = np.asarray(A, dtype=complex)
+    assert A.shape == (2, 2) and np.max(np.abs(A - A.conj().T)) <= 1e-14
+    half_trace = (A[0, 0] + A[1, 1]) / 2
+    return complex(A[0, 0] - half_trace), complex(A[0, 1]), complex(A[1, 1] - half_trace)
+
+
+def field_bits(values):
+    """Floats and complex numbers by value and sign, so -0.0 differs from 0.0."""
+    return [float.hex(v) if isinstance(v, float) else (float.hex(v.real), float.hex(v.imag))
+            for v in values]
+
+
+COUPLINGS = [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[-0.0, complex(-0.0, -0.3)], [complex(-0.0, 0.3), 0.0]],
+    [[0.7, complex(0.2, -1.1)], [complex(0.2, 1.1), -1.9]],
+    [[2, 1], [1, 3]],  # integers
+    [[complex(1e-300, 0.0), 5e-324], [5e-324, -1e-300]],
+    [[0.1, complex(0.3, 4e-15)], [complex(0.3, 5e-15), 0.2 + 5e-15j]],  # within the bound
+]
+
+
 def antipode_path():
     """From +z through the xz plane to exactly -z at t = 1.
 
@@ -193,8 +218,30 @@ class TestCouplingElements:
         assert gg == pytest.approx(-ee, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            static_path((0.0, 0.0, 1.0), np.array([[0.0, 1.0], [0.5, 0.0]]))
+        # every entry of A - A^dag is bounded by 1e-14, whatever sequence holds A
+        for A in (
+            np.array([[0.0, 1.0], [0.5, 0.0]]),
+            [[0.0, 1.0], [0.5, 0.0]],
+            ((0.0, 1.0), (1.0 + 2e-14j, 0.0)),
+            [[6e-15j, 0.0], [0.0, 0.0]],  # residual 2 |Im A_00| = 1.2e-14
+            [[0.0, 0.0], [0.0, -6e-15j]],
+            [[0.0, complex(1e308, 1e308)], [complex(-1e308, 1e308), 0.0]],  # residual overflows
+        ):
+            with pytest.raises(ValueError, match="^coupling_A must be Hermitian to 1e-14$"):
+                static_path((0.0, 0.0, 1.0), A)
+        for A in ([[5e-15j, 1.0], [1.0 + 1e-14j, 0.0]], np.array([[5e-15j, 1.0], [1.0 + 1e-14j, 0.0]])):
+            static_path((0.0, 0.0, 1.0), A)  # at the bound
+
+    @pytest.mark.parametrize("A", COUPLINGS)
+    def test_list_tuple_and_array_agree_bit_for_bit(self, A):
+        ref = traceless_reference(A)
+        paths = [static_path((0.3, -0.4, 0.8), M)
+                 for M in (A, tuple(map(tuple, A)), np.array(A), np.array(A, dtype=complex))]
+        for path in paths:
+            assert isinstance(path.coupling_A, tuple)
+            assert all(type(z) is complex for row in path.coupling_A for z in row)
+            assert field_bits(path._A_traceless) == field_bits(ref)
+            assert field_bits(q.frame_at(path, 0.0)) == field_bits(q.frame_at(paths[0], 0.0))
 
 
 class TestLocalAlpha:
@@ -347,3 +394,19 @@ class TestSampledPaths:
                 kind="custom", b=lambda t: (0, 0, 1), b_dot=lambda t: (0, 0, 0),
                 coupling_A=np.array([[0, 1], [0.5, 0]]), duration=1.0,
             )
+        ts = np.linspace(0.0, 3.0, 4)
+        bs = np.stack([np.ones_like(ts), np.zeros_like(ts), ts], axis=1)
+        for A, message in [
+            (np.eye(3), "^coupling_A must be a 2x2 matrix$"),
+            ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "^coupling_A must be a 2x2 matrix$"),
+            ([[0.0, 1.0], [1.0]], "^coupling_A must be a 2x2 matrix$"),  # ragged
+            ([[0.0, 1.0, 2.0], [1.0, 0.0]], "^coupling_A must be a 2x2 matrix$"),
+            (np.array([0.0, 1.0]), "^coupling_A must be a 2x2 matrix$"),  # 1-D
+            ([0.0, 1.0, 1.0, 0.0], "^coupling_A must be a 2x2 matrix$"),
+            (1.0, "^coupling_A must be a 2x2 matrix$"),
+            ([[[0.0], [1.0]], [[1.0], [0.0]]], "^coupling_A must be a 2x2 matrix$"),  # 2x2x1
+            ([["x", 1.0], [1.0, 0.0]], "malformed string"),  # non-numeric entry
+            ([[0.0, 1.0], [0.5, 0.0]], "^coupling_A must be Hermitian to 1e-14$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                q.sampled_path(ts, bs, A)
