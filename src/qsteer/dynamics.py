@@ -357,16 +357,14 @@ def _no_frame(t):
     return None
 
 
-def _axpy(y, ks, terms, dt):
-    """y + dt * sum of c * ks[s] over the (stage, coefficient) pairs ``terms``, in order."""
-    g, x, i = y
+def _axpy(g, ge, ks, terms, dt):
+    """(g, ge) + dt * sum of c * ks[s] over the (stage, coefficient) pairs ``terms``, in order."""
     for s, c in terms:
         cdt = c * dt
-        k = ks[s]
-        g += cdt * k[0]
-        x += cdt * k[1]
-        i += cdt * k[2]
-    return g, x, i
+        kg, kge = ks[s]
+        g += cdt * kg
+        ge += cdt * kge
+    return g, ge
 
 
 def _advance_phases(lam, frames, terms, dt):
@@ -389,7 +387,10 @@ def integrate(
 
     ``rhs`` returns (d rho_gg/dt, d rho_ge/dt); ``frame_provider`` maps a
     time to the frame passed through to ``rhs`` (None for frame-free
-    generators). The provider is called once per distinct stage time: a
+    generators). The stepper carries the state as that same pair, a float
+    and a complex, and keeps each stage's returned pair as its slope; the
+    "rk45_adaptive" error norm is the RMS of the scaled errors of rho_gg,
+    Re rho_ge and Im rho_ge, in that order. The provider is called once per distinct stage time: a
     stage whose tableau node equals the previous stage's reuses that stage's
     frame, and every ``rhs`` call gets its stage's frame. "rk45_adaptive"
     evaluates six stages per attempted step: the first stage of a step is
@@ -420,22 +421,22 @@ def integrate(
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
     # Each stage is evaluated inline: its frame (the provider's, or the previous
-    # stage's at the same t), the generator and the slope as a real triple.
+    # stage's at the same t) and the generator, whose (d rho_gg, d rho_ge) is the slope.
     provider = frame_provider if frame_provider is not None else _no_frame
     traj = Trajectory()
     t_worst = None
 
-    def monitor(t, y, frame, lam):
+    def monitor(t, g, ge, frame, lam):
         """Check one accepted state and fold it into the trajectory's maxima; returns its purity."""
         nonlocal t_worst
-        if not (math.isfinite(y[0]) and math.isfinite(y[1]) and math.isfinite(y[2])):
+        if not (math.isfinite(g) and math.isfinite(ge.real) and math.isfinite(ge.imag)):
             raise NonFiniteState(f"non-finite state at t = {t:g}")
-        p = purity(DensityState(y[0], complex(y[1], y[2])))
+        p = purity(DensityState(g, ge))
         if p - 1.0 > traj.max_positivity_violation:
             traj.max_positivity_violation = p - 1.0
             t_worst = t
-        if 1.0 - y[0] > traj.max_excited_population:
-            traj.max_excited_population = 1.0 - y[0]
+        if 1.0 - g > traj.max_excited_population:
+            traj.max_excited_population = 1.0 - g
         if frame is not None:
             # alpha in the reported basis; phase_shifted_frame gives the same float
             alpha = (hs_norm(0.0, 0.0, frame.w_ge * phase_factor(*lam)) / frame.omega01
@@ -444,23 +445,21 @@ def integrate(
                 traj.max_alpha = alpha
         return p
 
-    def record(t, y, p, frame, lam):
-        st = DensityState(y[0], complex(y[1], y[2]))
+    def record(t, g, ge, p, frame, lam):
         if track_phases:
-            st = DensityState(st.rho_gg, st.rho_ge * phase_factor(*lam))
+            ge = ge * phase_factor(*lam)
             frame = phase_shifted_frame(frame, lam[0], lam[1])
-        traj.samples.append(TrajectorySample(t, st, frame, lam[0], lam[1], p))
+        traj.samples.append(TrajectorySample(t, DensityState(g, ge), frame, lam[0], lam[1], p))
 
-    y = (initial.rho_gg, complex(initial.rho_ge).real, complex(initial.rho_ge).imag)
+    g, ge = initial.rho_gg, complex(initial.rho_ge)
     t = cfg.t0
     lam = (0.0, 0.0)
     ks = [None] * 7
     frames = [None] * 7
     frames[0] = provider(t)
-    dgg, dge = rhs(t, DensityState(y[0], complex(y[1], y[2])), frames[0])
-    ks[0] = (dgg, dge.real, dge.imag)
+    ks[0] = rhs(t, DensityState(g, ge), frames[0])
     n_rhs = n_frames = 1
-    record(t, y, monitor(t, y, frames[0], lam), frames[0], lam)
+    record(t, g, ge, monitor(t, g, ge, frames[0], lam), frames[0], lam)
     rejected = 0
 
     if cfg.method == "rk4_fixed":
@@ -471,28 +470,26 @@ def integrate(
             t = cfg.t0 + i * dt
             for s, c, terms, same_t in _RK4_STAGES:
                 ts = t + c * dt
-                ys = _axpy(y, ks, terms, dt)
+                gs, ges = _axpy(g, ge, ks, terms, dt)
                 if same_t:
                     frame = frames[s - 1]
                 else:
                     frame = provider(ts)
                     n_frames += 1
-                dgg, dge = rhs(ts, DensityState(ys[0], complex(ys[1], ys[2])), frame)
-                ks[s] = (dgg, dge.real, dge.imag)
+                ks[s] = rhs(ts, DensityState(gs, ges), frame)
                 frames[s] = frame
-            y = _axpy(y, ks, _RK4_B, dt)
+            g, ge = _axpy(g, ge, ks, _RK4_B, dt)
             if track_phases:
                 lam = _advance_phases(lam, frames, _RK4_B, dt)
             t = cfg.t0 + (i + 1) * dt
             # the next step's first stage: t is the same float as that step's t0 + i dt
             frames[0] = frame = provider(t)
-            dgg, dge = rhs(t, DensityState(y[0], complex(y[1], y[2])), frame)
-            ks[0] = (dgg, dge.real, dge.imag)
+            ks[0] = rhs(t, DensityState(g, ge), frame)
             n_rhs += 4
             n_frames += 1
-            p = monitor(t, y, frame, lam)
+            p = monitor(t, g, ge, frame, lam)
             if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                record(t, y, p, frame, lam)
+                record(t, g, ge, p, frame, lam)
     else:
         dt_max = cfg.dt_max if cfg.dt_max is not None else (cfg.t1 - cfg.t0) / 10
         dt = min(dt_max, (cfg.t1 - cfg.t0) / 100)
@@ -505,35 +502,34 @@ def integrate(
             dt = min(dt, cfg.t1 - t)
             for s, c, terms, same_t in _DP_STAGES:
                 ts = t + c * dt
-                y_new = _axpy(y, ks, terms, dt)
+                g_new, ge_new = _axpy(g, ge, ks, terms, dt)
                 if same_t:
                     frame = frames[s - 1]
                 else:
                     frame = provider(ts)
                     n_frames += 1
-                dgg, dge = rhs(ts, DensityState(y_new[0], complex(y_new[1], y_new[2])), frame)
-                ks[s] = (dgg, dge.real, dge.imag)
+                ks[s] = rhs(ts, DensityState(g_new, ge_new), frame)
                 frames[s] = frame
             n_rhs += 6
-            # the last stage state is the 5th-order solution, so y_new is the step's result
-            err = _axpy((0.0, 0.0, 0.0), ks, _DP_E, dt)
+            # the last stage state is the 5th-order solution, so (g_new, ge_new) is the step's result
+            err_g, err_ge = _axpy(0.0, 0j, ks, _DP_E, dt)
             norm = math.sqrt((
-                (err[0] / (atol + rtol * max(abs(y[0]), abs(y_new[0])))) ** 2
-                + (err[1] / (atol + rtol * max(abs(y[1]), abs(y_new[1])))) ** 2
-                + (err[2] / (atol + rtol * max(abs(y[2]), abs(y_new[2])))) ** 2
+                (err_g / (atol + rtol * max(abs(g), abs(g_new)))) ** 2
+                + (err_ge.real / (atol + rtol * max(abs(ge.real), abs(ge_new.real)))) ** 2
+                + (err_ge.imag / (atol + rtol * max(abs(ge.imag), abs(ge_new.imag)))) ** 2
             ) / 3)
             if norm <= 1.0:
                 if track_phases:
                     lam = _advance_phases(lam, frames, _DP_B5, dt)
                 t += dt
-                y = y_new
+                g, ge = g_new, ge_new
                 accepted += 1
                 rejections = 0
                 dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
                 ks[0], frames[0] = ks[6], frames[6]
-                p = monitor(t, y, frames[0], lam)
+                p = monitor(t, g, ge, frames[0], lam)
                 if accepted % cfg.record_stride == 0 or t >= t_end:
-                    record(t, y, p, frames[0], lam)
+                    record(t, g, ge, p, frames[0], lam)
             else:
                 rejected += 1
                 rejections += 1

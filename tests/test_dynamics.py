@@ -467,6 +467,24 @@ class TestSolverWork:
         assert traj.work.frame_evals == 0
         assert traj.work.rhs_evals == 6 * (traj.work.accepted_steps + traj.work.rejected_steps) + 1
 
+    @pytest.mark.parametrize("method, accepted, rejected, final", [
+        ("rk45_adaptive", 752, 23,
+         ("0x1.c17de4a5beb4ap-1", "-0x1.086687f67b68fp-8", "0x1.4a2ff8964dbe9p-6")),
+        ("rk4_fixed", 800, 0,
+         ("0x1.c17de4adf4ba6p-1", "-0x1.0865d9034478bp-8", "0x1.4a300dc035128p-6")),
+    ])
+    def test_stepper_arithmetic_is_pinned(self, method, accepted, rejected, final):
+        # a frame-free thermal run with rho_ge != 0 (m1 != 0 couples it to rho_gg):
+        # the step counts and the final state's bits pin the stepper's float
+        # operations, the stage sums and the error norm, independently of any frame
+        r = q.rates(0.3, complex(0.8, -0.4), 1.0, q.ohmic_thermal(0.1, 0.5, 20.0))
+        cfg = q.SolverConfig(method=method, t0=0.0, t1=40.0, rtol=1e-9, atol=1e-12, dt=0.05)
+        traj = integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0),
+                         q.DensityState(0.7, complex(0.2, -0.1)), cfg)
+        assert (traj.work.accepted_steps, traj.work.rejected_steps) == (accepted, rejected)
+        fs = traj.final.state
+        assert (fs.rho_gg.hex(), fs.rho_ge.real.hex(), fs.rho_ge.imag.hex()) == final
+
 
 class TestTrajectoryCsv:
     def test_schema_and_precision(self, tmp_path, cone_path):
