@@ -117,8 +117,8 @@ class SpectralDensity:
 
 def flat(s0: float) -> SpectralDensity:
     """Frequency-independent spectrum S(omega) = s0."""
-    if s0 < 0:
-        raise ValueError("s0 must be nonnegative")
+    if not 0 <= s0 < math.inf:
+        raise ValueError("s0 must be nonnegative and finite")
     return SpectralDensity(model="flat", params={"s0": float(s0)})
 
 
@@ -128,11 +128,13 @@ def ohmic_thermal(eta: float, temperature: float, cutoff: float = math.inf) -> S
     S(0) is the continuous extension eta * T. Detailed balance holds exactly
     because the cutoff factor is even in omega.
     """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if temperature <= 0:
+    if not 0 <= eta < math.inf:
+        raise ValueError("eta must be nonnegative and finite")
+    if not temperature > 0:
         raise ValueError("temperature must be positive (use zero_temperature_ohmic for T = 0)")
-    if cutoff <= 0:
+    if temperature == math.inf:
+        raise ValueError("temperature must be finite")
+    if not cutoff > 0:  # +inf, the default, means no cutoff
         raise ValueError("cutoff must be positive")
     return SpectralDensity(
         model="ohmic_thermal",
@@ -142,9 +144,9 @@ def ohmic_thermal(eta: float, temperature: float, cutoff: float = math.inf) -> S
 
 def zero_temperature_ohmic(eta: float, cutoff: float = math.inf) -> SpectralDensity:
     """One-sided ohmic spectrum: eta * omega * e^{-omega/cutoff} for omega > 0, else 0."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if cutoff <= 0:
+    if not 0 <= eta < math.inf:
+        raise ValueError("eta must be nonnegative and finite")
+    if not cutoff > 0:  # +inf, the default, means no cutoff
         raise ValueError("cutoff must be positive")
     return SpectralDensity(
         model="zero_temperature_ohmic", params={"eta": float(eta), "cutoff": float(cutoff)}
@@ -159,6 +161,8 @@ def tabulated(omegas, values) -> SpectralDensity:
     values = np.asarray(values, dtype=float)
     if omegas.ndim != 1 or omegas.size < 2:
         raise ValueError("tabulated spectrum needs at least 2 samples")
+    if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(values))):
+        raise ValueError("tabulated omegas and values must be finite")
     if np.any(np.diff(omegas) <= 0):
         raise ValueError("tabulated omegas must be strictly increasing")
     if np.any(values < 0):

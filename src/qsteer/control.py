@@ -24,12 +24,23 @@ GaugeUndefined.
 The parallel-transport gauge, in which the w diagonals vanish, is the
 optimal-phase gauge that ``integrate(track_phases=True)`` reports.
 
+Closed form
+-----------
+No eigenvector is built. With r = |b|, n = sqrt(2 r (r + |b_z|)),
+p = (r + |b_z|)/n and q = (b_x + i b_y)/n, the raw eigenpair is
+e = (p, q), g = (-conj(q), p) for b_z >= 0 and e = (conj(q), p), g = (-p, q)
+for b_z < 0. Every element <g|x.sigma|e> is a short polynomial in p and q,
+and the anchored gauge multiplies it by one unit phase: +-1 for a component
++-p, the phase of q for a q-type one. The arithmetic is real throughout, so
+one function serves :func:`frame_at` on floats and :func:`sample_history`
+on numpy columns, bit for bit.
+
 Scalars and arrays
 ------------------
 :class:`ControlPath`, the analytic paths and :func:`frame_at` are pure
 Python. numpy is imported inside the functions that hold arrays
-(:func:`sample_history` and its column helpers, and :func:`sampled_path`,
-which also loads scipy), so a run on an analytic path loads neither.
+(:func:`sample_history`, and :func:`sampled_path`, which also loads scipy),
+so a run on an analytic path loads neither.
 """
 
 from __future__ import annotations
@@ -75,6 +86,8 @@ class ControlPath:
             raise ValueError("b_dot is required: frames take w from the field derivative")
         A = _coupling_matrix(self.coupling_A)
         (a, b), (c, d) = A
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (a, b, c, d)):
+            raise ValueError("coupling_A must be finite")
         # |A - A^dag| entrywise (its two off-diagonal entries have one modulus);
         # hypot gives inf where abs() of a huge complex raises OverflowError
         residuals = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
@@ -93,9 +106,14 @@ class ControlPath:
         so a sampled path is never evaluated outside its samples here.
         """
         if self._anchors is None:
-            g, e, _, _ = _eig_raw(*self.b(self.params.get("t_start", 0.0)))
-            cg = 1 if abs(g[1]) >= abs(g[0]) else 0
-            ce = 1 if abs(e[1]) >= abs(e[0]) else 0
+            bx, by, bz = self.b(self.params.get("t_start", 0.0))
+            r = _gap(bx, by, bz)
+            n = math.sqrt(2 * r * (r + abs(bz)))
+            p, mq = (r + abs(bz)) / n, _hypot(bx / n, by / n)
+            # the larger component of (g, e) = ((-conj q, p), (p, q)) for b_z >= 0 and
+            # ((-p, q), (conj q, p)) for b_z < 0; ties go to the second
+            cg = 1 if (p >= mq if bz >= 0.0 else mq >= p) else 0
+            ce = 1 if (mq >= p if bz >= 0.0 else p >= mq) else 0
             self._anchors = (cg, ce)
         return self._anchors
 
@@ -127,10 +145,12 @@ def rotating_cone(
 
     Defaults to one full revolution, duration = 2 pi / omega.
     """
-    if Omega <= 0:
-        raise ValueError("Omega must be positive")
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
+    if not 0 < Omega < math.inf:
+        raise ValueError("Omega must be positive and finite")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    if omega == 0 or not math.isfinite(omega):
+        raise ValueError("omega must be nonzero and finite")
     if duration is None:
         duration = 2 * math.pi / abs(omega)
     st, ct = math.sin(theta), math.cos(theta)
@@ -156,8 +176,10 @@ def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> Contr
 
     The avoided crossing of width ``gap`` sits at mid-path.
     """
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+    if not 0 < gap < math.inf:
+        raise ValueError("gap must be positive and finite")
+    if not math.isfinite(slope):
+        raise ValueError("slope must be finite")
 
     def b(t: float) -> Vec3:
         return (gap, 0.0, slope * (t - duration / 2))
@@ -188,6 +210,8 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         raise ValueError("sampled path times must be strictly increasing")
     if b_values.shape != (times.size, 3):
         raise ValueError("b_values must have shape (n_times, 3)")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(b_values))):
+        raise ValueError("sampled path times and b_values must be finite")
     spline = CubicSpline(times, b_values, axis=0)
     dspline = spline.derivative()
     t0 = float(times[0])
@@ -266,28 +290,20 @@ class FrameHistory:
 
 
 # ----------------------------------------------------------------------
-# scalar internals (hot path: no numpy)
+# internals: one branch of the closed form, on floats or on columns
 # ----------------------------------------------------------------------
 
-def _eig_raw(bx: float, by: float, bz: float):
-    """Closed-form eigenpair of (1/2) b.sigma, arbitrary phases.
-
-    Returns ((g0, g1), (e0, e1), E_g, E_e). Raises GapCollapse when |b| is
-    below GAP_FLOOR. The two algebraic branches avoid cancellation near the
-    poles b ~ -+z.
-    """
+def _gap(bx, by, bz):
+    """|b|; raises GapCollapse when it is at or below GAP_FLOOR."""
     r = math.sqrt(bx * bx + by * by + bz * bz)
     if r <= GAP_FLOOR:
         raise GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    if bz >= 0.0:
-        n = math.sqrt(2 * r * (r + bz))
-        e = ((r + bz) / n, complex(bx, by) / n)
-        g = (complex(-bx, by) / n, (r + bz) / n)
-    else:
-        n = math.sqrt(2 * r * (r - bz))
-        e = (complex(bx, -by) / n, (r - bz) / n)
-        g = (-(r - bz) / n, complex(bx, by) / n)
-    return g, e, -r / 2, r / 2
+    return r
+
+
+def _hypot(x, y):
+    """|x + iy| by the C library's hypot, as complex abs() and numpy's hypot take it."""
+    return abs(complex(x, y))
 
 
 def _gauge_undefined(t):
@@ -297,111 +313,66 @@ def _gauge_undefined(t):
     )
 
 
-def _anchor(vec, c, t):
-    """Rotate vec so component c is real positive; raises GaugeUndefined, naming t, if it is 0."""
-    vc = vec[c]
-    m = abs(vc)
-    if m == 0.0:
-        raise _gauge_undefined(t)
-    ph = vc / m
-    return (vec[0] / ph, vec[1] / ph)
+def _fields(b, bd, A, r, upper, cg, ce, sqrt, hypot):
+    """w_gg, w_ee, Re w_ge, Im w_ge, alpha, m1, Re m2, Im m2 and |q| on one branch.
 
-
-# ----------------------------------------------------------------------
-# array internals: frame_at's arithmetic over columns of samples
-# ----------------------------------------------------------------------
-# A value is a pair (re, im) of float arrays, with im None where frame_at
-# holds a Python float. As in CPython, a float meeting a complex is promoted
-# to (x, 0.0) and complex division is _Py_c_quot's (numpy's multiplies by a
-# reciprocal), so every column equals frame_at's floats bit for bit.
-
-def _promote(a):
-    return a if a[1] is not None else (a[0], 0.0)
-
-
-def _neg(a):
-    return -a[0], None if a[1] is None else -a[1]
-
-
-def _conj(a):
-    return a[0], None if a[1] is None else -a[1]
-
-
-def _add(a, b):
-    if a[1] is None and b[1] is None:
-        return a[0] + b[0], None
-    (ar, ai), (br, bi) = _promote(a), _promote(b)
-    return ar + br, ai + bi
-
-
-def _mul(a, b):
-    if a[1] is None and b[1] is None:
-        return a[0] * b[0], None
-    (ar, ai), (br, bi) = _promote(a), _promote(b)
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _div(a, b):
-    if a[1] is None and b[1] is None:
-        return a[0] / b[0], None
-    (ar, ai), (br, bi) = _promote(a), _promote(b)
-    if b[1] is None:  # |b.real| >= |b.imag| = 0: _Py_c_quot's first branch
-        ratio = bi / br
-        denom = br + bi * ratio
-        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-    import numpy as np
-
-    by_re = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_re, bi / br, br / bi)
-    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-    re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
-def _anchor_columns(vec, c):
-    """:func:`_anchor` over columns; also returns the anchor modulus (0 where it is undefined)."""
-    import numpy as np
-
-    vc = vec[c]
-    m = np.abs(vc[0]) if vc[1] is None else np.hypot(vc[0], vc[1])
-    ph = _div(vc, (m, None))
-    return (_div(vec[0], ph), _div(vec[1], ph)), m
-
-
-def _branch_columns(upper, r, b, nb, bd, nbd, cg, ce):
-    """w_gg, w_ee, alpha and the anchor moduli on samples of one :func:`_eig_raw` branch.
-
-    ``r`` is |b|; ``nb`` and ``nbd`` are the negated fields, negated before
-    the cast to float as Python negates an integer field.
+    ``b`` and ``bd`` are the field and its derivative, ``A`` the traceless
+    coupling, ``r`` = |b| and ``upper`` = (b_z >= 0); (cg, ce) are the path's
+    anchors. The arguments are floats, or columns of samples that all lie on
+    the ``upper`` branch, with ``sqrt`` and ``hypot`` to match: real
+    arithmetic only, and no path value is negated before a float operation
+    (a path may give ints), so columns equal floats bit for bit. With an
+    anchor on q a zero |q| divides by zero: ZeroDivisionError for floats,
+    non-finite entries where the returned |q| is 0 for columns. |q| is 1.0
+    when neither anchor is on q.
     """
-    import numpy as np
-
     bx, by, bz = b
+    s = r + bz if upper else r - bz
+    n = sqrt(2 * r * s)
+    p = s / n
+    # q_b = a + ic is q = (b_x + i b_y)/n on the upper branch and conj(q) on the lower
+    a = bx / n
+    c = by / n if upper else -(by / n)
+    P, Qr, Qi, Zr, Zi = p * p, a * a - c * c, 2.0 * a * c, 2.0 * p * a, 2.0 * p * c
+    # <g|x.sigma|e> with u = x_x + i x_y: u P - conj(u) q_b^2 - x_z 2 p q_b on the
+    # upper branch, u q_b^2 - conj(u) P - x_z 2 p q_b on the lower; dH/dt has x = b_dot/2
+    ux, uy, xz = 0.5 * bd[0], 0.5 * bd[1], 0.5 * bd[2]
+    A00, A01 = A[0], A[1]
+    vx, vy, vz = A01.real, -A01.imag, A00.real
     if upper:
-        n = np.sqrt(2 * r * (r + bz))
-        d = ((r + bz) / n, None)
-        e = (d, _div((bx, by), (n, None)))
-        g = (_div((nb[0], by), (n, None)), d)
+        ge_r = ux * P - (ux * Qr + uy * Qi) - xz * Zr
+        ge_i = uy * P - (ux * Qi - uy * Qr) - xz * Zi
+        m2_r = vx * P - (vx * Qr + vy * Qi) - vz * Zr
+        m2_i = vy * P - (vx * Qi - vy * Qr) - vz * Zi
     else:
-        n = np.sqrt(2 * r * (r - bz))
-        d = ((r - bz) / n, None)
-        e = (_div((bx, nb[1]), (n, None)), d)
-        g = (((-(r - bz)) / n, None), _div((bx, by), (n, None)))
-    g, mg = _anchor_columns(g, cg)
-    e, me = _anchor_columns(e, ce)
-    omega01 = (r / 2 - (-r) / 2, None)  # E_e - E_g
-    H00 = (0.5 * bd[2], None)
-    H01 = _mul((0.5, None), (bd[0], nbd[1]))
-    H11 = (-0.5 * bd[2], None)
-    gc0, gc1 = _conj(g[0]), _conj(g[1])
-    ge = _add(_mul(gc0, _add(_mul(H00, e[0]), _mul(H01, e[1]))),
-              _mul(gc1, _add(_mul(_conj(H01), e[0]), _mul(H11, e[1]))))
-    w_ge = _div(_mul((-0.0, -1.0), ge), omega01)
-    w_gg = -_div(_mul(_neg(e[cg]), _conj(ge)), omega01)[1] / g[cg][0]
-    w_ee = -_div(_mul(g[ce], ge), omega01)[1] / e[ce][0]
-    alpha = np.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (w_ge[0] ** 2 + w_ge[1] ** 2)) / omega01[0]
-    return w_gg, w_ee, alpha, np.minimum(mg, me)
+        ge_r = (ux * Qr - uy * Qi) - ux * P - xz * Zr
+        ge_i = (ux * Qi + uy * Qr) + uy * P - xz * Zi
+        m2_r = (vx * Qr - vy * Qi) - vx * P - vz * Zr
+        m2_i = (vx * Qi + vy * Qr) + vy * P - vz * Zi
+    # Each anchored component is p, -p or q-type; the diagonals are
+    # sign * p Im(q_b conj(ge)) / (omega01 |component|^2), sign = -1 for anchor 0
+    jr = (c * ge_r - a * ge_i) / r
+    g_on_p = (cg == 1) == upper
+    e_on_p = (ce == 0) == upper
+    m = 1.0 if g_on_p and e_on_p else hypot(a, c)
+    w_gg = jr / p if g_on_p else p * jr / m / m
+    w_ee = jr / p if e_on_p else p * jr / m / m
+    # the anchoring factor conj(f_e) f_g is (-1 for cg = 0) times conj(q_b / |q|)
+    # once for each anchor on q
+    if cg == 0:
+        w_gg, ge_r, ge_i, m2_r, m2_i = -w_gg, -ge_r, -ge_i, -m2_r, -m2_i
+    if ce == 0:
+        w_ee = -w_ee
+    if not (g_on_p and e_on_p):
+        fr, fi = a / m, c / m
+        for _ in range((not g_on_p) + (not e_on_p)):
+            ge_r, ge_i = fr * ge_r + fi * ge_i, fr * ge_i - fi * ge_r
+            m2_r, m2_i = fr * m2_r + fi * m2_i, fr * m2_i - fi * m2_r
+    # w_ge = -i <g|dH/dt|e> / omega01
+    wr, wi = ge_i / r, -(ge_r / r)
+    alpha = sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (wr * wr + wi * wi)) / r
+    m1 = -(vx * bx + vy * by + vz * bz) / r
+    return w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i, m
 
 
 # ----------------------------------------------------------------------
@@ -411,48 +382,35 @@ def _branch_columns(upper, r, b, nb, bd, nbd, cg, ce):
 def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     """Full adiabatic-frame snapshot at time t, in the anchored gauge.
 
-    The eigenpair is closed form. The w elements follow from the field
-    derivative ``path.b_dot(t)`` by first-order perturbation theory:
-    w_ge = -i <g|dH/dt|e> / omega01, and the diagonals keep the anchored
-    components on the real axis. The coupling elements use the traceless
-    part of ``path.coupling_A``. Straight-line code: each eigenvector is
-    conjugated once and every matrix element is written out.
+    Closed form (see the module notes): omega01 = r = |b|, m1 = -(a.b)/r for
+    the traceless coupling a.sigma, and <g|dH/dt|e> and m2 = <g|A|e> written
+    out for the raw eigenpair, then multiplied by the anchoring factor
+    conj(f_e) f_g, where f is the unit phase of each anchored component.
+    w_ge = -i <g|dH/dt|e> / omega01; the w diagonals keep the anchored
+    components on the real axis. Raises GapCollapse at |b| <= GAP_FLOOR and
+    GaugeUndefined, naming t, where an anchored component is 0.
     """
     cg, ce = path.anchors()
-    g, e, E_g, E_e = _eig_raw(*path.b(t))
-    g = _anchor(g, cg, t)
-    e = _anchor(e, ce, t)
-    omega01 = E_e - E_g
-    g0, g1 = g
-    e0, e1 = e
-    gc0, gc1 = g0.conjugate(), g1.conjugate()
-    bdx, bdy, bdz = path.b_dot(t)
-    # dH/dt = (1/2) b_dot . sigma = [[H00, H01], [conj(H01), H11]]
-    H00 = 0.5 * bdz
-    H01 = 0.5 * complex(bdx, -bdy)
-    H11 = -0.5 * bdz
-    ge = gc0 * (H00 * e0 + H01 * e1) + gc1 * (H01.conjugate() * e0 + H11 * e1)  # <g|dH/dt|e>
-    w_ge = -1j * ge / omega01
-    # d|g>/dt = -|e><e|dH/dt|g>/omega01 + i kappa_g |g>, kappa fixed by the anchor
-    w_gg = -(-e[cg] * ge.conjugate() / omega01).imag / g[cg].real
-    w_ee = -(g[ce] * ge / omega01).imag / e[ce].real
-    A00, A01, A11 = path._A_traceless
-    A10 = A01.conjugate()
-    m1 = gc0 * (A00 * g0 + A01 * g1) + gc1 * (A10 * g0 + A11 * g1)  # <g|A|g>
-    m2 = gc0 * (A00 * e0 + A01 * e1) + gc1 * (A10 * e0 + A11 * e1)  # <g|A|e>
-    alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (w_ge.real ** 2 + w_ge.imag ** 2)) / omega01
-    return AdiabaticFrame(t, omega01, w_gg, w_ee, w_ge, m1.real, m2, alpha)
+    b = path.b(t)
+    r = _gap(*b)
+    bd = path.b_dot(t)
+    try:
+        w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i, _ = _fields(
+            b, bd, path._A_traceless, r, b[2] >= 0.0, cg, ce, math.sqrt, _hypot)
+    except ZeroDivisionError:  # only a zero |q| divides by zero: r, n and p are positive
+        raise _gauge_undefined(t) from None
+    return AdiabaticFrame(t, r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i), alpha)
 
 
 def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHistory:
     """Frame columns on a uniform grid of ``num`` points over [t0, t1].
 
-    ``path.b`` and ``path.b_dot`` are evaluated once per sample; the
-    eigenpair, its anchoring, w_gg, w_ee and alpha are then numpy columns
-    computed with :func:`frame_at`'s float operations, so each entry equals
-    that field of ``frame_at(path, t)`` (alpha to within an ulp). Raises
-    GapCollapse where |b| is at or below GAP_FLOOR and, like ``frame_at``,
-    GaugeUndefined at the first sample where an anchored component is 0.
+    ``path.b`` and ``path.b_dot`` are evaluated once per sample; w_gg, w_ee
+    and alpha are then numpy columns computed, branch by branch, by the
+    closed form :func:`frame_at` uses, so each entry equals that field of
+    ``frame_at(path, t)`` bit for bit. Raises GapCollapse where |b| is at
+    or below GAP_FLOOR and, like ``frame_at``, GaugeUndefined at the first
+    sample where an anchored component is 0.
     """
     import numpy as np
 
@@ -460,22 +418,20 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
         raise ValueError("history needs at least 3 samples")
     times = np.linspace(t0, t1, num)
     ts = times.tolist()
-    b = np.array([path.b(t) for t in ts])
-    bd = np.array([path.b_dot(t) for t in ts])
-    nb, nbd = (np.asarray(-x, dtype=float).T for x in (b, bd))
-    b, bd = (np.asarray(x, dtype=float).T for x in (b, bd))
+    b = np.array([path.b(t) for t in ts], dtype=float).T
+    bd = np.array([path.b_dot(t) for t in ts], dtype=float).T
     r = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
     if np.any(r <= GAP_FLOOR):
         raise GapCollapse(f"|b| = {r[r <= GAP_FLOOR][0]:.3e} <= gap floor {GAP_FLOOR:.0e}")
     cg, ce = path.anchors()
     w_gg, w_ee, alpha, m = (np.empty(num) for _ in range(4))
     upper = b[2] >= 0.0
-    # np.where evaluates both _Py_c_quot branches; a zero anchor modulus is checked below
+    # a zero |q| is checked below
     with np.errstate(divide="ignore", invalid="ignore"):
         for up, k in ((True, upper), (False, ~upper)):
             if k.any():
-                w_gg[k], w_ee[k], alpha[k], m[k] = _branch_columns(
-                    up, r[k], b[:, k], nb[:, k], bd[:, k], nbd[:, k], cg, ce)
+                f = _fields(b[:, k], bd[:, k], path._A_traceless, r[k], up, cg, ce, np.sqrt, np.hypot)
+                w_gg[k], w_ee[k], alpha[k], m[k] = f[0], f[1], f[4], f[8]
     zero = np.flatnonzero(m == 0.0)
     if zero.size:
         raise _gauge_undefined(ts[zero[0]])

@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,28 @@ class TestSpectralDensity:
             q.tabulated([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             q.tabulated([1.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: q.flat(math.nan), "s0 must be nonnegative and finite"),
+        (lambda: q.flat(math.inf), "s0 must be nonnegative and finite"),
+        (lambda: q.ohmic_thermal(math.nan, 1.0), "eta must be nonnegative and finite"),
+        (lambda: q.ohmic_thermal(math.inf, 1.0), "eta must be nonnegative and finite"),
+        (lambda: q.ohmic_thermal(0.1, math.nan), "temperature must be positive"),
+        (lambda: q.ohmic_thermal(0.1, math.inf), "temperature must be finite"),
+        (lambda: q.ohmic_thermal(0.1, 1.0, math.nan), "cutoff must be positive"),
+        (lambda: q.zero_temperature_ohmic(math.nan), "eta must be nonnegative and finite"),
+        (lambda: q.zero_temperature_ohmic(0.1, cutoff=math.nan), "cutoff must be positive"),
+        (lambda: q.tabulated([0.0, math.nan], [1.0, 1.0]), "tabulated omegas and values must be finite"),
+        (lambda: q.tabulated([0.0, 1.0], [1.0, math.inf]), "tabulated omegas and values must be finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make()
+
+    def test_infinite_cutoff_is_no_cutoff(self):
+        # +inf is the default cutoff and stays valid
+        assert q.ohmic_thermal(0.1, 1.0, math.inf)(2.0) == q.ohmic_thermal(0.1, 1.0)(2.0)
+        assert q.zero_temperature_ohmic(0.1, cutoff=math.inf)(2.0) == pytest.approx(0.2)
 
 
 # a fresh bath of each model, so no test sees another's memo; the table spans

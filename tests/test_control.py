@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsteer as q
-from qsteer.control import GAP_FLOOR, _anchor, _eig_raw
+from qsteer.control import GAP_FLOOR
 
 from conftest import SX, SZ, cone_field, cone_states, hamiltonian, numdiff_w
 
@@ -18,12 +18,72 @@ def static_path(b, A=SX, duration=10.0):
     )
 
 
+# The eigenvector-and-anchor frame that the closed form replaced, kept as its
+# reference: explicit eigenvectors, each divided by its anchored component's phase,
+# and every matrix element a complex sandwich.
+
+def eig_raw(bx, by, bz):
+    """Eigenpair of (1/2) b.sigma with arbitrary phases: ((g0, g1), (e0, e1), E_g, E_e)."""
+    r = math.sqrt(bx * bx + by * by + bz * bz)
+    if r <= GAP_FLOOR:
+        raise q.GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    if bz >= 0.0:
+        n = math.sqrt(2 * r * (r + bz))
+        e = ((r + bz) / n, complex(bx, by) / n)
+        g = (complex(-bx, by) / n, (r + bz) / n)
+    else:
+        n = math.sqrt(2 * r * (r - bz))
+        e = (complex(bx, -by) / n, (r - bz) / n)
+        g = (-(r - bz) / n, complex(bx, by) / n)
+    return g, e, -r / 2, r / 2
+
+
+def reference_anchors(path):
+    """The dominant component of each eigenvector at the start; ties go to the second."""
+    g, e, _, _ = eig_raw(*path.b(path.params.get("t_start", 0.0)))
+    return (1 if abs(g[1]) >= abs(g[0]) else 0), (1 if abs(e[1]) >= abs(e[0]) else 0)
+
+
+def anchor(vec, c, t):
+    """vec with component c rotated to the positive real axis."""
+    m = abs(vec[c])
+    if m == 0.0:
+        raise q.GaugeUndefined(
+            f"an anchored eigenvector component vanishes at t = {t:g}: the path reached the "
+            "antipode of its start orientation, where the anchored gauge is undefined"
+        )
+    ph = vec[c] / m
+    return (vec[0] / ph, vec[1] / ph)
+
+
 def eig(path, t):
     """The path's anchored eigenpair at t: (ground, excited, E_g, E_e), vectors as arrays."""
-    cg, ce = path.anchors()
-    g, e, E_g, E_e = _eig_raw(*path.b(t))
-    g, e = _anchor(g, cg, t), _anchor(e, ce, t)
+    cg, ce = reference_anchors(path)
+    g, e, E_g, E_e = eig_raw(*path.b(t))
+    g, e = anchor(g, cg, t), anchor(e, ce, t)
     return np.array(g, dtype=complex), np.array(e, dtype=complex), E_g, E_e
+
+
+def reference_frame_at(path, t):
+    """frame_at from the anchored eigenvectors, every matrix element a complex sandwich."""
+    cg, ce = reference_anchors(path)
+    g, e, E_g, E_e = eig_raw(*path.b(t))
+    g, e = anchor(g, cg, t), anchor(e, ce, t)
+    omega01 = E_e - E_g
+    (g0, g1), (e0, e1) = g, e
+    gc0, gc1 = g0.conjugate(), g1.conjugate()
+    bdx, bdy, bdz = path.b_dot(t)
+    H00, H01, H11 = 0.5 * bdz, 0.5 * complex(bdx, -bdy), -0.5 * bdz
+    ge = gc0 * (H00 * e0 + H01 * e1) + gc1 * (H01.conjugate() * e0 + H11 * e1)
+    w_ge = -1j * ge / omega01
+    w_gg = -(-e[cg] * ge.conjugate() / omega01).imag / g[cg].real
+    w_ee = -(g[ce] * ge / omega01).imag / e[ce].real
+    A00, A01, A11 = path._A_traceless
+    A10 = A01.conjugate()
+    m1 = gc0 * (A00 * g0 + A01 * g1) + gc1 * (A10 * g0 + A11 * g1)
+    m2 = gc0 * (A00 * e0 + A01 * e1) + gc1 * (A10 * e0 + A11 * e1)
+    alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (w_ge.real ** 2 + w_ge.imag ** 2)) / omega01
+    return q.AdiabaticFrame(t, omega01, w_gg, w_ee, w_ge, m1.real, m2, alpha)
 
 
 def traceless_reference(A):
@@ -293,6 +353,95 @@ class TestFrameAt:
                 kind="custom", b=lambda t: (0.0, 0.0, 1.0), b_dot=None,
                 coupling_A=SX, duration=1.0,
             )
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: q.rotating_cone(1, 1, 0.1, [[math.nan, 1], [1, 0]]), "coupling_A must be finite"),
+        (lambda: q.rotating_cone(1, 1, 0.1, [[math.inf, 1], [1, 0]]), "coupling_A must be finite"),
+        (lambda: q.rotating_cone(1, 1, 0.1, [[0, complex(1, math.nan)], [1, 0]]),
+         "coupling_A must be finite"),
+        (lambda: q.linear_sweep(0.1, 1.0, 10.0, [[0, 1], [-math.inf, 0]]), "coupling_A must be finite"),
+        (lambda: q.rotating_cone(math.nan, 1, 0.1, SX), "Omega must be positive and finite"),
+        (lambda: q.rotating_cone(math.inf, 1, 0.1, SX), "Omega must be positive and finite"),
+        (lambda: q.rotating_cone(1, math.nan, 0.1, SX), "theta must be finite"),
+        (lambda: q.rotating_cone(1, 1, math.nan, SX), "omega must be nonzero and finite"),
+        (lambda: q.rotating_cone(1, 1, -math.inf, SX), "omega must be nonzero and finite"),
+        (lambda: q.linear_sweep(math.nan, 1.0, 10.0, SX), "slope must be finite"),
+        (lambda: q.linear_sweep(0.1, math.inf, 10.0, SX), "gap must be positive and finite"),
+        (lambda: q.linear_sweep(0.1, 1.0, math.nan, SX), "duration must be positive and finite"),
+        (lambda: q.sampled_path([0, 1, 2, math.nan], np.ones((4, 3)), SX),
+         "sampled path times and b_values must be finite"),
+        (lambda: q.sampled_path([0, 1, 2, 3], [[1, 0, 0]] * 3 + [[1, math.inf, 0]], SX),
+         "sampled path times and b_values must be finite"),
+    ])
+    def test_non_finite_inputs_rejected(self, make, message):
+        # a NaN Hermiticity residual passes no "> 1e-14" test, and NaN fields
+        # would give NaN frames and rates
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
+REFERENCE_COUPLINGS = [SX, SZ, [[0.3, 1.0], [1.0, -0.3]],
+                       [[0.2, complex(0.5, -0.7)], [complex(0.5, 0.7), -0.4]]]
+
+
+def tie_then_down(A):
+    """Starts at b_z = -0.0 (the upper branch, p == |q|: both anchors on component 1),
+    then precesses on the lower branch."""
+    return q.ControlPath(
+        kind="custom", b=lambda t: (math.cos(0.3 * t), math.sin(0.3 * t), -0.05 * t),
+        b_dot=lambda t: (-0.3 * math.sin(0.3 * t), 0.3 * math.cos(0.3 * t), -0.05),
+        coupling_A=A, duration=20.0,
+    )
+
+
+def sampled_wave(A):
+    ts = np.linspace(0.0, 20.0, 30)
+    bs = np.stack([np.cos(ts), np.sin(ts), 0.5 * np.cos(0.3 * ts)], axis=1)
+    return q.sampled_path(ts, bs, A)
+
+
+REFERENCE_PATHS = {
+    **{f"cone-{k}pi/4": (lambda A, k=k: q.rotating_cone(1.0, k * math.pi / 4, 0.1, A))
+       for k in range(5)},
+    "sweep-up": lambda A: q.linear_sweep(0.05, 1.0, 100.0, A),
+    "sweep-down": lambda A: q.linear_sweep(-0.05, 1.0, 100.0, A),
+    "tie-then-down": tie_then_down,
+    "sampled": sampled_wave,
+    "integer-b_dot": lambda A: q.ControlPath(
+        kind="custom", b=lambda t: (0.3, 0.1 * t, 0.9 - 0.2 * t), b_dot=lambda t: (0, 1, 0),
+        coupling_A=A, duration=10.0),
+}
+
+
+class TestClosedFormAgainstReference:
+    """frame_at's closed form equals the eigenvector-and-anchor frame to rounding."""
+
+    @pytest.mark.parametrize("A", REFERENCE_COUPLINGS, ids=["sx", "sz", "real", "complex"])
+    def test_every_field_within_1e_15(self, A):
+        seen = set()
+        for name, make in REFERENCE_PATHS.items():
+            path = make(A)
+            assert path.anchors() == reference_anchors(path), name
+            t_start = path.params.get("t_start", 0.0)
+            for i in range(201):
+                t = t_start + path.duration * i / 200
+                got, want = q.frame_at(path, t), reference_frame_at(path, t)
+                assert got.t == want.t and got.omega01 == want.omega01, (name, t)
+                for field, x in zip(got._fields[2:], zip(got[2:], want[2:])):
+                    assert abs(x[0] - x[1]) <= 1e-15 * max(1.0, abs(x[1])), (name, t, field, x)
+                seen.add((path.b(t)[2] >= 0.0, path.anchors()))
+        # each branch with each anchor pair that a start can give: both anchors
+        # on p, both on q, and the b_z = 0 tie
+        assert seen == {(up, pair) for up in (True, False) for pair in ((1, 0), (0, 1), (1, 1))}
+
+    def test_antipode_message_is_the_reference_message(self):
+        path = antipode_path()
+        with pytest.raises(q.GaugeUndefined) as want:
+            reference_frame_at(path, 1.0)
+        with pytest.raises(q.GaugeUndefined) as got:
+            q.frame_at(path, 1.0)
+        assert str(got.value) == str(want.value)
+        assert "t = 1:" in str(got.value)
 
 
 class TestSampleHistory:
