@@ -46,7 +46,7 @@ from .dynamics import (
     rhs_nonsteered,
     rhs_secular,
 )
-from .errors import ParseError, QSteerError, ValidationError
+from .errors import OutOfRange, ParseError, QSteerError, ValidationError
 from .gauge import berry_phase
 
 # Not called here; perfbench's tracer and its self-tests patch this name.
@@ -477,6 +477,38 @@ def build_bath(cfg: dict) -> SpectralDensity:
     return _construct("bath", _BATHS, "model", cfg)
 
 
+def _largest_gap(scenario: Scenario) -> Optional[float]:
+    """The largest gap |b| of the path over the solver window; None for a sampled path."""
+    path, solver = scenario.path, scenario.solver
+    if path["kind"] == "rotating_cone":
+        return path["field_energy"]
+    if path["kind"] == "linear_sweep":
+        mid = path["duration_time"] / 2
+        far = max(abs(solver.t0 - mid), abs(solver.t1 - mid))
+        return math.hypot(path["gap_energy"], path["slope_energy_per_time"] * far)
+    return None
+
+
+def _check_spectrum_range(scenario: Scenario) -> None:
+    """Raise OutOfRange, naming bath.csv_file, if a tabulated spectrum misses [-w, w].
+
+    w is the largest gap of a cone or sweep (rates sample S at +-omega01 and
+    0). A sampled path's gaps and the spectral shift's corrected gap are not
+    known ahead; for them the spectrum's own OutOfRange fails the run mid-way.
+    """
+    if scenario.bath["model"] != "tabulated" or scenario.mode == "berry":
+        return
+    w = _largest_gap(scenario)
+    if w is None:
+        return
+    lo, hi = (build_bath(scenario.bath).params[k] for k in ("omega_min", "omega_max"))
+    if lo > -w or hi < w:
+        raise OutOfRange(
+            f"bath.csv_file {scenario.bath['csv_file']}: tabulated range [{lo:g}, {hi:g}] "
+            f"does not cover [{-w:g}, {w:g}], the path's gap range"
+        )
+
+
 # Each mode's summary table: its file (None for none) and columns, one row per member
 _SUMMARIES = {
     "simulate": (None, ""),
@@ -601,6 +633,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     # fork starts every worker at once, so never more than the work or the CPUs
     workers = min(jobs, len(members), os.cpu_count() or 1)
     try:
+        _check_spectrum_range(scenario)
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             results = (pool.map if pool else map)(_run_member, [(m, run_dir) for m in members])
             for (_, _, name, _), (row, maxima, w, wall, phase) in zip(members, results):

@@ -616,6 +616,54 @@ class TestMain:
         meta = json.loads((next((tmp_path / "runs").iterdir()) / "metadata.json").read_text())
         assert meta["status"].startswith(f"failed: {section}.csv_file")
 
+    @pytest.mark.parametrize("command, run_section, path, need", [
+        ("simulate", "", None, "[-1, 1]"),
+        ("compare", "", None, "[-1, 1]"),
+        ("sweep", "run:\n  sweep_periods_time: [10, 20]\n", None, "[-1, 1]"),
+        ("simulate", "", "kind: linear_sweep\n  slope_energy_per_time: 0.5\n  gap_energy: 0.5\n"
+         "  duration_time: 10.0", "[-2.54951, 2.54951]"),
+    ], ids=["cone", "compare", "sweep-mode", "linear-sweep"])
+    def test_spectrum_range_checked_before_any_member(self, tmp_path, capsys, command,
+                                                       run_section, path, need):
+        # the grid covers [-2.5, 2.5] or only positive omega, but the gaps reach
+        # 1 (the cone's field_energy) or sqrt(0.5^2 + (0.5 * 5)^2) (the sweep's ends)
+        data = tmp_path / "spectrum.csv"
+        data.write_text("omega,S\n0,0.1\n3,0.2\n" if path is None else "-2.5,0.1\n2.5,0.1\n")
+        text = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
+        if path is not None:
+            text = text.replace("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+                                "  drive_omega_rad_per_time: 0.2", path)
+        fn = self.write_config(tmp_path, text + run_section)
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed: bath.csv_file {data}: tabulated range") and need in err
+        run_dir = next((tmp_path / "runs").iterdir())
+        assert not list(run_dir.glob("*.csv"))  # no member started
+        meta = json.loads((run_dir / "metadata.json").read_text())
+        assert meta["status"].startswith("failed: bath.csv_file")
+
+    def test_spectrum_range_backstop_for_sampled_paths(self, tmp_path, capsys):
+        # a sampled path's gaps are not known ahead: a grid that covers the sweep
+        # passes the check, and the sampled path fails mid-run on its own OutOfRange
+        data = tmp_path / "spectrum.csv"
+        data.write_text("-2.6,0.1\n2.6,0.1\n")
+        sweep = MINIMAL_CONE.replace(
+            "kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+            "  drive_omega_rad_per_time: 0.2",
+            "kind: linear_sweep\n  slope_energy_per_time: 0.5\n  gap_energy: 0.5\n  duration_time: 10.0",
+        ).replace("model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
+        assert main(["simulate", "--config", str(self.write_config(tmp_path, sweep)),
+                     "--out", str(tmp_path / "runs")]) == 0
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text("t,bx,by,bz\n0,2,0,2\n1,2,0.1,2\n2,2,0.2,2\n3,2,0.3,2\n")
+        sampled = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {path_csv}")
+        sampled = sampled.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 3.0").replace(
+            "model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(self.write_config(tmp_path, sampled)),
+                     "--out", str(tmp_path / "runs")]) == 2
+        assert "outside tabulated range [-2.6, 2.6]" in capsys.readouterr().err
+
     def test_path_through_antipode_exit_2(self, tmp_path, capsys):
         # from +z through the xz plane to exactly -z at the last knot, where the
         # excited state's anchored component is 0
