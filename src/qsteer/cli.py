@@ -477,30 +477,24 @@ def build_bath(cfg: dict) -> SpectralDensity:
     return _construct("bath", _BATHS, "model", cfg)
 
 
-def _largest_gap(scenario: Scenario) -> Optional[float]:
-    """The largest gap |b| of the path over the solver window; None for a sampled path."""
-    path, solver = scenario.path, scenario.solver
-    if path["kind"] == "rotating_cone":
-        return path["field_energy"]
-    if path["kind"] == "linear_sweep":
-        mid = path["duration_time"] / 2
-        far = max(abs(solver.t0 - mid), abs(solver.t1 - mid))
-        return math.hypot(path["gap_energy"], path["slope_energy_per_time"] * far)
-    return None
-
-
 def _check_spectrum_range(scenario: Scenario) -> None:
     """Raise OutOfRange, naming bath.csv_file, if a tabulated spectrum misses [-w, w].
 
-    w is the largest gap of a cone or sweep (rates sample S at +-omega01 and
-    0). A sampled path's gaps and the spectral shift's corrected gap are not
-    known ahead; for them the spectrum's own OutOfRange fails the run mid-way.
+    Rates sample S at +-omega01 and 0, and w is the path's largest gap: a
+    cone's field_energy, or a linear sweep's gap at the solver window end
+    farthest from mid-path. A sampled path's gaps and the spectral shift's
+    corrected gap are not known ahead; for them the spectrum's own
+    OutOfRange fails the run mid-way. A Berry loop uses no spectrum.
     """
-    if scenario.bath["model"] != "tabulated" or scenario.mode == "berry":
+    path, solver = scenario.path, scenario.solver
+    if scenario.bath["model"] != "tabulated" or scenario.mode == "berry" or path["kind"] == "sampled":
         return
-    w = _largest_gap(scenario)
-    if w is None:
-        return
+    if path["kind"] == "rotating_cone":
+        w = path["field_energy"]
+    else:
+        mid = path["duration_time"] / 2
+        far = max(abs(solver.t0 - mid), abs(solver.t1 - mid))
+        w = math.hypot(path["gap_energy"], path["slope_energy_per_time"] * far)
     lo, hi = (build_bath(scenario.bath).params[k] for k in ("omega_min", "omega_max"))
     if lo > -w or hi < w:
         raise OutOfRange(

@@ -390,17 +390,17 @@ def integrate(
     generators). The stepper carries the state as that same pair, a float
     and a complex, and keeps each stage's returned pair as its slope; the
     "rk45_adaptive" error norm is the RMS of the scaled errors of rho_gg,
-    Re rho_ge and Im rho_ge, in that order. The provider is called once per distinct stage time: a
-    stage whose tableau node equals the previous stage's reuses that stage's
-    frame, and every ``rhs`` call gets its stage's frame. "rk45_adaptive"
-    evaluates six stages per attempted step: the first stage of a step is
-    the last stage of the previous accepted one, and its frame is also the
-    one recorded there. The last two stages share t + dt, so an attempt
-    makes 6 RHS calls and 5 frame evaluations (6 * attempts + 1 and
-    5 * attempts + 1 in all). "rk4_fixed" evaluates each step's first stage
-    at the end of the previous step and records that stage's frame; its two
-    middle stages share t + dt/2, so it makes 4 * steps + 1 RHS calls and
-    3 * steps + 1 frame evaluations.
+    Re rho_ge and Im rho_ge, in that order. The provider is called once per
+    distinct stage time: a stage whose tableau node equals the previous
+    stage's reuses that stage's frame, and every ``rhs`` call gets its
+    stage's frame. "rk45_adaptive" evaluates six stages per attempted step:
+    the first stage of a step is the last stage of the previous accepted
+    one, and its frame is also the one recorded there. The last two stages
+    share t + dt, so an attempt makes 6 RHS calls and 5 frame evaluations
+    (6 * attempts + 1 and 5 * attempts + 1 in all). "rk4_fixed" evaluates
+    each step's first stage at the end of the previous step and records
+    that stage's frame; its two middle stages share t + dt/2, so it makes
+    4 * steps + 1 RHS calls and 3 * steps + 1 frame evaluations.
     Purity is checked at t0 and at every accepted step, independent of
     ``record_stride``, against 1 + 1e-6; the worst excess is reported on the
     trajectory (with a warning), never corrected. The trajectory's
