@@ -210,8 +210,6 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         raise ValueError("sampled path times must be strictly increasing")
     if b_values.shape != (times.size, 3):
         raise ValueError("b_values must have shape (n_times, 3)")
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(b_values))):
-        raise ValueError("sampled path times and b_values must be finite")
     spline = CubicSpline(times, b_values, axis=0)
     dspline = spline.derivative()
     t0 = float(times[0])
