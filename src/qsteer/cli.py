@@ -495,6 +495,9 @@ def _check_spectrum_range(scenario: Scenario) -> None:
         mid = path["duration_time"] / 2
         far = max(abs(solver.t0 - mid), abs(solver.t1 - mid))
         w = math.hypot(path["gap_energy"], path["slope_energy_per_time"] * far)
+    # the frames' |b| can exceed the bound by an ulp (a cone's gap reads 1 + 2.2e-16 at
+    # field_energy 1), so a grid that ends exactly at the bound is not enough
+    w *= 1.0 + 4.0 * sys.float_info.epsilon
     lo, hi = (build_bath(scenario.bath).params[k] for k in ("omega_min", "omega_max"))
     if lo > -w or hi < w:
         raise OutOfRange(

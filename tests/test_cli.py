@@ -616,19 +616,20 @@ class TestMain:
         meta = json.loads((next((tmp_path / "runs").iterdir()) / "metadata.json").read_text())
         assert meta["status"].startswith(f"failed: {section}.csv_file")
 
-    @pytest.mark.parametrize("command, run_section, path, need", [
-        ("simulate", "", None, "[-1, 1]"),
-        ("compare", "", None, "[-1, 1]"),
-        ("sweep", "run:\n  sweep_periods_time: [10, 20]\n", None, "[-1, 1]"),
+    @pytest.mark.parametrize("command, run_section, path, grid, need", [
+        ("simulate", "", None, "omega,S\n0,0.1\n3,0.2\n", "[-1, 1]"),
+        # a cone's gap can read field_energy + 1 ulp, so a grid ending there is short
+        ("simulate", "", None, "-1,0.1\n1,0.1\n", "[-1, 1]"),
+        ("compare", "", None, "omega,S\n0,0.1\n3,0.2\n", "[-1, 1]"),
+        ("sweep", "run:\n  sweep_periods_time: [10, 20]\n", None, "omega,S\n0,0.1\n3,0.2\n", "[-1, 1]"),
+        # the sweep's gap reaches sqrt(0.5^2 + (0.5 * 5)^2) at the window's ends
         ("simulate", "", "kind: linear_sweep\n  slope_energy_per_time: 0.5\n  gap_energy: 0.5\n"
-         "  duration_time: 10.0", "[-2.54951, 2.54951]"),
-    ], ids=["cone", "compare", "sweep-mode", "linear-sweep"])
+         "  duration_time: 10.0", "-2.5,0.1\n2.5,0.1\n", "[-2.54951, 2.54951]"),
+    ], ids=["cone", "cone-at-bound", "compare", "sweep-mode", "linear-sweep"])
     def test_spectrum_range_checked_before_any_member(self, tmp_path, capsys, command,
-                                                       run_section, path, need):
-        # the grid covers [-2.5, 2.5] or only positive omega, but the gaps reach
-        # 1 (the cone's field_energy) or sqrt(0.5^2 + (0.5 * 5)^2) (the sweep's ends)
+                                                       run_section, path, grid, need):
         data = tmp_path / "spectrum.csv"
-        data.write_text("omega,S\n0,0.1\n3,0.2\n" if path is None else "-2.5,0.1\n2.5,0.1\n")
+        data.write_text(grid)
         text = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
         if path is not None:
             text = text.replace("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
