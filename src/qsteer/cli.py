@@ -73,7 +73,6 @@ class Scenario:
     solver: SolverConfig
     mode: str
     optimal_phase: bool
-    spectral_shift: bool
     sweep_periods: tuple = ()
     berry_thetas: tuple = ()
     history_samples: int = 4097
@@ -93,7 +92,6 @@ class Scenario:
             "run": {
                 "mode": self.mode,
                 "optimal_phase": self.optimal_phase,
-                "spectral_shift": self.spectral_shift,
                 "sweep_periods_time": list(self.sweep_periods),
                 "berry_theta_grid_rad": list(self.berry_thetas),
                 "history_samples": self.history_samples,
@@ -410,7 +408,9 @@ def load_scenario(text: str) -> Scenario:
     if mode not in ("simulate", "sweep", "compare", "berry"):
         problems.append("run.mode: must be simulate, sweep, compare or berry")
     optimal_phase = _flag(run, "optimal_phase", problems)
-    spectral_shift = _flag(run, "spectral_shift", problems)
+    # a deleted option: scenarios that spell out false still load
+    if _flag(run, "spectral_shift", problems):
+        problems.append("run.spectral_shift: no longer supported; omit it or set it to false")
     history_samples = run.get("history_samples", 4097)
     if (isinstance(history_samples, bool) or not isinstance(history_samples, int)
             or not 3 <= history_samples <= _MAX_HISTORY_SAMPLES):
@@ -454,7 +454,6 @@ def load_scenario(text: str) -> Scenario:
         solver=solver,
         mode=mode,
         optimal_phase=optimal_phase,
-        spectral_shift=spectral_shift,
         sweep_periods=sweep_periods,
         berry_thetas=berry_thetas,
         history_samples=history_samples,
@@ -482,9 +481,9 @@ def _check_spectrum_range(scenario: Scenario) -> None:
 
     Rates sample S at +-omega01 and 0, and w is the path's largest gap: a
     cone's field_energy, or a linear sweep's gap at the solver window end
-    farthest from mid-path. A sampled path's gaps and the spectral shift's
-    corrected gap are not known ahead; for them the spectrum's own
-    OutOfRange fails the run mid-way. A Berry loop uses no spectrum.
+    farthest from mid-path. A sampled path's gaps are not known ahead; for
+    them the spectrum's own OutOfRange fails the run mid-way. A Berry loop
+    uses no spectrum.
     """
     path, solver = scenario.path, scenario.solver
     if scenario.bath["model"] != "tabulated" or scenario.mode == "berry" or path["kind"] == "sampled":
@@ -569,10 +568,8 @@ def _run_member(task):
         traj = integrate(lambda t, s, f: rhs_secular(s, rates(f.m1, f.m2, f.omega01, sd), f.omega01),
                          initial, sc.solver, frame_provider=lambda t: frame_at(path, t))
     else:
-        # The optimal-phase run is the plain run seen in the rotated basis; the
-        # spectral shift vanishes there, and rhs_full is covariant without it.
-        shift = sc.spectral_shift and not sc.optimal_phase
-        traj = integrate(lambda t, s, f: rhs_full(s, f, sd, shift), initial,
+        # the optimal-phase run is the plain run seen in the rotated basis
+        traj = integrate(lambda t, s, f: rhs_full(s, f, sd), initial,
                          sc.solver, frame_provider=lambda t: frame_at(path, t),
                          track_phases=sc.optimal_phase)
     solved = time.monotonic()

@@ -90,23 +90,18 @@ def rhs_secular(state: DensityState, r: RateSet, omega01: float):
     return dgg, dge
 
 
-def rhs_full(state: DensityState, frame, sd: SpectralDensity, spectral_shift: bool = False):
+def rhs_full(state: DensityState, frame, sd: SpectralDensity):
     """Complete linear-order generator for a steered frame, term for term.
 
     At w = 0 this reduces exactly to :func:`rhs_nonsteered` with the frame's
-    rates. With ``spectral_shift`` the spectrum is sampled at the
-    gauge-corrected gap (caller owns the gauge choice; inert for flat
-    spectra and in the optimally phase-shifted basis). Each repeated
+    rates. The spectrum is sampled at the adiabatic gap. Each repeated
     subexpression is computed once; the float operations are the written
     terms', in their order.
     """
     w01 = frame.omega01
     if w01 <= GAP_FLOOR:
         raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    if spectral_shift:
-        s_plus, s_minus, s_zero = sd.at_gap(w01 + (frame.w_ee - frame.w_gg))
-    else:
-        s_plus, s_minus, s_zero = sd.at_gap(w01)
+    s_plus, s_minus, s_zero = sd.at_gap(w01)
     m1 = frame.m1
     m2 = complex(frame.m2)
     wge = complex(frame.w_ge)
@@ -407,6 +402,9 @@ def integrate(
     ``max_excited_population`` and ``max_alpha`` range over the same points,
     alpha in the basis the samples are reported in.
     ``Trajectory.work`` reports the steps, evaluations and step sizes used.
+    A NaN "rk45_adaptive" error estimate raises NonFiniteState (an infinite
+    one is a rejection), and a step too small to advance t raises
+    StepRejectionLimit.
 
     With ``track_phases`` the samples are reported in the optimally phase
     shifted basis. The stepper accumulates lambda_g, lambda_e (from 0 at t0,
@@ -416,7 +414,7 @@ def integrate(
     record point rho_ge is rotated by e^{i(lambda_e - lambda_g)} and the
     frame re-expressed in that basis, where its w diagonals vanish. This is
     the optimal-phase run only for generators covariant under the basis
-    phase (``rhs_full`` without ``spectral_shift``).
+    phase, as ``rhs_full`` is.
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
@@ -500,6 +498,8 @@ def integrate(
         accepted = 0
         while t < t_end:
             dt = min(dt, cfg.t1 - t)
+            if t + dt == t:
+                raise StepRejectionLimit(f"step {dt:g} does not advance t = {t:g}")
             for s, c, terms, same_t in _DP_STAGES:
                 ts = t + c * dt
                 g_new, ge_new = _axpy(g, ge, ks, terms, dt)
@@ -530,6 +530,8 @@ def integrate(
                 p = monitor(t, g, ge, frames[0], lam)
                 if accepted % cfg.record_stride == 0 or t >= t_end:
                     record(t, g, ge, p, frames[0], lam)
+            elif math.isnan(norm):
+                raise NonFiniteState(f"non-finite error estimate at t = {t:g}")
             else:
                 rejected += 1
                 rejections += 1

@@ -38,7 +38,7 @@ class NonFiniteState(QSteerError):
 
 
 class StepRejectionLimit(QSteerError):
-    """Adaptive integrator exceeded the consecutive step-rejection limit."""
+    """Adaptive steps were rejected too often in a row, or shrank until t + dt == t."""
 
 
 class ParseError(QSteerError):

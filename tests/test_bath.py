@@ -330,23 +330,3 @@ class TestSuperadiabaticElements:
         with pytest.raises(q.GapCollapse):
             q.superadiabatic_elements(0.0, 1.0, 0.01, 0.0)
 
-
-class TestShiftedRates:
-    """rhs_full(spectral_shift=True) samples the spectrum at omega01 + w_ee - w_gg."""
-
-    def test_zero_shift_identical(self):
-        sd = q.ohmic_thermal(1.0, 1.0, 20.0)
-        f = q.AdiabaticFrame(0.0, 1.0, 0.02, 0.02, 0.01 + 0.02j, 0.3, 0.7j, 0.1)
-        s = q.DensityState(0.8, 0.1 - 0.05j)
-        assert q.rhs_full(s, f, sd, spectral_shift=True) == q.rhs_full(s, f, sd)
-
-    def test_ohmic_shift_hits_moved_frequency(self):
-        sd = q.ohmic_thermal(1.0, 1.0)
-        f = q.AdiabaticFrame(0.0, 1.0, -0.05, 0.05, 0j, 0.0, 1.0, 0.1)
-        # with m1 = 0, m2 = 1, w_ge = 0: dgg = S(+w) (1 - rho_gg) - S(-w) rho_gg
-        decay, _ = q.rhs_full(q.DensityState(0.0, 0j), f, sd, spectral_shift=True)
-        excite, _ = q.rhs_full(q.DensityState(1.0, 0j), f, sd, spectral_shift=True)
-        # independent evaluation of the model at the shifted argument
-        expected = 1.1 / (1.0 - math.exp(-1.1))
-        assert decay == pytest.approx(expected, rel=1e-12)
-        assert -excite == pytest.approx(math.exp(-1.1) * expected, rel=1e-12)

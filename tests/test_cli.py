@@ -185,7 +185,7 @@ solver:
         joined = "\n".join(exc.value.problems)
         assert "run.optimal_phase" in joined and "run.spectral_shift" in joined
         sc = load_scenario(MINIMAL_CONE + "run:\n  optimal_phase: true\n  spectral_shift: false\n")
-        assert sc.optimal_phase is True and sc.spectral_shift is False
+        assert sc.optimal_phase is True
 
 
 class TestRun:
@@ -381,14 +381,10 @@ class TestRun:
             sc = load_scenario(base + run_block)
             art = run(sc, out_dir=tmp_path / name)
             text = (art.run_dir / "trajectory.csv").read_text()
-            return sc, text, [line.split(",") for line in text.splitlines()[1:]]
+            return sc, [line.split(",") for line in text.splitlines()[1:]]
 
-        _, _, plain = trajectory("plain", "run:\n  optimal_phase: false\n")
-        sc, opt_text, opt = trajectory("opt", "run:\n  optimal_phase: true\n")
-        _, shifted_text, _ = trajectory(
-            "opt_shift", "run:\n  optimal_phase: true\n  spectral_shift: true\n"
-        )
-        assert shifted_text == opt_text
+        _, plain = trajectory("plain", "run:\n  optimal_phase: false\n")
+        sc, opt = trajectory("opt", "run:\n  optimal_phase: true\n")
 
         assert [r[:2] for r in opt] == [r[:2] for r in plain]  # t, rho_gg byte-identical
         path = build_path(sc.path, sc.coupling)
@@ -459,6 +455,20 @@ class TestMain:
         assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
         out = capsys.readouterr().out.strip()
         assert (tmp_path / "runs") in [p.parent for p in [__import__("pathlib").Path(out)]]
+
+    @pytest.mark.parametrize("value, code", [("true", 1), ("false", 0), (None, 0)],
+                             ids=["true", "false", "absent"])
+    def test_spectral_shift_runs_only_when_false(self, tmp_path, capsys, value, code):
+        # the option is deleted; false is still accepted and never echoed
+        text = MINIMAL_CONE + (f"run:\n  spectral_shift: {value}\n" if value else "")
+        fn = self.write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "run.spectral_shift: no longer supported" in err
+        else:
+            meta = json.loads((Path(out.strip()) / "metadata.json").read_text())
+            assert "spectral_shift" not in meta["scenario"]["run"]
 
     def test_sampled_path_without_duration_exit_1(self, tmp_path, capsys):
         fn = self.write_config(tmp_path, SAMPLED_WITHOUT_DURATION)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -8,7 +9,8 @@ from scipy.linalg import expm
 import qsteer as q
 from qsteer.dynamics import TOL_POSITIVITY, integrate
 
-from conftest import SX, random_frame, random_state, steady_state_oracle
+from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
+from test_control import eig, static_path
 
 
 def spectra_stub(s_plus, s_minus, s_zero, omega01):
@@ -86,18 +88,14 @@ class TestRhsSecular:
         assert dge == 0j  # no coherence, no source: tildes dropped
 
 
-def rhs_full_written_out(state, frame, sd, spectral_shift=False):
+def rhs_full_written_out(state, frame, sd):
     """The generator as the paper's terms are written, one sample per S call.
 
     A term-for-term reference for :func:`qsteer.rhs_full`, which computes the
     repeated subexpressions once and must give the same floats.
     """
     w01 = frame.omega01
-    if spectral_shift:
-        shifted = frame.omega01 + (frame.w_ee - frame.w_gg)
-        s_plus, s_minus, s_zero = sd(shifted), sd(-shifted), sd(0.0)
-    else:
-        s_plus, s_minus, s_zero = sd(frame.omega01), sd(-frame.omega01), sd(0.0)
+    s_plus, s_minus, s_zero = sd(frame.omega01), sd(-frame.omega01), sd(0.0)
     m1 = frame.m1
     m2 = complex(frame.m2)
     wge = complex(frame.w_ge)
@@ -145,7 +143,7 @@ def bits(d):
     return dgg.hex(), dge.real.hex(), dge.imag.hex()
 
 
-# one bath per model; the table covers every gap random_frame gives, shifted or not
+# one bath per model; the table covers every gap random_frame gives
 BATHS = [
     q.flat(0.3),
     q.ohmic_thermal(0.1, 0.5, 20.0),
@@ -167,30 +165,19 @@ class TestRhsFull:
             worst = max(worst, abs(d_full[0] - d_ref[0]), abs(d_full[1] - d_ref[1]))
         assert worst < 1e-14
 
-    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("with_w", [False, True])
     @pytest.mark.parametrize("sd", BATHS, ids=lambda sd: sd.model)
-    def test_equals_the_written_out_terms(self, rng, sd, shift):
+    def test_equals_the_written_out_terms(self, rng, sd, with_w):
         for i in range(400):
-            f = random_frame(rng, with_w=i % 4 != 0)
+            f = random_frame(rng, with_w=with_w)
             s = random_state(rng) if i % 5 else q.DensityState(rng.uniform(0.0, 1.0), 0j)
-            assert bits(q.rhs_full(s, f, sd, shift)) == bits(rhs_full_written_out(s, f, sd, shift))
+            assert bits(q.rhs_full(s, f, sd)) == bits(rhs_full_written_out(s, f, sd))
 
     def test_unitary_part_only(self):
         f = q.AdiabaticFrame(0.0, 1.0, 0.0, 0.0, 0.05j, 0.0, 1.0, 0.0)
         dgg, dge = q.rhs_full(q.DensityState(1.0, 0j), f, q.flat(0.0))
         assert dgg == 0.0
         assert dge == pytest.approx(-0.05)
-
-    def test_spectral_shift_option(self):
-        f = q.AdiabaticFrame(0.0, 1.0, -0.05, 0.05, 0.02j, 0.0, 1.0, 0.1)
-        sd = q.ohmic_thermal(1.0, 1.0)
-        d_plain = q.rhs_full(q.DensityState(0.8, 0.1j), f, sd)
-        d_shift = q.rhs_full(q.DensityState(0.8, 0.1j), f, sd, spectral_shift=True)
-        assert d_plain != d_shift
-        # flat spectrum: shift is inert
-        d1 = q.rhs_full(q.DensityState(0.8, 0.1j), f, q.flat(0.7))
-        d2 = q.rhs_full(q.DensityState(0.8, 0.1j), f, q.flat(0.7), spectral_shift=True)
-        assert d1 == d2
 
     def test_gap_collapse(self):
         f = q.AdiabaticFrame(0.0, 0.0, 0.0, 0.0, 0j, 0.0, 1.0, 0.0)
@@ -318,11 +305,35 @@ class TestIntegrate:
             )
 
     def test_step_rejection_limit(self):
+        # slopes alternate between +-1e300 from call to call: every error norm
+        # is finite and far above 1, so every attempt is an ordinary rejection
+        calls = itertools.count()
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0)
-        with pytest.raises(q.StepRejectionLimit):
+        with pytest.raises(q.StepRejectionLimit, match="61 consecutive rejections at t = 0$"):
             integrate(
-                lambda t, s, f: (math.inf, 0j), q.DensityState(1.0, 0j), cfg
+                lambda t, s, f: (1e300 if next(calls) % 2 else -1e300, 0j),
+                q.DensityState(1.0, 0j), cfg,
             )
+
+    def test_nan_error_estimate_is_non_finite(self):
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
+        with pytest.raises(q.NonFiniteState, match="error estimate at t = "):
+            integrate(
+                lambda t, s, f: (0.0, complex(math.nan, 0.0) if t > 1.0 else 0j),
+                q.DensityState(1.0, 0j), cfg,
+            )
+
+    def test_step_below_float_spacing_raises(self):
+        # the jump at t = 0.5 is rejected until the step no longer moves t
+        calls = itertools.count()
+
+        def rhs(t, s, f):
+            assert next(calls) < 10_000, "the stepper stalled"
+            return 0.0, (1e200j if t > 0.5 else 0j)
+
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
+        with pytest.raises(q.StepRejectionLimit, match="does not advance t = 0.5$"):
+            integrate(rhs, q.DensityState(1.0, 0j), cfg)
 
     def test_positivity_monitor_warns_but_never_clamps(self):
         # an artificial generator that inflates purity past the threshold
@@ -503,3 +514,64 @@ class TestTrajectoryCsv:
         row = lines[2].split(",")
         assert len(row) == 9
         assert float(row[1]) == traj.samples[1].state.rho_gg  # 17 digits round-trip
+
+
+def exact_cone_rho_gg(theta, omega, sd):
+    """Ground population after one loop of a sigma_z-coupled cone, from its static rotating frame.
+
+    U(t) = exp(-i omega t sigma_z / 2) takes H(t) to H_r = (1/2)(b(0) - omega z).sigma
+    and leaves sigma_z unchanged, so system and bath are static there and the
+    non-steered equation for H_r makes no adiabatic error. Its generator is
+    affine and constant: one 4x4 exponential. After one loop U = -1, so the
+    lab state is rho_r, read out in the start ground state g(0).
+    """
+    cone = q.rotating_cone(1.0, theta, omega, SZ)
+    bx, by, bz = cone.b(0.0)
+    static = static_path((bx, by, bz - omega), A=SZ)
+    f = q.frame_at(static, 0.0)
+    g, e, _, _ = eig(static, 0.0)
+    # rho_r is rebuilt in the anchored eigenbasis, the one frame_at's elements are taken in
+    assert abs(g.conj() @ SZ @ g - f.m1) < 1e-15 and abs(g.conj() @ SZ @ e - f.m2) < 1e-15
+    r = q.rates(f.m1, f.m2, f.omega01, sd)
+
+    def slope(gg, ge):
+        dgg, dge = q.rhs_nonsteered(q.DensityState(gg, ge), r, f.omega01)
+        return np.array([dgg, dge.real, dge.imag])
+
+    G = np.zeros((4, 4))
+    G[:3, 3] = slope(0.0, 0j)
+    for j, y in enumerate(((1.0, 0j), (0.0, 1 + 0j), (0.0, 1j))):
+        G[:3, j] = slope(*y) - G[:3, 3]
+    g0 = eig(cone, 0.0)[0]
+    a, b = g.conj() @ g0, g0.conj() @ e  # rho_r(0) = |g0><g0| in H_r's eigenbasis
+    gg, re_ge, im_ge, _ = expm(cone.duration * G) @ [abs(a) ** 2, (a * b).real, (a * b).imag, 1.0]
+    ge = complex(re_ge, im_ge)
+    rho = (gg * np.outer(g, g.conj()) + (1.0 - gg) * np.outer(e, e.conj())
+           + ge * np.outer(g, e.conj()) + ge.conjugate() * np.outer(e, g.conj()))
+    return (g0.conj() @ rho @ g0).real
+
+
+def full_cone_rho_gg(theta, omega, sd):
+    """The same loop by rhs_full in the adiabatic frame, from the ground state, at rtol 1e-12."""
+    cone = q.rotating_cone(1.0, theta, omega, SZ)
+    cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=cone.duration, rtol=1e-12, atol=1e-15)
+    traj = integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+                     frame_provider=lambda t: q.frame_at(cone, t))
+    return traj.final.state.rho_gg
+
+
+class TestExactSigmaZCone:
+    """rhs_full against the exact rotating-frame reference for cones with A = sigma_z."""
+
+    @pytest.mark.parametrize("sd", [q.flat(0.0), q.flat(0.05)], ids=["unitary", "flat"])
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 3, 2.0], ids=["0.3", "pi/3", "2.0"])
+    def test_exact_in_the_unitary_and_flat_limits(self, theta, sd):
+        # no spectrum dependence on the gap, so rhs_full is exact at any drive rate
+        assert abs(full_cone_rho_gg(theta, 0.2, sd) - exact_cone_rho_gg(theta, 0.2, sd)) < 1e-10
+
+    def test_ohmic_error_is_second_order_in_omega(self):
+        sd = q.zero_temperature_ohmic(0.05, 20.0)
+        errors = [abs(full_cone_rho_gg(math.pi / 3, w, sd) - exact_cone_rho_gg(math.pi / 3, w, sd))
+                  for w in (0.08, 0.04, 0.02)]
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert min(orders) >= 1.8, (errors, orders)

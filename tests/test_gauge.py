@@ -232,8 +232,7 @@ class TestPhaseShiftedFrame:
         assert type(g) is q.AdiabaticFrame
 
     def test_observables_match_unshifted_run_flat_spectrum(self, cone_path):
-        # same physics in two gauges: rho_gg(t) and |rho_ge(t)| must agree;
-        # a flat spectrum keeps the spectral-shift question out of the way.
+        # same physics in two gauges: rho_gg(t) and |rho_ge(t)| must agree.
         # The cone's w diagonals are constant, so lambda = -w_diag t exactly.
         sd = q.flat(0.4)
         t1 = cone_path.duration

@@ -33,7 +33,8 @@ VALID = {
     "run": {"mode": "simulate", "optimal_phase": False, "spectral_shift": False},
 }
 
-FLAGS = {("run", "optimal_phase"), ("run", "spectral_shift")}
+# run.spectral_shift stays in VALID: the deleted option still accepts false
+FLAGS = {("run", "optimal_phase")}
 
 # Between them these carry every number field of the schema.
 NUMERIC = {
