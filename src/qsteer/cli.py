@@ -53,8 +53,8 @@ from .gauge import berry_phase
 from .gauge import phase_shifted_frame  # noqa: F401
 
 # Largest berry-mode frame history: each loop evaluates the path once per sample
-# and holds a few float columns of this length, and a count beyond the C integer
-# range would fail in np.linspace at run time.
+# and holds four float tuples of this length, so the cap bounds a loop's time
+# and memory.
 _MAX_HISTORY_SAMPLES = 2**16 + 1
 
 
@@ -323,6 +323,9 @@ def _build_solver(data, path, problems) -> Optional[SolverConfig]:
         duration = _path_duration(path)
         if duration is None:
             problems.append("solver.t1_time: required when the path has no path.duration_time")
+        elif not math.isfinite(duration):
+            problems.append("path.drive_omega_rad_per_time: one drive period overflows; "
+                            "set path.duration_time")
         elif t0 is not None:
             t1 = t0 + duration
     ok = t0 is not None and t1 is not None
@@ -553,7 +556,7 @@ def _run_member(task):
         row = dict(labels, delta_lambda_g=ph.delta_lambda_g, delta_lambda_e=ph.delta_lambda_e,
                    delta_lambda_g_mod_2pi=ph.delta_lambda_g_mod,
                    delta_lambda_e_mod_2pi=ph.delta_lambda_e_mod)
-        maxima = {"max_alpha": float(history.alpha.max()),
+        maxima = {"max_alpha": max(history.alpha),
                   "max_quadrature_error": ph.quadrature_error, "max_loop_gap": ph.loop_gap}
         return row, maxima, None, solved - started, (built - started, solved - built, 0.0)
     sd = build_bath(sc.bath)

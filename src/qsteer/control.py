@@ -31,16 +31,15 @@ p = (r + |b_z|)/n and q = (b_x + i b_y)/n, the raw eigenpair is
 e = (p, q), g = (-conj(q), p) for b_z >= 0 and e = (conj(q), p), g = (-p, q)
 for b_z < 0. Every element <g|x.sigma|e> is a short polynomial in p and q,
 and the anchored gauge multiplies it by one unit phase: +-1 for a component
-+-p, the phase of q for a q-type one. The arithmetic is real throughout, so
-one function serves :func:`frame_at` on floats and :func:`sample_history`
-on numpy columns, bit for bit.
++-p, the phase of q for a q-type one. The arithmetic is real throughout;
+:func:`frame_at` and :func:`sample_history` run the same function on each
+sample, so a history's entries equal the frames' fields bit for bit.
 
-Scalars and arrays
-------------------
-:class:`ControlPath`, the analytic paths and :func:`frame_at` are pure
-Python. numpy is imported inside the functions that hold arrays
-(:func:`sample_history`, and :func:`sampled_path`, which also loads scipy),
-so a run on an analytic path loads neither.
+Pure Python
+-----------
+:class:`ControlPath`, the analytic paths, :func:`frame_at` and
+:func:`sample_history` are pure Python. numpy and scipy are imported inside
+:func:`sampled_path` alone, so a run on an analytic path loads neither.
 """
 
 from __future__ import annotations
@@ -48,12 +47,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Vec3 = tuple[float, float, float]
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -275,20 +271,20 @@ class AdiabaticFrame(NamedTuple):
 class FrameHistory:
     """Frame columns on a uniform time grid along a path, for Berry loops.
 
-    ``w_gg``, ``w_ee`` and ``alpha`` hold one entry per sample time, equal to
-    the fields of :func:`frame_at` at that time.
+    ``w_gg``, ``w_ee`` and ``alpha`` are tuples of floats with one entry per
+    sample time, equal to the fields of :func:`frame_at` at that time.
     """
 
-    times: np.ndarray
-    w_gg: np.ndarray
-    w_ee: np.ndarray
-    alpha: np.ndarray
+    times: tuple[float, ...]
+    w_gg: tuple[float, ...]
+    w_ee: tuple[float, ...]
+    alpha: tuple[float, ...]
     b_start: Vec3
     b_end: Vec3
 
 
 # ----------------------------------------------------------------------
-# internals: one branch of the closed form, on floats or on columns
+# internals: one branch of the closed form
 # ----------------------------------------------------------------------
 
 def _gap(bx, by, bz):
@@ -300,7 +296,7 @@ def _gap(bx, by, bz):
 
 
 def _hypot(x, y):
-    """|x + iy| by the C library's hypot, as complex abs() and numpy's hypot take it."""
+    """|x + iy| by the C library's hypot, as complex abs() takes it."""
     return abs(complex(x, y))
 
 
@@ -311,22 +307,18 @@ def _gauge_undefined(t):
     )
 
 
-def _fields(b, bd, A, r, upper, cg, ce, sqrt, hypot):
-    """w_gg, w_ee, Re w_ge, Im w_ge, alpha, m1, Re m2, Im m2 and |q| on one branch.
+def _fields(b, bd, A, r, upper, cg, ce):
+    """w_gg, w_ee, Re w_ge, Im w_ge, alpha, m1, Re m2 and Im m2 at one sample.
 
     ``b`` and ``bd`` are the field and its derivative, ``A`` the traceless
     coupling, ``r`` = |b| and ``upper`` = (b_z >= 0); (cg, ce) are the path's
-    anchors. The arguments are floats, or columns of samples that all lie on
-    the ``upper`` branch, with ``sqrt`` and ``hypot`` to match: real
-    arithmetic only, and no path value is negated before a float operation
-    (a path may give ints), so columns equal floats bit for bit. With an
-    anchor on q a zero |q| divides by zero: ZeroDivisionError for floats,
-    non-finite entries where the returned |q| is 0 for columns. |q| is 1.0
-    when neither anchor is on q.
+    anchors. The arithmetic is real, and no path value is negated before a
+    float operation (a path may give ints). With an anchor on q a zero |q|
+    raises ZeroDivisionError.
     """
     bx, by, bz = b
     s = r + bz if upper else r - bz
-    n = sqrt(2 * r * s)
+    n = math.sqrt(2 * r * s)
     p = s / n
     # q_b = a + ic is q = (b_x + i b_y)/n on the upper branch and conj(q) on the lower
     a = bx / n
@@ -352,7 +344,7 @@ def _fields(b, bd, A, r, upper, cg, ce, sqrt, hypot):
     jr = (c * ge_r - a * ge_i) / r
     g_on_p = (cg == 1) == upper
     e_on_p = (ce == 0) == upper
-    m = 1.0 if g_on_p and e_on_p else hypot(a, c)
+    m = 1.0 if g_on_p and e_on_p else _hypot(a, c)
     w_gg = jr / p if g_on_p else p * jr / m / m
     w_ee = jr / p if e_on_p else p * jr / m / m
     # the anchoring factor conj(f_e) f_g is (-1 for cg = 0) times conj(q_b / |q|)
@@ -368,9 +360,9 @@ def _fields(b, bd, A, r, upper, cg, ce, sqrt, hypot):
             m2_r, m2_i = fr * m2_r + fi * m2_i, fr * m2_i - fi * m2_r
     # w_ge = -i <g|dH/dt|e> / omega01
     wr, wi = ge_i / r, -(ge_r / r)
-    alpha = sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (wr * wr + wi * wi)) / r
+    alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (wr * wr + wi * wi)) / r
     m1 = -(vx * bx + vy * by + vz * bz) / r
-    return w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i, m
+    return w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +385,8 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     r = _gap(*b)
     bd = path.b_dot(t)
     try:
-        w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i, _ = _fields(
-            b, bd, path._A_traceless, r, b[2] >= 0.0, cg, ce, math.sqrt, _hypot)
+        w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i = _fields(
+            b, bd, path._A_traceless, r, b[2] >= 0.0, cg, ce)
     except ZeroDivisionError:  # only a zero |q| divides by zero: r, n and p are positive
         raise _gauge_undefined(t) from None
     return AdiabaticFrame(t, r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i), alpha)
@@ -403,35 +395,29 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
 def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHistory:
     """Frame columns on a uniform grid of ``num`` points over [t0, t1].
 
-    ``path.b`` and ``path.b_dot`` are evaluated once per sample; w_gg, w_ee
-    and alpha are then numpy columns computed, branch by branch, by the
-    closed form :func:`frame_at` uses, so each entry equals that field of
-    ``frame_at(path, t)`` bit for bit. Raises GapCollapse where |b| is at
-    or below GAP_FLOOR and, like ``frame_at``, GaugeUndefined at the first
-    sample where an anchored component is 0.
+    The grid is ``np.linspace(t0, t1, num)``'s, built by the same float
+    operations. Each sample runs the kernel of :func:`frame_at`, so each
+    entry equals that field of ``frame_at(path, t)`` bit for bit. Raises
+    GapCollapse where |b| is at or below GAP_FLOOR and GaugeUndefined where
+    an anchored component is 0, at the first sample that fails.
     """
-    import numpy as np
-
     if num < 3:
         raise ValueError("history needs at least 3 samples")
-    times = np.linspace(t0, t1, num)
-    ts = times.tolist()
-    b = np.array([path.b(t) for t in ts], dtype=float).T
-    bd = np.array([path.b_dot(t) for t in ts], dtype=float).T
-    r = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
-    if np.any(r <= GAP_FLOOR):
-        raise GapCollapse(f"|b| = {r[r <= GAP_FLOOR][0]:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    t0, t1 = float(t0), float(t1)
+    step = (t1 - t0) / (num - 1)
+    times = [k * step + t0 for k in range(num - 1)]
+    times.append(t1)
     cg, ce = path.anchors()
-    w_gg, w_ee, alpha, m = (np.empty(num) for _ in range(4))
-    upper = b[2] >= 0.0
-    # a zero |q| is checked below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for up, k in ((True, upper), (False, ~upper)):
-            if k.any():
-                f = _fields(b[:, k], bd[:, k], path._A_traceless, r[k], up, cg, ce, np.sqrt, np.hypot)
-                w_gg[k], w_ee[k], alpha[k], m[k] = f[0], f[1], f[4], f[8]
-    zero = np.flatnonzero(m == 0.0)
-    if zero.size:
-        raise _gauge_undefined(ts[zero[0]])
-    return FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=alpha,
-                        b_start=path.b(t0), b_end=path.b(t1))
+    A, b_at, b_dot_at = path._A_traceless, path.b, path.b_dot
+    w_gg, w_ee, alpha = [], [], []
+    for t in times:
+        b = b_at(t)
+        try:
+            f = _fields(b, b_dot_at(t), A, _gap(*b), b[2] >= 0.0, cg, ce)
+        except ZeroDivisionError:  # a zero |q|, as in frame_at
+            raise _gauge_undefined(t) from None
+        w_gg.append(f[0])
+        w_ee.append(f[1])
+        alpha.append(f[4])
+    return FrameHistory(times=tuple(times), w_gg=tuple(w_gg), w_ee=tuple(w_ee),
+                        alpha=tuple(alpha), b_start=path.b(t0), b_end=path.b(t1))

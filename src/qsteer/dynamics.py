@@ -227,6 +227,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("rk4_fixed", "rk45_adaptive"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("t0", "t1", "dt", "rtol", "atol", "dt_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
         if self.method == "rk4_fixed":
@@ -235,8 +239,11 @@ class SolverConfig:
         else:
             if not (self.rtol > 0 and self.atol > 0):
                 raise ValueError("rk45_adaptive requires rtol, atol > 0")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        if self.dt_max is not None and not self.dt_max > 0:
+            raise ValueError("dt_max must be > 0")
+        stride = self.record_stride
+        if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
+            raise ValueError("record_stride must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,18 @@ vanish, which minimizes the Hilbert-Schmidt norm of w; the integrator
 accumulates it along a run (``integrate(track_phases=True)``). Over a closed
 control loop its increments are the Berry phases of the branches.
 
-The phase rotations an integration applies are pure Python; numpy is
-imported by :func:`berry_phase` and its quadrature helpers alone.
+Everything here is pure Python: the phase rotations an integration applies
+and the Berry quadrature, which sums with ``math.fsum``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import pairwise
 
 from .errors import LoopNotClosed, NonUniformGridUnsupported
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,37 +97,39 @@ def _wrap(x: float) -> float:
     return y - math.pi
 
 
-def _uniform_step(times: np.ndarray) -> float:
+def _uniform_step(times: Sequence[float]) -> float:
     """Spacing of a uniform, strictly increasing grid of at least 3 samples."""
-    import numpy as np
-
-    if times.size < 3:
+    if len(times) < 3:
         raise NonUniformGridUnsupported("history needs at least 3 samples")
-    dt = np.diff(times)
-    if np.any(dt <= 0):
+    dt = [b - a for a, b in pairwise(times)]
+    if any(d <= 0 for d in dt):
         raise NonUniformGridUnsupported("history times must be strictly increasing")
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * (times[-1] - times[0]):
+    if max(abs(d - dt[0]) for d in dt) > 1e-9 * (times[-1] - times[0]):
         raise NonUniformGridUnsupported("history times must be uniformly spaced")
     return float(times[1] - times[0])
 
 
-def _simpson(y: np.ndarray, h: float) -> tuple[float, float]:
+def _trapezoid(y: Sequence[float], h: float) -> float:
+    """Trapezoid integral of uniform samples with spacing h."""
+    return h * (math.fsum(y) - (y[0] + y[-1]) / 2)
+
+
+def _simpson(y: Sequence[float], h: float) -> tuple[float, float]:
     """Composite Simpson integral of uniform samples and an error estimate.
 
     An even count integrates its last interval by the quadratic through the
     last three samples. The estimate is |full - half-grid trapezoid| / 3 (odd
     count) or |trapezoid - Simpson| (even count).
     """
-    import numpy as np
-
-    n = y.size
+    n = len(y)
     m = n if n % 2 else n - 1
-    total = h / 3.0 * (y[0] + 4.0 * y[1:m - 1:2].sum() + 2.0 * y[2:m - 1:2].sum() + y[m - 1])
+    odd, even = math.fsum(y[1:m - 1:2]), math.fsum(y[2:m - 1:2])
+    total = h / 3.0 * (y[0] + 4.0 * odd + 2.0 * even + y[m - 1])
     if n % 2 == 0:
         total += h / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
-    trap = np.trapezoid(y, dx=h)
+    trap = _trapezoid(y, h)
     if n % 2:
-        err = abs(trap - np.trapezoid(y[::2], dx=2 * h)) / 3.0
+        err = abs(trap - _trapezoid(y[::2], 2 * h)) / 3.0
     else:
         err = abs(trap - total)
     return float(total), float(err)
@@ -138,21 +138,18 @@ def _simpson(y: np.ndarray, h: float) -> tuple[float, float]:
 def berry_phase(history) -> BerryPhases:
     """Berry phases of both branches from the w_gg, w_ee columns of a closed-loop frame history.
 
-    The history gauge must be single valued around the loop (the pointwise
-    anchored gauge is); the increments are then - integral of the w diagonals.
-    The sign follows this package's branch convention; the opposite
-    convention negates both values. An open loop raises LoopNotClosed, a grid
-    other than the uniform one of :func:`sample_history` raises
-    NonUniformGridUnsupported.
+    The columns may be any sequences of floats, such as the tuples of
+    :func:`sample_history` or arrays a caller built. The history gauge must be
+    single valued around the loop (the pointwise anchored gauge is); the
+    increments are then - integral of the w diagonals. The sign follows this
+    package's branch convention; the opposite convention negates both
+    values. An open loop raises LoopNotClosed, a grid other than the uniform
+    one of :func:`sample_history` raises NonUniformGridUnsupported.
     """
-    import numpy as np
-
-    b0 = np.asarray(history.b_start, dtype=float)
-    b1 = np.asarray(history.b_end, dtype=float)
-    gap = float(np.linalg.norm(b1 - b0))
+    gap = math.dist(history.b_end, history.b_start)
     if gap > _LOOP_TOL:
         raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {_LOOP_TOL:.0e}")
-    h = _uniform_step(np.asarray(history.times, dtype=float))
-    dg, err_g = _simpson(-np.asarray(history.w_gg, dtype=float), h)
-    de, err_e = _simpson(-np.asarray(history.w_ee, dtype=float), h)
+    h = _uniform_step(history.times)
+    dg, err_g = _simpson([-w for w in history.w_gg], h)
+    de, err_e = _simpson([-w for w in history.w_ee], h)
     return BerryPhases(dg, de, _wrap(dg), _wrap(de), max(err_g, err_e), gap)

@@ -129,6 +129,15 @@ solver:
             load_scenario(text)
         assert exc.value.problems == ["path.field_energy: must be positive"]
 
+    def test_overflowing_drive_period_names_the_path(self):
+        # 2 pi / 5e-324 is inf: no finite default window
+        text = MINIMAL_CONE.replace("drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 5.0e-324")
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        assert exc.value.problems == [
+            "path.drive_omega_rad_per_time: one drive period overflows; set path.duration_time"]
+        assert load_scenario(text.replace("5.0e-324", "5.0e-324\n  duration_time: 10.0")).solver.t1 == 10.0
+
     def test_quoted_numbers_rejected(self):
         for old, new, key in (
             ("field_energy: 1.0", 'field_energy: "1.0"', "path.field_energy"),
@@ -316,7 +325,7 @@ class TestRun:
             path = build_path({**sc.path, "theta_rad": theta}, sc.coupling)
             history = q.sample_history(path, 0.0, path.duration, 257)
             loop = q.berry_phase(history)
-            alphas += history.alpha.tolist()
+            alphas += history.alpha
             errors.append(loop.quadrature_error)
             gaps.append(loop.loop_gap)
         assert invariants["max_alpha"] == max(alphas) > 0.0
@@ -513,8 +522,8 @@ class TestMain:
         assert out.stdout.split()[-3:] == ["0", "False", "False"]
 
     def test_scalar_runs_load_no_numpy(self, tmp_path):
-        # analytic paths and spectra in every mode that integrates, then the
-        # inputs that hold arrays, which load numpy on demand
+        # analytic paths and spectra in every mode, then the inputs that hold
+        # arrays, which load numpy on demand
         thermal = MINIMAL_CONE.replace(
             "model: flat\n  s0_rate: 0.1",
             "model: ohmic_thermal\n  eta_coupling: 0.05\n  temperature_energy: 0.5",
@@ -534,9 +543,9 @@ class TestMain:
                                          f"model: tabulated\n  csv_file: {bath_csv}")
         scalar = [("simulate", MINIMAL_CONE), ("simulate", sweep_zero_t), ("compare", thermal),
                   ("sweep", MINIMAL_CONE + "run:\n  sweep_periods_time: [10, 20]\n"),
-                  ("validate", MINIMAL_CONE)]
-        arrays = [("berry", MINIMAL_CONE + "run:\n  berry_theta_grid_rad: [0.5]\n  history_samples: 65\n"),
-                  ("simulate", sampled), ("simulate", tabulated)]
+                  ("validate", MINIMAL_CONE),
+                  ("berry", MINIMAL_CONE + "run:\n  berry_theta_grid_rad: [0.5]\n  history_samples: 65\n")]
+        arrays = [("simulate", sampled), ("simulate", tabulated)]
         runs = []
         for i, (command, text) in enumerate(scalar + arrays):
             fn = tmp_path / f"scenario_{i}.yaml"

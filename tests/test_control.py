@@ -452,13 +452,20 @@ class TestSampleHistory:
     @staticmethod
     def assert_columns_match(path, t0, t1, num=257):
         hist = q.sample_history(path, t0, t1, num)
-        frames = [q.frame_at(path, float(t)) for t in hist.times]
-        for name in ("w_gg", "w_ee"):
-            want = np.array([getattr(f, name) for f in frames])
+        frames = [q.frame_at(path, t) for t in hist.times]
+        for name in ("w_gg", "w_ee", "alpha"):
             # bit for bit, signed zeros included
-            np.testing.assert_array_equal(getattr(hist, name).view(np.int64), want.view(np.int64))
-        alpha = np.array([f.alpha for f in frames])
-        assert np.all(np.abs(hist.alpha - alpha) <= np.spacing(alpha))
+            want = [getattr(f, name).hex() for f in frames]
+            assert [x.hex() for x in getattr(hist, name)] == want, name
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 62.83185307179586), (-3.7, 41.3), (1e-3, 1.0)])
+    @pytest.mark.parametrize("num", [3, 4, 513, 65537])
+    def test_times_are_linspace(self, t0, t1, num):
+        path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX)
+        times = q.sample_history(path, t0, t1, num).times
+        assert type(times) is tuple and all(type(t) is float for t in times)
+        want = np.linspace(t0, t1, num)
+        np.testing.assert_array_equal(np.array(times).view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
     def test_cone(self, theta):

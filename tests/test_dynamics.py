@@ -373,6 +373,30 @@ class TestIntegrate:
         assert traj.max_alpha > 0
 
 
+class TestSolverConfig:
+    """Each invalid input raises a ValueError that names its field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("t0", -math.inf), ("t0", math.nan), ("t1", math.inf), ("t1", math.nan),
+        ("rtol", math.inf), ("atol", math.nan),
+        ("dt_max", math.nan), ("dt_max", math.inf), ("dt_max", 0.0), ("dt_max", -1.0),
+    ])
+    def test_rk45_field_rejected(self, field, value):
+        kwargs = {"method": "rk45_adaptive", "t0": 0.0, "t1": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            q.SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_dt_rejected(self, value):
+        with pytest.raises(ValueError, match="^dt must be finite"):
+            q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=value)
+
+    @pytest.mark.parametrize("value", [1.5, True, 0, "2"])
+    def test_record_stride_rejected(self, value):
+        with pytest.raises(ValueError, match="^record_stride must be an integer >= 1"):
+            q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.1, record_stride=value)
+
+
 class TestSolverWork:
     """Trajectory.work counts what the stepper evaluated, checked against counting callbacks."""
 

@@ -184,6 +184,16 @@ class TestBerryPhase:
         assert diff == pytest.approx(2 * math.pi * round(diff / (2 * math.pi)), abs=1e-9)
 
     @pytest.mark.parametrize("n", [5, 6, 1024, 1025])
+    def test_numpy_columns_give_the_same_phases(self, n):
+        path = q.rotating_cone(1.0, 2.0, 0.1, SX)
+        hist = history_of(path, n)
+        arrays = FrameHistory(
+            times=np.array(hist.times), w_gg=np.array(hist.w_gg), w_ee=np.array(hist.w_ee),
+            alpha=np.array(hist.alpha), b_start=np.array(hist.b_start), b_end=np.array(hist.b_end),
+        )
+        assert q.berry_phase(arrays) == q.berry_phase(hist)
+
+    @pytest.mark.parametrize("n", [5, 6, 1024, 1025])
     def test_quadrature_matches_scipy_simpson(self, cone_path, n):
         from scipy.integrate import cumulative_simpson
 
