@@ -37,7 +37,16 @@ from .bath import (
     spectrum_from_csv,
     zero_temperature_ohmic,
 )
-from .control import ControlPath, frame_at, linear_sweep, path_from_csv, rotating_cone, sample_history
+from .control import (
+    _HERMITIAN_TOL,
+    ControlPath,
+    _hermitian_residual,
+    frame_at,
+    linear_sweep,
+    path_from_csv,
+    rotating_cone,
+    sample_history,
+)
 from .dynamics import (
     DensityState,
     SolverConfig,
@@ -299,10 +308,8 @@ def _build_coupling(data, problems):
             _complex_entry(v, f"coupling.matrix[{i}][{j}]", problems) for j, v in enumerate(row)
         ))
     m = tuple(rows)
-    d = m[0][1] - m[1][0].conjugate()
-    # hypot gives inf where abs() of a complex near the float limit raises OverflowError
-    herm = max(abs(m[0][0].imag), abs(m[1][1].imag), math.hypot(d.real, d.imag))
-    if herm > 1e-14:
+    herm = _hermitian_residual(m)
+    if herm > _HERMITIAN_TOL:  # ControlPath's own bound
         problems.append(f"coupling.matrix: not Hermitian (residual {herm:.3e})")
         return None
     return m
@@ -448,7 +455,7 @@ def load_scenario(text: str) -> Scenario:
 
     if problems:
         raise ValidationError(problems)
-    return Scenario(
+    scenario = Scenario(
         path=path,
         coupling=coupling,
         bath=bath_cfg,
@@ -461,6 +468,30 @@ def load_scenario(text: str) -> Scenario:
         berry_thetas=berry_thetas,
         history_samples=history_samples,
     )
+    problems = _sweep_member_problems(scenario)
+    if problems:
+        raise ValidationError(problems)
+    return scenario
+
+
+def _sweep_member_problems(scenario: Scenario) -> list:
+    """One problem for each sweep period whose member the library rejects.
+
+    Each member's solver and path are built as a sweep run builds them, so a
+    scaled ``dt`` that underflows to 0 or a drive rate 2 pi / period that
+    overflows is reported. Checked whenever a cone lists periods, since a
+    CLI subcommand can switch the scenario to sweep mode.
+    """
+    if not scenario.sweep_periods or scenario.path["kind"] != "rotating_cone":
+        return []
+    problems = []
+    for p in scenario.sweep_periods:
+        try:
+            (sub,) = dataclasses.replace(scenario, mode="sweep", sweep_periods=(p,)).sub_scenarios()
+            build_path(sub.path, sub.coupling)
+        except ValueError as exc:
+            problems.append(f"run.sweep_periods_time: period {p!r}: {exc}")
+    return problems
 
 
 def scenario_from_file(path) -> Scenario:

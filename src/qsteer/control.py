@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined
+from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState
 
 Vec3 = tuple[float, float, float]
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -84,11 +84,8 @@ class ControlPath:
         (a, b), (c, d) = A
         if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (a, b, c, d)):
             raise ValueError("coupling_A must be finite")
-        # |A - A^dag| entrywise (its two off-diagonal entries have one modulus);
-        # hypot gives inf where abs() of a huge complex raises OverflowError
-        residuals = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
-        if any(math.hypot(z.real, z.imag) > 1e-14 for z in residuals):
-            raise ValueError("coupling_A must be Hermitian to 1e-14")
+        if _hermitian_residual(A) > _HERMITIAN_TOL:
+            raise ValueError(f"coupling_A must be Hermitian to {_HERMITIAN_TOL:.0e}")
         if not (self.duration > 0 and math.isfinite(self.duration)):
             raise ValueError("duration must be positive and finite")
         self.coupling_A = A
@@ -112,6 +109,22 @@ class ControlPath:
             ce = 1 if (mq >= p if bz >= 0.0 else p >= mq) else 0
             self._anchors = (cg, ce)
         return self._anchors
+
+
+# Largest entry of |A - A^dag| that a coupling operator may have.
+_HERMITIAN_TOL = 1e-14
+
+
+def _hermitian_residual(A: Matrix2) -> float:
+    """The largest entry of |A - A^dag| for two rows of two complex numbers.
+
+    The two off-diagonal entries have one modulus, and a diagonal one is
+    2 |Im a|. hypot gives inf where abs() of a huge complex raises
+    OverflowError.
+    """
+    (a, b), (c, d) = A
+    residuals = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
+    return max(math.hypot(z.real, z.imag) for z in residuals)
 
 
 def _coupling_matrix(A) -> Matrix2:
@@ -300,7 +313,10 @@ def _hypot(x, y):
     return abs(complex(x, y))
 
 
-def _gauge_undefined(t):
+def _frame_error(t, exc):
+    """The error, naming t, for what :func:`_fields` raised at time t."""
+    if isinstance(exc, OverflowError):
+        return NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
     return GaugeUndefined(
         f"an anchored eigenvector component vanishes at t = {t:g}: the path reached the "
         "antipode of its start orientation, where the anchored gauge is undefined"
@@ -314,7 +330,8 @@ def _fields(b, bd, A, r, upper, cg, ce):
     coupling, ``r`` = |b| and ``upper`` = (b_z >= 0); (cg, ce) are the path's
     anchors. The arithmetic is real, and no path value is negated before a
     float operation (a path may give ints). With an anchor on q a zero |q|
-    raises ZeroDivisionError.
+    raises ZeroDivisionError; an alpha beyond the float range raises
+    OverflowError.
     """
     bx, by, bz = b
     s = r + bz if upper else r - bz
@@ -361,6 +378,12 @@ def _fields(b, bd, A, r, upper, cg, ce):
     # w_ge = -i <g|dH/dt|e> / omega01
     wr, wi = ge_i / r, -(ge_r / r)
     alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (wr * wr + wi * wi)) / r
+    if not alpha < math.inf:
+        # the squares overflowed (or a field is NaN): hypot scales them, and is
+        # taken only here so that every finite alpha above keeps its bits
+        alpha = math.hypot(w_gg, w_ee, wr, wr, wi, wi) / r
+        if not alpha < math.inf:
+            raise OverflowError("alpha")
     m1 = -(vx * bx + vy * by + vz * bz) / r
     return w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i
 
@@ -387,8 +410,8 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     try:
         w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i = _fields(
             b, bd, path._A_traceless, r, b[2] >= 0.0, cg, ce)
-    except ZeroDivisionError:  # only a zero |q| divides by zero: r, n and p are positive
-        raise _gauge_undefined(t) from None
+    except (ZeroDivisionError, OverflowError) as exc:  # only a zero |q| divides by zero
+        raise _frame_error(t, exc) from None
     return AdiabaticFrame(t, r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i), alpha)
 
 
@@ -414,8 +437,8 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
         b = b_at(t)
         try:
             f = _fields(b, b_dot_at(t), A, _gap(*b), b[2] >= 0.0, cg, ce)
-        except ZeroDivisionError:  # a zero |q|, as in frame_at
-            raise _gauge_undefined(t) from None
+        except (ZeroDivisionError, OverflowError) as exc:  # as in frame_at
+            raise _frame_error(t, exc) from None
         w_gg.append(f[0])
         w_ee.append(f[1])
         alpha.append(f[4])

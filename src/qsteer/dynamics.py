@@ -225,7 +225,7 @@ class SolverConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.method not in ("rk4_fixed", "rk45_adaptive"):
+        if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         for name in ("t0", "t1", "dt", "rtol", "atol", "dt_max"):
             value = getattr(self, name)
@@ -233,12 +233,11 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite")
         if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
-        if self.method == "rk4_fixed":
+        if _METHODS[self.method][1] is None:  # a fixed step
             if not (self.dt and self.dt > 0):
-                raise ValueError("rk4_fixed requires dt > 0")
-        else:
-            if not (self.rtol > 0 and self.atol > 0):
-                raise ValueError("rk45_adaptive requires rtol, atol > 0")
+                raise ValueError(f"{self.method} requires dt > 0")
+        elif not (self.rtol > 0 and self.atol > 0):
+            raise ValueError(f"{self.method} requires rtol, atol > 0")
         if self.dt_max is not None and not self.dt_max > 0:
             raise ValueError("dt_max must be > 0")
         stride = self.record_stride
@@ -260,9 +259,11 @@ class TrajectorySample:
 class SolverWork:
     """What one integration did: steps, evaluations and accepted step sizes.
 
-    ``frame_evals`` counts the frame provider's calls, one per distinct
-    stage time (0 without a provider). ``dt_max`` and ``dt_min`` range over
-    the accepted steps (the last one is cut to end at t1).
+    ``rhs_evals`` counts the generator's calls and ``frame_evals`` the frame
+    provider's, one per distinct stage time (0 without a provider): 1 at t0
+    plus, per attempted step, 6 and 5 for "rk45_adaptive" and 4 and 2 for
+    "rk4_fixed". ``dt_max`` and ``dt_min`` range over the accepted steps (an
+    adaptive run cuts the last one to end at t1).
     ``t_max_positivity_violation`` is the time of the accepted step (or t0)
     with the worst purity excess, None when purity never exceeded 1.
     """
@@ -312,46 +313,46 @@ def _terms(row):
     return tuple((s, c) for s, c in enumerate(row) if c != 0.0)
 
 
-# Dormand-Prince 5(4) tableau, rows as (stage, coefficient) pairs
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = tuple(_terms(row) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-# The last row of A is b5: the seventh stage is evaluated at the step's
-# 5th-order solution and is the next step's first (first same as last).
-_DP_B5 = _DP_A[6]
-_DP_E = _terms((  # b5 - b4
-    35 / 384 - 5179 / 57600,
-    0.0,
-    500 / 1113 - 7571 / 16695,
-    125 / 192 - 393 / 640,
-    -2187 / 6784 + 92097 / 339200,
-    11 / 84 - 187 / 2100,
-    -1 / 40,
-))
-_RK4_C = (0.0, 0.5, 0.5, 1.0)
-_RK4_A = tuple(_terms(row) for row in ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)))
-_RK4_B = _terms((1 / 6, 1 / 3, 1 / 3, 1 / 6))
-
-
 def _stages(c, a):
     """(stage, node, A row, same t) for each stage after the first, from one tableau.
 
-    A stage whose node equals the previous stage's is evaluated at the same t
-    and reuses its frame: DP5's last two stages (c = 1), RK4's middle two
-    (c = 1/2).
+    Both tableaus are first same as last: the last row of A is the b row, at
+    c = 1, so the last stage is evaluated at the step's solution and becomes
+    the next step's first. A stage whose node equals the previous stage's is
+    evaluated at the same t and reuses its frame: DP5's last two stages and
+    RK4's last two (c = 1), and RK4's middle two (c = 1/2).
     """
-    return tuple((s, c[s], a[s], c[s] == c[s - 1]) for s in range(1, len(c)))
+    return tuple((s, c[s], _terms(a[s]), c[s] == c[s - 1]) for s in range(1, len(c)))
 
 
-_DP_STAGES = _stages(_DP_C, _DP_A)
-_RK4_STAGES = _stages(_RK4_C, _RK4_A)
+# method -> (stages, error row b - b_hat or None for a fixed step)
+_METHODS = {
+    "rk4_fixed": (_stages(
+        (0.0, 0.5, 0.5, 1.0, 1.0),
+        ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+    ), None),
+    # Dormand-Prince 5(4)
+    "rk45_adaptive": (_stages(
+        (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+        (
+            (),
+            (1 / 5,),
+            (3 / 40, 9 / 40),
+            (44 / 45, -56 / 15, 32 / 9),
+            (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+            (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+        ),
+    ), _terms((  # b5 - b4
+        35 / 384 - 5179 / 57600,
+        0.0,
+        500 / 1113 - 7571 / 16695,
+        125 / 192 - 393 / 640,
+        -2187 / 6784 + 92097 / 339200,
+        11 / 84 - 187 / 2100,
+        -1 / 40,
+    ))),
+}
 _MAX_REJECTIONS = 60
 
 
@@ -378,6 +379,17 @@ def _advance_phases(lam, frames, terms, dt):
     return lam[0] - dt * sum_g, lam[1] - dt * sum_e
 
 
+def _error_norm(g, ge, g_new, ge_new, err, cfg):
+    """RMS of the scaled errors of rho_gg, Re rho_ge and Im rho_ge, in that order."""
+    err_g, err_ge = err
+    atol, rtol = cfg.atol, cfg.rtol
+    return math.sqrt((
+        (err_g / (atol + rtol * max(abs(g), abs(g_new)))) ** 2
+        + (err_ge.real / (atol + rtol * max(abs(ge.real), abs(ge_new.real)))) ** 2
+        + (err_ge.imag / (atol + rtol * max(abs(ge.imag), abs(ge_new.imag)))) ** 2
+    ) / 3)
+
+
 def integrate(
     rhs: Callable,
     initial: DensityState,
@@ -390,19 +402,20 @@ def integrate(
     ``rhs`` returns (d rho_gg/dt, d rho_ge/dt); ``frame_provider`` maps a
     time to the frame passed through to ``rhs`` (None for frame-free
     generators). The stepper carries the state as that same pair, a float
-    and a complex, and keeps each stage's returned pair as its slope; the
-    "rk45_adaptive" error norm is the RMS of the scaled errors of rho_gg,
-    Re rho_ge and Im rho_ge, in that order. The provider is called once per
-    distinct stage time: a stage whose tableau node equals the previous
-    stage's reuses that stage's frame, and every ``rhs`` call gets its
-    stage's frame. "rk45_adaptive" evaluates six stages per attempted step:
-    the first stage of a step is the last stage of the previous accepted
-    one, and its frame is also the one recorded there. The last two stages
-    share t + dt, so an attempt makes 6 RHS calls and 5 frame evaluations
-    (6 * attempts + 1 and 5 * attempts + 1 in all). "rk4_fixed" evaluates
-    each step's first stage at the end of the previous step and records
-    that stage's frame; its two middle stages share t + dt/2, so it makes
-    4 * steps + 1 RHS calls and 3 * steps + 1 frame evaluations.
+    and a complex, and keeps each stage's returned pair as its slope. Both
+    methods are first same as last: a step's last stage is evaluated at its
+    solution and is the next step's first, and its frame is also the one
+    recorded there. The provider is called once per distinct stage time: a
+    stage whose tableau node equals the previous stage's reuses that stage's
+    frame, and every ``rhs`` call gets its stage's frame. "rk45_adaptive"
+    evaluates six stages per attempted step, and its last two share t + dt,
+    so an attempt makes 6 RHS calls and 5 frame evaluations (6 * attempts + 1
+    and 5 * attempts + 1 in all); its error norm is the RMS of the scaled
+    errors of rho_gg, Re rho_ge and Im rho_ge, in that order. "rk4_fixed"
+    takes max(1, round((t1 - t0) / dt)) equal steps, step i ending at
+    t0 + i * step; its middle two stages share t + step/2 and its last two
+    t + step, so it makes 4 * steps + 1 RHS calls and 2 * steps + 1 frame
+    evaluations.
     Purity is checked at t0 and at every accepted step, independent of
     ``record_stride``, against 1 + 1e-6; the worst excess is reported on the
     trajectory (with a warning), never corrected. The trajectory's
@@ -428,6 +441,9 @@ def integrate(
     # Each stage is evaluated inline: its frame (the provider's, or the previous
     # stage's at the same t) and the generator, whose (d rho_gg, d rho_ge) is the slope.
     provider = frame_provider if frame_provider is not None else _no_frame
+    stages, err_terms = _METHODS[cfg.method]
+    last = len(stages)
+    b_terms = stages[-1][2]  # the last stage is evaluated at the step's solution
     traj = Trajectory()
     t_worst = None
 
@@ -459,95 +475,70 @@ def integrate(
     g, ge = initial.rho_gg, complex(initial.rho_ge)
     t = cfg.t0
     lam = (0.0, 0.0)
-    ks = [None] * 7
-    frames = [None] * 7
+    ks = [None] * (last + 1)
+    frames = [None] * (last + 1)
     frames[0] = provider(t)
     ks[0] = rhs(t, DensityState(g, ge), frames[0])
     n_rhs = n_frames = 1
     record(t, g, ge, monitor(t, g, ge, frames[0], lam), frames[0], lam)
-    rejected = 0
 
-    if cfg.method == "rk4_fixed":
-        n_steps = max(1, round((cfg.t1 - cfg.t0) / cfg.dt))
-        dt = dt_lo = dt_hi = (cfg.t1 - cfg.t0) / n_steps
-        accepted = n_steps
-        for i in range(n_steps):
-            t = cfg.t0 + i * dt
-            for s, c, terms, same_t in _RK4_STAGES:
-                ts = t + c * dt
-                gs, ges = _axpy(g, ge, ks, terms, dt)
-                if same_t:
-                    frame = frames[s - 1]
-                else:
-                    frame = provider(ts)
-                    n_frames += 1
-                ks[s] = rhs(ts, DensityState(gs, ges), frame)
-                frames[s] = frame
-            g, ge = _axpy(g, ge, ks, _RK4_B, dt)
-            if track_phases:
-                lam = _advance_phases(lam, frames, _RK4_B, dt)
-            t = cfg.t0 + (i + 1) * dt
-            # the next step's first stage: t is the same float as that step's t0 + i dt
-            frames[0] = frame = provider(t)
-            ks[0] = rhs(t, DensityState(g, ge), frame)
-            n_rhs += 4
-            n_frames += 1
-            p = monitor(t, g, ge, frame, lam)
-            if (i + 1) % cfg.record_stride == 0 or i + 1 == n_steps:
-                record(t, g, ge, p, frame, lam)
+    span = cfg.t1 - cfg.t0
+    if err_terms is None:
+        # step i ends at t0 + i * dt, so the times carry no accumulated rounding
+        n_steps, t_end = max(1, round(span / cfg.dt)), math.inf
+        dt = span / n_steps
     else:
-        dt_max = cfg.dt_max if cfg.dt_max is not None else (cfg.t1 - cfg.t0) / 10
-        dt = min(dt_max, (cfg.t1 - cfg.t0) / 100)
-        dt_lo, dt_hi = math.inf, 0.0
-        t_end = cfg.t1 - 1e-14 * (cfg.t1 - cfg.t0)
-        atol, rtol = cfg.atol, cfg.rtol
-        rejections = 0
-        accepted = 0
-        while t < t_end:
-            dt = min(dt, cfg.t1 - t)
+        n_steps, t_end = None, cfg.t1 - 1e-14 * span
+        dt_max = cfg.dt_max if cfg.dt_max is not None else span / 10
+        dt, grow = min(dt_max, span / 100), 1.0
+    dt_lo, dt_hi = math.inf, 0.0
+    accepted = rejected = rejections = 0
+    done = False
+    while not done:
+        if err_terms is not None:
+            dt = min(dt * grow, dt_max, cfg.t1 - t)
             if t + dt == t:
                 raise StepRejectionLimit(f"step {dt:g} does not advance t = {t:g}")
-            for s, c, terms, same_t in _DP_STAGES:
-                ts = t + c * dt
-                g_new, ge_new = _axpy(g, ge, ks, terms, dt)
-                if same_t:
-                    frame = frames[s - 1]
-                else:
-                    frame = provider(ts)
-                    n_frames += 1
-                ks[s] = rhs(ts, DensityState(g_new, ge_new), frame)
-                frames[s] = frame
-            n_rhs += 6
-            # the last stage state is the 5th-order solution, so (g_new, ge_new) is the step's result
-            err_g, err_ge = _axpy(0.0, 0j, ks, _DP_E, dt)
-            norm = math.sqrt((
-                (err_g / (atol + rtol * max(abs(g), abs(g_new)))) ** 2
-                + (err_ge.real / (atol + rtol * max(abs(ge.real), abs(ge_new.real)))) ** 2
-                + (err_ge.imag / (atol + rtol * max(abs(ge.imag), abs(ge_new.imag)))) ** 2
-            ) / 3)
-            if norm <= 1.0:
-                if track_phases:
-                    lam = _advance_phases(lam, frames, _DP_B5, dt)
-                t += dt
-                g, ge = g_new, ge_new
-                accepted += 1
-                rejections = 0
-                dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
-                ks[0], frames[0] = ks[6], frames[6]
-                p = monitor(t, g, ge, frames[0], lam)
-                if accepted % cfg.record_stride == 0 or t >= t_end:
-                    record(t, g, ge, p, frames[0], lam)
-            elif math.isnan(norm):
-                raise NonFiniteState(f"non-finite error estimate at t = {t:g}")
+        for s, c, terms, same_t in stages:
+            ts = t + c * dt
+            g_new, ge_new = _axpy(g, ge, ks, terms, dt)
+            if same_t:
+                frame = frames[s - 1]
             else:
-                rejected += 1
-                rejections += 1
-                if rejections > _MAX_REJECTIONS:
-                    raise StepRejectionLimit(
-                        f"{rejections} consecutive rejections at t = {t:g}"
-                    )
+                frame = provider(ts)
+                n_frames += 1
+            ks[s] = rhs(ts, DensityState(g_new, ge_new), frame)
+            frames[s] = frame
+        n_rhs += last
+        # the last stage state is the step's solution, so (g_new, ge_new) is its result
+        if err_terms is None:
+            norm = 0.0
+        else:
+            norm = _error_norm(g, ge, g_new, ge_new, _axpy(0.0, 0j, ks, err_terms, dt), cfg)
             factor = 0.9 * norm ** -0.2 if norm > 0 else 5.0
-            dt = min(dt * min(5.0, max(0.2, factor)), dt_max)
+            grow = min(5.0, max(0.2, factor))
+        if norm <= 1.0:
+            if track_phases:
+                lam = _advance_phases(lam, frames, b_terms, dt)
+            accepted += 1
+            t = t + dt if n_steps is None else cfg.t0 + accepted * dt
+            done = t >= t_end or accepted == n_steps
+            g, ge = g_new, ge_new
+            rejections = 0
+            dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+            ks[0], frames[0] = ks[last], frames[last]
+            p = monitor(t, g, ge, frames[0], lam)
+            if accepted % cfg.record_stride == 0 or done:
+                record(t, g, ge, p, frames[0], lam)
+        elif math.isnan(norm):
+            raise NonFiniteState(f"non-finite error estimate at t = {t:g}")
+        else:
+            rejected += 1
+            rejections += 1
+            if rejections > _MAX_REJECTIONS:
+                raise StepRejectionLimit(
+                    f"{rejections} consecutive rejections at t = {t:g}"
+                )
 
     traj.work = SolverWork(
         accepted_steps=accepted,

@@ -34,7 +34,7 @@ class NonUniformGridUnsupported(QSteerError):
 
 
 class NonFiniteState(QSteerError):
-    """Integrator produced a non-finite state component."""
+    """A state component, error estimate or frame quantity (alpha) is not finite."""
 
 
 class StepRejectionLimit(QSteerError):

@@ -29,7 +29,10 @@ _LOOP_TOL = 1e-10
 def hs_norm(w_gg: float, w_ee: float, w_ge: complex) -> float:
     """Hilbert-Schmidt norm of the Hermitian w matrix, sqrt(w_gg^2 + w_ee^2 + 2|w_ge|^2)."""
     a = abs(w_ge)
-    return math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * a * a)
+    norm = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * a * a)
+    if norm == math.inf:  # the squares overflowed: hypot scales them
+        norm = math.hypot(w_gg, w_ee, a, a)
+    return norm
 
 
 def phase_factor(lam_g: float, lam_e: float) -> complex:
@@ -101,12 +104,18 @@ def _uniform_step(times: Sequence[float]) -> float:
     """Spacing of a uniform, strictly increasing grid of at least 3 samples."""
     if len(times) < 3:
         raise NonUniformGridUnsupported("history needs at least 3 samples")
-    dt = [b - a for a, b in pairwise(times)]
-    if any(d <= 0 for d in dt):
-        raise NonUniformGridUnsupported("history times must be strictly increasing")
-    if max(abs(d - dt[0]) for d in dt) > 1e-9 * (times[-1] - times[0]):
+    h = float(times[1] - times[0])
+    tol = 1e-9 * (times[-1] - times[0])
+    uneven = False
+    for a, b in pairwise(times):
+        d = b - a
+        if d <= 0:
+            raise NonUniformGridUnsupported("history times must be strictly increasing")
+        if abs(d - h) > tol:
+            uneven = True
+    if uneven:
         raise NonUniformGridUnsupported("history times must be uniformly spaced")
-    return float(times[1] - times[0])
+    return h
 
 
 def _trapezoid(y: Sequence[float], h: float) -> float:
@@ -150,6 +159,9 @@ def berry_phase(history) -> BerryPhases:
     if gap > _LOOP_TOL:
         raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {_LOOP_TOL:.0e}")
     h = _uniform_step(history.times)
-    dg, err_g = _simpson([-w for w in history.w_gg], h)
-    de, err_e = _simpson([-w for w in history.w_ee], h)
+    # _simpson's operations are sign-symmetric except that a zero sum reads +0,
+    # so 0 - total equals the integral of the negated samples bit for bit
+    int_g, err_g = _simpson(history.w_gg, h)
+    int_e, err_e = _simpson(history.w_ee, h)
+    dg, de = 0.0 - int_g, 0.0 - int_e
     return BerryPhases(dg, de, _wrap(dg), _wrap(de), max(err_g, err_e), gap)

@@ -701,3 +701,79 @@ class TestMain:
     def test_sweep_without_periods_exit_1(self, tmp_path):
         fn = self.write_config(tmp_path)
         assert main(["sweep", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+
+    def test_coupling_near_the_hermitian_bound_has_one_rule(self, tmp_path, capsys):
+        # the diagonal residual of A - A^dag is 2 |Im a| = 1.6e-14, above the bound
+        # for ControlPath and the CLI alike: no "scenario OK" and no run directory
+        fn = self.write_config(tmp_path, MINIMAL_CONE.replace(
+            "[[0.0, 1.0], [1.0, 0.0]]", "[[[0.0, 8.0e-15], 1.0], [1.0, 0.0]]"))
+        assert main(["validate", "--config", str(fn)]) == 1
+        assert "coupling.matrix: not Hermitian (residual 1.600e-14)" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        assert not (tmp_path / "runs").exists()
+        # at the bound both accept it
+        sc = load_scenario(MINIMAL_CONE.replace(
+            "[[0.0, 1.0], [1.0, 0.0]]", "[[[0.0, 5.0e-15], 1.0], [1.0, 0.0]]"))
+        assert build_path(sc.path, sc.coupling).coupling_A[0][0] == 5e-15j
+
+    @pytest.mark.parametrize("solver, message", [
+        ("  method: rk4_fixed\n  dt_time: 0.02\n", "rk4_fixed requires dt > 0"),
+        ("  method: rk45_adaptive\n  dt_max_time: 0.5\n", "dt_max must be > 0"),
+        ("  method: rk45_adaptive\n", "omega must be nonzero and finite"),
+    ], ids=["rk4_dt", "rk45_dt_max", "rk45_drive"])
+    @pytest.mark.parametrize("command", ["validate", "sweep", "simulate"])
+    def test_sweep_period_whose_member_fails_exit_1(self, tmp_path, capsys, solver, message,
+                                                    command):
+        # 5e-324 scales dt (and dt_max) to 0.0, and 2 pi / 5e-324 overflows; every
+        # command checks the members, since sweep can switch a scenario's mode
+        text = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", solver)
+        fn = self.write_config(tmp_path, text + "run:\n  sweep_periods_time: [10.0, 5.0e-324]\n")
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert f"run.sweep_periods_time: period 5e-324: {message}" in err
+        assert "period 10.0" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @staticmethod
+    def assert_clean_run_directory(out):
+        """Strict-JSON metadata and no inf or nan in any CSV; returns the metadata."""
+        (run_dir,) = Path(out).iterdir()
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        meta = json.loads((run_dir / "metadata.json").read_text(), parse_constant=reject)
+        for csv in run_dir.glob("*.csv"):
+            cells = set(csv.read_text().replace("\n", ",").split(","))
+            assert not cells & {"inf", "-inf", "nan"}, csv.name
+        return meta
+
+    @pytest.mark.parametrize("command, run_block", [
+        ("simulate", ""),
+        ("simulate", "  optimal_phase: true\n"),
+        ("berry", "  berry_theta_grid_rad: [0.5, 1.0]\n  history_samples: 65\n"),
+        ("sweep", "  sweep_periods_time: [1.0e-200]\n"),
+    ], ids=["simulate", "optimal_phase", "berry", "sweep"])
+    def test_huge_steering_rate_keeps_a_finite_alpha(self, tmp_path, capsys, command, run_block):
+        # |w| ~ 1e200: the fast alpha's squares overflow, the fallback's do not
+        text = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", "")
+        fn = self.write_config(tmp_path, text.replace(
+            "drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 1.0e+200",
+        ) + "run:\n" + run_block)
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
+        meta = self.assert_clean_run_directory(tmp_path / "runs")
+        assert meta["status"] == "ok"
+        assert 1e199 < meta["invariants"]["max_alpha"] < 1e201
+
+    @pytest.mark.parametrize("command", ["simulate", "berry"])
+    def test_alpha_beyond_the_float_range_exit_2(self, tmp_path, capsys, command):
+        # alpha ~ omega / field_energy ~ 1e313
+        text = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", "").replace(
+            "field_energy: 1.0", "field_energy: 1.0e-8").replace(
+            "drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 1.0e+305")
+        fn = self.write_config(tmp_path, text + "run:\n  berry_theta_grid_rad: [1.0]\n")
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        message = "the local adiabatic parameter alpha overflows at t = 0"
+        assert capsys.readouterr().err.startswith(f"run failed: {message}")
+        meta = self.assert_clean_run_directory(tmp_path / "runs")
+        assert meta["status"] == f"failed: {message}"

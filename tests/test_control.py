@@ -319,6 +319,23 @@ class TestLocalAlpha:
         f = q.frame_at(cone_path, 3.0)
         assert f.alpha == q.hs_norm(f.w_gg, f.w_ee, f.w_ge) / f.omega01
 
+    def test_huge_steering_rate_gives_a_finite_alpha(self):
+        # |w| ~ 1e200 overflows the squares of the fast form, not alpha itself,
+        # which grows linearly with the drive rate
+        unit = q.frame_at(q.rotating_cone(1.0, 0.5, 1.0, SX), 0.0).alpha
+        path = q.rotating_cone(1.0, 0.5, 1e200, SX)
+        f = q.frame_at(path, 0.0)
+        assert f.alpha == pytest.approx(1e200 * unit, rel=1e-14)
+        assert f.alpha == pytest.approx(q.hs_norm(f.w_gg, f.w_ee, f.w_ge) / f.omega01, rel=1e-15)
+        assert q.sample_history(path, 0.0, path.duration, 5).alpha == pytest.approx((f.alpha,) * 5)
+
+    def test_alpha_beyond_the_float_range_raises(self):
+        path = q.rotating_cone(1e-8, 0.5, 1e305, SX)
+        with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
+            q.frame_at(path, 0.0)
+        with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
+            q.sample_history(path, 0.0, path.duration, 5)
+
 
 class TestFrameAt:
     def test_composition_consistency(self, cone_path):

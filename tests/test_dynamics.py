@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import qsteer as q
-from qsteer.dynamics import TOL_POSITIVITY, integrate
+from qsteer.dynamics import _METHODS, TOL_POSITIVITY, integrate
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
 from test_control import eig, static_path
@@ -397,6 +397,24 @@ class TestSolverConfig:
             q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.1, record_stride=value)
 
 
+class TestTableaus:
+    @pytest.mark.parametrize("method", sorted(_METHODS))
+    def test_rows_sum_to_their_nodes(self, method):
+        # stage s's row of A sums to its node; the last row is the b row, at
+        # c = 1 (first same as last), and the error row b - b_hat sums to 0
+        stages, err = _METHODS[method]
+        assert [s for s, _, _, _ in stages] == list(range(1, len(stages) + 1))
+        for s, c, terms, _ in stages:
+            assert all(0 <= j < s for j, _ in terms)  # explicit: A is strictly lower
+            assert math.fsum(a for _, a in terms) == pytest.approx(c, abs=1e-15)
+        _, c_last, b_row, _ = stages[-1]
+        assert c_last == 1.0
+        assert math.fsum(b for _, b in b_row) == pytest.approx(1.0, abs=1e-15)
+        if err is not None:
+            assert all(0 <= j <= len(stages) for j, _ in err)
+            assert math.fsum(e for _, e in err) == pytest.approx(0.0, abs=1e-15)
+
+
 class TestSolverWork:
     """Trajectory.work counts what the stepper evaluated, checked against counting callbacks."""
 
@@ -469,10 +487,36 @@ class TestSolverWork:
         traj = integrate(rhs, q.DensityState(1.0, 0j), cfg, frame_provider=provider)
         w = traj.work
         assert (w.accepted_steps, w.rejected_steps) == (100, 0)
-        # each step's first stage is evaluated at the end of the step before
+        # each step's first stage is the last stage of the step before, at its solution
         assert w.rhs_evals == 4 * 100 + 1 == calls["rhs"]
-        assert w.frame_evals == 3 * 100 + 1 == calls["frame"]  # the middle stages share t + dt/2
+        # the middle two stages share t + dt/2 and the last two t + dt
+        assert w.frame_evals == 2 * 100 + 1 == calls["frame"]
         assert w.dt_min == w.dt_max == pytest.approx(0.01)
+
+    def test_rk4_keeps_its_fixed_schedule_at_large_t0(self):
+        # step i ends at t0 + i * dt: at t0 = 1e6 summing the steps would drift
+        # by ulps of t, which could add or drop a step and move every record time
+        t0, t1, stride = 1e6, 1e6 + 1e-3, 7
+        cfg = q.SolverConfig(method="rk4_fixed", t0=t0, t1=t1, dt=1e-5, record_stride=stride)
+        n = max(1, round((t1 - t0) / cfg.dt))
+        dt = (t1 - t0) / n
+        frame_times = []
+
+        def provider(t):
+            frame_times.append(t)
+            return q.frame_at(q.rotating_cone(1.0, 0.9, 0.3, SX), t)
+
+        traj = integrate(lambda t, s, f: q.rhs_full(s, f, q.flat(0.1)), q.DensityState(1.0, 0j),
+                         cfg, frame_provider=provider)
+        assert n == 100 and traj.work.accepted_steps == n
+        assert traj.work.frame_evals == 2 * n + 1 == len(frame_times)
+        want = [t0] + [t0 + i * dt for i in range(1, n + 1) if i % stride == 0 or i == n]
+        assert [s.t for s in traj.samples] == want
+        # each step's frames are at its start time plus dt/2 and plus dt
+        starts = [t0 + i * dt for i in range(n)]
+        assert frame_times[1:] == [t + c * dt for t in starts for c in (0.5, 1.0)]
+        summed = list(itertools.accumulate([t0] + [dt] * n))
+        assert summed != [t0 + i * dt for i in range(n + 1)]  # the schedule matters here
 
     @pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
     def test_positivity_is_checked_at_every_accepted_step(self, cone_path, method):

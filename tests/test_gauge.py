@@ -35,6 +35,10 @@ class TestHsNorm:
     def test_offdiagonal_only(self):
         assert q.hs_norm(0.0, 0.0, 0.05) == pytest.approx(math.sqrt(2) * 0.05)
 
+    def test_huge_entries_do_not_overflow(self):
+        assert q.hs_norm(1e200, -1e200, 1e200j) == pytest.approx(2e200, rel=1e-15)
+        assert q.hs_norm(0.0, 0.0, 1e300) == pytest.approx(math.sqrt(2) * 1e300, rel=1e-15)
+
 
 def history_of(path, n=801, t0=0.0, t1=None):
     return q.sample_history(path, t0, path.duration if t1 is None else t1, n)
@@ -121,6 +125,14 @@ class TestOptimalSchedule:
         with pytest.raises(q.NonUniformGridUnsupported):
             q.berry_phase(tiny)
 
+    def test_a_step_that_is_not_positive_is_named_first(self):
+        # an uneven step before a repeated time: the repeated time is the reported fault
+        flat = (0.0,) * 6
+        hist = FrameHistory(times=(0.0, 1.0, 2.5, 3.0, 3.0, 4.0), w_gg=flat, w_ee=flat,
+                            alpha=flat, b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
+        with pytest.raises(q.NonUniformGridUnsupported, match="strictly increasing"):
+            q.berry_phase(hist)
+
     def test_nonuniform_grid_rejected(self, cone_path):
         # a closed loop with one extra sample: rejected, not resampled
         t1 = cone_path.duration
@@ -203,6 +215,26 @@ class TestBerryPhase:
         for got, w in ((bp.delta_lambda_g, "w_gg"), (bp.delta_lambda_e, "w_ee")):
             y = [-getattr(q.frame_at(cone_path, float(t)), w) for t in hist.times]
             assert got == pytest.approx(cumulative_simpson(y, dx=h)[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 6, 513, 514])
+    def test_equals_simpson_of_the_negated_columns_bit_for_bit(self, rng, n):
+        # berry_phase integrates the columns as they are and negates the totals; the
+        # columns include zeros of both signs, for which a zero total must read +0
+        from qsteer.gauge import _simpson
+
+        times = tuple(k * 0.01 for k in range(n))
+        columns = [tuple(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)) for _ in range(40)]
+        columns += [(0.0,) * n, (-0.0,) * n, tuple((-0.0, 0.0)[k % 2] for k in range(n))]
+        h = times[1] - times[0]
+        for w_gg, w_ee in zip(columns, columns[1:] + columns[:1]):
+            hist = FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=w_gg,
+                                b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
+            bp = q.berry_phase(hist)
+            want_g, err_g = _simpson([-w for w in w_gg], h)
+            want_e, err_e = _simpson([-w for w in w_ee], h)
+            assert bp.delta_lambda_g.hex() == want_g.hex()
+            assert bp.delta_lambda_e.hex() == want_e.hex()
+            assert bp.quadrature_error == max(err_g, err_e)
 
     def test_open_arc_rejected(self):
         path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX)
