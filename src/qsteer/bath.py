@@ -221,8 +221,8 @@ def rates_from_spectra(m1: float, m2: complex, s_plus: float, s_minus: float, s_
     mod2 = m2.real * m2.real + m2.imag * m2.imag
     cross = -m1 * m2
     m2_sq = m2 * m2
-    # positional, in field order: keywords would double the construction cost
-    return RateSet(
+    # in field order; tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(RateSet, (
         mod2 * s_minus,                      # gamma_ge
         mod2 * s_plus,                       # gamma_eg
         m2.conjugate() * (2.0 * m1) * s_zero,  # gamma_tilde0
@@ -231,7 +231,7 @@ def rates_from_spectra(m1: float, m2: complex, s_plus: float, s_minus: float, s_
         2.0 * m1 * m1 * s_zero,              # gamma_phi
         m2_sq * s_plus / 2.0,                # gamma_alpha
         m2_sq * s_minus / 2.0,               # gamma_beta
-    )
+    ))
 
 
 def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSet:

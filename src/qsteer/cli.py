@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -48,6 +47,7 @@ from .control import (
     sample_history,
 )
 from .dynamics import (
+    _METHODS,
     DensityState,
     SolverConfig,
     integrate,
@@ -55,7 +55,7 @@ from .dynamics import (
     rhs_nonsteered,
     rhs_secular,
 )
-from .errors import OutOfRange, ParseError, QSteerError, ValidationError
+from .errors import NonFiniteState, OutOfRange, ParseError, QSteerError, ValidationError
 from .gauge import berry_phase
 
 # Not called here; perfbench's tracer and its self-tests patch this name.
@@ -343,23 +343,24 @@ def _build_solver(data, path, problems) -> Optional[SolverConfig]:
     if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
         problems.append("solver.record_stride: must be an integer >= 1")
         ok = False
-    dt = rtol = atol = dt_max = None
-    if method == "rk4_fixed":
+    if not isinstance(method, str) or method not in _METHODS:
+        *names, last = _METHODS
+        problems.append(f"solver.method: must be {', '.join(names)} or {last}")
+        return None
+    fixed = _METHODS[method][1] is None  # no error row: a fixed step
+    if fixed:
         dt = _positive(data.get("dt_time"), "solver.dt_time", problems)
         ok = ok and dt is not None
-    elif method == "rk45_adaptive":
+    else:
         rtol = _positive(data.get("rtol", 1e-9), "solver.rtol", problems)
         atol = _positive(data.get("atol", 1e-12), "solver.atol", problems)
         dt_max = data.get("dt_max_time")
         dt_max = None if dt_max is None else _positive(dt_max, "solver.dt_max_time", problems)
         ok = ok and rtol is not None and atol is not None
-    else:
-        problems.append("solver.method: must be rk4_fixed or rk45_adaptive")
-        ok = False
     if not ok:
         return None
     try:
-        if method == "rk4_fixed":
+        if fixed:
             return SolverConfig(method=method, t0=t0, t1=t1, dt=dt, record_stride=stride)
         return SolverConfig(
             method=method, t0=t0, t1=t1, rtol=rtol, atol=atol, dt_max=dt_max,
@@ -582,7 +583,10 @@ def _run_member(task):
     if variant == "berry":
         built = time.monotonic()
         history = sample_history(path, 0.0, path.duration, sc.history_samples)
-        ph = berry_phase(history)
+        try:
+            ph = berry_phase(history)
+        except NonFiniteState as exc:  # name the loop
+            raise NonFiniteState(f"theta_rad = {labels['theta_rad']!r}: {exc}") from None
         solved = time.monotonic()
         row = dict(labels, delta_lambda_g=ph.delta_lambda_g, delta_lambda_e=ph.delta_lambda_e,
                    delta_lambda_g_mod_2pi=ph.delta_lambda_g_mod,
@@ -662,7 +666,13 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     workers = min(jobs, len(members), os.cpu_count() or 1)
     try:
         _check_spectrum_range(scenario)
-        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        if workers > 1:  # a serial run loads no process pool
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool_cm = ProcessPoolExecutor(max_workers=workers)
+        else:
+            pool_cm = nullcontext()
+        with pool_cm as pool:
             results = (pool.map if pool else map)(_run_member, [(m, run_dir) for m in members])
             for (_, _, name, _), (row, maxima, w, wall, phase) in zip(members, results):
                 rows.append(row)

@@ -162,13 +162,17 @@ def rotating_cone(
         raise ValueError("omega must be nonzero and finite")
     if duration is None:
         duration = 2 * math.pi / abs(omega)
-    st, ct = math.sin(theta), math.cos(theta)
+    cos, sin = math.cos, math.sin
+    st, ct = sin(theta), cos(theta)
+    # each component's leading product, evaluated left to right as it would be per call
+    r_xy, b_z = Omega * st, Omega * ct
+    v_x, v_y = -Omega * omega * st, Omega * omega * st
 
     def b(t: float) -> Vec3:
-        return (Omega * st * math.cos(omega * t), Omega * st * math.sin(omega * t), Omega * ct)
+        return (r_xy * cos(omega * t), r_xy * sin(omega * t), b_z)
 
     def b_dot(t: float) -> Vec3:
-        return (-Omega * omega * st * math.sin(omega * t), Omega * omega * st * math.cos(omega * t), 0.0)
+        return (v_x * sin(omega * t), v_y * cos(omega * t), 0.0)
 
     return ControlPath(
         kind="rotating_cone",
@@ -403,16 +407,21 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     components on the real axis. Raises GapCollapse at |b| <= GAP_FLOOR and
     GaugeUndefined, naming t, where an anchored component is 0.
     """
-    cg, ce = path.anchors()
+    cg, ce = path._anchors or path.anchors()
     b = path.b(t)
-    r = _gap(*b)
+    bx, by, bz = b
+    r = math.sqrt(bx * bx + by * by + bz * bz)  # _gap, inline
+    if r <= GAP_FLOOR:
+        raise GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
     bd = path.b_dot(t)
     try:
         w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i = _fields(
-            b, bd, path._A_traceless, r, b[2] >= 0.0, cg, ce)
+            b, bd, path._A_traceless, r, bz >= 0.0, cg, ce)
     except (ZeroDivisionError, OverflowError) as exc:  # only a zero |q| divides by zero
         raise _frame_error(t, exc) from None
-    return AdiabaticFrame(t, r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i), alpha)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__; the result is an AdiabaticFrame
+    return tuple.__new__(
+        AdiabaticFrame, (t, r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i), alpha))
 
 
 def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHistory:

@@ -59,19 +59,19 @@ def rhs_nonsteered(state: DensityState, r: RateSet, omega01: float):
                   - (G_eg/2 + G_ge/2 + G_phi) rho_ge
                   + (G_alpha + G_beta) rho_eg + Gt+
     """
-    rgg = state.rho_gg
-    rge = complex(state.rho_ge)
+    rgg, rge = state
+    g_ge, g_eg, g_t0, g_tp, g_tm, g_phi, g_alpha, g_beta = r
     dgg = (
-        -(r.gamma_ge + r.gamma_eg) * rgg
-        + (r.gamma_tilde0 * rge).real
-        + r.gamma_eg
+        -(g_ge + g_eg) * rgg
+        + (g_t0 * rge).real
+        + g_eg
     )
     dge = (
         1j * omega01 * rge
-        - (r.gamma_tilde_plus + r.gamma_tilde_minus) * rgg
-        - (r.gamma_eg / 2.0 + r.gamma_ge / 2.0 + r.gamma_phi) * rge
-        + (r.gamma_alpha + r.gamma_beta) * rge.conjugate()
-        + r.gamma_tilde_plus
+        - (g_tp + g_tm) * rgg
+        - (g_eg / 2.0 + g_ge / 2.0 + g_phi) * rge
+        + (g_alpha + g_beta) * rge.conjugate()
+        + g_tp
     )
     return dgg, dge
 
@@ -83,10 +83,10 @@ def rhs_secular(state: DensityState, r: RateSet, omega01: float):
     the decay rate (G_ge + G_eg)/2 + G_phi in the coherence sector; all cross
     rates and every drive contribution are dropped.
     """
-    rgg = state.rho_gg
-    rge = complex(state.rho_ge)
-    dgg = -(r.gamma_ge + r.gamma_eg) * rgg + r.gamma_eg
-    dge = (1j * omega01 - (r.gamma_ge / 2.0 + r.gamma_eg / 2.0 + r.gamma_phi)) * rge
+    rgg, rge = state
+    g_ge, g_eg, g_phi = r.gamma_ge, r.gamma_eg, r.gamma_phi
+    dgg = -(g_ge + g_eg) * rgg + g_eg
+    dge = (1j * omega01 - (g_ge / 2.0 + g_eg / 2.0 + g_phi)) * rge
     return dgg, dge
 
 
@@ -103,10 +103,9 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity):
         raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
     s_plus, s_minus, s_zero = sd.at_gap(w01)
     m1 = frame.m1
-    m2 = complex(frame.m2)
-    wge = complex(frame.w_ge)
-    rgg = state.rho_gg
-    rge = complex(state.rho_ge)
+    m2 = frame.m2
+    wge = frame.w_ge
+    rgg, rge = state
     m2r, m2i = m2.real, m2.imag
     wr, wi = wge.real, wge.imag
     rr, ri = rge.real, rge.imag
@@ -360,16 +359,6 @@ def _no_frame(t):
     return None
 
 
-def _axpy(g, ge, ks, terms, dt):
-    """(g, ge) + dt * sum of c * ks[s] over the (stage, coefficient) pairs ``terms``, in order."""
-    for s, c in terms:
-        cdt = c * dt
-        kg, kge = ks[s]
-        g += cdt * kg
-        ge += cdt * kge
-    return g, ge
-
-
 def _advance_phases(lam, frames, terms, dt):
     """One step of d lambda_g/dt = -w_gg, d lambda_e/dt = -w_ee by the step's own quadrature."""
     sum_g = sum_e = 0.0
@@ -379,10 +368,8 @@ def _advance_phases(lam, frames, terms, dt):
     return lam[0] - dt * sum_g, lam[1] - dt * sum_e
 
 
-def _error_norm(g, ge, g_new, ge_new, err, cfg):
+def _error_norm(g, ge, g_new, ge_new, err_g, err_ge, atol, rtol):
     """RMS of the scaled errors of rho_gg, Re rho_ge and Im rho_ge, in that order."""
-    err_g, err_ge = err
-    atol, rtol = cfg.atol, cfg.rtol
     return math.sqrt((
         (err_g / (atol + rtol * max(abs(g), abs(g_new)))) ** 2
         + (err_ge.real / (atol + rtol * max(abs(ge.real), abs(ge_new.real)))) ** 2
@@ -438,39 +425,45 @@ def integrate(
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
-    # Each stage is evaluated inline: its frame (the provider's, or the previous
-    # stage's at the same t) and the generator, whose (d rho_gg, d rho_ge) is the slope.
+    # Each stage is evaluated inline: its state, its frame (the provider's, or the
+    # previous stage's at the same t) and the generator, whose (d rho_gg, d rho_ge)
+    # is the slope. A stage state is built by tuple.__new__, which skips the
+    # NamedTuple's Python-level __new__ and still gives a DensityState.
     provider = frame_provider if frame_provider is not None else _no_frame
+    new = tuple.__new__
     stages, err_terms = _METHODS[cfg.method]
     last = len(stages)
     b_terms = stages[-1][2]  # the last stage is evaluated at the step's solution
+    atol, rtol = cfg.atol, cfg.rtol
     traj = Trajectory()
     t_worst = None
+    max_violation, max_excited, max_alpha = 0.0, -math.inf, 0.0
 
     def monitor(t, g, ge, frame, lam):
-        """Check one accepted state and fold it into the trajectory's maxima; returns its purity."""
-        nonlocal t_worst
+        """Check one accepted state and fold it into the run's maxima; returns its purity."""
+        nonlocal t_worst, max_violation, max_excited, max_alpha
         if not (math.isfinite(g) and math.isfinite(ge.real) and math.isfinite(ge.imag)):
             raise NonFiniteState(f"non-finite state at t = {t:g}")
-        p = purity(DensityState(g, ge))
-        if p - 1.0 > traj.max_positivity_violation:
-            traj.max_positivity_violation = p - 1.0
+        # purity()'s expression
+        p = g * g + (1.0 - g) * (1.0 - g) + 2.0 * (ge.real * ge.real + ge.imag * ge.imag)
+        if p - 1.0 > max_violation:
+            max_violation = p - 1.0
             t_worst = t
-        if 1.0 - g > traj.max_excited_population:
-            traj.max_excited_population = 1.0 - g
+        if 1.0 - g > max_excited:
+            max_excited = 1.0 - g
         if frame is not None:
             # alpha in the reported basis; phase_shifted_frame gives the same float
             alpha = (hs_norm(0.0, 0.0, frame.w_ge * phase_factor(*lam)) / frame.omega01
                      if track_phases else frame.alpha)
-            if alpha > traj.max_alpha:
-                traj.max_alpha = alpha
+            if alpha > max_alpha:
+                max_alpha = alpha
         return p
 
     def record(t, g, ge, p, frame, lam):
         if track_phases:
             ge = ge * phase_factor(*lam)
             frame = phase_shifted_frame(frame, lam[0], lam[1])
-        traj.samples.append(TrajectorySample(t, DensityState(g, ge), frame, lam[0], lam[1], p))
+        traj.samples.append(TrajectorySample(t, new(DensityState, (g, ge)), frame, lam[0], lam[1], p))
 
     g, ge = initial.rho_gg, complex(initial.rho_ge)
     t = cfg.t0
@@ -478,7 +471,7 @@ def integrate(
     ks = [None] * (last + 1)
     frames = [None] * (last + 1)
     frames[0] = provider(t)
-    ks[0] = rhs(t, DensityState(g, ge), frames[0])
+    ks[0] = rhs(t, new(DensityState, (g, ge)), frames[0])
     n_rhs = n_frames = 1
     record(t, g, ge, monitor(t, g, ge, frames[0], lam), frames[0], lam)
 
@@ -501,20 +494,32 @@ def integrate(
                 raise StepRejectionLimit(f"step {dt:g} does not advance t = {t:g}")
         for s, c, terms, same_t in stages:
             ts = t + c * dt
-            g_new, ge_new = _axpy(g, ge, ks, terms, dt)
+            # (g, ge) + dt * sum of a * ks[j] over the row's (stage, coefficient) pairs, in order
+            g_new, ge_new = g, ge
+            for j, a in terms:
+                adt = a * dt
+                kg, kge = ks[j]
+                g_new += adt * kg
+                ge_new += adt * kge
             if same_t:
                 frame = frames[s - 1]
             else:
                 frame = provider(ts)
                 n_frames += 1
-            ks[s] = rhs(ts, DensityState(g_new, ge_new), frame)
+            ks[s] = rhs(ts, new(DensityState, (g_new, ge_new)), frame)
             frames[s] = frame
         n_rhs += last
         # the last stage state is the step's solution, so (g_new, ge_new) is its result
         if err_terms is None:
             norm = 0.0
         else:
-            norm = _error_norm(g, ge, g_new, ge_new, _axpy(0.0, 0j, ks, err_terms, dt), cfg)
+            err_g, err_ge = 0.0, 0j  # dt * sum of e * ks[j] over the error row, in order
+            for j, e in err_terms:
+                edt = e * dt
+                kg, kge = ks[j]
+                err_g += edt * kg
+                err_ge += edt * kge
+            norm = _error_norm(g, ge, g_new, ge_new, err_g, err_ge, atol, rtol)
             factor = 0.9 * norm ** -0.2 if norm > 0 else 5.0
             grow = min(5.0, max(0.2, factor))
         if norm <= 1.0:
@@ -540,6 +545,9 @@ def integrate(
                     f"{rejections} consecutive rejections at t = {t:g}"
                 )
 
+    traj.max_positivity_violation = max_violation
+    traj.max_excited_population = max_excited
+    traj.max_alpha = max_alpha
     traj.work = SolverWork(
         accepted_steps=accepted,
         rejected_steps=rejected,

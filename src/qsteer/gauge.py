@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
 
-from .errors import LoopNotClosed, NonUniformGridUnsupported
+from .errors import LoopNotClosed, NonFiniteState, NonUniformGridUnsupported
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,7 +153,8 @@ def berry_phase(history) -> BerryPhases:
     increments are then - integral of the w diagonals. The sign follows this
     package's branch convention; the opposite convention negates both
     values. An open loop raises LoopNotClosed, a grid other than the uniform
-    one of :func:`sample_history` raises NonUniformGridUnsupported.
+    one of :func:`sample_history` raises NonUniformGridUnsupported, and an
+    increment or error estimate beyond the float range raises NonFiniteState.
     """
     gap = math.dist(history.b_end, history.b_start)
     if gap > _LOOP_TOL:
@@ -161,7 +162,12 @@ def berry_phase(history) -> BerryPhases:
     h = _uniform_step(history.times)
     # _simpson's operations are sign-symmetric except that a zero sum reads +0,
     # so 0 - total equals the integral of the negated samples bit for bit
-    int_g, err_g = _simpson(history.w_gg, h)
-    int_e, err_e = _simpson(history.w_ee, h)
-    dg, de = 0.0 - int_g, 0.0 - int_e
-    return BerryPhases(dg, de, _wrap(dg), _wrap(de), max(err_g, err_e), gap)
+    try:
+        int_g, err_g = _simpson(history.w_gg, h)
+        int_e, err_e = _simpson(history.w_ee, h)
+    except OverflowError:  # fsum's intermediate overflow
+        int_g = err_g = int_e = err_e = math.inf
+    dg, de, err = 0.0 - int_g, 0.0 - int_e, max(err_g, err_e)
+    if not (math.isfinite(dg) and math.isfinite(de) and math.isfinite(err)):
+        raise NonFiniteState("the Berry phase quadrature overflows the float range")
+    return BerryPhases(dg, de, _wrap(dg), _wrap(de), err, gap)

@@ -1,4 +1,5 @@
 import cmath
+import concurrent.futures
 import json
 import math
 import os
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import qsteer as q
-from qsteer import cli
 from qsteer.cli import build_path, load_scenario, main, run
+from qsteer.dynamics import _METHODS
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -196,6 +197,31 @@ solver:
         sc = load_scenario(MINIMAL_CONE + "run:\n  optimal_phase: true\n  spectral_shift: false\n")
         assert sc.optimal_phase is True
 
+    @pytest.mark.parametrize("method", ["euler", "RK4_FIXED", "[rk4_fixed]", "{a: 1}", "null"])
+    def test_unknown_method_lists_the_methods(self, method):
+        text = MINIMAL_CONE.replace("method: rk4_fixed\n  dt_time: 0.02", f"method: {method}")
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        assert exc.value.problems == ["solver.method: must be rk4_fixed or rk45_adaptive"]
+        assert all(name in exc.value.problems[0] for name in _METHODS)
+
+    @pytest.mark.parametrize("method", sorted(_METHODS))
+    def test_each_method_reads_the_keys_of_its_kind(self, method):
+        # a fixed step (no error row) takes dt_time; an adaptive one rtol, atol and dt_max_time
+        fixed = _METHODS[method][1] is None
+        keys = "  dt_time: 0.02\n  rtol: 1.0e-7\n  atol: 1.0e-10\n  dt_max_time: 0.5\n"
+        sc = load_scenario(MINIMAL_CONE.replace(
+            "  method: rk4_fixed\n  dt_time: 0.02\n", f"  method: {method}\n{keys}"))
+        solver = (sc.solver.dt, sc.solver.rtol, sc.solver.atol, sc.solver.dt_max)
+        assert solver == ((0.02, 1e-9, 1e-12, None) if fixed else (None, 1e-7, 1e-10, 0.5))
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(MINIMAL_CONE.replace(
+                "  method: rk4_fixed\n  dt_time: 0.02\n",
+                f"  method: {method}\n  dt_time: -1\n  rtol: -1\n  dt_max_time: -1\n"))
+        assert exc.value.problems == (
+            ["solver.dt_time: must be positive"] if fixed
+            else ["solver.rtol: must be positive", "solver.dt_max_time: must be positive"])
+
 
 class TestRun:
     def test_simulate_artifacts(self, tmp_path):
@@ -283,7 +309,7 @@ class TestRun:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         art = run(load_scenario(MINIMAL_CONE + f"run:\n  {run_block}\n"), out_dir=tmp_path, jobs=jobs)
         assert sizes == ([] if workers is None else [workers])
@@ -764,6 +790,19 @@ class TestMain:
         meta = self.assert_clean_run_directory(tmp_path / "runs")
         assert meta["status"] == "ok"
         assert 1e199 < meta["invariants"]["max_alpha"] < 1e201
+
+    def test_berry_integral_beyond_the_float_range_exit_2(self, tmp_path, capsys):
+        # |w_gg| ~ 1e307 at every sample: each alpha is finite, the loop's quadrature is not
+        text = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", "").replace(
+            "drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 1.0e+307")
+        fn = self.write_config(tmp_path, text + (
+            "run:\n  berry_theta_grid_rad: [1.0, 2.0]\n  history_samples: 2049\n"))
+        assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        message = "theta_rad = 1.0: the Berry phase quadrature overflows the float range"
+        err = capsys.readouterr().err
+        assert err == f"run failed: {message}\n" and "Traceback" not in err
+        meta = self.assert_clean_run_directory(tmp_path / "runs")
+        assert meta["status"] == f"failed: {message}"
 
     @pytest.mark.parametrize("command", ["simulate", "berry"])
     def test_alpha_beyond_the_float_range_exit_2(self, tmp_path, capsys, command):

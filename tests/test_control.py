@@ -372,6 +372,50 @@ class TestFrameAt:
                 coupling_A=SX, duration=1.0,
             )
 
+    @pytest.mark.parametrize("A", COUPLINGS)
+    def test_is_the_constructors_frame_of_the_kernel(self, A):
+        # frame_at inlines the gap check and builds the tuple directly: every field
+        # equals the constructor's on _gap and _fields, bit for bit
+        from qsteer.control import _fields, _gap
+
+        paths = [q.rotating_cone(1.3, 2.1, -0.4, A), q.rotating_cone(2, 1, 1, A),
+                 q.linear_sweep(0.2, 0.5, 30.0, A), antipode_path()]
+        for path in paths:
+            for t in (0.0, 0.37, 1.0 - 2.0**-20, 7.5):
+                if path.kind == "custom" and t > 1.0:
+                    continue
+                f = q.frame_at(path, t)
+                b = path.b(t)
+                r = _gap(*b)
+                w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i = _fields(
+                    b, path.b_dot(t), path._A_traceless, r, b[2] >= 0.0, *path.anchors())
+                ref = q.AdiabaticFrame(t=t, omega01=r, w_gg=w_gg, w_ee=w_ee, w_ge=complex(wr, wi),
+                                       m1=m1, m2=complex(m2_r, m2_i), alpha=alpha)
+                assert type(f) is q.AdiabaticFrame
+                assert f == ref and field_bits(f) == field_bits(ref)
+                assert f._asdict() == ref._asdict()
+
+    def test_gap_collapse_message_is_the_kernels(self):
+        from qsteer.control import _gap
+
+        path = q.linear_sweep(1.0, 1e-10, 10.0, SX)  # |b| = 1e-10 at mid-path
+        with pytest.raises(q.GapCollapse) as got:
+            q.frame_at(path, 5.0)
+        with pytest.raises(q.GapCollapse) as want:
+            _gap(*path.b(5.0))
+        assert str(got.value) == str(want.value) == "|b| = 1.000e-10 <= gap floor 1e-09"
+
+    @pytest.mark.parametrize("Omega, theta, omega", [(1.3, 2.1, -0.4), (2, 1, 3), (0.7, -0.3, 1e-3)])
+    def test_cone_field_is_the_written_expression(self, Omega, theta, omega):
+        path = q.rotating_cone(Omega, theta, omega, SX)
+        st, ct = math.sin(theta), math.cos(theta)
+        for t in (0.0, 0.25, 3.0, 1e4):
+            b = (Omega * st * math.cos(omega * t), Omega * st * math.sin(omega * t), Omega * ct)
+            b_dot = (-Omega * omega * st * math.sin(omega * t),
+                     Omega * omega * st * math.cos(omega * t), 0.0)
+            assert field_bits(path.b(t)) == field_bits(b)
+            assert field_bits(path.b_dot(t)) == field_bits(b_dot)
+
     @pytest.mark.parametrize("make, message", [
         (lambda: q.rotating_cone(1, 1, 0.1, [[math.nan, 1], [1, 0]]), "coupling_A must be finite"),
         (lambda: q.rotating_cone(1, 1, 0.1, [[math.inf, 1], [1, 0]]), "coupling_A must be finite"),

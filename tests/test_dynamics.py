@@ -10,7 +10,7 @@ import qsteer as q
 from qsteer.dynamics import _METHODS, TOL_POSITIVITY, integrate
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
-from test_control import eig, static_path
+from test_control import eig, field_bits, static_path
 
 
 def spectra_stub(s_plus, s_minus, s_zero, omega01):
@@ -183,6 +183,58 @@ class TestRhsFull:
         f = q.AdiabaticFrame(0.0, 0.0, 0.0, 0.0, 0j, 0.0, 1.0, 0.0)
         with pytest.raises(q.GapCollapse):
             q.rhs_full(q.DensityState(1.0, 0j), f, q.flat(1.0))
+
+
+# the linear-order superadiabatic density map, dynamics.to_superadiabatic
+
+def make_frame(omega01=1.0, w_gg=0.0, w_ee=0.0, w_ge=0j, m1=0.0, m2=1.0):
+    return q.AdiabaticFrame(
+        t=0.0, omega01=omega01, w_gg=w_gg, w_ee=w_ee, w_ge=complex(w_ge),
+        m1=m1, m2=complex(m2), alpha=q.hs_norm(w_gg, w_ee, w_ge) / omega01,
+    )
+
+
+def exact_basis_change_oracle(rho_gg, rho_ge, frame):
+    """Density components in the exactly normalized corrected basis."""
+    x = frame.w_ge / frame.omega01
+    g2 = np.array([1.0, -np.conj(x)])
+    e2 = np.array([x, 1.0])
+    g2 = g2 / np.linalg.norm(g2)
+    e2 = e2 / np.linalg.norm(e2)
+    rho = np.array(
+        [[rho_gg, rho_ge], [np.conj(rho_ge), 1.0 - rho_gg]], dtype=complex
+    )
+    return (g2.conj() @ rho @ g2).real, g2.conj() @ rho @ e2
+
+
+class TestDensityMaps:
+    def test_identity_at_zero_w(self):
+        assert q.to_superadiabatic(0.7, 0.1 + 0.2j, make_frame()) == (0.7, 0.1 + 0.2j)
+
+    def test_ground_state_acquires_coherence(self):
+        gg2, ge2 = q.to_superadiabatic(1.0, 0j, make_frame(w_ge=0.05))
+        assert gg2 == 1.0
+        assert ge2 == pytest.approx(0.05)
+
+    def test_imaginary_w_case(self):
+        gg2, ge2 = q.to_superadiabatic(0.5, 0.1, make_frame(w_ge=0.05j))
+        assert gg2 == pytest.approx(0.5)
+        assert ge2 == pytest.approx(0.1)
+
+    def test_matches_exact_change_of_basis_to_second_order(self, rng):
+        for _ in range(100):
+            f = random_frame(rng)
+            s = random_state(rng)
+            got = q.to_superadiabatic(s.rho_gg, s.rho_ge, f)
+            ref = exact_basis_change_oracle(s.rho_gg, s.rho_ge, f)
+            bound = 6 * f.alpha**2 + 1e-14
+            assert abs(got[0] - ref[0]) < bound
+            assert abs(got[1] - ref[1]) < bound
+
+    def test_gap_collapse(self):
+        bad = q.AdiabaticFrame(0.0, 0.0, 0.0, 0.0, 0j, 0.0, 1.0, 0.0)
+        with pytest.raises(q.GapCollapse):
+            q.to_superadiabatic(1.0, 0j, bad)
 
 
 class TestSuperadiabaticOracle:
@@ -371,6 +423,59 @@ class TestIntegrate:
         assert ts[0] == 0.0
         assert ts[-1] == pytest.approx(5.0)
         assert traj.max_alpha > 0
+
+
+class TestStageContract:
+    """What integrate hands the generator: a real DensityState and the provider's own frame."""
+
+    @pytest.mark.parametrize("method", sorted(_METHODS))
+    @pytest.mark.parametrize("track_phases", [False, True])
+    def test_every_rhs_call_gets_a_density_state_and_a_provided_frame(self, method, track_phases):
+        path = q.rotating_cone(1.0, 1.0, 0.3, SX)
+        sd = q.flat(0.05)
+        provided, calls = [], []
+
+        def provider(t):
+            provided.append(q.frame_at(path, t))
+            return provided[-1]
+
+        def rhs(t, s, f):
+            assert isinstance(s, q.DensityState) and type(s) is q.DensityState
+            assert s.rho_ee == 1.0 - s.rho_gg and s.rho_eg == s.rho_ge.conjugate()
+            assert s == (s.rho_gg, s.rho_ge) and s._asdict() == {"rho_gg": s[0], "rho_ge": s[1]}
+            calls.append(f)
+            return q.rhs_full(s, f, sd)
+
+        cfg = q.SolverConfig(method=method, t0=0.0, t1=3.0, dt=0.05, record_stride=7)
+        traj = integrate(rhs, q.DensityState(1.0, 0j), cfg, frame_provider=provider,
+                         track_phases=track_phases)
+        made = {id(f) for f in provided}
+        assert len(calls) == traj.work.rhs_evals and len(provided) == traj.work.frame_evals
+        assert all(id(f) in made for f in calls)
+        assert {id(f) for f in calls} == made
+        assert all(type(x.state) is q.DensityState for x in traj.samples)
+
+
+# int, float and complex values of every type the generators take, zeros of both signs
+NUMBERS = (0, 1, -2, 0.0, -0.0, 0.3, -0.7, 0j, complex(-0.0, -0.0), 0.2 - 0.5j)
+
+
+class TestNumberTypes:
+    """An int or float rho_ge, m2 or w_ge gives the floats its complex equivalent gives."""
+
+    @pytest.mark.parametrize("sd", BATHS[:3], ids=lambda sd: sd.model)
+    def test_generators_and_rates_bit_for_bit(self, sd):
+        w01 = 1.3
+        for rge, m2, wge in itertools.product(NUMBERS, repeat=3):
+            for rgg, m1 in ((0.4, -0.3), (1, 0.5), (0.0, 0)):
+                s, s_c = q.DensityState(rgg, rge), q.DensityState(rgg, complex(rge))
+                f = q.AdiabaticFrame(0.0, w01, 0.01, -0.02, wge, m1, m2, 0.0)
+                f_c = f._replace(w_ge=complex(wge), m2=complex(m2))
+                assert bits(q.rhs_full(s, f, sd)) == bits(q.rhs_full(s_c, f_c, sd))
+                r, r_c = q.rates(m1, m2, w01, sd), q.rates(m1, complex(m2), w01, sd)
+                assert field_bits(r) == field_bits(r_c)
+                for rhs in (q.rhs_secular, q.rhs_nonsteered):
+                    assert bits(rhs(s, r, w01)) == bits(rhs(s_c, r_c, w01))
 
 
 class TestSolverConfig:

@@ -236,6 +236,20 @@ class TestBerryPhase:
             assert bp.delta_lambda_e.hex() == want_e.hex()
             assert bp.quadrature_error == max(err_g, err_e)
 
+    @pytest.mark.parametrize("column", [
+        (1e307,) * 65,  # fsum's partial sums overflow
+        (1e306,) * 64 + (1.7e308,),  # the sums stay finite, the Simpson weights do not
+        (0.0,) * 32 + (math.nan,) + (0.0,) * 32,
+    ], ids=["fsum", "weights", "nan"])
+    def test_increment_beyond_the_float_range_raises(self, column):
+        times = tuple(k * 0.5 for k in range(len(column)))
+        finite = (0.0,) * len(column)
+        for w_gg, w_ee in ((column, finite), (finite, column)):
+            hist = FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=finite,
+                                b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
+            with pytest.raises(q.NonFiniteState, match="^the Berry phase quadrature overflows"):
+                q.berry_phase(hist)
+
     def test_open_arc_rejected(self):
         path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX)
         with pytest.raises(q.LoopNotClosed):
