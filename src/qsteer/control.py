@@ -63,15 +63,16 @@ class ControlPath:
     time derivative; both are required.  ``coupling_A`` is the Hermitian
     system part of the system-environment coupling, given in the fixed basis
     as any 2x2 nested sequence of numbers (lists, tuples or an array) and
-    stored as a tuple of two rows of two complex numbers.
+    stored as a tuple of two rows of two complex numbers.  ``t_start`` is
+    where the path begins: the first sample time of a sampled path, 0 for the
+    analytic ones.
     """
 
-    kind: str
     b: Callable[[float], Vec3]
     b_dot: Callable[[float], Vec3]
     coupling_A: Matrix2
     duration: float
-    params: dict = field(default_factory=dict)
+    t_start: float = 0.0
     _anchors: Optional[tuple[int, int]] = field(default=None, init=False, repr=False)
     _A_traceless: Optional[tuple[complex, complex, complex]] = field(
         default=None, init=False, repr=False
@@ -95,11 +96,11 @@ class ControlPath:
     def anchors(self) -> tuple[int, int]:
         """Anchor component indices (ground, excited), fixed at the start of the path.
 
-        The start is ``params["t_start"]`` for sampled paths and t = 0 otherwise,
-        so a sampled path is never evaluated outside its samples here.
+        The start is ``t_start``, so a sampled path is never evaluated outside
+        its samples here.
         """
         if self._anchors is None:
-            bx, by, bz = self.b(self.params.get("t_start", 0.0))
+            bx, by, bz = self.b(self.t_start)
             r = _gap(bx, by, bz)
             n = math.sqrt(2 * r * (r + abs(bz)))
             p, mq = (r + abs(bz)) / n, _hypot(bx / n, by / n)
@@ -174,14 +175,7 @@ def rotating_cone(
     def b_dot(t: float) -> Vec3:
         return (v_x * sin(omega * t), v_y * cos(omega * t), 0.0)
 
-    return ControlPath(
-        kind="rotating_cone",
-        b=b,
-        b_dot=b_dot,
-        coupling_A=coupling_A,
-        duration=duration,
-        params={"Omega": Omega, "theta": theta, "omega": omega},
-    )
+    return ControlPath(b=b, b_dot=b_dot, coupling_A=coupling_A, duration=duration)
 
 
 def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> ControlPath:
@@ -200,14 +194,7 @@ def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> Contr
     def b_dot(t: float) -> Vec3:
         return (0.0, 0.0, slope)
 
-    return ControlPath(
-        kind="linear_sweep",
-        b=b,
-        b_dot=b_dot,
-        coupling_A=coupling_A,
-        duration=duration,
-        params={"slope": slope, "gap": gap},
-    )
+    return ControlPath(b=b, b_dot=b_dot, coupling_A=coupling_A, duration=duration)
 
 
 def sampled_path(times, b_values, coupling_A) -> ControlPath:
@@ -235,14 +222,8 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         bx, by, bz = dspline(t)
         return (float(bx), float(by), float(bz))
 
-    return ControlPath(
-        kind="sampled",
-        b=b,
-        b_dot=b_dot,
-        coupling_A=coupling_A,
-        duration=float(times[-1] - t0),
-        params={"n_samples": int(times.size), "t_start": t0, "t_end": float(times[-1])},
-    )
+    return ControlPath(b=b, b_dot=b_dot, coupling_A=coupling_A,
+                       duration=float(times[-1] - t0), t_start=t0)
 
 
 def path_from_csv(csv_path, coupling_A) -> ControlPath:

@@ -232,6 +232,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite")
         if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ValueError("t1 - t0 must be finite")
         if _METHODS[self.method][1] is None:  # a fixed step
             if not (self.dt and self.dt > 0):
                 raise ValueError(f"{self.method} requires dt > 0")
@@ -369,12 +371,19 @@ def _advance_phases(lam, frames, terms, dt):
 
 
 def _error_norm(g, ge, g_new, ge_new, err_g, err_ge, atol, rtol):
-    """RMS of the scaled errors of rho_gg, Re rho_ge and Im rho_ge, in that order."""
-    return math.sqrt((
-        (err_g / (atol + rtol * max(abs(g), abs(g_new)))) ** 2
-        + (err_ge.real / (atol + rtol * max(abs(ge.real), abs(ge_new.real)))) ** 2
-        + (err_ge.imag / (atol + rtol * max(abs(ge.imag), abs(ge_new.imag)))) ** 2
-    ) / 3)
+    """RMS of the scaled errors of rho_gg, Re rho_ge and Im rho_ge, in that order.
+
+    A scaled error whose square overflows, as at tolerances near 1e-300, gives
+    an infinite norm: a rejection.
+    """
+    try:
+        return math.sqrt((
+            (err_g / (atol + rtol * max(abs(g), abs(g_new)))) ** 2
+            + (err_ge.real / (atol + rtol * max(abs(ge.real), abs(ge_new.real)))) ** 2
+            + (err_ge.imag / (atol + rtol * max(abs(ge.imag), abs(ge_new.imag)))) ** 2
+        ) / 3)
+    except OverflowError:
+        return math.inf
 
 
 def integrate(

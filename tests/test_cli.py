@@ -1,8 +1,10 @@
 import cmath
 import concurrent.futures
+import csv
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import qsteer as q
-from qsteer.cli import build_path, load_scenario, main, run
+from qsteer.cli import build_path, load_scenario, main, run, scenario_from_file
 from qsteer.dynamics import _METHODS
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 
 MINIMAL_CONE = """
 path:
@@ -463,6 +466,40 @@ class TestRun:
         assert meta["status"].startswith("failed")
 
 
+def summary_rows(config, out_dir):
+    """Run a shipped config in its own mode; its scenario and its summary table's rows."""
+    sc = scenario_from_file(CONFIG_DIR / config)
+    art = run(sc, out_dir=out_dir)
+    with open(art.files[-1], newline="") as fh:
+        return sc, list(csv.DictReader(fh))
+
+
+class TestShippedFindings:
+    """Each shipped experiment config reproduces its finding through cli.run."""
+
+    def test_berry_sweep_phases_are_the_solid_angle(self, tmp_path):
+        _, rows = summary_rows("berry_sweep.yaml", tmp_path)
+        assert len(rows) == 5
+        for row in rows:
+            target = math.pi * (1.0 - math.cos(float(row["theta_rad"])))
+            got = float(row["delta_lambda_g_mod_2pi"])
+            assert abs(math.remainder(got - target, 2 * math.pi)) <= 1e-4, row
+
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    def test_period_sweep_excitation_falls_as_the_period_squared(self, tmp_path):
+        _, rows = summary_rows("period_sweep.yaml", tmp_path)
+        assert len(rows) == 3
+        log_t = [math.log(float(row["period_time"])) for row in rows]
+        log_p = [math.log(float(row["max_excited_population"])) for row in rows]
+        slope = statistics.linear_regression(log_t, log_p).slope
+        assert slope <= -1.8, slope
+
+    def test_thermal_compare_secular_diverges_from_full(self, tmp_path):
+        sc, rows = summary_rows("cone_thermal_compare.yaml", tmp_path)
+        final = {row["variant"]: float(row["final_rho_gg"]) for row in rows}
+        assert abs(final["full"] - final["secular"]) > 10 * sc.solver.rtol, final
+
+
 class TestMain:
     def write_config(self, tmp_path, text=MINIMAL_CONE):
         fn = tmp_path / "scenario.yaml"
@@ -803,6 +840,29 @@ class TestMain:
         assert err == f"run failed: {message}\n" and "Traceback" not in err
         meta = self.assert_clean_run_directory(tmp_path / "runs")
         assert meta["status"] == f"failed: {message}"
+
+    def shipped_cone(self, tmp_path, old, new):
+        """configs/cone_zero_temperature.yaml with one edit, written as the scenario."""
+        text = (CONFIG_DIR / "cone_zero_temperature.yaml").read_text()
+        assert old in text
+        return self.write_config(tmp_path, text.replace(old, new))
+
+    def test_tolerances_whose_scaled_error_overflows_exit_2(self, tmp_path, capsys):
+        fn = self.shipped_cone(tmp_path, "rtol: 1.0e-9\n  atol: 1.0e-12",
+                               "rtol: 1.0e-300\n  atol: 1.0e-300")
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        message = "61 consecutive rejections at t = 0"
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+        meta = self.assert_clean_run_directory(tmp_path / "runs")
+        assert meta["status"] == f"failed: {message}"
+
+    def test_window_beyond_the_float_range_exit_1(self, tmp_path, capsys):
+        fn = self.shipped_cone(tmp_path, "  record_stride: 10\n",
+                               "  record_stride: 10\n  t0_time: -1.7e+308\n  t1_time: 1.7e+308\n")
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert "solver: t1 - t0 must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "berry"])
     def test_alpha_beyond_the_float_range_exit_2(self, tmp_path, capsys, command):

@@ -14,7 +14,7 @@ from conftest import SX, SZ, cone_field, cone_states, hamiltonian, numdiff_w
 
 def static_path(b, A=SX, duration=10.0):
     return q.ControlPath(
-        kind="custom", b=lambda t: tuple(b), b_dot=lambda t: (0.0, 0.0, 0.0),
+        b=lambda t: tuple(b), b_dot=lambda t: (0.0, 0.0, 0.0),
         coupling_A=A, duration=duration,
     )
 
@@ -41,7 +41,7 @@ def eig_raw(bx, by, bz):
 
 def reference_anchors(path):
     """The dominant component of each eigenvector at the start; ties go to the second."""
-    g, e, _, _ = eig_raw(*path.b(path.params.get("t_start", 0.0)))
+    g, e, _, _ = eig_raw(*path.b(path.t_start))
     return (1 if abs(g[1]) >= abs(g[0]) else 0), (1 if abs(e[1]) >= abs(e[0]) else 0)
 
 
@@ -119,7 +119,7 @@ def antipode_path():
     +z and is exactly 0 at -z.
     """
     return q.ControlPath(
-        kind="custom", b=lambda t: (t * (1.0 - t), 0.0, 1.0 - 2.0 * t),
+        b=lambda t: (t * (1.0 - t), 0.0, 1.0 - 2.0 * t),
         b_dot=lambda t: (1.0 - 2.0 * t, 0.0, -2.0), coupling_A=SX, duration=1.0,
     )
 
@@ -368,7 +368,7 @@ class TestFrameAt:
     def test_b_dot_required(self):
         with pytest.raises(ValueError, match="b_dot"):
             q.ControlPath(
-                kind="custom", b=lambda t: (0.0, 0.0, 1.0), b_dot=None,
+                b=lambda t: (0.0, 0.0, 1.0), b_dot=None,
                 coupling_A=SX, duration=1.0,
             )
 
@@ -378,11 +378,12 @@ class TestFrameAt:
         # equals the constructor's on _gap and _fields, bit for bit
         from qsteer.control import _fields, _gap
 
+        antipode = antipode_path()
         paths = [q.rotating_cone(1.3, 2.1, -0.4, A), q.rotating_cone(2, 1, 1, A),
-                 q.linear_sweep(0.2, 0.5, 30.0, A), antipode_path()]
+                 q.linear_sweep(0.2, 0.5, 30.0, A), antipode]
         for path in paths:
             for t in (0.0, 0.37, 1.0 - 2.0**-20, 7.5):
-                if path.kind == "custom" and t > 1.0:
+                if path is antipode and t > 1.0:
                     continue
                 f = q.frame_at(path, t)
                 b = path.b(t)
@@ -451,7 +452,7 @@ def tie_then_down(A):
     """Starts at b_z = -0.0 (the upper branch, p == |q|: both anchors on component 1),
     then precesses on the lower branch."""
     return q.ControlPath(
-        kind="custom", b=lambda t: (math.cos(0.3 * t), math.sin(0.3 * t), -0.05 * t),
+        b=lambda t: (math.cos(0.3 * t), math.sin(0.3 * t), -0.05 * t),
         b_dot=lambda t: (-0.3 * math.sin(0.3 * t), 0.3 * math.cos(0.3 * t), -0.05),
         coupling_A=A, duration=20.0,
     )
@@ -471,7 +472,7 @@ REFERENCE_PATHS = {
     "tie-then-down": tie_then_down,
     "sampled": sampled_wave,
     "integer-b_dot": lambda A: q.ControlPath(
-        kind="custom", b=lambda t: (0.3, 0.1 * t, 0.9 - 0.2 * t), b_dot=lambda t: (0, 1, 0),
+        b=lambda t: (0.3, 0.1 * t, 0.9 - 0.2 * t), b_dot=lambda t: (0, 1, 0),
         coupling_A=A, duration=10.0),
 }
 
@@ -485,7 +486,7 @@ class TestClosedFormAgainstReference:
         for name, make in REFERENCE_PATHS.items():
             path = make(A)
             assert path.anchors() == reference_anchors(path), name
-            t_start = path.params.get("t_start", 0.0)
+            t_start = path.t_start
             for i in range(201):
                 t = t_start + path.duration * i / 200
                 got, want = q.frame_at(path, t), reference_frame_at(path, t)
@@ -547,7 +548,7 @@ class TestSampleHistory:
 
     def test_static_path_integer_b_dot(self):
         path = q.ControlPath(
-            kind="custom", b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
+            b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
             coupling_A=SX, duration=10.0,
         )
         self.assert_columns_match(path, 0.0, 10.0, 101)
@@ -561,7 +562,7 @@ class TestSampleHistory:
     def test_gap_collapse(self):
         # b_z sweeps through 0 at a sample time, with no transverse field there
         path = q.ControlPath(
-            kind="custom", b=lambda t: (0.0, 0.0, t - 5.0), b_dot=lambda t: (0.0, 0.0, 1.0),
+            b=lambda t: (0.0, 0.0, t - 5.0), b_dot=lambda t: (0.0, 0.0, 1.0),
             coupling_A=SX, duration=10.0,
         )
         with pytest.raises(q.GapCollapse):
@@ -610,7 +611,7 @@ class TestSampledPaths:
             q.sampled_path([0, 1, 2], np.zeros((3, 3)), SX)
         with pytest.raises(ValueError):
             q.ControlPath(
-                kind="custom", b=lambda t: (0, 0, 1), b_dot=lambda t: (0, 0, 0),
+                b=lambda t: (0, 0, 1), b_dot=lambda t: (0, 0, 0),
                 coupling_A=np.array([[0, 1], [0.5, 0]]), duration=1.0,
             )
         ts = np.linspace(0.0, 3.0, 4)

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from qsteer.dynamics import _METHODS, TOL_POSITIVITY, integrate
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
 from test_control import eig, field_bits, static_path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def spectra_stub(s_plus, s_minus, s_zero, omega01):
@@ -367,6 +374,17 @@ class TestIntegrate:
                 q.DensityState(1.0, 0j), cfg,
             )
 
+    def test_scaled_error_whose_square_overflows_is_a_rejection(self, cone_path):
+        # rtol = atol = 1e-300: a scaled error's square overflows the float range,
+        # which is an infinite norm, so every attempt is rejected
+        sd = q.zero_temperature_ohmic(0.1, 20.0)
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0, rtol=1e-300, atol=1e-300)
+        with pytest.raises(q.StepRejectionLimit, match="61 consecutive rejections at t = 0$"):
+            integrate(
+                lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+                frame_provider=lambda t: q.frame_at(cone_path, t),
+            )
+
     def test_nan_error_estimate_is_non_finite(self):
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
         with pytest.raises(q.NonFiniteState, match="error estimate at t = "):
@@ -490,6 +508,11 @@ class TestSolverConfig:
         kwargs = {"method": "rk45_adaptive", "t0": 0.0, "t1": 1.0, field: value}
         with pytest.raises(ValueError, match=f"^{field} must"):
             q.SolverConfig(**kwargs)
+
+    def test_window_beyond_the_float_range_rejected(self):
+        # both ends are finite, their difference is not
+        with pytest.raises(ValueError, match="^t1 - t0 must be finite"):
+            q.SolverConfig(method="rk45_adaptive", t0=-1.7e308, t1=1.7e308)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_dt_rejected(self, value):
@@ -748,3 +771,20 @@ class TestExactSigmaZCone:
                   for w in (0.08, 0.04, 0.02)]
         orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert min(orders) >= 1.8, (errors, orders)
+
+
+def run_python(args, cwd):
+    src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    # documented API cannot name a function the library no longer has
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    done = run_python(["-c", blocks[0]], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 2

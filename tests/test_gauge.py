@@ -58,7 +58,7 @@ class TestOptimalSchedule:
     def test_constant_when_diagonals_vanish(self):
         # static path: w identically zero
         path = q.ControlPath(
-            kind="custom", b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
+            b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
             coupling_A=SX, duration=10.0,
         )
         samples = tracked_phases(path, 10.0, 0.1, 10)
@@ -149,7 +149,7 @@ class TestOptimalSchedule:
 class TestBerryPhase:
     def test_static_loop_zero(self):
         path = q.ControlPath(
-            kind="custom", b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
+            b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
             coupling_A=SX, duration=10.0,
         )
         bp = q.berry_phase(history_of(path, 101, t1=10.0))
@@ -183,7 +183,7 @@ class TestBerryPhase:
             st = math.sin(theta)
             return (-Omega * st * math.sin(phi) * dphi, Omega * st * math.cos(phi) * dphi, 0.0)
 
-        path = q.ControlPath(kind="custom", b=b, b_dot=b_dot, coupling_A=SX, duration=T)
+        path = q.ControlPath(b=b, b_dot=b_dot, coupling_A=SX, duration=T)
         bp = q.berry_phase(history_of(path, 2001, t1=T))
         assert abs(bp.delta_lambda_g) < 1e-8
         assert abs(bp.delta_lambda_e) < 1e-8
@@ -270,7 +270,7 @@ class TestPhaseShiftedFrame:
     def test_trivial_schedule_constant_phase_only(self):
         # diagonals already vanish: only the phase e^{i(lambda_e - lambda_g)} acts
         path = q.ControlPath(
-            kind="custom", b=lambda t: (0.5, 0.0, 0.8), b_dot=lambda t: (0, 0, 0),
+            b=lambda t: (0.5, 0.0, 0.8), b_dot=lambda t: (0, 0, 0),
             coupling_A=SX, duration=10.0,
         )
         f = q.frame_at(path, 4.0)
