@@ -216,6 +216,13 @@ def _file_name(value, where, problems):
     return value
 
 
+def _stride(value, where, problems):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        problems.append(f"{where}: must be an integer >= 1")
+        return None
+    return value
+
+
 # The path and bath sections, one entry per kind: the library constructor and
 # {YAML key: (constructor argument, check, required)}. A key without an
 # argument is validated and echoed but not passed on.
@@ -250,31 +257,40 @@ _BATHS = {
     }),
     "tabulated": (spectrum_from_csv, {"csv_file": ("csv_path", _file_name, True)}),
 }
+# The solver section, one kind per method: a fixed step (no error row) takes
+# dt_time, an adaptive one its tolerances and step cap; every method a window.
+_WINDOW = {"t0_time": ("t0", _number, False), "t1_time": ("t1", _number, False),
+           "record_stride": ("record_stride", _stride, False)}
+_STEP = {"dt_time": ("dt", _positive, True)}
+_TOLERANCES = {"rtol": ("rtol", _positive, False), "atol": ("atol", _positive, False),
+               "dt_max_time": ("dt_max", _positive, False)}
+_SOLVERS = {method: (SolverConfig, {**_WINDOW, **(_STEP if err is None else _TOLERANCES)})
+            for method, (_, err) in _METHODS.items()}
 
 
-def _section(name, data, tag, table, problems) -> Optional[dict]:
-    """The checked keys of one section, or None if its kind or a required key is invalid.
+def _section(name, data, tag, table, problems, default=None) -> Optional[dict]:
+    """The checked keys of one section, or None if any of its keys is invalid.
 
-    An invalid optional key is reported and left out.
+    ``tag`` selects the kind, ``default`` when the tag is absent. A null
+    optional key is absent; a key that only another kind lists is not read.
     """
     if not isinstance(data, dict):
         problems.append(f"{name}: expected a mapping")
         return None
-    kind = data.get(tag)
+    reported = len(problems)
+    kind = data.get(tag, default)
     if not isinstance(kind, str) or kind not in table:
         *kinds, last = table
         problems.append(f"{name}.{tag}: must be {', '.join(kinds)} or {last}")
         return None
-    cfg, ok = {tag: kind}, True
+    cfg = {tag: kind}
     for key, (_, check, required) in table[kind][1].items():
         if data.get(key) is None and not required:
             continue
         value = check(data.get(key), f"{name}.{key}", problems)
         if value is not None:
             cfg[key] = value
-        elif required:
-            ok = False
-    return cfg if ok else None
+    return cfg if len(problems) == reported else None
 
 
 def _construct(section, table, tag, cfg, **extra):
@@ -321,51 +337,25 @@ def _build_solver(data, path, problems) -> Optional[SolverConfig]:
     ``path`` is None when the path section is invalid, which is reported there.
     """
     data = data if isinstance(data, dict) else {}
-    method = data.get("method", "rk45_adaptive")
-    t0 = _number(data.get("t0_time", 0.0), "solver.t0_time", problems)
-    t1 = data.get("t1_time")
-    if t1 is not None:
-        t1 = _number(t1, "solver.t1_time", problems)
-    elif path is not None:
+    cfg = _section("solver", data, "method", _SOLVERS, problems, default="rk45_adaptive")
+    if cfg is None or path is None and "t1_time" not in cfg:
+        return None
+    t0 = cfg.setdefault("t0_time", 0.0)
+    if "t1_time" not in cfg:
         duration = _path_duration(path)
         if duration is None:
             problems.append("solver.t1_time: required when the path has no path.duration_time")
-        elif not math.isfinite(duration):
+            return None
+        if not math.isfinite(duration):
             problems.append("path.drive_omega_rad_per_time: one drive period overflows; "
                             "set path.duration_time")
-        elif t0 is not None:
-            t1 = t0 + duration
-    ok = t0 is not None and t1 is not None
-    if ok and not t1 > t0:
+            return None
+        cfg["t1_time"] = t0 + duration
+    if not cfg["t1_time"] > t0:
         problems.append("solver.t1_time: must exceed solver.t0_time")
-        ok = False
-    stride = data.get("record_stride", 1)
-    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
-        problems.append("solver.record_stride: must be an integer >= 1")
-        ok = False
-    if not isinstance(method, str) or method not in _METHODS:
-        *names, last = _METHODS
-        problems.append(f"solver.method: must be {', '.join(names)} or {last}")
-        return None
-    fixed = _METHODS[method][1] is None  # no error row: a fixed step
-    if fixed:
-        dt = _positive(data.get("dt_time"), "solver.dt_time", problems)
-        ok = ok and dt is not None
-    else:
-        rtol = _positive(data.get("rtol", 1e-9), "solver.rtol", problems)
-        atol = _positive(data.get("atol", 1e-12), "solver.atol", problems)
-        dt_max = data.get("dt_max_time")
-        dt_max = None if dt_max is None else _positive(dt_max, "solver.dt_max_time", problems)
-        ok = ok and rtol is not None and atol is not None
-    if not ok:
         return None
     try:
-        if fixed:
-            return SolverConfig(method=method, t0=t0, t1=t1, dt=dt, record_stride=stride)
-        return SolverConfig(
-            method=method, t0=t0, t1=t1, rtol=rtol, atol=atol, dt_max=dt_max,
-            record_stride=stride,
-        )
+        return _construct("solver", _SOLVERS, "method", cfg, method=cfg["method"])
     except ValueError as exc:
         problems.append(f"solver: {exc}")
         return None
@@ -388,8 +378,26 @@ def _mode_problems(mode, path, solver, sweep_periods, berry_thetas) -> list:
     return problems
 
 
-def load_scenario(text: str) -> Scenario:
-    """Parse and validate a YAML scenario, reporting every problem at once."""
+def _grid(run, key, entry_ok, expected, entries, problems) -> tuple:
+    """A run grid as floats: () when absent, the entries that pass ``entry_ok`` otherwise."""
+    raw = run.get(key)
+    if raw is None:
+        return ()
+    if not isinstance(raw, list):
+        problems.append(f"run.{key}: expected a list of {expected}")
+        return ()
+    ok = [v for v in raw if _is_real(v) and entry_ok(v)]
+    if len(ok) != len(raw):
+        problems.append(f"run.{key}: entries must {entries}")
+    return tuple(float(v) for v in ok)
+
+
+def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
+    """Parse and validate a YAML scenario, reporting every problem at once.
+
+    A given ``mode`` (a CLI subcommand) replaces ``run.mode`` before the
+    mode's own rules are checked.
+    """
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -415,7 +423,7 @@ def load_scenario(text: str) -> Scenario:
 
     run = data.get("run", {})
     run = run if isinstance(run, dict) else {}
-    mode = run.get("mode", "simulate")
+    mode = mode or run.get("mode", "simulate")
     if mode not in ("simulate", "sweep", "compare", "berry"):
         problems.append("run.mode: must be simulate, sweep, compare or berry")
     optimal_phase = _flag(run, "optimal_phase", problems)
@@ -428,29 +436,11 @@ def load_scenario(text: str) -> Scenario:
         problems.append(f"run.history_samples: must be an integer in [3, {_MAX_HISTORY_SAMPLES}]")
         history_samples = 4097
 
-    # grids are parsed whenever present so a CLI subcommand can switch modes;
-    # they are only required when the scenario's own mode needs them
-    sweep_periods = ()
-    raw = run.get("sweep_periods_time")
-    if raw is not None:
-        if not isinstance(raw, list):
-            problems.append("run.sweep_periods_time: expected a list of positive numbers")
-        else:
-            ok = [p for p in raw if _is_real(p) and 0 < p <= sys.float_info.max]
-            if len(ok) != len(raw):
-                problems.append("run.sweep_periods_time: entries must be finite positive numbers")
-            sweep_periods = tuple(float(p) for p in ok)
-
-    berry_thetas = ()
-    raw = run.get("berry_theta_grid_rad")
-    if raw is not None:
-        if not isinstance(raw, list):
-            problems.append("run.berry_theta_grid_rad: expected a list of angles in [0, pi]")
-        else:
-            ok = [v for v in raw if _is_real(v) and 0 <= v <= math.pi]
-            if len(ok) != len(raw):
-                problems.append("run.berry_theta_grid_rad: entries must lie in [0, pi]")
-            berry_thetas = tuple(float(v) for v in ok)
+    # grids are parsed whenever present; only their own mode requires them
+    sweep_periods = _grid(run, "sweep_periods_time", lambda p: 0 < p <= sys.float_info.max,
+                          "positive numbers", "be finite positive numbers", problems)
+    berry_thetas = _grid(run, "berry_theta_grid_rad", lambda v: 0 <= v <= math.pi,
+                         "angles in [0, pi]", "lie in [0, pi]", problems)
     solver = _build_solver(data.get("solver"), path, problems)
     problems.extend(_mode_problems(mode, path, solver, sweep_periods, berry_thetas))
 
@@ -480,8 +470,8 @@ def _sweep_member_problems(scenario: Scenario) -> list:
 
     Each member's solver and path are built as a sweep run builds them, so a
     scaled ``dt`` that underflows to 0 or a drive rate 2 pi / period that
-    overflows is reported. Checked whenever a cone lists periods, since a
-    CLI subcommand can switch the scenario to sweep mode.
+    overflows is reported. Checked whenever a cone lists periods, whatever
+    the mode.
     """
     if not scenario.sweep_periods or scenario.path["kind"] != "rotating_cone":
         return []
@@ -495,8 +485,8 @@ def _sweep_member_problems(scenario: Scenario) -> list:
     return problems
 
 
-def scenario_from_file(path) -> Scenario:
-    return load_scenario(Path(path).read_text())
+def scenario_from_file(path, mode: Optional[str] = None) -> Scenario:
+    return load_scenario(Path(path).read_text(), mode)
 
 
 # ----------------------------------------------------------------------
@@ -737,15 +727,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        scenario = scenario_from_file(args.config)
-        if args.command not in ("validate", scenario.mode):
-            problems = _mode_problems(
-                args.command, scenario.path, scenario.solver, scenario.sweep_periods,
-                scenario.berry_thetas,
-            )
-            if problems:
-                raise ValidationError(problems)
-            scenario = dataclasses.replace(scenario, mode=args.command)
+        mode = None if args.command == "validate" else args.command
+        scenario = scenario_from_file(args.config, mode)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -225,6 +225,27 @@ solver:
             ["solver.dt_time: must be positive"] if fixed
             else ["solver.rtol: must be positive", "solver.dt_max_time: must be positive"])
 
+    def test_null_optional_solver_key_is_absent(self):
+        nulls = "  t0_time: null\n  t1_time: null\n  record_stride: null\n"
+        fixed = load_scenario(MINIMAL_CONE.replace("  record_stride: 50\n", nulls))
+        assert (fixed.solver.t0, fixed.solver.record_stride) == (0.0, 1)
+        assert fixed.solver.t1 == load_scenario(MINIMAL_CONE).solver.t1
+        adaptive = load_scenario(MINIMAL_CONE.replace(
+            "  method: rk4_fixed\n  dt_time: 0.02\n",
+            "  method: rk45_adaptive\n  rtol: null\n  atol: null\n  dt_max_time: null\n"))
+        assert (adaptive.solver.rtol, adaptive.solver.atol, adaptive.solver.dt_max) == (1e-9, 1e-12, None)
+        # an absent method is rk45_adaptive; a null one is not
+        assert load_scenario(MINIMAL_CONE.replace("  method: rk4_fixed\n", "")).solver.method == "rk45_adaptive"
+
+    def test_given_mode_replaces_the_files(self):
+        berry = MINIMAL_CONE + "run:\n  mode: berry\n"  # no grid: invalid as a berry run
+        with pytest.raises(q.ValidationError):
+            load_scenario(berry)
+        assert load_scenario(berry, mode="simulate").mode == "simulate"
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(MINIMAL_CONE, mode="sweep")
+        assert exc.value.problems == ["run.sweep_periods_time: required non-empty list for sweep mode"]
+
 
 class TestRun:
     def test_simulate_artifacts(self, tmp_path):
@@ -660,6 +681,19 @@ class TestMain:
             load_scenario(MINIMAL_CONE + "run:\n  mode: berry\n")
         assert exc.value.problems and all(p in err for p in exc.value.problems)
         assert not (tmp_path / "runs").exists()
+
+    def test_subcommand_skips_the_files_mode_rules(self, tmp_path, capsys):
+        fn = self.write_config(tmp_path, MINIMAL_CONE + "run:\n  mode: berry\n")
+        assert main(["validate", "--config", str(fn)]) == 1
+        assert "run.berry_theta_grid_rad" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
+
+    def test_subcommand_problems_listed_with_the_scenarios(self, tmp_path, capsys):
+        fn = self.write_config(tmp_path, MINIMAL_CONE.replace("s0_rate: 0.1", "s0_rate: -0.1"))
+        assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert "bath.s0_rate: must be positive" in err
+        assert "run.berry_theta_grid_rad: required non-empty list for berry mode" in err
 
     @pytest.mark.parametrize("command, grid", [
         ("sweep", "sweep_periods_time: [20, 40]"),
