@@ -32,7 +32,6 @@ from .dynamics import (
     SolverConfig,
     Trajectory,
     integrate,
-    purity,
     rhs_full,
     rhs_nonsteered,
     rhs_secular,

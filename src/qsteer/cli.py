@@ -268,16 +268,30 @@ _SOLVERS = {method: (SolverConfig, {**_WINDOW, **(_STEP if err is None else _TOL
             for method, (_, err) in _METHODS.items()}
 
 
+def _mapping(name, data, keys, problems) -> Optional[dict]:
+    """One section's mapping ({} when absent or null), or None when it is not a mapping.
+
+    A value that is not a mapping and each key outside ``keys`` are reported.
+    """
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        problems.append(f"{name}: expected a mapping")
+        return None
+    problems.extend(f"{name}.{key}: unknown key" for key in data if key not in keys)
+    return data
+
+
 def _section(name, data, tag, table, problems, default=None) -> Optional[dict]:
     """The checked keys of one section, or None if any of its keys is invalid.
 
     ``tag`` selects the kind, ``default`` when the tag is absent. A null
     optional key is absent; a key that only another kind lists is not read.
     """
-    if not isinstance(data, dict):
-        problems.append(f"{name}: expected a mapping")
-        return None
     reported = len(problems)
+    data = _mapping(name, data, {tag}.union(*(fields for _, fields in table.values())), problems)
+    if data is None:
+        return None
     kind = data.get(tag, default)
     if not isinstance(kind, str) or kind not in table:
         *kinds, last = table
@@ -313,7 +327,10 @@ def _path_duration(path: dict) -> Optional[float]:
 
 
 def _build_coupling(data, problems):
-    matrix = None if not isinstance(data, dict) else data.get("matrix")
+    data = _mapping("coupling", data, ("matrix",), problems)
+    if data is None:
+        return None
+    matrix = data.get("matrix")
     if not (isinstance(matrix, list) and len(matrix) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in matrix)):
         problems.append("coupling.matrix: expected a 2x2 matrix")
@@ -336,7 +353,6 @@ def _build_solver(data, path, problems) -> Optional[SolverConfig]:
 
     ``path`` is None when the path section is invalid, which is reported there.
     """
-    data = data if isinstance(data, dict) else {}
     cfg = _section("solver", data, "method", _SOLVERS, problems, default="rk45_adaptive")
     if cfg is None or path is None and "t1_time" not in cfg:
         return None
@@ -392,6 +408,11 @@ def _grid(run, key, entry_ok, expected, entries, problems) -> tuple:
     return tuple(float(v) for v in ok)
 
 
+_SECTIONS = ("path", "coupling", "bath", "initial", "solver", "run")
+_RUN_KEYS = ("mode", "optimal_phase", "spectral_shift", "history_samples",
+             "sweep_periods_time", "berry_theta_grid_rad")
+
+
 def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
     """Parse and validate a YAML scenario, reporting every problem at once.
 
@@ -405,13 +426,12 @@ def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
     if not isinstance(data, dict):
         raise ParseError("scenario must be a mapping at top level")
 
-    problems: list[str] = []
+    problems = [f"{key}: unknown section" for key in data if key not in _SECTIONS]
     path = _section("path", data.get("path"), "kind", _PATHS, problems)
     coupling = _build_coupling(data.get("coupling"), problems)
     bath_cfg = _section("bath", data.get("bath"), "model", _BATHS, problems)
 
-    initial = data.get("initial", {})
-    initial = initial if isinstance(initial, dict) else {}
+    initial = _mapping("initial", data.get("initial"), ("rho_gg", "rho_ge"), problems) or {}
     rho_gg = initial.get("rho_gg", 1.0)
     if not _is_real(rho_gg) or not 0.0 <= rho_gg <= 1.0:
         problems.append("initial.rho_gg: must be in [0, 1]")
@@ -421,8 +441,7 @@ def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
     if rho_gg * (1.0 - rho_gg) - ge2 < -1e-12:
         problems.append("initial: state not positive (|rho_ge|^2 > rho_gg rho_ee)")
 
-    run = data.get("run", {})
-    run = run if isinstance(run, dict) else {}
+    run = _mapping("run", data.get("run"), _RUN_KEYS, problems) or {}
     mode = mode or run.get("mode", "simulate")
     if mode not in ("simulate", "sweep", "compare", "berry"):
         problems.append("run.mode: must be simulate, sweep, compare or berry")

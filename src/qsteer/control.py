@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState
+from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState, OutOfRange
 
 Vec3 = tuple[float, float, float]
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -198,7 +198,12 @@ def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> Contr
 
 
 def sampled_path(times, b_values, coupling_A) -> ControlPath:
-    """Cubic-spline interpolation of tabulated (t, b) samples; C^1 by construction."""
+    """Cubic-spline interpolation of tabulated (t, b) samples; C^1 by construction.
+
+    ``b`` and ``b_dot`` raise OutOfRange outside the sample times, which are
+    widened by 4 ulps of the larger end: a stage at a window's end can land
+    an ulp past it.
+    """
     import numpy as np
     from scipy.interpolate import CubicSpline
 
@@ -212,18 +217,25 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         raise ValueError("b_values must have shape (n_times, 3)")
     spline = CubicSpline(times, b_values, axis=0)
     dspline = spline.derivative()
-    t0 = float(times[0])
+    t0, t_last = float(times[0]), float(times[-1])
+    slack = 4 * math.ulp(max(abs(t0), abs(t_last)))
+    lo, hi = t0 - slack, t_last + slack
+
+    def within(t: float) -> float:
+        if not lo <= t <= hi:
+            raise OutOfRange(f"t = {t!r} is outside the path's samples [{t0!r}, {t_last!r}]")
+        return t
 
     def b(t: float) -> Vec3:
-        bx, by, bz = spline(t)
+        bx, by, bz = spline(within(t))
         return (float(bx), float(by), float(bz))
 
     def b_dot(t: float) -> Vec3:
-        bx, by, bz = dspline(t)
+        bx, by, bz = dspline(within(t))
         return (float(bx), float(by), float(bz))
 
     return ControlPath(b=b, b_dot=b_dot, coupling_A=coupling_A,
-                       duration=float(times[-1] - t0), t_start=t0)
+                       duration=t_last - t0, t_start=t0)
 
 
 def path_from_csv(csv_path, coupling_A) -> ControlPath:

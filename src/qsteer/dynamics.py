@@ -41,16 +41,6 @@ class DensityState(NamedTuple):
         return complex(self.rho_ge).conjugate()
 
 
-def purity(state: DensityState) -> float:
-    """Tr rho^2 = rho_gg^2 + rho_ee^2 + 2 |rho_ge|^2."""
-    ge = complex(state.rho_ge)
-    return (
-        state.rho_gg * state.rho_gg
-        + (1.0 - state.rho_gg) * (1.0 - state.rho_gg)
-        + 2.0 * (ge.real * ge.real + ge.imag * ge.imag)
-    )
-
-
 def rhs_nonsteered(state: DensityState, r: RateSet, omega01: float):
     """Nonsecular generator for a static frame.
 
@@ -453,7 +443,7 @@ def integrate(
         nonlocal t_worst, max_violation, max_excited, max_alpha
         if not (math.isfinite(g) and math.isfinite(ge.real) and math.isfinite(ge.imag)):
             raise NonFiniteState(f"non-finite state at t = {t:g}")
-        # purity()'s expression
+        # Tr rho^2 = rho_gg^2 + rho_ee^2 + 2 |rho_ge|^2
         p = g * g + (1.0 - g) * (1.0 - g) + 2.0 * (ge.real * ge.real + ge.imag * ge.imag)
         if p - 1.0 > max_violation:
             max_violation = p - 1.0

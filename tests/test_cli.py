@@ -234,8 +234,33 @@ solver:
             "  method: rk4_fixed\n  dt_time: 0.02\n",
             "  method: rk45_adaptive\n  rtol: null\n  atol: null\n  dt_max_time: null\n"))
         assert (adaptive.solver.rtol, adaptive.solver.atol, adaptive.solver.dt_max) == (1e-9, 1e-12, None)
-        # an absent method is rk45_adaptive; a null one is not
-        assert load_scenario(MINIMAL_CONE.replace("  method: rk4_fixed\n", "")).solver.method == "rk45_adaptive"
+        # an absent method is rk45_adaptive; a null one is not (test_unknown_method_lists_the_methods)
+        absent = load_scenario(MINIMAL_CONE.replace("  method: rk4_fixed\n", ""))
+        assert absent.solver.method == "rk45_adaptive"
+
+    @pytest.mark.parametrize("section, text", [
+        ("run", MINIMAL_CONE + "run: sweep\n"),
+        ("solver", MINIMAL_CONE.replace(
+            "solver:\n  method: rk4_fixed\n  dt_time: 0.02\n  record_stride: 50\n", "solver: 5\n")),
+        ("initial", MINIMAL_CONE + "initial: [0.5]\n"),
+    ], ids=["run", "solver", "initial"])
+    def test_section_that_is_not_a_mapping_rejected(self, section, text):
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        assert exc.value.problems == [f"{section}: expected a mapping"]
+        # an empty section means its defaults
+        assert load_scenario(MINIMAL_CONE + "initial:\nrun: {}\n").mode == "simulate"
+
+    @pytest.mark.parametrize("old, new, problem", [
+        ("  dt_time: 0.02\n", "  dt_time: 0.02\n  rtool: 1.0e-3\n", "solver.rtool: unknown key"),
+        ("model: flat\n", "model: flat\n  s0rate: 0.2\n", "bath.s0rate: unknown key"),
+        ("solver:\n", "run:\n  optimal_phse: true\nsolver:\n", "run.optimal_phse: unknown key"),
+        ("solver:\n", "solvr:\n  method: rk4_fixed\nsolver:\n", "solvr: unknown section"),
+    ], ids=["solver", "bath", "run", "top-level"])
+    def test_unknown_keys_and_sections_rejected(self, old, new, problem):
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(MINIMAL_CONE.replace(old, new))
+        assert exc.value.problems == [problem]
 
     def test_given_mode_replaces_the_files(self):
         berry = MINIMAL_CONE + "run:\n  mode: berry\n"  # no grid: invalid as a berry run
@@ -694,6 +719,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert "bath.s0_rate: must be positive" in err
         assert "run.berry_theta_grid_rad: required non-empty list for berry mode" in err
+
+    @pytest.mark.parametrize("window", ["t1_time: 30.0", "t0_time: -5.0\n  t1_time: 3.0"],
+                             ids=["past-the-last-sample", "before-the-first-sample"])
+    def test_window_outside_a_sampled_path_exit_2(self, tmp_path, capsys, window):
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
+        text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {path_csv}")
+        fn = self.write_config(tmp_path, text.replace("  dt_time: 0.02", f"  dt_time: 0.02\n  {window}"))
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: t = ") and "outside the path's samples [0.0, 3.0]" in err
+        meta = json.loads((next((tmp_path / "runs").iterdir()) / "metadata.json").read_text())
+        assert meta["status"].startswith("failed: t = ")
 
     @pytest.mark.parametrize("command, grid", [
         ("sweep", "sweep_periods_time: [20, 40]"),

@@ -606,6 +606,19 @@ class TestSampledPaths:
         assert f.w_gg == pytest.approx(0.0, abs=1e-12)
         assert abs(f.w_ge) < 1e-12
 
+    def test_no_extrapolation_outside_the_samples(self):
+        ts = np.linspace(2.0, 5.0, 4)
+        bs = np.stack([np.ones_like(ts), 0.1 * ts, np.ones_like(ts)], axis=1)
+        path = q.sampled_path(ts, bs, SX)
+        # both ends, and an ulp beyond either (where a window's last stage can land), are inside
+        for t in (2.0, 5.0, math.nextafter(5.0, math.inf), math.nextafter(2.0, -math.inf)):
+            assert q.frame_at(path, t).omega01 > 0
+        for t in (1.9, 5.1, -5.0, 30.0):
+            with pytest.raises(q.OutOfRange, match=rf"t = {t!r} is outside the path's samples \[2.0, 5.0\]"):
+                q.frame_at(path, t)
+            with pytest.raises(q.OutOfRange):
+                path.b_dot(t)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             q.sampled_path([0, 1, 2], np.zeros((3, 3)), SX)

@@ -45,7 +45,10 @@ class TestDensityState:
         ],
     )
     def test_purity(self, state, expected):
-        assert q.purity(state) == pytest.approx(expected)
+        # the purity integrate records at t0, here under a zero generator
+        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=1.0)
+        traj = q.integrate(lambda t, s, f: (0.0, 0j), state, cfg)
+        assert traj.samples[0].purity == pytest.approx(expected)
 
 
 class TestRhsNonsteered:

@@ -4,7 +4,8 @@ Each leaf value of a valid scenario is replaced by a value of the wrong type,
 a non-finite or huge number, or a string spelling a boolean. ``load_scenario``
 must then raise ParseError or ValidationError naming the mutated section, or
 load a scenario; it never raises anything else. The run flags must stay
-YAML booleans.
+YAML booleans. A section replaced by a value that is not a mapping, and an
+unknown key in any section or at top level, are named in the problems.
 """
 
 import copy
@@ -127,6 +128,23 @@ def value_at(data, where):
     for key in where:
         data = data[key]
     return data
+
+
+@pytest.mark.parametrize("section", list(VALID))
+@pytest.mark.parametrize("value", ["text", [1.0, 2.0], 5], ids=["string", "list", "number"])
+def test_section_that_is_not_a_mapping_names_it(section, value):
+    with pytest.raises(q.ValidationError) as exc:
+        load_scenario(mutated((section,), value))
+    assert f"{section}: expected a mapping" in exc.value.problems, exc.value.problems
+
+
+@pytest.mark.parametrize("where", [(section, "typo_key") for section in VALID] + [("typo_section",)],
+                         ids=lambda w: ".".join(w))
+def test_unknown_key_names_it(where):
+    with pytest.raises(q.ValidationError) as exc:
+        load_scenario(mutated(where, 1.0))
+    unknown = "unknown key" if len(where) == 2 else "unknown section"
+    assert f"{'.'.join(where)}: {unknown}" in exc.value.problems, exc.value.problems
 
 
 def test_leaves_cover_the_scenario():
