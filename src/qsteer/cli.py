@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -26,6 +25,15 @@ from pathlib import Path
 from typing import Optional
 
 import yaml
+
+# CPython's own SHA-256: hashlib would map OpenSSL (~3.5 MB resident) for one digest
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .bath import (
@@ -109,7 +117,7 @@ class Scenario:
 
     def scenario_hash(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return sha256(payload.encode()).hexdigest()[:12]
 
     def sub_scenarios(self) -> list:
         """Derived single-run scenarios for sweep mode, one per period.
@@ -489,15 +497,15 @@ def _sweep_member_problems(scenario: Scenario) -> list:
 
     Each member's solver and path are built as a sweep run builds them, so a
     scaled ``dt`` that underflows to 0 or a drive rate 2 pi / period that
-    overflows is reported. Checked whenever a cone lists periods, whatever
-    the mode.
+    overflows is reported. Checked in sweep mode only: no other mode runs the
+    periods.
     """
-    if not scenario.sweep_periods or scenario.path["kind"] != "rotating_cone":
+    if scenario.mode != "sweep":
         return []
     problems = []
     for p in scenario.sweep_periods:
         try:
-            (sub,) = dataclasses.replace(scenario, mode="sweep", sweep_periods=(p,)).sub_scenarios()
+            (sub,) = dataclasses.replace(scenario, sweep_periods=(p,)).sub_scenarios()
             build_path(sub.path, sub.coupling)
         except ValueError as exc:
             problems.append(f"run.sweep_periods_time: period {p!r}: {exc}")
@@ -653,14 +661,15 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
-    run_dir = Path(out_dir) / f"{stamp}-{scenario.scenario_hash()}"
+    scenario_hash = scenario.scenario_hash()
+    run_dir = Path(out_dir) / f"{stamp}-{scenario_hash}"
     run_dir.mkdir(parents=True, exist_ok=False)
     started = time.monotonic()
     metadata = {
         "tool": "qsteer",
         "version": __version__,
         "scenario": scenario.canonical_dict(),
-        "scenario_hash": scenario.scenario_hash(),
+        "scenario_hash": scenario_hash,
         "seed": seed,
         "status": "running",
     }

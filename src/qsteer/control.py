@@ -310,8 +310,13 @@ def _hypot(x, y):
     return abs(complex(x, y))
 
 
-def _frame_error(t, exc):
-    """The error, naming t, for what :func:`_fields` raised at time t."""
+def _frame_error(t, exc, b, r):
+    """The error, naming t, for what :func:`_fields` raised at time t with field b, r = |b|."""
+    if 2.0 * r * (r + abs(b[2])) == math.inf:  # n overflows, so |q| and p read 0 or nan
+        return NonFiniteState(
+            f"the field magnitude |b| = {math.hypot(*b):.6g} overflows the frame "
+            f"normalisation at t = {t:g}"
+        )
     if isinstance(exc, OverflowError):
         return NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
     return GaugeUndefined(
@@ -397,8 +402,10 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     out for the raw eigenpair, then multiplied by the anchoring factor
     conj(f_e) f_g, where f is the unit phase of each anchored component.
     w_ge = -i <g|dH/dt|e> / omega01; the w diagonals keep the anchored
-    components on the real axis. Raises GapCollapse at |b| <= GAP_FLOOR and
-    GaugeUndefined, naming t, where an anchored component is 0.
+    components on the real axis. Raises GapCollapse at |b| <= GAP_FLOOR,
+    GaugeUndefined, naming t, where an anchored component is 0, and
+    NonFiniteState, naming t, where alpha or the normalisation
+    n = sqrt(2 r (r + |b_z|)) of a huge field overflows.
     """
     cg, ce = path._anchors or path.anchors()
     b = path.b(t)
@@ -411,7 +418,7 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
         w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i = _fields(
             b, bd, path._A_traceless, r, bz >= 0.0, cg, ce)
     except (ZeroDivisionError, OverflowError) as exc:  # only a zero |q| divides by zero
-        raise _frame_error(t, exc) from None
+        raise _frame_error(t, exc, b, r) from None
     # tuple.__new__ skips the NamedTuple's Python-level __new__; the result is an AdiabaticFrame
     return tuple.__new__(
         AdiabaticFrame, (t, r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i), alpha))
@@ -423,8 +430,7 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
     The grid is ``np.linspace(t0, t1, num)``'s, built by the same float
     operations. Each sample runs the kernel of :func:`frame_at`, so each
     entry equals that field of ``frame_at(path, t)`` bit for bit. Raises
-    GapCollapse where |b| is at or below GAP_FLOOR and GaugeUndefined where
-    an anchored component is 0, at the first sample that fails.
+    the errors of :func:`frame_at` at the first sample that fails.
     """
     if num < 3:
         raise ValueError("history needs at least 3 samples")
@@ -437,10 +443,11 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
     w_gg, w_ee, alpha = [], [], []
     for t in times:
         b = b_at(t)
+        r = _gap(*b)
         try:
-            f = _fields(b, b_dot_at(t), A, _gap(*b), b[2] >= 0.0, cg, ce)
+            f = _fields(b, b_dot_at(t), A, r, b[2] >= 0.0, cg, ce)
         except (ZeroDivisionError, OverflowError) as exc:  # as in frame_at
-            raise _frame_error(t, exc) from None
+            raise _frame_error(t, exc, b, r) from None
         w_gg.append(f[0])
         w_ee.append(f[1])
         alpha.append(f[4])

@@ -34,7 +34,10 @@ class NonUniformGridUnsupported(QSteerError):
 
 
 class NonFiniteState(QSteerError):
-    """A state component, error estimate or frame quantity (alpha) is not finite."""
+    """A state component, error estimate or frame quantity is not finite.
+
+    The frame quantities are alpha and the normalisation of a huge field.
+    """
 
 
 class StepRejectionLimit(QSteerError):

@@ -1,6 +1,7 @@
 import cmath
 import concurrent.futures
 import csv
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,9 @@ from qsteer.dynamics import _METHODS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
+# the scenario hash of each shipped config; it names every run directory
+SHIPPED_HASHES = {"berry_sweep": "37d5fd5291c7", "cone_thermal_compare": "48c39e9157ff",
+                  "cone_zero_temperature": "1531f4d79ced", "period_sweep": "f2ad1e11927a"}
 
 MINIMAL_CONE = """
 path:
@@ -270,6 +274,49 @@ solver:
         with pytest.raises(q.ValidationError) as exc:
             load_scenario(MINIMAL_CONE, mode="sweep")
         assert exc.value.problems == ["run.sweep_periods_time: required non-empty list for sweep mode"]
+
+    @pytest.mark.parametrize("solver, message", [
+        ("  method: rk4_fixed\n  dt_time: 0.02\n", "rk4_fixed requires dt > 0"),
+        ("  method: rk45_adaptive\n  dt_max_time: 0.5\n", "dt_max must be > 0"),
+        ("  method: rk45_adaptive\n", "omega must be nonzero and finite"),
+    ], ids=["rk4_dt", "rk45_dt_max", "rk45_drive"])
+    def test_sweep_periods_checked_in_sweep_mode_only(self, solver, message):
+        # the period 5e-324 scales dt (and dt_max) to 0.0 and 2 pi / period overflows,
+        # but only a sweep run has a member with that period
+        text = (CONFIG_DIR / "cone_zero_temperature.yaml").read_text().replace(
+            "  method: rk45_adaptive\n  rtol: 1.0e-9\n  atol: 1.0e-12\n", solver)
+        text += "  sweep_periods_time: [5.0e-324]\n"
+        assert load_scenario(text, "simulate").sweep_periods == (5e-324,)
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text, "sweep")
+        assert exc.value.problems == [f"run.sweep_periods_time: period 5e-324: {message}"]
+
+
+class TestScenarioHash:
+    def test_shipped_configs_keep_their_hashes(self):
+        assert {c.stem: scenario_from_file(c).scenario_hash() for c in CONFIGS} == SHIPPED_HASHES
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+    def test_hash_is_the_sha256_of_the_canonical_json(self, config):
+        sc = scenario_from_file(config)
+        payload = json.dumps(sc.canonical_dict(), sort_keys=True, separators=(",", ":"))
+        assert sc.scenario_hash() == hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+    def test_hashlib_fallback_gives_the_same_hashes(self):
+        # without CPython's built-in SHA-256 modules the hash comes from hashlib
+        src = str(Path(q.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import json, sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\nimport qsteer.cli as c\n"
+            "hashes = {a: c.scenario_from_file(a).scenario_hash() for a in sys.argv[1:]}\n"
+            "print(json.dumps([c.sha256 is hashlib.sha256, hashes]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code, *map(str, CONFIGS)],
+                             env=env, capture_output=True, text=True, check=True, timeout=60)
+        from_hashlib, hashes = json.loads(out.stdout.splitlines()[-1])
+        assert from_hashlib
+        assert {Path(c).stem: h for c, h in hashes.items()} == SHIPPED_HASHES
 
 
 class TestRun:
@@ -632,7 +679,7 @@ class TestMain:
 
     def test_scalar_runs_load_no_numpy(self, tmp_path):
         # analytic paths and spectra in every mode, then the inputs that hold
-        # arrays, which load numpy on demand
+        # arrays, which load numpy on demand; the scenario hash maps no OpenSSL
         thermal = MINIMAL_CONE.replace(
             "model: flat\n  s0_rate: 0.1",
             "model: ohmic_thermal\n  eta_coupling: 0.05\n  temperature_energy: 0.5",
@@ -666,7 +713,7 @@ class TestMain:
             "import json, sys\nfrom qsteer.cli import main\n"
             "runs, n = json.loads(sys.argv[1]), int(sys.argv[2])\n"
             "scalar = [main(argv) for argv in runs[:n]]\n"
-            "loaded = 'numpy' in sys.modules\n"
+            "loaded = 'numpy' in sys.modules or '_hashlib' in sys.modules\n"
             "arrays = [main(argv) for argv in runs[n:]]\n"
             "print(json.dumps([scalar, loaded, arrays, 'numpy' in sys.modules]))\n"
         )
@@ -856,13 +903,14 @@ class TestMain:
         ("  method: rk45_adaptive\n  dt_max_time: 0.5\n", "dt_max must be > 0"),
         ("  method: rk45_adaptive\n", "omega must be nonzero and finite"),
     ], ids=["rk4_dt", "rk45_dt_max", "rk45_drive"])
-    @pytest.mark.parametrize("command", ["validate", "sweep", "simulate"])
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_sweep_period_whose_member_fails_exit_1(self, tmp_path, capsys, solver, message,
                                                     command):
-        # 5e-324 scales dt (and dt_max) to 0.0, and 2 pi / 5e-324 overflows; every
-        # command checks the members, since sweep can switch a scenario's mode
+        # 5e-324 scales dt (and dt_max) to 0.0, and 2 pi / 5e-324 overflows; validate
+        # checks the members in the file's sweep mode, the sweep command in its own
         text = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", solver)
-        fn = self.write_config(tmp_path, text + "run:\n  sweep_periods_time: [10.0, 5.0e-324]\n")
+        mode = "  mode: sweep\n" if command == "validate" else ""
+        fn = self.write_config(tmp_path, text + f"run:\n{mode}  sweep_periods_time: [10.0, 5.0e-324]\n")
         assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
         err = capsys.readouterr().err
         assert f"run.sweep_periods_time: period 5e-324: {message}" in err
@@ -924,6 +972,14 @@ class TestMain:
                                "rtol: 1.0e-300\n  atol: 1.0e-300")
         assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
         message = "61 consecutive rejections at t = 0"
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+        meta = self.assert_clean_run_directory(tmp_path / "runs")
+        assert meta["status"] == f"failed: {message}"
+
+    def test_field_beyond_the_float_range_exit_2(self, tmp_path, capsys):
+        fn = self.shipped_cone(tmp_path, "field_energy: 1.0\n", "field_energy: 1.0e+300\n")
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        message = "the field magnitude |b| = 1e+300 overflows the frame normalisation at t = 0"
         assert capsys.readouterr().err == f"run failed: {message}\n"
         meta = self.assert_clean_run_directory(tmp_path / "runs")
         assert meta["status"] == f"failed: {message}"

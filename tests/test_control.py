@@ -336,6 +336,24 @@ class TestLocalAlpha:
         with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
             q.sample_history(path, 0.0, path.duration, 5)
 
+    @pytest.mark.parametrize("path, magnitude", [
+        (q.rotating_cone(1e154, 1.0, 0.05, SX), "1e+154"),
+        (q.rotating_cone(1e300, 1.0, 0.05, SX), "1e+300"),
+        (q.linear_sweep(1e300, 1.0, 10.0, SX), "5e+300"),
+    ], ids=["cone_1e154", "cone_1e300", "sweep_1e300"])
+    def test_field_beyond_the_float_range_raises(self, path, magnitude):
+        # n = sqrt(2 r (r + |b_z|)) overflows and |q| reads 0: no antipode is reached
+        message = re.escape(f"|b| = {magnitude} overflows the frame normalisation at t = 0") + "$"
+        with pytest.raises(q.NonFiniteState, match=message):
+            q.frame_at(path, 0.0)
+        with pytest.raises(q.NonFiniteState, match=message):
+            q.sample_history(path, 0.0, path.duration, 5)
+
+    def test_field_below_the_overflow_has_a_frame(self):
+        path = q.rotating_cone(5e153, 1.0, 0.05, SX)
+        assert q.frame_at(path, 0.0).omega01 == pytest.approx(5e153, rel=1e-15)
+        assert len(q.sample_history(path, 0.0, path.duration, 5).alpha) == 5
+
 
 class TestFrameAt:
     def test_composition_consistency(self, cone_path):
