@@ -382,6 +382,9 @@ def _build_solver(data, path, problems) -> Optional[SolverConfig]:
         return _construct("solver", _SOLVERS, "method", cfg, method=cfg["method"])
     except ValueError as exc:
         problems.append(f"solver: {exc}")
+        if (data or {}).get("t1_time") is None:  # the path set the window
+            key = "duration_time" if "duration_time" in path else "drive_omega_rad_per_time"
+            problems.append(f"path.{key}: sets that solver window, as solver.t1_time is not given")
         return None
 
 
@@ -646,7 +649,7 @@ class RunArtifacts:
     files: list
 
 
-def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] = None) -> RunArtifacts:
+def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
     """Execute a scenario and persist its artifacts under a fresh run directory.
 
     Every mode is a list of independent members (see ``_members``): one
@@ -670,7 +673,6 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1, seed: Optional[int] =
         "version": __version__,
         "scenario": scenario.canonical_dict(),
         "scenario_hash": scenario_hash,
-        "seed": seed,
         "status": "running",
     }
     members = _members(scenario)
@@ -751,7 +753,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
         p.add_argument("--jobs", type=_jobs, default=1, help="concurrent members (default: 1)")
-        p.add_argument("--seed", type=int, default=None, help="recorded in metadata")
     args = parser.parse_args(argv)
 
     try:
@@ -774,7 +775,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        artifacts = run(scenario, out_dir=args.out, jobs=args.jobs, seed=args.seed)
+        artifacts = run(scenario, out_dir=args.out, jobs=args.jobs)
     except (QSteerError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2

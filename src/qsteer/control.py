@@ -4,9 +4,9 @@ The system Hamiltonian is H(t) = (1/2) b(t) . sigma with a three-component
 control field b(t); energies and rates are in units of 1/time (hbar = 1).
 Everything downstream consumes :class:`AdiabaticFrame` snapshots, built here
 by :func:`frame_at`: the instantaneous gap, the matrix elements of the
-steering generator w = -i D^dag dD/dt in the smooth eigenbasis, the
-coupling-operator elements in that basis, and the local adiabatic parameter
-alpha = ||w|| / omega01.
+steering generator w = -i D^dag dD/dt in the smooth eigenbasis and the
+coupling-operator elements in that basis. Its local adiabatic parameter
+alpha = ||w|| / omega01 is derived from its w by :func:`~qsteer.gauge.hs_norm`.
 
 Gauge convention
 ----------------
@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState, OutOfRange
+from .gauge import _hs_norm, hs_norm
 
 Vec3 = tuple[float, float, float]
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -263,18 +264,21 @@ class AdiabaticFrame(NamedTuple):
     """One-time snapshot of every frame quantity the master equations consume.
 
     ``m1`` and ``m2`` are the coupling-operator elements after the traceless
-    convention, ``w_ge`` the off-diagonal steering element (w_eg is its
-    conjugate) and ``alpha`` the local adiabatic parameter.
+    convention and ``w_ge`` the off-diagonal steering element (w_eg is its
+    conjugate). ``alpha`` is read from the fields, so it always agrees with them.
     """
 
-    t: float
     omega01: float
     w_gg: float
     w_ee: float
     w_ge: complex
     m1: float
     m2: complex
-    alpha: float
+
+    @property
+    def alpha(self) -> float:
+        """||w|| / omega01 with the Hilbert-Schmidt norm :func:`~qsteer.gauge.hs_norm`."""
+        return hs_norm(self.w_gg, self.w_ee, self.w_ge) / self.omega01
 
 
 @dataclass(frozen=True)
@@ -282,7 +286,7 @@ class FrameHistory:
     """Frame columns on a uniform time grid along a path, for Berry loops.
 
     ``w_gg``, ``w_ee`` and ``alpha`` are tuples of floats with one entry per
-    sample time, equal to the fields of :func:`frame_at` at that time.
+    sample time, equal to those of :func:`frame_at` at that time.
     """
 
     times: tuple[float, ...]
@@ -310,15 +314,13 @@ def _hypot(x, y):
     return abs(complex(x, y))
 
 
-def _frame_error(t, exc, b, r):
-    """The error, naming t, for what :func:`_fields` raised at time t with field b, r = |b|."""
+def _frame_error(t, b, r):
+    """The error, naming t, for a zero division in :func:`_fields` at field b, r = |b|."""
     if 2.0 * r * (r + abs(b[2])) == math.inf:  # n overflows, so |q| and p read 0 or nan
         return NonFiniteState(
             f"the field magnitude |b| = {math.hypot(*b):.6g} overflows the frame "
             f"normalisation at t = {t:g}"
         )
-    if isinstance(exc, OverflowError):
-        return NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
     return GaugeUndefined(
         f"an anchored eigenvector component vanishes at t = {t:g}: the path reached the "
         "antipode of its start orientation, where the anchored gauge is undefined"
@@ -326,14 +328,13 @@ def _frame_error(t, exc, b, r):
 
 
 def _fields(b, bd, A, r, upper, cg, ce):
-    """w_gg, w_ee, Re w_ge, Im w_ge, alpha, m1, Re m2 and Im m2 at one sample.
+    """w_gg, w_ee, Re w_ge, Im w_ge, m1, Re m2 and Im m2 at one sample.
 
     ``b`` and ``bd`` are the field and its derivative, ``A`` the traceless
     coupling, ``r`` = |b| and ``upper`` = (b_z >= 0); (cg, ce) are the path's
     anchors. The arithmetic is real, and no path value is negated before a
     float operation (a path may give ints). With an anchor on q a zero |q|
-    raises ZeroDivisionError; an alpha beyond the float range raises
-    OverflowError.
+    raises ZeroDivisionError.
     """
     bx, by, bz = b
     s = r + bz if upper else r - bz
@@ -379,15 +380,8 @@ def _fields(b, bd, A, r, upper, cg, ce):
             m2_r, m2_i = fr * m2_r + fi * m2_i, fr * m2_i - fi * m2_r
     # w_ge = -i <g|dH/dt|e> / omega01
     wr, wi = ge_i / r, -(ge_r / r)
-    alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (wr * wr + wi * wi)) / r
-    if not alpha < math.inf:
-        # the squares overflowed (or a field is NaN): hypot scales them, and is
-        # taken only here so that every finite alpha above keeps its bits
-        alpha = math.hypot(w_gg, w_ee, wr, wr, wi, wi) / r
-        if not alpha < math.inf:
-            raise OverflowError("alpha")
     m1 = -(vx * bx + vy * by + vz * bz) / r
-    return w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i
+    return w_gg, w_ee, wr, wi, m1, m2_r, m2_i
 
 
 # ----------------------------------------------------------------------
@@ -404,24 +398,24 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     w_ge = -i <g|dH/dt|e> / omega01; the w diagonals keep the anchored
     components on the real axis. Raises GapCollapse at |b| <= GAP_FLOOR,
     GaugeUndefined, naming t, where an anchored component is 0, and
-    NonFiniteState, naming t, where alpha or the normalisation
-    n = sqrt(2 r (r + |b_z|)) of a huge field overflows.
+    NonFiniteState, naming t, where the normalisation n = sqrt(2 r (r + |b_z|))
+    of a huge field overflows. Its alpha may read inf; integrate reports that.
     """
     cg, ce = path._anchors or path.anchors()
     b = path.b(t)
     bx, by, bz = b
     r = math.sqrt(bx * bx + by * by + bz * bz)  # _gap, inline
-    if r <= GAP_FLOOR:
-        raise GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    if not GAP_FLOOR < r < math.inf:  # an overflowing |b| gives _fields a NaN p, not a zero one
+        if r <= GAP_FLOOR:
+            raise GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
+        raise _frame_error(t, b, r)
     bd = path.b_dot(t)
     try:
-        w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i = _fields(
-            b, bd, path._A_traceless, r, bz >= 0.0, cg, ce)
-    except (ZeroDivisionError, OverflowError) as exc:  # only a zero |q| divides by zero
-        raise _frame_error(t, exc, b, r) from None
+        w_gg, w_ee, wr, wi, m1, m2_r, m2_i = _fields(b, bd, path._A_traceless, r, bz >= 0.0, cg, ce)
+    except ZeroDivisionError:  # only a zero |q| divides by zero
+        raise _frame_error(t, b, r) from None
     # tuple.__new__ skips the NamedTuple's Python-level __new__; the result is an AdiabaticFrame
-    return tuple.__new__(
-        AdiabaticFrame, (t, r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i), alpha))
+    return tuple.__new__(AdiabaticFrame, (r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i)))
 
 
 def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHistory:
@@ -429,8 +423,9 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
 
     The grid is ``np.linspace(t0, t1, num)``'s, built by the same float
     operations. Each sample runs the kernel of :func:`frame_at`, so each
-    entry equals that field of ``frame_at(path, t)`` bit for bit. Raises
-    the errors of :func:`frame_at` at the first sample that fails.
+    entry equals that field of ``frame_at(path, t)`` bit for bit. Raises the
+    errors of :func:`frame_at`, or NonFiniteState where alpha overflows, at
+    the first sample that fails.
     """
     if num < 3:
         raise ValueError("history needs at least 3 samples")
@@ -446,10 +441,14 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
         r = _gap(*b)
         try:
             f = _fields(b, b_dot_at(t), A, r, b[2] >= 0.0, cg, ce)
-        except (ZeroDivisionError, OverflowError) as exc:  # as in frame_at
-            raise _frame_error(t, exc, b, r) from None
+        except ZeroDivisionError:  # as in frame_at
+            raise _frame_error(t, b, r) from None
+        a = _hs_norm(f[0], f[1], f[2], f[3]) / r
+        if not a < math.inf:  # NaN where |b| overflowed, as frame_at reports
+            raise (NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
+                   if r < math.inf else _frame_error(t, b, r))
         w_gg.append(f[0])
         w_ee.append(f[1])
-        alpha.append(f[4])
+        alpha.append(a)
     return FrameHistory(times=tuple(times), w_gg=tuple(w_gg), w_ee=tuple(w_ee),
                         alpha=tuple(alpha), b_start=path.b(t0), b_end=path.b(t1))

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .bath import RateSet, SpectralDensity, rates_from_spectra, superadiabatic_elements
 from .errors import GAP_FLOOR, GapCollapse, NonFiniteState, StepRejectionLimit
-from .gauge import hs_norm, phase_factor, phase_shifted_frame
+from .gauge import hs_norm, phase_factor
 
 TOL_POSITIVITY = 1e-6
 
@@ -201,7 +201,9 @@ class SolverConfig:
     method "rk4_fixed" uses step ``dt``; "rk45_adaptive" is an embedded
     Dormand-Prince 5(4) pair controlled by ``rtol``/``atol`` with steps
     capped at ``dt_max``. ``record_stride`` keeps every Nth accepted step
-    (the final point is always kept).
+    (the final point is always kept). ValueError where rk4_fixed's step count
+    round((t1 - t0) / dt), or (t1 - t0) / dt_max, a lower bound on an
+    adaptive count, exceeds ``_MAX_STEPS``.
     """
 
     method: str
@@ -224,13 +226,19 @@ class SolverConfig:
             raise ValueError("t1 must exceed t0")
         if not math.isfinite(self.t1 - self.t0):
             raise ValueError("t1 - t0 must be finite")
-        if _METHODS[self.method][1] is None:  # a fixed step
+        fixed = _METHODS[self.method][1] is None
+        if fixed:
             if not (self.dt and self.dt > 0):
                 raise ValueError(f"{self.method} requires dt > 0")
         elif not (self.rtol > 0 and self.atol > 0):
             raise ValueError(f"{self.method} requires rtol, atol > 0")
         if self.dt_max is not None and not self.dt_max > 0:
             raise ValueError("dt_max must be > 0")
+        name, step = ("dt", self.dt) if fixed else ("dt_max", self.dt_max)
+        steps = (self.t1 - self.t0) / (step or math.inf)  # 0 without a step cap
+        # round(steps) steps for a fixed step, at least steps for an adaptive one; no round(inf)
+        if (round(min(steps, 2.0 * _MAX_STEPS)) if fixed else steps) > _MAX_STEPS:
+            raise ValueError(f"{name} = {step:g} needs {steps:.3g} steps, more than {_MAX_STEPS}")
         stride = self.record_stride
         if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
             raise ValueError("record_stride must be an integer >= 1")
@@ -238,9 +246,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TrajectorySample:
+    """One recorded point, as written to CSV; alpha and omega01 are NaN without frames."""
+
     t: float
     state: DensityState
-    frame: object
+    alpha: float
+    omega01: float
     lambda_g: float
     lambda_e: float
     purity: float
@@ -290,12 +301,8 @@ class Trajectory:
         fh.write("t,rho_gg,re_rho_ge,im_rho_ge,purity,alpha,omega01,lambda_g,lambda_e\n")
         for s in self.samples:
             ge = complex(s.state.rho_ge)
-            alpha = s.frame.alpha if s.frame is not None else math.nan
-            omega01 = s.frame.omega01 if s.frame is not None else math.nan
-            fields = (
-                s.t, s.state.rho_gg, ge.real, ge.imag, s.purity, alpha, omega01,
-                s.lambda_g, s.lambda_e,
-            )
+            fields = (s.t, s.state.rho_gg, ge.real, ge.imag, s.purity, s.alpha, s.omega01,
+                      s.lambda_g, s.lambda_e)
             fh.write(",".join(f"{v:.17g}" for v in fields) + "\n")
 
 
@@ -345,10 +352,7 @@ _METHODS = {
     ))),
 }
 _MAX_REJECTIONS = 60
-
-
-def _no_frame(t):
-    return None
+_MAX_STEPS = 10**7  # the most steps a SolverConfig window may take
 
 
 def _advance_phases(lam, frames, terms, dt):
@@ -406,7 +410,8 @@ def integrate(
     ``record_stride``, against 1 + 1e-6; the worst excess is reported on the
     trajectory (with a warning), never corrected. The trajectory's
     ``max_excited_population`` and ``max_alpha`` range over the same points,
-    alpha in the basis the samples are reported in.
+    alpha in the reported basis, computed once per point and kept by its
+    sample; an infinite alpha raises NonFiniteState naming t.
     ``Trajectory.work`` reports the steps, evaluations and step sizes used.
     A NaN "rk45_adaptive" error estimate raises NonFiniteState (an infinite
     one is a rejection), and a step too small to advance t raises
@@ -417,10 +422,10 @@ def integrate(
     d lambda/dt = -w_diag) with each accepted step's own quadrature weights
     on the stage frames it already evaluated; the phases stay out of the
     error norm, so steps and rho_gg equal the plain run's exactly. At each
-    record point rho_ge is rotated by e^{i(lambda_e - lambda_g)} and the
-    frame re-expressed in that basis, where its w diagonals vanish. This is
-    the optimal-phase run only for generators covariant under the basis
-    phase, as ``rhs_full`` is.
+    record point rho_ge is rotated by e^{i(lambda_e - lambda_g)}; in that basis
+    the w diagonals vanish, so alpha is hs_norm(0, 0, w_ge) / omega01. This is
+    the optimal-phase run only for generators covariant under the basis phase,
+    as ``rhs_full`` is.
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
@@ -428,7 +433,7 @@ def integrate(
     # previous stage's at the same t) and the generator, whose (d rho_gg, d rho_ge)
     # is the slope. A stage state is built by tuple.__new__, which skips the
     # NamedTuple's Python-level __new__ and still gives a DensityState.
-    provider = frame_provider if frame_provider is not None else _no_frame
+    provider = frame_provider if frame_provider is not None else lambda t: None
     new = tuple.__new__
     stages, err_terms = _METHODS[cfg.method]
     last = len(stages)
@@ -438,8 +443,8 @@ def integrate(
     t_worst = None
     max_violation, max_excited, max_alpha = 0.0, -math.inf, 0.0
 
-    def monitor(t, g, ge, frame, lam):
-        """Check one accepted state and fold it into the run's maxima; returns its purity."""
+    def accept(t, g, ge, frame, lam, keep):
+        """Check one accepted state, fold it into the run's maxima and, if ``keep``, record it."""
         nonlocal t_worst, max_violation, max_excited, max_alpha
         if not (math.isfinite(g) and math.isfinite(ge.real) and math.isfinite(ge.imag)):
             raise NonFiniteState(f"non-finite state at t = {t:g}")
@@ -450,19 +455,19 @@ def integrate(
             t_worst = t
         if 1.0 - g > max_excited:
             max_excited = 1.0 - g
+        alpha = omega01 = math.nan
         if frame is not None:
-            # alpha in the reported basis; phase_shifted_frame gives the same float
-            alpha = (hs_norm(0.0, 0.0, frame.w_ge * phase_factor(*lam)) / frame.omega01
-                     if track_phases else frame.alpha)
+            omega01 = frame.omega01  # the optimal phase zeroes w's diagonals, keeps |w_ge|
+            alpha = hs_norm(0.0, 0.0, frame.w_ge) / omega01 if track_phases else frame.alpha
+            if not alpha < math.inf:
+                raise NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
             if alpha > max_alpha:
                 max_alpha = alpha
-        return p
-
-    def record(t, g, ge, p, frame, lam):
-        if track_phases:
-            ge = ge * phase_factor(*lam)
-            frame = phase_shifted_frame(frame, lam[0], lam[1])
-        traj.samples.append(TrajectorySample(t, new(DensityState, (g, ge)), frame, lam[0], lam[1], p))
+        if keep:
+            if track_phases:
+                ge = ge * phase_factor(*lam)
+            traj.samples.append(TrajectorySample(
+                t, new(DensityState, (g, ge)), alpha, omega01, lam[0], lam[1], p))
 
     g, ge = initial.rho_gg, complex(initial.rho_ge)
     t = cfg.t0
@@ -472,7 +477,7 @@ def integrate(
     frames[0] = provider(t)
     ks[0] = rhs(t, new(DensityState, (g, ge)), frames[0])
     n_rhs = n_frames = 1
-    record(t, g, ge, monitor(t, g, ge, frames[0], lam), frames[0], lam)
+    accept(t, g, ge, frames[0], lam, True)
 
     span = cfg.t1 - cfg.t0
     if err_terms is None:
@@ -531,9 +536,7 @@ def integrate(
             rejections = 0
             dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
             ks[0], frames[0] = ks[last], frames[last]
-            p = monitor(t, g, ge, frames[0], lam)
-            if accepted % cfg.record_stride == 0 or done:
-                record(t, g, ge, p, frames[0], lam)
+            accept(t, g, ge, frames[0], lam, accepted % cfg.record_stride == 0 or done)
         elif math.isnan(norm):
             raise NonFiniteState(f"non-finite error estimate at t = {t:g}")
         else:

@@ -28,10 +28,14 @@ _LOOP_TOL = 1e-10
 
 def hs_norm(w_gg: float, w_ee: float, w_ge: complex) -> float:
     """Hilbert-Schmidt norm of the Hermitian w matrix, sqrt(w_gg^2 + w_ee^2 + 2|w_ge|^2)."""
-    a = abs(w_ge)
-    norm = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * a * a)
-    if norm == math.inf:  # the squares overflowed: hypot scales them
-        norm = math.hypot(w_gg, w_ee, a, a)
+    return _hs_norm(w_gg, w_ee, w_ge.real, w_ge.imag)
+
+
+def _hs_norm(w_gg, w_ee, re, im):
+    """:func:`hs_norm` of w_ge = re + i im; hypot only where the squares overflow (or NaN)."""
+    norm = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (re * re + im * im))
+    if not norm < math.inf:
+        norm = math.hypot(w_gg, w_ee, re, re, im, im)
     return norm
 
 
@@ -53,18 +57,11 @@ def apply_phase_frame(frame, lam_g, lam_e, dlam_g, dlam_e):
     """Adiabatic frame re-expressed in the phase-shifted basis.
 
     m1 and omega01 are invariant; m2 rotates with w_ge (see
-    :func:`apply_phase`) and alpha is recomputed.
+    :func:`apply_phase`), and the frame's alpha follows from its new w.
     """
-    w_gg, w_ee, w_ge = apply_phase(
-        frame.w_gg, frame.w_ee, frame.w_ge, lam_g, lam_e, dlam_g, dlam_e
-    )
-    return frame._replace(
-        w_gg=w_gg,
-        w_ee=w_ee,
-        w_ge=w_ge,
-        m2=frame.m2 * phase_factor(lam_g, lam_e),
-        alpha=hs_norm(w_gg, w_ee, w_ge) / frame.omega01,
-    )
+    w_gg, w_ee, w_ge = apply_phase(frame.w_gg, frame.w_ee, frame.w_ge,
+                                   lam_g, lam_e, dlam_g, dlam_e)
+    return frame._replace(w_gg=w_gg, w_ee=w_ee, w_ge=w_ge, m2=frame.m2 * phase_factor(lam_g, lam_e))
 
 
 def phase_shifted_frame(frame, lam_g: float, lam_e: float):

@@ -110,16 +110,7 @@ def random_frame(rng, with_w=True, alpha_scale=0.05):
         w_ge = 0j
     m1 = rng.uniform(-1.5, 1.5)
     m2 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-    return q.AdiabaticFrame(
-        t=0.0,
-        omega01=omega01,
-        w_gg=w_gg,
-        w_ee=w_ee,
-        w_ge=w_ge,
-        m1=m1,
-        m2=m2,
-        alpha=q.hs_norm(w_gg, w_ee, w_ge) / omega01,
-    )
+    return q.AdiabaticFrame(omega01=omega01, w_gg=w_gg, w_ee=w_ee, w_ge=w_ge, m1=m1, m2=m2)
 
 
 def random_state(rng):

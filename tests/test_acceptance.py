@@ -38,7 +38,7 @@ def test_criterion_01_reduction_identity():
         omega01 = rng.uniform(0.1, 3.0)
         m1 = rng.uniform(-1.5, 1.5)
         m2 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        frame = q.AdiabaticFrame(0.0, omega01, 0.0, 0.0, 0j, m1, m2, 0.0)
+        frame = q.AdiabaticFrame(omega01, 0.0, 0.0, 0j, m1, m2)
         s_minus, s_zero, s_plus = rng.uniform(0.0, 2.0, 3)
         sd = q.tabulated([-omega01, 0.0, omega01], [s_minus, s_zero, s_plus])
         rho_gg = rng.uniform(0.0, 1.0)

@@ -292,6 +292,25 @@ solver:
         assert exc.value.problems == [f"run.sweep_periods_time: period 5e-324: {message}"]
 
 
+    @pytest.mark.parametrize("solver, key, steps", [
+        ("  method: rk45_adaptive\n  dt_max_time: 1.0e-300\n", "dt_max", "1.26e+302"),
+        ("  method: rk4_fixed\n  dt_time: 1.0e-300\n", "dt", "1.26e+302"),
+    ], ids=["rk45_dt_max", "rk4_dt"])
+    def test_step_count_beyond_the_bound_names_solver_and_window(self, solver, key, steps):
+        # one drive period of the shipped cone is 40 pi; the scenario is only loaded
+        text = (CONFIG_DIR / "cone_zero_temperature.yaml").read_text().replace(
+            "  method: rk45_adaptive\n  rtol: 1.0e-9\n  atol: 1.0e-12\n", solver)
+        problem = f"solver: {key} = 1e-300 needs {steps} steps, more than 10000000"
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text)
+        assert exc.value.problems == [problem, "path.drive_omega_rad_per_time: sets that solver "
+                                      "window, as solver.t1_time is not given"]
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text.replace("  record_stride: 10\n",
+                                       "  record_stride: 10\n  t1_time: 125.66370614359172\n"))
+        assert exc.value.problems == [problem]
+
+
 class TestScenarioHash:
     def test_shipped_configs_keep_their_hashes(self):
         assert {c.stem: scenario_from_file(c).scenario_hash() for c in CONFIGS} == SHIPPED_HASHES
@@ -322,11 +341,11 @@ class TestScenarioHash:
 class TestRun:
     def test_simulate_artifacts(self, tmp_path):
         sc = load_scenario(MINIMAL_CONE)
-        art = run(sc, out_dir=tmp_path / "runs", seed=7)
+        art = run(sc, out_dir=tmp_path / "runs")
         assert (art.run_dir / "trajectory.csv").exists()
         meta = json.loads((art.run_dir / "metadata.json").read_text())
         assert meta["status"] == "ok"
-        assert meta["seed"] == 7
+        assert "seed" not in meta
         assert set(meta["invariants"]) == {"max_positivity_violation", "max_alpha"}
         assert meta["invariants"]["max_alpha"] > 0
         assert meta["scenario_hash"] == sc.scenario_hash()
@@ -983,6 +1002,19 @@ class TestMain:
         assert capsys.readouterr().err == f"run failed: {message}\n"
         meta = self.assert_clean_run_directory(tmp_path / "runs")
         assert meta["status"] == f"failed: {message}"
+
+    @pytest.mark.parametrize("old, new", [
+        ("  record_stride: 10\n", "  record_stride: 10\n  dt_max_time: 1.0e-300\n"),
+        ("  method: rk45_adaptive\n  rtol: 1.0e-9\n  atol: 1.0e-12\n",
+         "  method: rk4_fixed\n  dt_time: 1.0e-300\n"),
+    ], ids=["rk45_dt_max", "rk4_dt"])
+    def test_step_count_beyond_the_bound_exit_1(self, tmp_path, capsys, old, new):
+        # about 1e302 steps: refused at load time, so validate exits 1 instead of OK
+        fn = self.shipped_cone(tmp_path, old, new)
+        assert main(["validate", "--config", str(fn)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario invalid:\n  - solver: dt") and "Traceback" not in err
+        assert "steps, more than 10000000" in err
 
     def test_window_beyond_the_float_range_exit_1(self, tmp_path, capsys):
         fn = self.shipped_cone(tmp_path, "  record_stride: 10\n",

@@ -83,8 +83,7 @@ def reference_frame_at(path, t):
     A10 = A01.conjugate()
     m1 = gc0 * (A00 * g0 + A01 * g1) + gc1 * (A10 * g0 + A11 * g1)
     m2 = gc0 * (A00 * e0 + A01 * e1) + gc1 * (A10 * e0 + A11 * e1)
-    alpha = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (w_ge.real ** 2 + w_ge.imag ** 2)) / omega01
-    return q.AdiabaticFrame(t, omega01, w_gg, w_ee, w_ge, m1.real, m2, alpha)
+    return q.AdiabaticFrame(omega01, w_gg, w_ee, w_ge, m1.real, m2)
 
 
 def traceless_reference(A):
@@ -316,8 +315,14 @@ class TestLocalAlpha:
             q.frame_at(static_path((0.0, 0.0, GAP_FLOOR / 2)), 0.0)
 
     def test_matches_hs_norm_exactly(self, cone_path):
-        f = q.frame_at(cone_path, 3.0)
-        assert f.alpha == q.hs_norm(f.w_gg, f.w_ee, f.w_ge) / f.omega01
+        # alpha is read from the frame's own w, by the sum of squares of hs_norm
+        for t in (0.0, 3.0, 11.7):
+            f = q.frame_at(cone_path, t)
+            wr, wi = f.w_ge.real, f.w_ge.imag
+            direct = math.sqrt(f.w_gg * f.w_gg + f.w_ee * f.w_ee + 2.0 * (wr * wr + wi * wi))
+            assert f.alpha == q.hs_norm(f.w_gg, f.w_ee, f.w_ge) / f.omega01 == direct / f.omega01
+            assert f._replace(w_gg=0.0, w_ee=0.0).alpha == q.hs_norm(0.0, 0.0, f.w_ge) / f.omega01
+        assert q.AdiabaticFrame._fields == ("omega01", "w_gg", "w_ee", "w_ge", "m1", "m2")
 
     def test_huge_steering_rate_gives_a_finite_alpha(self):
         # |w| ~ 1e200 overflows the squares of the fast form, not alpha itself,
@@ -330,9 +335,16 @@ class TestLocalAlpha:
         assert q.sample_history(path, 0.0, path.duration, 5).alpha == pytest.approx((f.alpha,) * 5)
 
     def test_alpha_beyond_the_float_range_raises(self):
+        # alpha ~ omega / field_energy ~ 1e313: the frame holds its finite w, and the
+        # integration that reports alpha and the history that tabulates it raise
         path = q.rotating_cone(1e-8, 0.5, 1e305, SX)
-        with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
-            q.frame_at(path, 0.0)
+        assert q.frame_at(path, 0.0).alpha == math.inf
+        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=path.duration, dt=path.duration / 2)
+        for track_phases in (False, True):
+            with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
+                q.integrate(lambda t, s, f: q.rhs_full(s, f, q.flat(0.0)), q.DensityState(1.0),
+                            cfg, frame_provider=lambda t: q.frame_at(path, t),
+                            track_phases=track_phases)
         with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
             q.sample_history(path, 0.0, path.duration, 5)
 
@@ -348,6 +360,18 @@ class TestLocalAlpha:
             q.frame_at(path, 0.0)
         with pytest.raises(q.NonFiniteState, match=message):
             q.sample_history(path, 0.0, path.duration, 5)
+
+    def test_field_overflowing_after_its_start_raises(self):
+        # anchored at (0, 0, 1), both anchors are on p, which reads NaN once |b| overflows:
+        # no zero division, so the overflow itself is checked
+        path = q.ControlPath(b=lambda t: (0.0, 0.0, 1.0 if t < 1.0 else 1e200),
+                             b_dot=lambda t: (0.0, 0.0, 0.0), coupling_A=SX, duration=3.0)
+        assert path.anchors() == (1, 0)
+        message = re.escape("|b| = 1e+200 overflows the frame normalisation at t = ")
+        with pytest.raises(q.NonFiniteState, match=message + "2$"):
+            q.frame_at(path, 2.0)
+        with pytest.raises(q.NonFiniteState, match=message + "1.5$"):
+            q.sample_history(path, 0.0, 3.0, 5)
 
     def test_field_below_the_overflow_has_a_frame(self):
         path = q.rotating_cone(5e153, 1.0, 0.05, SX)
@@ -406,10 +430,10 @@ class TestFrameAt:
                 f = q.frame_at(path, t)
                 b = path.b(t)
                 r = _gap(*b)
-                w_gg, w_ee, wr, wi, alpha, m1, m2_r, m2_i = _fields(
+                w_gg, w_ee, wr, wi, m1, m2_r, m2_i = _fields(
                     b, path.b_dot(t), path._A_traceless, r, b[2] >= 0.0, *path.anchors())
-                ref = q.AdiabaticFrame(t=t, omega01=r, w_gg=w_gg, w_ee=w_ee, w_ge=complex(wr, wi),
-                                       m1=m1, m2=complex(m2_r, m2_i), alpha=alpha)
+                ref = q.AdiabaticFrame(omega01=r, w_gg=w_gg, w_ee=w_ee, w_ge=complex(wr, wi),
+                                       m1=m1, m2=complex(m2_r, m2_i))
                 assert type(f) is q.AdiabaticFrame
                 assert f == ref and field_bits(f) == field_bits(ref)
                 assert f._asdict() == ref._asdict()
@@ -508,8 +532,9 @@ class TestClosedFormAgainstReference:
             for i in range(201):
                 t = t_start + path.duration * i / 200
                 got, want = q.frame_at(path, t), reference_frame_at(path, t)
-                assert got.t == want.t and got.omega01 == want.omega01, (name, t)
-                for field, x in zip(got._fields[2:], zip(got[2:], want[2:])):
+                assert got.omega01 == want.omega01, (name, t)
+                for field in got._fields[1:] + ("alpha",):
+                    x = getattr(got, field), getattr(want, field)
                     assert abs(x[0] - x[1]) <= 1e-15 * max(1.0, abs(x[1])), (name, t, field, x)
                 seen.add((path.b(t)[2] >= 0.0, path.anchors()))
         # each branch with each anchor pair that a start can give: both anchors

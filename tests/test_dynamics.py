@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import qsteer as q
-from qsteer.dynamics import _METHODS, TOL_POSITIVITY, integrate
+from qsteer.dynamics import _MAX_STEPS, _METHODS, TOL_POSITIVITY, integrate
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
 from test_control import eig, field_bits, static_path
@@ -27,7 +27,7 @@ def spectra_stub(s_plus, s_minus, s_zero, omega01):
 
 
 def zero_w_frame(m1, m2, omega01):
-    return q.AdiabaticFrame(0.0, omega01, 0.0, 0.0, 0j, m1, complex(m2), 0.0)
+    return q.AdiabaticFrame(omega01, 0.0, 0.0, 0j, m1, complex(m2))
 
 
 class TestDensityState:
@@ -184,13 +184,13 @@ class TestRhsFull:
             assert bits(q.rhs_full(s, f, sd)) == bits(rhs_full_written_out(s, f, sd))
 
     def test_unitary_part_only(self):
-        f = q.AdiabaticFrame(0.0, 1.0, 0.0, 0.0, 0.05j, 0.0, 1.0, 0.0)
+        f = q.AdiabaticFrame(1.0, 0.0, 0.0, 0.05j, 0.0, 1.0)
         dgg, dge = q.rhs_full(q.DensityState(1.0, 0j), f, q.flat(0.0))
         assert dgg == 0.0
         assert dge == pytest.approx(-0.05)
 
     def test_gap_collapse(self):
-        f = q.AdiabaticFrame(0.0, 0.0, 0.0, 0.0, 0j, 0.0, 1.0, 0.0)
+        f = q.AdiabaticFrame(0.0, 0.0, 0.0, 0j, 0.0, 1.0)
         with pytest.raises(q.GapCollapse):
             q.rhs_full(q.DensityState(1.0, 0j), f, q.flat(1.0))
 
@@ -199,8 +199,7 @@ class TestRhsFull:
 
 def make_frame(omega01=1.0, w_gg=0.0, w_ee=0.0, w_ge=0j, m1=0.0, m2=1.0):
     return q.AdiabaticFrame(
-        t=0.0, omega01=omega01, w_gg=w_gg, w_ee=w_ee, w_ge=complex(w_ge),
-        m1=m1, m2=complex(m2), alpha=q.hs_norm(w_gg, w_ee, w_ge) / omega01,
+        omega01=omega01, w_gg=w_gg, w_ee=w_ee, w_ge=complex(w_ge), m1=m1, m2=complex(m2),
     )
 
 
@@ -242,7 +241,7 @@ class TestDensityMaps:
             assert abs(got[1] - ref[1]) < bound
 
     def test_gap_collapse(self):
-        bad = q.AdiabaticFrame(0.0, 0.0, 0.0, 0.0, 0j, 0.0, 1.0, 0.0)
+        bad = q.AdiabaticFrame(0.0, 0.0, 0.0, 0j, 0.0, 1.0)
         with pytest.raises(q.GapCollapse):
             q.to_superadiabatic(1.0, 0j, bad)
 
@@ -258,7 +257,7 @@ class TestSuperadiabaticOracle:
             assert d_o == d_n
 
     def test_pure_precession_at_corrected_gap(self):
-        f = q.AdiabaticFrame(0.0, 1.0, 0.01, 0.03, 0.02j, 0.0, 1.0, 0.05)
+        f = q.AdiabaticFrame(1.0, 0.01, 0.03, 0.02j, 0.0, 1.0)
         _, dge = q.rhs_superadiabatic_oracle(q.DensityState(0.5, 1.0), f, q.flat(0.0))
         assert dge == pytest.approx(1j * 1.02)
 
@@ -490,7 +489,7 @@ class TestNumberTypes:
         for rge, m2, wge in itertools.product(NUMBERS, repeat=3):
             for rgg, m1 in ((0.4, -0.3), (1, 0.5), (0.0, 0)):
                 s, s_c = q.DensityState(rgg, rge), q.DensityState(rgg, complex(rge))
-                f = q.AdiabaticFrame(0.0, w01, 0.01, -0.02, wge, m1, m2, 0.0)
+                f = q.AdiabaticFrame(w01, 0.01, -0.02, wge, m1, m2)
                 f_c = f._replace(w_ge=complex(wge), m2=complex(m2))
                 assert bits(q.rhs_full(s, f, sd)) == bits(q.rhs_full(s_c, f_c, sd))
                 r, r_c = q.rates(m1, m2, w01, sd), q.rates(m1, complex(m2), w01, sd)
@@ -521,6 +520,31 @@ class TestSolverConfig:
     def test_dt_rejected(self, value):
         with pytest.raises(ValueError, match="^dt must be finite"):
             q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=value)
+
+    def test_fixed_step_count_bound_is_exact(self):
+        # rk4_fixed takes round((t1 - t0) / dt) steps, and 10**7 + 0.5 rounds to even
+        assert _MAX_STEPS == 10**7
+        q.SolverConfig(method="rk4_fixed", t0=0.0, t1=_MAX_STEPS + 0.5, dt=1.0)
+        message = "dt = 1 needs 1e+07 steps, more than 10000000"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            q.SolverConfig(method="rk4_fixed", t0=0.0, t1=math.nextafter(_MAX_STEPS + 0.5, math.inf),
+                           dt=1.0)
+        # a count beyond the float range is rejected, not passed to round()
+        with pytest.raises(ValueError, match="^dt = 1e-300 needs inf steps"):
+            q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1e10, dt=1e-300)
+
+    def test_step_cap_bounds_the_adaptive_count(self):
+        # (t1 - t0) / dt_max is a lower bound on an adaptive run's step count
+        q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=float(_MAX_STEPS), dt_max=1.0)
+        q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1e300)  # no cap, no bound
+        message = "dt_max = 1 needs 1e+07 steps, more than 10000000"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=math.nextafter(_MAX_STEPS, math.inf),
+                           dt_max=1.0)
+        with pytest.raises(ValueError, match=re.escape("dt_max = 1e-300 needs 1e+300 steps")):
+            q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0, dt_max=1e-300)
+        # rk4_fixed steps by dt and ignores dt_max
+        q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.1, dt_max=1e-300)
 
     @pytest.mark.parametrize("value", [1.5, True, 0, "2"])
     def test_record_stride_rejected(self, value):
@@ -610,7 +634,8 @@ class TestSolverWork:
         traj = integrate(rhs, q.DensityState(1.0, 0j), cfg, frame_provider=provider)
         assert traj.samples[0].t == 1.0 and traj.final.t == 30.0
         for sample in traj.samples:
-            assert sample.frame == q.frame_at(cone_path, sample.t)
+            f = q.frame_at(cone_path, sample.t)
+            assert (sample.alpha, sample.omega01) == (f.alpha, f.omega01)
 
     def test_rk4_evaluates_four_stages_per_step(self, cone_path):
         calls, provider, rhs = self.counted(cone_path)
@@ -652,29 +677,38 @@ class TestSolverWork:
     @pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
     def test_positivity_is_checked_at_every_accepted_step(self, cone_path, method):
         sd = q.zero_temperature_ohmic(0.1, 20.0)
-        worst = []
-        for stride in (1, 7):
-            cfg = q.SolverConfig(
-                method=method, t0=0.0, t1=cone_path.duration / 2, dt=0.25, record_stride=stride,
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                traj = integrate(
-                    lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
-                    frame_provider=lambda t: q.frame_at(cone_path, t),
+        max_alpha = []
+        for track_phases in (False, True):
+            worst = []
+            for stride in (1, 7):
+                cfg = q.SolverConfig(
+                    method=method, t0=0.0, t1=cone_path.duration / 2, dt=0.25, record_stride=stride,
                 )
-            worst.append((
-                traj.max_positivity_violation, traj.work.t_max_positivity_violation,
-                traj.max_excited_population, traj.max_alpha,
-            ))
-        assert worst[0] == worst[1]
-        assert worst[0][0] > 0.0 and worst[0][2] > 0.0 and worst[0][3] > 0.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    traj = integrate(
+                        lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+                        frame_provider=lambda t: q.frame_at(cone_path, t), track_phases=track_phases,
+                    )
+                worst.append((
+                    traj.max_positivity_violation, traj.work.t_max_positivity_violation,
+                    traj.max_excited_population, traj.max_alpha,
+                ))
+                if stride == 1:  # every accepted point is recorded, with the alpha it was checked at
+                    assert traj.max_alpha == max(s.alpha for s in traj.samples)
+            assert worst[0] == worst[1]
+            assert worst[0][0] > 0.0 and worst[0][2] > 0.0 and worst[0][3] > 0.0
+            max_alpha.append(worst[0][3])
+        # the optimal phase removes the w diagonals from the norm
+        assert max_alpha[1] < max_alpha[0]
 
     def test_frame_free_generator_evaluates_no_frame(self):
         r = q.rates(0.0, 1.0, 1.0, q.flat(0.5))
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0)
         traj = integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9), cfg)
         assert traj.work.frame_evals == 0
+        assert traj.max_alpha == 0.0
+        assert all(math.isnan(s.alpha) and math.isnan(s.omega01) for s in traj.samples)
         assert traj.work.rhs_evals == 6 * (traj.work.accepted_steps + traj.work.rejected_steps) + 1
 
     @pytest.mark.parametrize("method, accepted, rejected, final", [
