@@ -19,18 +19,18 @@ from .bath import (
 from .control import (
     AdiabaticFrame,
     ControlPath,
-    FrameHistory,
     frame_at,
     linear_sweep,
     path_from_csv,
     rotating_cone,
-    sample_history,
     sampled_path,
 )
 from .dynamics import (
+    BerryPhases,
     DensityState,
     SolverConfig,
     Trajectory,
+    berry_phase,
     integrate,
     rhs_full,
     rhs_nonsteered,
@@ -44,7 +44,6 @@ from .errors import (
     GaugeUndefined,
     LoopNotClosed,
     NonFiniteState,
-    NonUniformGridUnsupported,
     OutOfRange,
     ParseError,
     QSteerError,
@@ -52,10 +51,8 @@ from .errors import (
     ValidationError,
 )
 from .gauge import (
-    BerryPhases,
     apply_phase,
     apply_phase_frame,
-    berry_phase,
     hs_norm,
     phase_shifted_frame,
 )

@@ -52,27 +52,21 @@ from .control import (
     linear_sweep,
     path_from_csv,
     rotating_cone,
-    sample_history,
 )
 from .dynamics import (
     _METHODS,
     DensityState,
     SolverConfig,
+    berry_phase,
     integrate,
     rhs_full,
     rhs_nonsteered,
     rhs_secular,
 )
-from .errors import NonFiniteState, OutOfRange, ParseError, QSteerError, ValidationError
-from .gauge import berry_phase
+from .errors import OutOfRange, ParseError, QSteerError, ValidationError
 
 # Not called here; perfbench's tracer and its self-tests patch this name.
 from .gauge import phase_shifted_frame  # noqa: F401
-
-# Largest berry-mode frame history: each loop evaluates the path once per sample
-# and holds four float tuples of this length, so the cap bounds a loop's time
-# and memory.
-_MAX_HISTORY_SAMPLES = 2**16 + 1
 
 
 @dataclass(frozen=True)
@@ -80,6 +74,8 @@ class Scenario:
     """Fully validated, picklable description of one run.
 
     ``path`` and ``bath`` hold the checked keys of their YAML sections.
+    ``history_samples`` is read by nothing; it is kept, and hashed, so that
+    the hashes of scenarios that set it do not move.
     """
 
     path: dict
@@ -460,10 +456,11 @@ def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
     # a deleted option: scenarios that spell out false still load
     if _flag(run, "spectral_shift", problems):
         problems.append("run.spectral_shift: no longer supported; omit it or set it to false")
+    # ignored, but still checked and hashed so that existing scenario hashes hold
     history_samples = run.get("history_samples", 4097)
     if (isinstance(history_samples, bool) or not isinstance(history_samples, int)
-            or not 3 <= history_samples <= _MAX_HISTORY_SAMPLES):
-        problems.append(f"run.history_samples: must be an integer in [3, {_MAX_HISTORY_SAMPLES}]")
+            or not 3 <= history_samples <= 65537):
+        problems.append("run.history_samples: must be an integer in [3, 65537]")
         history_samples = 4097
 
     # grids are parsed whenever present; only their own mode requires them
@@ -489,23 +486,30 @@ def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
         berry_thetas=berry_thetas,
         history_samples=history_samples,
     )
-    problems = _sweep_member_problems(scenario)
+    problems = _member_problems(scenario)
     if problems:
         raise ValidationError(problems)
     return scenario
 
 
-def _sweep_member_problems(scenario: Scenario) -> list:
-    """One problem for each sweep period whose member the library rejects.
+def _member_problems(scenario: Scenario) -> list:
+    """One problem for each sweep period or Berry loop whose member the library rejects.
 
-    Each member's solver and path are built as a sweep run builds them, so a
-    scaled ``dt`` that underflows to 0 or a drive rate 2 pi / period that
-    overflows is reported. Checked in sweep mode only: no other mode runs the
-    periods.
+    Each sweep member's solver and path are built as a sweep run builds them,
+    so a scaled ``dt`` that underflows to 0 or a drive rate 2 pi / period that
+    overflows is reported. A Berry loop integrates one drive period with the
+    scenario's solver, so a period that overflows or needs too many steps is
+    reported. Only the run's own mode is checked.
     """
-    if scenario.mode != "sweep":
-        return []
     problems = []
+    if scenario.mode == "berry":
+        period = 2 * math.pi / abs(scenario.path["drive_omega_rad_per_time"])
+        try:
+            dataclasses.replace(scenario.solver, t0=0.0, t1=period)
+        except ValueError as exc:
+            problems.append(f"solver: {exc} over one Berry loop, t1 = 2 pi / |omega| = {period:g}")
+    if scenario.mode != "sweep":
+        return problems
     for p in scenario.sweep_periods:
         try:
             (sub,) = dataclasses.replace(scenario, sweep_periods=(p,)).sub_scenarios()
@@ -573,9 +577,11 @@ _SUMMARIES = {
 
 
 def _members(scenario: Scenario) -> list:
-    """(scenario, variant, trajectory file, own summary columns) for each member of a run.
+    """(scenario, variant, name, own summary columns) for each member of a run.
 
-    A Berry loop is the variant "berry" and writes no trajectory file.
+    The name keys the member's solver work; it is also the trajectory file,
+    except for a Berry loop (the variant "berry", named ``theta_<index>``),
+    which writes none.
     """
     if scenario.mode == "compare":
         return [(scenario, v, f"{v}.csv", {"variant": v}) for v in ("full", "secular", "nonsteered")]
@@ -584,8 +590,8 @@ def _members(scenario: Scenario) -> list:
                 for i, sub in enumerate(scenario.sub_scenarios())]
     if scenario.mode == "berry":
         loop = {k: v for k, v in scenario.path.items() if k != "duration_time"}
-        return [(dataclasses.replace(scenario, path={**loop, "theta_rad": theta}), "berry", None,
-                 {"theta_rad": theta}) for theta in scenario.berry_thetas]
+        return [(dataclasses.replace(scenario, path={**loop, "theta_rad": theta}), "berry",
+                 f"theta_{i:03d}", {"theta_rad": theta}) for i, theta in enumerate(scenario.berry_thetas)]
     return [(scenario, "full", "trajectory.csv", {})]
 
 
@@ -593,27 +599,27 @@ def _run_member(task):
     """Run one member in ``run_dir``.
 
     Returns its summary row, maxima, work, wall time and the wall times of
-    its phases: build (path and bath), solve (the integration, or the
-    history and Berry quadrature of a loop) and write (the trajectory CSV).
-    A Berry loop integrates no state, so it reports no positivity and no work.
+    its phases: build (path and bath), solve (the integration; for a Berry
+    loop, the loop's) and write (the trajectory CSV). A Berry loop keeps its
+    state fixed, so it reports no positivity; its alpha is the optimal
+    basis's. ``max_quadrature_error`` is the phase quadrature error of a run
+    that tracks phases with an error row.
     """
     (sc, variant, name, labels), run_dir = task
     started = time.monotonic()
     path = build_path(sc.path, sc.coupling)
     if variant == "berry":
         built = time.monotonic()
-        history = sample_history(path, 0.0, path.duration, sc.history_samples)
-        try:
-            ph = berry_phase(history)
-        except NonFiniteState as exc:  # name the loop
-            raise NonFiniteState(f"theta_rad = {labels['theta_rad']!r}: {exc}") from None
+        ph = berry_phase(path, sc.solver)
         solved = time.monotonic()
         row = dict(labels, delta_lambda_g=ph.delta_lambda_g, delta_lambda_e=ph.delta_lambda_e,
                    delta_lambda_g_mod_2pi=ph.delta_lambda_g_mod,
                    delta_lambda_e_mod_2pi=ph.delta_lambda_e_mod)
-        maxima = {"max_alpha": max(history.alpha),
-                  "max_quadrature_error": ph.quadrature_error, "max_loop_gap": ph.loop_gap}
-        return row, maxima, None, solved - started, (built - started, solved - built, 0.0)
+        maxima = {"max_alpha": ph.max_alpha, "max_loop_gap": ph.loop_gap}
+        if ph.quadrature_error is not None:
+            maxima["max_quadrature_error"] = ph.quadrature_error
+        return (row, maxima, dataclasses.asdict(ph.work), solved - started,
+                (built - started, solved - built, 0.0))
     sd = build_bath(sc.bath)
     initial = DensityState(sc.initial_rho_gg, sc.initial_rho_ge)
     built = time.monotonic()
@@ -638,6 +644,8 @@ def _run_member(task):
                max_excited_population=traj.max_excited_population,
                max_positivity_violation=traj.max_positivity_violation)
     maxima = {"max_positivity_violation": traj.max_positivity_violation, "max_alpha": traj.max_alpha}
+    if traj.phase_quadrature_error is not None:
+        maxima["max_quadrature_error"] = traj.phase_quadrature_error
     phases = (built - started, solved - built, written - solved)
     return row, maxima, dataclasses.asdict(traj.work), written - started, phases
 
@@ -679,7 +687,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
     summary, columns = _SUMMARIES[scenario.mode]
     files: list = []
     invariants: dict = {}
-    work = {}  # trajectory file -> its integration's SolverWork fields
+    work = {}  # member name -> its integration's SolverWork fields
     rows, walls = [], []  # one summary row and one wall time per member
     phases = {"build": 0.0, "solve": 0.0, "write": 0.0}
     # fork starts every worker at once, so never more than the work or the CPUs
@@ -694,16 +702,16 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
             pool_cm = nullcontext()
         with pool_cm as pool:
             results = (pool.map if pool else map)(_run_member, [(m, run_dir) for m in members])
-            for (_, _, name, _), (row, maxima, w, wall, phase) in zip(members, results):
+            for (_, variant, name, _), (row, maxima, w, wall, phase) in zip(members, results):
                 rows.append(row)
                 walls.append(wall)
                 for key, value in zip(phases, phase):
                     phases[key] += value
                 for key, value in maxima.items():
                     invariants[key] = max(invariants.get(key, 0.0), value)
-                if name:
+                work[name] = w
+                if variant != "berry":
                     files.append(name)
-                    work[name] = w
         if summary:
             written = time.monotonic()
             with open(run_dir / summary, "w") as fh:
@@ -722,8 +730,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
         metadata["member_wall_s"] = walls
         metadata["phase_wall_s"] = phases
         metadata["invariants"] = invariants
-        if any(name for _, _, name, _ in members):  # a berry run integrates nothing
-            metadata["solver_work"] = work
+        metadata["solver_work"] = work
         metadata["files"] = files
         with open(run_dir / "metadata.json", "w") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True, allow_nan=False)

@@ -31,15 +31,13 @@ p = (r + |b_z|)/n and q = (b_x + i b_y)/n, the raw eigenpair is
 e = (p, q), g = (-conj(q), p) for b_z >= 0 and e = (conj(q), p), g = (-p, q)
 for b_z < 0. Every element <g|x.sigma|e> is a short polynomial in p and q,
 and the anchored gauge multiplies it by one unit phase: +-1 for a component
-+-p, the phase of q for a q-type one. The arithmetic is real throughout;
-:func:`frame_at` and :func:`sample_history` run the same function on each
-sample, so a history's entries equal the frames' fields bit for bit.
++-p, the phase of q for a q-type one. The arithmetic is real throughout.
 
 Pure Python
 -----------
-:class:`ControlPath`, the analytic paths, :func:`frame_at` and
-:func:`sample_history` are pure Python. numpy and scipy are imported inside
-:func:`sampled_path` alone, so a run on an analytic path loads neither.
+:class:`ControlPath`, the analytic paths and :func:`frame_at` are pure
+Python. numpy and scipy are imported inside :func:`sampled_path` alone, so a
+run on an analytic path loads neither.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState, OutOfRange
-from .gauge import _hs_norm, hs_norm
+from .gauge import hs_norm
 
 Vec3 = tuple[float, float, float]
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -281,22 +279,6 @@ class AdiabaticFrame(NamedTuple):
         return hs_norm(self.w_gg, self.w_ee, self.w_ge) / self.omega01
 
 
-@dataclass(frozen=True)
-class FrameHistory:
-    """Frame columns on a uniform time grid along a path, for Berry loops.
-
-    ``w_gg``, ``w_ee`` and ``alpha`` are tuples of floats with one entry per
-    sample time, equal to those of :func:`frame_at` at that time.
-    """
-
-    times: tuple[float, ...]
-    w_gg: tuple[float, ...]
-    w_ee: tuple[float, ...]
-    alpha: tuple[float, ...]
-    b_start: Vec3
-    b_end: Vec3
-
-
 # ----------------------------------------------------------------------
 # internals: one branch of the closed form
 # ----------------------------------------------------------------------
@@ -416,39 +398,3 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
         raise _frame_error(t, b, r) from None
     # tuple.__new__ skips the NamedTuple's Python-level __new__; the result is an AdiabaticFrame
     return tuple.__new__(AdiabaticFrame, (r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i)))
-
-
-def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHistory:
-    """Frame columns on a uniform grid of ``num`` points over [t0, t1].
-
-    The grid is ``np.linspace(t0, t1, num)``'s, built by the same float
-    operations. Each sample runs the kernel of :func:`frame_at`, so each
-    entry equals that field of ``frame_at(path, t)`` bit for bit. Raises the
-    errors of :func:`frame_at`, or NonFiniteState where alpha overflows, at
-    the first sample that fails.
-    """
-    if num < 3:
-        raise ValueError("history needs at least 3 samples")
-    t0, t1 = float(t0), float(t1)
-    step = (t1 - t0) / (num - 1)
-    times = [k * step + t0 for k in range(num - 1)]
-    times.append(t1)
-    cg, ce = path.anchors()
-    A, b_at, b_dot_at = path._A_traceless, path.b, path.b_dot
-    w_gg, w_ee, alpha = [], [], []
-    for t in times:
-        b = b_at(t)
-        r = _gap(*b)
-        try:
-            f = _fields(b, b_dot_at(t), A, r, b[2] >= 0.0, cg, ce)
-        except ZeroDivisionError:  # as in frame_at
-            raise _frame_error(t, b, r) from None
-        a = _hs_norm(f[0], f[1], f[2], f[3]) / r
-        if not a < math.inf:  # NaN where |b| overflowed, as frame_at reports
-            raise (NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
-                   if r < math.inf else _frame_error(t, b, r))
-        w_gg.append(f[0])
-        w_ee.append(f[1])
-        alpha.append(a)
-    return FrameHistory(times=tuple(times), w_gg=tuple(w_gg), w_ee=tuple(w_ee),
-                        alpha=tuple(alpha), b_start=path.b(t0), b_end=path.b(t1))

@@ -10,17 +10,24 @@ Four generators are provided: the non-steered nonsecular equation, its
 secular truncation (comparison baseline), the full linear-order equation for
 steered frames, and the superadiabatic-frame oracle used to cross-check the
 full equation to quadratic order in the adiabatic parameter.
+
+Berry phases are optimal-phase increments over a closed loop:
+:func:`berry_phase` integrates the zero generator with ``track_phases`` and
+reads them off the stepper's own phase quadrature.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .bath import RateSet, SpectralDensity, rates_from_spectra, superadiabatic_elements
-from .errors import GAP_FLOOR, GapCollapse, NonFiniteState, StepRejectionLimit
+from .control import frame_at
+from .errors import GAP_FLOOR, GapCollapse, LoopNotClosed, NonFiniteState, StepRejectionLimit
 from .gauge import hs_norm, phase_factor
 
 TOL_POSITIVITY = 1e-6
@@ -284,6 +291,8 @@ class Trajectory:
     """Recorded samples plus run-level invariant diagnostics and solver work.
 
     The maxima range over t0 and every accepted step, not only the recorded ones.
+    ``phase_quadrature_error`` estimates the error of the accumulated optimal
+    phase (see :func:`integrate`); None where no phase or no error row exists.
     """
 
     samples: list = field(default_factory=list)
@@ -291,6 +300,7 @@ class Trajectory:
     max_excited_population: float = -math.inf
     max_alpha: float = 0.0
     work: Optional[SolverWork] = None
+    phase_quadrature_error: Optional[float] = None
 
     @property
     def final(self) -> TrajectorySample:
@@ -356,7 +366,11 @@ _MAX_STEPS = 10**7  # the most steps a SolverConfig window may take
 
 
 def _advance_phases(lam, frames, terms, dt):
-    """One step of d lambda_g/dt = -w_gg, d lambda_e/dt = -w_ee by the step's own quadrature."""
+    """One step of d lambda_g/dt = -w_gg, d lambda_e/dt = -w_ee by the step's own quadrature.
+
+    With the error row as ``terms`` it advances the difference between the
+    5th- and 4th-order phases instead.
+    """
     sum_g = sum_e = 0.0
     for s, b in terms:
         sum_g += b * frames[s].w_gg
@@ -425,7 +439,11 @@ def integrate(
     record point rho_ge is rotated by e^{i(lambda_e - lambda_g)}; in that basis
     the w diagonals vanish, so alpha is hs_norm(0, 0, w_ge) / omega01. This is
     the optimal-phase run only for generators covariant under the basis phase,
-    as ``rhs_full`` is.
+    as ``rhs_full`` is. A phase that is not finite at a record point raises
+    NonFiniteState naming t. "rk45_adaptive" also accumulates the phases with
+    its embedded 4th-order weights (the error row on the same stage frames);
+    ``phase_quadrature_error`` is the larger branch's |5th - 4th-order phase|
+    at t1 ("rk4_fixed" has no error row and reports None).
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
@@ -442,6 +460,7 @@ def integrate(
     traj = Trajectory()
     t_worst = None
     max_violation, max_excited, max_alpha = 0.0, -math.inf, 0.0
+    track_error = track_phases and err_terms is not None
 
     def accept(t, g, ge, frame, lam, keep):
         """Check one accepted state, fold it into the run's maxima and, if ``keep``, record it."""
@@ -465,13 +484,15 @@ def integrate(
                 max_alpha = alpha
         if keep:
             if track_phases:
+                if not math.isfinite(lam[1] - lam[0]):  # finite only if both phases are
+                    raise NonFiniteState(f"the optimal phase overflows the float range at t = {t:g}")
                 ge = ge * phase_factor(*lam)
             traj.samples.append(TrajectorySample(
                 t, new(DensityState, (g, ge)), alpha, omega01, lam[0], lam[1], p))
 
     g, ge = initial.rho_gg, complex(initial.rho_ge)
     t = cfg.t0
-    lam = (0.0, 0.0)
+    lam = lam_err = (0.0, 0.0)
     ks = [None] * (last + 1)
     frames = [None] * (last + 1)
     frames[0] = provider(t)
@@ -529,6 +550,8 @@ def integrate(
         if norm <= 1.0:
             if track_phases:
                 lam = _advance_phases(lam, frames, b_terms, dt)
+                if track_error:
+                    lam_err = _advance_phases(lam_err, frames, err_terms, dt)
             accepted += 1
             t = t + dt if n_steps is None else cfg.t0 + accepted * dt
             done = t >= t_end or accepted == n_steps
@@ -550,6 +573,10 @@ def integrate(
     traj.max_positivity_violation = max_violation
     traj.max_excited_population = max_excited
     traj.max_alpha = max_alpha
+    if track_error:
+        traj.phase_quadrature_error = max(abs(lam_err[0]), abs(lam_err[1]))
+        if not traj.phase_quadrature_error < math.inf:
+            raise NonFiniteState("the optimal phase's error estimate overflows the float range")
     traj.work = SolverWork(
         accepted_steps=accepted,
         rejected_steps=rejected,
@@ -567,3 +594,78 @@ def integrate(
             stacklevel=2,
         )
     return traj
+
+
+# ----------------------------------------------------------------------
+# Berry phases
+# ----------------------------------------------------------------------
+
+# Largest |b(duration) - b(0)| that berry_phase accepts as a closed loop.
+_LOOP_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class BerryPhases:
+    """Accumulated optimal-phase increments over one closed loop, raw and mod 2 pi.
+
+    ``quadrature_error`` is the loop integration's ``phase_quadrature_error``
+    (None for "rk4_fixed"); ``loop_gap`` is |b(duration) - b(0)|.
+    ``max_alpha`` is the largest optimal-basis alpha and ``work`` the solver
+    work of the loop integration.
+    """
+
+    delta_lambda_g: float
+    delta_lambda_e: float
+    delta_lambda_g_mod: float
+    delta_lambda_e_mod: float
+    quadrature_error: Optional[float]
+    loop_gap: float
+    max_alpha: float
+    work: SolverWork
+
+
+def _wrap(x: float) -> float:
+    """Map to (-pi, pi]."""
+    y = math.fmod(x + math.pi, 2.0 * math.pi)
+    if y <= 0:
+        y += 2.0 * math.pi
+    return y - math.pi
+
+
+def _zero_generator(t, state, frame):
+    return 0.0, 0j
+
+
+def berry_phase(path, solver: Optional[SolverConfig] = None) -> BerryPhases:
+    """Berry phases of both branches over the closed loop [0, path.duration].
+
+    The increments are those of the optimal phase, lambda = - integral of the
+    w diagonals, in the anchored gauge, which is single valued around the
+    loop. The zero generator is integrated from DensityState(1) with
+    ``track_phases``, so the state stays put and the stepper accumulates the
+    phases with each step's own weights. ``solver`` sets the method,
+    tolerances and step cap; its window is replaced by the loop's and its
+    ``record_stride`` ignored (default: "rk45_adaptive" with its default
+    tolerances). The phases stay out of the
+    error norm, so the steps grow to the step cap: exact for a cone, whose w
+    diagonals are constant along the loop; a loop whose diagonals vary needs a
+    ``dt_max`` that resolves them, and ``quadrature_error`` shows whether it
+    does. The sign follows this package's branch convention; the opposite
+    convention negates both values. An open loop raises LoopNotClosed; the
+    errors of :func:`frame_at` and :func:`integrate` pass through, among them
+    NonFiniteState for a phase or alpha beyond the float range.
+    """
+    t1 = path.duration
+    gap = math.dist(path.b(t1), path.b(0.0))
+    if gap > _LOOP_TOL:
+        raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {_LOOP_TOL:.0e}")
+    # only the end of the loop is read, so only t0 and t1 are recorded
+    if solver is None:
+        cfg = SolverConfig(method="rk45_adaptive", t0=0.0, t1=t1, record_stride=sys.maxsize)
+    else:
+        cfg = dataclasses.replace(solver, t0=0.0, t1=t1, record_stride=sys.maxsize)
+    traj = integrate(_zero_generator, DensityState(1.0), cfg,
+                     frame_provider=lambda t: frame_at(path, t), track_phases=True)
+    dg, de = traj.final.lambda_g, traj.final.lambda_e
+    return BerryPhases(dg, de, _wrap(dg), _wrap(de), traj.phase_quadrature_error, gap,
+                       traj.max_alpha, traj.work)

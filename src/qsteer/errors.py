@@ -29,10 +29,6 @@ class LoopNotClosed(QSteerError):
     """Berry-phase evaluation requested on a path that does not close in parameter space."""
 
 
-class NonUniformGridUnsupported(QSteerError):
-    """Frame-history grid too short, not strictly increasing or not uniform (never resampled)."""
-
-
 class NonFiniteState(QSteerError):
     """A state component, error estimate or frame quantity is not finite.
 

@@ -1,38 +1,28 @@
-"""Phase freedom of the adiabatic basis: the optimal phase and Berry phases.
+"""Phase freedom of the adiabatic basis: the rotations behind the optimal phase.
 
 Multiplying the basis states by e^{i lambda_g(t)}, e^{i lambda_e(t)} shifts
 the diagonal w elements by the phase velocities and rotates the off-diagonal
 one. The optimal phase lambda = -integral of the w diagonals makes them
 vanish, which minimizes the Hilbert-Schmidt norm of w; the integrator
 accumulates it along a run (``integrate(track_phases=True)``). Over a closed
-control loop its increments are the Berry phases of the branches.
+control loop its increments are the Berry phases of the branches
+(``dynamics.berry_phase``).
 
-Everything here is pure Python: the phase rotations an integration applies
-and the Berry quadrature, which sums with ``math.fsum``.
+Everything here is pure Python: the norm and the phase rotations an
+integration applies.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import pairwise
-
-from .errors import LoopNotClosed, NonFiniteState, NonUniformGridUnsupported
-
-TWO_PI = 2.0 * math.pi
-
-# Largest |b(t_end) - b(t_start)| that berry_phase accepts as a closed loop.
-_LOOP_TOL = 1e-10
 
 
 def hs_norm(w_gg: float, w_ee: float, w_ge: complex) -> float:
-    """Hilbert-Schmidt norm of the Hermitian w matrix, sqrt(w_gg^2 + w_ee^2 + 2|w_ge|^2)."""
-    return _hs_norm(w_gg, w_ee, w_ge.real, w_ge.imag)
+    """Hilbert-Schmidt norm of the Hermitian w matrix, sqrt(w_gg^2 + w_ee^2 + 2|w_ge|^2).
 
-
-def _hs_norm(w_gg, w_ee, re, im):
-    """:func:`hs_norm` of w_ge = re + i im; hypot only where the squares overflow (or NaN)."""
+    hypot only where the squares overflow (or NaN).
+    """
+    re, im = w_ge.real, w_ge.imag
     norm = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (re * re + im * im))
     if not norm < math.inf:
         norm = math.hypot(w_gg, w_ee, re, re, im, im)
@@ -71,100 +61,3 @@ def phase_shifted_frame(frame, lam_g: float, lam_e: float):
     to sqrt(2) |w_ge| / omega01.
     """
     return apply_phase_frame(frame, lam_g, lam_e, -frame.w_gg, -frame.w_ee)
-
-
-@dataclass(frozen=True)
-class BerryPhases:
-    """Accumulated optimal-phase increments over one closed loop, raw and mod 2 pi.
-
-    ``quadrature_error`` estimates the error of the larger increment;
-    ``loop_gap`` is |b(t_end) - b(t_start)| of the frame history.
-    """
-
-    delta_lambda_g: float
-    delta_lambda_e: float
-    delta_lambda_g_mod: float
-    delta_lambda_e_mod: float
-    quadrature_error: float
-    loop_gap: float
-
-
-def _wrap(x: float) -> float:
-    """Map to (-pi, pi]."""
-    y = math.fmod(x + math.pi, TWO_PI)
-    if y <= 0:
-        y += TWO_PI
-    return y - math.pi
-
-
-def _uniform_step(times: Sequence[float]) -> float:
-    """Spacing of a uniform, strictly increasing grid of at least 3 samples."""
-    if len(times) < 3:
-        raise NonUniformGridUnsupported("history needs at least 3 samples")
-    h = float(times[1] - times[0])
-    tol = 1e-9 * (times[-1] - times[0])
-    uneven = False
-    for a, b in pairwise(times):
-        d = b - a
-        if d <= 0:
-            raise NonUniformGridUnsupported("history times must be strictly increasing")
-        if abs(d - h) > tol:
-            uneven = True
-    if uneven:
-        raise NonUniformGridUnsupported("history times must be uniformly spaced")
-    return h
-
-
-def _trapezoid(y: Sequence[float], h: float) -> float:
-    """Trapezoid integral of uniform samples with spacing h."""
-    return h * (math.fsum(y) - (y[0] + y[-1]) / 2)
-
-
-def _simpson(y: Sequence[float], h: float) -> tuple[float, float]:
-    """Composite Simpson integral of uniform samples and an error estimate.
-
-    An even count integrates its last interval by the quadratic through the
-    last three samples. The estimate is |full - half-grid trapezoid| / 3 (odd
-    count) or |trapezoid - Simpson| (even count).
-    """
-    n = len(y)
-    m = n if n % 2 else n - 1
-    odd, even = math.fsum(y[1:m - 1:2]), math.fsum(y[2:m - 1:2])
-    total = h / 3.0 * (y[0] + 4.0 * odd + 2.0 * even + y[m - 1])
-    if n % 2 == 0:
-        total += h / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
-    trap = _trapezoid(y, h)
-    if n % 2:
-        err = abs(trap - _trapezoid(y[::2], 2 * h)) / 3.0
-    else:
-        err = abs(trap - total)
-    return float(total), float(err)
-
-
-def berry_phase(history) -> BerryPhases:
-    """Berry phases of both branches from the w_gg, w_ee columns of a closed-loop frame history.
-
-    The columns may be any sequences of floats, such as the tuples of
-    :func:`sample_history` or arrays a caller built. The history gauge must be
-    single valued around the loop (the pointwise anchored gauge is); the
-    increments are then - integral of the w diagonals. The sign follows this
-    package's branch convention; the opposite convention negates both
-    values. An open loop raises LoopNotClosed, a grid other than the uniform
-    one of :func:`sample_history` raises NonUniformGridUnsupported, and an
-    increment or error estimate beyond the float range raises NonFiniteState.
-    """
-    gap = math.dist(history.b_end, history.b_start)
-    if gap > _LOOP_TOL:
-        raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {_LOOP_TOL:.0e}")
-    h = _uniform_step(history.times)
-    # _simpson's operations are sign-symmetric except that a zero sum reads +0,
-    # so 0 - total equals the integral of the negated samples bit for bit
-    try:
-        int_g, err_g = _simpson(history.w_gg, h)
-        int_e, err_e = _simpson(history.w_ee, h)
-    except OverflowError:  # fsum's intermediate overflow
-        int_g = err_g = int_e = err_e = math.inf
-    dg, de, err = 0.0 - int_g, 0.0 - int_e, max(err_g, err_e)
-    if not (math.isfinite(dg) and math.isfinite(de) and math.isfinite(err)):
-        raise NonFiniteState("the Berry phase quadrature overflows the float range")
-    return BerryPhases(dg, de, _wrap(dg), _wrap(de), err, gap)

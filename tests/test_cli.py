@@ -1,6 +1,7 @@
 import cmath
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -455,25 +456,35 @@ class TestRun:
             assert abs(dg) == pytest.approx(math.pi * (1 - math.cos(theta)), abs=1e-4)
 
     def test_berry_metadata_is_measured(self, tmp_path):
-        sc = load_scenario(
-            MINIMAL_CONE + "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5, 2.0]\n"
-            "  history_samples: 257\n"
-        )
-        art = run(sc, out_dir=tmp_path)
-        invariants = json.loads((art.run_dir / "metadata.json").read_text())["invariants"]
-        alphas, errors, gaps = [], [], []
-        for theta in sc.berry_thetas:
-            path = build_path({**sc.path, "theta_rad": theta}, sc.coupling)
-            history = q.sample_history(path, 0.0, path.duration, 257)
-            loop = q.berry_phase(history)
-            alphas += history.alpha
-            errors.append(loop.quadrature_error)
-            gaps.append(loop.loop_gap)
-        assert invariants["max_alpha"] == max(alphas) > 0.0
-        assert invariants["max_quadrature_error"] == max(errors)
-        assert invariants["max_loop_gap"] == max(gaps)
-        assert "max_positivity_violation" not in invariants  # no state is integrated
-        assert "solver_work" not in json.loads((art.run_dir / "metadata.json").read_text())
+        # each loop is an integration with the scenario's solver: rk4_fixed, then DP5
+        run_block = "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5, 2.0]\n  history_samples: 257\n"
+        dp5 = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", "")
+        for name, text in (("rk4", MINIMAL_CONE), ("dp5", dp5)):
+            sc = load_scenario(text + run_block)
+            art = run(sc, out_dir=tmp_path / name)
+            meta = json.loads((art.run_dir / "metadata.json").read_text())
+            invariants = meta["invariants"]
+            loops = []
+            for theta in sc.berry_thetas:
+                path = build_path({**sc.path, "theta_rad": theta}, sc.coupling)
+                loops.append(q.berry_phase(path, sc.solver))
+                f = q.frame_at(path, 0.0)  # alpha in the optimal basis, constant on the cone
+                assert loops[-1].max_alpha == pytest.approx(
+                    math.sqrt(2.0) * abs(f.w_ge) / f.omega01, rel=1e-14)
+            assert invariants["max_alpha"] == max(loop.max_alpha for loop in loops) > 0.0
+            assert invariants["max_loop_gap"] == max(loop.loop_gap for loop in loops)
+            assert "max_positivity_violation" not in invariants  # the state is not moved
+            assert meta["solver_work"] == {
+                f"theta_{i:03d}": dataclasses.asdict(loop.work) for i, loop in enumerate(loops)}
+            assert meta["phase_wall_s"]["solve"] > 0.0
+            if name == "rk4":  # no error row, so no estimate
+                assert "max_quadrature_error" not in invariants
+                assert all(w["accepted_steps"] == 1571 for w in meta["solver_work"].values())
+            else:
+                errors = [loop.quadrature_error for loop in loops]
+                assert invariants["max_quadrature_error"] == max(errors) < 1e-14
+                assert all((w["accepted_steps"], w["frame_evals"]) == (12, 61)
+                           for w in meta["solver_work"].values())
 
     @pytest.mark.parametrize("mode, names", [
         ("simulate", ["trajectory.csv"]),
@@ -547,9 +558,24 @@ class TestRun:
                 math.sqrt(2.0) * abs(frame.w_ge) / frame.omega01, rel=1e-12
             )
 
-        loop = q.berry_phase(q.sample_history(path, 0.0, sc.solver.t1, 4097))
+        loop = q.berry_phase(path)
         assert float(opt[-1][7]) == pytest.approx(loop.delta_lambda_g, abs=1e-8)
         assert float(opt[-1][8]) == pytest.approx(loop.delta_lambda_e, abs=1e-8)
+
+    @pytest.mark.parametrize("solver, reported", [
+        ("  method: rk4_fixed\n  dt_time: 0.02\n", False),
+        ("  method: rk45_adaptive\n", True),
+    ], ids=["rk4", "rk45"])
+    def test_optimal_phase_run_reports_its_quadrature_error(self, tmp_path, solver, reported):
+        text = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", solver)
+        for optimal in ("false", "true"):
+            art = run(load_scenario(text + f"run:\n  optimal_phase: {optimal}\n"),
+                      out_dir=tmp_path / optimal)
+            invariants = json.loads((art.run_dir / "metadata.json").read_text())["invariants"]
+            if optimal == "true" and reported:  # the cone's w diagonals are constant
+                assert 0.0 <= invariants["max_quadrature_error"] < 1e-13
+            else:
+                assert "max_quadrature_error" not in invariants
 
     @pytest.mark.filterwarnings("ignore:purity exceeded")
     def test_metadata_is_strict_json(self, tmp_path):
@@ -588,6 +614,15 @@ def summary_rows(config, out_dir):
 
 class TestShippedFindings:
     """Each shipped experiment config reproduces its finding through cli.run."""
+
+    def test_berry_sweep_grid_is_the_solid_angle_to_1e_12(self, tmp_path):
+        # theta <= pi/2: the raw ground-branch increment is +pi (1 - cos theta) itself
+        _, rows = summary_rows("berry_sweep.yaml", tmp_path)
+        for row in rows:
+            target = math.pi * (1.0 - math.cos(float(row["theta_rad"])))
+            assert abs(float(row["delta_lambda_g"]) - target) <= 1e-12, row
+            # the excited branch is its negative up to a winding (theta = pi/2 reads +pi)
+            assert abs(math.remainder(float(row["delta_lambda_e"]) + target, 2 * math.pi)) <= 1e-12
 
     def test_berry_sweep_phases_are_the_solid_angle(self, tmp_path):
         _, rows = summary_rows("berry_sweep.yaml", tmp_path)
@@ -967,18 +1002,23 @@ class TestMain:
         assert meta["status"] == "ok"
         assert 1e199 < meta["invariants"]["max_alpha"] < 1e201
 
-    def test_berry_integral_beyond_the_float_range_exit_2(self, tmp_path, capsys):
-        # |w_gg| ~ 1e307 at every sample: each alpha is finite, the loop's quadrature is not
+    def test_berry_loop_at_a_huge_drive_rate_is_the_solid_angle(self, tmp_path, capsys):
+        # |w_gg| ~ 1e307 at every stage: each step's dt * sum(b w_gg) is about 1, so the
+        # loop's phase is the solid angle however fast the field turns
         text = MINIMAL_CONE.replace("  method: rk4_fixed\n  dt_time: 0.02\n", "").replace(
             "drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 1.0e+307")
         fn = self.write_config(tmp_path, text + (
             "run:\n  berry_theta_grid_rad: [1.0, 2.0]\n  history_samples: 2049\n"))
-        assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
-        message = "theta_rad = 1.0: the Berry phase quadrature overflows the float range"
-        err = capsys.readouterr().err
-        assert err == f"run failed: {message}\n" and "Traceback" not in err
+        assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
         meta = self.assert_clean_run_directory(tmp_path / "runs")
-        assert meta["status"] == f"failed: {message}"
+        assert meta["status"] == "ok"
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        with open(run_dir / "berry.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            target = math.pi * (1.0 - math.cos(float(row["theta_rad"])))
+            got = float(row["delta_lambda_g_mod_2pi"])
+            assert abs(math.remainder(got - target, 2 * math.pi)) <= 1e-12, row
 
     def shipped_cone(self, tmp_path, old, new):
         """configs/cone_zero_temperature.yaml with one edit, written as the scenario."""
@@ -1015,6 +1055,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("scenario invalid:\n  - solver: dt") and "Traceback" not in err
         assert "steps, more than 10000000" in err
+
+    @pytest.mark.parametrize("old, new, problem", [
+        ("  record_stride: 10\n", "  record_stride: 10\n  t1_time: 1.0\n  dt_max_time: 1.0e-6\n",
+         "solver: dt_max = 1e-06 needs 1.26e+08 steps, more than 10000000 over one Berry loop"),
+        ("drive_omega_rad_per_time: 0.05\n", "drive_omega_rad_per_time: 1.0e-320\n"
+         "  duration_time: 1.0\n", "solver: t1 must be finite over one Berry loop"),
+    ], ids=["steps", "period"])
+    def test_berry_loop_beyond_the_step_bound_exit_1(self, tmp_path, capsys, old, new, problem):
+        # a loop always integrates one drive period, whatever the solver window says
+        fn = self.shipped_cone(tmp_path, old, new)
+        text = fn.read_text().replace("run:\n  mode: simulate\n", "run:\n  mode: simulate\n"
+                                      "  berry_theta_grid_rad: [0.5]\n")
+        fn.write_text(text)
+        assert main(["validate", "--config", str(fn)]) == 0  # the simulate run is fine
+        assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
     def test_window_beyond_the_float_range_exit_1(self, tmp_path, capsys):
         fn = self.shipped_cone(tmp_path, "  record_stride: 10\n",

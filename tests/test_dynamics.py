@@ -702,6 +702,43 @@ class TestSolverWork:
         # the optimal phase removes the w diagonals from the norm
         assert max_alpha[1] < max_alpha[0]
 
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_phase_quadrature_error_is_the_embedded_weights_difference(self, degree):
+        # w_gg = t^degree: DP5's 5th-order weights integrate degree 4 exactly, its
+        # embedded 4th-order ones degree 3, so the estimate is zero to rounding for
+        # degree 3 and the 4th-order weights' true error for degree 4
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
+        traj = integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+                         frame_provider=lambda t: make_frame(w_gg=t ** degree, w_ee=-2.0 * t),
+                         track_phases=True)
+        exact = 2.0 ** (degree + 1) / (degree + 1)
+        assert traj.final.lambda_g == pytest.approx(-exact, rel=1e-14)
+        assert traj.final.lambda_e == pytest.approx(4.0, rel=1e-14)
+        if degree == 3:
+            assert traj.phase_quadrature_error < 1e-14
+        else:
+            assert 1e-8 < traj.phase_quadrature_error < 1e-4
+
+    def test_phase_quadrature_error_needs_phases_and_an_error_row(self, cone_path):
+        for method, track_phases in (("rk45_adaptive", False), ("rk4_fixed", True)):
+            cfg = q.SolverConfig(method=method, t0=0.0, t1=10.0, dt=0.5)
+            traj = integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+                             frame_provider=lambda t: q.frame_at(cone_path, t),
+                             track_phases=track_phases)
+            assert traj.phase_quadrature_error is None
+
+    def test_phase_error_estimate_beyond_the_float_range_raises(self, monkeypatch):
+        # an error row scaled by 1e308 against w_gg = 1e3: the state's error is 0 and
+        # the phases are finite, but each phase error term overflows
+        stages, err_terms = _METHODS["rk45_adaptive"]
+        monkeypatch.setitem(_METHODS, "rk45_adaptive",
+                            (stages, tuple((j, e * 1e308) for j, e in err_terms)))
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0)
+        with pytest.raises(q.NonFiniteState,
+                           match="^the optimal phase's error estimate overflows the float range$"):
+            integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+                      frame_provider=lambda t: make_frame(w_gg=1e3), track_phases=True)
+
     def test_frame_free_generator_evaluates_no_frame(self):
         r = q.rates(0.0, 1.0, 1.0, q.flat(0.5))
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0)

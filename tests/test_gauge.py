@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import qsteer as q
-from qsteer.control import FrameHistory
 
 from conftest import SX
 
@@ -40,10 +39,6 @@ class TestHsNorm:
         assert q.hs_norm(0.0, 0.0, 1e300) == pytest.approx(math.sqrt(2) * 1e300, rel=1e-15)
 
 
-def history_of(path, n=801, t0=0.0, t1=None):
-    return q.sample_history(path, t0, path.duration if t1 is None else t1, n)
-
-
 def tracked_phases(path, t1, dt, record_stride):
     """Samples of a plain flat-bath run whose stepper accumulates the optimal phase."""
     sd = q.flat(0.1)
@@ -73,13 +68,12 @@ class TestOptimalSchedule:
             assert s.lambda_g == pytest.approx(0.05 * s.t, abs=1e-10)
 
     def test_schedule_invariants(self, cone_path):
-        bp = q.berry_phase(history_of(cone_path, 501))
+        bp = q.berry_phase(cone_path)
         assert bp.quadrature_error < 1e-8
         assert bp.loop_gap <= 1e-10
 
     def test_minimality_against_random_schedules(self, cone_path, rng):
-        hist = history_of(cone_path, 301)
-        ts = hist.times
+        ts = np.linspace(0.0, cone_path.duration, 301)
         w = [(f.w_gg, f.w_ee, f.w_ge) for f in (q.frame_at(cone_path, float(t)) for t in ts)]
         hs_opt = np.array(
             [
@@ -103,47 +97,49 @@ class TestOptimalSchedule:
             assert np.all(hs_mu[strict] > hs_opt[strict])
 
     def test_offdiagonal_modulus_invariant_under_any_schedule(self, cone_path, rng):
-        hist = history_of(cone_path, 101)
-        for f in (q.frame_at(cone_path, float(t)) for t in hist.times[:: 20]):
+        ts = np.linspace(0.0, cone_path.duration, 101)
+        for f in (q.frame_at(cone_path, float(t)) for t in ts[:: 20]):
             lam = rng.uniform(-3, 3, 2)
             dlam = rng.uniform(-1, 1, 2)
             _, _, w_ge = q.apply_phase(f.w_gg, f.w_ee, f.w_ge, *lam, *dlam)
             assert abs(w_ge) == pytest.approx(abs(f.w_ge), rel=1e-15)
 
-    def test_grid_validation(self, cone_path):
-        hist = history_of(cone_path, 301)
-        bad = FrameHistory(
-            times=hist.times[::-1], w_gg=hist.w_gg[::-1], w_ee=hist.w_ee[::-1],
-            alpha=hist.alpha[::-1], b_start=hist.b_start, b_end=hist.b_end,
-        )
-        with pytest.raises(q.NonUniformGridUnsupported):
-            q.berry_phase(bad)
-        tiny = FrameHistory(
-            times=hist.times[:2], w_gg=hist.w_gg[:2], w_ee=hist.w_ee[:2],
-            alpha=hist.alpha[:2], b_start=hist.b_start, b_end=hist.b_end,
-        )
-        with pytest.raises(q.NonUniformGridUnsupported):
-            q.berry_phase(tiny)
 
-    def test_a_step_that_is_not_positive_is_named_first(self):
-        # an uneven step before a repeated time: the repeated time is the reported fault
-        flat = (0.0,) * 6
-        hist = FrameHistory(times=(0.0, 1.0, 2.5, 3.0, 3.0, 4.0), w_gg=flat, w_ee=flat,
-                            alpha=flat, b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
-        with pytest.raises(q.NonUniformGridUnsupported, match="strictly increasing"):
-            q.berry_phase(hist)
+def retraced_loop(T=50.0, Omega=1.0, theta=math.pi / 3):
+    """phi sweeps out and back: zero enclosed solid angle, w diagonals that vary."""
 
-    def test_nonuniform_grid_rejected(self, cone_path):
-        # a closed loop with one extra sample: rejected, not resampled
-        t1 = cone_path.duration
-        ts = np.sort(np.concatenate([np.linspace(0, t1, 900), [13.37]]))
-        frames = [q.frame_at(cone_path, float(t)) for t in ts]
-        hist = FrameHistory(
-            times=ts, w_gg=np.array([f.w_gg for f in frames]), w_ee=np.array([f.w_ee for f in frames]),
-            alpha=np.array([f.alpha for f in frames]), b_start=cone_path.b(0), b_end=cone_path.b(t1),
-        )
-        with pytest.raises(q.NonUniformGridUnsupported, match="uniformly spaced"):
-            q.berry_phase(hist)
+    def b(t):
+        phi = 2.0 * math.sin(math.pi * t / T) ** 2
+        st = math.sin(theta)
+        return (Omega * st * math.cos(phi), Omega * st * math.sin(phi), Omega * math.cos(theta))
+
+    def b_dot(t):
+        phi = 2.0 * math.sin(math.pi * t / T) ** 2
+        dphi = 2.0 * math.pi / T * math.sin(2 * math.pi * t / T)
+        st = math.sin(theta)
+        return (-Omega * st * math.sin(phi) * dphi, Omega * st * math.cos(phi) * dphi, 0.0)
+
+    return q.ControlPath(b=b, b_dot=b_dot, coupling_A=SX, duration=T)
+
+
+def uneven_cone(theta=1.0, omega=0.1):
+    """One cone loop at the azimuth omega t + sin(omega t) / 2: the solid angle, varying w."""
+    st, ct = math.sin(theta), math.cos(theta)
+
+    def b(t):
+        phi = omega * t + 0.5 * math.sin(omega * t)
+        return (st * math.cos(phi), st * math.sin(phi), ct)
+
+    def b_dot(t):
+        phi = omega * t + 0.5 * math.sin(omega * t)
+        dphi = omega + 0.5 * omega * math.cos(omega * t)
+        return (-st * math.sin(phi) * dphi, st * math.cos(phi) * dphi, 0.0)
+
+    return q.ControlPath(b=b, b_dot=b_dot, coupling_A=SX, duration=2 * math.pi / omega)
+
+
+def dp5(path, dt_max=None):
+    return q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=path.duration, dt_max=dt_max)
 
 
 class TestBerryPhase:
@@ -152,108 +148,88 @@ class TestBerryPhase:
             b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
             coupling_A=SX, duration=10.0,
         )
-        bp = q.berry_phase(history_of(path, 101, t1=10.0))
+        bp = q.berry_phase(path)
         assert bp.delta_lambda_g == 0.0
         assert bp.delta_lambda_e == 0.0
 
     @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2])
     def test_cone_solid_angle(self, theta):
         path = q.rotating_cone(1.0, theta, 0.1, SX)
-        bp = q.berry_phase(history_of(path, 1025))
-        assert abs(bp.delta_lambda_g) == pytest.approx(math.pi * (1 - math.cos(theta)), abs=1e-4)
+        bp = q.berry_phase(path)
+        assert abs(bp.delta_lambda_g) == pytest.approx(math.pi * (1 - math.cos(theta)), abs=1e-12)
 
     def test_loop_additivity(self):
-        path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX)
-        single = q.berry_phase(q.sample_history(path, 0.0, path.duration, 801))
-        double = q.berry_phase(q.sample_history(path, 0.0, 2 * path.duration, 1601))
+        single = q.berry_phase(q.rotating_cone(1.0, math.pi / 3, 0.1, SX))
+        double = q.berry_phase(q.rotating_cone(1.0, math.pi / 3, 0.1, SX, duration=40 * math.pi))
         assert double.delta_lambda_g == pytest.approx(2 * single.delta_lambda_g, abs=1e-9)
 
     def test_retraced_loop_zero(self):
-        # phi sweeps out and back: zero enclosed solid angle
-        Omega, theta, T = 1.0, math.pi / 3, 50.0
-
-        def b(t):
-            phi = 2.0 * math.sin(math.pi * t / T) ** 2
-            st = math.sin(theta)
-            return (Omega * st * math.cos(phi), Omega * st * math.sin(phi), Omega * math.cos(theta))
-
-        def b_dot(t):
-            phi = 2.0 * math.sin(math.pi * t / T) ** 2
-            dphi = 2.0 * math.pi / T * math.sin(2 * math.pi * t / T)
-            st = math.sin(theta)
-            return (-Omega * st * math.sin(phi) * dphi, Omega * st * math.cos(phi) * dphi, 0.0)
-
-        path = q.ControlPath(b=b, b_dot=b_dot, coupling_A=SX, duration=T)
-        bp = q.berry_phase(history_of(path, 2001, t1=T))
+        path = retraced_loop()
+        bp = q.berry_phase(path, dp5(path, dt_max=path.duration / 100))
         assert abs(bp.delta_lambda_g) < 1e-8
         assert abs(bp.delta_lambda_e) < 1e-8
 
     def test_mod_2pi_reporting(self):
         path = q.rotating_cone(1.0, 2.0, 0.1, SX)  # theta > pi/2: winding-rich branch
-        bp = q.berry_phase(history_of(path, 1201))
+        bp = q.berry_phase(path)
         assert -math.pi < bp.delta_lambda_g_mod <= math.pi
         diff = bp.delta_lambda_g - bp.delta_lambda_g_mod
         assert diff == pytest.approx(2 * math.pi * round(diff / (2 * math.pi)), abs=1e-9)
 
-    @pytest.mark.parametrize("n", [5, 6, 1024, 1025])
-    def test_numpy_columns_give_the_same_phases(self, n):
-        path = q.rotating_cone(1.0, 2.0, 0.1, SX)
-        hist = history_of(path, n)
-        arrays = FrameHistory(
-            times=np.array(hist.times), w_gg=np.array(hist.w_gg), w_ee=np.array(hist.w_ee),
-            alpha=np.array(hist.alpha), b_start=np.array(hist.b_start), b_end=np.array(hist.b_end),
-        )
-        assert q.berry_phase(arrays) == q.berry_phase(hist)
-
-    @pytest.mark.parametrize("n", [5, 6, 1024, 1025])
-    def test_quadrature_matches_scipy_simpson(self, cone_path, n):
-        from scipy.integrate import cumulative_simpson
-
-        hist = history_of(cone_path, n)
-        h = hist.times[1] - hist.times[0]
-        bp = q.berry_phase(hist)
-        for got, w in ((bp.delta_lambda_g, "w_gg"), (bp.delta_lambda_e, "w_ee")):
-            y = [-getattr(q.frame_at(cone_path, float(t)), w) for t in hist.times]
-            assert got == pytest.approx(cumulative_simpson(y, dx=h)[-1], abs=1e-12)
-
-    @pytest.mark.parametrize("n", [5, 6, 513, 514])
-    def test_equals_simpson_of_the_negated_columns_bit_for_bit(self, rng, n):
-        # berry_phase integrates the columns as they are and negates the totals; the
-        # columns include zeros of both signs, for which a zero total must read +0
-        from qsteer.gauge import _simpson
-
-        times = tuple(k * 0.01 for k in range(n))
-        columns = [tuple(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)) for _ in range(40)]
-        columns += [(0.0,) * n, (-0.0,) * n, tuple((-0.0, 0.0)[k % 2] for k in range(n))]
-        h = times[1] - times[0]
-        for w_gg, w_ee in zip(columns, columns[1:] + columns[:1]):
-            hist = FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=w_gg,
-                                b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
-            bp = q.berry_phase(hist)
-            want_g, err_g = _simpson([-w for w in w_gg], h)
-            want_e, err_e = _simpson([-w for w in w_ee], h)
-            assert bp.delta_lambda_g.hex() == want_g.hex()
-            assert bp.delta_lambda_e.hex() == want_e.hex()
-            assert bp.quadrature_error == max(err_g, err_e)
-
-    @pytest.mark.parametrize("column", [
-        (1e307,) * 65,  # fsum's partial sums overflow
-        (1e306,) * 64 + (1.7e308,),  # the sums stay finite, the Simpson weights do not
-        (0.0,) * 32 + (math.nan,) + (0.0,) * 32,
-    ], ids=["fsum", "weights", "nan"])
-    def test_increment_beyond_the_float_range_raises(self, column):
-        times = tuple(k * 0.5 for k in range(len(column)))
-        finite = (0.0,) * len(column)
-        for w_gg, w_ee in ((column, finite), (finite, column)):
-            hist = FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=finite,
-                                b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
-            with pytest.raises(q.NonFiniteState, match="^the Berry phase quadrature overflows"):
-                q.berry_phase(hist)
-
     def test_open_arc_rejected(self):
-        path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX)
+        path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX, duration=0.7 * 20 * math.pi)
         with pytest.raises(q.LoopNotClosed):
-            q.berry_phase(q.sample_history(path, 0.0, 0.7 * path.duration, 301))
+            q.berry_phase(path)
+
+    @pytest.mark.parametrize("periods", [0.999, 1.5])
+    def test_cone_off_its_period_is_not_closed(self, periods):
+        path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX, duration=periods * 20 * math.pi)
+        with pytest.raises(q.LoopNotClosed, match=r"^\|b\(t_b\) - b\(t_a\)\| = .* > 1e-10$"):
+            q.berry_phase(path)
+
+    def test_cone_loop_is_the_default_stepper_run(self, cone_path):
+        # the state stays put, so the steps grow from duration / 100 to the cap duration / 10
+        bp = q.berry_phase(cone_path)
+        assert (bp.work.accepted_steps, bp.work.rejected_steps) == (12, 0)
+        assert (bp.work.rhs_evals, bp.work.frame_evals) == (73, 61)
+        f = q.frame_at(cone_path, 0.0)
+        assert bp.max_alpha == pytest.approx(math.sqrt(2) * abs(f.w_ge) / f.omega01, rel=1e-14)
+        # w_gg is constant on the cone, so the increment is -w_gg T to rounding
+        assert bp.delta_lambda_g == pytest.approx(-f.w_gg * cone_path.duration, rel=1e-14)
+        assert bp.quadrature_error < 1e-14
+
+    def test_solver_window_is_the_loop(self, cone_path):
+        other = q.SolverConfig(method="rk45_adaptive", t0=3.0, t1=4.0)
+        assert q.berry_phase(cone_path, other) == q.berry_phase(cone_path)
+
+    def test_fixed_step_reports_no_quadrature_error(self):
+        path = retraced_loop()
+        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=path.duration, dt=path.duration / 500)
+        bp = q.berry_phase(path, cfg)
+        assert bp.quadrature_error is None
+        assert bp.work.accepted_steps == 500 and bp.work.frame_evals == 2 * 500 + 1
+        assert abs(bp.delta_lambda_g) < 1e-12
+
+    def test_quadrature_error_bounds_the_error_and_falls_with_the_step(self):
+        path = uneven_cone()
+        target = math.pi * (1 - math.cos(1.0))
+        estimates = []
+        for n in (10, 20, 40):
+            bp = q.berry_phase(path, dp5(path, dt_max=path.duration / n))
+            assert abs(bp.delta_lambda_g - target) <= bp.quadrature_error
+            estimates.append(bp.quadrature_error)
+        # the 4th-order weights' error: each halving divides it by at least 2^4
+        assert estimates[0] > 16 * estimates[1] > 256 * estimates[2] > 0.0
+
+    def test_phase_beyond_the_float_range_raises(self):
+        # a fixed field whose b_dot claims a huge azimuthal rate: |w_gg| ~ 1e300 over
+        # a duration of 1e10, so -integral w_gg dt leaves the float range
+        path = q.ControlPath(b=lambda t: (0.6, 0.0, 0.8), b_dot=lambda t: (0.0, 1e300, 0.0),
+                             coupling_A=SX, duration=1e10)
+        assert abs(q.frame_at(path, 0.0).w_gg) > 1e299
+        with pytest.raises(q.NonFiniteState,
+                           match="^the optimal phase overflows the float range at t = "):
+            q.berry_phase(path)
 
 
 class TestPhaseShiftedFrame:
