@@ -10,6 +10,7 @@ import qsteer as q
 from qsteer.control import GAP_FLOOR
 
 from conftest import SX, SZ, cone_field, cone_states, hamiltonian, numdiff_w
+from frame_history import sample_history
 
 
 def static_path(b, A=SX, duration=10.0):
@@ -335,10 +336,12 @@ class TestLocalAlpha:
         # a Berry loop reports the optimal basis's alpha, constant along the cone
         optimal = q.hs_norm(0.0, 0.0, f.w_ge) / f.omega01
         assert q.berry_phase(path).max_alpha == pytest.approx(optimal, rel=1e-14)
+        assert sample_history(path, 0.0, path.duration, 5).alpha == pytest.approx((f.alpha,) * 5)
 
     def test_alpha_beyond_the_float_range_raises(self):
         # alpha ~ omega / field_energy ~ 1e313: the frame holds its finite w, and the
-        # integrations that report alpha raise, a Berry loop's among them
+        # integrations that report alpha, a Berry loop's among them, and the history that
+        # tabulates it raise
         path = q.rotating_cone(1e-8, 0.5, 1e305, SX)
         assert q.frame_at(path, 0.0).alpha == math.inf
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=path.duration, dt=path.duration / 2)
@@ -349,6 +352,8 @@ class TestLocalAlpha:
                             track_phases=track_phases)
         with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
             q.berry_phase(path)
+        with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
+            sample_history(path, 0.0, path.duration, 5)
 
     @pytest.mark.parametrize("path, magnitude", [
         (q.rotating_cone(1e154, 1.0, 0.05, SX), "1e+154"),
@@ -364,6 +369,8 @@ class TestLocalAlpha:
         with pytest.raises(q.NonFiniteState, match=message):
             q.integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1.0), cfg,
                         frame_provider=lambda t: q.frame_at(path, t))
+        with pytest.raises(q.NonFiniteState, match=message):
+            sample_history(path, 0.0, path.duration, 5)
 
     def test_field_overflowing_after_its_start_raises(self):
         # anchored at (0, 0, 1), both anchors are on p, which reads NaN once |b| overflows:
@@ -374,10 +381,13 @@ class TestLocalAlpha:
         message = re.escape("|b| = 1e+200 overflows the frame normalisation at t = ")
         with pytest.raises(q.NonFiniteState, match=message + "2$"):
             q.frame_at(path, 2.0)
+        with pytest.raises(q.NonFiniteState, match=message + "1.5$"):
+            sample_history(path, 0.0, 3.0, 5)
 
     def test_field_below_the_overflow_has_a_frame(self):
         path = q.rotating_cone(5e153, 1.0, 0.05, SX)
         assert q.frame_at(path, 0.0).omega01 == pytest.approx(5e153, rel=1e-15)
+        assert len(sample_history(path, 0.0, path.duration, 5).alpha) == 5
 
 
 class TestFrameAt:
@@ -550,6 +560,67 @@ class TestClosedFormAgainstReference:
             q.frame_at(path, 1.0)
         assert str(got.value) == str(want.value)
         assert "t = 1:" in str(got.value)
+
+
+class TestSampleHistory:
+    """The history's columns are frame_at's fields at the sample times."""
+
+    @staticmethod
+    def assert_columns_match(path, t0, t1, num=257):
+        hist = sample_history(path, t0, t1, num)
+        frames = [q.frame_at(path, t) for t in hist.times]
+        for name in ("w_gg", "w_ee", "alpha"):
+            # bit for bit, signed zeros included
+            want = [getattr(f, name).hex() for f in frames]
+            assert [x.hex() for x in getattr(hist, name)] == want, name
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 62.83185307179586), (-3.7, 41.3), (1e-3, 1.0)])
+    @pytest.mark.parametrize("num", [3, 4, 513, 65537])
+    def test_times_are_linspace(self, t0, t1, num):
+        path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX)
+        times = sample_history(path, t0, t1, num).times
+        assert type(times) is tuple and all(type(t) is float for t in times)
+        want = np.linspace(t0, t1, num)
+        np.testing.assert_array_equal(np.array(times).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
+    def test_cone(self, theta):
+        # theta below and above pi/2: both _eig_raw branches (b_z >= 0, < 0) and both anchor pairs
+        path = q.rotating_cone(1.0, theta, 0.1, SX)
+        self.assert_columns_match(path, 0.0, path.duration)
+
+    def test_sweep_crossing_bz_zero(self):
+        # anchors fixed at b_z < 0 land on the complex components once b_z >= 0
+        path = q.linear_sweep(0.05, 1.0, 100.0, SZ)
+        assert path.b(0.0)[2] < 0.0 < path.b(100.0)[2]
+        self.assert_columns_match(path, 0.0, 100.0)
+
+    def test_sampled_path(self):
+        ts = np.linspace(0.0, 20.0, 30)
+        bs = np.stack([np.cos(ts), np.sin(ts), 0.5 * np.cos(0.3 * ts)], axis=1)
+        self.assert_columns_match(q.sampled_path(ts, bs, SX), 0.0, 20.0)
+
+    def test_static_path_integer_b_dot(self):
+        path = q.ControlPath(
+            b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
+            coupling_A=SX, duration=10.0,
+        )
+        self.assert_columns_match(path, 0.0, 10.0, 101)
+
+    def test_antipode_raises_gauge_undefined(self):
+        path = antipode_path()
+        self.assert_columns_match(path, 0.0, 0.9, 91)
+        with pytest.raises(q.GaugeUndefined, match="t = 1:"):
+            sample_history(path, 0.0, 1.0, 11)
+
+    def test_gap_collapse(self):
+        # b_z sweeps through 0 at a sample time, with no transverse field there
+        path = q.ControlPath(
+            b=lambda t: (0.0, 0.0, t - 5.0), b_dot=lambda t: (0.0, 0.0, 1.0),
+            coupling_A=SX, duration=10.0,
+        )
+        with pytest.raises(q.GapCollapse):
+            sample_history(path, 0.0, 10.0, 11)
 
 
 class TestSampledPaths:

@@ -7,6 +7,13 @@ import pytest
 import qsteer as q
 
 from conftest import SX
+from frame_history import (
+    FrameHistory,
+    NonUniformGridUnsupported,
+    _simpson,
+    history_berry_phase,
+    sample_history,
+)
 
 
 class TestApplyPhase:
@@ -37,6 +44,10 @@ class TestHsNorm:
     def test_huge_entries_do_not_overflow(self):
         assert q.hs_norm(1e200, -1e200, 1e200j) == pytest.approx(2e200, rel=1e-15)
         assert q.hs_norm(0.0, 0.0, 1e300) == pytest.approx(math.sqrt(2) * 1e300, rel=1e-15)
+
+
+def history_of(path, n=801, t0=0.0, t1=None):
+    return sample_history(path, t0, path.duration if t1 is None else t1, n)
 
 
 def tracked_phases(path, t1, dt, record_stride):
@@ -103,6 +114,41 @@ class TestOptimalSchedule:
             dlam = rng.uniform(-1, 1, 2)
             _, _, w_ge = q.apply_phase(f.w_gg, f.w_ee, f.w_ge, *lam, *dlam)
             assert abs(w_ge) == pytest.approx(abs(f.w_ge), rel=1e-15)
+
+    def test_grid_validation(self, cone_path):
+        hist = history_of(cone_path, 301)
+        bad = FrameHistory(
+            times=hist.times[::-1], w_gg=hist.w_gg[::-1], w_ee=hist.w_ee[::-1],
+            alpha=hist.alpha[::-1], b_start=hist.b_start, b_end=hist.b_end,
+        )
+        with pytest.raises(NonUniformGridUnsupported):
+            history_berry_phase(bad)
+        tiny = FrameHistory(
+            times=hist.times[:2], w_gg=hist.w_gg[:2], w_ee=hist.w_ee[:2],
+            alpha=hist.alpha[:2], b_start=hist.b_start, b_end=hist.b_end,
+        )
+        with pytest.raises(NonUniformGridUnsupported):
+            history_berry_phase(tiny)
+
+    def test_a_step_that_is_not_positive_is_named_first(self):
+        # an uneven step before a repeated time: the repeated time is the reported fault
+        flat = (0.0,) * 6
+        hist = FrameHistory(times=(0.0, 1.0, 2.5, 3.0, 3.0, 4.0), w_gg=flat, w_ee=flat,
+                            alpha=flat, b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
+        with pytest.raises(NonUniformGridUnsupported, match="strictly increasing"):
+            history_berry_phase(hist)
+
+    def test_nonuniform_grid_rejected(self, cone_path):
+        # a closed loop with one extra sample: rejected, not resampled
+        t1 = cone_path.duration
+        ts = np.sort(np.concatenate([np.linspace(0, t1, 900), [13.37]]))
+        frames = [q.frame_at(cone_path, float(t)) for t in ts]
+        hist = FrameHistory(
+            times=ts, w_gg=np.array([f.w_gg for f in frames]), w_ee=np.array([f.w_ee for f in frames]),
+            alpha=np.array([f.alpha for f in frames]), b_start=cone_path.b(0), b_end=cone_path.b(t1),
+        )
+        with pytest.raises(NonUniformGridUnsupported, match="uniformly spaced"):
+            history_berry_phase(hist)
 
 
 def retraced_loop(T=50.0, Omega=1.0, theta=math.pi / 3):
@@ -176,6 +222,59 @@ class TestBerryPhase:
         diff = bp.delta_lambda_g - bp.delta_lambda_g_mod
         assert diff == pytest.approx(2 * math.pi * round(diff / (2 * math.pi)), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [5, 6, 1024, 1025])
+    def test_numpy_columns_give_the_same_phases(self, n):
+        path = q.rotating_cone(1.0, 2.0, 0.1, SX)
+        hist = history_of(path, n)
+        arrays = FrameHistory(
+            times=np.array(hist.times), w_gg=np.array(hist.w_gg), w_ee=np.array(hist.w_ee),
+            alpha=np.array(hist.alpha), b_start=np.array(hist.b_start), b_end=np.array(hist.b_end),
+        )
+        assert history_berry_phase(arrays) == history_berry_phase(hist)
+
+    @pytest.mark.parametrize("n", [5, 6, 1024, 1025])
+    def test_quadrature_matches_scipy_simpson(self, cone_path, n):
+        from scipy.integrate import cumulative_simpson
+
+        hist = history_of(cone_path, n)
+        h = hist.times[1] - hist.times[0]
+        bp = history_berry_phase(hist)
+        for got, w in ((bp.delta_lambda_g, "w_gg"), (bp.delta_lambda_e, "w_ee")):
+            y = [-getattr(q.frame_at(cone_path, float(t)), w) for t in hist.times]
+            assert got == pytest.approx(cumulative_simpson(y, dx=h)[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 6, 513, 514])
+    def test_equals_simpson_of_the_negated_columns_bit_for_bit(self, rng, n):
+        # history_berry_phase integrates the columns as they are and negates the totals; the
+        # columns include zeros of both signs, for which a zero total must read +0
+        times = tuple(k * 0.01 for k in range(n))
+        columns = [tuple(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)) for _ in range(40)]
+        columns += [(0.0,) * n, (-0.0,) * n, tuple((-0.0, 0.0)[k % 2] for k in range(n))]
+        h = times[1] - times[0]
+        for w_gg, w_ee in zip(columns, columns[1:] + columns[:1]):
+            hist = FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=w_gg,
+                                b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
+            bp = history_berry_phase(hist)
+            want_g, err_g = _simpson([-w for w in w_gg], h)
+            want_e, err_e = _simpson([-w for w in w_ee], h)
+            assert bp.delta_lambda_g.hex() == want_g.hex()
+            assert bp.delta_lambda_e.hex() == want_e.hex()
+            assert bp.quadrature_error == max(err_g, err_e)
+
+    @pytest.mark.parametrize("column", [
+        (1e307,) * 65,  # fsum's partial sums overflow
+        (1e306,) * 64 + (1.7e308,),  # the sums stay finite, the Simpson weights do not
+        (0.0,) * 32 + (math.nan,) + (0.0,) * 32,
+    ], ids=["fsum", "weights", "nan"])
+    def test_increment_beyond_the_float_range_raises(self, column):
+        times = tuple(k * 0.5 for k in range(len(column)))
+        finite = (0.0,) * len(column)
+        for w_gg, w_ee in ((column, finite), (finite, column)):
+            hist = FrameHistory(times=times, w_gg=w_gg, w_ee=w_ee, alpha=finite,
+                                b_start=(0.0, 0.0, 1.0), b_end=(0.0, 0.0, 1.0))
+            with pytest.raises(q.NonFiniteState, match="^the Berry phase quadrature overflows"):
+                history_berry_phase(hist)
+
     def test_open_arc_rejected(self):
         path = q.rotating_cone(1.0, math.pi / 3, 0.1, SX, duration=0.7 * 20 * math.pi)
         with pytest.raises(q.LoopNotClosed):
@@ -197,6 +296,27 @@ class TestBerryPhase:
         # w_gg is constant on the cone, so the increment is -w_gg T to rounding
         assert bp.delta_lambda_g == pytest.approx(-f.w_gg * cone_path.duration, rel=1e-14)
         assert bp.quadrature_error < 1e-14
+
+    @pytest.mark.parametrize("theta", [0.3, 0.6, math.pi / 3, 1.3, math.pi / 2, 2.0, 3.0])
+    def test_stepper_agrees_with_the_history_quadrature(self, theta):
+        # two independent quadratures of -integral w dt over one cone loop
+        path = q.rotating_cone(1.0, theta, 0.1, SX)
+        bp, ref = q.berry_phase(path), history_berry_phase(history_of(path, 2049))
+        for got, want in ((bp.delta_lambda_g, ref.delta_lambda_g),
+                          (bp.delta_lambda_e, ref.delta_lambda_e),
+                          (bp.delta_lambda_g_mod, ref.delta_lambda_g_mod),
+                          (bp.delta_lambda_e_mod, ref.delta_lambda_e_mod)):
+            assert got == pytest.approx(want, abs=1e-12)
+        assert bp.loop_gap == ref.loop_gap
+        assert ref.max_alpha is None and ref.work is None
+
+    def test_stepper_agrees_with_the_history_quadrature_where_w_varies(self):
+        path = uneven_cone()
+        bp = q.berry_phase(path, dp5(path, dt_max=path.duration / 40))
+        ref = history_berry_phase(history_of(path, 4097))
+        tol = bp.quadrature_error + ref.quadrature_error
+        assert abs(bp.delta_lambda_g - ref.delta_lambda_g) <= tol
+        assert abs(bp.delta_lambda_e - ref.delta_lambda_e) <= tol
 
     def test_solver_window_is_the_loop(self, cone_path):
         other = q.SolverConfig(method="rk45_adaptive", t0=3.0, t1=4.0)
