@@ -71,8 +71,10 @@ class SpectralDensity:
     The model's formula is bound to its parameters once, at construction, as
     a partial of a module-level function, so the object pickles. A tabulated
     model keeps its grid and values as tuples of floats and gives arrays of
-    them to its formula only. ``at_gap`` keeps the samples of the last
-    nonzero gap; the bound formula and that memo take no part in equality.
+    them to its formula only. ``at_gap`` keeps the samples of the last three
+    distinct nonzero gaps; the bound formula and that memo take no part in
+    equality. The memo is unguarded, so one spectrum is not for concurrent
+    threads.
     """
 
     model: str
@@ -93,7 +95,9 @@ class SpectralDensity:
         else:
             raise ValueError(f"unknown spectral model {self.model!r}")
         object.__setattr__(self, "_formula", formula)
-        object.__setattr__(self, "_memo", [math.nan, None])
+        # three (gap, samples) slots, then the slot the next new gap takes (the
+        # oldest); NaN matches no gap
+        object.__setattr__(self, "_memo", [math.nan, None] * 3 + [0])
 
     def __call__(self, omega: float) -> float:
         return self._formula(omega)
@@ -101,17 +105,23 @@ class SpectralDensity:
     def at_gap(self, omega: float) -> tuple:
         """(S(omega), S(-omega), S(0)), the three samples a gap's rates need.
 
-        The last nonzero gap and its samples are kept, so a repeated gap
-        (constant on a cone) costs no sample. A zero gap is not kept, since
-        +0.0 == -0.0 while S(+0) and S(-0) are separate samples; a lookup that
-        raises keeps the previous gap.
+        The last three distinct nonzero gaps and their samples are kept, so a
+        repeated gap costs no sample: a cone's gap |b| rounds to one to three
+        neighbouring floats. A fourth gap evicts the oldest. A zero gap is not
+        kept, since +0.0 == -0.0 while S(+0) and S(-0) are separate samples; a
+        lookup that raises leaves the memo as it was.
         """
         memo = self._memo
         if omega == memo[0]:
             return memo[1]
+        if omega == memo[2]:
+            return memo[3]
+        if omega == memo[4]:
+            return memo[5]
         samples = (self(omega), self(-omega), self(0.0))
         if omega:
-            memo[0], memo[1] = omega, samples
+            i = memo[6]
+            memo[i], memo[i + 1], memo[6] = omega, samples, (i + 2) % 6
         return samples
 
 

@@ -384,12 +384,17 @@ def _build_solver(data, path, problems) -> Optional[SolverConfig]:
         return None
 
 
-def _mode_problems(mode, path, solver, sweep_periods, berry_thetas) -> list:
+def _mode_problems(mode, path, solver, optimal_phase, sweep_periods, berry_thetas) -> list:
     """The sweep and berry modes need their grid, a rotating_cone path and t0 = 0.
 
-    Both modes integrate each loop or period from t = 0.
+    Both modes integrate each loop or period from t = 0. Compare mode takes
+    no optimal phase: its secular and non-steered variants carry no w, so
+    they have none, and a summary over both bases would mix them.
     """
     problems = []
+    if mode == "compare" and optimal_phase:
+        problems.append("run.optimal_phase: not available in compare mode, whose secular and "
+                        "nonsteered variants carry no steering generator")
     if mode == "sweep" and not sweep_periods:
         problems.append("run.sweep_periods_time: required non-empty list for sweep mode")
     if mode == "berry" and not berry_thetas:
@@ -469,7 +474,7 @@ def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
     berry_thetas = _grid(run, "berry_theta_grid_rad", lambda v: 0 <= v <= math.pi,
                          "angles in [0, pi]", "lie in [0, pi]", problems)
     solver = _build_solver(data.get("solver"), path, problems)
-    problems.extend(_mode_problems(mode, path, solver, sweep_periods, berry_thetas))
+    problems.extend(_mode_problems(mode, path, solver, optimal_phase, sweep_periods, berry_thetas))
 
     if problems:
         raise ValidationError(problems)

@@ -152,7 +152,9 @@ def rotating_cone(
 ) -> ControlPath:
     """Field of magnitude Omega precessing at angular rate omega on a cone of opening theta.
 
-    Defaults to one full revolution, duration = 2 pi / omega.
+    Defaults to one full revolution, duration = 2 pi / omega. ``b_dot`` reuses
+    the cosine and sine of ``b``'s last t, so one cone is not for concurrent
+    threads.
     """
     if not 0 < Omega < math.inf:
         raise ValueError("Omega must be positive and finite")
@@ -167,12 +169,23 @@ def rotating_cone(
     # each component's leading product, evaluated left to right as it would be per call
     r_xy, b_z = Omega * st, Omega * ct
     v_x, v_y = -Omega * omega * st, Omega * omega * st
+    # b keeps its t, cos(omega t) and sin(omega t) for b_dot: frame_at passes one t
+    # object to b and then to b_dot. The match is by identity, as 0.0 == -0.0 while
+    # their sines differ in sign; holding that t keeps its id from being reused.
+    last_t, last_c, last_s = None, 1.0, 0.0
 
     def b(t: float) -> Vec3:
-        return (r_xy * cos(omega * t), r_xy * sin(omega * t), b_z)
+        nonlocal last_t, last_c, last_s
+        c, s = cos(omega * t), sin(omega * t)
+        last_t, last_c, last_s = t, c, s
+        return (r_xy * c, r_xy * s, b_z)
 
     def b_dot(t: float) -> Vec3:
-        return (v_x * sin(omega * t), v_y * cos(omega * t), 0.0)
+        if t is last_t:
+            c, s = last_c, last_s
+        else:
+            c, s = cos(omega * t), sin(omega * t)
+        return (v_x * s, v_y * c, 0.0)
 
     return ControlPath(b=b, b_dot=b_dot, coupling_A=coupling_A, duration=duration)
 

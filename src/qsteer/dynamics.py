@@ -309,11 +309,11 @@ class Trajectory:
     def write_csv(self, fh) -> None:
         """CSV with one header row; floats carry 17 significant digits."""
         fh.write("t,rho_gg,re_rho_ge,im_rho_ge,purity,alpha,omega01,lambda_g,lambda_e\n")
+        row = ",".join(["%.17g"] * 9) + "\n"
         for s in self.samples:
             ge = complex(s.state.rho_ge)
-            fields = (s.t, s.state.rho_gg, ge.real, ge.imag, s.purity, s.alpha, s.omega01,
-                      s.lambda_g, s.lambda_e)
-            fh.write(",".join(f"{v:.17g}" for v in fields) + "\n")
+            fh.write(row % (s.t, s.state.rho_gg, ge.real, ge.imag, s.purity, s.alpha, s.omega01,
+                            s.lambda_g, s.lambda_e))
 
 
 def _terms(row):
@@ -600,7 +600,8 @@ def integrate(
 # Berry phases
 # ----------------------------------------------------------------------
 
-# Largest |b(duration) - b(0)| that berry_phase accepts as a closed loop.
+# Largest |b(duration) - b(0)| that berry_phase accepts as a closed loop, per unit
+# of max(1, |b(0)|): the rounding of a closed loop's end grows with its field.
 _LOOP_TOL = 1e-10
 
 
@@ -651,14 +652,17 @@ def berry_phase(path, solver: Optional[SolverConfig] = None) -> BerryPhases:
     diagonals are constant along the loop; a loop whose diagonals vary needs a
     ``dt_max`` that resolves them, and ``quadrature_error`` shows whether it
     does. The sign follows this package's branch convention; the opposite
-    convention negates both values. An open loop raises LoopNotClosed; the
+    convention negates both values. A loop whose end is farther than
+    1e-10 * max(1, |b(0)|) from its start raises LoopNotClosed; the
     errors of :func:`frame_at` and :func:`integrate` pass through, among them
     NonFiniteState for a phase or alpha beyond the float range.
     """
     t1 = path.duration
-    gap = math.dist(path.b(t1), path.b(0.0))
-    if gap > _LOOP_TOL:
-        raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {_LOOP_TOL:.0e}")
+    b0 = path.b(0.0)
+    gap = math.dist(path.b(t1), b0)
+    tol = _LOOP_TOL * max(1.0, math.hypot(*b0))
+    if gap > tol:
+        raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {tol:.3g}")
     # only the end of the loop is read, so only t0 and t1 are recorded
     if solver is None:
         cfg = SolverConfig(method="rk45_adaptive", t0=0.0, t1=t1, record_stride=sys.maxsize)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import qsteer as q
 
+from conftest import SX
+
 
 class TestSpectralDensity:
     def test_flat(self):
@@ -137,13 +139,40 @@ class TestAtGap:
         first = sd.at_gap(1.0)
         assert sd.at_gap(1.0) is first and len(calls) == 3
         sd.at_gap(2.0)
-        sd.at_gap(1.0)
-        assert calls == [1.0, -1.0, 0.0, 2.0, -2.0, 0.0, 1.0, -1.0, 0.0]
+        assert sd.at_gap(1.0) is first
+        assert calls == [1.0, -1.0, 0.0, 2.0, -2.0, 0.0]
+        # three gaps are kept, in any order; a fourth evicts the oldest, 1.0
+        for gap in (3.0, 2.0, 1.0, 3.0, 4.0, 2.0, 3.0, 4.0, 1.0):
+            sd.at_gap(gap)
+        assert calls[6:] == [3.0, -3.0, 0.0, 4.0, -4.0, 0.0, 1.0, -1.0, 0.0]
         # +0.0 == -0.0, so a zero gap is never kept: each sign gets its own samples
         del calls[:]
         sd.at_gap(0.0)
         sd.at_gap(-0.0)
         assert bits(tuple(calls)) == bits((0.0, -0.0, 0.0, -0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("Omega, theta, omega", [
+        (1.0, math.pi / 3, 0.05), (1.0, 1.208, 0.1), (1.3, 2.5, -0.2), (0.7, math.pi / 2, 0.03),
+    ])
+    def test_cone_samples_each_distinct_gap_once(self, monkeypatch, Omega, theta, omega):
+        # a cone's gap |b| rounds to one to three neighbouring floats, all of them kept
+        path = q.rotating_cone(Omega, theta, omega, SX)
+        sd = q.ohmic_thermal(0.02, 2.0, 20.0)
+        calls, gaps = [], set()
+        original = q.SpectralDensity.__call__
+        monkeypatch.setattr(q.SpectralDensity, "__call__",
+                            lambda self, w: calls.append(w) or original(self, w))
+
+        def frames(t):
+            f = q.frame_at(path, t)
+            gaps.add(f.omega01)
+            return f
+
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2 * path.duration, rtol=1e-10)
+        traj = q.integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+                           frame_provider=frames)
+        assert traj.work.frame_evals > 500 and 1 <= len(gaps) <= 3
+        assert len(calls) == 3 * len(gaps)
 
     def test_tabulated_range_raises_and_is_not_kept(self):
         sd = q.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 3.0])

@@ -799,6 +799,25 @@ class TestMain:
         run_dir = next((tmp_path / "runs").iterdir())
         assert (run_dir / "summary.csv").exists()
 
+    @pytest.mark.parametrize("command, run_block", [
+        ("compare", "run:\n  optimal_phase: true\n"),
+        ("validate", "run:\n  mode: compare\n  optimal_phase: true\n"),
+    ], ids=["compare", "validate"])
+    def test_compare_mode_takes_no_optimal_phase(self, tmp_path, capsys, command, run_block):
+        # the secular and non-steered variants carry no w, so they have no optimal phase
+        fn = self.write_config(tmp_path, MINIMAL_CONE + run_block)
+        args = ["--config", str(fn)] + ([] if command == "validate" else ["--out", str(tmp_path / "runs")])
+        mode = "compare" if command == "compare" else None
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(fn.read_text(), mode)
+        assert exc.value.problems == [
+            "run.optimal_phase: not available in compare mode, whose secular and "
+            "nonsteered variants carry no steering generator"]
+        assert main([command] + args) == 1
+        assert exc.value.problems[0] in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        assert load_scenario(fn.read_text(), "simulate").optimal_phase
+
     def test_subcommand_override_reports_like_validation(self, tmp_path, capsys):
         fn = self.write_config(tmp_path)
         assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1

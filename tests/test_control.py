@@ -459,16 +459,33 @@ class TestFrameAt:
             _gap(*path.b(5.0))
         assert str(got.value) == str(want.value) == "|b| = 1.000e-10 <= gap floor 1e-09"
 
+    @staticmethod
+    def cone_field(Omega, theta, omega, t):
+        """The cone's b and b_dot at t, as written."""
+        st, ct = math.sin(theta), math.cos(theta)
+        return {"b": (Omega * st * math.cos(omega * t), Omega * st * math.sin(omega * t), Omega * ct),
+                "b_dot": (-Omega * omega * st * math.sin(omega * t),
+                          Omega * omega * st * math.cos(omega * t), 0.0)}
+
     @pytest.mark.parametrize("Omega, theta, omega", [(1.3, 2.1, -0.4), (2, 1, 3), (0.7, -0.3, 1e-3)])
     def test_cone_field_is_the_written_expression(self, Omega, theta, omega):
         path = q.rotating_cone(Omega, theta, omega, SX)
-        st, ct = math.sin(theta), math.cos(theta)
         for t in (0.0, 0.25, 3.0, 1e4):
-            b = (Omega * st * math.cos(omega * t), Omega * st * math.sin(omega * t), Omega * ct)
-            b_dot = (-Omega * omega * st * math.sin(omega * t),
-                     Omega * omega * st * math.cos(omega * t), 0.0)
-            assert field_bits(path.b(t)) == field_bits(b)
-            assert field_bits(path.b_dot(t)) == field_bits(b_dot)
+            want = self.cone_field(Omega, theta, omega, t)
+            assert field_bits(path.b(t)) == field_bits(want["b"])
+            assert field_bits(path.b_dot(t)) == field_bits(want["b_dot"])
+
+    @pytest.mark.parametrize("Omega, theta, omega", [(1.3, 2.1, -0.4), (2, 1, 3), (0.7, -0.3, 1e-3)])
+    def test_cone_field_between_calls_at_other_times(self, Omega, theta, omega):
+        # b_dot reuses the trigonometry of b's last t only, and the signed zeros stay apart
+        path = q.rotating_cone(Omega, theta, omega, SX)
+        ts = (0.25, 3.0, 0.0, -0.0, 1e4, 0, 0.25)
+        calls = [(kind, t) for t in ts for kind in ("b", "b_dot")]
+        calls += [c for t, u in zip(ts, ts[1:]) for c in (("b", t), ("b", u), ("b_dot", t))]
+        calls += [("b_dot", t) for t in ts] + [("b", 0.0), ("b_dot", -0.0), ("b", -0.0), ("b_dot", 0.0)]
+        for kind, t in calls:
+            want = self.cone_field(Omega, theta, omega, t)[kind]
+            assert field_bits(getattr(path, kind)(t)) == field_bits(want), (kind, t)
 
     @pytest.mark.parametrize("make, message", [
         (lambda: q.rotating_cone(1, 1, 0.1, [[math.nan, 1], [1, 0]]), "coupling_A must be finite"),

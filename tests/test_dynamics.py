@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 import qsteer as q
-from qsteer.dynamics import _MAX_STEPS, _METHODS, TOL_POSITIVITY, integrate
+from qsteer.dynamics import _MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, integrate
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
 from test_control import eig, field_bits, static_path
@@ -784,6 +785,24 @@ class TestTrajectoryCsv:
         row = lines[2].split(",")
         assert len(row) == 9
         assert float(row[1]) == traj.samples[1].state.rho_gg  # 17 digits round-trip
+
+    def test_each_field_is_written_as_its_17_digit_format(self):
+        # signed zeros, infinities, NaN, an integer time and a real coherence included
+        samples = [
+            TrajectorySample(0, q.DensityState(1.0), math.nan, math.nan, 0.0, -0.0, 1.0),
+            TrajectorySample(0.1, q.DensityState(0.25, complex(-0.0, 1e-300)), math.inf,
+                             1.0000000000000002, -math.inf, 5e-324, 0.9999999999999999),
+            TrajectorySample(1e22, q.DensityState(0.5, -0.125), 1 / 3, 2 / 3, -1e-310, 7.0, 0.5),
+        ]
+        fh = io.StringIO()
+        q.Trajectory(samples=samples).write_csv(fh)
+        rows = fh.getvalue().split("\n")
+        assert rows[-1] == "" and len(rows) == 2 + len(samples)
+        for s, got in zip(samples, rows[1:]):
+            ge = complex(s.state.rho_ge)
+            fields = (s.t, s.state.rho_gg, ge.real, ge.imag, s.purity, s.alpha, s.omega01,
+                      s.lambda_g, s.lambda_e)
+            assert got == ",".join(f"{v:.17g}" for v in fields)
 
 
 def exact_cone_rho_gg(theta, omega, sd):

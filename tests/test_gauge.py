@@ -204,6 +204,22 @@ class TestBerryPhase:
         bp = q.berry_phase(path)
         assert abs(bp.delta_lambda_g) == pytest.approx(math.pi * (1 - math.cos(theta)), abs=1e-12)
 
+    def test_cone_solid_angle_at_a_huge_field(self):
+        # a closed loop's end misses its start by rounding, about 2e-16 |b|, so the
+        # closure bound scales with |b(0)|: over 1e-10 here, but well within 1e-10 |b|
+        gaps = []
+        for theta in (0.6, 1.3, 2.5):
+            bp = q.berry_phase(q.rotating_cone(1e6, theta, 0.1, SX))
+            solid = math.pi * (1 - math.cos(theta))
+            assert abs(math.remainder(bp.delta_lambda_g_mod - solid, 2 * math.pi)) < 1e-9
+            gaps.append(bp.loop_gap)
+        assert 1e-10 < max(gaps) < 1e-8
+
+    def test_open_arc_at_a_huge_field_rejected(self):
+        path = q.rotating_cone(1e6, 1.0, 0.1, SX, duration=0.999 * 20 * math.pi)
+        with pytest.raises(q.LoopNotClosed, match=r"^\|b\(t_b\) - b\(t_a\)\| = .* > 0.0001$"):
+            q.berry_phase(path)
+
     def test_loop_additivity(self):
         single = q.berry_phase(q.rotating_cone(1.0, math.pi / 3, 0.1, SX))
         double = q.berry_phase(q.rotating_cone(1.0, math.pi / 3, 0.1, SX, duration=40 * math.pi))
