@@ -2,6 +2,8 @@
 
 The system Hamiltonian is H(t) = (1/2) b(t) . sigma with a three-component
 control field b(t); energies and rates are in units of 1/time (hbar = 1).
+A :class:`ControlPath` gives the field with its time derivative, as one call
+fields(t) -> (b, b_dot), since a frame needs both at the same instant.
 Everything downstream consumes :class:`AdiabaticFrame` snapshots, built here
 by :func:`frame_at`: the instantaneous gap, the matrix elements of the
 steering generator w = -i D^dag dD/dt in the smooth eigenbasis and the
@@ -58,17 +60,16 @@ Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 class ControlPath:
     """Time-parametrized control field plus the fixed system coupling operator.
 
-    ``b`` maps time to the field vector (b_x, b_y, b_z) and ``b_dot`` to its
-    time derivative; both are required.  ``coupling_A`` is the Hermitian
-    system part of the system-environment coupling, given in the fixed basis
-    as any 2x2 nested sequence of numbers (lists, tuples or an array) and
-    stored as a tuple of two rows of two complex numbers.  ``t_start`` is
-    where the path begins: the first sample time of a sampled path, 0 for the
-    analytic ones.
+    ``fields`` maps a time t to the pair (b, b_dot): the field vector
+    (b_x, b_y, b_z) at t and its time derivative there.  ``coupling_A`` is
+    the Hermitian system part of the system-environment coupling, given in
+    the fixed basis as any 2x2 nested sequence of numbers (lists, tuples or
+    an array) and stored as a tuple of two rows of two complex numbers.
+    ``t_start`` is where the path begins: the first sample time of a sampled
+    path, 0 for the analytic ones.
     """
 
-    b: Callable[[float], Vec3]
-    b_dot: Callable[[float], Vec3]
+    fields: Callable[[float], tuple[Vec3, Vec3]]
     coupling_A: Matrix2
     duration: float
     t_start: float = 0.0
@@ -78,8 +79,6 @@ class ControlPath:
     )
 
     def __post_init__(self):
-        if self.b_dot is None:
-            raise ValueError("b_dot is required: frames take w from the field derivative")
         A = _coupling_matrix(self.coupling_A)
         (a, b), (c, d) = A
         if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (a, b, c, d)):
@@ -99,7 +98,7 @@ class ControlPath:
         its samples here.
         """
         if self._anchors is None:
-            bx, by, bz = self.b(self.t_start)
+            bx, by, bz = self.fields(self.t_start)[0]
             r = _gap(bx, by, bz)
             n = math.sqrt(2 * r * (r + abs(bz)))
             p, mq = (r + abs(bz)) / n, _hypot(bx / n, by / n)
@@ -152,9 +151,8 @@ def rotating_cone(
 ) -> ControlPath:
     """Field of magnitude Omega precessing at angular rate omega on a cone of opening theta.
 
-    Defaults to one full revolution, duration = 2 pi / omega. ``b_dot`` reuses
-    the cosine and sine of ``b``'s last t, so one cone is not for concurrent
-    threads.
+    Defaults to one full revolution, duration = 2 pi / omega. The field and
+    its derivative share one cosine and one sine of omega t.
     """
     if not 0 < Omega < math.inf:
         raise ValueError("Omega must be positive and finite")
@@ -169,25 +167,12 @@ def rotating_cone(
     # each component's leading product, evaluated left to right as it would be per call
     r_xy, b_z = Omega * st, Omega * ct
     v_x, v_y = -Omega * omega * st, Omega * omega * st
-    # b keeps its t, cos(omega t) and sin(omega t) for b_dot: frame_at passes one t
-    # object to b and then to b_dot. The match is by identity, as 0.0 == -0.0 while
-    # their sines differ in sign; holding that t keeps its id from being reused.
-    last_t, last_c, last_s = None, 1.0, 0.0
 
-    def b(t: float) -> Vec3:
-        nonlocal last_t, last_c, last_s
+    def fields(t: float) -> tuple[Vec3, Vec3]:
         c, s = cos(omega * t), sin(omega * t)
-        last_t, last_c, last_s = t, c, s
-        return (r_xy * c, r_xy * s, b_z)
+        return (r_xy * c, r_xy * s, b_z), (v_x * s, v_y * c, 0.0)
 
-    def b_dot(t: float) -> Vec3:
-        if t is last_t:
-            c, s = last_c, last_s
-        else:
-            c, s = cos(omega * t), sin(omega * t)
-        return (v_x * s, v_y * c, 0.0)
-
-    return ControlPath(b=b, b_dot=b_dot, coupling_A=coupling_A, duration=duration)
+    return ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
 
 
 def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> ControlPath:
@@ -200,21 +185,18 @@ def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> Contr
     if not math.isfinite(slope):
         raise ValueError("slope must be finite")
 
-    def b(t: float) -> Vec3:
-        return (gap, 0.0, slope * (t - duration / 2))
+    def fields(t: float) -> tuple[Vec3, Vec3]:
+        return (gap, 0.0, slope * (t - duration / 2)), (0.0, 0.0, slope)
 
-    def b_dot(t: float) -> Vec3:
-        return (0.0, 0.0, slope)
-
-    return ControlPath(b=b, b_dot=b_dot, coupling_A=coupling_A, duration=duration)
+    return ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
 
 
 def sampled_path(times, b_values, coupling_A) -> ControlPath:
     """Cubic-spline interpolation of tabulated (t, b) samples; C^1 by construction.
 
-    ``b`` and ``b_dot`` raise OutOfRange outside the sample times, which are
-    widened by 4 ulps of the larger end: a stage at a window's end can land
-    an ulp past it.
+    ``fields`` raises OutOfRange outside the sample times, which are widened
+    by 4 ulps of the larger end: a stage at a window's end can land an ulp
+    past it.
     """
     import numpy as np
     from scipy.interpolate import CubicSpline
@@ -233,33 +215,30 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
     slack = 4 * math.ulp(max(abs(t0), abs(t_last)))
     lo, hi = t0 - slack, t_last + slack
 
-    def within(t: float) -> float:
+    def fields(t: float) -> tuple[Vec3, Vec3]:
         if not lo <= t <= hi:
             raise OutOfRange(f"t = {t!r} is outside the path's samples [{t0!r}, {t_last!r}]")
-        return t
+        bx, by, bz = spline(t)
+        dx, dy, dz = dspline(t)
+        return (float(bx), float(by), float(bz)), (float(dx), float(dy), float(dz))
 
-    def b(t: float) -> Vec3:
-        bx, by, bz = spline(within(t))
-        return (float(bx), float(by), float(bz))
-
-    def b_dot(t: float) -> Vec3:
-        bx, by, bz = dspline(within(t))
-        return (float(bx), float(by), float(bz))
-
-    return ControlPath(b=b, b_dot=b_dot, coupling_A=coupling_A,
-                       duration=t_last - t0, t_start=t0)
+    return ControlPath(fields=fields, coupling_A=coupling_A, duration=t_last - t0, t_start=t0)
 
 
 def path_from_csv(csv_path, coupling_A) -> ControlPath:
     """Sampled path from CSV rows (t, b_x, b_y, b_z).
 
     The first non-empty row is skipped as a header if it does not parse; any
-    later row that does not parse raises ValueError.
+    later row that does not parse, and any row with fewer than 4 fields,
+    raises ValueError naming its line.
     """
     times, vecs = [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(row for row in reader if row):
+            if len(row) < 4:
+                raise ValueError(f"line {reader.line_num} needs t, b_x, b_y and b_z, "
+                                 f"got {','.join(row)!r}")
             try:
                 vals = [float(x) for x in row[:4]]
             except ValueError:
@@ -397,14 +376,13 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     of a huge field overflows. Its alpha may read inf; integrate reports that.
     """
     cg, ce = path._anchors or path.anchors()
-    b = path.b(t)
+    b, bd = path.fields(t)
     bx, by, bz = b
     r = math.sqrt(bx * bx + by * by + bz * bz)  # _gap, inline
     if not GAP_FLOOR < r < math.inf:  # an overflowing |b| gives _fields a NaN p, not a zero one
         if r <= GAP_FLOOR:
             raise GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
         raise _frame_error(t, b, r)
-    bd = path.b_dot(t)
     try:
         w_gg, w_ee, wr, wi, m1, m2_r, m2_i = _fields(b, bd, path._A_traceless, r, bz >= 0.0, cg, ce)
     except ZeroDivisionError:  # only a zero |q| divides by zero

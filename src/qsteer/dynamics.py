@@ -600,8 +600,8 @@ def integrate(
 # Berry phases
 # ----------------------------------------------------------------------
 
-# Largest |b(duration) - b(0)| that berry_phase accepts as a closed loop, per unit
-# of max(1, |b(0)|): the rounding of a closed loop's end grows with its field.
+# Largest |b(t_b) - b(t_a)| that berry_phase accepts as a closed loop, per unit
+# of max(1, |b(t_a)|): the rounding of a closed loop's end grows with its field.
 _LOOP_TOL = 1e-10
 
 
@@ -610,7 +610,8 @@ class BerryPhases:
     """Accumulated optimal-phase increments over one closed loop, raw and mod 2 pi.
 
     ``quadrature_error`` is the loop integration's ``phase_quadrature_error``
-    (None for "rk4_fixed"); ``loop_gap`` is |b(duration) - b(0)|.
+    (None for "rk4_fixed"); ``loop_gap`` is |b(t_b) - b(t_a)| over the loop
+    [t_a, t_b].
     ``max_alpha`` is the largest optimal-basis alpha and ``work`` the solver
     work of the loop integration.
     """
@@ -638,36 +639,38 @@ def _zero_generator(t, state, frame):
 
 
 def berry_phase(path, solver: Optional[SolverConfig] = None) -> BerryPhases:
-    """Berry phases of both branches over the closed loop [0, path.duration].
+    """Berry phases of both branches over the closed loop [t_a, t_b] of a path.
 
-    The increments are those of the optimal phase, lambda = - integral of the
-    w diagonals, in the anchored gauge, which is single valued around the
-    loop. The zero generator is integrated from DensityState(1) with
-    ``track_phases``, so the state stays put and the stepper accumulates the
-    phases with each step's own weights. ``solver`` sets the method,
-    tolerances and step cap; its window is replaced by the loop's and its
-    ``record_stride`` ignored (default: "rk45_adaptive" with its default
-    tolerances). The phases stay out of the
+    The loop starts where the path does, t_a = path.t_start, and ends at
+    t_b = t_a + path.duration. The increments are those of the optimal
+    phase, lambda = - integral of the w diagonals, in the anchored gauge,
+    which is single valued around the loop. The zero generator is integrated
+    from DensityState(1) with ``track_phases``, so the state stays put and
+    the stepper accumulates the phases with each step's own weights.
+    ``solver`` sets the method, tolerances and step cap; its window is
+    replaced by the loop's and its ``record_stride`` ignored (default:
+    "rk45_adaptive" with its default tolerances). The phases stay out of the
     error norm, so the steps grow to the step cap: exact for a cone, whose w
     diagonals are constant along the loop; a loop whose diagonals vary needs a
     ``dt_max`` that resolves them, and ``quadrature_error`` shows whether it
     does. The sign follows this package's branch convention; the opposite
     convention negates both values. A loop whose end is farther than
-    1e-10 * max(1, |b(0)|) from its start raises LoopNotClosed; the
+    1e-10 * max(1, |b(t_a)|) from its start raises LoopNotClosed; the
     errors of :func:`frame_at` and :func:`integrate` pass through, among them
     NonFiniteState for a phase or alpha beyond the float range.
     """
-    t1 = path.duration
-    b0 = path.b(0.0)
-    gap = math.dist(path.b(t1), b0)
+    t0 = path.t_start
+    t1 = t0 + path.duration
+    b0 = path.fields(t0)[0]
+    gap = math.dist(path.fields(t1)[0], b0)
     tol = _LOOP_TOL * max(1.0, math.hypot(*b0))
     if gap > tol:
         raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {tol:.3g}")
     # only the end of the loop is read, so only t0 and t1 are recorded
     if solver is None:
-        cfg = SolverConfig(method="rk45_adaptive", t0=0.0, t1=t1, record_stride=sys.maxsize)
+        cfg = SolverConfig(method="rk45_adaptive", t0=t0, t1=t1, record_stride=sys.maxsize)
     else:
-        cfg = dataclasses.replace(solver, t0=0.0, t1=t1, record_stride=sys.maxsize)
+        cfg = dataclasses.replace(solver, t0=t0, t1=t1, record_stride=sys.maxsize)
     traj = integrate(_zero_generator, DensityState(1.0), cfg,
                      frame_provider=lambda t: frame_at(path, t), track_phases=True)
     dg, de = traj.final.lambda_g, traj.final.lambda_e

@@ -58,13 +58,13 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
     times = [k * step + t0 for k in range(num - 1)]
     times.append(t1)
     cg, ce = path.anchors()
-    A, b_at, b_dot_at = path._A_traceless, path.b, path.b_dot
+    A, fields_at = path._A_traceless, path.fields
     w_gg, w_ee, alpha = [], [], []
     for t in times:
-        b = b_at(t)
+        b, b_dot = fields_at(t)
         r = _gap(*b)
         try:
-            f = _fields(b, b_dot_at(t), A, r, b[2] >= 0.0, cg, ce)
+            f = _fields(b, b_dot, A, r, b[2] >= 0.0, cg, ce)
         except ZeroDivisionError:  # as in frame_at
             raise _frame_error(t, b, r) from None
         a = hs_norm(f[0], f[1], complex(f[2], f[3])) / r
@@ -75,7 +75,7 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
         w_ee.append(f[1])
         alpha.append(a)
     return FrameHistory(times=tuple(times), w_gg=tuple(w_gg), w_ee=tuple(w_ee),
-                        alpha=tuple(alpha), b_start=path.b(t0), b_end=path.b(t1))
+                        alpha=tuple(alpha), b_start=path.fields(t0)[0], b_end=path.fields(t1)[0])
 
 
 def _uniform_step(times: Sequence[float]) -> float:
@@ -128,14 +128,16 @@ def history_berry_phase(history) -> BerryPhases:
     The columns may be any sequences of floats, such as the tuples of
     :func:`sample_history` or arrays a caller built. The increments are
     - integral of the w diagonals; ``max_alpha`` and ``work`` are None, as
-    nothing is integrated. An open loop raises LoopNotClosed, a grid other
-    than the uniform one of :func:`sample_history` raises
-    NonUniformGridUnsupported, and an increment or error estimate beyond the
-    float range raises NonFiniteState.
+    nothing is integrated. A loop whose end is farther than
+    1e-10 * max(1, |b_start|) from its start, the bound of ``berry_phase``,
+    raises LoopNotClosed, a grid other than the uniform one of
+    :func:`sample_history` raises NonUniformGridUnsupported, and an increment
+    or error estimate beyond the float range raises NonFiniteState.
     """
     gap = math.dist(history.b_end, history.b_start)
-    if gap > _LOOP_TOL:
-        raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {_LOOP_TOL:.0e}")
+    tol = _LOOP_TOL * max(1.0, math.hypot(*history.b_start))
+    if gap > tol:
+        raise LoopNotClosed(f"|b(t_b) - b(t_a)| = {gap:.3e} > {tol:.3g}")
     h = _uniform_step(history.times)
     # _simpson's operations are sign-symmetric except that a zero sum reads +0,
     # so 0 - total equals the integral of the negated samples bit for bit

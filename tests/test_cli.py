@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import qsteer as q
 from qsteer.cli import build_path, load_scenario, main, run, scenario_from_file
@@ -647,6 +648,38 @@ class TestShippedFindings:
         assert abs(final["full"] - final["secular"]) > 10 * sc.solver.rtol, final
 
 
+class TestSampledPathEndToEnd:
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    def test_sampled_cone_reproduces_the_analytic_run(self, tmp_path):
+        # the shipped zero-temperature cone, tabulated at 401 samples over its one period
+        analytic = scenario_from_file(CONFIG_DIR / "cone_zero_temperature.yaml")
+        cone = analytic.path
+        omega = cone["drive_omega_rad_per_time"]
+        period = 2 * math.pi / omega
+        path = q.rotating_cone(cone["field_energy"], cone["theta_rad"], omega, analytic.coupling)
+        samples = tmp_path / "cone.csv"
+        with open(samples, "w") as fh:
+            fh.write("t,b_x,b_y,b_z\n")
+            for i in range(401):
+                t = period * i / 400
+                fh.write(",".join(repr(x) for x in (t, *path.fields(t)[0])) + "\n")
+        data = yaml.safe_load((CONFIG_DIR / "cone_zero_temperature.yaml").read_text())
+        data["path"] = {"kind": "sampled", "csv_file": str(samples), "duration_time": period}
+        sampled = load_scenario(yaml.safe_dump(data))
+
+        def final_rho_gg(scenario, out_dir):
+            art = run(scenario, out_dir=out_dir)
+            assert json.loads((art.run_dir / "metadata.json").read_text())["status"] == "ok"
+            with open(art.files[0], newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert float(rows[-1]["t"]) == period
+            return float(rows[-1]["rho_gg"])
+
+        want = final_rho_gg(analytic, tmp_path / "analytic")
+        got = final_rho_gg(sampled, tmp_path / "sampled")
+        assert abs(got - want) <= 1e-9, (got, want)
+
+
 class TestMain:
     def write_config(self, tmp_path, text=MINIMAL_CONE):
         fn = tmp_path / "scenario.yaml"
@@ -866,14 +899,17 @@ class TestMain:
 
     @pytest.mark.parametrize("section, rows, message", [
         ("path", "0,0,0,1\n1,0,0,1\n2,0,0,1\n", "at least 4 time samples"),
-        ("path", "0,1\n1,1\n2,1\n3,1\n4,1\n", "shape (n_times, 3)"),
+        ("path", "0,1\n1,1\n2,1\n3,1\n4,1\n", "line 1 needs t, b_x, b_y and b_z, got '0,1'"),
         ("bath", "1.0,0.1\n", "at least 2 samples"),
         ("bath", "-2.0\n0.0\n2.0\n", "omega and S"),
         # only the first row may be a header: a later typo fails, it is not dropped
         ("path", "0,1,0,1\n1,1,0,x\n2,1,0,1\n3,1,0,1\n4,1,0,1\n", "line 2 does not parse"),
         ("bath", "omega,S\n-2,0.1\n0,abc\n2,0.1\n", "line 3 does not parse"),
+        # one short row among full ones is named, not left to the array's shape check
+        ("path", "t,bx,by,bz\n0,1,0,1\n1,1,0\n2,1,0,1\n3,1,0,1\n4,1,0,1\n",
+         "line 3 needs t, b_x, b_y and b_z, got '1,1,0'"),
     ], ids=["path-3-rows", "path-2-columns", "spectrum-1-row", "spectrum-1-column",
-            "path-bad-data-row", "spectrum-bad-data-row"])
+            "path-bad-data-row", "spectrum-bad-data-row", "path-short-row"])
     def test_malformed_data_file_exit_2(self, tmp_path, capsys, section, rows, message):
         data = tmp_path / "data.csv"
         data.write_text(rows)

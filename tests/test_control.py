@@ -15,7 +15,7 @@ from frame_history import sample_history
 
 def static_path(b, A=SX, duration=10.0):
     return q.ControlPath(
-        b=lambda t: tuple(b), b_dot=lambda t: (0.0, 0.0, 0.0),
+        fields=lambda t: (tuple(b), (0.0, 0.0, 0.0)),
         coupling_A=A, duration=duration,
     )
 
@@ -42,7 +42,7 @@ def eig_raw(bx, by, bz):
 
 def reference_anchors(path):
     """The dominant component of each eigenvector at the start; ties go to the second."""
-    g, e, _, _ = eig_raw(*path.b(path.t_start))
+    g, e, _, _ = eig_raw(*path.fields(path.t_start)[0])
     return (1 if abs(g[1]) >= abs(g[0]) else 0), (1 if abs(e[1]) >= abs(e[0]) else 0)
 
 
@@ -61,7 +61,7 @@ def anchor(vec, c, t):
 def eig(path, t):
     """The path's anchored eigenpair at t: (ground, excited, E_g, E_e), vectors as arrays."""
     cg, ce = reference_anchors(path)
-    g, e, E_g, E_e = eig_raw(*path.b(t))
+    g, e, E_g, E_e = eig_raw(*path.fields(t)[0])
     g, e = anchor(g, cg, t), anchor(e, ce, t)
     return np.array(g, dtype=complex), np.array(e, dtype=complex), E_g, E_e
 
@@ -69,12 +69,12 @@ def eig(path, t):
 def reference_frame_at(path, t):
     """frame_at from the anchored eigenvectors, every matrix element a complex sandwich."""
     cg, ce = reference_anchors(path)
-    g, e, E_g, E_e = eig_raw(*path.b(t))
+    b, (bdx, bdy, bdz) = path.fields(t)
+    g, e, E_g, E_e = eig_raw(*b)
     g, e = anchor(g, cg, t), anchor(e, ce, t)
     omega01 = E_e - E_g
     (g0, g1), (e0, e1) = g, e
     gc0, gc1 = g0.conjugate(), g1.conjugate()
-    bdx, bdy, bdz = path.b_dot(t)
     H00, H01, H11 = 0.5 * bdz, 0.5 * complex(bdx, -bdy), -0.5 * bdz
     ge = gc0 * (H00 * e0 + H01 * e1) + gc1 * (H01.conjugate() * e0 + H11 * e1)
     w_ge = -1j * ge / omega01
@@ -119,8 +119,8 @@ def antipode_path():
     +z and is exactly 0 at -z.
     """
     return q.ControlPath(
-        b=lambda t: (t * (1.0 - t), 0.0, 1.0 - 2.0 * t),
-        b_dot=lambda t: (1.0 - 2.0 * t, 0.0, -2.0), coupling_A=SX, duration=1.0,
+        fields=lambda t: ((t * (1.0 - t), 0.0, 1.0 - 2.0 * t), (1.0 - 2.0 * t, 0.0, -2.0)),
+        coupling_A=SX, duration=1.0,
     )
 
 
@@ -375,8 +375,8 @@ class TestLocalAlpha:
     def test_field_overflowing_after_its_start_raises(self):
         # anchored at (0, 0, 1), both anchors are on p, which reads NaN once |b| overflows:
         # no zero division, so the overflow itself is checked
-        path = q.ControlPath(b=lambda t: (0.0, 0.0, 1.0 if t < 1.0 else 1e200),
-                             b_dot=lambda t: (0.0, 0.0, 0.0), coupling_A=SX, duration=3.0)
+        path = q.ControlPath(fields=lambda t: ((0.0, 0.0, 1.0 if t < 1.0 else 1e200), (0.0, 0.0, 0.0)),
+                             coupling_A=SX, duration=3.0)
         assert path.anchors() == (1, 0)
         message = re.escape("|b| = 1e+200 overflows the frame normalisation at t = ")
         with pytest.raises(q.NonFiniteState, match=message + "2$"):
@@ -418,13 +418,6 @@ class TestFrameAt:
             q.frame_at(path, 1.0)
         assert isinstance(info.value, q.QSteerError)
 
-    def test_b_dot_required(self):
-        with pytest.raises(ValueError, match="b_dot"):
-            q.ControlPath(
-                b=lambda t: (0.0, 0.0, 1.0), b_dot=None,
-                coupling_A=SX, duration=1.0,
-            )
-
     @pytest.mark.parametrize("A", COUPLINGS)
     def test_is_the_constructors_frame_of_the_kernel(self, A):
         # frame_at inlines the gap check and builds the tuple directly: every field
@@ -439,10 +432,10 @@ class TestFrameAt:
                 if path is antipode and t > 1.0:
                     continue
                 f = q.frame_at(path, t)
-                b = path.b(t)
+                b, bd = path.fields(t)
                 r = _gap(*b)
                 w_gg, w_ee, wr, wi, m1, m2_r, m2_i = _fields(
-                    b, path.b_dot(t), path._A_traceless, r, b[2] >= 0.0, *path.anchors())
+                    b, bd, path._A_traceless, r, b[2] >= 0.0, *path.anchors())
                 ref = q.AdiabaticFrame(omega01=r, w_gg=w_gg, w_ee=w_ee, w_ge=complex(wr, wi),
                                        m1=m1, m2=complex(m2_r, m2_i))
                 assert type(f) is q.AdiabaticFrame
@@ -456,7 +449,7 @@ class TestFrameAt:
         with pytest.raises(q.GapCollapse) as got:
             q.frame_at(path, 5.0)
         with pytest.raises(q.GapCollapse) as want:
-            _gap(*path.b(5.0))
+            _gap(*path.fields(5.0)[0])
         assert str(got.value) == str(want.value) == "|b| = 1.000e-10 <= gap floor 1e-09"
 
     @staticmethod
@@ -472,20 +465,22 @@ class TestFrameAt:
         path = q.rotating_cone(Omega, theta, omega, SX)
         for t in (0.0, 0.25, 3.0, 1e4):
             want = self.cone_field(Omega, theta, omega, t)
-            assert field_bits(path.b(t)) == field_bits(want["b"])
-            assert field_bits(path.b_dot(t)) == field_bits(want["b_dot"])
+            b, bd = path.fields(t)
+            assert field_bits(b) == field_bits(want["b"])
+            assert field_bits(bd) == field_bits(want["b_dot"])
 
     @pytest.mark.parametrize("Omega, theta, omega", [(1.3, 2.1, -0.4), (2, 1, 3), (0.7, -0.3, 1e-3)])
     def test_cone_field_between_calls_at_other_times(self, Omega, theta, omega):
-        # b_dot reuses the trigonometry of b's last t only, and the signed zeros stay apart
+        # each call depends on its own t only, and the signed zeros stay apart
         path = q.rotating_cone(Omega, theta, omega, SX)
         ts = (0.25, 3.0, 0.0, -0.0, 1e4, 0, 0.25)
-        calls = [(kind, t) for t in ts for kind in ("b", "b_dot")]
-        calls += [c for t, u in zip(ts, ts[1:]) for c in (("b", t), ("b", u), ("b_dot", t))]
-        calls += [("b_dot", t) for t in ts] + [("b", 0.0), ("b_dot", -0.0), ("b", -0.0), ("b_dot", 0.0)]
-        for kind, t in calls:
-            want = self.cone_field(Omega, theta, omega, t)[kind]
-            assert field_bits(getattr(path, kind)(t)) == field_bits(want), (kind, t)
+        calls = list(ts) + [c for t, u in zip(ts, ts[1:]) for c in (t, u, t)]
+        calls += list(reversed(ts)) + [0.0, -0.0, -0.0, 0.0]
+        for t in calls:
+            want = self.cone_field(Omega, theta, omega, t)
+            b, bd = path.fields(t)
+            assert field_bits(b) == field_bits(want["b"]), t
+            assert field_bits(bd) == field_bits(want["b_dot"]), t
 
     @pytest.mark.parametrize("make, message", [
         (lambda: q.rotating_cone(1, 1, 0.1, [[math.nan, 1], [1, 0]]), "coupling_A must be finite"),
@@ -522,8 +517,8 @@ def tie_then_down(A):
     """Starts at b_z = -0.0 (the upper branch, p == |q|: both anchors on component 1),
     then precesses on the lower branch."""
     return q.ControlPath(
-        b=lambda t: (math.cos(0.3 * t), math.sin(0.3 * t), -0.05 * t),
-        b_dot=lambda t: (-0.3 * math.sin(0.3 * t), 0.3 * math.cos(0.3 * t), -0.05),
+        fields=lambda t: ((math.cos(0.3 * t), math.sin(0.3 * t), -0.05 * t),
+                          (-0.3 * math.sin(0.3 * t), 0.3 * math.cos(0.3 * t), -0.05)),
         coupling_A=A, duration=20.0,
     )
 
@@ -542,7 +537,7 @@ REFERENCE_PATHS = {
     "tie-then-down": tie_then_down,
     "sampled": sampled_wave,
     "integer-b_dot": lambda A: q.ControlPath(
-        b=lambda t: (0.3, 0.1 * t, 0.9 - 0.2 * t), b_dot=lambda t: (0, 1, 0),
+        fields=lambda t: ((0.3, 0.1 * t, 0.9 - 0.2 * t), (0, 1, 0)),
         coupling_A=A, duration=10.0),
 }
 
@@ -564,7 +559,7 @@ class TestClosedFormAgainstReference:
                 for field in got._fields[1:] + ("alpha",):
                     x = getattr(got, field), getattr(want, field)
                     assert abs(x[0] - x[1]) <= 1e-15 * max(1.0, abs(x[1])), (name, t, field, x)
-                seen.add((path.b(t)[2] >= 0.0, path.anchors()))
+                seen.add((path.fields(t)[0][2] >= 0.0, path.anchors()))
         # each branch with each anchor pair that a start can give: both anchors
         # on p, both on q, and the b_z = 0 tie
         assert seen == {(up, pair) for up in (True, False) for pair in ((1, 0), (0, 1), (1, 1))}
@@ -609,7 +604,7 @@ class TestSampleHistory:
     def test_sweep_crossing_bz_zero(self):
         # anchors fixed at b_z < 0 land on the complex components once b_z >= 0
         path = q.linear_sweep(0.05, 1.0, 100.0, SZ)
-        assert path.b(0.0)[2] < 0.0 < path.b(100.0)[2]
+        assert path.fields(0.0)[0][2] < 0.0 < path.fields(100.0)[0][2]
         self.assert_columns_match(path, 0.0, 100.0)
 
     def test_sampled_path(self):
@@ -619,7 +614,7 @@ class TestSampleHistory:
 
     def test_static_path_integer_b_dot(self):
         path = q.ControlPath(
-            b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
+            fields=lambda t: ((0.3, 0.1, 0.9), (0, 0, 0)),
             coupling_A=SX, duration=10.0,
         )
         self.assert_columns_match(path, 0.0, 10.0, 101)
@@ -633,7 +628,7 @@ class TestSampleHistory:
     def test_gap_collapse(self):
         # b_z sweeps through 0 at a sample time, with no transverse field there
         path = q.ControlPath(
-            b=lambda t: (0.0, 0.0, t - 5.0), b_dot=lambda t: (0.0, 0.0, 1.0),
+            fields=lambda t: ((0.0, 0.0, t - 5.0), (0.0, 0.0, 1.0)),
             coupling_A=SX, duration=10.0,
         )
         with pytest.raises(q.GapCollapse):
@@ -663,7 +658,7 @@ class TestSampledPaths:
                 fh.write(f"{t},{b[0]},{b[1]},{b[2]}\n")
         path = q.path_from_csv(fn, SX)
         assert path.duration == pytest.approx(5.0)
-        np.testing.assert_allclose(path.b(2.5), bs[10], atol=1e-9)
+        np.testing.assert_allclose(path.fields(2.5)[0], bs[10], atol=1e-9)
 
     def test_gauge_anchored_at_first_sample(self):
         # b(t) = (0.1 t, 0, 0) sampled on [5, 10]: extrapolating the spline
@@ -688,14 +683,14 @@ class TestSampledPaths:
             with pytest.raises(q.OutOfRange, match=rf"t = {t!r} is outside the path's samples \[2.0, 5.0\]"):
                 q.frame_at(path, t)
             with pytest.raises(q.OutOfRange):
-                path.b_dot(t)
+                path.fields(t)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             q.sampled_path([0, 1, 2], np.zeros((3, 3)), SX)
         with pytest.raises(ValueError):
             q.ControlPath(
-                b=lambda t: (0, 0, 1), b_dot=lambda t: (0, 0, 0),
+                fields=lambda t: ((0, 0, 1), (0, 0, 0)),
                 coupling_A=np.array([[0, 1], [0.5, 0]]), duration=1.0,
             )
         ts = np.linspace(0.0, 3.0, 4)

@@ -815,7 +815,7 @@ def exact_cone_rho_gg(theta, omega, sd):
     lab state is rho_r, read out in the start ground state g(0).
     """
     cone = q.rotating_cone(1.0, theta, omega, SZ)
-    bx, by, bz = cone.b(0.0)
+    bx, by, bz = cone.fields(0.0)[0]
     static = static_path((bx, by, bz - omega), A=SZ)
     f = q.frame_at(static, 0.0)
     g, e, _, _ = eig(static, 0.0)

@@ -6,7 +6,7 @@ import pytest
 
 import qsteer as q
 
-from conftest import SX
+from conftest import SX, cone_field
 from frame_history import (
     FrameHistory,
     NonUniformGridUnsupported,
@@ -64,7 +64,7 @@ class TestOptimalSchedule:
     def test_constant_when_diagonals_vanish(self):
         # static path: w identically zero
         path = q.ControlPath(
-            b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
+            fields=lambda t: ((0.3, 0.1, 0.9), (0, 0, 0)),
             coupling_A=SX, duration=10.0,
         )
         samples = tracked_phases(path, 10.0, 0.1, 10)
@@ -145,7 +145,8 @@ class TestOptimalSchedule:
         frames = [q.frame_at(cone_path, float(t)) for t in ts]
         hist = FrameHistory(
             times=ts, w_gg=np.array([f.w_gg for f in frames]), w_ee=np.array([f.w_ee for f in frames]),
-            alpha=np.array([f.alpha for f in frames]), b_start=cone_path.b(0), b_end=cone_path.b(t1),
+            alpha=np.array([f.alpha for f in frames]),
+            b_start=cone_path.fields(0)[0], b_end=cone_path.fields(t1)[0],
         )
         with pytest.raises(NonUniformGridUnsupported, match="uniformly spaced"):
             history_berry_phase(hist)
@@ -154,34 +155,27 @@ class TestOptimalSchedule:
 def retraced_loop(T=50.0, Omega=1.0, theta=math.pi / 3):
     """phi sweeps out and back: zero enclosed solid angle, w diagonals that vary."""
 
-    def b(t):
-        phi = 2.0 * math.sin(math.pi * t / T) ** 2
-        st = math.sin(theta)
-        return (Omega * st * math.cos(phi), Omega * st * math.sin(phi), Omega * math.cos(theta))
-
-    def b_dot(t):
+    def fields(t):
         phi = 2.0 * math.sin(math.pi * t / T) ** 2
         dphi = 2.0 * math.pi / T * math.sin(2 * math.pi * t / T)
         st = math.sin(theta)
-        return (-Omega * st * math.sin(phi) * dphi, Omega * st * math.cos(phi) * dphi, 0.0)
+        return ((Omega * st * math.cos(phi), Omega * st * math.sin(phi), Omega * math.cos(theta)),
+                (-Omega * st * math.sin(phi) * dphi, Omega * st * math.cos(phi) * dphi, 0.0))
 
-    return q.ControlPath(b=b, b_dot=b_dot, coupling_A=SX, duration=T)
+    return q.ControlPath(fields=fields, coupling_A=SX, duration=T)
 
 
 def uneven_cone(theta=1.0, omega=0.1):
     """One cone loop at the azimuth omega t + sin(omega t) / 2: the solid angle, varying w."""
     st, ct = math.sin(theta), math.cos(theta)
 
-    def b(t):
-        phi = omega * t + 0.5 * math.sin(omega * t)
-        return (st * math.cos(phi), st * math.sin(phi), ct)
-
-    def b_dot(t):
+    def fields(t):
         phi = omega * t + 0.5 * math.sin(omega * t)
         dphi = omega + 0.5 * omega * math.cos(omega * t)
-        return (-st * math.sin(phi) * dphi, st * math.cos(phi) * dphi, 0.0)
+        return ((st * math.cos(phi), st * math.sin(phi), ct),
+                (-st * math.sin(phi) * dphi, st * math.cos(phi) * dphi, 0.0))
 
-    return q.ControlPath(b=b, b_dot=b_dot, coupling_A=SX, duration=2 * math.pi / omega)
+    return q.ControlPath(fields=fields, coupling_A=SX, duration=2 * math.pi / omega)
 
 
 def dp5(path, dt_max=None):
@@ -191,7 +185,7 @@ def dp5(path, dt_max=None):
 class TestBerryPhase:
     def test_static_loop_zero(self):
         path = q.ControlPath(
-            b=lambda t: (0.3, 0.1, 0.9), b_dot=lambda t: (0, 0, 0),
+            fields=lambda t: ((0.3, 0.1, 0.9), (0, 0, 0)),
             coupling_A=SX, duration=10.0,
         )
         bp = q.berry_phase(path)
@@ -219,6 +213,21 @@ class TestBerryPhase:
         path = q.rotating_cone(1e6, 1.0, 0.1, SX, duration=0.999 * 20 * math.pi)
         with pytest.raises(q.LoopNotClosed, match=r"^\|b\(t_b\) - b\(t_a\)\| = .* > 0.0001$"):
             q.berry_phase(path)
+
+    def test_loop_starts_where_the_path_does(self):
+        # one cone period sampled from t = 0 and the same samples from t = 5: the loop is
+        # [t_start, t_start + duration], never evaluated before the first sample
+        theta, omega = 1.0, 0.1
+        ts = np.linspace(0.0, 2 * math.pi / omega, 201)
+        bs = np.array([cone_field(1.0, theta, omega, t) for t in ts])
+        at_zero = q.berry_phase(q.sampled_path(ts, bs, SX))
+        shifted = q.sampled_path(ts + 5.0, bs, SX)
+        assert shifted.t_start == 5.0
+        at_five = q.berry_phase(shifted)
+        for field in ("delta_lambda_g", "delta_lambda_e", "delta_lambda_g_mod", "delta_lambda_e_mod"):
+            assert getattr(at_five, field) == pytest.approx(getattr(at_zero, field), abs=1e-12)
+        assert at_zero.loop_gap < 1e-15 and at_five.loop_gap < 1e-15
+        assert abs(at_zero.delta_lambda_g - math.pi * (1 - math.cos(theta))) < 1e-8
 
     def test_loop_additivity(self):
         single = q.berry_phase(q.rotating_cone(1.0, math.pi / 3, 0.1, SX))
@@ -313,10 +322,15 @@ class TestBerryPhase:
         assert bp.delta_lambda_g == pytest.approx(-f.w_gg * cone_path.duration, rel=1e-14)
         assert bp.quadrature_error < 1e-14
 
-    @pytest.mark.parametrize("theta", [0.3, 0.6, math.pi / 3, 1.3, math.pi / 2, 2.0, 3.0])
-    def test_stepper_agrees_with_the_history_quadrature(self, theta):
+    @pytest.mark.parametrize("theta, Omega", [
+        *(pytest.param(theta, 1.0, id=str(theta))
+          for theta in (0.3, 0.6, math.pi / 3, 1.3, math.pi / 2, 2.0, 3.0)),
+        # a loop gap of 2.06e-10: over 1e-10, but within 1e-10 |b(0)| for both quadratures
+        pytest.param(1.0, 1e6, id="1.0-field-1e6"),
+    ])
+    def test_stepper_agrees_with_the_history_quadrature(self, theta, Omega):
         # two independent quadratures of -integral w dt over one cone loop
-        path = q.rotating_cone(1.0, theta, 0.1, SX)
+        path = q.rotating_cone(Omega, theta, 0.1, SX)
         bp, ref = q.berry_phase(path), history_berry_phase(history_of(path, 2049))
         for got, want in ((bp.delta_lambda_g, ref.delta_lambda_g),
                           (bp.delta_lambda_e, ref.delta_lambda_e),
@@ -360,7 +374,7 @@ class TestBerryPhase:
     def test_phase_beyond_the_float_range_raises(self):
         # a fixed field whose b_dot claims a huge azimuthal rate: |w_gg| ~ 1e300 over
         # a duration of 1e10, so -integral w_gg dt leaves the float range
-        path = q.ControlPath(b=lambda t: (0.6, 0.0, 0.8), b_dot=lambda t: (0.0, 1e300, 0.0),
+        path = q.ControlPath(fields=lambda t: ((0.6, 0.0, 0.8), (0.0, 1e300, 0.0)),
                              coupling_A=SX, duration=1e10)
         assert abs(q.frame_at(path, 0.0).w_gg) > 1e299
         with pytest.raises(q.NonFiniteState,
@@ -382,7 +396,7 @@ class TestPhaseShiftedFrame:
     def test_trivial_schedule_constant_phase_only(self):
         # diagonals already vanish: only the phase e^{i(lambda_e - lambda_g)} acts
         path = q.ControlPath(
-            b=lambda t: (0.5, 0.0, 0.8), b_dot=lambda t: (0, 0, 0),
+            fields=lambda t: ((0.5, 0.0, 0.8), (0, 0, 0)),
             coupling_A=SX, duration=10.0,
         )
         f = q.frame_at(path, 4.0)
