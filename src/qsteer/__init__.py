@@ -11,7 +11,6 @@ from .bath import (
     ohmic_thermal,
     rates,
     rates_from_spectra,
-    spectrum_from_csv,
     superadiabatic_elements,
     tabulated,
     zero_temperature_ohmic,
@@ -21,7 +20,6 @@ from .control import (
     ControlPath,
     frame_at,
     linear_sweep,
-    path_from_csv,
     rotating_cone,
     sampled_path,
 )

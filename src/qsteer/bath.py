@@ -7,17 +7,18 @@ thermal bath obeys detailed balance S(-omega) = exp(-omega/T) S(omega)
 (k_B = 1). Rate formulas keep only the real parts of the bath integrals;
 the principal-value (Lamb shift) contributions are dropped throughout.
 
-The analytic models are pure Python. Only a tabulated spectrum holds arrays,
-so numpy is imported by :func:`tabulated` and its bound formula alone.
+Every model is pure Python, the tabulated one included: it interpolates by
+numpy.interp's own formula on a bisect lookup, so it gives np.interp's floats
+without importing numpy.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .errors import GAP_FLOOR, GapCollapse, OutOfRange
 
@@ -46,14 +47,18 @@ def _zero_temperature_ohmic(eta, wc, omega):
     return eta * omega * cut
 
 
-def _tabulated(grid, values, omega):
-    import numpy as np
-
-    if omega < grid[0] or omega > grid[-1]:
-        raise OutOfRange(
-            f"omega = {omega:g} outside tabulated range [{grid[0]:g}, {grid[-1]:g}]"
-        )
-    return float(np.interp(omega, grid, values))
+def _tabulated(omegas, values, omega):
+    lo, hi = omegas[0], omegas[-1]
+    if not lo <= omega <= hi:  # NaN fails both comparisons
+        raise OutOfRange(f"omega = {omega:g} outside tabulated range [{lo:g}, {hi:g}]")
+    j = bisect_right(omegas, omega) - 1
+    if omega == omegas[j]:  # a knot, the last one included, gives its value
+        return values[j]
+    slope = (values[j + 1] - values[j]) / (omegas[j + 1] - omegas[j])
+    s = slope * (omega - omegas[j]) + values[j]
+    if s != s:  # 0 * inf on a knot span beyond the float range: np.interp retries from the right
+        return slope * (omega - omegas[j + 1]) + values[j + 1]
+    return s
 
 
 # Each model's formula and the params it takes, in argument order; omega comes last
@@ -61,6 +66,7 @@ _MODELS = {
     "flat": (_flat, ("s0",)),
     "ohmic_thermal": (_ohmic_thermal, ("eta", "temperature", "cutoff")),
     "zero_temperature_ohmic": (_zero_temperature_ohmic, ("eta", "cutoff")),
+    "tabulated": (_tabulated, ("omegas", "values")),
 }
 
 
@@ -69,32 +75,23 @@ class SpectralDensity:
     """Callable bath spectrum S(omega) >= 0 with a tagged model and parameters.
 
     The model's formula is bound to its parameters once, at construction, as
-    a partial of a module-level function, so the object pickles. A tabulated
-    model keeps its grid and values as tuples of floats and gives arrays of
-    them to its formula only. ``at_gap`` keeps the samples of the last three
-    distinct nonzero gaps; the bound formula and that memo take no part in
-    equality. The memo is unguarded, so one spectrum is not for concurrent
-    threads.
+    a partial of a module-level function, so the object pickles. The params
+    of a tabulated model are its grid and its values, as tuples of floats.
+    ``at_gap`` keeps the samples of the last three distinct nonzero gaps; the
+    bound formula and that memo take no part in equality. The memo is
+    unguarded, so one spectrum is not for concurrent threads.
     """
 
     model: str
     params: dict = field(default_factory=dict)
-    _grid: Optional[tuple] = field(default=None, repr=False)
-    _values: Optional[tuple] = field(default=None, repr=False)
     _formula: Callable = field(init=False, repr=False, compare=False)
     _memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.model == "tabulated":
-            import numpy as np
-
-            formula = partial(_tabulated, np.array(self._grid), np.array(self._values))
-        elif self.model in _MODELS:
-            fn, names = _MODELS[self.model]
-            formula = partial(fn, *(self.params[k] for k in names))
-        else:
+        if self.model not in _MODELS:
             raise ValueError(f"unknown spectral model {self.model!r}")
-        object.__setattr__(self, "_formula", formula)
+        fn, names = _MODELS[self.model]
+        object.__setattr__(self, "_formula", partial(fn, *(self.params[k] for k in names)))
         # three (gap, samples) slots, then the slot the next new gap takes (the
         # oldest); NaN matches no gap
         object.__setattr__(self, "_memo", [math.nan, None] * 3 + [0])
@@ -164,48 +161,30 @@ def zero_temperature_ohmic(eta: float, cutoff: float = math.inf) -> SpectralDens
 
 
 def tabulated(omegas, values) -> SpectralDensity:
-    """Linear interpolation of (omega, S) samples; queries outside the grid raise OutOfRange."""
-    import numpy as np
+    """Linear interpolation of (omega, S) samples; queries outside the grid raise OutOfRange.
 
-    omegas = np.asarray(omegas, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if omegas.ndim != 1 or omegas.size < 2:
-        raise ValueError("tabulated spectrum needs at least 2 samples")
-    if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(values))):
-        raise ValueError("tabulated omegas and values must be finite")
-    if np.any(np.diff(omegas) <= 0):
-        raise ValueError("tabulated omegas must be strictly increasing")
-    if np.any(values < 0):
-        raise ValueError("tabulated spectrum must be nonnegative")
-    return SpectralDensity(
-        model="tabulated",
-        params={"omega_min": float(omegas[0]), "omega_max": float(omegas[-1])},
-        _grid=tuple(omegas.tolist()),
-        _values=tuple(values.tolist()),
-    )
-
-
-def spectrum_from_csv(csv_path) -> SpectralDensity:
-    """Tabulated spectrum from CSV rows (omega, S).
-
-    The first non-empty row is skipped as a header if it does not parse; any
-    later row that does not parse raises ValueError.
+    Between knots S is numpy.interp's slope * (omega - omega_j) + S_j, and
+    at a knot it is the knot's value, so S matches np.interp bit for bit.
     """
-    om, vals = [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(row for row in reader if row):
-            if len(row) < 2:
-                raise ValueError(f"spectrum rows need omega and S, got {','.join(row)!r}")
-            try:
-                omega, s = float(row[0]), float(row[1])
-            except ValueError:
-                if i == 0:
-                    continue  # header
-                raise ValueError(f"line {reader.line_num} does not parse: {','.join(row)!r}") from None
-            om.append(omega)
-            vals.append(s)
-    return tabulated(om, vals)
+    try:
+        omegas = tuple(map(float, omegas))
+    except TypeError:  # a number, or nested rows
+        omegas = ()
+    if len(omegas) < 2:
+        raise ValueError("tabulated spectrum needs at least 2 samples")
+    try:
+        values = tuple(map(float, values))
+    except TypeError:
+        values = ()
+    if len(values) != len(omegas):
+        raise ValueError("tabulated spectrum needs one value per omega")
+    if not all(map(math.isfinite, omegas + values)):
+        raise ValueError("tabulated omegas and values must be finite")
+    if any(b <= a for a, b in zip(omegas, omegas[1:])):
+        raise ValueError("tabulated omegas must be strictly increasing")
+    if any(v < 0 for v in values):
+        raise ValueError("tabulated spectrum must be nonnegative")
+    return SpectralDensity(model="tabulated", params={"omegas": omegas, "values": values})
 
 
 class RateSet(NamedTuple):

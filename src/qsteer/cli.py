@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
 import dataclasses
 import json
 import math
@@ -41,7 +42,7 @@ from .bath import (
     flat,
     ohmic_thermal,
     rates,
-    spectrum_from_csv,
+    tabulated,
     zero_temperature_ohmic,
 )
 from .control import (
@@ -50,8 +51,8 @@ from .control import (
     _hermitian_residual,
     frame_at,
     linear_sweep,
-    path_from_csv,
     rotating_cone,
+    sampled_path,
 )
 from .dynamics import (
     _METHODS,
@@ -227,9 +228,42 @@ def _stride(value, where, problems):
     return value
 
 
-# The path and bath sections, one entry per kind: the library constructor and
-# {YAML key: (constructor argument, check, required)}. A key without an
-# argument is validated and echoed but not passed on.
+def _read_csv(csv_path, names) -> list:
+    """The rows of a data file, each as the floats of its first len(names) fields.
+
+    The first non-empty row is skipped as a header if it does not parse; any
+    later row that does not parse, and any row with fewer fields than names,
+    raises ValueError naming its line.
+    """
+    need = f"{', '.join(names[:-1])} and {names[-1]}"
+    rows = []
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        for i, row in enumerate(row for row in reader if row):
+            if len(row) < len(names):
+                raise ValueError(f"line {reader.line_num} needs {need}, got {','.join(row)!r}")
+            try:
+                rows.append([float(x) for x in row[:len(names)]])
+            except ValueError:
+                if i:  # only the first row may be a header
+                    raise ValueError(f"line {reader.line_num} does not parse: {','.join(row)!r}") from None
+    return rows
+
+
+def _sampled_csv(csv_path, coupling_A) -> ControlPath:
+    rows = _read_csv(csv_path, ("t", "b_x", "b_y", "b_z"))
+    return sampled_path([row[0] for row in rows], [row[1:] for row in rows], coupling_A)
+
+
+def _tabulated_csv(csv_path) -> SpectralDensity:
+    rows = _read_csv(csv_path, ("omega", "S"))
+    return tabulated([omega for omega, _ in rows], [s for _, s in rows])
+
+
+# The path and bath sections, one entry per kind: the library constructor (for a
+# data file, a reader that builds it from the file's rows) and {YAML key:
+# (constructor argument, check, required)}. A key without an argument is
+# validated and echoed but not passed on.
 _PATHS = {
     "rotating_cone": (rotating_cone, {
         "field_energy": ("Omega", _positive, True),
@@ -243,7 +277,7 @@ _PATHS = {
         "duration_time": ("duration", _positive, True),
     }),
     # a sampled path's duration only sets the default solver window
-    "sampled": (path_from_csv, {
+    "sampled": (_sampled_csv, {
         "csv_file": ("csv_path", _file_name, True),
         "duration_time": (None, _positive, False),
     }),
@@ -259,7 +293,7 @@ _BATHS = {
         "eta_coupling": ("eta", _nonnegative, True),
         "cutoff_energy": ("cutoff", _positive, False),
     }),
-    "tabulated": (spectrum_from_csv, {"csv_file": ("csv_path", _file_name, True)}),
+    "tabulated": (_tabulated_csv, {"csv_file": ("csv_path", _file_name, True)}),
 }
 # The solver section, one kind per method: a fixed step (no error row) takes
 # dt_time, an adaptive one its tolerances and step cap; every method a window.
@@ -561,7 +595,8 @@ def _check_spectrum_range(scenario: Scenario) -> None:
     # the frames' |b| can exceed the bound by an ulp (a cone's gap reads 1 + 2.2e-16 at
     # field_energy 1), so a grid that ends exactly at the bound is not enough
     w *= 1.0 + 4.0 * sys.float_info.epsilon
-    lo, hi = (build_bath(scenario.bath).params[k] for k in ("omega_min", "omega_max"))
+    omegas = build_bath(scenario.bath).params["omegas"]
+    lo, hi = omegas[0], omegas[-1]
     if lo > -w or hi < w:
         raise OutOfRange(
             f"bath.csv_file {scenario.bath['csv_file']}: tabulated range [{lo:g}, {hi:g}] "

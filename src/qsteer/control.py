@@ -44,7 +44,6 @@ run on an analytic path loads neither.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -223,31 +222,6 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         return (float(bx), float(by), float(bz)), (float(dx), float(dy), float(dz))
 
     return ControlPath(fields=fields, coupling_A=coupling_A, duration=t_last - t0, t_start=t0)
-
-
-def path_from_csv(csv_path, coupling_A) -> ControlPath:
-    """Sampled path from CSV rows (t, b_x, b_y, b_z).
-
-    The first non-empty row is skipped as a header if it does not parse; any
-    later row that does not parse, and any row with fewer than 4 fields,
-    raises ValueError naming its line.
-    """
-    times, vecs = [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(row for row in reader if row):
-            if len(row) < 4:
-                raise ValueError(f"line {reader.line_num} needs t, b_x, b_y and b_z, "
-                                 f"got {','.join(row)!r}")
-            try:
-                vals = [float(x) for x in row[:4]]
-            except ValueError:
-                if i == 0:
-                    continue  # header
-                raise ValueError(f"line {reader.line_num} does not parse: {','.join(row)!r}") from None
-            times.append(vals[0])
-            vecs.append(vals[1:4])
-    return sampled_path(times, vecs, coupling_A)
 
 
 class AdiabaticFrame(NamedTuple):

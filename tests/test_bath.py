@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsteer as q
+from qsteer.cli import build_bath
 
 from conftest import SX
 
@@ -63,10 +64,42 @@ class TestSpectralDensity:
         with pytest.raises(q.OutOfRange):
             sd(-1.0001)
 
+    def test_tabulated_nan_frequency_is_out_of_range(self):
+        sd = q.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 3.0])
+        with pytest.raises(q.OutOfRange, match=r"^omega = nan outside tabulated range \[-1, 2\]$"):
+            sd(math.nan)
+
+    @pytest.mark.parametrize("knot_at_zero", [False, True], ids=["no-knot-at-0", "knot-at-0"])
+    def test_tabulated_is_np_interp_bit_for_bit(self, knot_at_zero):
+        # numpy's own interpolation is the reference, signs of zeros included
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            n = int(rng.integers(2, 401))
+            omegas = np.unique(rng.uniform(-50.0, 50.0, n - knot_at_zero))
+            if knot_at_zero:
+                omegas = np.union1d(omegas, [0.0])
+            values = rng.uniform(0.0, 1e3, omegas.size)
+            values[rng.random(omegas.size) < 0.2] = 0.0
+            values[rng.random(omegas.size) < 0.2] = -0.0
+            sd = q.tabulated(omegas, values)
+            queries = [*rng.uniform(omegas[0], omegas[-1], 20), *omegas]
+            if omegas[0] <= 0.0 <= omegas[-1]:
+                queries += [0.0, -0.0]
+            for omega in map(float, queries):
+                assert bits(sd(omega)) == bits(float(np.interp(omega, omegas, values)))
+
+    @pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
+    def test_tabulated_span_beyond_the_float_range_is_np_interp(self, values):
+        # omega - omega_0 overflows near the right end, and the zero slope times inf is NaN
+        omegas = [-1e308, 1e308]
+        sd = q.tabulated(omegas, values)
+        for omega in (-9e307, -1e300, 0.0, 1e300, 9e307):
+            assert bits(sd(omega)) == bits(float(np.interp(omega, omegas, values)))
+
     def test_tabulated_csv(self, tmp_path):
         fn = tmp_path / "spec.csv"
         fn.write_text("omega,S\n-1.0,0.5\n0.0,1.0\n1.0,2.0\n")
-        sd = q.spectrum_from_csv(fn)
+        sd = build_bath({"model": "tabulated", "csv_file": str(fn)})
         assert sd(0.5) == pytest.approx(1.5)
 
     def test_validation(self):
@@ -78,6 +111,10 @@ class TestSpectralDensity:
             q.tabulated([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             q.tabulated([1.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^tabulated spectrum needs one value per omega$"):
+            q.tabulated([0.0, 1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^tabulated spectrum needs one value per omega$"):
+            q.tabulated([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
 
     @pytest.mark.parametrize("make, message", [
         (lambda: q.flat(math.nan), "s0 must be nonnegative and finite"),

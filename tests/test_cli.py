@@ -908,8 +908,9 @@ class TestMain:
         # one short row among full ones is named, not left to the array's shape check
         ("path", "t,bx,by,bz\n0,1,0,1\n1,1,0\n2,1,0,1\n3,1,0,1\n4,1,0,1\n",
          "line 3 needs t, b_x, b_y and b_z, got '1,1,0'"),
+        ("bath", "omega,S\n-2,0.1\n0\n2,0.1\n", "line 3 needs omega and S, got '0'"),
     ], ids=["path-3-rows", "path-2-columns", "spectrum-1-row", "spectrum-1-column",
-            "path-bad-data-row", "spectrum-bad-data-row", "path-short-row"])
+            "path-bad-data-row", "spectrum-bad-data-row", "path-short-row", "spectrum-short-row"])
     def test_malformed_data_file_exit_2(self, tmp_path, capsys, section, rows, message):
         data = tmp_path / "data.csv"
         data.write_text(rows)

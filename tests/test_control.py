@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsteer as q
+from qsteer.cli import build_path
 from qsteer.control import GAP_FLOOR
 
 from conftest import SX, SZ, cone_field, cone_states, hamiltonian, numdiff_w
@@ -656,7 +657,7 @@ class TestSampledPaths:
             fh.write("t,b_x,b_y,b_z\n")
             for t, b in zip(ts, bs):
                 fh.write(f"{t},{b[0]},{b[1]},{b[2]}\n")
-        path = q.path_from_csv(fn, SX)
+        path = build_path({"kind": "sampled", "csv_file": str(fn)}, SX)
         assert path.duration == pytest.approx(5.0)
         np.testing.assert_allclose(path.fields(2.5)[0], bs[10], atol=1e-9)
 
