@@ -77,9 +77,9 @@ class SpectralDensity:
     The model's formula is bound to its parameters once, at construction, as
     a partial of a module-level function, so the object pickles. The params
     of a tabulated model are its grid and its values, as tuples of floats.
-    ``at_gap`` keeps the samples of the last three distinct nonzero gaps; the
-    bound formula and that memo take no part in equality. The memo is
-    unguarded, so one spectrum is not for concurrent threads.
+    ``at_gap`` keeps S(0) and the samples of the last three distinct nonzero
+    gaps; the bound formula and that memo take no part in equality. The memo
+    is unguarded, so one spectrum is not for concurrent threads.
     """
 
     model: str
@@ -92,9 +92,9 @@ class SpectralDensity:
             raise ValueError(f"unknown spectral model {self.model!r}")
         fn, names = _MODELS[self.model]
         object.__setattr__(self, "_formula", partial(fn, *(self.params[k] for k in names)))
-        # three (gap, samples) slots, then the slot the next new gap takes (the
-        # oldest); NaN matches no gap
-        object.__setattr__(self, "_memo", [math.nan, None] * 3 + [0])
+        # three (gap, samples) slots, the slot the next new gap takes (the
+        # oldest) and S(0), None until first sampled; NaN matches no gap
+        object.__setattr__(self, "_memo", [math.nan, None] * 3 + [0, None])
 
     def __call__(self, omega: float) -> float:
         return self._formula(omega)
@@ -104,9 +104,10 @@ class SpectralDensity:
 
         The last three distinct nonzero gaps and their samples are kept, so a
         repeated gap costs no sample: a cone's gap |b| rounds to one to three
-        neighbouring floats. A fourth gap evicts the oldest. A zero gap is not
-        kept, since +0.0 == -0.0 while S(+0) and S(-0) are separate samples; a
-        lookup that raises leaves the memo as it was.
+        neighbouring floats. A fourth gap evicts the oldest. S(0) is sampled
+        once, after S(+-omega) of the first gap, so an OutOfRange names omega.
+        A zero gap is not kept, since +0.0 == -0.0 while S(+0) and S(-0) are
+        separate samples; a lookup that raises leaves the memo as it was.
         """
         memo = self._memo
         if omega == memo[0]:
@@ -115,7 +116,10 @@ class SpectralDensity:
             return memo[3]
         if omega == memo[4]:
             return memo[5]
-        samples = (self(omega), self(-omega), self(0.0))
+        s_plus, s_minus, s_zero = self(omega), self(-omega), memo[7]
+        if s_zero is None:
+            s_zero = memo[7] = self(0.0)
+        samples = (s_plus, s_minus, s_zero)
         if omega:
             i = memo[6]
             memo[i], memo[i + 1], memo[6] = omega, samples, (i + 2) % 6

@@ -574,8 +574,8 @@ def build_bath(cfg: dict) -> SpectralDensity:
     return _construct("bath", _BATHS, "model", cfg)
 
 
-def _check_spectrum_range(scenario: Scenario) -> None:
-    """Raise OutOfRange, naming bath.csv_file, if a tabulated spectrum misses [-w, w].
+def _check_spectrum_range(scenario: Scenario, sd: Optional[SpectralDensity]) -> None:
+    """Raise OutOfRange, naming bath.csv_file, if the tabulated spectrum sd misses [-w, w].
 
     Rates sample S at +-omega01 and 0, and w is the path's largest gap: a
     cone's field_energy, or a linear sweep's gap at the solver window end
@@ -595,7 +595,7 @@ def _check_spectrum_range(scenario: Scenario) -> None:
     # the frames' |b| can exceed the bound by an ulp (a cone's gap reads 1 + 2.2e-16 at
     # field_energy 1), so a grid that ends exactly at the bound is not enough
     w *= 1.0 + 4.0 * sys.float_info.epsilon
-    omegas = build_bath(scenario.bath).params["omegas"]
+    omegas = sd.params["omegas"]
     lo, hi = omegas[0], omegas[-1]
     if lo > -w or hi < w:
         raise OutOfRange(
@@ -636,16 +636,16 @@ def _members(scenario: Scenario) -> list:
 
 
 def _run_member(task):
-    """Run one member in ``run_dir``.
+    """Run one member in ``run_dir`` on the run's spectrum ``sd``.
 
     Returns its summary row, maxima, work, wall time and the wall times of
-    its phases: build (path and bath), solve (the integration; for a Berry
+    its phases: build (the path), solve (the integration; for a Berry
     loop, the loop's) and write (the trajectory CSV). A Berry loop keeps its
     state fixed, so it reports no positivity; its alpha is the optimal
     basis's. ``max_quadrature_error`` is the phase quadrature error of a run
     that tracks phases with an error row.
     """
-    (sc, variant, name, labels), run_dir = task
+    (sc, variant, name, labels), run_dir, sd = task
     started = time.monotonic()
     path = build_path(sc.path, sc.coupling)
     if variant == "berry":
@@ -660,7 +660,6 @@ def _run_member(task):
             maxima["max_quadrature_error"] = ph.quadrature_error
         return (row, maxima, dataclasses.asdict(ph.work), solved - started,
                 (built - started, solved - built, 0.0))
-    sd = build_bath(sc.bath)
     initial = DensityState(sc.initial_rho_gg, sc.initial_rho_ge)
     built = time.monotonic()
     if variant == "nonsteered":
@@ -706,8 +705,9 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
     (berry). Up to ``jobs`` members run at once, never more than the members
     or the CPUs. Each member adds one row to the mode's summary table, its
     maxima to the invariants and its wall time to ``member_wall_s``.
-    ``phase_wall_s`` sums the members' build, solve and write times; write
-    also holds the summary CSV. ``jobs`` below 1 raises ValueError.
+    ``phase_wall_s`` sums the members' build, solve and write times; build
+    also holds the bath, built once for all members (a Berry run builds
+    none), and write the summary CSV. ``jobs`` below 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -733,7 +733,10 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
     # fork starts every worker at once, so never more than the work or the CPUs
     workers = min(jobs, len(members), os.cpu_count() or 1)
     try:
-        _check_spectrum_range(scenario)
+        built = time.monotonic()
+        sd = None if scenario.mode == "berry" else build_bath(scenario.bath)
+        _check_spectrum_range(scenario, sd)
+        phases["build"] += time.monotonic() - built
         if workers > 1:  # a serial run loads no process pool
             from concurrent.futures import ProcessPoolExecutor
 
@@ -741,7 +744,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
         else:
             pool_cm = nullcontext()
         with pool_cm as pool:
-            results = (pool.map if pool else map)(_run_member, [(m, run_dir) for m in members])
+            results = (pool.map if pool else map)(_run_member, [(m, run_dir, sd) for m in members])
             for (_, variant, name, _), (row, maxima, w, wall, phase) in zip(members, results):
                 rows.append(row)
                 walls.append(wall)

@@ -35,6 +35,16 @@ for b_z < 0. Every element <g|x.sigma|e> is a short polynomial in p and q,
 and the anchored gauge multiplies it by one unit phase: +-1 for a component
 +-p, the phase of q for a q-type one. The arithmetic is real throughout.
 
+A rotating cone needs no eigen-algebra per frame. Its field is
+b(t) = R_z(phi) b(0) with phi = omega t, so its eigenpair is the spin rotation
+of the one at t = 0, up to the anchoring phases. The w diagonals are
+constant, and w_ge and m2 turn by e^{ik phi}, where k = s (1 - n_q), s = +1
+on the upper branch and -1 on the lower, and n_q counts the anchors on a
+q-type component. m2 is that phase times <g|(R_z(-phi) a).sigma|e> at
+t = 0, a fixed combination cos phi M_x + sin phi M_y + M_z of three t = 0
+elements. omega01 = |b| and m1 = -(a.b)/r are computed per frame as the
+closed form computes them, and so is the gap check.
+
 Pure Python
 -----------
 :class:`ControlPath`, the analytic paths and :func:`frame_at` are pure
@@ -48,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState, OutOfRange
+from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState, OutOfRange, QSteerError
 from .gauge import hs_norm
 
 Vec3 = tuple[float, float, float]
@@ -66,6 +76,10 @@ class ControlPath:
     an array) and stored as a tuple of two rows of two complex numbers.
     ``t_start`` is where the path begins: the first sample time of a sampled
     path, 0 for the analytic ones.
+
+    ``_cone`` holds the frame law of a path built by :func:`rotating_cone`;
+    like ``_anchors`` it is not an init argument, so ``dataclasses.replace``
+    and a hand-built path get the general closed form.
     """
 
     fields: Callable[[float], tuple[Vec3, Vec3]]
@@ -76,6 +90,7 @@ class ControlPath:
     _A_traceless: Optional[tuple[complex, complex, complex]] = field(
         default=None, init=False, repr=False
     )
+    _cone: Optional[_ConeLaw] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         A = _coupling_matrix(self.coupling_A)
@@ -151,7 +166,11 @@ def rotating_cone(
     """Field of magnitude Omega precessing at angular rate omega on a cone of opening theta.
 
     Defaults to one full revolution, duration = 2 pi / omega. The field and
-    its derivative share one cosine and one sine of omega t.
+    its derivative share one cosine and one sine of omega t. The path carries
+    the cone's frame law (see the module notes), built from the closed form
+    at t = 0; where that fails, or its values come within a factor 2 of the
+    float range, the path keeps the general closed form, so every frame
+    raises what the closed form raises.
     """
     if not 0 < Omega < math.inf:
         raise ValueError("Omega must be positive and finite")
@@ -171,7 +190,9 @@ def rotating_cone(
         c, s = cos(omega * t), sin(omega * t)
         return (r_xy * c, r_xy * s, b_z), (v_x * s, v_y * c, 0.0)
 
-    return ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
+    path = ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
+    path._cone = _cone_law(path, omega)
+    return path
 
 
 def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> ControlPath:
@@ -222,6 +243,28 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         return (float(bx), float(by), float(bz)), (float(dx), float(dy), float(dz))
 
     return ControlPath(fields=fields, coupling_A=coupling_A, duration=t_last - t0, t_start=t0)
+
+
+class _ConeLaw(NamedTuple):
+    """A cone's frame as a function of phi = omega t (see the module notes).
+
+    The field at t is (r_xy cos phi, r_xy sin phi, b_z); (v_x, v_y, v_z) is
+    the traceless coupling a, for m1.
+    """
+
+    omega: float
+    r_xy: float
+    b_z: float
+    k: int
+    w_gg: float
+    w_ee: float
+    w_ge: complex
+    m_x: complex
+    m_y: complex
+    m_z: complex
+    v_x: float
+    v_y: float
+    v_z: float
 
 
 class AdiabaticFrame(NamedTuple):
@@ -332,6 +375,38 @@ def _fields(b, bd, A, r, upper, cg, ce):
     return w_gg, w_ee, wr, wi, m1, m2_r, m2_i
 
 
+def _cone_law(path, omega) -> Optional[_ConeLaw]:
+    """The frame law of a cone path at rate omega, whose field at t = 0 is (r_xy, 0, b_z).
+
+    w_gg, w_ee and w_ge(0) are :func:`_fields` at t = 0; M_x, M_y and M_z
+    are its m2 there for the couplings (a_x, a_y, 0), (a_y, -a_x, 0) and
+    (0, 0, a_z). None where the kernel fails at t = 0, or where
+    2 r (r + |b_z|) or a value is within a factor 2 of overflow: the ulps
+    by which |b| drifts along the cone can overflow the normalisation at
+    some t but not at 0, and the law does not compute it.
+    """
+    b, bd = path.fields(0.0)
+    r_xy, _, b_z = b
+    A = path._A_traceless
+    v_x, v_y, v_z = A[1].real, -A[1].imag, A[0].real
+    upper = b_z >= 0.0
+    try:
+        r = _gap(*b)
+        cg, ce = path.anchors()
+        w_gg, w_ee, wr, wi, _, _, _ = _fields(b, bd, A, r, upper, cg, ce)
+        m = [complex(*_fields(b, bd, x, r, upper, cg, ce)[5:])
+             for x in ((0.0, complex(v_x, -v_y)), (0.0, complex(v_y, v_x)), (v_z, 0j))]
+    except (ZeroDivisionError, QSteerError):
+        return None
+    values = (2.0 * r * (r + abs(b_z)), w_gg, w_ee, wr, wi) + tuple(
+        x for z in m for x in (z.real, z.imag))
+    if not all(math.isfinite(2.0 * x) for x in values):
+        return None
+    n_q = ((cg == 1) != upper) + ((ce == 0) != upper)
+    k = (1 - n_q) if upper else (n_q - 1)
+    return _ConeLaw(omega, r_xy, b_z, k, w_gg, w_ee, complex(wr, wi), *m, v_x, v_y, v_z)
+
+
 # ----------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------
@@ -344,19 +419,35 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     out for the raw eigenpair, then multiplied by the anchoring factor
     conj(f_e) f_g, where f is the unit phase of each anchored component.
     w_ge = -i <g|dH/dt|e> / omega01; the w diagonals keep the anchored
-    components on the real axis. Raises GapCollapse at |b| <= GAP_FLOOR,
-    GaugeUndefined, naming t, where an anchored component is 0, and
-    NonFiniteState, naming t, where the normalisation n = sqrt(2 r (r + |b_z|))
-    of a huge field overflows. Its alpha may read inf; integrate reports that.
+    components on the real axis. A rotating cone takes its frame law instead,
+    with the same omega01, m1 and gap check. Raises GapCollapse at
+    |b| <= GAP_FLOOR, GaugeUndefined, naming t, where an anchored component
+    is 0, and NonFiniteState, naming t, where the normalisation
+    n = sqrt(2 r (r + |b_z|)) of a huge field overflows. Its alpha may read
+    inf; integrate reports that.
     """
-    cg, ce = path._anchors or path.anchors()
-    b, bd = path.fields(t)
-    bx, by, bz = b
+    cone = path._cone
+    if cone is None:
+        cg, ce = path._anchors or path.anchors()
+        b, bd = path.fields(t)
+        bx, by, bz = b
+    else:
+        omega, r_xy, bz, k, w_gg, w_ee, w_ge, m_x, m_y, m_z, vx, vy, vz = cone
+        c, s = math.cos(omega * t), math.sin(omega * t)  # the cone's fields(t), inline
+        bx, by = r_xy * c, r_xy * s
     r = math.sqrt(bx * bx + by * by + bz * bz)  # _gap, inline
     if not GAP_FLOOR < r < math.inf:  # an overflowing |b| gives _fields a NaN p, not a zero one
         if r <= GAP_FLOOR:
             raise GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
-        raise _frame_error(t, b, r)
+        raise _frame_error(t, (bx, by, bz), r)
+    if cone is not None:
+        m2 = c * m_x + s * m_y + m_z
+        if k:  # the anchoring phase e^{ik phi}, k = +-1
+            turn = complex(c, k * s)
+            m2 *= turn
+            w_ge *= turn
+        m1 = -(vx * bx + vy * by + vz * bz) / r
+        return tuple.__new__(AdiabaticFrame, (r, w_gg, w_ee, w_ge, m1, m2))
     try:
         w_gg, w_ee, wr, wi, m1, m2_r, m2_i = _fields(b, bd, path._A_traceless, r, bz >= 0.0, cg, ce)
     except ZeroDivisionError:  # only a zero |q| divides by zero

@@ -31,7 +31,8 @@ class FrameHistory:
     """Frame columns on a uniform time grid along a path, for Berry loops.
 
     ``w_gg``, ``w_ee`` and ``alpha`` are tuples of floats with one entry per
-    sample time, equal to those of ``frame_at`` at that time.
+    sample time, equal to those of the general closed form of ``frame_at``
+    at that time.
     """
 
     times: tuple[float, ...]
@@ -47,9 +48,10 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
 
     The grid is ``np.linspace(t0, t1, num)``'s, built by the same float
     operations. Each sample runs the kernel of ``frame_at``, so each entry
-    equals that field of ``frame_at(path, t)`` bit for bit. Raises the errors
-    of ``frame_at``, or NonFiniteState where alpha overflows, at the first
-    sample that fails.
+    equals that field of ``frame_at(path, t)`` bit for bit on a path that
+    takes the general closed form; a rotating cone's frame law agrees to
+    rounding. Raises the errors of ``frame_at``, or NonFiniteState where
+    alpha overflows, at the first sample that fails.
     """
     if num < 3:
         raise ValueError("history needs at least 3 samples")

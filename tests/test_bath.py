@@ -177,16 +177,17 @@ class TestAtGap:
         assert sd.at_gap(1.0) is first and len(calls) == 3
         sd.at_gap(2.0)
         assert sd.at_gap(1.0) is first
-        assert calls == [1.0, -1.0, 0.0, 2.0, -2.0, 0.0]
+        # S(0) is sampled once, after the first gap's S(+-omega)
+        assert calls == [1.0, -1.0, 0.0, 2.0, -2.0]
         # three gaps are kept, in any order; a fourth evicts the oldest, 1.0
         for gap in (3.0, 2.0, 1.0, 3.0, 4.0, 2.0, 3.0, 4.0, 1.0):
             sd.at_gap(gap)
-        assert calls[6:] == [3.0, -3.0, 0.0, 4.0, -4.0, 0.0, 1.0, -1.0, 0.0]
+        assert calls[5:] == [3.0, -3.0, 4.0, -4.0, 1.0, -1.0]
         # +0.0 == -0.0, so a zero gap is never kept: each sign gets its own samples
         del calls[:]
         sd.at_gap(0.0)
         sd.at_gap(-0.0)
-        assert bits(tuple(calls)) == bits((0.0, -0.0, 0.0, -0.0, 0.0, 0.0))
+        assert bits(tuple(calls)) == bits((0.0, -0.0, -0.0, 0.0))
 
     @pytest.mark.parametrize("Omega, theta, omega", [
         (1.0, math.pi / 3, 0.05), (1.0, 1.208, 0.1), (1.3, 2.5, -0.2), (0.7, math.pi / 2, 0.03),
@@ -209,7 +210,33 @@ class TestAtGap:
         traj = q.integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
                            frame_provider=frames)
         assert traj.work.frame_evals > 500 and 1 <= len(gaps) <= 3
-        assert len(calls) == 3 * len(gaps)
+        assert len(calls) == 2 * len(gaps) + 1
+
+    @pytest.mark.parametrize("slope, gap, duration", [(0.05, 1.0, 100.0), (-0.2, 0.5, 30.0)])
+    def test_sweep_samples_two_per_new_gap_and_s0_once(self, monkeypatch, slope, gap, duration):
+        # a Landau-Zener sweep's gap changes at nearly every stage: each new gap costs
+        # S(omega) and S(-omega), and S(0) is sampled once, after the first gap's
+        path = q.linear_sweep(slope, gap, duration, SX)
+        sd = q.ohmic_thermal(0.02, 2.0, 20.0)
+        calls, gaps = [], set()
+        original = q.SpectralDensity.__call__
+        monkeypatch.setattr(q.SpectralDensity, "__call__",
+                            lambda self, w: calls.append(w) or original(self, w))
+
+        def frames(t):
+            f = q.frame_at(path, t)
+            gaps.add(f.omega01)
+            return f
+
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=duration, rtol=1e-9)
+        traj = q.integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+                           frame_provider=frames)
+        assert calls[2] == 0.0 and calls.count(0.0) == 1
+        pairs = calls[:2] + calls[3:]
+        assert all(w == -g for g, w in zip(pairs[::2], pairs[1::2]))
+        # every distinct gap is sampled; a gap evicted from the memo and met again is a new one
+        assert set(pairs[::2]) == gaps and len(gaps) > traj.work.frame_evals // 2
+        assert len(calls) == 2 * len(pairs[::2]) + 1
 
     def test_tabulated_range_raises_and_is_not_kept(self):
         sd = q.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 3.0])
@@ -220,6 +247,13 @@ class TestAtGap:
         assert sd.at_gap(1.0) == kept
         with pytest.raises(q.OutOfRange):
             sd.at_gap(1.5)
+
+    def test_first_lookup_out_of_range_names_the_gap(self):
+        # S(0) is sampled after S(+-omega), so a grid without 0 names -omega, not 0
+        sd = q.tabulated([0.5, 3.0], [1.0, 2.0])
+        with pytest.raises(q.OutOfRange, match=r"^omega = -1 outside tabulated range \[0.5, 3\]$"):
+            sd.at_gap(1.0)
+        assert sd._memo == q.tabulated([0.5, 3.0], [1.0, 2.0])._memo
 
     @pytest.mark.parametrize("model", BATHS)
     @pytest.mark.parametrize("gaps", [(), (1.0,), (1.0, 0.5), (0.0,)])

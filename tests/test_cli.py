@@ -954,6 +954,32 @@ class TestMain:
         meta = json.loads((run_dir / "metadata.json").read_text())
         assert meta["status"].startswith("failed: bath.csv_file")
 
+    def test_tabulated_spectrum_read_once_per_run(self, tmp_path, monkeypatch):
+        # the run builds its bath once, checks its range and hands it to every member;
+        # a Berry run reads no spectrum file
+        import qsteer.cli as cli
+
+        data = tmp_path / "spectrum.csv"
+        data.write_text("omega,S\n-3,0.04\n-1,0.08\n0,0.1\n2,0.14\n3,0.16\n")
+        tabulated = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1",
+                                         f"model: tabulated\n  csv_file: {data}")
+        calls = []
+        original = cli._read_csv
+        monkeypatch.setattr(cli, "_read_csv", lambda *args: calls.append(args[0]) or original(*args))
+        sweep = load_scenario(tabulated + "run:\n  mode: sweep\n  sweep_periods_time: [10, 20, 30]\n")
+        serial = run(sweep, out_dir=tmp_path / "serial")
+        assert calls == [str(data)] and len(serial.metadata["solver_work"]) == 3
+        del calls[:]
+        berry = "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5, 1.0]\n  history_samples: 65\n"
+        assert run(load_scenario(tabulated + berry), out_dir=tmp_path / "berry").metadata["status"] == "ok"
+        assert calls == []
+        # the members of a parallel run take the bath pickled, with the same CSVs
+        parallel = run(sweep, out_dir=tmp_path / "parallel", jobs=2)
+        assert calls == [str(data)]
+        assert serial.metadata["files"] == parallel.metadata["files"]
+        for name in serial.metadata["files"]:
+            assert (serial.run_dir / name).read_bytes() == (parallel.run_dir / name).read_bytes(), name
+
     def test_spectrum_range_backstop_for_sampled_paths(self, tmp_path, capsys):
         # a sampled path's gaps are not known ahead: a grid that covers the sweep
         # passes the check, and the sampled path fails mid-run on its own OutOfRange

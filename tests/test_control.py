@@ -21,6 +21,11 @@ def static_path(b, A=SX, duration=10.0):
     )
 
 
+def kernel_path(path):
+    """The path's fields and coupling as a hand-built path, which takes the general closed form."""
+    return q.ControlPath(fields=path.fields, coupling_A=path.coupling_A, duration=path.duration)
+
+
 # The eigenvector-and-anchor frame that the closed form replaced, kept as its
 # reference: explicit eigenvectors, each divided by its anchored component's phase,
 # and every matrix element a complex sandwich.
@@ -426,8 +431,8 @@ class TestFrameAt:
         from qsteer.control import _fields, _gap
 
         antipode = antipode_path()
-        paths = [q.rotating_cone(1.3, 2.1, -0.4, A), q.rotating_cone(2, 1, 1, A),
-                 q.linear_sweep(0.2, 0.5, 30.0, A), antipode]
+        cones = [q.rotating_cone(1.3, 2.1, -0.4, A), q.rotating_cone(2, 1, 1, A)]
+        paths = [*map(kernel_path, cones), q.linear_sweep(0.2, 0.5, 30.0, A), antipode]
         for path in paths:
             for t in (0.0, 0.37, 1.0 - 2.0**-20, 7.5):
                 if path is antipode and t > 1.0:
@@ -575,6 +580,96 @@ class TestClosedFormAgainstReference:
         assert "t = 1:" in str(got.value)
 
 
+def outcome(path, t):
+    """frame_at's frame at t, or the type and message of what it raised."""
+    try:
+        return q.frame_at(path, t)
+    except (q.QSteerError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_frame(got, want, where):
+    """omega01 bit-equal and every other field, alpha too, within 1e-15 max(1, |x|)."""
+    assert got.omega01 == want.omega01, where
+    for field in got._fields[1:] + ("alpha",):
+        x = getattr(got, field), getattr(want, field)
+        assert abs(x[0] - x[1]) <= 1e-15 * max(1.0, abs(x[1])), (where, field, x)
+
+
+# both branches, the b_z ~ 0 tie on each (45.55... gives b_z = -8e-19 at field 1.3), theta < 0
+# and theta > pi
+CONE_THETAS = (0.0, 0.3, 1.0, math.pi / 2, 2.0, 2.8, math.pi, -0.7, -2.5, 4.0, 5.5, 45.553093477052)
+
+
+class TestConeLaw:
+    """A rotating cone's frame law against the general closed form on the same fields."""
+
+    @pytest.mark.parametrize("A", REFERENCE_COUPLINGS + [[[0.0, -1j], [1j, 0.0]]],
+                             ids=["sx", "sz", "real", "complex", "sy"])
+    def test_every_field_within_1e_15(self, A):
+        from qsteer.control import _cone_law
+
+        seen = set()
+        for theta in CONE_THETAS:
+            for omega in (0.1, -0.37):
+                cone = q.rotating_cone(1.3, theta, omega, A)
+                assert cone._cone is not None
+                paths = [(cone, kernel_path(cone))]
+                # the start gives four (branch, anchor pair) combinations; presetting the
+                # anchors gives the pairs with both anchors on q, which no start gives
+                # (|q| <= p there), wherever q is well away from 0
+                upper = cone.fields(0.0)[0][2] >= 0.0
+                if abs(math.sin(theta)) > 0.5:
+                    forced = q.rotating_cone(1.3, theta, omega, A)
+                    forced._anchors = (0, 1) if upper else (1, 0)
+                    forced._cone = _cone_law(forced, omega)
+                    bare = kernel_path(forced)
+                    bare._anchors = forced._anchors
+                    paths.append((forced, bare))
+                for law, kernel in paths:
+                    for i in range(50):
+                        t = -3.0 + 0.731 * i
+                        assert_same_frame(q.frame_at(law, t), q.frame_at(kernel, t), (theta, omega, t))
+                    seen.add((upper, law.anchors()))
+        assert seen == {(up, pair) for up in (True, False) for pair in ((1, 0), (0, 1), (1, 1))}
+
+    @pytest.mark.parametrize("Omega, theta, ts, has_law", [
+        (1e-300, 1.0, (0.0, 2.0), False),     # below the gap floor: GapCollapse
+        (1e308, 1.0, (0.0, 2.0), False),      # |b| overflows: NonFiniteState
+        (1e154, 1.0, (0.0, 2.0), False),      # the normalisation overflows: NonFiniteState
+        # the normalisation overflows at some times only, as |b| drifts by ulps
+        (7.966886661578431e153, 2.0, tuple(0.37 * i for i in range(60)), False),
+        (1.0, 1.0, (math.nan, math.inf, -math.inf), True),
+        # just above the floor: |b| rounds to the floor at one of the times
+        (math.nextafter(GAP_FLOOR, 1.0), 2.0, tuple(0.17 * i for i in range(400)), True),
+    ])
+    def test_errors_are_the_kernels(self, Omega, theta, ts, has_law):
+        cone = q.rotating_cone(Omega, theta, 0.1, SX)
+        assert (cone._cone is not None) == has_law
+        kernel = kernel_path(cone)
+        raised = 0
+        for t in ts:
+            got, want = outcome(cone, t), outcome(kernel, t)
+            if isinstance(want, q.AdiabaticFrame):
+                assert_same_frame(got, want, t)
+            else:
+                assert got == want, t
+                raised += 1
+        assert raised >= 1
+
+    def test_replace_takes_the_general_closed_form(self):
+        import dataclasses
+
+        cone = q.rotating_cone(1.3, 2.1, -0.4, SX)
+        B = [[0.2, complex(0.5, -0.7)], [complex(0.5, 0.7), -0.4]]
+        other = dataclasses.replace(cone, coupling_A=B)
+        assert cone._cone is not None and other._cone is None
+        for t in (0.0, 0.37, 7.5):
+            f, ref = q.frame_at(other, t), q.frame_at(kernel_path(other), t)
+            assert field_bits(f) == field_bits(ref)
+            assert f.m2 != q.frame_at(cone, t).m2
+
+
 class TestSampleHistory:
     """The history's columns are frame_at's fields at the sample times."""
 
@@ -599,7 +694,7 @@ class TestSampleHistory:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
     def test_cone(self, theta):
         # theta below and above pi/2: both _eig_raw branches (b_z >= 0, < 0) and both anchor pairs
-        path = q.rotating_cone(1.0, theta, 0.1, SX)
+        path = kernel_path(q.rotating_cone(1.0, theta, 0.1, SX))
         self.assert_columns_match(path, 0.0, path.duration)
 
     def test_sweep_crossing_bz_zero(self):
