@@ -240,7 +240,7 @@ def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSe
         gamma_alpha  = m2^2 S(omega01) / 2
         gamma_beta   = m2^2 S(-omega01) / 2
     """
-    if omega01 <= GAP_FLOOR:
+    if not omega01 > GAP_FLOOR:
         raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
     return rates_from_spectra(m1, complex(m2), *sd.at_gap(omega01))
 
@@ -258,7 +258,7 @@ def superadiabatic_elements(m1: float, m2: complex, w_ge: complex, omega01: floa
     already traceless at this order. Identity at w_ge = 0 and exactly linear
     in w_ge.
     """
-    if omega01 <= GAP_FLOOR:
+    if not omega01 > GAP_FLOOR:
         raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
     m2 = complex(m2)
     w_ge = complex(w_ge)

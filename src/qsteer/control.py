@@ -306,7 +306,13 @@ def _hypot(x, y):
 
 
 def _frame_error(t, b, r):
-    """The error, naming t, for a zero division in :func:`_fields` at field b, r = |b|."""
+    """The error, naming t, for a frame that :func:`_fields` cannot give at field b, r = |b|.
+
+    A NaN field and an overflowing normalisation are not finite; only a finite
+    field with a zero anchored component has reached the antipode.
+    """
+    if math.isnan(r):
+        return NonFiniteState(f"the field magnitude |b| is nan at t = {t:g}")
     if 2.0 * r * (r + abs(b[2])) == math.inf:  # n overflows, so |q| and p read 0 or nan
         return NonFiniteState(
             f"the field magnitude |b| = {math.hypot(*b):.6g} overflows the frame "
@@ -422,7 +428,7 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     components on the real axis. A rotating cone takes its frame law instead,
     with the same omega01, m1 and gap check. Raises GapCollapse at
     |b| <= GAP_FLOOR, GaugeUndefined, naming t, where an anchored component
-    is 0, and NonFiniteState, naming t, where the normalisation
+    is 0, and NonFiniteState, naming t, where |b| is NaN or the normalisation
     n = sqrt(2 r (r + |b_z|)) of a huge field overflows. Its alpha may read
     inf; integrate reports that.
     """

@@ -32,7 +32,8 @@ class LoopNotClosed(QSteerError):
 class NonFiniteState(QSteerError):
     """A state component, error estimate or frame quantity is not finite.
 
-    The frame quantities are alpha and the normalisation of a huge field.
+    The frame quantities are alpha, a NaN field and the normalisation of a
+    huge field.
     """
 
 

@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import qsteer as q
+from qsteer import cli
 from qsteer.cli import build_path, load_scenario, main, run, scenario_from_file
 from qsteer.dynamics import _METHODS
 
@@ -504,6 +505,26 @@ class TestRun:
             assert work["frame_evals"] == 5 * attempts + 1  # the last two stages share t + dt
             assert 0.0 < work["dt_min"] <= work["dt_max"]
             assert work["t_max_positivity_violation"] is None
+
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    @pytest.mark.parametrize("config", ["cone_zero_temperature", "period_sweep"])
+    def test_solver_work_counts_the_generator_and_frame_calls(self, tmp_path, monkeypatch, config):
+        # perfbench's tracer and CI's 6 (F - n) == 5 (R - n) identity count calls of
+        # cli.rhs_full and cli.frame_at: one generator call per stage, one frame per
+        # distinct stage time, so the counts are the members' solver_work summed
+        calls = dict.fromkeys(("rhs_full", "frame_at"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(cli, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(cli, name, counted)
+        art = run(scenario_from_file(CONFIG_DIR / f"{config}.yaml"), out_dir=tmp_path)
+        work = art.metadata["solver_work"].values()
+        assert calls == {"rhs_full": sum(w["rhs_evals"] for w in work),
+                         "frame_at": sum(w["frame_evals"] for w in work)}
+        for w in work:
+            attempts = w["accepted_steps"] + w["rejected_steps"]
+            assert (w["rhs_evals"], w["frame_evals"]) == (6 * attempts + 1, 5 * attempts + 1)
 
     @pytest.mark.parametrize("run_block", [
         "mode: simulate", "mode: compare", "mode: sweep\n  sweep_periods_time: [20, 40]",

@@ -390,6 +390,20 @@ class TestLocalAlpha:
         with pytest.raises(q.NonFiniteState, match=message + "1.5$"):
             sample_history(path, 0.0, 3.0, 5)
 
+    @pytest.mark.parametrize("path, t", [
+        (q.linear_sweep(0.06, 1.0, 80.0, SX), math.nan),
+        (q.rotating_cone(1.0, 1.0, 0.05, SX), math.nan),
+        (q.ControlPath(fields=lambda t: ((0.3, 0.0, math.nan if t > 1.0 else 1.0), (0.0, 0.0, 0.0)),
+                       coupling_A=SX, duration=3.0), 2.0),
+    ], ids=["sweep", "cone", "hand_built"])
+    def test_nan_field_is_not_finite(self, path, t):
+        # a NaN |b| fails the gap check's comparisons but reaches no antipode
+        message = re.escape(f"the field magnitude |b| is nan at t = {t:g}") + "$"
+        with pytest.raises(q.NonFiniteState, match=message):
+            q.frame_at(path, t)
+        with pytest.raises(q.NonFiniteState, match=message):
+            sample_history(path, t, t + 1.0, 3)
+
     def test_field_below_the_overflow_has_a_frame(self):
         path = q.rotating_cone(5e153, 1.0, 0.05, SX)
         assert q.frame_at(path, 0.0).omega01 == pytest.approx(5e153, rel=1e-15)

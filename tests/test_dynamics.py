@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 import qsteer as q
 from qsteer.dynamics import _MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, integrate
+from qsteer.errors import GAP_FLOOR
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
 from test_control import eig, field_bits, static_path
@@ -100,10 +101,11 @@ class TestRhsSecular:
 
 
 def rhs_full_written_out(state, frame, sd):
-    """The generator as the paper's terms are written, one sample per S call.
+    """The generator's terms as the paper writes them, one sample per S call.
 
-    A term-for-term reference for :func:`qsteer.rhs_full`, which computes the
-    repeated subexpressions once and must give the same floats.
+    Returns the d rho_gg/dt terms and the d rho_ge/dt terms, two lists whose
+    sums are the generator. A term-for-term reference for
+    :func:`qsteer.rhs_full`, which regroups them in real arithmetic.
     """
     w01 = frame.omega01
     s_plus, s_minus, s_zero = sd(frame.omega01), sd(-frame.omega01), sd(0.0)
@@ -120,31 +122,29 @@ def rhs_full_written_out(state, frame, sd):
     re_m2_w = m2.imag * wge.imag + m2.real * wge.real
     re_m2_r = m2.imag * rge.imag + m2.real * rge.real
 
-    dgg = (
-        -2.0 * (wge.conjugate() * rge).imag
-        + s_plus * mod2
-        - (s_minus + s_plus) * mod2 * rgg
-        + 2.0 * re_m2_r * s_zero * m1
-        - 2.0 * k1 * re_m2_w * re_m2_r
-        + 2.0 * k1 * re_m2_w * m1 * rgg
-        - 2.0 * k2 * m1 * re_m2_w
-    )
-    dge = (
-        1j * wge * (2.0 * rgg - 1.0)
-        + 1j * (frame.w_ee - frame.w_gg) * rge
-        + 1j * w01 * rge
-        - s_plus * m1 * m2
-        + (s_minus + s_plus) * m1 * m2 * rgg
-        - 2.0 * s_zero * m1 * m1 * rge
-        - 1j * (s_minus + s_plus) * m2 * (rge.imag * m2.real - m2.imag * rge.real)
-        - 2.0 * k1 * m1 * m1 * wge * rgg
-        + 2.0 * k2 * m1 * m1 * wge
-        - 1j * m2 * k3 * (m2.imag * wge.real - wge.imag * m2.real)
-        - 2.0 * k1 * m1 * (
-            1j * m2 * (wge.imag * rge.real - rge.imag * wge.real)
-            - re_m2_w * rge
-        )
-    )
+    dgg = [
+        -2.0 * (wge.conjugate() * rge).imag,
+        s_plus * mod2,
+        -(s_minus + s_plus) * mod2 * rgg,
+        2.0 * re_m2_r * s_zero * m1,
+        -2.0 * k1 * re_m2_w * re_m2_r,
+        2.0 * k1 * re_m2_w * m1 * rgg,
+        -2.0 * k2 * m1 * re_m2_w,
+    ]
+    dge = [
+        1j * wge * (2.0 * rgg - 1.0),
+        1j * (frame.w_ee - frame.w_gg) * rge,
+        1j * w01 * rge,
+        -s_plus * m1 * m2,
+        (s_minus + s_plus) * m1 * m2 * rgg,
+        -2.0 * s_zero * m1 * m1 * rge,
+        -1j * (s_minus + s_plus) * m2 * (rge.imag * m2.real - m2.imag * rge.real),
+        -2.0 * k1 * m1 * m1 * wge * rgg,
+        2.0 * k2 * m1 * m1 * wge,
+        -1j * m2 * k3 * (m2.imag * wge.real - wge.imag * m2.real),
+        -2.0 * k1 * m1 * 1j * m2 * (wge.imag * rge.real - rge.imag * wge.real),
+        2.0 * k1 * m1 * re_m2_w * rge,
+    ]
     return dgg, dge
 
 
@@ -179,10 +179,18 @@ class TestRhsFull:
     @pytest.mark.parametrize("with_w", [False, True])
     @pytest.mark.parametrize("sd", BATHS, ids=lambda sd: sd.model)
     def test_equals_the_written_out_terms(self, rng, sd, with_w):
+        # rhs_full regroups the terms in real arithmetic, so it meets their exact sum to a
+        # few ulps of the largest term (4 measured), not of the sum, which may cancel
         for i in range(400):
             f = random_frame(rng, with_w=with_w)
             s = random_state(rng) if i % 5 else q.DensityState(rng.uniform(0.0, 1.0), 0j)
-            assert bits(q.rhs_full(s, f, sd)) == bits(rhs_full_written_out(s, f, sd))
+            dgg, dge = q.rhs_full(s, f, sd)
+            terms_gg, terms_ge = rhs_full_written_out(s, f, sd)
+            tol_gg = 8 * math.ulp(max(map(abs, terms_gg)))
+            tol_ge = 8 * math.ulp(max(map(abs, terms_ge)))
+            assert abs(dgg - math.fsum(terms_gg)) <= tol_gg
+            assert abs(dge.real - math.fsum(t.real for t in terms_ge)) <= tol_ge
+            assert abs(dge.imag - math.fsum(t.imag for t in terms_ge)) <= tol_ge
 
     def test_unitary_part_only(self):
         f = q.AdiabaticFrame(1.0, 0.0, 0.0, 0.05j, 0.0, 1.0)
@@ -194,6 +202,32 @@ class TestRhsFull:
         f = q.AdiabaticFrame(0.0, 0.0, 0.0, 0j, 0.0, 1.0)
         with pytest.raises(q.GapCollapse):
             q.rhs_full(q.DensityState(1.0, 0j), f, q.flat(1.0))
+
+
+# the functions that check a gap against GAP_FLOOR, each called at the gap omega01
+GAP_CHECKED = {
+    "rhs_full": lambda w: q.rhs_full(q.DensityState(1.0), zero_w_frame(0.2, 1.0, w), q.flat(1.0)),
+    "rates": lambda w: q.rates(0.0, 1.0, w, q.flat(0.1)),
+    "superadiabatic_elements": lambda w: q.superadiabatic_elements(0.0, 1.0, 0j, w),
+    "rhs_superadiabatic_oracle": lambda w: q.rhs_superadiabatic_oracle(
+        q.DensityState(1.0), zero_w_frame(0.2, 1.0, w), q.flat(1.0)),
+    "to_superadiabatic": lambda w: q.to_superadiabatic(1.0, 0j, zero_w_frame(0.2, 1.0, w)),
+}
+
+
+class TestGapFloor:
+    @pytest.mark.parametrize("omega01, shown", [
+        (math.nan, "nan"), (0.0, "0.000e+00"), (GAP_FLOOR, "1.000e-09")])
+    @pytest.mark.parametrize("name", sorted(GAP_CHECKED))
+    def test_collapsed_or_nan_gap_raises(self, name, omega01, shown):
+        # a NaN gap fails every comparison, so the check must be "not above the floor"
+        message = f"omega01 = {shown} <= gap floor 1e-09"
+        with pytest.raises(q.GapCollapse, match=f"^{re.escape(message)}$"):
+            GAP_CHECKED[name](omega01)
+
+    @pytest.mark.parametrize("name", sorted(GAP_CHECKED))
+    def test_just_above_the_floor_passes(self, name):
+        GAP_CHECKED[name](math.nextafter(GAP_FLOOR, 1.0))
 
 
 # the linear-order superadiabatic density map, dynamics.to_superadiabatic
