@@ -10,8 +10,6 @@ from .bath import (
     flat,
     ohmic_thermal,
     rates,
-    rates_from_spectra,
-    superadiabatic_elements,
     tabulated,
     zero_temperature_ohmic,
 )
@@ -34,6 +32,7 @@ from .dynamics import (
     rhs_nonsteered,
     rhs_secular,
     rhs_superadiabatic_oracle,
+    superadiabatic_elements,
     superadiabatic_oracle_pullback,
     to_superadiabatic,
 )
@@ -48,11 +47,6 @@ from .errors import (
     StepRejectionLimit,
     ValidationError,
 )
-from .gauge import (
-    apply_phase,
-    apply_phase_frame,
-    hs_norm,
-    phase_shifted_frame,
-)
+from .gauge import hs_norm, phase_shifted_frame
 
 __version__ = "0.1.0"

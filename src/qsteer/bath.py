@@ -6,6 +6,8 @@ weight drives decay, negative-frequency weight drives excitation, and a
 thermal bath obeys detailed balance S(-omega) = exp(-omega/T) S(omega)
 (k_B = 1). Rate formulas keep only the real parts of the bath integrals;
 the principal-value (Lamb shift) contributions are dropped throughout.
+:func:`rates` builds every RateSet from a frame's coupling elements, the
+adiabatic ones or those of the superadiabatic basis (``qsteer.dynamics``).
 
 Every model is pure Python, the tabulated one included: it interpolates by
 numpy.interp's own formula on a bisect lookup, so it gives np.interp's floats
@@ -209,24 +211,6 @@ class RateSet(NamedTuple):
     gamma_beta: complex
 
 
-def rates_from_spectra(m1: float, m2: complex, s_plus: float, s_minus: float, s_zero: float) -> RateSet:
-    """Rate set from coupling elements and the three spectrum samples S(+-omega01), S(0)."""
-    mod2 = m2.real * m2.real + m2.imag * m2.imag
-    cross = -m1 * m2
-    m2_sq = m2 * m2
-    # in field order; tuple.__new__ skips the NamedTuple's Python-level __new__
-    return tuple.__new__(RateSet, (
-        mod2 * s_minus,                      # gamma_ge
-        mod2 * s_plus,                       # gamma_eg
-        m2.conjugate() * (2.0 * m1) * s_zero,  # gamma_tilde0
-        cross * s_plus,                      # gamma_tilde_plus
-        cross * s_minus,                     # gamma_tilde_minus
-        2.0 * m1 * m1 * s_zero,              # gamma_phi
-        m2_sq * s_plus / 2.0,                # gamma_alpha
-        m2_sq * s_minus / 2.0,               # gamma_beta
-    ))
-
-
 def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSet:
     """Transition rates for gap omega01 under the traceless coupling convention.
 
@@ -242,27 +226,19 @@ def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSe
     """
     if not omega01 > GAP_FLOOR:
         raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    return rates_from_spectra(m1, complex(m2), *sd.at_gap(omega01))
-
-
-def superadiabatic_elements(m1: float, m2: complex, w_ge: complex, omega01: float):
-    """Coupling elements in the first superadiabatic basis, to linear order in alpha.
-
-    Sandwiching the coupling operator between the corrected states
-    |g2> = |g> - |e> w_ge*/omega01 and |e2> = |e> + |g> w_ge/omega01 and
-    discarding quadratic terms gives
-
-        m1_2 = m1 - 2 Re(m2 conj(w_ge)) / omega01
-        m2_2 = m2 + 2 m1 w_ge / omega01
-
-    already traceless at this order. Identity at w_ge = 0 and exactly linear
-    in w_ge.
-    """
-    if not omega01 > GAP_FLOOR:
-        raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    s_plus, s_minus, s_zero = sd.at_gap(omega01)
     m2 = complex(m2)
-    w_ge = complex(w_ge)
-    m1_2 = m1 - 2.0 * (m2.real * w_ge.real + m2.imag * w_ge.imag) / omega01
-    m2_2 = m2 + 2.0 * m1 * w_ge / omega01
-    return m1_2, m2_2
-
+    mod2 = m2.real * m2.real + m2.imag * m2.imag
+    cross = -m1 * m2
+    m2_sq = m2 * m2
+    # in field order; tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(RateSet, (
+        mod2 * s_minus,                      # gamma_ge
+        mod2 * s_plus,                       # gamma_eg
+        m2.conjugate() * (2.0 * m1) * s_zero,  # gamma_tilde0
+        cross * s_plus,                      # gamma_tilde_plus
+        cross * s_minus,                     # gamma_tilde_minus
+        2.0 * m1 * m1 * s_zero,              # gamma_phi
+        m2_sq * s_plus / 2.0,                # gamma_alpha
+        m2_sq * s_minus / 2.0,               # gamma_beta
+    ))

@@ -112,8 +112,8 @@ class ControlPath:
         its samples here.
         """
         if self._anchors is None:
-            bx, by, bz = self.fields(self.t_start)[0]
-            r = _gap(bx, by, bz)
+            bx, by, bz = b = self.fields(self.t_start)[0]
+            r = _gap(self.t_start, b)
             n = math.sqrt(2 * r * (r + abs(bz)))
             p, mq = (r + abs(bz)) / n, _hypot(bx / n, by / n)
             # the larger component of (g, e) = ((-conj q, p), (p, q)) for b_z >= 0 and
@@ -292,11 +292,12 @@ class AdiabaticFrame(NamedTuple):
 # internals: one branch of the closed form
 # ----------------------------------------------------------------------
 
-def _gap(bx, by, bz):
-    """|b|; raises GapCollapse when it is at or below GAP_FLOOR."""
+def _gap(t, b):
+    """|b| at time t; raises what :func:`_frame_error` gives unless GAP_FLOOR < |b| < inf."""
+    bx, by, bz = b
     r = math.sqrt(bx * bx + by * by + bz * bz)
-    if r <= GAP_FLOOR:
-        raise GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    if not GAP_FLOOR < r < math.inf:
+        raise _frame_error(t, b, r)
     return r
 
 
@@ -306,11 +307,14 @@ def _hypot(x, y):
 
 
 def _frame_error(t, b, r):
-    """The error, naming t, for a frame that :func:`_fields` cannot give at field b, r = |b|.
+    """The error for a frame that cannot be given at time t, field b and r = |b|.
 
-    A NaN field and an overflowing normalisation are not finite; only a finite
+    A gap at or below GAP_FLOOR collapses. Past it the error names t: a NaN
+    field and an overflowing normalisation are not finite; only a finite
     field with a zero anchored component has reached the antipode.
     """
+    if r <= GAP_FLOOR:
+        return GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
     if math.isnan(r):
         return NonFiniteState(f"the field magnitude |b| is nan at t = {t:g}")
     if 2.0 * r * (r + abs(b[2])) == math.inf:  # n overflows, so |q| and p read 0 or nan
@@ -397,7 +401,7 @@ def _cone_law(path, omega) -> Optional[_ConeLaw]:
     v_x, v_y, v_z = A[1].real, -A[1].imag, A[0].real
     upper = b_z >= 0.0
     try:
-        r = _gap(*b)
+        r = _gap(0.0, b)
         cg, ce = path.anchors()
         w_gg, w_ee, wr, wi, _, _, _ = _fields(b, bd, A, r, upper, cg, ce)
         m = [complex(*_fields(b, bd, x, r, upper, cg, ce)[5:])
@@ -443,8 +447,6 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
         bx, by = r_xy * c, r_xy * s
     r = math.sqrt(bx * bx + by * by + bz * bz)  # _gap, inline
     if not GAP_FLOOR < r < math.inf:  # an overflowing |b| gives _fields a NaN p, not a zero one
-        if r <= GAP_FLOOR:
-            raise GapCollapse(f"|b| = {r:.3e} <= gap floor {GAP_FLOOR:.0e}")
         raise _frame_error(t, (bx, by, bz), r)
     if cone is not None:
         m2 = c * m_x + s * m_y + m_z

@@ -9,7 +9,10 @@ because clamping would hide violations of the weak-coupling assumption.
 Four generators are provided: the non-steered nonsecular equation, its
 secular truncation (comparison baseline), the full linear-order equation for
 steered frames, and the superadiabatic-frame oracle used to cross-check the
-full equation to quadratic order in the adiabatic parameter.
+full equation to quadratic order in the adiabatic parameter. The first
+superadiabatic basis lives here alone: its coupling elements
+(:func:`superadiabatic_elements`), its state map (:func:`to_superadiabatic`),
+the oracle and its pullback.
 
 Berry phases are optimal-phase increments over a closed loop:
 :func:`berry_phase` integrates the zero generator with ``track_phases`` and
@@ -25,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .bath import RateSet, SpectralDensity, rates_from_spectra, superadiabatic_elements
+from .bath import RateSet, SpectralDensity, rates
 from .control import frame_at
 from .errors import GAP_FLOOR, GapCollapse, LoopNotClosed, NonFiniteState, StepRejectionLimit
 from .gauge import hs_norm, phase_factor
@@ -139,6 +142,28 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity):
     return dgg, complex(dge_r, dge_i)
 
 
+def superadiabatic_elements(m1: float, m2: complex, w_ge: complex, omega01: float):
+    """Coupling elements in the first superadiabatic basis, to linear order in alpha.
+
+    Sandwiching the coupling operator between the corrected states
+    |g2> = |g> - |e> w_ge*/omega01 and |e2> = |e> + |g> w_ge/omega01 and
+    discarding quadratic terms gives
+
+        m1_2 = m1 - 2 Re(m2 conj(w_ge)) / omega01
+        m2_2 = m2 + 2 m1 w_ge / omega01
+
+    already traceless at this order. Identity at w_ge = 0 and exactly linear
+    in w_ge.
+    """
+    if not omega01 > GAP_FLOOR:
+        raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    m2 = complex(m2)
+    w_ge = complex(w_ge)
+    m1_2 = m1 - 2.0 * (m2.real * w_ge.real + m2.imag * w_ge.imag) / omega01
+    m2_2 = m2 + 2.0 * m1 * w_ge / omega01
+    return m1_2, m2_2
+
+
 def rhs_superadiabatic_oracle(state2: DensityState, frame, sd: SpectralDensity):
     """Non-steered-form generator evaluated with superadiabatic quantities.
 
@@ -148,10 +173,8 @@ def rhs_superadiabatic_oracle(state2: DensityState, frame, sd: SpectralDensity):
     equation, where no spectrum derivatives appear.
     """
     w01 = frame.omega01
-    if not w01 > GAP_FLOOR:
-        raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
     m1_2, m2_2 = superadiabatic_elements(frame.m1, frame.m2, frame.w_ge, w01)
-    r2 = rates_from_spectra(m1_2, m2_2, *sd.at_gap(w01))
+    r2 = rates(m1_2, m2_2, w01, sd)
     omega01_2 = w01 + (frame.w_ee - frame.w_gg)
     return rhs_nonsteered(state2, r2, omega01_2)
 

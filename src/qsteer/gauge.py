@@ -8,8 +8,10 @@ accumulates it along a run (``integrate(track_phases=True)``). Over a closed
 control loop its increments are the Berry phases of the branches
 (``dynamics.berry_phase``).
 
-Everything here is pure Python: the norm and the phase rotations an
-integration applies.
+Everything here is pure Python: the norm, the phase factor, and
+:func:`phase_shifted_frame`, the one rotation of a frame into a shifted
+basis. Its phase velocities are explicit: the optimal rates are
+(-w_gg, -w_ee).
 """
 
 from __future__ import annotations
@@ -34,30 +36,15 @@ def phase_factor(lam_g: float, lam_e: float) -> complex:
     return complex(math.cos(lam_e - lam_g), math.sin(lam_e - lam_g))
 
 
-def apply_phase(w_gg, w_ee, w_ge, lam_g, lam_e, dlam_g, dlam_e):
-    """w elements after the basis phase shift (lambda_g, lambda_e).
+def phase_shifted_frame(frame, lam_g: float, lam_e: float, dlam_g: float, dlam_e: float):
+    """Adiabatic frame re-expressed in the basis shifted by the phases (lambda_g, lambda_e).
 
-    Diagonals pick up the phase velocities; the off-diagonal is rotated by
-    the phase difference; Hermiticity is preserved.
+    The w diagonals pick up the phase velocities (dlam_g, dlam_e); w_ge and
+    m2 turn by :func:`phase_factor`; m1 and omega01 are invariant, so |w_ge|
+    and |m2| are too, and alpha follows from the new w. The optimal phase
+    has dlam = (-w_gg, -w_ee): the diagonals vanish and alpha drops to
+    sqrt(2) |w_ge| / omega01.
     """
-    return w_gg + dlam_g, w_ee + dlam_e, w_ge * phase_factor(lam_g, lam_e)
-
-
-def apply_phase_frame(frame, lam_g, lam_e, dlam_g, dlam_e):
-    """Adiabatic frame re-expressed in the phase-shifted basis.
-
-    m1 and omega01 are invariant; m2 rotates with w_ge (see
-    :func:`apply_phase`), and the frame's alpha follows from its new w.
-    """
-    w_gg, w_ee, w_ge = apply_phase(frame.w_gg, frame.w_ee, frame.w_ge,
-                                   lam_g, lam_e, dlam_g, dlam_e)
-    return frame._replace(w_gg=w_gg, w_ee=w_ee, w_ge=w_ge, m2=frame.m2 * phase_factor(lam_g, lam_e))
-
-
-def phase_shifted_frame(frame, lam_g: float, lam_e: float):
-    """Frame in the optimally phase-shifted basis, at the phases accumulated so far.
-
-    The w diagonals vanish, |w_ge| and |m2| are unchanged, and alpha drops
-    to sqrt(2) |w_ge| / omega01.
-    """
-    return apply_phase_frame(frame, lam_g, lam_e, -frame.w_gg, -frame.w_ee)
+    turn = phase_factor(lam_g, lam_e)
+    return frame._replace(w_gg=frame.w_gg + dlam_g, w_ee=frame.w_ee + dlam_e,
+                          w_ge=frame.w_ge * turn, m2=frame.m2 * turn)

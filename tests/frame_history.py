@@ -64,15 +64,14 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
     w_gg, w_ee, alpha = [], [], []
     for t in times:
         b, b_dot = fields_at(t)
-        r = _gap(*b)
+        r = _gap(t, b)
         try:
             f = _fields(b, b_dot, A, r, b[2] >= 0.0, cg, ce)
         except ZeroDivisionError:  # as in frame_at
             raise _frame_error(t, b, r) from None
         a = hs_norm(f[0], f[1], complex(f[2], f[3])) / r
-        if not a < math.inf:  # NaN where |b| overflowed, as frame_at reports
-            raise (NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
-                   if r < math.inf else _frame_error(t, b, r))
+        if not a < math.inf:  # _gap passed, so |b| is finite: as integrate reports
+            raise NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
         w_gg.append(f[0])
         w_ee.append(f[1])
         alpha.append(a)

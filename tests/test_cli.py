@@ -50,6 +50,23 @@ SAMPLED_WITHOUT_DURATION = MINIMAL_CONE.replace(
 )
 
 
+# Names the benchmark reads: perfbench/reference.py calls the qsteer ones, and
+# perfbench/tracing.py patches the ones bound in qsteer.cli (a missing one is
+# silently traced as absent, so its layer metrics would read 0).
+BENCHMARK_API = ("rates", "rhs_full", "rhs_secular", "rhs_nonsteered", "frame_at", "DensityState",
+                 "rotating_cone", "linear_sweep", "ohmic_thermal", "zero_temperature_ohmic")
+BENCHMARK_CLI = ("frame_at", "rates", "integrate", "rhs_full", "rhs_secular", "rhs_nonsteered",
+                 "berry_phase", "phase_shifted_frame", "load_scenario", "run")
+
+
+@pytest.mark.parametrize("module, name", [
+    *(pytest.param(q, name, id=f"qsteer.{name}") for name in BENCHMARK_API),
+    *(pytest.param(cli, name, id=f"qsteer.cli.{name}") for name in BENCHMARK_CLI),
+])
+def test_benchmark_reads_this_name(module, name):
+    assert callable(getattr(module, name, None))
+
+
 class TestLoadScenario:
     def test_minimal_cone_defaults(self):
         sc = load_scenario(MINIMAL_CONE)

@@ -244,12 +244,11 @@ class TestComputeW:
 
         w_plain = numdiff_w(lambda t: cone_states(theta, omega, t), t0)
         w_shift = numdiff_w(gauged, t0)
-        expected = q.apply_phase(
-            *w_plain, lam_g(t0), lam_e(t0), dlam_g(t0), dlam_e(t0)
-        )
-        assert w_shift[0] == pytest.approx(expected[0], abs=1e-8)
-        assert w_shift[1] == pytest.approx(expected[1], abs=1e-8)
-        assert abs(w_shift[2] - expected[2]) < 1e-8
+        plain = q.AdiabaticFrame(1.0, *w_plain, 0.0, 0j)
+        expected = q.phase_shifted_frame(plain, lam_g(t0), lam_e(t0), dlam_g(t0), dlam_e(t0))
+        assert w_shift[0] == pytest.approx(expected.w_gg, abs=1e-8)
+        assert w_shift[1] == pytest.approx(expected.w_ee, abs=1e-8)
+        assert abs(w_shift[2] - expected.w_ge) < 1e-8
         # |w_ge| is gauge invariant
         assert abs(w_shift[2]) == pytest.approx(abs(w_plain[2]), abs=1e-8)
 
@@ -404,6 +403,19 @@ class TestLocalAlpha:
         with pytest.raises(q.NonFiniteState, match=message):
             sample_history(path, t, t + 1.0, 3)
 
+    @pytest.mark.parametrize("start, message", [
+        ((math.nan, 0.0, 1.0), "the field magnitude |b| is nan at t = 0"),
+        ((0.0, 0.0, 1e200), "the field magnitude |b| = 1e+200 overflows the frame normalisation at t = 0"),
+    ], ids=["nan", "overflow"])
+    def test_start_field_without_a_frame_gives_no_anchors(self, start, message):
+        # the anchors are fixed at the start, so there the field fails as frame_at fails,
+        # and no later frame is built in a gauge read off NaN comparisons
+        path = q.ControlPath(fields=lambda t: (start if t == 0 else (0.3, 0.0, 1.0), (0.0, 0.0, 0.0)),
+                             coupling_A=SX, duration=2.0)
+        for get in (path.anchors, lambda: q.frame_at(path, 1.0), lambda: q.frame_at(path, 0.0)):
+            with pytest.raises(q.NonFiniteState, match=f"^{re.escape(message)}$"):
+                get()
+
     def test_field_below_the_overflow_has_a_frame(self):
         path = q.rotating_cone(5e153, 1.0, 0.05, SX)
         assert q.frame_at(path, 0.0).omega01 == pytest.approx(5e153, rel=1e-15)
@@ -453,7 +465,7 @@ class TestFrameAt:
                     continue
                 f = q.frame_at(path, t)
                 b, bd = path.fields(t)
-                r = _gap(*b)
+                r = _gap(t, b)
                 w_gg, w_ee, wr, wi, m1, m2_r, m2_i = _fields(
                     b, bd, path._A_traceless, r, b[2] >= 0.0, *path.anchors())
                 ref = q.AdiabaticFrame(omega01=r, w_gg=w_gg, w_ee=w_ee, w_ge=complex(wr, wi),
@@ -469,7 +481,7 @@ class TestFrameAt:
         with pytest.raises(q.GapCollapse) as got:
             q.frame_at(path, 5.0)
         with pytest.raises(q.GapCollapse) as want:
-            _gap(*path.fields(5.0)[0])
+            _gap(5.0, path.fields(5.0)[0])
         assert str(got.value) == str(want.value) == "|b| = 1.000e-10 <= gap floor 1e-09"
 
     @staticmethod

@@ -55,7 +55,7 @@ class TestDensityState:
 
 class TestRhsNonsteered:
     def test_pure_precession(self):
-        r = q.rates_from_spectra(0.0, 0.0, 0.0, 0.0, 0.0)
+        r = q.rates(0.0, 0.0, 1.0, q.flat(0.0))
         dgg, dge = q.rhs_nonsteered(q.DensityState(0.5, 1.0), r, 2.0)
         assert dgg == 0.0
         assert dge == 2.0j
@@ -315,7 +315,7 @@ class TestSuperadiabaticOracle:
 
 class TestIntegrate:
     def test_full_revolution_returns(self):
-        r = q.rates_from_spectra(0.0, 0.0, 0.0, 0.0, 0.0)
+        r = q.rates(0.0, 0.0, 1.0, q.flat(0.0))
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0, record_stride=1000)
         traj = integrate(
             lambda t, s, f: q.rhs_nonsteered(s, r, 2 * math.pi),

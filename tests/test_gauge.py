@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qsteer as q
+from qsteer.gauge import phase_factor
 
 from conftest import SX, cone_field
 from frame_history import (
@@ -16,19 +17,24 @@ from frame_history import (
 )
 
 
+def w_frame(w_gg, w_ee, w_ge):
+    """A unit-gap frame with the given w and no coupling."""
+    return q.AdiabaticFrame(omega01=1.0, w_gg=w_gg, w_ee=w_ee, w_ge=w_ge, m1=0.0, m2=0j)
+
+
 class TestApplyPhase:
     def test_identity(self):
-        w = (0.02, -0.01, 0.03 + 0.01j)
-        assert q.apply_phase(*w, 0.0, 0.0, 0.0, 0.0) == w
+        f = w_frame(0.02, -0.01, 0.03 + 0.01j)
+        assert q.phase_shifted_frame(f, 0.0, 0.0, 0.0, 0.0) == f
 
     def test_optimal_choice_kills_diagonals(self):
-        w_gg, w_ee, _ = q.apply_phase(0.02, -0.01, 0.03j, 0.1, 0.2, -0.02, 0.01)
-        assert w_gg == 0.0
-        assert w_ee == 0.0
+        f = q.phase_shifted_frame(w_frame(0.02, -0.01, 0.03j), 0.1, 0.2, -0.02, 0.01)
+        assert f.w_gg == 0.0
+        assert f.w_ee == 0.0
 
     def test_pi_phase_difference_flips_offdiagonal(self):
-        _, _, w_ge = q.apply_phase(0.0, 0.0, 0.05, 0.0, math.pi, 0.0, 0.0)
-        assert w_ge == pytest.approx(-0.05, abs=1e-15)
+        f = q.phase_shifted_frame(w_frame(0.0, 0.0, 0.05), 0.0, math.pi, 0.0, 0.0)
+        assert f.w_ge == pytest.approx(-0.05, abs=1e-15)
 
 
 class TestHsNorm:
@@ -85,11 +91,12 @@ class TestOptimalSchedule:
 
     def test_minimality_against_random_schedules(self, cone_path, rng):
         ts = np.linspace(0.0, cone_path.duration, 301)
-        w = [(f.w_gg, f.w_ee, f.w_ge) for f in (q.frame_at(cone_path, float(t)) for t in ts)]
+        frames = [q.frame_at(cone_path, float(t)) for t in ts]
+        hs_w = lambda f: q.hs_norm(f.w_gg, f.w_ee, f.w_ge)
         hs_opt = np.array(
             [
-                q.hs_norm(*q.apply_phase(*wk, 0.0, 0.0, -wk[0], -wk[1]))
-                for wk in w
+                hs_w(q.phase_shifted_frame(f, 0.0, 0.0, -f.w_gg, -f.w_ee))
+                for f in frames
             ]
         )
         for _ in range(25):
@@ -98,12 +105,12 @@ class TestOptimalSchedule:
             dmu = lambda t: c[0] + 2 * c[1] * t + c[2] * c[3] * np.cos(c[3] * t)
             hs_mu = np.array(
                 [
-                    q.hs_norm(*q.apply_phase(*wk, mu(t), 0.3 * mu(t), dmu(t), 0.3 * dmu(t)))
-                    for wk, t in zip(w, ts)
+                    hs_w(q.phase_shifted_frame(f, mu(t), 0.3 * mu(t), dmu(t), 0.3 * dmu(t)))
+                    for f, t in zip(frames, ts)
                 ]
             )
             assert np.all(hs_mu >= hs_opt - 1e-15)
-            mismatch = np.abs([dmu(t) + wk[0] for wk, t in zip(w, ts)])
+            mismatch = np.abs([dmu(t) + f.w_gg for f, t in zip(frames, ts)])
             strict = mismatch > 1e-7
             assert np.all(hs_mu[strict] > hs_opt[strict])
 
@@ -112,7 +119,7 @@ class TestOptimalSchedule:
         for f in (q.frame_at(cone_path, float(t)) for t in ts[:: 20]):
             lam = rng.uniform(-3, 3, 2)
             dlam = rng.uniform(-1, 1, 2)
-            _, _, w_ge = q.apply_phase(f.w_gg, f.w_ee, f.w_ge, *lam, *dlam)
+            w_ge = q.phase_shifted_frame(f, *lam, *dlam).w_ge
             assert abs(w_ge) == pytest.approx(abs(f.w_ge), rel=1e-15)
 
     def test_grid_validation(self, cone_path):
@@ -385,7 +392,7 @@ class TestBerryPhase:
 class TestPhaseShiftedFrame:
     def test_zero_diagonals_and_invariants(self, cone_path):
         f = q.frame_at(cone_path, 31.0)
-        pf = q.phase_shifted_frame(f, -31.0 * f.w_gg, -31.0 * f.w_ee)
+        pf = q.phase_shifted_frame(f, -31.0 * f.w_gg, -31.0 * f.w_ee, -f.w_gg, -f.w_ee)
         assert pf.w_gg == 0.0 and pf.w_ee == 0.0
         assert abs(pf.w_ge) == pytest.approx(abs(f.w_ge), rel=1e-15)
         assert abs(pf.m2) == pytest.approx(abs(f.m2), rel=1e-15)
@@ -400,18 +407,40 @@ class TestPhaseShiftedFrame:
             coupling_A=SX, duration=10.0,
         )
         f = q.frame_at(path, 4.0)
-        pf = q.phase_shifted_frame(f, 0.3, 0.9)
+        pf = q.phase_shifted_frame(f, 0.3, 0.9, -f.w_gg, -f.w_ee)
         rot = cmath.exp(1j * 0.6)
         assert abs(pf.m2 - f.m2 * rot) < 1e-12
         assert abs(pf.w_ge - f.w_ge * rot) < 1e-12
 
     def test_apply_phase_frame_consistency(self, cone_path):
         f = q.frame_at(cone_path, 5.0)
-        g = q.apply_phase_frame(f, 0.2, -0.1, -f.w_gg, -f.w_ee)
+        g = q.phase_shifted_frame(f, 0.2, -0.1, -f.w_gg, -f.w_ee)
         assert g.w_gg == 0.0 and g.w_ee == 0.0
         assert abs(g.w_ge) == pytest.approx(abs(f.w_ge), rel=1e-15)
         assert g.alpha == pytest.approx(math.sqrt(2) * abs(f.w_ge) / f.omega01, rel=1e-12)
         assert type(g) is q.AdiabaticFrame
+
+    @pytest.mark.parametrize("path", [
+        q.rotating_cone(1.0, math.pi / 3, 0.1, SX),
+        q.linear_sweep(0.05, 0.5, 40.0, SX),
+    ], ids=["cone", "sweep"])
+    def test_tracked_run_reports_the_phase_shifted_frame(self, path):
+        # the stepper rotates each record point inline; it must report the frame
+        # phase_shifted_frame gives at the accumulated phases and the optimal rates
+        sd = q.flat(0.1)
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=path.duration, record_stride=5)
+        run = lambda track: q.integrate(
+            lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+            frame_provider=lambda t: q.frame_at(path, t), track_phases=track,
+        ).samples
+        plain, tracked = run(False), run(True)
+        assert len(plain) == len(tracked) > 2
+        for a, b in zip(plain, tracked):
+            assert b.t == a.t and b.state.rho_gg == a.state.rho_gg
+            assert b.state.rho_ge == a.state.rho_ge * phase_factor(b.lambda_g, b.lambda_e)
+            f = q.frame_at(path, b.t)
+            pf = q.phase_shifted_frame(f, b.lambda_g, b.lambda_e, -f.w_gg, -f.w_ee)
+            assert b.alpha == pytest.approx(pf.alpha, rel=1e-15, abs=0.0)
 
     def test_observables_match_unshifted_run_flat_spectrum(self, cone_path):
         # same physics in two gauges: rho_gg(t) and |rho_ge(t)| must agree.
@@ -423,7 +452,7 @@ class TestPhaseShiftedFrame:
 
         def shifted_frame(t):
             f = q.frame_at(cone_path, t)
-            return q.phase_shifted_frame(f, -f.w_gg * t, -f.w_ee * t)
+            return q.phase_shifted_frame(f, -f.w_gg * t, -f.w_ee * t, -f.w_gg, -f.w_ee)
 
         plain = q.integrate(
             rhs, q.DensityState(1.0, 0j), cfg,
