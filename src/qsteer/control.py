@@ -45,6 +45,18 @@ t = 0, a fixed combination cos phi M_x + sin phi M_y + M_z of three t = 0
 elements. omega01 = |b| and m1 = -(a.b)/r are computed per frame as the
 closed form computes them, and so is the gap check.
 
+A Landau-Zener sweep needs no eigen-algebra per frame either. Its field
+b = (Delta, 0, b_z) stays in the xz plane, so its frame at t is the one at
+``t_start`` turned about y by delta = theta(t) - theta(t_start), where
+cos theta = b_z/r and sin theta = Delta/r. The eigenvectors stay real, so
+there is no anchoring phase. The w diagonals are zero, with the closed
+form's zero signs; w_ge = W v Delta / r^2 for the slope v and a constant W;
+and m2 is <g|(R_y(-delta) a).sigma|e> at ``t_start``, a fixed combination
+a'_x M_x + a_y M_y + a'_z M_z of three elements there. omega01 and m1 are
+computed per frame as the closed form computes them. A frame whose |b| comes
+near the float range, or whose Delta/|b| comes near underflow, is the closed
+form's, and so is every error.
+
 Pure Python
 -----------
 :class:`ControlPath`, the analytic paths and :func:`frame_at` are pure
@@ -77,9 +89,11 @@ class ControlPath:
     ``t_start`` is where the path begins: the first sample time of a sampled
     path, 0 for the analytic ones.
 
-    ``_cone`` holds the frame law of a path built by :func:`rotating_cone`;
-    like ``_anchors`` it is not an init argument, so ``dataclasses.replace``
-    and a hand-built path get the general closed form.
+    ``_law`` holds the frame law of a path built by :func:`rotating_cone`
+    or :func:`linear_sweep`: a function of t alone, built once per path,
+    that :func:`frame_at` calls instead of the general closed form. Like
+    ``_anchors`` it is not an init argument, so ``dataclasses.replace``
+    copies, hand-built paths and sampled paths get the general closed form.
     """
 
     fields: Callable[[float], tuple[Vec3, Vec3]]
@@ -90,7 +104,7 @@ class ControlPath:
     _A_traceless: Optional[tuple[complex, complex, complex]] = field(
         default=None, init=False, repr=False
     )
-    _cone: Optional[_ConeLaw] = field(default=None, init=False, repr=False)
+    _law: Optional[Callable[[float], AdiabaticFrame]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         A = _coupling_matrix(self.coupling_A)
@@ -191,14 +205,19 @@ def rotating_cone(
         return (r_xy * c, r_xy * s, b_z), (v_x * s, v_y * c, 0.0)
 
     path = ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
-    path._cone = _cone_law(path, omega)
+    path._law = _cone_law(path, omega)
     return path
 
 
 def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> ControlPath:
     """Landau-Zener style sweep: b = (gap, 0, slope * (t - duration/2)).
 
-    The avoided crossing of width ``gap`` sits at mid-path.
+    The avoided crossing of width ``gap`` sits at mid-path. The path carries
+    the sweep's frame law (see the module notes), built from the closed form
+    at t = 0; where that fails there, or a slope of magnitude below 2^-60
+    could make its steering product underflow, the path keeps the general
+    closed form. Frames outside the law's safe range are the closed form's,
+    so every frame raises what the closed form raises.
     """
     if not 0 < gap < math.inf:
         raise ValueError("gap must be positive and finite")
@@ -208,7 +227,9 @@ def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> Contr
     def fields(t: float) -> tuple[Vec3, Vec3]:
         return (gap, 0.0, slope * (t - duration / 2)), (0.0, 0.0, slope)
 
-    return ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
+    path = ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
+    path._law = _sweep_law(path, slope, gap, duration / 2)
+    return path
 
 
 def sampled_path(times, b_values, coupling_A) -> ControlPath:
@@ -243,28 +264,6 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         return (float(bx), float(by), float(bz)), (float(dx), float(dy), float(dz))
 
     return ControlPath(fields=fields, coupling_A=coupling_A, duration=t_last - t0, t_start=t0)
-
-
-class _ConeLaw(NamedTuple):
-    """A cone's frame as a function of phi = omega t (see the module notes).
-
-    The field at t is (r_xy cos phi, r_xy sin phi, b_z); (v_x, v_y, v_z) is
-    the traceless coupling a, for m1.
-    """
-
-    omega: float
-    r_xy: float
-    b_z: float
-    k: int
-    w_gg: float
-    w_ee: float
-    w_ge: complex
-    m_x: complex
-    m_y: complex
-    m_z: complex
-    v_x: float
-    v_y: float
-    v_z: float
 
 
 class AdiabaticFrame(NamedTuple):
@@ -385,7 +384,7 @@ def _fields(b, bd, A, r, upper, cg, ce):
     return w_gg, w_ee, wr, wi, m1, m2_r, m2_i
 
 
-def _cone_law(path, omega) -> Optional[_ConeLaw]:
+def _cone_law(path, omega) -> Optional[Callable[[float], AdiabaticFrame]]:
     """The frame law of a cone path at rate omega, whose field at t = 0 is (r_xy, 0, b_z).
 
     w_gg, w_ee and w_ge(0) are :func:`_fields` at t = 0; M_x, M_y and M_z
@@ -404,17 +403,97 @@ def _cone_law(path, omega) -> Optional[_ConeLaw]:
         r = _gap(0.0, b)
         cg, ce = path.anchors()
         w_gg, w_ee, wr, wi, _, _, _ = _fields(b, bd, A, r, upper, cg, ce)
-        m = [complex(*_fields(b, bd, x, r, upper, cg, ce)[5:])
-             for x in ((0.0, complex(v_x, -v_y)), (0.0, complex(v_y, v_x)), (v_z, 0j))]
+        m_x, m_y, m_z = [complex(*_fields(b, bd, x, r, upper, cg, ce)[5:])
+                         for x in ((0.0, complex(v_x, -v_y)), (0.0, complex(v_y, v_x)), (v_z, 0j))]
     except (ZeroDivisionError, QSteerError):
         return None
     values = (2.0 * r * (r + abs(b_z)), w_gg, w_ee, wr, wi) + tuple(
-        x for z in m for x in (z.real, z.imag))
+        x for z in (m_x, m_y, m_z) for x in (z.real, z.imag))
     if not all(math.isfinite(2.0 * x) for x in values):
         return None
     n_q = ((cg == 1) != upper) + ((ce == 0) != upper)
     k = (1 - n_q) if upper else (n_q - 1)
-    return _ConeLaw(omega, r_xy, b_z, k, w_gg, w_ee, complex(wr, wi), *m, v_x, v_y, v_z)
+    w_ge0 = complex(wr, wi)
+    cos, sin, sqrt, inf, new = math.cos, math.sin, math.sqrt, math.inf, tuple.__new__
+
+    def law(t: float) -> AdiabaticFrame:
+        c, s = cos(omega * t), sin(omega * t)  # the cone's fields(t), inline
+        bx, by = r_xy * c, r_xy * s
+        r = sqrt(bx * bx + by * by + b_z * b_z)  # _gap, inline
+        if not GAP_FLOOR < r < inf:
+            raise _frame_error(t, (bx, by, b_z), r)
+        m2, w_ge = c * m_x + s * m_y + m_z, w_ge0
+        if k:  # the anchoring phase e^{ik phi}, k = +-1
+            turn = complex(c, k * s)
+            m2 *= turn
+            w_ge *= turn
+        m1 = -(v_x * bx + v_y * by + v_z * b_z) / r
+        return new(AdiabaticFrame, (r, w_gg, w_ee, w_ge, m1, m2))
+
+    return law
+
+
+# A sweep frame is its law's only while Delta/|b| > 2^-1000 and |b| < 2^500:
+# there the closed form's |q| is a normal float and its normalisation is far
+# from overflow. Below 2^-60 in magnitude, a slope's steering product can
+# underflow to a zero of the other sign, so such a sweep keeps the closed form.
+_SWEEP_TILT_MIN = 2.0**-1000
+_SWEEP_FIELD_MAX = 2.0**500
+_SWEEP_SLOPE_MIN = 2.0**-60
+
+
+def _sweep_law(path, slope, gap, half) -> Optional[Callable[[float], AdiabaticFrame]]:
+    """The frame law of a sweep path with field (gap, 0, slope (t - half)).
+
+    The w diagonals are :func:`_fields`' at ``t_start`` on its branch and
+    their negatives on the other, as the closed form's zero signs are;
+    M_x, M_y and M_z are its m2 there for the couplings x, y and z, and W
+    is +-i/2, the sign read off M_z = -f sin theta(t_start). None where the
+    kernel fails at ``t_start``, the start lies outside the safe range, the
+    slope is below the floor, or a constant is not finite.
+    """
+    if 0.0 < abs(slope) < _SWEEP_SLOPE_MIN:
+        return None
+    t0 = path.t_start
+    b, bd = path.fields(t0)
+    b_z = b[2]
+    A = path._A_traceless
+    v_x, v_y, v_z = A[1].real, -A[1].imag, A[0].real
+    upper = b_z >= 0.0
+    r_hi = min(_SWEEP_FIELD_MAX, gap / _SWEEP_TILT_MIN)  # Delta/|b| > 2^-1000 below it
+    try:
+        r0 = _gap(t0, b)
+        cg, ce = path.anchors()
+        w_gg, w_ee = _fields(b, bd, A, r0, upper, cg, ce)[:2]
+        m_x, m_y, m_z = [complex(*_fields(b, bd, x, r0, upper, cg, ce)[5:])
+                         for x in ((0.0, 1 + 0j), (0.0, -1j), (1.0, 0j))]
+    except (ZeroDivisionError, QSteerError):
+        return None
+    if not r0 < r_hi:
+        return None
+    c0, s0 = b_z / r0, gap / r0
+    # m2 = a'_x M_x + a_y M_y + a'_z M_z with a' = R_y(-delta) a, grouped by cos and sin delta
+    k_c, k_s, k_0 = v_x * m_x + v_z * m_z, v_x * m_z - v_z * m_x, v_y * m_y
+    w_v = complex(0.0, math.copysign(0.5, -m_z.real)) * slope
+    if not all(math.isfinite(2.0 * x) for z in (k_c, k_s, k_0, w_v) for x in (z.real, z.imag)):
+        return None
+    here, there = (w_gg, w_ee), (-w_gg, -w_ee)
+    up, down = (here, there) if upper else (there, here)
+    gg, xg = gap * gap + 0.0 * 0.0, v_x * gap + v_y * 0.0  # the closed form's leading sums
+    sqrt, new = math.sqrt, tuple.__new__
+
+    def law(t: float) -> AdiabaticFrame:
+        bz = slope * (t - half)  # the sweep's fields(t), inline
+        r = sqrt(gg + bz * bz)
+        if not GAP_FLOOR < r < r_hi:
+            return _closed_form(path, t)
+        c, s = bz / r, gap / r
+        cd, sd = c * c0 + s * s0, s * c0 - c * s0  # cos and sin of delta
+        w_gg, w_ee = up if bz >= 0.0 else down
+        m1 = -(xg + v_z * bz) / r
+        return new(AdiabaticFrame, (r, w_gg, w_ee, w_v * s / r, m1, cd * k_c + sd * k_s + k_0))
+
+    return law
 
 
 # ----------------------------------------------------------------------
@@ -429,33 +508,29 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     out for the raw eigenpair, then multiplied by the anchoring factor
     conj(f_e) f_g, where f is the unit phase of each anchored component.
     w_ge = -i <g|dH/dt|e> / omega01; the w diagonals keep the anchored
-    components on the real axis. A rotating cone takes its frame law instead,
-    with the same omega01, m1 and gap check. Raises GapCollapse at
-    |b| <= GAP_FLOOR, GaugeUndefined, naming t, where an anchored component
-    is 0, and NonFiniteState, naming t, where |b| is NaN or the normalisation
+    components on the real axis. A rotating cone or a linear sweep takes its
+    frame law instead, with the same omega01 and m1; the cone law makes the
+    same gap check, and the sweep law hands each frame outside its safe range
+    to the closed form. Raises GapCollapse at |b| <= GAP_FLOOR,
+    GaugeUndefined, naming t, where an anchored component is 0, and
+    NonFiniteState, naming t, where |b| is NaN or the normalisation
     n = sqrt(2 r (r + |b_z|)) of a huge field overflows. Its alpha may read
     inf; integrate reports that.
     """
-    cone = path._cone
-    if cone is None:
-        cg, ce = path._anchors or path.anchors()
-        b, bd = path.fields(t)
-        bx, by, bz = b
-    else:
-        omega, r_xy, bz, k, w_gg, w_ee, w_ge, m_x, m_y, m_z, vx, vy, vz = cone
-        c, s = math.cos(omega * t), math.sin(omega * t)  # the cone's fields(t), inline
-        bx, by = r_xy * c, r_xy * s
+    law = path._law
+    if law is not None:
+        return law(t)
+    return _closed_form(path, t)
+
+
+def _closed_form(path: ControlPath, t: float) -> AdiabaticFrame:
+    """The general closed form of :func:`frame_at`, on the path's fields at t."""
+    cg, ce = path._anchors or path.anchors()
+    b, bd = path.fields(t)
+    bx, by, bz = b
     r = math.sqrt(bx * bx + by * by + bz * bz)  # _gap, inline
     if not GAP_FLOOR < r < math.inf:  # an overflowing |b| gives _fields a NaN p, not a zero one
-        raise _frame_error(t, (bx, by, bz), r)
-    if cone is not None:
-        m2 = c * m_x + s * m_y + m_z
-        if k:  # the anchoring phase e^{ik phi}, k = +-1
-            turn = complex(c, k * s)
-            m2 *= turn
-            w_ge *= turn
-        m1 = -(vx * bx + vy * by + vz * bz) / r
-        return tuple.__new__(AdiabaticFrame, (r, w_gg, w_ee, w_ge, m1, m2))
+        raise _frame_error(t, b, r)
     try:
         w_gg, w_ee, wr, wi, m1, m2_r, m2_i = _fields(b, bd, path._A_traceless, r, bz >= 0.0, cg, ce)
     except ZeroDivisionError:  # only a zero |q| divides by zero

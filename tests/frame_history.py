@@ -49,9 +49,9 @@ def sample_history(path: ControlPath, t0: float, t1: float, num: int) -> FrameHi
     The grid is ``np.linspace(t0, t1, num)``'s, built by the same float
     operations. Each sample runs the kernel of ``frame_at``, so each entry
     equals that field of ``frame_at(path, t)`` bit for bit on a path that
-    takes the general closed form; a rotating cone's frame law agrees to
-    rounding. Raises the errors of ``frame_at``, or NonFiniteState where
-    alpha overflows, at the first sample that fails.
+    takes the general closed form; the frame law of a rotating cone or a
+    linear sweep agrees to rounding. Raises the errors of ``frame_at``, or
+    NonFiniteState where alpha overflows, at the first sample that fails.
     """
     if num < 3:
         raise ValueError("history needs at least 3 samples")

@@ -23,7 +23,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 # the scenario hash of each shipped config; it names every run directory
 SHIPPED_HASHES = {"berry_sweep": "37d5fd5291c7", "cone_thermal_compare": "48c39e9157ff",
-                  "cone_zero_temperature": "1531f4d79ced", "period_sweep": "f2ad1e11927a"}
+                  "cone_zero_temperature": "1531f4d79ced", "landau_zener": "eb163c236fc8",
+                  "period_sweep": "f2ad1e11927a"}
 
 MINIMAL_CONE = """
 path:
@@ -177,6 +178,12 @@ solver:
         with pytest.raises(q.ValidationError) as exc:
             load_scenario(MINIMAL_CONE + 'initial:\n  rho_ge: ["0", "0"]\n')
         assert exc.value.problems == ["initial.rho_ge: expected a finite number or [re, im] pair"]
+
+    def test_invalid_cone_value_is_the_only_problem(self):
+        # a cone's window defaults to one drive period, so no solver.t1_time is asked for
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(MINIMAL_CONE.replace("field_energy: 1.0", "field_energy: -1.0"))
+        assert exc.value.problems == ["path.field_energy: must be positive"]
 
     @pytest.mark.parametrize("run_section", [
         "run:\n  mode: sweep\n  sweep_periods_time: [20, 40]\n",

@@ -458,7 +458,7 @@ class TestFrameAt:
 
         antipode = antipode_path()
         cones = [q.rotating_cone(1.3, 2.1, -0.4, A), q.rotating_cone(2, 1, 1, A)]
-        paths = [*map(kernel_path, cones), q.linear_sweep(0.2, 0.5, 30.0, A), antipode]
+        paths = [*map(kernel_path, cones), kernel_path(q.linear_sweep(0.2, 0.5, 30.0, A)), antipode]
         for path in paths:
             for t in (0.0, 0.37, 1.0 - 2.0**-20, 7.5):
                 if path is antipode and t > 1.0:
@@ -639,7 +639,7 @@ class TestConeLaw:
         for theta in CONE_THETAS:
             for omega in (0.1, -0.37):
                 cone = q.rotating_cone(1.3, theta, omega, A)
-                assert cone._cone is not None
+                assert cone._law is not None
                 paths = [(cone, kernel_path(cone))]
                 # the start gives four (branch, anchor pair) combinations; presetting the
                 # anchors gives the pairs with both anchors on q, which no start gives
@@ -648,7 +648,7 @@ class TestConeLaw:
                 if abs(math.sin(theta)) > 0.5:
                     forced = q.rotating_cone(1.3, theta, omega, A)
                     forced._anchors = (0, 1) if upper else (1, 0)
-                    forced._cone = _cone_law(forced, omega)
+                    forced._law = _cone_law(forced, omega)
                     bare = kernel_path(forced)
                     bare._anchors = forced._anchors
                     paths.append((forced, bare))
@@ -671,7 +671,7 @@ class TestConeLaw:
     ])
     def test_errors_are_the_kernels(self, Omega, theta, ts, has_law):
         cone = q.rotating_cone(Omega, theta, 0.1, SX)
-        assert (cone._cone is not None) == has_law
+        assert (cone._law is not None) == has_law
         kernel = kernel_path(cone)
         raised = 0
         for t in ts:
@@ -689,11 +689,121 @@ class TestConeLaw:
         cone = q.rotating_cone(1.3, 2.1, -0.4, SX)
         B = [[0.2, complex(0.5, -0.7)], [complex(0.5, 0.7), -0.4]]
         other = dataclasses.replace(cone, coupling_A=B)
-        assert cone._cone is not None and other._cone is None
+        assert cone._law is not None and other._law is None
         for t in (0.0, 0.37, 7.5):
             f, ref = q.frame_at(other, t), q.frame_at(kernel_path(other), t)
             assert field_bits(f) == field_bits(ref)
             assert f.m2 != q.frame_at(cone, t).m2
+
+
+def assert_law_frame(got, want, where):
+    """omega01, w_gg, w_ee and m1 bit for bit, signed zeros included; w_ge, m2 and alpha
+    within 1e-15 max(1, |x|)."""
+    assert type(got) is q.AdiabaticFrame, where
+    assert field_bits((got.omega01, got.w_gg, got.w_ee, got.m1)) == field_bits(
+        (want.omega01, want.w_gg, want.w_ee, want.m1)), where
+    for field in ("w_ge", "m2", "alpha"):
+        x = getattr(got, field), getattr(want, field)
+        assert abs(x[0] - x[1]) <= 1e-15 * max(1.0, abs(x[1])), (where, field, x)
+
+
+class TestSweepLaw:
+    """A linear sweep's frame law against the general closed form on the same fields."""
+
+    @pytest.mark.parametrize("A", COUPLINGS + [[[0.0, -1j], [1j, 0.0]]],
+                             ids=[f"A{i}" for i in range(len(COUPLINGS))] + ["sy"])
+    def test_every_field_against_the_closed_form(self, A):
+        from qsteer.control import _sweep_law
+
+        seen = set()
+        for slope in (0.06, -0.06, 0.035, -0.035, 0.0, -0.0, 2):
+            sweep = q.linear_sweep(slope, 1.0, 80.0, A)
+            assert sweep._law is not None
+            paths = [(sweep, kernel_path(sweep))]
+            # the start gives (1, 0) on the upper branch, (0, 1) on the lower and (1, 1) at
+            # b_z = -0.0 (slope 0); presetting the anchors gives every pair on both branches
+            for anchors in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                forced = q.linear_sweep(slope, 1.0, 80.0, A)
+                forced._anchors = anchors
+                forced._law = _sweep_law(forced, slope, 1.0, 40.0)
+                bare = kernel_path(forced)
+                bare._anchors = anchors
+                paths.append((forced, bare))
+            # the crossing is at 40.0, where b_z is a zero with the slope's sign
+            b_z = sweep.fields(40.0)[0][2]
+            assert b_z == 0.0 and math.copysign(1.0, b_z) == math.copysign(1.0, slope)
+            ts = [-3.0 + 0.731 * i for i in range(160)]
+            ts += [40.0, math.nextafter(40.0, 0.0), math.nextafter(40.0, 80.0), 80.0]
+            for law, kernel in paths:
+                for t in ts:
+                    assert_law_frame(q.frame_at(law, t), q.frame_at(kernel, t), (slope, t))
+                    seen.add((law.fields(t)[0][2] >= 0.0, law.anchors()))
+        assert seen == {(up, pair) for up in (True, False) for pair in ((0, 0), (1, 0), (0, 1), (1, 1))}
+
+    @pytest.mark.parametrize("A", REFERENCE_COUPLINGS + [[[0.0, -1j], [1j, 0.0]]],
+                             ids=["sx", "sz", "real", "complex", "sy"])
+    def test_every_field_against_the_eigenvector_reference(self, A):
+        for slope in (0.06, -0.06, 0.0, 2):
+            sweep = q.linear_sweep(slope, 1.0, 80.0, A)
+            for i in range(201):
+                t = 0.4 * i
+                assert_same_frame(q.frame_at(sweep, t), reference_frame_at(sweep, t), (slope, t))
+
+    @pytest.mark.parametrize("slope, gap, duration, ts, has_law", [
+        (0.06, 1.0, 80.0, (math.nan, math.inf, -math.inf), True),
+        (0.0, 1.0, 80.0, (math.nan, math.inf, -math.inf), True),    # b_z = 0 * inf is NaN
+        (1e300, 1.0, 10.0, (0.0, 5.0, 10.0), False),                 # the start overflows
+        # starts in range, then |b| overflows the normalisation and then the float range
+        (1e300, 1.0, 1e-300, (0.0, 1e-300, 1e-160, 1.0, 1e10, -1e10), True),
+        # the gap collapses at mid-path, and 2e-9 past it the frame is the law's again
+        (1.0, 1e-10, 10.0, (5.0, 5.0 + 2e-10, 5.0 + 2e-9, 0.0), True),
+        # Delta/|b| is far below 2^-1000 at large |t|: |q| is subnormal, then 0 on the
+        # upper branch, where both anchors are on q
+        (1.0, 1e-300, 10.0, (4.0, 6.0, 1e10, -1e10, 1e24, -1e24), True),
+        # below the slope floor: at |b| = 1e5 the closed form's steering product underflows
+        # to a zero of the other sign, so the path keeps the closed form
+        (1e-120, 1e-200, 1e112, (0.0, 5e111, 1e125, 1e126), False),
+    ])
+    def test_errors_and_edges_are_the_kernels(self, slope, gap, duration, ts, has_law):
+        sweep = q.linear_sweep(slope, gap, duration, SX)
+        assert (sweep._law is not None) == has_law
+        kernel = kernel_path(sweep)
+        raised = 0
+        for t in ts:
+            got, want = outcome(sweep, t), outcome(kernel, t)
+            if isinstance(want, q.AdiabaticFrame):
+                assert_law_frame(got, want, t)
+            else:
+                assert got == want, t
+                raised += 1
+        assert raised >= 1
+
+    def test_numpy_times_give_the_same_frames(self):
+        # a numpy scalar t, as scipy's solvers pass, makes numpy scalars of b_z and its sign test
+        sweep = q.linear_sweep(0.06, 1.0, 80.0, SX)
+        for t in (0.0, 21.3, 40.0, 62.5):
+            assert field_bits(q.frame_at(sweep, np.float64(t))) == field_bits(q.frame_at(sweep, t))
+
+    def test_frames_outside_the_safe_range_are_the_closed_forms(self):
+        # |q| is subnormal at t = +-1e10: the kernel's frame, bit for bit
+        sweep = q.linear_sweep(1.0, 1e-300, 10.0, SX)
+        assert sweep._law is not None
+        for t in (1e10, -1e10):
+            assert field_bits(q.frame_at(sweep, t)) == field_bits(q.frame_at(kernel_path(sweep), t))
+        with pytest.raises(q.GaugeUndefined, match=re.escape("vanishes at t = 1e+24:")):
+            q.frame_at(sweep, 1e24)
+
+    def test_replace_takes_the_general_closed_form(self):
+        import dataclasses
+
+        sweep = q.linear_sweep(0.06, 1.0, 80.0, SX)
+        B = [[0.2, complex(0.5, -0.7)], [complex(0.5, 0.7), -0.4]]
+        other = dataclasses.replace(sweep, coupling_A=B)
+        assert sweep._law is not None and other._law is None
+        for t in (0.0, 37.0, 40.0, 75.5):
+            f, ref = q.frame_at(other, t), q.frame_at(kernel_path(other), t)
+            assert field_bits(f) == field_bits(ref)
+            assert f.m2 != q.frame_at(sweep, t).m2
 
 
 class TestSampleHistory:
@@ -725,7 +835,7 @@ class TestSampleHistory:
 
     def test_sweep_crossing_bz_zero(self):
         # anchors fixed at b_z < 0 land on the complex components once b_z >= 0
-        path = q.linear_sweep(0.05, 1.0, 100.0, SZ)
+        path = kernel_path(q.linear_sweep(0.05, 1.0, 100.0, SZ))
         assert path.fields(0.0)[0][2] < 0.0 < path.fields(100.0)[0][2]
         self.assert_columns_match(path, 0.0, 100.0)
 

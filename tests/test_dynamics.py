@@ -17,7 +17,7 @@ from qsteer.dynamics import _MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySamp
 from qsteer.errors import GAP_FLOOR
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
-from test_control import eig, field_bits, static_path
+from test_control import eig, field_bits, kernel_path, static_path
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -478,6 +478,33 @@ class TestIntegrate:
         assert ts[0] == 0.0
         assert ts[-1] == pytest.approx(5.0)
         assert traj.max_alpha > 0
+
+
+class TestSweepLawEndToEnd:
+    """A Landau-Zener sweep integrated on its frame law and on the general closed form."""
+
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    @pytest.mark.parametrize("track_phases", [False, True], ids=["anchored", "optimal_phase"])
+    @pytest.mark.parametrize("A", [SX, [[0.3, 1.0], [1.0, -0.3]]], ids=["sx", "tilted"])
+    @pytest.mark.parametrize("slope", [0.06, -0.06])
+    def test_same_steps_and_final_state(self, slope, A, track_phases):
+        sd = q.zero_temperature_ohmic(0.1, 20.0)
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=80.0, rtol=1e-9, atol=1e-12,
+                             record_stride=10)
+        sweep = q.linear_sweep(slope, 1.0, 80.0, A)
+        assert sweep._law is not None
+        law, kernel = (integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+                                 frame_provider=lambda t, p=path: q.frame_at(p, t),
+                                 track_phases=track_phases)
+                       for path in (sweep, kernel_path(sweep)))
+        assert law.work.accepted_steps == kernel.work.accepted_steps
+        assert law.work.rejected_steps == kernel.work.rejected_steps
+        assert len(law.samples) == len(kernel.samples)
+        a, b = law.final, kernel.final
+        assert a.t == b.t == 80.0
+        assert abs(a.state.rho_gg - b.state.rho_gg) <= 1e-12
+        assert abs(complex(a.state.rho_ge) - complex(b.state.rho_ge)) <= 1e-12
+        assert abs(a.lambda_g - b.lambda_g) <= 1e-12 and abs(a.lambda_e - b.lambda_e) <= 1e-12
 
 
 class TestStageContract:
