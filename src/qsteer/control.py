@@ -184,7 +184,8 @@ def rotating_cone(
     the cone's frame law (see the module notes), built from the closed form
     at t = 0; where that fails, or its values come within a factor 2 of the
     float range, the path keeps the general closed form, so every frame
-    raises what the closed form raises.
+    raises what the closed form raises. Where omega t overflows, ``fields``
+    and the law raise NonFiniteState naming t.
     """
     if not 0 < Omega < math.inf:
         raise ValueError("Omega must be positive and finite")
@@ -201,7 +202,10 @@ def rotating_cone(
     v_x, v_y = -Omega * omega * st, Omega * omega * st
 
     def fields(t: float) -> tuple[Vec3, Vec3]:
-        c, s = cos(omega * t), sin(omega * t)
+        try:
+            c, s = cos(omega * t), sin(omega * t)
+        except ValueError:  # only an infinite phase is outside their domain
+            raise _phase_error(omega, t) from None
         return (r_xy * c, r_xy * s, b_z), (v_x * s, v_y * c, 0.0)
 
     path = ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
@@ -327,6 +331,11 @@ def _frame_error(t, b, r):
     )
 
 
+def _phase_error(omega, t):
+    """The error for a cone whose drive phase omega t is infinite at time t."""
+    return NonFiniteState(f"the drive phase omega t = {omega * t:g} is not finite at t = {t:g}")
+
+
 def _fields(b, bd, A, r, upper, cg, ce):
     """w_gg, w_ee, Re w_ge, Im w_ge, m1, Re m2 and Im m2 at one sample.
 
@@ -417,7 +426,10 @@ def _cone_law(path, omega) -> Optional[Callable[[float], AdiabaticFrame]]:
     cos, sin, sqrt, inf, new = math.cos, math.sin, math.sqrt, math.inf, tuple.__new__
 
     def law(t: float) -> AdiabaticFrame:
-        c, s = cos(omega * t), sin(omega * t)  # the cone's fields(t), inline
+        try:  # the cone's fields(t), inline
+            c, s = cos(omega * t), sin(omega * t)
+        except ValueError:
+            raise _phase_error(omega, t) from None
         bx, by = r_xy * c, r_xy * s
         r = sqrt(bx * bx + by * by + b_z * b_z)  # _gap, inline
         if not GAP_FLOOR < r < inf:
@@ -513,9 +525,9 @@ def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     same gap check, and the sweep law hands each frame outside its safe range
     to the closed form. Raises GapCollapse at |b| <= GAP_FLOOR,
     GaugeUndefined, naming t, where an anchored component is 0, and
-    NonFiniteState, naming t, where |b| is NaN or the normalisation
-    n = sqrt(2 r (r + |b_z|)) of a huge field overflows. Its alpha may read
-    inf; integrate reports that.
+    NonFiniteState, naming t, where |b| is NaN, the normalisation
+    n = sqrt(2 r (r + |b_z|)) of a huge field overflows or a cone's drive
+    phase omega t does. Its alpha may read inf; integrate reports that.
     """
     law = path._law
     if law is not None:

@@ -383,35 +383,6 @@ _MAX_REJECTIONS = 60
 _MAX_STEPS = 10**7  # the most steps a SolverConfig window may take
 
 
-def _advance_phases(lam, frames, terms, dt):
-    """One step of d lambda_g/dt = -w_gg, d lambda_e/dt = -w_ee by the step's own quadrature.
-
-    With the error row as ``terms`` it advances the difference between the
-    5th- and 4th-order phases instead.
-    """
-    sum_g = sum_e = 0.0
-    for s, b in terms:
-        sum_g += b * frames[s].w_gg
-        sum_e += b * frames[s].w_ee
-    return lam[0] - dt * sum_g, lam[1] - dt * sum_e
-
-
-def _error_norm(g, ge, g_new, ge_new, err_g, err_ge, atol, rtol):
-    """RMS of the scaled errors of rho_gg, Re rho_ge and Im rho_ge, in that order.
-
-    A scaled error whose square overflows, as at tolerances near 1e-300, gives
-    an infinite norm: a rejection.
-    """
-    try:
-        return math.sqrt((
-            (err_g / (atol + rtol * max(abs(g), abs(g_new)))) ** 2
-            + (err_ge.real / (atol + rtol * max(abs(ge.real), abs(ge_new.real)))) ** 2
-            + (err_ge.imag / (atol + rtol * max(abs(ge.imag), abs(ge_new.imag)))) ** 2
-        ) / 3)
-    except OverflowError:
-        return math.inf
-
-
 def integrate(
     rhs: Callable,
     initial: DensityState,
@@ -432,15 +403,25 @@ def integrate(
     frame, and every ``rhs`` call gets its stage's frame. "rk45_adaptive"
     evaluates six stages per attempted step, and its last two share t + dt,
     so an attempt makes 6 RHS calls and 5 frame evaluations (6 * attempts + 1
-    and 5 * attempts + 1 in all); its error norm is the RMS of the scaled
-    errors of rho_gg, Re rho_ge and Im rho_ge, in that order. "rk4_fixed"
-    takes max(1, round((t1 - t0) / dt)) equal steps, step i ending at
-    t0 + i * step; its middle two stages share t + step/2 and its last two
-    t + step, so it makes 4 * steps + 1 RHS calls and 2 * steps + 1 frame
-    evaluations.
+    and 5 * attempts + 1 in all). Its controller: the first step is
+    min(dt_max, span / 100), dt_max defaults to span / 10, and each attempt
+    takes min(dt * grow, dt_max, t1 - t). The error norm is the RMS of the
+    scaled errors of rho_gg, Re rho_ge and Im rho_ge, in that order, each
+    scaled by atol + rtol * max(|y|, |y_new|); a scaled error whose square
+    overflows gives an infinite norm. An attempt with norm <= 1 is accepted,
+    and grow is 0.9 * norm^(-1/5) (5 at a zero norm) clamped to [0.2, 5].
+    The norm, the clamp and the step update are written with comparisons,
+    not min, max and abs, with the same float operations in the same order.
+    "rk4_fixed" takes max(1, round((t1 - t0) / dt)) equal steps, step i
+    ending at t0 + i * step; its middle two stages share t + step/2 and its
+    last two t + step, so it makes 4 * steps + 1 RHS calls and
+    2 * steps + 1 frame evaluations.
     Purity is checked at t0 and at every accepted step, independent of
     ``record_stride``, against 1 + 1e-6; the worst excess is reported on the
-    trajectory (with a warning), never corrected. The trajectory's
+    trajectory (with a warning), never corrected. A state there that is not
+    finite raises NonFiniteState naming t; the purity sum is the check, and
+    only a sum that is not finite looks at the components, so a finite state
+    whose sum overflows is reported as an infinite excess. The trajectory's
     ``max_excited_population`` and ``max_alpha`` range over the same points,
     alpha in the reported basis, computed once per point and kept by its
     sample; an infinite alpha raises NonFiniteState naming t.
@@ -459,7 +440,8 @@ def integrate(
     the optimal-phase run only for generators covariant under the basis phase,
     as ``rhs_full`` is. A phase that is not finite at a record point raises
     NonFiniteState naming t. "rk45_adaptive" also accumulates the phases with
-    its embedded 4th-order weights (the error row on the same stage frames);
+    its embedded 4th-order weights (the error row on the same stage frames),
+    in the same pass over the stage frames, each sum in its row's stage order;
     ``phase_quadrature_error`` is the larger branch's |5th - 4th-order phase|
     at t1 ("rk4_fixed" has no error row and reports None).
     """
@@ -471,22 +453,31 @@ def integrate(
     # NamedTuple's Python-level __new__ and still gives a DensityState.
     provider = frame_provider if frame_provider is not None else lambda t: None
     new = tuple.__new__
+    sqrt, isfinite, inf = math.sqrt, math.isfinite, math.inf
     stages, err_terms = _METHODS[cfg.method]
     last = len(stages)
     b_terms = stages[-1][2]  # the last stage is evaluated at the step's solution
-    atol, rtol = cfg.atol, cfg.rtol
+    atol, rtol, t1 = cfg.atol, cfg.rtol, cfg.t1
     traj = Trajectory()
     t_worst = None
     max_violation, max_excited, max_alpha = 0.0, -math.inf, 0.0
     track_error = track_phases and err_terms is not None
+    # Both phase sums in one pass over the stage frames, each in its row's stage order:
+    # (stage, b, e) for the stages the b row weights, where DP5's error row weights each
+    # of them too, then (stage, e) for the error row's later stages (DP5's last). A
+    # fixed step has no error row; its error sums are never read.
+    e_of = dict(err_terms or ())
+    phase_terms = tuple((s, b, e_of.get(s, 0.0)) for s, b in b_terms)
+    tail_terms = tuple((s, e) for s, e in e_of.items() if s > b_terms[-1][0])
 
     def accept(t, g, ge, frame, lam, keep):
         """Check one accepted state, fold it into the run's maxima and, if ``keep``, record it."""
         nonlocal t_worst, max_violation, max_excited, max_alpha
-        if not (math.isfinite(g) and math.isfinite(ge.real) and math.isfinite(ge.imag)):
-            raise NonFiniteState(f"non-finite state at t = {t:g}")
-        # Tr rho^2 = rho_gg^2 + rho_ee^2 + 2 |rho_ge|^2
+        # Tr rho^2 = rho_gg^2 + rho_ee^2 + 2 |rho_ge|^2, finite whenever the state is
         p = g * g + (1.0 - g) * (1.0 - g) + 2.0 * (ge.real * ge.real + ge.imag * ge.imag)
+        if not p < inf:  # a non-finite component, or a finite state whose sum overflows
+            if not (isfinite(g) and isfinite(ge.real) and isfinite(ge.imag)):
+                raise NonFiniteState(f"non-finite state at t = {t:g}")
         if p - 1.0 > max_violation:
             max_violation = p - 1.0
             t_worst = t
@@ -518,13 +509,13 @@ def integrate(
     n_rhs = n_frames = 1
     accept(t, g, ge, frames[0], lam, True)
 
-    span = cfg.t1 - cfg.t0
+    span = t1 - cfg.t0
     if err_terms is None:
         # step i ends at t0 + i * dt, so the times carry no accumulated rounding
         n_steps, t_end = max(1, round(span / cfg.dt)), math.inf
         dt = span / n_steps
     else:
-        n_steps, t_end = None, cfg.t1 - 1e-14 * span
+        n_steps, t_end = None, t1 - 1e-14 * span
         dt_max = cfg.dt_max if cfg.dt_max is not None else span / 10
         dt, grow = min(dt_max, span / 100), 1.0
     dt_lo, dt_hi = math.inf, 0.0
@@ -532,7 +523,12 @@ def integrate(
     done = False
     while not done:
         if err_terms is not None:
-            dt = min(dt * grow, dt_max, cfg.t1 - t)
+            # min(dt * grow, dt_max, t1 - t), by the comparisons min makes
+            dt *= grow
+            if dt_max < dt:
+                dt = dt_max
+            if t1 - t < dt:
+                dt = t1 - t
             if t + dt == t:
                 raise StepRejectionLimit(f"step {dt:g} does not advance t = {t:g}")
         for s, c, terms, same_t in stages:
@@ -562,20 +558,52 @@ def integrate(
                 kg, kge = ks[j]
                 err_g += edt * kg
                 err_ge += edt * kge
-            norm = _error_norm(g, ge, g_new, ge_new, err_g, err_ge, atol, rtol)
+            # each component's scale atol + rtol * max(|y|, |y_new|), by the comparisons abs
+            # and max make: max keeps |y| unless |y_new| is larger, so a NaN |y| stays
+            x, y = (g if g >= 0.0 else -g), (g_new if g_new >= 0.0 else -g_new)
+            scale_g = atol + rtol * (y if y > x else x)
+            x, y = ge.real, ge_new.real
+            x, y = (x if x >= 0.0 else -x), (y if y >= 0.0 else -y)
+            scale_r = atol + rtol * (y if y > x else x)
+            x, y = ge.imag, ge_new.imag
+            x, y = (x if x >= 0.0 else -x), (y if y >= 0.0 else -y)
+            scale_i = atol + rtol * (y if y > x else x)
+            try:  # a scaled error whose square overflows, as at tolerances near 1e-300, rejects
+                norm = sqrt((
+                    (err_g / scale_g) ** 2
+                    + (err_ge.real / scale_r) ** 2
+                    + (err_ge.imag / scale_i) ** 2
+                ) / 3)
+            except OverflowError:
+                norm = inf
             factor = 0.9 * norm ** -0.2 if norm > 0 else 5.0
-            grow = min(5.0, max(0.2, factor))
+            grow = (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2  # clamp to [0.2, 5]
         if norm <= 1.0:
             if track_phases:
-                lam = _advance_phases(lam, frames, b_terms, dt)
-                if track_error:
-                    lam_err = _advance_phases(lam_err, frames, err_terms, dt)
+                # d lambda/dt = -w_diag by the step's b row and by its error row
+                b_g = b_e = e_g = e_e = 0.0
+                for s, b, e in phase_terms:
+                    f = frames[s]
+                    w_gg, w_ee = f.w_gg, f.w_ee
+                    b_g += b * w_gg
+                    b_e += b * w_ee
+                    e_g += e * w_gg
+                    e_e += e * w_ee
+                for s, e in tail_terms:
+                    f = frames[s]
+                    e_g += e * f.w_gg
+                    e_e += e * f.w_ee
+                lam = (lam[0] - dt * b_g, lam[1] - dt * b_e)
+                lam_err = (lam_err[0] - dt * e_g, lam_err[1] - dt * e_e)
             accepted += 1
             t = t + dt if n_steps is None else cfg.t0 + accepted * dt
             done = t >= t_end or accepted == n_steps
             g, ge = g_new, ge_new
             rejections = 0
-            dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+            if dt < dt_lo:
+                dt_lo = dt
+            if dt > dt_hi:
+                dt_hi = dt
             ks[0], frames[0] = ks[last], frames[last]
             accept(t, g, ge, frames[0], lam, accepted % cfg.record_stride == 0 or done)
         elif math.isnan(norm):

@@ -1170,6 +1170,18 @@ class TestMain:
         meta = self.assert_clean_run_directory(tmp_path / "runs")
         assert meta["status"] == f"failed: {message}"
 
+    def test_overflowing_drive_phase_exit_2(self, tmp_path, capsys):
+        # omega t overflows at the first step's end, t = 2.5
+        text = MINIMAL_CONE.replace(
+            "drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 1.0e+308\n"
+            "  duration_time: 10.0").replace("dt_time: 0.02", "dt_time: 2.5")
+        fn = self.write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        message = "the drive phase omega t = inf is not finite at t = 2.5"
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+        meta = self.assert_clean_run_directory(tmp_path / "runs")
+        assert meta["status"] == f"failed: {message}"
+
     @pytest.mark.parametrize("old, new", [
         ("  record_stride: 10\n", "  record_stride: 10\n  dt_max_time: 1.0e-300\n"),
         ("  method: rk45_adaptive\n  rtol: 1.0e-9\n  atol: 1.0e-12\n",

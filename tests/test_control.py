@@ -683,6 +683,18 @@ class TestConeLaw:
                 raised += 1
         assert raised >= 1
 
+    def test_infinite_drive_phase_is_non_finite(self):
+        # omega t overflows from t = 1.8 on; the law, the kernel and the fields name t
+        cone = q.rotating_cone(1.0, 1.0, 1e308, SX, duration=10.0)
+        assert cone._law is not None
+        assert q.frame_at(cone, 1.0).omega01 == 1.0
+        for t, phase in ((5.0, "inf"), (math.inf, "inf"), (-math.inf, "-inf"), (-2.0, "-inf")):
+            message = f"the drive phase omega t = {phase} is not finite at t = {t:g}"
+            for call in (lambda: q.frame_at(cone, t), lambda: q.frame_at(kernel_path(cone), t),
+                         lambda: cone.fields(t)):
+                with pytest.raises(q.NonFiniteState, match=f"^{re.escape(message)}$"):
+                    call()
+
     def test_replace_takes_the_general_closed_form(self):
         import dataclasses
 

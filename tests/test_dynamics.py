@@ -17,6 +17,7 @@ from qsteer.dynamics import _MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySamp
 from qsteer.errors import GAP_FLOOR
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
+from stepper_reference import integrate_dp5
 from test_control import eig, field_bits, kernel_path, static_path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -538,6 +539,122 @@ class TestStageContract:
         assert all(type(x.state) is q.DensityState for x in traj.samples)
 
 
+def nodding_cone(theta0=0.9, omega=0.12, nod=0.35, nu=0.31):
+    """A cone whose opening nods as it turns: w diagonals and |w_ge| that vary along it."""
+
+    def fields(t):
+        th, dth = theta0 + nod * math.sin(nu * t), nod * nu * math.cos(nu * t)
+        phi = omega * t
+        st, ct, sp, cp = math.sin(th), math.cos(th), math.sin(phi), math.cos(phi)
+        return ((st * cp, st * sp, ct),
+                (ct * cp * dth - st * sp * omega, ct * sp * dth + st * cp * omega, -st * dth))
+
+    return q.ControlPath(fields=fields, coupling_A=SX, duration=40.0)
+
+
+def sample_bits(s):
+    """One sample's floats as hex strings, so equal means the same floats down to the sign of zero."""
+    return tuple(float.hex(x) for x in (s.t, s.state.rho_gg, s.state.rho_ge.real, s.state.rho_ge.imag,
+                                        s.alpha, s.omega01, s.lambda_g, s.lambda_e, s.purity))
+
+
+class TestReferenceStepper:
+    """integrate's DP5 bookkeeping against the plain loop of tests/stepper_reference.py."""
+
+    CASES = {
+        "cone": (lambda: q.rotating_cone(1.0, 0.9, 2 * math.pi / 75, SX), 75.0, 1e-9,
+                 q.DensityState(1.0)),
+        "sweep": (lambda: q.linear_sweep(0.06, 1.0, 80.0, SX), 80.0, 1e-9, q.DensityState(1.0)),
+        "nodding": (nodding_cone, 40.0, 1e-9, q.DensityState(0.8, complex(0.1, -0.2))),
+        # the opening step is too long at this tolerance, so attempts are rejected
+        "rejections": (lambda: q.rotating_cone(1.0, math.pi / 3, 0.05, SX), 31.4, 1e-11,
+                       q.DensityState(0.9, 0.1j)),
+    }
+
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    @pytest.mark.parametrize("track_phases", [False, True], ids=["anchored", "optimal_phase"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_for_bit(self, case, track_phases):
+        make_path, t1, rtol, initial = self.CASES[case]
+        path = make_path()
+        sd = q.zero_temperature_ohmic(0.1, 20.0)
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=t1, rtol=rtol, atol=1e-12,
+                             record_stride=3)
+        got, want = (run(lambda t, s, f: q.rhs_full(s, f, sd), initial, cfg,
+                         lambda t: q.frame_at(path, t), track_phases)
+                     for run in (integrate, integrate_dp5))
+        assert got.work == want.work
+        if case == "rejections":
+            assert got.work.rejected_steps > 0
+        assert [sample_bits(s) for s in got.samples] == [sample_bits(s) for s in want.samples]
+        assert (got.final.lambda_g, got.final.lambda_e) == (want.final.lambda_g, want.final.lambda_e)
+        assert got.phase_quadrature_error == want.phase_quadrature_error
+        if track_phases and case == "nodding":  # w diagonals that vary: two quadratures differ
+            assert got.phase_quadrature_error > 0.0
+        for name in ("max_positivity_violation", "max_excited_population", "max_alpha"):
+            assert getattr(got, name) == getattr(want, name), name
+
+
+class TestNonFiniteStates:
+    """An accepted state is checked for finiteness; a finite one whose purity overflows is not."""
+
+    COMPONENTS = ("rho_gg", "re_rho_ge", "im_rho_ge")
+
+    @staticmethod
+    def state(component, x):
+        return {"rho_gg": q.DensityState(x, 0j), "re_rho_ge": q.DensityState(1.0, complex(x, 0.0)),
+                "im_rho_ge": q.DensityState(1.0, complex(0.0, x))}[component]
+
+    @pytest.mark.parametrize("method", sorted(_METHODS))
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_at_t0(self, component, x, method):
+        cfg = q.SolverConfig(method=method, t0=0.0, t1=1.0, dt=0.1)
+        with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 0$"):
+            integrate(lambda t, s, f: (0.0, 0j), self.state(component, x), cfg)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_mid_run(self, component, x):
+        # rk4 steps of 6 from t = 0, with slopes of magnitude 1e308 in one component after
+        # t = 6: the second step's weights 1/3 make terms of 2e308, which overflow to inf of
+        # the slope's sign in that component alone; for nan the slope turns negative once
+        # the stage state has overflowed, so inf and -inf terms meet in one sum
+        big = -1e308 if x < 0 else 1e308
+
+        def rhs(t, s, f):
+            if not t > 6.0:
+                return 0.0, 0j
+            overflowed = not all(map(math.isfinite, (s.rho_gg, s.rho_ge.real, s.rho_ge.imag)))
+            v = -big if math.isnan(x) and overflowed else big
+            return {"rho_gg": (v, 0j), "re_rho_ge": (0.0, complex(v, 0.0)),
+                    "im_rho_ge": (0.0, complex(0.0, v))}[component]
+
+        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=18.0, dt=6.0)
+        seen = []
+        with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 12$"):
+            integrate(lambda t, s, f: seen.append(s) or rhs(t, s, f), q.DensityState(1.0, 0j), cfg)
+        # the state that failed is non-finite in the chosen component alone: it is the stage
+        # state of the step's last stage, evaluated at the step's solution
+        failed = seen[-1]
+        values = {"rho_gg": failed.rho_gg, "re_rho_ge": failed.rho_ge.real,
+                  "im_rho_ge": failed.rho_ge.imag}
+        for name, value in values.items():
+            if name == component:
+                assert value == x or (math.isnan(x) and math.isnan(value)), name
+            else:
+                assert math.isfinite(value), name
+
+    def test_finite_state_whose_purity_overflows_is_reported(self):
+        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.5)
+        with pytest.warns(RuntimeWarning, match="purity exceeded 1 by inf"):
+            traj = integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1e200, 0j), cfg)
+        assert traj.max_positivity_violation == math.inf
+        assert traj.work.t_max_positivity_violation == 0.0
+        assert [s.purity for s in traj.samples] == [math.inf] * 3
+        assert traj.final.state.rho_gg == 1e200
+
+
 # int, float and complex values of every type the generators take, zeros of both signs
 NUMBERS = (0, 1, -2, 0.0, -0.0, 0.3, -0.7, 0j, complex(-0.0, -0.0), 0.2 - 0.5j)
 
@@ -630,6 +747,15 @@ class TestTableaus:
         if err is not None:
             assert all(0 <= j <= len(stages) for j, _ in err)
             assert math.fsum(e for _, e in err) == pytest.approx(0.0, abs=1e-15)
+
+    def test_error_row_weights_the_b_rows_stages_then_later_ones(self):
+        # integrate sums both phase rows in one pass over the b row's stages and then the
+        # error row's later ones: each sum keeps its row's stage order only if the error row
+        # weights every b-row stage and no other stage before the b row's last
+        for stages, err in _METHODS.values():
+            if err is not None:
+                b_stages = [s for s, _ in stages[-1][2]]
+                assert [s for s, _ in err if s <= b_stages[-1]] == b_stages
 
 
 class TestSolverWork:
