@@ -302,8 +302,8 @@ _WINDOW = {"t0_time": ("t0", _number, False), "t1_time": ("t1", _number, False),
 _STEP = {"dt_time": ("dt", _positive, True)}
 _TOLERANCES = {"rtol": ("rtol", _positive, False), "atol": ("atol", _positive, False),
                "dt_max_time": ("dt_max", _positive, False)}
-_SOLVERS = {method: (SolverConfig, {**_WINDOW, **(_STEP if err is None else _TOLERANCES)})
-            for method, (_, err) in _METHODS.items()}
+_SOLVERS = {method: (SolverConfig, {**_WINDOW, **(_STEP if m.err is None else _TOLERANCES)})
+            for method, m in _METHODS.items()}
 
 
 def _mapping(name, data, keys, problems) -> Optional[dict]:
@@ -454,6 +454,31 @@ def _grid(run, key, entry_ok, expected, entries, problems) -> tuple:
     return tuple(float(v) for v in ok)
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's pure-Python safe loader, rejecting a key repeated in one mapping.
+
+    A merge key (``<<``) is not checked: a key it merges and the mapping's
+    own key of the same name are not a repetition.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)  # kept, not built twice
+            try:
+                repeated = key in seen
+            except TypeError:  # an unhashable key, which the base class reports
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 _SECTIONS = ("path", "coupling", "bath", "initial", "solver", "run")
 _RUN_KEYS = ("mode", "optimal_phase", "spectral_shift", "history_samples",
              "sweep_periods_time", "berry_theta_grid_rad")
@@ -462,13 +487,16 @@ _RUN_KEYS = ("mode", "optimal_phase", "spectral_shift", "history_samples",
 def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
     """Parse and validate a YAML scenario, reporting every problem at once.
 
-    A given ``mode`` (a CLI subcommand) replaces ``run.mode`` before the
-    mode's own rules are checked.
+    A key repeated in one mapping, and YAML nested too deeply for the parser,
+    raise ParseError like any other invalid YAML. A given ``mode`` (a CLI
+    subcommand) replaces ``run.mode`` before the mode's own rules are checked.
     """
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid YAML: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("scenario must be a mapping at top level")
 
@@ -559,7 +587,12 @@ def _member_problems(scenario: Scenario) -> list:
 
 
 def scenario_from_file(path, mode: Optional[str] = None) -> Scenario:
-    return load_scenario(Path(path).read_text(), mode)
+    """The scenario in a UTF-8 YAML file; ParseError if the file is not UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return load_scenario(text, mode)
 
 
 # ----------------------------------------------------------------------

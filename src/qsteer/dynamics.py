@@ -251,7 +251,7 @@ class SolverConfig:
             raise ValueError("t1 must exceed t0")
         if not math.isfinite(self.t1 - self.t0):
             raise ValueError("t1 - t0 must be finite")
-        fixed = _METHODS[self.method][1] is None
+        fixed = _METHODS[self.method].err is None
         if fixed:
             if not (self.dt and self.dt > 0):
                 raise ValueError(f"{self.method} requires dt > 0")
@@ -339,26 +339,80 @@ def _terms(row):
     return tuple((s, c) for s, c in enumerate(row) if c != 0.0)
 
 
-def _stages(c, a):
-    """(stage, node, A row, same t) for each stage after the first, from one tableau.
+class _Tableau(NamedTuple):
+    """One explicit method: nodes c, rows of A, error row b - b_hat and its compiled attempt.
 
-    Both tableaus are first same as last: the last row of A is the b row, at
-    c = 1, so the last stage is evaluated at the step's solution and becomes
-    the next step's first. A stage whose node equals the previous stage's is
-    evaluated at the same t and reuses its frame: DP5's last two stages and
-    RK4's last two (c = 1), and RK4's middle two (c = 1/2).
+    The last row of A is the b row, at c = 1 (first same as last), so the
+    last stage is evaluated at the step's solution and becomes the next
+    step's first. ``err`` is None for a fixed step.
     """
-    return tuple((s, c[s], _terms(a[s]), c[s] == c[s - 1]) for s in range(1, len(c)))
+
+    nodes: tuple
+    rows: tuple
+    err: Optional[tuple]
+    attempt: Callable
 
 
-# method -> (stages, error row b - b_hat or None for a fixed step)
+def _tableau(nodes, rows, err=None) -> _Tableau:
+    """A tableau and its ``attempt``: one step's stages as straight-line code.
+
+    ``attempt(rhs, provider, t, dt, g, ge, k0, f0)`` evaluates stages 1, 2, ...
+    of a step from the state (g, ge) at t, whose slope is k0 and frame f0. It
+    returns the last stage's state (the step's solution), the error sums
+    dt * sum of e * k over the error row (0.0 and 0j without one), the last
+    stage's slope and the tuple of stage frames. A stage at time t + c * dt
+    has the state (g, ge) + sum of (a * dt) * k over its row's nonzero
+    entries, summed left to right in stage order from (g, ge); the error sums
+    start from 0.0 and 0j. A stage whose node equals the previous stage's
+    reuses its time and frame, so the provider is called once per distinct
+    node: DP5's last two stages and RK4's last two (c = 1), and RK4's middle
+    two (c = 1/2). The source is generated from the rows and compiled once, so
+    the coefficients live only in the tableau.
+    """
+    if not all(math.isfinite(x) for row in (nodes, *rows, err or ()) for x in row):
+        raise ValueError("tableau entries must be finite")  # each is written as a float literal
+    last = len(nodes) - 1
+    src = ["def attempt(rhs, provider, t, dt, g, ge, k0, f0,"
+           " new=tuple.__new__, State=DensityState):",
+           "    kg0, kge0 = k0"]
+
+    def sums(row, g0, ge0):
+        """``a_j = coef * dt`` lines for one row; its two sums, left to right from (g0, ge0)."""
+        terms = _terms(row)
+        src.extend(f"    a{j} = {a!r} * dt" for j, a in terms)
+        return (" + ".join([g0] + [f"a{j} * kg{j}" for j, _ in terms]),
+                " + ".join([ge0] + [f"a{j} * kge{j}" for j, _ in terms]))
+
+    times, frames = ["t"], ["f0"]
+    for s in range(1, last + 1):
+        g_s, ge_s = sums(rows[s], "g", "ge")
+        src += [f"    g{s} = {g_s}", f"    ge{s} = {ge_s}"]
+        if nodes[s] == nodes[s - 1]:
+            times.append(times[-1])
+            frames.append(frames[-1])
+        else:
+            src += [f"    t{s} = t + {nodes[s]!r} * dt", f"    f{s} = provider(t{s})"]
+            times.append(f"t{s}")
+            frames.append(f"f{s}")
+        slope = f"k{s}" if s == last else f"kg{s}, kge{s}"
+        src.append(f"    {slope} = rhs({times[s]}, new(State, (g{s}, ge{s})), {frames[s]})")
+    if err and err[last] != 0.0:  # the error row weights the last slope
+        src.append(f"    kg{last}, kge{last} = k{last}")
+    err_g, err_ge = sums(err or (), "0.0", "0j")
+    src.append(f"    return g{last}, ge{last}, {err_g}, {err_ge}, k{last}, ({', '.join(frames)})")
+    namespace = {"DensityState": DensityState}
+    exec(compile("\n".join(src), "<tableau attempt>", "exec"), namespace)
+    return _Tableau(tuple(nodes), tuple(rows), None if err is None else tuple(err),
+                    namespace["attempt"])
+
+
 _METHODS = {
-    "rk4_fixed": (_stages(
+    "rk4_fixed": _tableau(
         (0.0, 0.5, 0.5, 1.0, 1.0),
         ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
-    ), None),
+    ),
     # Dormand-Prince 5(4)
-    "rk45_adaptive": (_stages(
+    "rk45_adaptive": _tableau(
         (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
         (
             (),
@@ -369,15 +423,16 @@ _METHODS = {
             (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
             (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
         ),
-    ), _terms((  # b5 - b4
-        35 / 384 - 5179 / 57600,
-        0.0,
-        500 / 1113 - 7571 / 16695,
-        125 / 192 - 393 / 640,
-        -2187 / 6784 + 92097 / 339200,
-        11 / 84 - 187 / 2100,
-        -1 / 40,
-    ))),
+        (  # b5 - b4
+            35 / 384 - 5179 / 57600,
+            0.0,
+            500 / 1113 - 7571 / 16695,
+            125 / 192 - 393 / 640,
+            -2187 / 6784 + 92097 / 339200,
+            11 / 84 - 187 / 2100,
+            -1 / 40,
+        ),
+    ),
 }
 _MAX_REJECTIONS = 60
 _MAX_STEPS = 10**7  # the most steps a SolverConfig window may take
@@ -395,7 +450,10 @@ def integrate(
     ``rhs`` returns (d rho_gg/dt, d rho_ge/dt); ``frame_provider`` maps a
     time to the frame passed through to ``rhs`` (None for frame-free
     generators). The stepper carries the state as that same pair, a float
-    and a complex, and keeps each stage's returned pair as its slope. Both
+    and a complex, and keeps each stage's returned pair as its slope. Each
+    attempted step is one call of its tableau's compiled attempt (see
+    ``_tableau``), straight-line code generated once from the tableau's rows,
+    which sums each stage state term by term in stage order. Both
     methods are first same as last: a step's last stage is evaluated at its
     solution and is the next step's first, and its frame is also the one
     recorded there. The provider is called once per distinct stage time: a
@@ -447,16 +505,18 @@ def integrate(
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
-    # Each stage is evaluated inline: its state, its frame (the provider's, or the
-    # previous stage's at the same t) and the generator, whose (d rho_gg, d rho_ge)
-    # is the slope. A stage state is built by tuple.__new__, which skips the
-    # NamedTuple's Python-level __new__ and still gives a DensityState.
+    # One call of the tableau's compiled attempt evaluates a step's stages: each stage's
+    # state, its frame (the provider's, or the previous stage's at the same t) and the
+    # generator, whose (d rho_gg, d rho_ge) is the slope. A state handed to the
+    # generator is built by tuple.__new__, which skips the NamedTuple's Python-level
+    # __new__ and still gives a DensityState.
     provider = frame_provider if frame_provider is not None else lambda t: None
     new = tuple.__new__
     sqrt, isfinite, inf = math.sqrt, math.isfinite, math.inf
-    stages, err_terms = _METHODS[cfg.method]
-    last = len(stages)
-    b_terms = stages[-1][2]  # the last stage is evaluated at the step's solution
+    nodes, rows, err, attempt = _METHODS[cfg.method]
+    last = len(nodes) - 1  # stages per attempt, and RHS calls
+    frames_per_attempt = sum(nodes[s] != nodes[s - 1] for s in range(1, len(nodes)))
+    b_terms, err_terms = _terms(rows[-1]), None if err is None else _terms(err)
     atol, rtol, t1 = cfg.atol, cfg.rtol, cfg.t1
     traj = Trajectory()
     t_worst = None
@@ -502,12 +562,10 @@ def integrate(
     g, ge = initial.rho_gg, complex(initial.rho_ge)
     t = cfg.t0
     lam = lam_err = (0.0, 0.0)
-    ks = [None] * (last + 1)
-    frames = [None] * (last + 1)
-    frames[0] = provider(t)
-    ks[0] = rhs(t, new(DensityState, (g, ge)), frames[0])
+    frame = provider(t)
+    k = rhs(t, new(DensityState, (g, ge)), frame)
     n_rhs = n_frames = 1
-    accept(t, g, ge, frames[0], lam, True)
+    accept(t, g, ge, frame, lam, True)
 
     span = t1 - cfg.t0
     if err_terms is None:
@@ -531,33 +589,13 @@ def integrate(
                 dt = t1 - t
             if t + dt == t:
                 raise StepRejectionLimit(f"step {dt:g} does not advance t = {t:g}")
-        for s, c, terms, same_t in stages:
-            ts = t + c * dt
-            # (g, ge) + dt * sum of a * ks[j] over the row's (stage, coefficient) pairs, in order
-            g_new, ge_new = g, ge
-            for j, a in terms:
-                adt = a * dt
-                kg, kge = ks[j]
-                g_new += adt * kg
-                ge_new += adt * kge
-            if same_t:
-                frame = frames[s - 1]
-            else:
-                frame = provider(ts)
-                n_frames += 1
-            ks[s] = rhs(ts, new(DensityState, (g_new, ge_new)), frame)
-            frames[s] = frame
-        n_rhs += last
         # the last stage state is the step's solution, so (g_new, ge_new) is its result
+        g_new, ge_new, err_g, err_ge, k_new, frames = attempt(rhs, provider, t, dt, g, ge, k, frame)
+        n_rhs += last
+        n_frames += frames_per_attempt
         if err_terms is None:
             norm = 0.0
         else:
-            err_g, err_ge = 0.0, 0j  # dt * sum of e * ks[j] over the error row, in order
-            for j, e in err_terms:
-                edt = e * dt
-                kg, kge = ks[j]
-                err_g += edt * kg
-                err_ge += edt * kge
             # each component's scale atol + rtol * max(|y|, |y_new|), by the comparisons abs
             # and max make: max keeps |y| unless |y_new| is larger, so a NaN |y| stays
             x, y = (g if g >= 0.0 else -g), (g_new if g_new >= 0.0 else -g_new)
@@ -604,8 +642,8 @@ def integrate(
                 dt_lo = dt
             if dt > dt_hi:
                 dt_hi = dt
-            ks[0], frames[0] = ks[last], frames[last]
-            accept(t, g, ge, frames[0], lam, accepted % cfg.record_stride == 0 or done)
+            k, frame = k_new, frames[last]
+            accept(t, g, ge, frame, lam, accepted % cfg.record_stride == 0 or done)
         elif math.isnan(norm):
             raise NonFiniteState(f"non-finite error estimate at t = {t:g}")
         else:

@@ -1,20 +1,23 @@
-"""A second DP5 stepper: a plain loop written from ``integrate``'s documented controller.
+"""Second steppers: plain loops written from ``integrate``'s documented controller.
 
-``qsteer.integrate`` runs every tableau through one generic stage loop and
-keeps its per-attempt bookkeeping (error norm, step update, acceptance checks
-and both optimal-phase sums) inline. :func:`integrate_dp5` does the same job
-for "rk45_adaptive" the plain way: the Dormand-Prince 5(4) tableau written
-out, the error norm and the phase quadrature as the functions
-:func:`error_norm` and :func:`advance_phases`, and ``min``, ``max`` and
-``abs`` where the controller names them. The tests check that both give the
-same trajectory bit for bit.
+``qsteer.integrate`` runs each tableau through one compiled attempt, code
+generated from the tableau's rows, and keeps its per-attempt bookkeeping
+(error norm, step update, acceptance checks and both optimal-phase sums)
+inline. :func:`integrate_dp5` does the same job for "rk45_adaptive" the plain
+way: the Dormand-Prince 5(4) tableau written out, the error norm and the
+phase quadrature as the functions :func:`error_norm` and
+:func:`advance_phases`, and ``min``, ``max`` and ``abs`` where the controller
+names them. :func:`integrate_rk4` does it for "rk4_fixed", with the classical
+weights written out. The tests check that each gives ``integrate``'s
+trajectory bit for bit.
 
 The controller: the first step is min(dt_max, span/100), dt_max defaults to
 span/10, and each attempt takes min(dt * grow, dt_max, t1 - t). The error
 norm is the RMS of the scaled errors of rho_gg, Re rho_ge and Im rho_ge, each
 scaled by atol + rtol max(|y|, |y_new|); a square that overflows gives an
 infinite norm. The step factor is 0.9 norm^(-1/5) (5 at a zero norm),
-clamped to [0.2, 5]. An attempt with norm <= 1 is accepted.
+clamped to [0.2, 5]. An attempt with norm <= 1 is accepted. The fixed step
+takes max(1, round(span/dt)) equal steps, step i ending at t0 + i * step.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ A = (
 )
 B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 E = tuple(b - b4 for b, b4 in zip(A[-1] + (0.0,), B4))  # b5 - b4
+# the classical fourth-order weights
+RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
 
 
 def weighted(y, ks, row, dt):
@@ -79,10 +84,12 @@ def advance_phases(lam, frames, row, dt):
     return lam[0] - dt * sum_g, lam[1] - dt * sum_e
 
 
-def integrate_dp5(rhs, initial, cfg, frame_provider, track_phases=False) -> Trajectory:
-    """``integrate(rhs, initial, cfg, frame_provider, track_phases)`` for "rk45_adaptive"."""
-    assert cfg.method == "rk45_adaptive"
-    traj = Trajectory()
+def recorder(traj, track_phases):
+    """``accept(t, g, ge, frame, lam, keep)``, checking one accepted point as integrate does.
+
+    It folds the point into ``traj``'s maxima and, if ``keep``, appends its
+    sample; the returned dict holds the worst purity excess and its time.
+    """
     worst = {"violation": 0.0, "t": None}
 
     def accept(t, g, ge, frame, lam, keep):
@@ -105,6 +112,14 @@ def integrate_dp5(rhs, initial, cfg, frame_provider, track_phases=False) -> Traj
             traj.samples.append(TrajectorySample(t, DensityState(g, ge), alpha, omega01,
                                                  lam[0], lam[1], p))
 
+    return accept, worst
+
+
+def integrate_dp5(rhs, initial, cfg, frame_provider, track_phases=False) -> Trajectory:
+    """``integrate(rhs, initial, cfg, frame_provider, track_phases)`` for "rk45_adaptive"."""
+    assert cfg.method == "rk45_adaptive"
+    traj = Trajectory()
+    accept, worst = recorder(traj, track_phases)
     t, span = cfg.t0, cfg.t1 - cfg.t0
     y = (initial.rho_gg, complex(initial.rho_ge))
     lam = lam_err = (0.0, 0.0)
@@ -158,4 +173,43 @@ def integrate_dp5(rhs, initial, cfg, frame_provider, track_phases=False) -> Traj
     if track_phases:
         traj.phase_quadrature_error = max(abs(lam_err[0]), abs(lam_err[1]))
     traj.work = SolverWork(accepted, rejected, n_rhs, n_frames, dt_lo, dt_hi, worst["t"])
+    return traj
+
+
+def integrate_rk4(rhs, initial, cfg, frame_provider, track_phases=False) -> Trajectory:
+    """``integrate(rhs, initial, cfg, frame_provider, track_phases)`` for "rk4_fixed".
+
+    Each step evaluates k1 at t + dt/2 from k0, k2 there from k1, k3 at t + dt
+    from k2, and the solution with the weights RK4_B; the generator at the
+    solution, at t + dt with the frame of k3, is the next step's k0.
+    """
+    assert cfg.method == "rk4_fixed"
+    traj = Trajectory()
+    accept, worst = recorder(traj, track_phases)
+    t0, span = cfg.t0, cfg.t1 - cfg.t0
+    n = max(1, round(span / cfg.dt))
+    dt = span / n
+    t = t0
+    y = (initial.rho_gg, complex(initial.rho_ge))
+    lam = (0.0, 0.0)
+    f0 = frame_provider(t)
+    k0 = rhs(t, DensityState(*y), f0)
+    accept(t, *y, f0, lam, True)
+    for i in range(1, n + 1):
+        t_half, t_end = t + 0.5 * dt, t + 1.0 * dt
+        f_half = frame_provider(t_half)
+        k1 = rhs(t_half, DensityState(*weighted(y, [k0], (0.5,), dt)), f_half)
+        k2 = rhs(t_half, DensityState(*weighted(y, [k0, k1], (0.0, 0.5), dt)), f_half)
+        f_end = frame_provider(t_end)
+        k3 = rhs(t_end, DensityState(*weighted(y, [k0, k1, k2], (0.0, 0.0, 1.0), dt)), f_end)
+        y = weighted(y, [k0, k1, k2, k3], RK4_B, dt)
+        k0 = rhs(t_end, DensityState(*y), f_end)
+        if track_phases:
+            lam = advance_phases(lam, [f0, f_half, f_half, f_end], RK4_B, dt)
+        f0 = f_end
+        t = t0 + i * dt
+        accept(t, *y, f0, lam, i % cfg.record_stride == 0 or i == n)
+
+    traj.max_positivity_violation = worst["violation"]
+    traj.work = SolverWork(n, 0, 4 * n + 1, 2 * n + 1, dt, dt, worst["t"])
     return traj

@@ -242,7 +242,7 @@ solver:
     @pytest.mark.parametrize("method", sorted(_METHODS))
     def test_each_method_reads_the_keys_of_its_kind(self, method):
         # a fixed step (no error row) takes dt_time; an adaptive one rtol, atol and dt_max_time
-        fixed = _METHODS[method][1] is None
+        fixed = _METHODS[method].err is None
         keys = "  dt_time: 0.02\n  rtol: 1.0e-7\n  atol: 1.0e-10\n  dt_max_time: 0.5\n"
         sc = load_scenario(MINIMAL_CONE.replace(
             "  method: rk4_fixed\n  dt_time: 0.02\n", f"  method: {method}\n{keys}"))
@@ -776,6 +776,64 @@ class TestMain:
         fn = self.write_config(tmp_path, MINIMAL_CONE + "initial:\n  rho_ge: [1.0e308, 1.0e308]\n")
         assert main(["validate", "--config", str(fn)]) == 1
         assert "initial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_config_that_is_not_utf8_exit_1(self, tmp_path, capsys, command):
+        fn = tmp_path / "scenario.yaml"
+        fn.write_bytes(b"path:\n  kind: rotating_cone\n  field_energy: 1.0 \xff\n")
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"parse error: {fn} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
+    def test_utf8_config_is_read_as_utf8(self, tmp_path, capsys):
+        # a comment in UTF-8 whatever the locale's encoding
+        fn = tmp_path / "scenario.yaml"
+        fn.write_bytes(("# \u03b8 = \u03c0/3, \u03c9 = 0.2\n" + MINIMAL_CONE).encode("utf-8"))
+        assert main(["validate", "--config", str(fn)]) == 0
+        assert capsys.readouterr().out == "scenario OK\n"
+
+    @pytest.mark.parametrize("section", ["run", "path", "coupling"])
+    def test_config_nested_beyond_the_parser_exit_1(self, tmp_path, capsys, section):
+        deep = "[" * 5000 + "]" * 5000
+        fn = self.write_config(tmp_path, f"{section}: {deep}\n")
+        assert main(["validate", "--config", str(fn)]) == 1
+        assert capsys.readouterr().err == "parse error: invalid YAML: nested too deeply\n"
+
+    def test_repeated_key_exit_1(self, tmp_path, capsys):
+        # the later value used to win silently
+        text = MINIMAL_CONE.replace("  field_energy: 1.0\n",
+                                    "  field_energy: 1.0\n  field_energy: 2.0\n")
+        fn = self.write_config(tmp_path, text)
+        assert main(["validate", "--config", str(fn)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: invalid YAML: while constructing a mapping\n")
+        assert "found duplicate key 'field_energy'\n  in \"<unicode string>\", line 5, column 3" in err
+
+    @pytest.mark.parametrize("text, key, line", [
+        (MINIMAL_CONE + "path:\n  kind: linear_sweep\n", "path", 16),
+        (MINIMAL_CONE.replace("  s0_rate: 0.1\n", "  s0_rate: 0.1\n  model: flat\n"), "model", 12),
+        (MINIMAL_CONE + "initial: {rho_gg: 1.0, rho_gg: 0.5}\n", "rho_gg", 16),
+        (MINIMAL_CONE + "run: {mode: simulate}\nrun: {mode: sweep}\n", "run", 17),
+        ("x: {1: a, 1.0: b}\n", 1.0, 1),
+    ], ids=["section", "section_key", "flow_mapping", "flow_section", "equal_numbers"])
+    def test_repeated_key_anywhere_is_named_with_its_line(self, text, key, line):
+        with pytest.raises(q.ParseError) as exc:
+            load_scenario(text)
+        where = f"found duplicate key {key!r}\n  in \"<unicode string>\", line {line},"
+        assert where in str(exc.value)
+
+    def test_unhashable_key_is_reported_by_the_loader(self):
+        with pytest.raises(q.ParseError, match="found unhashable key"):
+            load_scenario("x: {[1]: a, [1]: b}\n")
+
+    def test_merged_key_is_not_a_repetition(self):
+        # a key merged by << and the mapping's own key of that name
+        text = MINIMAL_CONE.replace("  method: rk4_fixed\n",
+                                    "  <<: {method: rk45_adaptive}\n  method: rk4_fixed\n")
+        assert load_scenario(text).solver == load_scenario(MINIMAL_CONE).solver
 
     def test_history_samples_bounded(self, tmp_path, capsys):
         berry = MINIMAL_CONE + "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5]\n"

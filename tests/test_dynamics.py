@@ -13,11 +13,12 @@ import pytest
 from scipy.linalg import expm
 
 import qsteer as q
-from qsteer.dynamics import _MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, integrate
+from qsteer.dynamics import (_MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, _tableau,
+                             integrate)
 from qsteer.errors import GAP_FLOOR
 
 from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
-from stepper_reference import integrate_dp5
+from stepper_reference import integrate_dp5, integrate_rk4
 from test_control import eig, field_bits, kernel_path, static_path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -594,6 +595,25 @@ class TestReferenceStepper:
         for name in ("max_positivity_violation", "max_excited_population", "max_alpha"):
             assert getattr(got, name) == getattr(want, name), name
 
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    @pytest.mark.parametrize("track_phases", [False, True], ids=["anchored", "optimal_phase"])
+    @pytest.mark.parametrize("case", ["cone", "sweep", "nodding"])
+    def test_rk4_bit_for_bit(self, case, track_phases):
+        make_path, t1, _, initial = self.CASES[case]
+        path = make_path()
+        sd = q.zero_temperature_ohmic(0.1, 20.0)
+        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=t1, dt=0.07, record_stride=3)
+        got, want = (run(lambda t, s, f: q.rhs_full(s, f, sd), initial, cfg,
+                         lambda t: q.frame_at(path, t), track_phases)
+                     for run in (integrate, integrate_rk4))
+        assert got.work == want.work
+        assert got.work.accepted_steps == round(t1 / 0.07) and got.samples[-1].t == t1
+        assert [sample_bits(s) for s in got.samples] == [sample_bits(s) for s in want.samples]
+        assert (got.final.lambda_g, got.final.lambda_e) == (want.final.lambda_g, want.final.lambda_e)
+        assert got.phase_quadrature_error is want.phase_quadrature_error is None
+        for name in ("max_positivity_violation", "max_excited_population", "max_alpha"):
+            assert getattr(got, name) == getattr(want, name), name
+
 
 class TestNonFiniteStates:
     """An accepted state is checked for finiteness; a finite one whose purity overflows is not."""
@@ -736,26 +756,74 @@ class TestTableaus:
     def test_rows_sum_to_their_nodes(self, method):
         # stage s's row of A sums to its node; the last row is the b row, at
         # c = 1 (first same as last), and the error row b - b_hat sums to 0
-        stages, err = _METHODS[method]
-        assert [s for s, _, _, _ in stages] == list(range(1, len(stages) + 1))
-        for s, c, terms, _ in stages:
-            assert all(0 <= j < s for j, _ in terms)  # explicit: A is strictly lower
-            assert math.fsum(a for _, a in terms) == pytest.approx(c, abs=1e-15)
-        _, c_last, b_row, _ = stages[-1]
-        assert c_last == 1.0
-        assert math.fsum(b for _, b in b_row) == pytest.approx(1.0, abs=1e-15)
+        nodes, rows, err, _ = _METHODS[method]
+        assert len(rows) == len(nodes) and nodes[0] == 0.0 and rows[0] == ()
+        for s, (c, row) in enumerate(zip(nodes, rows)):
+            assert len(row) == s  # explicit: A is strictly lower
+            assert math.fsum(row) == pytest.approx(c, abs=1e-15)
+        assert nodes[-1] == 1.0
+        assert math.fsum(rows[-1]) == pytest.approx(1.0, abs=1e-15)
         if err is not None:
-            assert all(0 <= j <= len(stages) for j, _ in err)
-            assert math.fsum(e for _, e in err) == pytest.approx(0.0, abs=1e-15)
+            assert len(err) == len(nodes)
+            assert math.fsum(err) == pytest.approx(0.0, abs=1e-15)
 
     def test_error_row_weights_the_b_rows_stages_then_later_ones(self):
         # integrate sums both phase rows in one pass over the b row's stages and then the
         # error row's later ones: each sum keeps its row's stage order only if the error row
         # weights every b-row stage and no other stage before the b row's last
-        for stages, err in _METHODS.values():
+        for _, rows, err, _ in _METHODS.values():
             if err is not None:
-                b_stages = [s for s, _ in stages[-1][2]]
-                assert [s for s, _ in err if s <= b_stages[-1]] == b_stages
+                b_stages = [s for s, b in enumerate(rows[-1]) if b != 0.0]
+                assert [s for s, e in enumerate(err) if e != 0.0 and s <= b_stages[-1]] == b_stages
+
+    def test_entries_must_be_finite(self):
+        nodes, rows, err, _ = _METHODS["rk45_adaptive"]
+        with pytest.raises(ValueError, match="^tableau entries must be finite$"):
+            _tableau(nodes, rows, err[:-1] + (math.inf,))
+
+    @pytest.mark.parametrize("method", sorted(_METHODS))
+    def test_attempt_is_the_rows_term_by_term(self, method):
+        # one compiled attempt against the rows read term by term: each stage's time, its
+        # state summed left to right from (g, ge), one provider call per distinct node,
+        # and the error sums from 0.0 and 0j; slopes and frames are distinct per stage
+        nodes, rows, err, attempt = _METHODS[method]
+        t, dt, g, ge = 0.3, 0.07, 0.8, complex(0.1, -0.2)
+        calls, provided = [], []
+
+        def slope(s):
+            return 0.1 * s - 0.5, complex(0.3 / s, -0.2 * s)
+
+        def rhs(ts, state, frame):
+            assert type(state) is q.DensityState
+            calls.append((ts, state, frame))
+            return slope(len(calls))
+
+        def provider(ts):
+            provided.append(ts)
+            return ("frame", ts)
+
+        k0, f0 = (-0.4, complex(0.25, 0.5)), ("frame", t)
+        g_new, ge_new, err_g, err_ge, k_last, frames = attempt(rhs, provider, t, dt, g, ge, k0, f0)
+        ks, want_frames = [k0], [f0]
+        for s in range(1, len(nodes)):
+            ts = t + nodes[s] * dt
+            y_g, y_ge = g, ge
+            for j, a in enumerate(rows[s]):
+                if a != 0.0:
+                    y_g += a * dt * ks[j][0]
+                    y_ge += a * dt * ks[j][1]
+            want_frames.append(want_frames[-1] if nodes[s] == nodes[s - 1] else ("frame", ts))
+            assert calls[s - 1] == (ts, (y_g, y_ge), want_frames[-1])
+            ks.append(slope(s))
+        assert (g_new, ge_new) == (y_g, y_ge) and k_last == ks[-1]
+        assert frames == tuple(want_frames)
+        assert provided == sorted({t + c * dt for c in nodes[1:]})
+        want_err = [0.0, 0j]
+        for j, e in enumerate(err or ()):
+            if e != 0.0:
+                want_err[0] += e * dt * ks[j][0]
+                want_err[1] += e * dt * ks[j][1]
+        assert [err_g, err_ge] == want_err
 
 
 class TestSolverWork:
@@ -918,9 +986,9 @@ class TestSolverWork:
     def test_phase_error_estimate_beyond_the_float_range_raises(self, monkeypatch):
         # an error row scaled by 1e308 against w_gg = 1e3: the state's error is 0 and
         # the phases are finite, but each phase error term overflows
-        stages, err_terms = _METHODS["rk45_adaptive"]
+        nodes, rows, err, _ = _METHODS["rk45_adaptive"]
         monkeypatch.setitem(_METHODS, "rk45_adaptive",
-                            (stages, tuple((j, e * 1e308) for j, e in err_terms)))
+                            _tableau(nodes, rows, tuple(e * 1e308 for e in err)))
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0)
         with pytest.raises(q.NonFiniteState,
                            match="^the optimal phase's error estimate overflows the float range$"):
