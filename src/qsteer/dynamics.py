@@ -334,27 +334,24 @@ class Trajectory:
                             s.lambda_g, s.lambda_e))
 
 
-def _terms(row):
-    """The nonzero (stage, coefficient) pairs of one tableau row, in stage order."""
-    return tuple((s, c) for s, c in enumerate(row) if c != 0.0)
-
-
 class _Tableau(NamedTuple):
-    """One explicit method: nodes c, rows of A, error row b - b_hat and its compiled attempt.
+    """One explicit method: nodes c, rows of A, error row b - b_hat and its compiled code.
 
     The last row of A is the b row, at c = 1 (first same as last), so the
     last stage is evaluated at the step's solution and becomes the next
-    step's first. ``err`` is None for a fixed step.
+    step's first. ``err`` is None for a fixed step. ``attempt`` and
+    ``phases`` are generated from these rows by :func:`_tableau`.
     """
 
     nodes: tuple
     rows: tuple
     err: Optional[tuple]
     attempt: Callable
+    phases: Callable
 
 
 def _tableau(nodes, rows, err=None) -> _Tableau:
-    """A tableau and its ``attempt``: one step's stages as straight-line code.
+    """A tableau, its ``attempt``: one step's stages as straight-line code, and its ``phases``.
 
     ``attempt(rhs, provider, t, dt, g, ge, k0, f0)`` evaluates stages 1, 2, ...
     of a step from the state (g, ge) at t, whose slope is k0 and frame f0. It
@@ -366,8 +363,13 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
     start from 0.0 and 0j. A stage whose node equals the previous stage's
     reuses its time and frame, so the provider is called once per distinct
     node: DP5's last two stages and RK4's last two (c = 1), and RK4's middle
-    two (c = 1/2). The source is generated from the rows and compiled once, so
-    the coefficients live only in the tableau.
+    two (c = 1/2).
+
+    ``phases(frames)`` takes an attempt's stage frames and returns the b-row
+    sums of the frames' w_gg and w_ee, then the error row's (the constant 0.0
+    without one): each sum of c * w over its row's nonzero entries runs left
+    to right in stage order from 0.0. The source of both is generated from
+    the rows and compiled once, so the coefficients are read only here.
     """
     if not all(math.isfinite(x) for row in (nodes, *rows, err or ()) for x in row):
         raise ValueError("tableau entries must be finite")  # each is written as a float literal
@@ -376,12 +378,16 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
            " new=tuple.__new__, State=DensityState):",
            "    kg0, kge0 = k0"]
 
+    def terms(row):
+        """The nonzero (stage, coefficient) pairs of one row, in stage order."""
+        return [(j, c) for j, c in enumerate(row) if c != 0.0]
+
     def sums(row, g0, ge0):
         """``a_j = coef * dt`` lines for one row; its two sums, left to right from (g0, ge0)."""
-        terms = _terms(row)
-        src.extend(f"    a{j} = {a!r} * dt" for j, a in terms)
-        return (" + ".join([g0] + [f"a{j} * kg{j}" for j, _ in terms]),
-                " + ".join([ge0] + [f"a{j} * kge{j}" for j, _ in terms]))
+        nonzero = terms(row)
+        src.extend(f"    a{j} = {a!r} * dt" for j, a in nonzero)
+        return (" + ".join([g0] + [f"a{j} * kg{j}" for j, _ in nonzero]),
+                " + ".join([ge0] + [f"a{j} * kge{j}" for j, _ in nonzero]))
 
     times, frames = ["t"], ["f0"]
     for s in range(1, last + 1):
@@ -400,10 +406,15 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
         src.append(f"    kg{last}, kge{last} = k{last}")
     err_g, err_ge = sums(err or (), "0.0", "0j")
     src.append(f"    return g{last}, ge{last}, {err_g}, {err_ge}, k{last}, ({', '.join(frames)})")
+    phase = [" + ".join(["0.0"] + [f"{c!r} * f{j}.{w}" for j, c in terms(row)])
+             for row in (rows[last], err or ()) for w in ("w_gg", "w_ee")]
+    src += ["def phases(frames):",
+            f"    {', '.join(f'f{s}' for s in range(last + 1))} = frames",
+            f"    return {', '.join(phase)}"]
     namespace = {"DensityState": DensityState}
     exec(compile("\n".join(src), "<tableau attempt>", "exec"), namespace)
     return _Tableau(tuple(nodes), tuple(rows), None if err is None else tuple(err),
-                    namespace["attempt"])
+                    namespace["attempt"], namespace["phases"])
 
 
 _METHODS = {
@@ -490,18 +501,19 @@ def integrate(
 
     With ``track_phases`` the samples are reported in the optimally phase
     shifted basis. The stepper accumulates lambda_g, lambda_e (from 0 at t0,
-    d lambda/dt = -w_diag) with each accepted step's own quadrature weights
-    on the stage frames it already evaluated; the phases stay out of the
-    error norm, so steps and rho_gg equal the plain run's exactly. At each
-    record point rho_ge is rotated by e^{i(lambda_e - lambda_g)}; in that basis
-    the w diagonals vanish, so alpha is hs_norm(0, 0, w_ge) / omega01. This is
-    the optimal-phase run only for generators covariant under the basis phase,
-    as ``rhs_full`` is. A phase that is not finite at a record point raises
+    d lambda/dt = -w_diag) by each accepted step's b-row sums of the w
+    diagonals over the stage frames it already evaluated, which the tableau's
+    compiled ``phases`` returns; the phases stay out of the error norm, so
+    steps and rho_gg equal the plain run's exactly. At each record point
+    rho_ge is rotated by e^{i(lambda_e - lambda_g)}; in that basis the w
+    diagonals vanish, so alpha is hs_norm(0, 0, w_ge) / omega01. This is the
+    optimal-phase run only for generators covariant under the basis phase, as
+    ``rhs_full`` is. A phase that is not finite at a record point raises
     NonFiniteState naming t. "rk45_adaptive" also accumulates the phases with
-    its embedded 4th-order weights (the error row on the same stage frames),
-    in the same pass over the stage frames, each sum in its row's stage order;
-    ``phase_quadrature_error`` is the larger branch's |5th - 4th-order phase|
-    at t1 ("rk4_fixed" has no error row and reports None).
+    its embedded 4th-order weights, the error-row sums that ``phases``
+    returns from the same stage frames; ``phase_quadrature_error`` is the
+    larger branch's |5th - 4th-order phase| at t1 ("rk4_fixed" has no error
+    row and reports None).
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
@@ -513,22 +525,14 @@ def integrate(
     provider = frame_provider if frame_provider is not None else lambda t: None
     new = tuple.__new__
     sqrt, isfinite, inf = math.sqrt, math.isfinite, math.inf
-    nodes, rows, err, attempt = _METHODS[cfg.method]
+    nodes, _, err, attempt, phases = _METHODS[cfg.method]
     last = len(nodes) - 1  # stages per attempt, and RHS calls
     frames_per_attempt = sum(nodes[s] != nodes[s - 1] for s in range(1, len(nodes)))
-    b_terms, err_terms = _terms(rows[-1]), None if err is None else _terms(err)
     atol, rtol, t1 = cfg.atol, cfg.rtol, cfg.t1
     traj = Trajectory()
     t_worst = None
     max_violation, max_excited, max_alpha = 0.0, -math.inf, 0.0
-    track_error = track_phases and err_terms is not None
-    # Both phase sums in one pass over the stage frames, each in its row's stage order:
-    # (stage, b, e) for the stages the b row weights, where DP5's error row weights each
-    # of them too, then (stage, e) for the error row's later stages (DP5's last). A
-    # fixed step has no error row; its error sums are never read.
-    e_of = dict(err_terms or ())
-    phase_terms = tuple((s, b, e_of.get(s, 0.0)) for s, b in b_terms)
-    tail_terms = tuple((s, e) for s, e in e_of.items() if s > b_terms[-1][0])
+    track_error = track_phases and err is not None
 
     def accept(t, g, ge, frame, lam, keep):
         """Check one accepted state, fold it into the run's maxima and, if ``keep``, record it."""
@@ -568,7 +572,7 @@ def integrate(
     accept(t, g, ge, frame, lam, True)
 
     span = t1 - cfg.t0
-    if err_terms is None:
+    if err is None:
         # step i ends at t0 + i * dt, so the times carry no accumulated rounding
         n_steps, t_end = max(1, round(span / cfg.dt)), math.inf
         dt = span / n_steps
@@ -580,7 +584,7 @@ def integrate(
     accepted = rejected = rejections = 0
     done = False
     while not done:
-        if err_terms is not None:
+        if err is not None:
             # min(dt * grow, dt_max, t1 - t), by the comparisons min makes
             dt *= grow
             if dt_max < dt:
@@ -593,7 +597,7 @@ def integrate(
         g_new, ge_new, err_g, err_ge, k_new, frames = attempt(rhs, provider, t, dt, g, ge, k, frame)
         n_rhs += last
         n_frames += frames_per_attempt
-        if err_terms is None:
+        if err is None:
             norm = 0.0
         else:
             # each component's scale atol + rtol * max(|y|, |y_new|), by the comparisons abs
@@ -619,18 +623,7 @@ def integrate(
         if norm <= 1.0:
             if track_phases:
                 # d lambda/dt = -w_diag by the step's b row and by its error row
-                b_g = b_e = e_g = e_e = 0.0
-                for s, b, e in phase_terms:
-                    f = frames[s]
-                    w_gg, w_ee = f.w_gg, f.w_ee
-                    b_g += b * w_gg
-                    b_e += b * w_ee
-                    e_g += e * w_gg
-                    e_e += e * w_ee
-                for s, e in tail_terms:
-                    f = frames[s]
-                    e_g += e * f.w_gg
-                    e_e += e * f.w_ee
+                b_g, b_e, e_g, e_e = phases(frames)
                 lam = (lam[0] - dt * b_g, lam[1] - dt * b_e)
                 lam_err = (lam_err[0] - dt * e_g, lam_err[1] - dt * e_e)
             accepted += 1

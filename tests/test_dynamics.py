@@ -756,7 +756,7 @@ class TestTableaus:
     def test_rows_sum_to_their_nodes(self, method):
         # stage s's row of A sums to its node; the last row is the b row, at
         # c = 1 (first same as last), and the error row b - b_hat sums to 0
-        nodes, rows, err, _ = _METHODS[method]
+        nodes, rows, err, _, _ = _METHODS[method]
         assert len(rows) == len(nodes) and nodes[0] == 0.0 and rows[0] == ()
         for s, (c, row) in enumerate(zip(nodes, rows)):
             assert len(row) == s  # explicit: A is strictly lower
@@ -767,26 +767,18 @@ class TestTableaus:
             assert len(err) == len(nodes)
             assert math.fsum(err) == pytest.approx(0.0, abs=1e-15)
 
-    def test_error_row_weights_the_b_rows_stages_then_later_ones(self):
-        # integrate sums both phase rows in one pass over the b row's stages and then the
-        # error row's later ones: each sum keeps its row's stage order only if the error row
-        # weights every b-row stage and no other stage before the b row's last
-        for _, rows, err, _ in _METHODS.values():
-            if err is not None:
-                b_stages = [s for s, b in enumerate(rows[-1]) if b != 0.0]
-                assert [s for s, e in enumerate(err) if e != 0.0 and s <= b_stages[-1]] == b_stages
-
     def test_entries_must_be_finite(self):
-        nodes, rows, err, _ = _METHODS["rk45_adaptive"]
+        nodes, rows, err, _, _ = _METHODS["rk45_adaptive"]
         with pytest.raises(ValueError, match="^tableau entries must be finite$"):
             _tableau(nodes, rows, err[:-1] + (math.inf,))
 
     @pytest.mark.parametrize("method", sorted(_METHODS))
     def test_attempt_is_the_rows_term_by_term(self, method):
-        # one compiled attempt against the rows read term by term: each stage's time, its
-        # state summed left to right from (g, ge), one provider call per distinct node,
-        # and the error sums from 0.0 and 0j; slopes and frames are distinct per stage
-        nodes, rows, err, attempt = _METHODS[method]
+        # one compiled attempt and its phases against the rows read term by term: each
+        # stage's time, its state summed left to right from (g, ge), one provider call per
+        # distinct node, the error sums from 0.0 and 0j, and the phase sums from 0.0 over
+        # the stage frames; slopes and frames are distinct per stage
+        nodes, rows, err, attempt, phases = _METHODS[method]
         t, dt, g, ge = 0.3, 0.07, 0.8, complex(0.1, -0.2)
         calls, provided = [], []
 
@@ -824,6 +816,18 @@ class TestTableaus:
                 want_err[0] += e * dt * ks[j][0]
                 want_err[1] += e * dt * ks[j][1]
         assert [err_g, err_ge] == want_err
+        # (w_gg, w_ee) per stage, where summing RK4's b row in another order changes the floats
+        w = [(math.sin(1.1 * s + 0.2), math.cos(1.1 * s - 0.2) / 3) for s in range(len(nodes))]
+        stage_frames = tuple(make_frame(w_gg=w_gg, w_ee=w_ee) for w_gg, w_ee in w)
+        want_phases = [0.0] * 4  # b row's w_gg and w_ee sums, then the error row's
+        for row, at in ((rows[-1], 0), (err or (), 2)):
+            for j, c in enumerate(row):
+                if c != 0.0:
+                    want_phases[at] += c * w[j][0]
+                    want_phases[at + 1] += c * w[j][1]
+        got = phases(stage_frames)
+        assert [x.hex() for x in got] == [x.hex() for x in want_phases]
+        assert err is not None or got[2:] == (0.0, 0.0)
 
 
 class TestSolverWork:
@@ -986,7 +990,7 @@ class TestSolverWork:
     def test_phase_error_estimate_beyond_the_float_range_raises(self, monkeypatch):
         # an error row scaled by 1e308 against w_gg = 1e3: the state's error is 0 and
         # the phases are finite, but each phase error term overflows
-        nodes, rows, err, _ = _METHODS["rk45_adaptive"]
+        nodes, rows, err, _, _ = _METHODS["rk45_adaptive"]
         monkeypatch.setitem(_METHODS, "rk45_adaptive",
                             _tableau(nodes, rows, tuple(e * 1e308 for e in err)))
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0)
