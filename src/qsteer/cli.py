@@ -14,6 +14,7 @@ import argparse
 import cmath
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -228,11 +229,20 @@ def _stride(value, where, problems):
     return value
 
 
+def _parses(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(csv_path, names) -> list:
     """The rows of a data file, each as the floats of its first len(names) fields.
 
-    The first non-empty row is skipped as a header if it does not parse; any
-    later row that does not parse, and any row with fewer fields than names,
+    The first non-empty row is skipped as a header if none of those fields
+    parses as a number; any other row that does not parse, a first row with a
+    typo among numbers included, and any row with fewer fields than names,
     raises ValueError naming its line.
     """
     need = f"{', '.join(names[:-1])} and {names[-1]}"
@@ -245,7 +255,7 @@ def _read_csv(csv_path, names) -> list:
             try:
                 rows.append([float(x) for x in row[:len(names)]])
             except ValueError:
-                if i:  # only the first row may be a header
+                if i or any(_parses(x) for x in row[:len(names)]):  # only a first row of text is a header
                     raise ValueError(f"line {reader.line_num} does not parse: {','.join(row)!r}") from None
     return rows
 
@@ -484,9 +494,11 @@ _RUN_KEYS = ("mode", "optimal_phase", "spectral_shift", "history_samples",
              "sweep_periods_time", "berry_theta_grid_rad")
 
 
-def load_scenario(text: str, mode: Optional[str] = None) -> Scenario:
+def load_scenario(text, mode: Optional[str] = None) -> Scenario:
     """Parse and validate a YAML scenario, reporting every problem at once.
 
+    ``text`` is the YAML as a string, or a text stream whose ``name`` a YAML
+    error reports (a string's is "<unicode string>").
     A key repeated in one mapping, and YAML nested too deeply for the parser,
     raise ParseError like any other invalid YAML. A given ``mode`` (a CLI
     subcommand) replaces ``run.mode`` before the mode's own rules are checked.
@@ -587,12 +599,16 @@ def _member_problems(scenario: Scenario) -> list:
 
 
 def scenario_from_file(path, mode: Optional[str] = None) -> Scenario:
-    """The scenario in a UTF-8 YAML file; ParseError if the file is not UTF-8 text."""
+    """The scenario in a UTF-8 YAML file; ParseError if the file is not UTF-8 text.
+
+    A YAML error names the file where :func:`load_scenario` names "<unicode string>".
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        stream = io.StringIO(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
-    return load_scenario(text, mode)
+    stream.name = str(path)  # the stream name that the YAML parser's marks report
+    return load_scenario(stream, mode)
 
 
 # ----------------------------------------------------------------------

@@ -810,7 +810,17 @@ class TestMain:
         assert main(["validate", "--config", str(fn)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("parse error: invalid YAML: while constructing a mapping\n")
-        assert "found duplicate key 'field_energy'\n  in \"<unicode string>\", line 5, column 3" in err
+        assert f"found duplicate key 'field_energy'\n  in \"{fn}\", line 5, column 3" in err
+
+    def test_yaml_error_in_a_config_names_the_file(self, tmp_path, capsys):
+        # the shipped cone with field_energy repeated on its line 6, as CI writes it
+        text = (CONFIG_DIR / "cone_zero_temperature.yaml").read_text()
+        fn = self.write_config(tmp_path, text.replace("  field_energy: 1.0\n",
+                                                      "  field_energy: 1.0\n  field_energy: 2.0\n"))
+        assert main(["validate", "--config", str(fn)]) == 1
+        err = capsys.readouterr().err
+        assert f"found duplicate key 'field_energy'\n  in \"{fn}\", line 6, column 3" in err
+        assert "<unicode string>" not in err
 
     @pytest.mark.parametrize("text, key, line", [
         (MINIMAL_CONE + "path:\n  kind: linear_sweep\n", "path", 16),
@@ -1008,12 +1018,16 @@ class TestMain:
         # only the first row may be a header: a later typo fails, it is not dropped
         ("path", "0,1,0,1\n1,1,0,x\n2,1,0,1\n3,1,0,1\n4,1,0,1\n", "line 2 does not parse"),
         ("bath", "omega,S\n-2,0.1\n0,abc\n2,0.1\n", "line 3 does not parse"),
+        # a first row with a number among its fields is data with a typo, not a header
+        ("path", "0,1,0,1.o\n1,1,0,1\n2,1,0,1\n3,1,0,1\n4,1,0,1\n", "line 1 does not parse: '0,1,0,1.o'"),
+        ("bath", "-2,0.1x\n0,0.1\n2,0.1\n", "line 1 does not parse: '-2,0.1x'"),
         # one short row among full ones is named, not left to the array's shape check
         ("path", "t,bx,by,bz\n0,1,0,1\n1,1,0\n2,1,0,1\n3,1,0,1\n4,1,0,1\n",
          "line 3 needs t, b_x, b_y and b_z, got '1,1,0'"),
         ("bath", "omega,S\n-2,0.1\n0\n2,0.1\n", "line 3 needs omega and S, got '0'"),
     ], ids=["path-3-rows", "path-2-columns", "spectrum-1-row", "spectrum-1-column",
-            "path-bad-data-row", "spectrum-bad-data-row", "path-short-row", "spectrum-short-row"])
+            "path-bad-data-row", "spectrum-bad-data-row", "path-bad-first-row",
+            "spectrum-bad-first-row", "path-short-row", "spectrum-short-row"])
     def test_malformed_data_file_exit_2(self, tmp_path, capsys, section, rows, message):
         data = tmp_path / "data.csv"
         data.write_text(rows)

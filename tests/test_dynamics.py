@@ -509,6 +509,28 @@ class TestSweepLawEndToEnd:
         assert abs(a.lambda_g - b.lambda_g) <= 1e-12 and abs(a.lambda_e - b.lambda_e) <= 1e-12
 
 
+class TestLandauZener:
+    """Unitary linear sweeps through the avoided crossing against the Landau-Zener formula."""
+
+    @pytest.mark.parametrize("rate", [1.0, 0.25])
+    def test_final_excitation_is_the_landau_zener_probability(self, rate):
+        # H = b.sigma / 2 with b = (gap, 0, rate (t - tau/2)), b_z from -10 to 10 gaps: the
+        # adiabatic ground state ends excited with P = exp(-pi gap^2 / (2 rate)) for an
+        # infinite sweep; this finite one's end effect is below 4e-3 relative
+        gap, half_range = 1.0, 10.0
+        duration = 2.0 * half_range / rate
+        sweep = q.linear_sweep(rate, gap, duration, SX)
+        sd = q.flat(0.0)
+        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=duration, rtol=1e-11,
+                             record_stride=sys.maxsize)
+        traj = integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+                         frame_provider=lambda t: q.frame_at(sweep, t))
+        p_lz = math.exp(-math.pi * gap**2 / (2.0 * rate))
+        assert traj.final.t == duration
+        assert traj.final.state.rho_ee == pytest.approx(p_lz, rel=1e-2)
+        assert traj.final.purity == pytest.approx(1.0, abs=1e-8)  # unitary: the state stays pure
+
+
 class TestStageContract:
     """What integrate hands the generator: a real DensityState and the provider's own frame."""
 
