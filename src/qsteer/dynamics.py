@@ -334,6 +334,11 @@ class Trajectory:
                             s.lambda_g, s.lambda_e))
 
 
+def _terms(row):
+    """The nonzero (stage, coefficient) pairs of one tableau row, in stage order."""
+    return tuple((s, c) for s, c in enumerate(row) if c != 0.0)
+
+
 class _Tableau(NamedTuple):
     """One explicit method: nodes c, rows of A, error row b - b_hat and its compiled code.
 
@@ -378,16 +383,12 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
            " new=tuple.__new__, State=DensityState):",
            "    kg0, kge0 = k0"]
 
-    def terms(row):
-        """The nonzero (stage, coefficient) pairs of one row, in stage order."""
-        return [(j, c) for j, c in enumerate(row) if c != 0.0]
-
     def sums(row, g0, ge0):
         """``a_j = coef * dt`` lines for one row; its two sums, left to right from (g0, ge0)."""
-        nonzero = terms(row)
-        src.extend(f"    a{j} = {a!r} * dt" for j, a in nonzero)
-        return (" + ".join([g0] + [f"a{j} * kg{j}" for j, _ in nonzero]),
-                " + ".join([ge0] + [f"a{j} * kge{j}" for j, _ in nonzero]))
+        terms = _terms(row)
+        src.extend(f"    a{j} = {a!r} * dt" for j, a in terms)
+        return (" + ".join([g0] + [f"a{j} * kg{j}" for j, _ in terms]),
+                " + ".join([ge0] + [f"a{j} * kge{j}" for j, _ in terms]))
 
     times, frames = ["t"], ["f0"]
     for s in range(1, last + 1):
@@ -406,7 +407,7 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
         src.append(f"    kg{last}, kge{last} = k{last}")
     err_g, err_ge = sums(err or (), "0.0", "0j")
     src.append(f"    return g{last}, ge{last}, {err_g}, {err_ge}, k{last}, ({', '.join(frames)})")
-    phase = [" + ".join(["0.0"] + [f"{c!r} * f{j}.{w}" for j, c in terms(row)])
+    phase = [" + ".join(["0.0"] + [f"{c!r} * f{j}.{w}" for j, c in _terms(row)])
              for row in (rows[last], err or ()) for w in ("w_gg", "w_ee")]
     src += ["def phases(frames):",
             f"    {', '.join(f'f{s}' for s in range(last + 1))} = frames",
@@ -501,19 +502,17 @@ def integrate(
 
     With ``track_phases`` the samples are reported in the optimally phase
     shifted basis. The stepper accumulates lambda_g, lambda_e (from 0 at t0,
-    d lambda/dt = -w_diag) by each accepted step's b-row sums of the w
-    diagonals over the stage frames it already evaluated, which the tableau's
-    compiled ``phases`` returns; the phases stay out of the error norm, so
-    steps and rho_gg equal the plain run's exactly. At each record point
-    rho_ge is rotated by e^{i(lambda_e - lambda_g)}; in that basis the w
-    diagonals vanish, so alpha is hs_norm(0, 0, w_ge) / omega01. This is the
-    optimal-phase run only for generators covariant under the basis phase, as
-    ``rhs_full`` is. A phase that is not finite at a record point raises
+    d lambda/dt = -w_diag) from the tableau's compiled ``phases``: the b-row
+    sums over each accepted step's stage frames. The phases stay out of the
+    error norm, so steps and rho_gg equal the plain run's exactly. At each
+    record point rho_ge is rotated by e^{i(lambda_e - lambda_g)}; in that basis
+    the w diagonals vanish, so alpha is hs_norm(0, 0, w_ge) / omega01. This is
+    the optimal-phase run only for generators covariant under the basis phase,
+    as ``rhs_full`` is. A phase that is not finite at a record point raises
     NonFiniteState naming t. "rk45_adaptive" also accumulates the phases with
-    its embedded 4th-order weights, the error-row sums that ``phases``
-    returns from the same stage frames; ``phase_quadrature_error`` is the
-    larger branch's |5th - 4th-order phase| at t1 ("rk4_fixed" has no error
-    row and reports None).
+    its embedded 4th-order weights, the error-row sums that ``phases`` returns;
+    ``phase_quadrature_error`` is the larger branch's |5th - 4th-order phase|
+    at t1 ("rk4_fixed" has no error row and reports None).
     """
     if track_phases and frame_provider is None:
         raise ValueError("track_phases requires a frame_provider")
