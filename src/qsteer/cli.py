@@ -117,32 +117,6 @@ class Scenario:
         payload = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return sha256(payload.encode()).hexdigest()[:12]
 
-    def sub_scenarios(self) -> list:
-        """Derived single-run scenarios for sweep mode, one per period.
-
-        Each keeps the cone geometry but sets the drive period, integrates
-        exactly one period, and scales the fixed step / step cap with the
-        period so the per-period resolution is constant.
-        """
-        if self.mode != "sweep":
-            return [self]
-        subs = []
-        base_t = self.solver.t1 - self.solver.t0
-        for p in self.sweep_periods:
-            scale = p / base_t
-            solver = dataclasses.replace(
-                self.solver,
-                t0=0.0,
-                t1=p,
-                dt=None if self.solver.dt is None else self.solver.dt * scale,
-                dt_max=None if self.solver.dt_max is None else self.solver.dt_max * scale,
-            )
-            path = {**self.path, "drive_omega_rad_per_time": 2 * math.pi / p, "duration_time": p}
-            subs.append(
-                dataclasses.replace(self, path=path, solver=solver, mode="simulate", sweep_periods=())
-            )
-        return subs
-
 
 def _is_real(value) -> bool:
     """An int or a float; YAML booleans load as Python ints but are not numbers here."""
@@ -591,7 +565,7 @@ def _member_problems(scenario: Scenario) -> list:
         return problems
     for p in scenario.sweep_periods:
         try:
-            (sub,) = dataclasses.replace(scenario, sweep_periods=(p,)).sub_scenarios()
+            ((sub, *_),) = _members(dataclasses.replace(scenario, sweep_periods=(p,)))
             build_path(sub.path, sub.coupling)
         except ValueError as exc:
             problems.append(f"run.sweep_periods_time: period {p!r}: {exc}")
@@ -670,13 +644,25 @@ def _members(scenario: Scenario) -> list:
 
     The name keys the member's solver work; it is also the trajectory file,
     except for a Berry loop (the variant "berry", named ``theta_<index>``),
-    which writes none.
+    which writes none. A sweep member keeps the cone geometry but sets the
+    drive period, integrates exactly one period, and scales the fixed step /
+    step cap with the period so the per-period resolution is constant.
     """
     if scenario.mode == "compare":
         return [(scenario, v, f"{v}.csv", {"variant": v}) for v in ("full", "secular", "nonsteered")]
     if scenario.mode == "sweep":
-        return [(sub, "full", f"period_{i:03d}.csv", {"period_time": sub.solver.t1 - sub.solver.t0})
-                for i, sub in enumerate(scenario.sub_scenarios())]
+        members = []
+        base, base_t = scenario.solver, scenario.solver.t1 - scenario.solver.t0
+        for i, p in enumerate(scenario.sweep_periods):
+            scale = p / base_t
+            solver = dataclasses.replace(base, t0=0.0, t1=p,
+                                         dt=None if base.dt is None else base.dt * scale,
+                                         dt_max=None if base.dt_max is None else base.dt_max * scale)
+            path = {**scenario.path, "drive_omega_rad_per_time": 2 * math.pi / p, "duration_time": p}
+            sub = dataclasses.replace(scenario, path=path, solver=solver, mode="simulate", sweep_periods=())
+            members.append((sub, "full", f"period_{i:03d}.csv",
+                            {"period_time": sub.solver.t1 - sub.solver.t0}))
+        return members
     if scenario.mode == "berry":
         loop = {k: v for k, v in scenario.path.items() if k != "duration_time"}
         return [(dataclasses.replace(scenario, path={**loop, "theta_rad": theta}), "berry",

@@ -88,12 +88,12 @@ class TestLoadScenario:
             load_scenario(text)
         assert any("bath.temperature_energy" in p for p in exc.value.problems)
 
-    def test_sweep_derives_sub_scenarios(self):
+    def test_sweep_members_one_per_period(self):
         text = MINIMAL_CONE + (
             "run:\n  mode: sweep\n  sweep_periods_time: [10, 20, 30, 40, 50, 60, 70, 80]\n"
         )
         sc = load_scenario(text)
-        subs = sc.sub_scenarios()
+        subs = [m[0] for m in cli._members(sc)]
         assert len(subs) == 8
         for sub, period in zip(subs, (10, 20, 30, 40, 50, 60, 70, 80)):
             assert sub.mode == "simulate"
