@@ -370,6 +370,9 @@ def _build_coupling(data, problems):
     return m
 
 
+_PERIOD_OVERFLOWS = "path.drive_omega_rad_per_time: one drive period overflows; set path.duration_time"
+
+
 def _build_solver(data, path, problems) -> Optional[SolverConfig]:
     """The solver section; without ``t1_time`` the window is the duration of ``path``.
 
@@ -385,8 +388,7 @@ def _build_solver(data, path, problems) -> Optional[SolverConfig]:
             problems.append("solver.t1_time: required when the path has no path.duration_time")
             return None
         if not math.isfinite(duration):
-            problems.append("path.drive_omega_rad_per_time: one drive period overflows; "
-                            "set path.duration_time")
+            problems.append(_PERIOD_OVERFLOWS)
             return None
         cfg["t1_time"] = t0 + duration
     if not cfg["t1_time"] > t0:
@@ -546,15 +548,20 @@ def load_scenario(text, mode: Optional[str] = None) -> Scenario:
 
 
 def _member_problems(scenario: Scenario) -> list:
-    """One problem for each sweep period or Berry loop whose member the library rejects.
+    """One problem for each member run that the library rejects.
 
-    Each sweep member's solver and path are built as a sweep run builds them,
-    so a scaled ``dt`` that underflows to 0 or a drive rate 2 pi / period that
-    overflows is reported. A Berry loop integrates one drive period with the
-    scenario's solver, so a period that overflows or needs too many steps is
-    reported. Only the run's own mode is checked.
+    A simulate or compare run builds the scenario's own cone, so a default
+    duration, one drive period, that overflows is reported even where
+    ``solver.t1_time`` sets the window. Each sweep member's solver and path
+    are built as a sweep run builds them, so a scaled ``dt`` that underflows
+    to 0 or a drive rate 2 pi / period that overflows is reported. A Berry
+    loop integrates one drive period with the scenario's solver, so a period
+    that overflows or needs too many steps is reported. Only the run's own
+    mode is checked.
     """
     problems = []
+    if scenario.mode in ("simulate", "compare") and _path_duration(scenario.path) == math.inf:
+        problems.append(_PERIOD_OVERFLOWS)
     if scenario.mode == "berry":
         period = 2 * math.pi / abs(scenario.path["drive_omega_rad_per_time"])
         try:

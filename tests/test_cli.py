@@ -159,12 +159,14 @@ solver:
         assert exc.value.problems == ["path.field_energy: must be positive"]
 
     def test_overflowing_drive_period_names_the_path(self):
-        # 2 pi / 5e-324 is inf: no finite default window
+        # 2 pi / 5e-324 is inf: no finite default window, and with solver.t1_time no
+        # finite default duration for the cone that the run builds
         text = MINIMAL_CONE.replace("drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 5.0e-324")
-        with pytest.raises(q.ValidationError) as exc:
-            load_scenario(text)
-        assert exc.value.problems == [
-            "path.drive_omega_rad_per_time: one drive period overflows; set path.duration_time"]
+        for config in (text, text.replace("dt_time: 0.02", "dt_time: 0.02\n  t1_time: 10.0")):
+            with pytest.raises(q.ValidationError) as exc:
+                load_scenario(config)
+            assert exc.value.problems == [
+                "path.drive_omega_rad_per_time: one drive period overflows; set path.duration_time"]
         assert load_scenario(text.replace("5.0e-324", "5.0e-324\n  duration_time: 10.0")).solver.t1 == 10.0
 
     def test_quoted_numbers_rejected(self):
@@ -1283,6 +1285,20 @@ class TestMain:
         assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
         err = capsys.readouterr().err
         assert problem in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_overflowing_drive_period_with_a_window_exit_1(self, tmp_path, capsys, command):
+        # solver.t1_time sets the window, but the run's cone still lasts one drive period
+        fn = self.shipped_cone(tmp_path, "drive_omega_rad_per_time: 0.05\n",
+                               "drive_omega_rad_per_time: 1.0e-310\n")
+        text = fn.read_text().replace("  record_stride: 10\n", "  record_stride: 10\n  t1_time: 10.0\n")
+        fn.write_text(text.replace("model: zero_temperature_ohmic\n  eta_coupling: 0.1\n"
+                                   "  cutoff_energy: 20.0\n", "model: flat\n  s0_rate: 0.1\n"))
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("scenario invalid:\n  - path.drive_omega_rad_per_time: one drive period "
+                       "overflows; set path.duration_time\n")
         assert not (tmp_path / "runs").exists()
 
     def test_window_beyond_the_float_range_exit_1(self, tmp_path, capsys):
