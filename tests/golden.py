@@ -8,7 +8,11 @@ Run from the repository root:
 The set: the five shipped configs; the shipped cone with ``rk4_fixed`` at
 ``dt_time`` 0.05, as CI runs it, with and without ``optimal_phase``; the
 shipped cone tabulated at 401 samples over its one period and run as a
-sampled path, as CI runs it; and every member of the four perfbench
+sampled path, as CI runs it; a nodding cone, theta(t) = theta + 0.3
+sin(2 omega t), sampled the same way and run with ``rk4_fixed`` at
+``dt_time`` 0.05 and ``optimal_phase``, whose varying w diagonals pin the
+order of RK4's phase sums (a cone's anchored w diagonals are constant, and
+a linear sweep's are zero); and every member of the four perfbench
 workloads at seed 101, generated by ``perfbench/workloads.py``, read-only.
 
 For each run the manifest records its scenario hash, each CSV's SHA-256 and
@@ -70,29 +74,41 @@ def _shipped(name) -> dict:
     return yaml.safe_load((ROOT / "configs" / f"{name}.yaml").read_text(encoding="utf-8"))
 
 
+def _sampled(d, fields, work_dir: Path, csv_name) -> str:
+    """Scenario ``d`` on a sampled path: ``fields(t)`` at 401 points over one period of its cone."""
+    period = 2 * math.pi / d["path"]["drive_omega_rad_per_time"]
+    with open(work_dir / csv_name, "w") as fh:
+        fh.write("t,b_x,b_y,b_z\n")
+        for i in range(401):
+            t = period * i / 400
+            fh.write(",".join(repr(x) for x in (t, *fields(t))) + "\n")
+    # a relative file name, read from work_dir, so the scenario hash holds no temporary path
+    d["path"] = {"kind": "sampled", "csv_file": csv_name, "duration_time": period}
+    return yaml.safe_dump(d)
+
+
 def _texts(work_dir: Path) -> dict:
     """{run name: scenario YAML text} for the whole set; writes the sampled cone's CSV to work_dir."""
     texts = {f"configs/{name}": (ROOT / "configs" / f"{name}.yaml").read_text(encoding="utf-8")
              for name in CONFIGS}
+    rk4 = _shipped("cone_zero_temperature")
+    rk4["solver"] = {"method": "rk4_fixed", "dt_time": 0.05,
+                     "record_stride": rk4["solver"]["record_stride"]}
     for name, optimal_phase in (("rk4_cone", False), ("rk4_cone_optimal_phase", True)):
-        d = _shipped("cone_zero_temperature")
-        d["solver"] = {"method": "rk4_fixed", "dt_time": 0.05,
-                       "record_stride": d["solver"]["record_stride"]}
-        d["run"]["optimal_phase"] = optimal_phase
-        texts[name] = yaml.safe_dump(d)
+        rk4["run"]["optimal_phase"] = optimal_phase
+        texts[name] = yaml.safe_dump(rk4)
     d = _shipped("cone_zero_temperature")
     p = d["path"]
-    omega = p["drive_omega_rad_per_time"]
-    period = 2 * math.pi / omega
-    cone = q.rotating_cone(p["field_energy"], p["theta_rad"], omega, d["coupling"]["matrix"])
-    with open(work_dir / "cone_samples.csv", "w") as fh:
-        fh.write("t,b_x,b_y,b_z\n")
-        for i in range(401):
-            t = period * i / 400
-            fh.write(",".join(repr(x) for x in (t, *cone.fields(t)[0])) + "\n")
-    # a relative file name, read from work_dir, so the scenario hash holds no temporary path
-    d["path"] = {"kind": "sampled", "csv_file": "cone_samples.csv", "duration_time": period}
-    texts["sampled_cone"] = yaml.safe_dump(d)
+    field, theta, omega = p["field_energy"], p["theta_rad"], p["drive_omega_rad_per_time"]
+    cone = q.rotating_cone(field, theta, omega, d["coupling"]["matrix"])
+    texts["sampled_cone"] = _sampled(d, lambda t: cone.fields(t)[0], work_dir, "cone_samples.csv")
+
+    def nodding(t):  # theta(t) = theta + 0.3 sin(2 omega t), so the w diagonals vary
+        nod = theta + 0.3 * math.sin(2 * omega * t)
+        return (field * math.sin(nod) * math.cos(omega * t), field * math.sin(nod) * math.sin(omega * t),
+                field * math.cos(nod))
+
+    texts["rk4_nodding_cone_optimal_phase"] = _sampled(rk4, nodding, work_dir, "nodding_samples.csv")
     workloads = _workloads()
     for workload in workloads.WORKLOADS:
         for member in workloads.generate(workload, SEED):
