@@ -42,14 +42,6 @@ class DensityState(NamedTuple):
     rho_gg: float
     rho_ge: complex = 0j
 
-    @property
-    def rho_ee(self) -> float:
-        return 1.0 - self.rho_gg
-
-    @property
-    def rho_eg(self) -> complex:
-        return complex(self.rho_ge).conjugate()
-
 
 def rhs_nonsteered(state: DensityState, r: RateSet, omega01: float):
     """Nonsecular generator for a static frame.
