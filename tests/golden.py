@@ -108,6 +108,7 @@ def _texts(work_dir: Path) -> dict:
         return (field * math.sin(nod) * math.cos(omega * t), field * math.sin(nod) * math.sin(omega * t),
                 field * math.cos(nod))
 
+    rk4["run"]["optimal_phase"] = True
     texts["rk4_nodding_cone_optimal_phase"] = _sampled(rk4, nodding, work_dir, "nodding_samples.csv")
     workloads = _workloads()
     for workload in workloads.WORKLOADS:
