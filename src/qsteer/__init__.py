@@ -17,6 +17,7 @@ from .control import (
     AdiabaticFrame,
     ControlPath,
     frame_at,
+    hs_norm,
     linear_sweep,
     rotating_cone,
     sampled_path,
@@ -28,6 +29,7 @@ from .dynamics import (
     Trajectory,
     berry_phase,
     integrate,
+    phase_shifted_frame,
     rhs_full,
     rhs_nonsteered,
     rhs_secular,
@@ -47,6 +49,5 @@ from .errors import (
     StepRejectionLimit,
     ValidationError,
 )
-from .gauge import hs_norm, phase_shifted_frame
 
 __version__ = "0.1.0"

@@ -68,7 +68,7 @@ from .dynamics import (
 from .errors import OutOfRange, ParseError, QSteerError, ValidationError
 
 # Not called here; perfbench's tracer and its self-tests patch this name.
-from .gauge import phase_shifted_frame  # noqa: F401
+from .dynamics import phase_shifted_frame  # noqa: F401
 
 
 @dataclass(frozen=True)

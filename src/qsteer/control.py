@@ -8,7 +8,7 @@ Everything downstream consumes :class:`AdiabaticFrame` snapshots, built here
 by :func:`frame_at`: the instantaneous gap, the matrix elements of the
 steering generator w = -i D^dag dD/dt in the smooth eigenbasis and the
 coupling-operator elements in that basis. Its local adiabatic parameter
-alpha = ||w|| / omega01 is derived from its w by :func:`~qsteer.gauge.hs_norm`.
+alpha = ||w|| / omega01 is derived from its w by :func:`hs_norm`.
 
 Gauge convention
 ----------------
@@ -71,7 +71,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState, OutOfRange, QSteerError
-from .gauge import hs_norm
 
 Vec3 = tuple[float, float, float]
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -270,6 +269,18 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
     return ControlPath(fields=fields, coupling_A=coupling_A, duration=t_last - t0, t_start=t0)
 
 
+def hs_norm(w_gg: float, w_ee: float, w_ge: complex) -> float:
+    """Hilbert-Schmidt norm of the Hermitian w matrix, sqrt(w_gg^2 + w_ee^2 + 2|w_ge|^2).
+
+    hypot only where the squares overflow (or NaN).
+    """
+    re, im = w_ge.real, w_ge.imag
+    norm = math.sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (re * re + im * im))
+    if not norm < math.inf:
+        norm = math.hypot(w_gg, w_ee, re, re, im, im)
+    return norm
+
+
 class AdiabaticFrame(NamedTuple):
     """One-time snapshot of every frame quantity the master equations consume.
 
@@ -287,7 +298,7 @@ class AdiabaticFrame(NamedTuple):
 
     @property
     def alpha(self) -> float:
-        """||w|| / omega01 with the Hilbert-Schmidt norm :func:`~qsteer.gauge.hs_norm`."""
+        """||w|| / omega01 with the Hilbert-Schmidt norm :func:`hs_norm`."""
         return hs_norm(self.w_gg, self.w_ee, self.w_ge) / self.omega01
 
 

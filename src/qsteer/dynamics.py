@@ -14,6 +14,11 @@ superadiabatic basis lives here alone: its coupling elements
 (:func:`superadiabatic_elements`), its state map (:func:`to_superadiabatic`),
 the oracle and its pullback.
 
+Multiplying the basis states by e^{i lambda_g(t)}, e^{i lambda_e(t)} shifts
+the w diagonals by the phase velocities and turns w_ge, m2 and rho_ge by
+:func:`phase_factor`; :func:`phase_shifted_frame` is the one rotation of a
+frame into such a basis.
+
 Berry phases are optimal-phase increments over a closed loop:
 :func:`berry_phase` integrates the zero generator with ``track_phases`` and
 reads them off the stepper's own phase quadrature.
@@ -29,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .bath import RateSet, SpectralDensity, rates
-from .control import frame_at
+from .control import frame_at, hs_norm
 from .errors import GAP_FLOOR, GapCollapse, LoopNotClosed, NonFiniteState, StepRejectionLimit
-from .gauge import hs_norm, phase_factor
 
 TOL_POSITIVITY = 1e-6
 
@@ -205,6 +209,29 @@ def superadiabatic_oracle_pullback(state: DensityState, frame, sd: SpectralDensi
     dgg = dgg2 + 2.0 * (x.conjugate() * dge2).real
     dge = dge2 - 2.0 * x * dgg2
     return dgg, dge
+
+
+# ----------------------------------------------------------------------
+# basis phases
+# ----------------------------------------------------------------------
+
+def phase_factor(lam_g: float, lam_e: float) -> complex:
+    """e^{i(lambda_e - lambda_g)}: the factor rho_ge, w_ge and m2 pick up under the shift."""
+    return complex(math.cos(lam_e - lam_g), math.sin(lam_e - lam_g))
+
+
+def phase_shifted_frame(frame, lam_g: float, lam_e: float, dlam_g: float, dlam_e: float):
+    """Adiabatic frame re-expressed in the basis shifted by the phases (lambda_g, lambda_e).
+
+    The w diagonals pick up the phase velocities (dlam_g, dlam_e); w_ge and
+    m2 turn by :func:`phase_factor`; m1 and omega01 are invariant, so |w_ge|
+    and |m2| are too, and alpha follows from the new w. The optimal phase
+    has dlam = (-w_gg, -w_ee): the diagonals vanish and alpha drops to
+    sqrt(2) |w_ge| / omega01.
+    """
+    turn = phase_factor(lam_g, lam_e)
+    return frame._replace(w_gg=frame.w_gg + dlam_g, w_ee=frame.w_ee + dlam_e,
+                          w_ge=frame.w_ge * turn, m2=frame.m2 * turn)
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
 
-from qsteer.control import ControlPath, Vec3, _fields, _frame_error, _gap
+from qsteer.control import ControlPath, Vec3, _fields, _frame_error, _gap, hs_norm
 from qsteer.dynamics import _LOOP_TOL, BerryPhases, _wrap
 from qsteer.errors import LoopNotClosed, NonFiniteState, QSteerError
-from qsteer.gauge import hs_norm
 
 
 class NonUniformGridUnsupported(QSteerError):

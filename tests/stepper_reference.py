@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 
+from qsteer.control import hs_norm
 from qsteer.dynamics import (_MAX_REJECTIONS, DensityState, SolverWork, Trajectory,
-                             TrajectorySample)
+                             TrajectorySample, phase_factor)
 from qsteer.errors import NonFiniteState, StepRejectionLimit
-from qsteer.gauge import hs_norm, phase_factor
 
 # Dormand-Prince 5(4): nodes, rows of A (the last is the 5th-order b row, at
 # c = 1) and the embedded 4th-order weights

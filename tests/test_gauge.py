@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qsteer as q
-from qsteer.gauge import phase_factor
+from qsteer.dynamics import phase_factor
 
 from conftest import SX, cone_field
 from frame_history import (
