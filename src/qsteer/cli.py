@@ -634,6 +634,15 @@ def _check_spectrum_range(scenario: Scenario, sd: Optional[SpectralDensity]) -> 
         )
 
 
+def _run_bath(scenario: Scenario) -> Optional[SpectralDensity]:
+    """The spectrum that every member of a run shares, range-checked; None for a Berry run."""
+    if scenario.mode == "berry":
+        return None
+    sd = build_bath(scenario.bath)
+    _check_spectrum_range(scenario, sd)
+    return sd
+
+
 # Each mode's summary table: its file (None for none) and columns, one row per member
 _SUMMARIES = {
     "simulate": (None, ""),
@@ -776,8 +785,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
     workers = min(jobs, len(members), os.cpu_count() or 1)
     try:
         built = time.monotonic()
-        sd = None if scenario.mode == "berry" else build_bath(scenario.bath)
-        _check_spectrum_range(scenario, sd)
+        sd = _run_bath(scenario)
         phases["build"] += time.monotonic() - built
         if workers > 1:  # a serial run loads no process pool
             from concurrent.futures import ProcessPoolExecutor
@@ -863,6 +871,14 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "validate":
+        # read the data files as a run reads them first
+        try:
+            _run_bath(scenario)
+            if scenario.path["kind"] == "sampled":
+                build_path(scenario.path, scenario.coupling)
+        except (QSteerError, OSError) as exc:
+            print(f"scenario invalid:\n  - {exc}", file=sys.stderr)
+            return 1
         print("scenario OK")
         return 0
 

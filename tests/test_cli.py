@@ -1040,6 +1040,11 @@ class TestMain:
             text = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1",
                                         f"model: tabulated\n  csv_file: {data}")
         fn = self.write_config(tmp_path, text)
+        # validate reads the file as the run does, and reports it as a scenario problem
+        assert main(["validate", "--config", str(fn)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario invalid:\n  - {section}.csv_file") and message in err
+        assert "Traceback" not in err
         assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"run failed: {section}.csv_file") and message in err
@@ -1065,6 +1070,9 @@ class TestMain:
             text = text.replace("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
                                 "  drive_omega_rad_per_time: 0.2", path)
         fn = self.write_config(tmp_path, text + run_section)
+        assert main(["validate", "--config", str(fn)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario invalid:\n  - bath.csv_file {data}: tabulated range") and need in err
         assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"run failed: bath.csv_file {data}: tabulated range") and need in err
@@ -1072,6 +1080,15 @@ class TestMain:
         assert not list(run_dir.glob("*.csv"))  # no member started
         meta = json.loads((run_dir / "metadata.json").read_text())
         assert meta["status"].startswith("failed: bath.csv_file")
+
+    def test_berry_scenario_with_malformed_spectrum_validates(self, tmp_path, capsys):
+        # a Berry run reads no spectrum, so validate does not read it either
+        data = tmp_path / "spectrum.csv"
+        data.write_text("omega,S\n-2,0.1\n0,abc\n2,0.1\n")
+        text = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
+        fn = self.write_config(tmp_path, text + "run:\n  mode: berry\n  berry_theta_grid_rad: [0.5]\n")
+        assert main(["validate", "--config", str(fn)]) == 0
+        assert main(["berry", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
 
     def test_tabulated_spectrum_read_once_per_run(self, tmp_path, monkeypatch):
         # the run builds its bath once, checks its range and hands it to every member;
