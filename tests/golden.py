@@ -12,7 +12,9 @@ sampled path, as CI runs it; a nodding cone, theta(t) = theta + 0.3
 sin(2 omega t), sampled the same way and run with ``rk4_fixed`` at
 ``dt_time`` 0.05 and ``optimal_phase``, whose varying w diagonals pin the
 order of RK4's phase sums (a cone's anchored w diagonals are constant, and
-a linear sweep's are zero); and every member of the four perfbench
+a linear sweep's are zero); the shipped Landau-Zener sweep in compare mode
+with its spectrum tabulated, as CI writes a tabulated spectrum, on 801 knots
+over [-4, 4], so every stage's gap is interpolated; and every member of the four perfbench
 workloads at seed 101, generated by ``perfbench/workloads.py``, read-only.
 
 For each run the manifest records its scenario hash, each CSV's SHA-256 and
@@ -88,7 +90,7 @@ def _sampled(d, fields, work_dir: Path, csv_name) -> str:
 
 
 def _texts(work_dir: Path) -> dict:
-    """{run name: scenario YAML text} for the whole set; writes the sampled cone's CSV to work_dir."""
+    """{run name: scenario YAML text} for the whole set; writes its data files to work_dir."""
     texts = {f"configs/{name}": (ROOT / "configs" / f"{name}.yaml").read_text(encoding="utf-8")
              for name in CONFIGS}
     rk4 = _shipped("cone_zero_temperature")
@@ -110,6 +112,17 @@ def _texts(work_dir: Path) -> dict:
 
     rk4["run"]["optimal_phase"] = True
     texts["rk4_nodding_cone_optimal_phase"] = _sampled(rk4, nodding, work_dir, "nodding_samples.csv")
+    lz = _shipped("landau_zener")
+    b = lz["bath"]
+    sd = q.zero_temperature_ohmic(b["eta_coupling"], b["cutoff_energy"])
+    with open(work_dir / "lz_spectrum.csv", "w") as fh:
+        fh.write("omega,S\n")
+        for i in range(801):
+            omega = -4.0 + i / 100
+            fh.write(f"{omega!r},{sd(omega)!r}\n")
+    lz["bath"] = {"model": "tabulated", "csv_file": "lz_spectrum.csv"}
+    lz["run"]["mode"] = "compare"
+    texts["landau_zener_tabulated_compare"] = yaml.safe_dump(lz)
     workloads = _workloads()
     for workload in workloads.WORKLOADS:
         for member in workloads.generate(workload, SEED):
