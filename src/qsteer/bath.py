@@ -79,9 +79,11 @@ class SpectralDensity:
     The model's formula is bound to its parameters once, at construction, as
     a partial of a module-level function, so the object pickles. The params
     of a tabulated model are its grid and its values, as tuples of floats.
-    ``at_gap`` keeps S(0) and the samples of the last three distinct nonzero
-    gaps; the bound formula and that memo take no part in equality. The memo
-    is unguarded, so one spectrum is not for concurrent threads.
+    ``at_gap`` calls the bound formula directly, so a new gap costs two
+    formula calls; it keeps S(0) and, for each of the last three distinct
+    nonzero gaps, the gap's samples with its difference quotients. The
+    bound formula and that memo take no part in equality. The memo is
+    unguarded, so one spectrum is not for concurrent threads.
     """
 
     model: str
@@ -102,14 +104,23 @@ class SpectralDensity:
         return self._formula(omega)
 
     def at_gap(self, omega: float) -> tuple:
-        """(S(omega), S(-omega), S(0)), the three samples a gap's rates need.
+        """S(omega), S(-omega), S(0) and the gap's difference quotients.
 
-        The last three distinct nonzero gaps and their samples are kept, so a
-        repeated gap costs no sample: a cone's gap |b| rounds to one to three
-        neighbouring floats. A fourth gap evicts the oldest. S(0) is sampled
-        once, after S(+-omega) of the first gap, so an OutOfRange names omega.
-        A zero gap is not kept, since +0.0 == -0.0 while S(+0) and S(-0) are
-        separate samples; a lookup that raises leaves the memo as it was.
+        Returns (s_plus, s_minus, s_zero, s_sum, k1, k2x2, k3): the three
+        samples a gap's rates need, then the per-gap terms of
+        :func:`~qsteer.dynamics.rhs_full`, s_sum = S(-omega) + S(omega),
+        k1 = (2 S(0) - s_sum) / omega, k2x2 = 2 ((S(0) - S(omega)) / omega)
+        and k3 = (S(-omega) - S(omega)) / omega. A zero gap is never divided
+        by: its three quotients are NaN.
+
+        The last three distinct nonzero gaps and their terms are kept, so a
+        repeated gap costs nothing: a cone's gap |b| rounds to one to three
+        neighbouring floats. A new gap costs two calls of the bound formula,
+        S(+-omega), and a fourth gap evicts the oldest. S(0) is sampled
+        once, after S(+-omega) of the first gap, so an OutOfRange names
+        omega. A zero gap is not kept, since +0.0 == -0.0 while S(+0) and
+        S(-0) are separate samples; a lookup that raises leaves the memo as
+        it was.
         """
         memo = self._memo
         if omega == memo[0]:
@@ -118,14 +129,22 @@ class SpectralDensity:
             return memo[3]
         if omega == memo[4]:
             return memo[5]
-        s_plus, s_minus, s_zero = self(omega), self(-omega), memo[7]
+        formula = self._formula
+        s_plus, s_minus, s_zero = formula(omega), formula(-omega), memo[7]
         if s_zero is None:
-            s_zero = memo[7] = self(0.0)
-        samples = (s_plus, s_minus, s_zero)
-        if omega:
-            i = memo[6]
-            memo[i], memo[i + 1], memo[6] = omega, samples, (i + 2) % 6
-        return samples
+            s_zero = memo[7] = formula(0.0)
+        s_sum = s_minus + s_plus
+        if not omega:
+            return s_plus, s_minus, s_zero, s_sum, math.nan, math.nan, math.nan
+        terms = (
+            s_plus, s_minus, s_zero, s_sum,
+            (2.0 * s_zero - s_sum) / omega,      # k1
+            2.0 * ((s_zero - s_plus) / omega),   # k2x2
+            (s_minus - s_plus) / omega,          # k3
+        )
+        i = memo[6]
+        memo[i], memo[i + 1], memo[6] = omega, terms, (i + 2) % 6
+        return terms
 
 
 def flat(s0: float) -> SpectralDensity:
@@ -226,7 +245,7 @@ def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSe
     """
     if not omega01 > GAP_FLOOR:
         raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    s_plus, s_minus, s_zero = sd.at_gap(omega01)
+    s_plus, s_minus, s_zero, _, _, _, _ = sd.at_gap(omega01)
     m2 = complex(m2)
     mod2 = m2.real * m2.real + m2.imag * m2.imag
     cross = -m1 * m2

@@ -90,7 +90,10 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity):
     """Complete linear-order generator for a steered frame.
 
     At w = 0 this reduces exactly to :func:`rhs_nonsteered` with the frame's
-    rates. The spectrum is sampled at the adiabatic gap. The paper's complex
+    rates. The spectrum is sampled at the adiabatic gap, and the gap's sums
+    and difference quotients of S come with its samples from
+    :meth:`~qsteer.bath.SpectralDensity.at_gap`, computed once per new gap
+    (two formula calls) and kept with the samples. The paper's complex
     terms are regrouped in real arithmetic, d rho_ge/dt = p m2 - q i m2
     - (c_w - i e_w) w_ge - (c_r - i e_r) rho_ge with six real weights, and
     its real and imaginary parts are summed as floats into one complex: the
@@ -102,17 +105,13 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity):
     w01, w_gg, w_ee, wge, m1, m2 = frame
     if not w01 > GAP_FLOOR:
         raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    s_plus, s_minus, s_zero = sd.at_gap(w01)
+    s_plus, s_minus, s_zero, s_sum, k1, k2x2, k3 = sd.at_gap(w01)
     rgg, rge = state
     m2r, m2i = m2.real, m2.imag
     wr, wi = wge.real, wge.imag
     rr, ri = rge.real, rge.imag
 
-    s_sum = s_minus + s_plus
-    k1 = (2.0 * s_zero - s_sum) / w01
     k1x2 = 2.0 * k1
-    k2x2 = 2.0 * ((s_zero - s_plus) / w01)
-    k3 = (s_minus - s_plus) / w01
     # Re(conj(m2) w_ge) and Re(conj(m2) rho_ge), led by the product of imaginary parts:
     # +0.0 for real inputs, so the sum's zero has one sign for an int and a complex input
     re_m2_w = m2i * wi + m2r * wr

@@ -154,25 +154,42 @@ def bits(x):
     return tuple(map(float.hex, x)) if isinstance(x, tuple) else float.hex(x)
 
 
+def gap_terms(sd, gap):
+    """What at_gap returns, from scratch: S(gap), S(-gap), S(0), then the per-gap terms."""
+    s_plus, s_minus, s_zero = sd(gap), sd(-gap), sd(0.0)
+    s_sum = s_minus + s_plus
+    if not gap:
+        return s_plus, s_minus, s_zero, s_sum, math.nan, math.nan, math.nan
+    k1 = (2.0 * s_zero - s_sum) / gap
+    k2x2 = 2.0 * ((s_zero - s_plus) / gap)
+    k3 = (s_minus - s_plus) / gap
+    return s_plus, s_minus, s_zero, s_sum, k1, k2x2, k3
+
+
+def count_samples(sd):
+    """Record every omega at which sd's bound formula is called, in call order."""
+    calls = []
+    formula = sd._formula
+    object.__setattr__(sd, "_formula", lambda w: calls.append(w) or formula(w))
+    return calls
+
+
 class TestAtGap:
     @pytest.mark.parametrize("model", BATHS)
     def test_alternating_gaps_return_their_own_samples(self, model):
         sd = BATHS[model]()
         for gap in (1.0, 1.0000000000000002, 1.0, 1.0, 2.5, 1.0000000000000002, 0.3, 0.3):
-            assert bits(sd.at_gap(gap)) == bits((sd(gap), sd(-gap), sd(0.0)))
+            assert bits(sd.at_gap(gap)) == bits(gap_terms(sd, gap))
 
     @pytest.mark.parametrize("model", BATHS)
     def test_signed_zero_gaps(self, model):
         sd = BATHS[model]()
         for gap in (0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 1.0):
-            assert bits(sd.at_gap(gap)) == bits((sd(gap), sd(-gap), sd(0.0)))
+            assert bits(sd.at_gap(gap)) == bits(gap_terms(sd, gap))
 
-    def test_repeated_gap_is_not_sampled_again(self, monkeypatch):
+    def test_repeated_gap_is_not_sampled_again(self):
         sd = q.ohmic_thermal(0.1, 0.5, 20.0)
-        calls = []
-        original = q.SpectralDensity.__call__
-        monkeypatch.setattr(q.SpectralDensity, "__call__",
-                            lambda self, w: calls.append(w) or original(self, w))
+        calls = count_samples(sd)
         first = sd.at_gap(1.0)
         assert sd.at_gap(1.0) is first and len(calls) == 3
         sd.at_gap(2.0)
@@ -192,14 +209,11 @@ class TestAtGap:
     @pytest.mark.parametrize("Omega, theta, omega", [
         (1.0, math.pi / 3, 0.05), (1.0, 1.208, 0.1), (1.3, 2.5, -0.2), (0.7, math.pi / 2, 0.03),
     ])
-    def test_cone_samples_each_distinct_gap_once(self, monkeypatch, Omega, theta, omega):
+    def test_cone_samples_each_distinct_gap_once(self, Omega, theta, omega):
         # a cone's gap |b| rounds to one to three neighbouring floats, all of them kept
         path = q.rotating_cone(Omega, theta, omega, SX)
         sd = q.ohmic_thermal(0.02, 2.0, 20.0)
-        calls, gaps = [], set()
-        original = q.SpectralDensity.__call__
-        monkeypatch.setattr(q.SpectralDensity, "__call__",
-                            lambda self, w: calls.append(w) or original(self, w))
+        calls, gaps = count_samples(sd), set()
 
         def frames(t):
             f = q.frame_at(path, t)
@@ -213,15 +227,12 @@ class TestAtGap:
         assert len(calls) == 2 * len(gaps) + 1
 
     @pytest.mark.parametrize("slope, gap, duration", [(0.05, 1.0, 100.0), (-0.2, 0.5, 30.0)])
-    def test_sweep_samples_two_per_new_gap_and_s0_once(self, monkeypatch, slope, gap, duration):
+    def test_sweep_samples_two_per_new_gap_and_s0_once(self, slope, gap, duration):
         # a Landau-Zener sweep's gap changes at nearly every stage: each new gap costs
         # S(omega) and S(-omega), and S(0) is sampled once, after the first gap's
         path = q.linear_sweep(slope, gap, duration, SX)
         sd = q.ohmic_thermal(0.02, 2.0, 20.0)
-        calls, gaps = [], set()
-        original = q.SpectralDensity.__call__
-        monkeypatch.setattr(q.SpectralDensity, "__call__",
-                            lambda self, w: calls.append(w) or original(self, w))
+        calls, gaps = count_samples(sd), set()
 
         def frames(t):
             f = q.frame_at(path, t)
@@ -278,6 +289,81 @@ class TestAtGap:
     def test_unknown_model_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown spectral model"):
             q.SpectralDensity(model="lorentzian")
+
+
+def rhs_full_from_samples(state, frame, s_plus, s_minus, s_zero):
+    """rhs_full's float operations on three given samples, every per-gap term recomputed."""
+    w01, w_gg, w_ee, wge, m1, m2 = frame
+    rgg, rge = state
+    m2r, m2i = m2.real, m2.imag
+    wr, wi = wge.real, wge.imag
+    rr, ri = rge.real, rge.imag
+    s_sum = s_minus + s_plus
+    k1 = (2.0 * s_zero - s_sum) / w01
+    k1x2 = 2.0 * k1
+    k2x2 = 2.0 * ((s_zero - s_plus) / w01)
+    k3 = (s_minus - s_plus) / w01
+    re_m2_w = m2i * wi + m2r * wr
+    re_m2_r = m2i * ri + m2r * rr
+    x = s_sum * ri * m2r - s_sum * m2i * rr
+    y = k3 * m2i * wr - k3 * wi * m2r
+    z = 2.0 * wi * rr - 2.0 * ri * wr
+    u = s_sum * rgg - s_plus
+    v = 2.0 * s_zero * m1 - k1x2 * re_m2_w
+    k_w = (k1x2 * rgg - k2x2) * m1
+    dgg = v * re_m2_r + k_w * re_m2_w - u * (m2r * m2r + m2i * m2i) + z
+    p = u * m1
+    q_ = x + y + k1 * m1 * z
+    c_w = k_w * m1
+    e_w = 2.0 * rgg - 1.0
+    c_r = v * m1
+    e_r = w01 + (w_ee - w_gg)
+    dge_r = p * m2r + q_ * m2i - c_w * wr - e_w * wi - c_r * rr - e_r * ri
+    dge_i = p * m2i - q_ * m2r - c_w * wi + e_w * wr - c_r * ri + e_r * rr
+    return dgg, complex(dge_r, dge_i)
+
+
+def rates_from_samples(m1, m2, s_plus, s_minus, s_zero):
+    """rates' float operations on three given samples."""
+    m2 = complex(m2)
+    mod2 = m2.real * m2.real + m2.imag * m2.imag
+    cross = -m1 * m2
+    m2_sq = m2 * m2
+    return (mod2 * s_minus, mod2 * s_plus, m2.conjugate() * (2.0 * m1) * s_zero, cross * s_plus,
+            cross * s_minus, 2.0 * m1 * m1 * s_zero, m2_sq * s_plus / 2.0, m2_sq * s_minus / 2.0)
+
+
+def complex_bits(values):
+    """Floats and complexes by the value and sign of each part."""
+    return tuple(bits((complex(v).real, complex(v).imag)) for v in values)
+
+
+class TestGapTermsKept:
+    @pytest.mark.parametrize("model", BATHS)
+    def test_rhs_full_and_rates_match_a_from_scratch_evaluation(self, model):
+        # at_gap computes a gap's quotients once and keeps them with its samples; served
+        # new or from the memo, rhs_full and rates give the floats of a from-scratch
+        # evaluation on sd(+-omega) and sd(0)
+        sd, ref = BATHS[model](), BATHS[model]()
+        calls = count_samples(sd)
+        rng = np.random.default_rng(34)
+        frames = [q.AdiabaticFrame(gap, *rng.normal(size=2), complex(*rng.normal(size=2)),
+                                   rng.normal(), complex(*rng.normal(size=2)))
+                  for gap in (1.0, 0.3, 1.0000000000000002, 2.5, 0.7, 1.0, 0.3)]
+        frames += [q.frame_at(q.linear_sweep(0.2, 0.5, 10.0, SX), t) for t in (0.0, 3.3, 7.1)]
+        frames.append(q.frame_at(q.rotating_cone(1.3, 1.1, 0.2, SX), 4.0))
+        for i, frame in enumerate(frames):
+            gap = frame.omega01
+            samples = ref(gap), ref(-gap), ref(0.0)
+            # each frame's gap is new when first met: two formula calls, and S(0) once
+            for new_samples in ([gap, -gap, 0.0] if i == 0 else [gap, -gap], []):
+                state = q.DensityState(rng.uniform(), complex(*rng.normal(scale=0.3, size=2)))
+                del calls[:]
+                got = q.rhs_full(state, frame, sd)
+                assert complex_bits(got) == complex_bits(rhs_full_from_samples(state, frame, *samples))
+                got = q.rates(frame.m1, frame.m2, gap, sd)
+                assert complex_bits(got) == complex_bits(rates_from_samples(frame.m1, frame.m2, *samples))
+                assert calls == new_samples
 
 
 class TestRates:
