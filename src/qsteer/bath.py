@@ -96,7 +96,7 @@ class SpectralDensity:
             raise ValueError(f"unknown spectral model {self.model!r}")
         fn, names = _MODELS[self.model]
         object.__setattr__(self, "_formula", partial(fn, *(self.params[k] for k in names)))
-        # three (gap, samples) slots, the slot the next new gap takes (the
+        # three (gap, terms) slots, the slot the next new gap takes (the
         # oldest) and S(0), None until first sampled; NaN matches no gap
         object.__setattr__(self, "_memo", [math.nan, None] * 3 + [0, None])
 
