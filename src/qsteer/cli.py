@@ -212,7 +212,7 @@ def _parses(text) -> bool:
 
 
 def _read_csv(csv_path, names) -> list:
-    """The rows of a data file, each as the floats of its first len(names) fields.
+    """The rows of a UTF-8 data file, each as the floats of its first len(names) fields.
 
     The first non-empty row is skipped as a header if none of those fields
     parses as a number; any other row that does not parse, a first row with a
@@ -221,7 +221,7 @@ def _read_csv(csv_path, names) -> list:
     """
     need = f"{', '.join(names[:-1])} and {names[-1]}"
     rows = []
-    with open(csv_path, newline="") as fh:
+    with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(row for row in reader if row):
             if len(row) < len(names):
@@ -234,18 +234,16 @@ def _read_csv(csv_path, names) -> list:
     return rows
 
 
-def _sampled_csv(csv_path, coupling_A) -> ControlPath:
-    rows = _read_csv(csv_path, ("t", "b_x", "b_y", "b_z"))
+def _sampled(rows, coupling_A) -> ControlPath:
     return sampled_path([row[0] for row in rows], [row[1:] for row in rows], coupling_A)
 
 
-def _tabulated_csv(csv_path) -> SpectralDensity:
-    rows = _read_csv(csv_path, ("omega", "S"))
+def _tabulated(rows) -> SpectralDensity:
     return tabulated([omega for omega, _ in rows], [s for _, s in rows])
 
 
 # The path and bath sections, one entry per kind: the library constructor (for a
-# data file, a reader that builds it from the file's rows) and {YAML key:
+# data file, one that takes the rows _read_data_files reads) and {YAML key:
 # (constructor argument, check, required)}. A key without an argument is
 # validated and echoed but not passed on.
 _PATHS = {
@@ -261,8 +259,8 @@ _PATHS = {
         "duration_time": ("duration", _positive, True),
     }),
     # a sampled path's duration only sets the default solver window
-    "sampled": (_sampled_csv, {
-        "csv_file": ("csv_path", _file_name, True),
+    "sampled": (_sampled, {
+        "csv_file": (None, _file_name, True),
         "duration_time": (None, _positive, False),
     }),
 }
@@ -277,7 +275,7 @@ _BATHS = {
         "eta_coupling": ("eta", _nonnegative, True),
         "cutoff_energy": ("cutoff", _positive, False),
     }),
-    "tabulated": (_tabulated_csv, {"csv_file": ("csv_path", _file_name, True)}),
+    "tabulated": (_tabulated, {"csv_file": (None, _file_name, True)}),
 }
 # The solver section, one kind per method: a fixed step (no error row) takes
 # dt_time, an adaptive one its tolerances and step cap; every method a window.
@@ -329,15 +327,13 @@ def _section(name, data, tag, table, problems, default=None) -> Optional[dict]:
     return cfg if len(problems) == reported else None
 
 
-def _construct(section, table, tag, cfg, **extra):
+def _construct(table, tag, cfg, rows=None, **extra):
+    """The object ``cfg`` describes; a data file's kind is built from the file's ``rows``."""
     make, fields = table[cfg[tag]]
     args = {arg: cfg[key] for key, (arg, _, _) in fields.items() if arg and key in cfg}
-    try:
-        return make(**extra, **args)
-    except ValueError as exc:
-        if "csv_file" not in cfg:  # load_scenario checked every other value
-            raise
-        raise ParseError(f"{section}.csv_file {cfg['csv_file']}: {exc}") from exc
+    if rows is not None:
+        args["rows"] = rows
+    return make(**extra, **args)
 
 
 def _path_duration(path: dict) -> Optional[float]:
@@ -395,7 +391,7 @@ def _build_solver(data, path, problems) -> Optional[SolverConfig]:
         problems.append("solver.t1_time: must exceed solver.t0_time")
         return None
     try:
-        return _construct("solver", _SOLVERS, "method", cfg, method=cfg["method"])
+        return _construct(_SOLVERS, "method", cfg, method=cfg["method"])
     except ValueError as exc:
         problems.append(f"solver: {exc}")
         if (data or {}).get("t1_time") is None:  # the path set the window
@@ -596,25 +592,20 @@ def scenario_from_file(path, mode: Optional[str] = None) -> Scenario:
 # materialization and execution
 # ----------------------------------------------------------------------
 
-def build_path(cfg: dict, coupling) -> ControlPath:
-    return _construct("path", _PATHS, "kind", cfg, coupling_A=coupling)
+def build_path(cfg: dict, coupling, rows=None) -> ControlPath:
+    return _construct(_PATHS, "kind", cfg, rows, coupling_A=coupling)
 
 
-def build_bath(cfg: dict) -> SpectralDensity:
-    return _construct("bath", _BATHS, "model", cfg)
-
-
-def _check_spectrum_range(scenario: Scenario, sd: Optional[SpectralDensity]) -> None:
-    """Raise OutOfRange, naming bath.csv_file, if the tabulated spectrum sd misses [-w, w].
+def _check_spectrum_range(scenario: Scenario, sd: SpectralDensity) -> None:
+    """Raise OutOfRange if the run's tabulated spectrum sd misses [-w, w].
 
     Rates sample S at +-omega01 and 0, and w is the path's largest gap: a
     cone's field_energy, or a linear sweep's gap at the solver window end
     farthest from mid-path. A sampled path's gaps are not known ahead; for
-    them the spectrum's own OutOfRange fails the run mid-way. A Berry loop
-    uses no spectrum.
+    them the spectrum's own OutOfRange fails the run mid-way.
     """
     path, solver = scenario.path, scenario.solver
-    if scenario.bath["model"] != "tabulated" or scenario.mode == "berry" or path["kind"] == "sampled":
+    if path["kind"] == "sampled":
         return
     if path["kind"] == "rotating_cone":
         w = path["field_energy"]
@@ -628,19 +619,38 @@ def _check_spectrum_range(scenario: Scenario, sd: Optional[SpectralDensity]) -> 
     omegas = sd.params["omegas"]
     lo, hi = omegas[0], omegas[-1]
     if lo > -w or hi < w:
-        raise OutOfRange(
-            f"bath.csv_file {scenario.bath['csv_file']}: tabulated range [{lo:g}, {hi:g}] "
-            f"does not cover [{-w:g}, {w:g}], the path's gap range"
-        )
+        raise OutOfRange(f"tabulated range [{lo:g}, {hi:g}] does not cover [{-w:g}, {w:g}], "
+                         "the path's gap range")
 
 
-def _run_bath(scenario: Scenario) -> Optional[SpectralDensity]:
-    """The spectrum that every member of a run shares, range-checked; None for a Berry run."""
-    if scenario.mode == "berry":
-        return None
-    sd = build_bath(scenario.bath)
-    _check_spectrum_range(scenario, sd)
-    return sd
+def _read_data_files(scenario: Scenario) -> tuple:
+    """The run's spectrum and a sampled path's rows, reading each data file once.
+
+    ``validate`` and every run call this before any run directory exists. The
+    spectrum is range-checked; a Berry run has none. A sampled path is built
+    once to check its rows (plain floats, so they pickle), from which each
+    member builds its own. A data file that cannot be read or holds no valid
+    path or spectrum raises ValidationError naming its key.
+    """
+    path, bath = scenario.path, scenario.bath
+    problems, sd, rows = [], None, None
+    if path["kind"] == "sampled":
+        try:
+            rows = _read_csv(path["csv_file"], ("t", "b_x", "b_y", "b_z"))
+            build_path(path, scenario.coupling, rows)
+        except (OSError, ValueError, csv.Error) as exc:
+            problems.append(f"path.csv_file {path['csv_file']}: {exc}")
+    if scenario.mode != "berry" and bath["model"] != "tabulated":
+        sd = _construct(_BATHS, "model", bath)
+    elif scenario.mode != "berry":
+        try:
+            sd = _construct(_BATHS, "model", bath, _read_csv(bath["csv_file"], ("omega", "S")))
+            _check_spectrum_range(scenario, sd)
+        except (OSError, ValueError, csv.Error, OutOfRange) as exc:
+            problems.append(f"bath.csv_file {bath['csv_file']}: {exc}")
+    if problems:
+        raise ValidationError(problems)
+    return sd, rows
 
 
 # Each mode's summary table: its file (None for none) and columns, one row per member
@@ -687,7 +697,7 @@ def _members(scenario: Scenario) -> list:
 
 
 def _run_member(task):
-    """Run one member in ``run_dir`` on the run's spectrum ``sd``.
+    """Run one member in ``run_dir`` on the run's spectrum ``sd`` and path ``samples``.
 
     Returns its summary row, maxima, work, wall time and the wall times of
     its phases: build (the path), solve (the integration; for a Berry
@@ -696,9 +706,9 @@ def _run_member(task):
     basis's. ``max_quadrature_error`` is the phase quadrature error of a run
     that tracks phases with an error row.
     """
-    (sc, variant, name, labels), run_dir, sd = task
+    (sc, variant, name, labels), run_dir, sd, samples = task
     started = time.monotonic()
-    path = build_path(sc.path, sc.coupling)
+    path = build_path(sc.path, sc.coupling, samples)
     if variant == "berry":
         built = time.monotonic()
         ph = berry_phase(path, sc.solver)
@@ -757,16 +767,19 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
     or the CPUs. Each member adds one row to the mode's summary table, its
     maxima to the invariants and its wall time to ``member_wall_s``.
     ``phase_wall_s`` sums the members' build, solve and write times; build
-    also holds the bath, built once for all members (a Berry run builds
-    none), and write the summary CSV. ``jobs`` below 1 raises ValueError.
+    also holds the data-file step (``_read_data_files``, before the run
+    directory exists; a data file it rejects raises ValidationError), and
+    write the summary CSV. ``jobs`` below 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    started = time.monotonic()
+    sd, samples = _read_data_files(scenario)
+    phases = {"build": time.monotonic() - started, "solve": 0.0, "write": 0.0}
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     scenario_hash = scenario.scenario_hash()
     run_dir = Path(out_dir) / f"{stamp}-{scenario_hash}"
     run_dir.mkdir(parents=True, exist_ok=False)
-    started = time.monotonic()
     metadata = {
         "tool": "qsteer",
         "version": __version__,
@@ -780,13 +793,9 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
     invariants: dict = {}
     work = {}  # member name -> its integration's SolverWork fields
     rows, walls = [], []  # one summary row and one wall time per member
-    phases = {"build": 0.0, "solve": 0.0, "write": 0.0}
     # fork starts every worker at once, so never more than the work or the CPUs
     workers = min(jobs, len(members), os.cpu_count() or 1)
     try:
-        built = time.monotonic()
-        sd = _run_bath(scenario)
-        phases["build"] += time.monotonic() - built
         if workers > 1:  # a serial run loads no process pool
             from concurrent.futures import ProcessPoolExecutor
 
@@ -794,7 +803,7 @@ def run(scenario: Scenario, out_dir="runs", jobs: int = 1) -> RunArtifacts:
         else:
             pool_cm = nullcontext()
         with pool_cm as pool:
-            results = (pool.map if pool else map)(_run_member, [(m, run_dir, sd) for m in members])
+            results = (pool.map if pool else map)(_run_member, [(m, run_dir, sd, samples) for m in members])
             for (_, variant, name, _), (row, maxima, w, wall, phase) in zip(members, results):
                 rows.append(row)
                 walls.append(wall)
@@ -855,9 +864,15 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=_jobs, default=1, help="concurrent members (default: 1)")
     args = parser.parse_args(argv)
 
+    scenario = None
     try:
         mode = None if args.command == "validate" else args.command
         scenario = scenario_from_file(args.config, mode)
+        if args.command == "validate":
+            _read_data_files(scenario)  # the data-file step that each run takes first
+            print("scenario OK")
+            return 0
+        artifacts = run(scenario, out_dir=args.out, jobs=args.jobs)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -866,25 +881,10 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "validate":
-        # read the data files as a run reads them first
-        try:
-            _run_bath(scenario)
-            if scenario.path["kind"] == "sampled":
-                build_path(scenario.path, scenario.coupling)
-        except (QSteerError, OSError) as exc:
-            print(f"scenario invalid:\n  - {exc}", file=sys.stderr)
-            return 1
-        print("scenario OK")
-        return 0
-
-    try:
-        artifacts = run(scenario, out_dir=args.out, jobs=args.jobs)
     except (QSteerError, OSError) as exc:
+        if scenario is None:  # reading the config file failed
+            print(f"cannot read config: {exc}", file=sys.stderr)
+            return 1
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     print(artifacts.run_dir)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsteer as q
-from qsteer.cli import build_bath
+from qsteer.cli import _read_data_files, load_scenario
 
 from conftest import SX
 
@@ -99,7 +99,10 @@ class TestSpectralDensity:
     def test_tabulated_csv(self, tmp_path):
         fn = tmp_path / "spec.csv"
         fn.write_text("omega,S\n-1.0,0.5\n0.0,1.0\n1.0,2.0\n")
-        sd = build_bath({"model": "tabulated", "csv_file": str(fn)})
+        sd, _ = _read_data_files(load_scenario(
+            "path:\n  kind: rotating_cone\n  field_energy: 0.5\n  theta_rad: 1.0\n"
+            "  drive_omega_rad_per_time: 0.2\ncoupling:\n  matrix: [[0.0, 1.0], [1.0, 0.0]]\n"
+            f"bath:\n  model: tabulated\n  csv_file: {fn}\n"))
         assert sd(0.5) == pytest.approx(1.5)
 
     def test_validation(self):

@@ -51,6 +51,14 @@ SAMPLED_WITHOUT_DURATION = MINIMAL_CONE.replace(
 )
 
 
+def data_file_scenario(section, data):
+    """MINIMAL_CONE reading ``data`` as its sampled path (window [0, 3]) or tabulated spectrum."""
+    if section == "path":
+        text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {data}")
+        return text.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 3.0")
+    return MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
+
+
 # Names the benchmark reads: perfbench/reference.py calls the qsteer ones, and
 # perfbench/tracing.py patches the ones bound in qsteer.cli (a missing one is
 # silently traced as absent, so its layer metrics would read 0).
@@ -639,14 +647,13 @@ class TestRun:
         assert meta["scenario"]["bath"] == {"model": "zero_temperature_ohmic", "eta_coupling": 0.01}
 
     def test_failed_run_marked(self, tmp_path):
-        # tabulated spectrum too narrow for the gap: OutOfRange mid-run
-        spec = tmp_path / "spec.csv"
-        spec.write_text("-0.5,0.1\n0.5,0.1\n")
-        text = MINIMAL_CONE.replace(
-            "model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {spec}"
-        )
+        # a solver window past a sampled path's last sample: OutOfRange mid-run
+        samples = tmp_path / "path.csv"
+        samples.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
+        text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {samples}")
         with pytest.raises(q.OutOfRange):
-            run(load_scenario(text), out_dir=tmp_path / "runs")
+            run(load_scenario(text.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 30.0")),
+                out_dir=tmp_path / "runs")
         run_dir = next((tmp_path / "runs").iterdir())
         meta = json.loads((run_dir / "metadata.json").read_text())
         assert meta["status"].startswith("failed")
@@ -1031,25 +1038,53 @@ class TestMain:
             "path-bad-data-row", "spectrum-bad-data-row", "path-bad-first-row",
             "spectrum-bad-first-row", "path-short-row", "spectrum-short-row"])
     def test_malformed_data_file_exit_2(self, tmp_path, capsys, section, rows, message):
+        # a malformed data file is a scenario problem in every command: exit 1, no run directory
         data = tmp_path / "data.csv"
         data.write_text(rows)
-        if section == "path":
-            text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {data}")
-            text = text.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 3.0")
-        else:
-            text = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1",
-                                        f"model: tabulated\n  csv_file: {data}")
+        fn = self.write_config(tmp_path, data_file_scenario(section, data))
+        for command in ("validate", "simulate"):
+            assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"scenario invalid:\n  - {section}.csv_file {data}: ") and message in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("section", ["path", "bath"])
+    @pytest.mark.parametrize("kind, error", [("missing", "[Errno 2] No such file or directory"),
+                                             ("directory", "[Errno 21] Is a directory"),
+                                             ("oversized-field", "field larger than field limit")],
+                             ids=["missing", "directory", "oversized-field"])
+    def test_unreadable_data_file_names_its_key(self, tmp_path, capsys, section, kind, error):
+        data = tmp_path / "data.csv"
+        if kind == "directory":
+            data.mkdir()
+        elif kind == "oversized-field":  # the csv module's own error, not a ValueError
+            data.write_text("0," + "1" * 200_000 + "\n")
+        fn = self.write_config(tmp_path, data_file_scenario(section, data))
+        for command in ("validate", "simulate"):
+            assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"scenario invalid:\n  - {section}.csv_file {data}: {error}"), err
+            assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_data_files_are_read_as_utf8(self, tmp_path):
+        # a header outside ASCII parses whatever the locale's encoding, as the config does
+        path_csv, bath_csv = tmp_path / "path.csv", tmp_path / "bath.csv"
+        path_csv.write_text("τ,bˣ,bʸ,bᶻ\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n", encoding="utf-8")
+        bath_csv.write_text("ω,S\n-3,0.01\n0,0.1\n3,0.2\n", encoding="utf-8")
+        text = data_file_scenario("path", path_csv).replace(
+            "model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {bath_csv}")
         fn = self.write_config(tmp_path, text)
-        # validate reads the file as the run does, and reports it as a scenario problem
-        assert main(["validate", "--config", str(fn)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"scenario invalid:\n  - {section}.csv_file") and message in err
-        assert "Traceback" not in err
-        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"run failed: {section}.csv_file") and message in err
-        meta = json.loads((next((tmp_path / "runs").iterdir()) / "metadata.json").read_text())
-        assert meta["status"].startswith(f"failed: {section}.csv_file")
+        src = str(Path(q.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        for command in ("validate", "simulate"):
+            out = subprocess.run(
+                [sys.executable, "-m", "qsteer.cli", command, "--config", str(fn),
+                 "--out", str(tmp_path / "runs")], env=env, capture_output=True, timeout=120)
+            assert out.returncode == 0, out.stderr.decode(errors="replace")
+        assert len(list((tmp_path / "runs").iterdir())) == 1
 
     @pytest.mark.parametrize("command, run_section, path, grid, need", [
         ("simulate", "", None, "omega,S\n0,0.1\n3,0.2\n", "[-1, 1]"),
@@ -1070,16 +1105,12 @@ class TestMain:
             text = text.replace("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
                                 "  drive_omega_rad_per_time: 0.2", path)
         fn = self.write_config(tmp_path, text + run_section)
-        assert main(["validate", "--config", str(fn)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"scenario invalid:\n  - bath.csv_file {data}: tabulated range") and need in err
-        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"run failed: bath.csv_file {data}: tabulated range") and need in err
-        run_dir = next((tmp_path / "runs").iterdir())
-        assert not list(run_dir.glob("*.csv"))  # no member started
-        meta = json.loads((run_dir / "metadata.json").read_text())
-        assert meta["status"].startswith("failed: bath.csv_file")
+        for argv in (["validate"], [command, "--out", str(tmp_path / "runs")]):
+            assert main(argv + ["--config", str(fn)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"scenario invalid:\n  - bath.csv_file {data}: tabulated range")
+            assert need in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()  # no member started, no run directory made
 
     def test_berry_scenario_with_malformed_spectrum_validates(self, tmp_path, capsys):
         # a Berry run reads no spectrum, so validate does not read it either
@@ -1113,6 +1144,34 @@ class TestMain:
         parallel = run(sweep, out_dir=tmp_path / "parallel", jobs=2)
         assert calls == [str(data)]
         assert serial.metadata["files"] == parallel.metadata["files"]
+        for name in serial.metadata["files"]:
+            assert (serial.run_dir / name).read_bytes() == (parallel.run_dir / name).read_bytes(), name
+
+    def test_each_data_file_read_once_by_the_parent(self, tmp_path, monkeypatch):
+        # a compare run on a sampled path with a tabulated spectrum reads both files once,
+        # before its members; no worker reads one, and --jobs leaves every CSV as it was
+        path_csv, bath_csv = tmp_path / "path.csv", tmp_path / "bath.csv"
+        path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
+        bath_csv.write_text("omega,S\n-3,0.01\n0,0.1\n3,0.2\n")
+        text = data_file_scenario("path", path_csv).replace(
+            "model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {bath_csv}")
+        parent, calls, original = os.getpid(), [], cli._read_csv
+
+        def counted(csv_path, names):
+            if os.getpid() != parent:
+                raise AssertionError(f"a member process read {csv_path}")
+            calls.append(csv_path)
+            return original(csv_path, names)
+
+        monkeypatch.setattr(cli, "_read_csv", counted)
+        sc = load_scenario(text, "compare")
+        serial = run(sc, out_dir=tmp_path / "serial")
+        assert calls == [str(path_csv), str(bath_csv)]
+        del calls[:]
+        parallel = run(sc, out_dir=tmp_path / "parallel", jobs=2)
+        assert calls == [str(path_csv), str(bath_csv)]
+        assert serial.metadata["files"] == parallel.metadata["files"] == [
+            "full.csv", "secular.csv", "nonsteered.csv", "summary.csv"]
         for name in serial.metadata["files"]:
             assert (serial.run_dir / name).read_bytes() == (parallel.run_dir / name).read_bytes(), name
 

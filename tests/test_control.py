@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsteer as q
-from qsteer.cli import build_path
+from qsteer.cli import _read_data_files, build_path, load_scenario
 from qsteer.control import GAP_FLOOR
 
 from conftest import SX, SZ, cone_field, cone_states, hamiltonian, numdiff_w
@@ -900,7 +900,11 @@ class TestSampledPaths:
             fh.write("t,b_x,b_y,b_z\n")
             for t, b in zip(ts, bs):
                 fh.write(f"{t},{b[0]},{b[1]},{b[2]}\n")
-        path = build_path({"kind": "sampled", "csv_file": str(fn)}, SX)
+        sc = load_scenario(
+            f"path:\n  kind: sampled\n  csv_file: {fn}\n  duration_time: 5.0\n"
+            "coupling:\n  matrix: [[0.0, 1.0], [1.0, 0.0]]\nbath:\n  model: flat\n  s0_rate: 0.1\n")
+        _, rows = _read_data_files(sc)
+        path = build_path(sc.path, SX, rows)
         assert path.duration == pytest.approx(5.0)
         np.testing.assert_allclose(path.fields(2.5)[0], bs[10], atol=1e-9)
 
