@@ -33,10 +33,6 @@ from .dynamics import (
     rhs_full,
     rhs_nonsteered,
     rhs_secular,
-    rhs_superadiabatic_oracle,
-    superadiabatic_elements,
-    superadiabatic_oracle_pullback,
-    to_superadiabatic,
 )
 from .errors import (
     GapCollapse,

@@ -6,8 +6,7 @@ weight drives decay, negative-frequency weight drives excitation, and a
 thermal bath obeys detailed balance S(-omega) = exp(-omega/T) S(omega)
 (k_B = 1). Rate formulas keep only the real parts of the bath integrals;
 the principal-value (Lamb shift) contributions are dropped throughout.
-:func:`rates` builds every RateSet from a frame's coupling elements, the
-adiabatic ones or those of the superadiabatic basis (``qsteer.dynamics``).
+:func:`rates` builds every RateSet from a frame's coupling elements.
 
 Every model is pure Python, the tabulated one included: it interpolates by
 numpy.interp's own formula on a bisect lookup, so it gives np.interp's floats

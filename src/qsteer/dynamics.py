@@ -6,13 +6,9 @@ invariant is positivity. Weak-coupling (Redfield-class) generators may
 transiently push the purity above one; that is reported, never clamped,
 because clamping would hide violations of the weak-coupling assumption.
 
-Four generators are provided: the non-steered nonsecular equation, its
-secular truncation (comparison baseline), the full linear-order equation for
-steered frames, and the superadiabatic-frame oracle used to cross-check the
-full equation to quadratic order in the adiabatic parameter. The first
-superadiabatic basis lives here alone: its coupling elements
-(:func:`superadiabatic_elements`), its state map (:func:`to_superadiabatic`),
-the oracle and its pullback.
+Three generators are provided: the non-steered nonsecular equation, its
+secular truncation (comparison baseline) and the full linear-order equation
+for steered frames.
 
 Multiplying the basis states by e^{i lambda_g(t)}, e^{i lambda_e(t)} shifts
 the w diagonals by the phase velocities and turns w_ge, m2 and rho_ge by
@@ -33,7 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .bath import RateSet, SpectralDensity, rates
+from .bath import RateSet, SpectralDensity
 from .control import frame_at, hs_norm
 from .errors import GAP_FLOOR, GapCollapse, LoopNotClosed, NonFiniteState, StepRejectionLimit
 
@@ -135,79 +131,6 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity):
     dge_r = p * m2r + q * m2i - c_w * wr - e_w * wi - c_r * rr - e_r * ri
     dge_i = p * m2i - q * m2r - c_w * wi + e_w * wr - c_r * ri + e_r * rr
     return dgg, complex(dge_r, dge_i)
-
-
-def superadiabatic_elements(m1: float, m2: complex, w_ge: complex, omega01: float):
-    """Coupling elements in the first superadiabatic basis, to linear order in alpha.
-
-    Sandwiching the coupling operator between the corrected states
-    |g2> = |g> - |e> w_ge*/omega01 and |e2> = |e> + |g> w_ge/omega01 and
-    discarding quadratic terms gives
-
-        m1_2 = m1 - 2 Re(m2 conj(w_ge)) / omega01
-        m2_2 = m2 + 2 m1 w_ge / omega01
-
-    already traceless at this order. Identity at w_ge = 0 and exactly linear
-    in w_ge.
-    """
-    if not omega01 > GAP_FLOOR:
-        raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    m2 = complex(m2)
-    w_ge = complex(w_ge)
-    m1_2 = m1 - 2.0 * (m2.real * w_ge.real + m2.imag * w_ge.imag) / omega01
-    m2_2 = m2 + 2.0 * m1 * w_ge / omega01
-    return m1_2, m2_2
-
-
-def rhs_superadiabatic_oracle(state2: DensityState, frame, sd: SpectralDensity):
-    """Non-steered-form generator evaluated with superadiabatic quantities.
-
-    ``state2`` lives in the superadiabatic frame. The coherence precesses at
-    the corrected gap, while the spectrum stays sampled at +-omega01: the
-    slow-bath (adiabatic-rates) assumption that also underlies the full
-    equation, where no spectrum derivatives appear.
-    """
-    w01 = frame.omega01
-    m1_2, m2_2 = superadiabatic_elements(frame.m1, frame.m2, frame.w_ge, w01)
-    r2 = rates(m1_2, m2_2, w01, sd)
-    omega01_2 = w01 + (frame.w_ee - frame.w_gg)
-    return rhs_nonsteered(state2, r2, omega01_2)
-
-
-def to_superadiabatic(rho_gg: float, rho_ge: complex, frame):
-    """Density components in the superadiabatic frame, to linear order.
-
-    The first superadiabatic basis corrects the adiabatic states by the
-    steering admixture x = w_ge / omega01, unnormalized (normalization enters
-    only at quadratic order):
-    rho_gg2 = rho_gg - 2 Re(conj(x) rho_ge),
-    rho_ge2 = rho_ge + x (2 rho_gg - 1).
-    """
-    w01 = frame.omega01
-    if not w01 > GAP_FLOOR:
-        raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
-    x = frame.w_ge / w01
-    rho_ge = complex(rho_ge)
-    rho_gg2 = rho_gg - 2.0 * (x.conjugate() * rho_ge).real
-    rho_ge2 = rho_ge + x * (2.0 * rho_gg - 1.0)
-    return rho_gg2, rho_ge2
-
-
-def superadiabatic_oracle_pullback(state: DensityState, frame, sd: SpectralDensity):
-    """Adiabatic-frame derivative predicted by the superadiabatic oracle.
-
-    Maps the state to the superadiabatic frame, evaluates the oracle there,
-    and pulls the derivative back with the linear part of the frame map
-    (frame quantities frozen, consistent with the adiabatic-rates
-    assumption). Independent route to :func:`rhs_full`; the two agree to
-    O(alpha^2).
-    """
-    rho_gg2, rho_ge2 = to_superadiabatic(state.rho_gg, state.rho_ge, frame)
-    dgg2, dge2 = rhs_superadiabatic_oracle(DensityState(rho_gg2, rho_ge2), frame, sd)
-    x = frame.w_ge / frame.omega01
-    dgg = dgg2 + 2.0 * (x.conjugate() * dge2).real
-    dge = dge2 - 2.0 * x * dgg2
-    return dgg, dge
 
 
 # ----------------------------------------------------------------------
