@@ -50,6 +50,7 @@ from .control import (
     _HERMITIAN_TOL,
     ControlPath,
     _hermitian_residual,
+    _peak_gap,
     frame_at,
     linear_sweep,
     rotating_cone,
@@ -596,18 +597,21 @@ def build_path(cfg: dict, coupling, rows=None) -> ControlPath:
     return _construct(_PATHS, "kind", cfg, rows, coupling_A=coupling)
 
 
-def _check_spectrum_range(scenario: Scenario, sd: SpectralDensity) -> None:
+def _check_spectrum_range(scenario: Scenario, sd: SpectralDensity, sampled=None) -> None:
     """Raise OutOfRange if the run's tabulated spectrum sd misses [-w, w].
 
-    Rates sample S at +-omega01 and 0, and w is the path's largest gap: a
-    cone's field_energy, or a linear sweep's gap at the solver window end
-    farthest from mid-path. A sampled path's gaps are not known ahead; for
-    them the spectrum's own OutOfRange fails the run mid-way.
+    Rates sample S at +-omega01 and 0, and w is the path's largest gap over
+    the solver window: a cone's field_energy, a linear sweep's gap at the
+    window end farthest from mid-path, or the largest |b| of ``sampled``, the
+    built sampled path, between its knots as well as at them. A sampled path
+    whose rows failed (``sampled`` None) is reported under path.csv_file.
     """
     path, solver = scenario.path, scenario.solver
     if path["kind"] == "sampled":
-        return
-    if path["kind"] == "rotating_cone":
+        if sampled is None:
+            return
+        w = _peak_gap(sampled, solver.t0, solver.t1)
+    elif path["kind"] == "rotating_cone":
         w = path["field_energy"]
     else:
         mid = path["duration_time"] / 2
@@ -633,11 +637,11 @@ def _read_data_files(scenario: Scenario) -> tuple:
     path or spectrum raises ValidationError naming its key.
     """
     path, bath = scenario.path, scenario.bath
-    problems, sd, rows = [], None, None
+    problems, sd, rows, sampled = [], None, None, None
     if path["kind"] == "sampled":
         try:
             rows = _read_csv(path["csv_file"], ("t", "b_x", "b_y", "b_z"))
-            build_path(path, scenario.coupling, rows)
+            sampled = build_path(path, scenario.coupling, rows)
         except (OSError, ValueError, csv.Error) as exc:
             problems.append(f"path.csv_file {path['csv_file']}: {exc}")
     if scenario.mode != "berry" and bath["model"] != "tabulated":
@@ -645,7 +649,7 @@ def _read_data_files(scenario: Scenario) -> tuple:
     elif scenario.mode != "berry":
         try:
             sd = _construct(_BATHS, "model", bath, _read_csv(bath["csv_file"], ("omega", "S")))
-            _check_spectrum_range(scenario, sd)
+            _check_spectrum_range(scenario, sd, sampled)
         except (OSError, ValueError, csv.Error, OutOfRange) as exc:
             problems.append(f"bath.csv_file {bath['csv_file']}: {exc}")
     if problems:

@@ -60,8 +60,8 @@ form's, and so is every error.
 Pure Python
 -----------
 :class:`ControlPath`, the analytic paths and :func:`frame_at` are pure
-Python. numpy and scipy are imported inside :func:`sampled_path` alone, so a
-run on an analytic path loads neither.
+Python. numpy and scipy are imported inside :func:`sampled_path` and
+:func:`_peak_gap` alone, so a run on an analytic path loads neither.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ class ControlPath:
     that :func:`frame_at` calls instead of the general closed form. Like
     ``_anchors`` it is not an init argument, so ``dataclasses.replace``
     copies, hand-built paths and sampled paths get the general closed form.
+    ``_spline``, likewise, is the cubic spline of a path built by
+    :func:`sampled_path`, which :func:`_peak_gap` maximises.
     """
 
     fields: Callable[[float], tuple[Vec3, Vec3]]
@@ -104,6 +106,7 @@ class ControlPath:
         default=None, init=False, repr=False
     )
     _law: Optional[Callable[[float], AdiabaticFrame]] = field(default=None, init=False, repr=False)
+    _spline: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         A = _coupling_matrix(self.coupling_A)
@@ -266,7 +269,31 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         dx, dy, dz = dspline(t)
         return (float(bx), float(by), float(bz)), (float(dx), float(dy), float(dz))
 
-    return ControlPath(fields=fields, coupling_A=coupling_A, duration=t_last - t0, t_start=t0)
+    path = ControlPath(fields=fields, coupling_A=coupling_A, duration=t_last - t0, t_start=t0)
+    path._spline = spline
+    return path
+
+
+def _peak_gap(path: ControlPath, t0: float, t1: float) -> float:
+    """The largest |b| of a sampled path over [t0, t1], clipped to its sample times.
+
+    On each spline piece |b|^2 is a polynomial, so its maximum lies at the
+    window's ends or at a real root of d|b|^2/dt = 2 b.b_dot, a quintic built
+    from the spline's own coefficients.
+    """
+    import numpy as np
+    from scipy.interpolate import PPoly
+
+    spline = path._spline
+    c, dc = spline.c, spline.derivative().c  # highest power first; pieces x components
+    dot = np.zeros((6, c.shape[1]))
+    for i in range(4):
+        for j in range(3):
+            dot[i + j] += (c[i] * dc[j]).sum(axis=-1)
+    lo, hi = np.clip((t0, t1), spline.x[0], spline.x[-1])
+    roots = PPoly(dot, spline.x).roots(discontinuity=False, extrapolate=False)
+    ts = np.concatenate((roots[(lo <= roots) & (roots <= hi)], (lo, hi)))  # NaN roots drop out
+    return float(np.sqrt((spline(ts) ** 2).sum(axis=-1)).max())
 
 
 def hs_norm(w_gg: float, w_ee: float, w_ge: complex) -> float:

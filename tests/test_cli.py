@@ -1034,9 +1034,14 @@ class TestMain:
         ("path", "t,bx,by,bz\n0,1,0,1\n1,1,0\n2,1,0,1\n3,1,0,1\n4,1,0,1\n",
          "line 3 needs t, b_x, b_y and b_z, got '1,1,0'"),
         ("bath", "omega,S\n-2,0.1\n0\n2,0.1\n", "line 3 needs omega and S, got '0'"),
+        # a header repeated after line 1, as when two files are concatenated, is a bad row
+        ("path", "t,bx,by,bz\n0,1,0,1\n1,1,0,1\nt,bx,by,bz\n2,1,0,1\n3,1,0,1\n",
+         "line 4 does not parse: 't,bx,by,bz'"),
+        ("bath", "omega,S\n-2,0.1\nomega,S\n0,0.1\n2,0.1\n", "line 3 does not parse: 'omega,S'"),
     ], ids=["path-3-rows", "path-2-columns", "spectrum-1-row", "spectrum-1-column",
             "path-bad-data-row", "spectrum-bad-data-row", "path-bad-first-row",
-            "spectrum-bad-first-row", "path-short-row", "spectrum-short-row"])
+            "spectrum-bad-first-row", "path-short-row", "spectrum-short-row",
+            "path-repeated-header", "spectrum-repeated-header"])
     def test_malformed_data_file_exit_2(self, tmp_path, capsys, section, rows, message):
         # a malformed data file is a scenario problem in every command: exit 1, no run directory
         data = tmp_path / "data.csv"
@@ -1176,8 +1181,8 @@ class TestMain:
             assert (serial.run_dir / name).read_bytes() == (parallel.run_dir / name).read_bytes(), name
 
     def test_spectrum_range_backstop_for_sampled_paths(self, tmp_path, capsys):
-        # a sampled path's gaps are not known ahead: a grid that covers the sweep
-        # passes the check, and the sampled path fails mid-run on its own OutOfRange
+        # a grid that covers the sweep passes the check, and the sampled path, whose
+        # |b| runs from 2.83 to 2.84, fails it before any run directory is made
         data = tmp_path / "spectrum.csv"
         data.write_text("-2.6,0.1\n2.6,0.1\n")
         sweep = MINIMAL_CONE.replace(
@@ -1194,8 +1199,31 @@ class TestMain:
             "model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
         capsys.readouterr()
         assert main(["simulate", "--config", str(self.write_config(tmp_path, sampled)),
-                     "--out", str(tmp_path / "runs")]) == 2
-        assert "outside tabulated range [-2.6, 2.6]" in capsys.readouterr().err
+                     "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario invalid:\n  - bath.csv_file {data}: tabulated range [-2.6, 2.6]")
+        assert "Traceback" not in err and len(list((tmp_path / "runs").iterdir())) == 1
+
+    def test_sampled_path_range_is_its_splines_over_the_solver_window(self, tmp_path, capsys):
+        # knots with |b| up to sqrt(5) = 2.236: the spline through the step from b_z = 1 to
+        # b_z = 2 overshoots to |b| = 2.394 at t = 2.5, past a grid that covers every knot
+        path_csv, data = tmp_path / "path.csv", tmp_path / "spectrum.csv"
+        path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0,1\n2,1,0,2\n3,1,0,2\n4,1,0,1\n5,1,0,1\n")
+        data.write_text("omega,S\n-2.3,0.1\n0,0.1\n2.3,0.1\n")
+        text = data_file_scenario("path", path_csv).replace(
+            "model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
+        fn = self.write_config(tmp_path, text.replace("t1_time: 3.0", "t1_time: 5.0"))
+        for command in ("validate", "simulate", "compare"):
+            assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"scenario invalid:\n  - bath.csv_file {data}: tabulated range "
+                                  "[-2.3, 2.3] does not cover [-2.39387, 2.39387]"), err
+            assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+        # a window that ends at the step's first knot never reaches the overshoot
+        fn = self.write_config(tmp_path, text.replace("t1_time: 3.0", "t1_time: 2.0"))
+        for command in ("validate", "simulate"):
+            assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
 
     def test_path_through_antipode_exit_2(self, tmp_path, capsys):
         # from +z through the xz plane to exactly -z at the last knot, where the
