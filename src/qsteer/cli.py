@@ -597,7 +597,8 @@ def build_path(cfg: dict, coupling, rows=None) -> ControlPath:
     return _construct(_PATHS, "kind", cfg, rows, coupling_A=coupling)
 
 
-def _check_spectrum_range(scenario: Scenario, sd: SpectralDensity, sampled=None) -> None:
+def _check_spectrum_range(scenario: Scenario, sd: SpectralDensity,
+                          sampled: Optional[ControlPath]) -> None:
     """Raise OutOfRange if the run's tabulated spectrum sd misses [-w, w].
 
     Rates sample S at +-omega01 and 0, and w is the path's largest gap over
