@@ -73,10 +73,11 @@ _MODELS = {
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Callable bath spectrum S(omega) >= 0 with a tagged model and parameters.
+    """Bath spectrum S(omega) >= 0 with a tagged model and parameters.
 
     The model's formula is bound to its parameters once, at construction, as
-    a partial of a module-level function, so the object pickles. The params
+    a partial of a module-level function, so the object pickles; S(omega)
+    is ``_formula(omega)``, and the library samples it through ``at_gap``. The params
     of a tabulated model are its grid and its values, as tuples of floats.
     ``at_gap`` calls the bound formula directly, so a new gap costs two
     formula calls; it keeps S(0) and, for each of the last three distinct
@@ -98,9 +99,6 @@ class SpectralDensity:
         # three (gap, terms) slots, the slot the next new gap takes (the
         # oldest) and S(0), None until first sampled; NaN matches no gap
         object.__setattr__(self, "_memo", [math.nan, None] * 3 + [0, None])
-
-    def __call__(self, omega: float) -> float:
-        return self._formula(omega)
 
     def at_gap(self, omega: float) -> tuple:
         """S(omega), S(-omega), S(0) and the gap's difference quotients.

@@ -634,8 +634,10 @@ def _read_data_files(scenario: Scenario) -> tuple:
     ``validate`` and every run call this before any run directory exists. The
     spectrum is range-checked; a Berry run has none. A sampled path is built
     once to check its rows (plain floats, so they pickle), from which each
-    member builds its own. A data file that cannot be read or holds no valid
-    path or spectrum raises ValidationError naming its key.
+    member builds its own; its fields are read at both window ends, so a
+    window that leaves its samples is reported too. A data file that cannot
+    be read or holds no valid path or spectrum raises ValidationError naming
+    its key.
     """
     path, bath = scenario.path, scenario.bath
     problems, sd, rows, sampled = [], None, None, None
@@ -645,6 +647,12 @@ def _read_data_files(scenario: Scenario) -> tuple:
             sampled = build_path(path, scenario.coupling, rows)
         except (OSError, ValueError, csv.Error) as exc:
             problems.append(f"path.csv_file {path['csv_file']}: {exc}")
+        else:
+            for key, t in (("t0_time", scenario.solver.t0), ("t1_time", scenario.solver.t1)):
+                try:
+                    sampled.fields(t)
+                except OutOfRange as exc:
+                    problems.append(f"solver.{key}: {exc} in path.csv_file {path['csv_file']}")
     if scenario.mode != "berry" and bath["model"] != "tabulated":
         sd = _construct(_BATHS, "model", bath)
     elif scenario.mode != "berry":

@@ -88,11 +88,11 @@ class ControlPath:
     ``t_start`` is where the path begins: the first sample time of a sampled
     path, 0 for the analytic ones.
 
-    ``_law`` holds the frame law of a path built by :func:`rotating_cone`
-    or :func:`linear_sweep`: a function of t alone, built once per path,
-    that :func:`frame_at` calls instead of the general closed form. Like
-    ``_anchors`` it is not an init argument, so ``dataclasses.replace``
-    copies, hand-built paths and sampled paths get the general closed form.
+    ``_law`` is the frame law, a function of (path, t) that :func:`frame_at`
+    calls: the general closed form unless :func:`rotating_cone` or
+    :func:`linear_sweep` sets its own. Like ``_anchors`` it is not an init
+    argument, so ``dataclasses.replace`` copies get the closed form; as it
+    takes the path as an argument, no law holds a reference to its path.
     ``_spline``, likewise, is the cubic spline of a path built by
     :func:`sampled_path`, which :func:`_peak_gap` maximises.
     """
@@ -102,10 +102,8 @@ class ControlPath:
     duration: float
     t_start: float = 0.0
     _anchors: Optional[tuple[int, int]] = field(default=None, init=False, repr=False)
-    _A_traceless: Optional[tuple[complex, complex, complex]] = field(
-        default=None, init=False, repr=False
-    )
-    _law: Optional[Callable[[float], AdiabaticFrame]] = field(default=None, init=False, repr=False)
+    _A_traceless: Optional[tuple[complex, complex, complex]] = field(default=None, init=False, repr=False)
+    _law: Callable[[ControlPath, float], AdiabaticFrame] = field(init=False, repr=False, compare=False)
     _spline: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -120,6 +118,7 @@ class ControlPath:
         self.coupling_A = A
         half_trace = (a + d) / 2
         self._A_traceless = (a - half_trace, b, d - half_trace)
+        self._law = _closed_form
 
     def anchors(self) -> tuple[int, int]:
         """Anchor component indices (ground, excited), fixed at the start of the path.
@@ -431,12 +430,12 @@ def _fields(b, bd, A, r, upper, cg, ce):
     return w_gg, w_ee, wr, wi, m1, m2_r, m2_i
 
 
-def _cone_law(path, omega) -> Optional[Callable[[float], AdiabaticFrame]]:
+def _cone_law(path, omega) -> Callable[[ControlPath, float], AdiabaticFrame]:
     """The frame law of a cone path at rate omega, whose field at t = 0 is (r_xy, 0, b_z).
 
     w_gg, w_ee and w_ge(0) are :func:`_fields` at t = 0; M_x, M_y and M_z
     are its m2 there for the couplings (a_x, a_y, 0), (a_y, -a_x, 0) and
-    (0, 0, a_z). None where the kernel fails at t = 0, or where
+    (0, 0, a_z). The closed form where the kernel fails at t = 0, or where
     2 r (r + |b_z|) or a value is within a factor 2 of overflow: the ulps
     by which |b| drifts along the cone can overflow the normalisation at
     some t but not at 0, and the law does not compute it.
@@ -453,17 +452,17 @@ def _cone_law(path, omega) -> Optional[Callable[[float], AdiabaticFrame]]:
         m_x, m_y, m_z = [complex(*_fields(b, bd, x, r, upper, cg, ce)[5:])
                          for x in ((0.0, complex(v_x, -v_y)), (0.0, complex(v_y, v_x)), (v_z, 0j))]
     except (ZeroDivisionError, QSteerError):
-        return None
+        return _closed_form
     values = (2.0 * r * (r + abs(b_z)), w_gg, w_ee, wr, wi) + tuple(
         x for z in (m_x, m_y, m_z) for x in (z.real, z.imag))
     if not all(math.isfinite(2.0 * x) for x in values):
-        return None
+        return _closed_form
     n_q = ((cg == 1) != upper) + ((ce == 0) != upper)
     k = (1 - n_q) if upper else (n_q - 1)
     w_ge0 = complex(wr, wi)
     cos, sin, sqrt, inf, new = math.cos, math.sin, math.sqrt, math.inf, tuple.__new__
 
-    def law(t: float) -> AdiabaticFrame:
+    def law(path: ControlPath, t: float) -> AdiabaticFrame:
         try:  # the cone's fields(t), inline
             c, s = cos(omega * t), sin(omega * t)
         except ValueError:
@@ -492,18 +491,18 @@ _SWEEP_FIELD_MAX = 2.0**500
 _SWEEP_SLOPE_MIN = 2.0**-60
 
 
-def _sweep_law(path, slope, gap, half) -> Optional[Callable[[float], AdiabaticFrame]]:
+def _sweep_law(path, slope, gap, half) -> Callable[[ControlPath, float], AdiabaticFrame]:
     """The frame law of a sweep path with field (gap, 0, slope (t - half)).
 
     The w diagonals are :func:`_fields`' at ``t_start`` on its branch and
     their negatives on the other, as the closed form's zero signs are;
     M_x, M_y and M_z are its m2 there for the couplings x, y and z, and W
-    is +-i/2, the sign read off M_z = -f sin theta(t_start). None where the
-    kernel fails at ``t_start``, the start lies outside the safe range, the
-    slope is below the floor, or a constant is not finite.
+    is +-i/2, the sign read off M_z = -f sin theta(t_start). The closed form
+    where the kernel fails at ``t_start``, the start lies outside the safe
+    range, the slope is below the floor, or a constant is not finite.
     """
     if 0.0 < abs(slope) < _SWEEP_SLOPE_MIN:
-        return None
+        return _closed_form
     t0 = path.t_start
     b, bd = path.fields(t0)
     b_z = b[2]
@@ -518,21 +517,21 @@ def _sweep_law(path, slope, gap, half) -> Optional[Callable[[float], AdiabaticFr
         m_x, m_y, m_z = [complex(*_fields(b, bd, x, r0, upper, cg, ce)[5:])
                          for x in ((0.0, 1 + 0j), (0.0, -1j), (1.0, 0j))]
     except (ZeroDivisionError, QSteerError):
-        return None
+        return _closed_form
     if not r0 < r_hi:
-        return None
+        return _closed_form
     c0, s0 = b_z / r0, gap / r0
     # m2 = a'_x M_x + a_y M_y + a'_z M_z with a' = R_y(-delta) a, grouped by cos and sin delta
     k_c, k_s, k_0 = v_x * m_x + v_z * m_z, v_x * m_z - v_z * m_x, v_y * m_y
     w_v = complex(0.0, math.copysign(0.5, -m_z.real)) * slope
     if not all(math.isfinite(2.0 * x) for z in (k_c, k_s, k_0, w_v) for x in (z.real, z.imag)):
-        return None
+        return _closed_form
     here, there = (w_gg, w_ee), (-w_gg, -w_ee)
     up, down = (here, there) if upper else (there, here)
     gg, xg = gap * gap + 0.0 * 0.0, v_x * gap + v_y * 0.0  # the closed form's leading sums
     sqrt, new = math.sqrt, tuple.__new__
 
-    def law(t: float) -> AdiabaticFrame:
+    def law(path: ControlPath, t: float) -> AdiabaticFrame:
         bz = slope * (t - half)  # the sweep's fields(t), inline
         r = sqrt(gg + bz * bz)
         if not GAP_FLOOR < r < r_hi:
@@ -553,28 +552,25 @@ def _sweep_law(path, slope, gap, half) -> Optional[Callable[[float], AdiabaticFr
 def frame_at(path: ControlPath, t: float) -> AdiabaticFrame:
     """Full adiabatic-frame snapshot at time t, in the anchored gauge.
 
-    Closed form (see the module notes): omega01 = r = |b|, m1 = -(a.b)/r for
-    the traceless coupling a.sigma, and <g|dH/dt|e> and m2 = <g|A|e> written
-    out for the raw eigenpair, then multiplied by the anchoring factor
-    conj(f_e) f_g, where f is the unit phase of each anchored component.
-    w_ge = -i <g|dH/dt|e> / omega01; the w diagonals keep the anchored
-    components on the real axis. A rotating cone or a linear sweep takes its
-    frame law instead, with the same omega01 and m1; the cone law makes the
-    same gap check, and the sweep law hands each frame outside its safe range
-    to the closed form. Raises GapCollapse at |b| <= GAP_FLOOR,
+    One call of the path's frame law, by default the closed form (see the
+    module notes): omega01 = r = |b|, m1 = -(a.b)/r for the traceless
+    coupling a.sigma, and <g|dH/dt|e> and m2 = <g|A|e> written out for the
+    raw eigenpair, times the anchoring factor conj(f_e) f_g, f the unit
+    phase of each anchored component. w_ge = -i <g|dH/dt|e> / omega01; the
+    w diagonals keep the anchored components on the real axis. A rotating cone's or a linear sweep's own
+    law gives the same omega01 and m1; the cone law makes the same gap
+    check, and the sweep law hands each frame outside its safe range to the
+    closed form. Raises GapCollapse at |b| <= GAP_FLOOR,
     GaugeUndefined, naming t, where an anchored component is 0, and
     NonFiniteState, naming t, where |b| is NaN, the normalisation
     n = sqrt(2 r (r + |b_z|)) of a huge field overflows or a cone's drive
     phase omega t does. Its alpha may read inf; integrate reports that.
     """
-    law = path._law
-    if law is not None:
-        return law(t)
-    return _closed_form(path, t)
+    return path._law(path, t)
 
 
 def _closed_form(path: ControlPath, t: float) -> AdiabaticFrame:
-    """The general closed form of :func:`frame_at`, on the path's fields at t."""
+    """The general closed form on the path's fields at t: every path's frame law by default."""
     cg, ce = path._anchors or path.anchors()
     b, bd = path.fields(t)
     bx, by, bz = b

@@ -212,7 +212,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """One recorded point, as written to CSV; alpha and omega01 are NaN without frames."""
+    """One recorded point, as written to CSV; alpha and omega01 are its frame's."""
 
     t: float
     state: DensityState
@@ -228,7 +228,7 @@ class SolverWork:
     """What one integration did: steps, evaluations and accepted step sizes.
 
     ``rhs_evals`` counts the generator's calls and ``frame_evals`` the frame
-    provider's, one per distinct stage time (0 without a provider): 1 at t0
+    provider's, one per distinct stage time: 1 at t0
     plus, per attempted step, 6 and 5 for "rk45_adaptive" and 4 and 2 for
     "rk4_fixed". ``dt_max`` and ``dt_min`` range over the accepted steps (an
     adaptive run cuts the last one to end at t1).
@@ -395,14 +395,14 @@ def integrate(
     rhs: Callable,
     initial: DensityState,
     cfg: SolverConfig,
-    frame_provider: Optional[Callable] = None,
+    frame_provider: Callable,
     track_phases: bool = False,
 ) -> Trajectory:
     """Integrate d(state)/dt = rhs(t, state, frame) over [cfg.t0, cfg.t1].
 
     ``rhs`` returns (d rho_gg/dt, d rho_ge/dt); ``frame_provider`` maps a
-    time to the frame passed through to ``rhs`` (None for frame-free
-    generators). The stepper carries the state as that same pair, a float
+    time to the :class:`~qsteer.control.AdiabaticFrame` passed through to
+    ``rhs`` and recorded with each sample. The stepper carries the state as that same pair, a float
     and a complex, and keeps each stage's returned pair as its slope. Each
     attempted step is one call of its tableau's compiled attempt (see
     ``_tableau``), straight-line code generated once from the tableau's rows,
@@ -455,14 +455,11 @@ def integrate(
     ``phase_quadrature_error`` is the larger branch's |5th - 4th-order phase|
     at t1 ("rk4_fixed" has no error row and reports None).
     """
-    if track_phases and frame_provider is None:
-        raise ValueError("track_phases requires a frame_provider")
     # One call of the tableau's compiled attempt evaluates a step's stages: each stage's
     # state, its frame (the provider's, or the previous stage's at the same t) and the
     # generator, whose (d rho_gg, d rho_ge) is the slope. A state handed to the
     # generator is built by tuple.__new__, which skips the NamedTuple's Python-level
     # __new__ and still gives a DensityState.
-    provider = frame_provider if frame_provider is not None else lambda t: None
     new = tuple.__new__
     sqrt, isfinite, inf = math.sqrt, math.isfinite, math.inf
     nodes, _, err, attempt, phases = _METHODS[cfg.method]
@@ -487,14 +484,12 @@ def integrate(
             t_worst = t
         if 1.0 - g > max_excited:
             max_excited = 1.0 - g
-        alpha = omega01 = math.nan
-        if frame is not None:
-            omega01 = frame.omega01  # the optimal phase zeroes w's diagonals, keeps |w_ge|
-            alpha = hs_norm(0.0, 0.0, frame.w_ge) / omega01 if track_phases else frame.alpha
-            if not alpha < math.inf:
-                raise NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
-            if alpha > max_alpha:
-                max_alpha = alpha
+        omega01 = frame.omega01  # the optimal phase zeroes w's diagonals, keeps |w_ge|
+        alpha = hs_norm(0.0, 0.0, frame.w_ge) / omega01 if track_phases else frame.alpha
+        if not alpha < math.inf:
+            raise NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
+        if alpha > max_alpha:
+            max_alpha = alpha
         if keep:
             if track_phases:
                 if not math.isfinite(lam[1] - lam[0]):  # finite only if both phases are
@@ -506,7 +501,7 @@ def integrate(
     g, ge = initial.rho_gg, complex(initial.rho_ge)
     t = cfg.t0
     lam = lam_err = (0.0, 0.0)
-    frame = provider(t)
+    frame = frame_provider(t)
     k = rhs(t, new(DensityState, (g, ge)), frame)
     n_rhs = n_frames = 1
     accept(t, g, ge, frame, lam, True)
@@ -534,7 +529,7 @@ def integrate(
             if t + dt == t:
                 raise StepRejectionLimit(f"step {dt:g} does not advance t = {t:g}")
         # the last stage state is the step's solution, so (g_new, ge_new) is its result
-        g_new, ge_new, err_g, err_ge, k_new, frames = attempt(rhs, provider, t, dt, g, ge, k, frame)
+        g_new, ge_new, err_g, err_ge, k_new, frames = attempt(rhs, frame_provider, t, dt, g, ge, k, frame)
         n_rhs += last
         n_frames += frames_per_attempt
         if err is None:
@@ -598,7 +593,7 @@ def integrate(
         accepted_steps=accepted,
         rejected_steps=rejected,
         rhs_evals=n_rhs,
-        frame_evals=n_frames if frame_provider is not None else 0,
+        frame_evals=n_frames,
         dt_min=dt_lo,
         dt_max=dt_hi,
         t_max_positivity_violation=t_worst,

@@ -88,6 +88,15 @@ def steady_state_oracle(rates, omega01):
     return sol[0], complex(sol[1], sol[2])
 
 
+# One fixed, unsteered frame at unit gap, for generators that read no frame
+STATIC_FRAME = q.AdiabaticFrame(1.0, 0.0, 0.0, 0j, 0.0, 0j)
+
+
+def static_frame(t):
+    """A frame provider for a generator that reads no frame: STATIC_FRAME at every t."""
+    return STATIC_FRAME
+
+
 @pytest.fixture
 def cone_path():
     """Reference steered scenario: cone at theta = pi/3, drive rate 0.05, A = sigma_x."""

@@ -119,7 +119,7 @@ def _texts(work_dir: Path) -> dict:
         fh.write("omega,S\n")
         for i in range(801):
             omega = -4.0 + i / 100
-            fh.write(f"{omega!r},{sd(omega)!r}\n")
+            fh.write(f"{omega!r},{sd._formula(omega)!r}\n")
     lz["bath"] = {"model": "tabulated", "csv_file": "lz_spectrum.csv"}
     lz["run"]["mode"] = "compare"
     texts["landau_zener_tabulated_compare"] = yaml.safe_dump(lz)

@@ -15,7 +15,7 @@ import qsteer as q
 from qsteer.dynamics import integrate
 
 import superadiabatic_reference as sa
-from conftest import SX
+from conftest import SX, static_frame
 
 
 def report(num, label, ok, detail):
@@ -61,7 +61,8 @@ def test_criterion_02_thermal_fixed_point():
     sd = q.tabulated([-1.0, 0.0, 1.0], [1.0, 1.5, 2.0])
     r = q.rates(0.0, 1.0, 1.0, sd)
     cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=30.0, record_stride=500)
-    traj = integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.1, 0.2j), cfg)
+    traj = integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.1, 0.2j), cfg,
+                     static_frame)
     err = abs(traj.final.state.rho_gg - 2.0 / 3.0)
     elapsed = time.perf_counter() - started
     report(
@@ -84,7 +85,7 @@ def test_criterion_03_detailed_balance():
             )
             traj = integrate(
                 lambda t, s, f: q.rhs_nonsteered(s, r, omega01),
-                q.DensityState(0.3, 0.1 + 0.1j), cfg,
+                q.DensityState(0.3, 0.1 + 0.1j), cfg, static_frame,
             )
             gg = traj.final.state.rho_gg
             ratio = gg / (1.0 - gg)
@@ -302,7 +303,7 @@ def test_criterion_10_rk4_convergence_order():
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=2.0, dt=2.0 / n, record_stride=n)
         traj = integrate(
             lambda t, s, f: q.rhs_nonsteered(s, r, omega01),
-            q.DensityState(0.3, complex(0.2, -0.1)), cfg,
+            q.DensityState(0.3, complex(0.2, -0.1)), cfg, static_frame,
         )
         ge = complex(traj.final.state.rho_ge)
         errs.append(

@@ -19,23 +19,23 @@ class TestSpectralDensity:
     def test_flat(self):
         sd = q.flat(2.0)
         for w in (-5.0, 0.0, 0.3, 100.0):
-            assert sd(w) == 2.0
+            assert sd._formula(w) == 2.0
 
     def test_zero_temperature_one_sided(self):
         sd = q.zero_temperature_ohmic(1.0)
-        assert sd(-1.0) == 0.0
-        assert sd(0.0) == 0.0
-        assert sd(1.0) == pytest.approx(1.0)
+        assert sd._formula(-1.0) == 0.0
+        assert sd._formula(0.0) == 0.0
+        assert sd._formula(1.0) == pytest.approx(1.0)
 
     def test_detailed_balance_ratio_at_unit_frequency(self):
         sd = q.ohmic_thermal(1.0, 1.0)
-        assert sd(1.0) / sd(-1.0) == pytest.approx(math.e, rel=1e-12)
+        assert sd._formula(1.0) / sd._formula(-1.0) == pytest.approx(math.e, rel=1e-12)
 
     def test_zero_frequency_continuous_extension(self):
         sd = q.ohmic_thermal(0.7, 1.3)
-        assert sd(0.0) == pytest.approx(0.7 * 1.3)
-        assert sd(1e-9) == pytest.approx(0.7 * 1.3, rel=1e-8)
-        assert sd(-1e-9) == pytest.approx(0.7 * 1.3, rel=1e-8)
+        assert sd._formula(0.0) == pytest.approx(0.7 * 1.3)
+        assert sd._formula(1e-9) == pytest.approx(0.7 * 1.3, rel=1e-8)
+        assert sd._formula(-1e-9) == pytest.approx(0.7 * 1.3, rel=1e-8)
 
     @given(
         omega=st.floats(0.01, 20),
@@ -46,29 +46,29 @@ class TestSpectralDensity:
     @settings(max_examples=200)
     def test_detailed_balance_property(self, omega, T, eta, cutoff):
         sd = q.ohmic_thermal(eta, T, cutoff)
-        lhs = sd(-omega)
-        rhs = math.exp(-omega / T) * sd(omega)
+        lhs = sd._formula(-omega)
+        rhs = math.exp(-omega / T) * sd._formula(omega)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
     @given(omega=st.floats(-50, 50), T=st.floats(0.05, 10), eta=st.floats(0, 5))
     @settings(max_examples=200)
     def test_nonnegative(self, omega, T, eta):
-        assert q.ohmic_thermal(eta, T)(omega) >= 0.0
-        assert q.zero_temperature_ohmic(eta, 10.0)(omega) >= 0.0
+        assert q.ohmic_thermal(eta, T)._formula(omega) >= 0.0
+        assert q.zero_temperature_ohmic(eta, 10.0)._formula(omega) >= 0.0
 
     def test_tabulated_interpolation_and_range(self):
         sd = q.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 3.0])
-        assert sd(-1.0) == 0.5
-        assert sd(1.0) == pytest.approx(2.0)
+        assert sd._formula(-1.0) == 0.5
+        assert sd._formula(1.0) == pytest.approx(2.0)
         with pytest.raises(q.OutOfRange):
-            sd(2.5)
+            sd._formula(2.5)
         with pytest.raises(q.OutOfRange):
-            sd(-1.0001)
+            sd._formula(-1.0001)
 
     def test_tabulated_nan_frequency_is_out_of_range(self):
         sd = q.tabulated([-1.0, 0.0, 2.0], [0.5, 1.0, 3.0])
         with pytest.raises(q.OutOfRange, match=r"^omega = nan outside tabulated range \[-1, 2\]$"):
-            sd(math.nan)
+            sd._formula(math.nan)
 
     @pytest.mark.parametrize("knot_at_zero", [False, True], ids=["no-knot-at-0", "knot-at-0"])
     def test_tabulated_is_np_interp_bit_for_bit(self, knot_at_zero):
@@ -87,7 +87,7 @@ class TestSpectralDensity:
             if omegas[0] <= 0.0 <= omegas[-1]:
                 queries += [0.0, -0.0]
             for omega in map(float, queries):
-                assert bits(sd(omega)) == bits(float(np.interp(omega, omegas, values)))
+                assert bits(sd._formula(omega)) == bits(float(np.interp(omega, omegas, values)))
 
     @pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
     def test_tabulated_span_beyond_the_float_range_is_np_interp(self, values):
@@ -95,7 +95,7 @@ class TestSpectralDensity:
         omegas = [-1e308, 1e308]
         sd = q.tabulated(omegas, values)
         for omega in (-9e307, -1e300, 0.0, 1e300, 9e307):
-            assert bits(sd(omega)) == bits(float(np.interp(omega, omegas, values)))
+            assert bits(sd._formula(omega)) == bits(float(np.interp(omega, omegas, values)))
 
     def test_tabulated_csv(self, tmp_path):
         fn = tmp_path / "spec.csv"
@@ -104,7 +104,7 @@ class TestSpectralDensity:
             "path:\n  kind: rotating_cone\n  field_energy: 0.5\n  theta_rad: 1.0\n"
             "  drive_omega_rad_per_time: 0.2\ncoupling:\n  matrix: [[0.0, 1.0], [1.0, 0.0]]\n"
             f"bath:\n  model: tabulated\n  csv_file: {fn}\n"))
-        assert sd(0.5) == pytest.approx(1.5)
+        assert sd._formula(0.5) == pytest.approx(1.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -119,6 +119,11 @@ class TestSpectralDensity:
             q.tabulated([0.0, 1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="^tabulated spectrum needs one value per omega$"):
             q.tabulated([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
+        # a number where a sequence belongs is no grid and no values, not a TypeError
+        with pytest.raises(ValueError, match="^tabulated spectrum needs at least 2 samples$"):
+            q.tabulated(1.0, [1.0, 2.0])
+        with pytest.raises(ValueError, match="^tabulated spectrum needs one value per omega$"):
+            q.tabulated([0.0, 1.0], 1.0)
 
     @pytest.mark.parametrize("make, message", [
         (lambda: q.flat(math.nan), "s0 must be nonnegative and finite"),
@@ -139,8 +144,9 @@ class TestSpectralDensity:
 
     def test_infinite_cutoff_is_no_cutoff(self):
         # +inf is the default cutoff and stays valid
-        assert q.ohmic_thermal(0.1, 1.0, math.inf)(2.0) == q.ohmic_thermal(0.1, 1.0)(2.0)
-        assert q.zero_temperature_ohmic(0.1, cutoff=math.inf)(2.0) == pytest.approx(0.2)
+        assert (q.ohmic_thermal(0.1, 1.0, math.inf)._formula(2.0)
+                == q.ohmic_thermal(0.1, 1.0)._formula(2.0))
+        assert q.zero_temperature_ohmic(0.1, cutoff=math.inf)._formula(2.0) == pytest.approx(0.2)
 
 
 # a fresh bath of each model, so no test sees another's memo; the table spans
@@ -160,7 +166,7 @@ def bits(x):
 
 def gap_terms(sd, gap):
     """What at_gap returns, from scratch: S(gap), S(-gap), S(0), then the per-gap terms."""
-    s_plus, s_minus, s_zero = sd(gap), sd(-gap), sd(0.0)
+    s_plus, s_minus, s_zero = sd._formula(gap), sd._formula(-gap), sd._formula(0.0)
     s_sum = s_minus + s_plus
     if not gap:
         return s_plus, s_minus, s_zero, s_sum, math.nan, math.nan, math.nan
@@ -347,7 +353,7 @@ class TestGapTermsKept:
     def test_rhs_full_and_rates_match_a_from_scratch_evaluation(self, model):
         # at_gap computes a gap's quotients once and keeps them with its samples; served
         # new or from the memo, rhs_full and rates give the floats of a from-scratch
-        # evaluation on sd(+-omega) and sd(0)
+        # evaluation on S(+-omega) and S(0)
         sd, ref = BATHS[model](), BATHS[model]()
         calls = count_samples(sd)
         rng = np.random.default_rng(7)
@@ -358,7 +364,7 @@ class TestGapTermsKept:
         frames.append(q.frame_at(q.rotating_cone(1.3, 1.1, 0.2, SX), 4.0))
         for i, frame in enumerate(frames):
             gap = frame.omega01
-            samples = ref(gap), ref(-gap), ref(0.0)
+            samples = ref._formula(gap), ref._formula(-gap), ref._formula(0.0)
             # each frame's gap is new when first met: two formula calls, and S(0) once
             for new_samples in ([gap, -gap, 0.0] if i == 0 else [gap, -gap], []):
                 state = q.DensityState(rng.uniform(), complex(*rng.normal(scale=0.3, size=2)))
@@ -411,7 +417,7 @@ class TestRates:
     def test_rate_ratios(self, m1, m2r, m2i, omega01, T):
         sd = q.ohmic_thermal(0.8, T, 30.0)
         r = q.rates(m1, complex(m2r, m2i), omega01, sd)
-        s_plus, s_minus = sd(omega01), sd(-omega01)
+        s_plus, s_minus = sd._formula(omega01), sd._formula(-omega01)
         assert r.gamma_ge >= 0 and r.gamma_eg >= 0 and r.gamma_phi >= 0
         # cross-multiplied ratio identities, robust to tiny denominators
         assert r.gamma_tilde_plus * s_minus == pytest.approx(

@@ -303,6 +303,41 @@ solver:
             load_scenario(MINIMAL_CONE.replace(old, new))
         assert exc.value.problems == [problem]
 
+    @pytest.mark.parametrize("old, new, problem", [
+        ("  dt_time: 0.02\n", "  dt_time: 0.02\n  t0_time: 2.0\n  t1_time: 1.0\n",
+         "solver.t1_time: must exceed solver.t0_time"),
+        ("  dt_time: 0.02\n", "  dt_time: 0.02\n  t0_time: 2.0\n  t1_time: 2.0\n",
+         "solver.t1_time: must exceed solver.t0_time"),
+        ("record_stride: 50\n", "record_stride: 50\nrun:\n  sweep_periods_time: 20.0\n",
+         "run.sweep_periods_time: expected a list of positive numbers"),
+        ("record_stride: 50\n", "record_stride: 50\nrun:\n  berry_theta_grid_rad: {a: 1}\n",
+         "run.berry_theta_grid_rad: expected a list of angles in [0, pi]"),
+        ("[[0.0, 1.0], [1.0, 0.0]]", "[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]",
+         "coupling.matrix: expected a 2x2 matrix"),
+        ("[[0.0, 1.0], [1.0, 0.0]]", "[0.0, 1.0, 1.0, 0.0]", "coupling.matrix: expected a 2x2 matrix"),
+        ("model: flat\n  s0_rate: 0.1", "model: tabulated\n  csv_file: 5",
+         "bath.csv_file: expected a file name"),
+        ("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+         "  drive_omega_rad_per_time: 0.2", "kind: sampled\n  csv_file: [path.csv]\n  duration_time: 3.0",
+         "path.csv_file: expected a file name"),
+    ], ids=["t1-below-t0", "t1-at-t0", "period-grid-not-a-list", "angle-grid-not-a-list",
+            "coupling-2x3", "coupling-flat", "spectrum-file-not-a-string", "path-file-not-a-string"])
+    def test_malformed_key_is_the_only_problem(self, old, new, problem):
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(MINIMAL_CONE.replace(old, new))
+        assert exc.value.problems == [problem]
+
+    @pytest.mark.parametrize("mode, grid", [("sweep", "sweep_periods_time: [20.0]"),
+                                            ("berry", "berry_theta_grid_rad: [0.5]")])
+    def test_grid_modes_need_a_cone(self, mode, grid):
+        text = MINIMAL_CONE.replace(
+            "kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+            "  drive_omega_rad_per_time: 0.2",
+            "kind: linear_sweep\n  slope_energy_per_time: 0.1\n  gap_energy: 1.0\n  duration_time: 20.0")
+        with pytest.raises(q.ValidationError) as exc:
+            load_scenario(text + f"run:\n  mode: {mode}\n  {grid}\n")
+        assert exc.value.problems == [f"run.mode: {mode} requires a rotating_cone path"]
+
     def test_given_mode_replaces_the_files(self):
         berry = MINIMAL_CONE + "run:\n  mode: berry\n"  # no grid: invalid as a berry run
         with pytest.raises(q.ValidationError):
@@ -647,13 +682,12 @@ class TestRun:
         assert meta["scenario"]["bath"] == {"model": "zero_temperature_ohmic", "eta_coupling": 0.01}
 
     def test_failed_run_marked(self, tmp_path):
-        # a solver window past a sampled path's last sample: OutOfRange mid-run
-        samples = tmp_path / "path.csv"
-        samples.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
-        text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {samples}")
-        with pytest.raises(q.OutOfRange):
-            run(load_scenario(text.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 30.0")),
-                out_dir=tmp_path / "runs")
+        # rtol = atol = 1e-300: a scaled error's square overflows, so every attempt is
+        # rejected and the run fails mid-run, after its run directory exists
+        text = MINIMAL_CONE.replace("method: rk4_fixed\n  dt_time: 0.02",
+                                    "method: rk45_adaptive\n  rtol: 1.0e-300\n  atol: 1.0e-300")
+        with pytest.raises(q.StepRejectionLimit):
+            run(load_scenario(text), out_dir=tmp_path / "runs")
         run_dir = next((tmp_path / "runs").iterdir())
         meta = json.loads((run_dir / "metadata.json").read_text())
         assert meta["status"].startswith("failed")
@@ -995,18 +1029,23 @@ class TestMain:
         assert "bath.s0_rate: must be positive" in err
         assert "run.berry_theta_grid_rad: required non-empty list for berry mode" in err
 
-    @pytest.mark.parametrize("window", ["t1_time: 30.0", "t0_time: -5.0\n  t1_time: 3.0"],
-                             ids=["past-the-last-sample", "before-the-first-sample"])
-    def test_window_outside_a_sampled_path_exit_2(self, tmp_path, capsys, window):
+    @pytest.mark.parametrize("window, problem", [
+        ("t1_time: 30.0", "solver.t1_time: t = 30.0"),
+        ("t0_time: -5.0\n  t1_time: 3.0", "solver.t0_time: t = -5.0"),
+    ], ids=["past-the-last-sample", "before-the-first-sample"])
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_window_outside_a_sampled_path_exit_1(self, tmp_path, capsys, window, problem, command):
+        # the path's own fields are read at both window ends before any run directory
         path_csv = tmp_path / "path.csv"
         path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
         text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {path_csv}")
         fn = self.write_config(tmp_path, text.replace("  dt_time: 0.02", f"  dt_time: 0.02\n  {window}"))
-        assert main(["simulate", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("run failed: t = ") and "outside the path's samples [0.0, 3.0]" in err
-        meta = json.loads((next((tmp_path / "runs").iterdir()) / "metadata.json").read_text())
-        assert meta["status"].startswith("failed: t = ")
+        assert err.startswith("scenario invalid:")
+        assert (f"  - {problem} is outside the path's samples [0.0, 3.0] in path.csv_file "
+                f"{path_csv}\n") in err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command, grid", [
         ("sweep", "sweep_periods_time: [20, 40]"),
@@ -1052,6 +1091,29 @@ class TestMain:
             err = capsys.readouterr().err
             assert err.startswith(f"scenario invalid:\n  - {section}.csv_file {data}: ") and message in err
             assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("spectrum, bath_problem", [
+        ("omega,S\n-3,0.1\n3,0.1\n", None),
+        ("omega,S\n-3,0.1\n0,abc\n3,0.1\n", "line 3 does not parse"),
+    ], ids=["good-spectrum", "bad-spectrum"])
+    def test_malformed_sampled_path_with_a_tabulated_spectrum(self, tmp_path, capsys, spectrum,
+                                                              bath_problem):
+        # a path whose rows fail gives the spectrum no gap range to check; a spectrum
+        # that fails on its own is reported with the path
+        path_csv, bath_csv = tmp_path / "path.csv", tmp_path / "bath.csv"
+        path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0,x\n2,1,0,1\n3,1,0,1\n")
+        bath_csv.write_text(spectrum)
+        text = data_file_scenario("path", path_csv).replace(
+            "model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {bath_csv}")
+        fn = self.write_config(tmp_path, text)
+        problems = [f"path.csv_file {path_csv}: line 3 does not parse: '1,1,0,x'"]
+        if bath_problem:
+            problems.append(f"bath.csv_file {bath_csv}: {bath_problem}: '0,abc'")
+        for command in ("validate", "simulate"):
+            assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+            err = capsys.readouterr().err
+            assert err == "scenario invalid:\n" + "".join(f"  - {p}\n" for p in problems)
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("section", ["path", "bath"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qsteer as q
 from qsteer.cli import _read_data_files, build_path, load_scenario
-from qsteer.control import GAP_FLOOR
+from qsteer.control import GAP_FLOOR, _closed_form
 
 from conftest import SX, SZ, cone_field, cone_states, hamiltonian, numdiff_w
 from frame_history import sample_history
@@ -639,7 +639,7 @@ class TestConeLaw:
         for theta in CONE_THETAS:
             for omega in (0.1, -0.37):
                 cone = q.rotating_cone(1.3, theta, omega, A)
-                assert cone._law is not None
+                assert cone._law is not _closed_form
                 paths = [(cone, kernel_path(cone))]
                 # the start gives four (branch, anchor pair) combinations; presetting the
                 # anchors gives the pairs with both anchors on q, which no start gives
@@ -671,7 +671,7 @@ class TestConeLaw:
     ])
     def test_errors_are_the_kernels(self, Omega, theta, ts, has_law):
         cone = q.rotating_cone(Omega, theta, 0.1, SX)
-        assert (cone._law is not None) == has_law
+        assert (cone._law is not _closed_form) == has_law
         kernel = kernel_path(cone)
         raised = 0
         for t in ts:
@@ -686,7 +686,7 @@ class TestConeLaw:
     def test_infinite_drive_phase_is_non_finite(self):
         # omega t overflows from t = 1.8 on; the law, the kernel and the fields name t
         cone = q.rotating_cone(1.0, 1.0, 1e308, SX, duration=10.0)
-        assert cone._law is not None
+        assert cone._law is not _closed_form
         assert q.frame_at(cone, 1.0).omega01 == 1.0
         for t, phase in ((5.0, "inf"), (math.inf, "inf"), (-math.inf, "-inf"), (-2.0, "-inf")):
             message = f"the drive phase omega t = {phase} is not finite at t = {t:g}"
@@ -701,7 +701,7 @@ class TestConeLaw:
         cone = q.rotating_cone(1.3, 2.1, -0.4, SX)
         B = [[0.2, complex(0.5, -0.7)], [complex(0.5, 0.7), -0.4]]
         other = dataclasses.replace(cone, coupling_A=B)
-        assert cone._law is not None and other._law is None
+        assert cone._law is not _closed_form and other._law is _closed_form
         for t in (0.0, 0.37, 7.5):
             f, ref = q.frame_at(other, t), q.frame_at(kernel_path(other), t)
             assert field_bits(f) == field_bits(ref)
@@ -730,7 +730,7 @@ class TestSweepLaw:
         seen = set()
         for slope in (0.06, -0.06, 0.035, -0.035, 0.0, -0.0, 2):
             sweep = q.linear_sweep(slope, 1.0, 80.0, A)
-            assert sweep._law is not None
+            assert sweep._law is not _closed_form
             paths = [(sweep, kernel_path(sweep))]
             # the start gives (1, 0) on the upper branch, (0, 1) on the lower and (1, 1) at
             # b_z = -0.0 (slope 0); presetting the anchors gives every pair on both branches
@@ -778,7 +778,7 @@ class TestSweepLaw:
     ])
     def test_errors_and_edges_are_the_kernels(self, slope, gap, duration, ts, has_law):
         sweep = q.linear_sweep(slope, gap, duration, SX)
-        assert (sweep._law is not None) == has_law
+        assert (sweep._law is not _closed_form) == has_law
         kernel = kernel_path(sweep)
         raised = 0
         for t in ts:
@@ -790,6 +790,20 @@ class TestSweepLaw:
                 raised += 1
         assert raised >= 1
 
+    @pytest.mark.parametrize("slope, gap, duration, A", [
+        # |b| = 1 at the start, far beyond the safe range |b| < gap / 2^-1000 ~ 1e-4
+        (0.2, 1e-305, 10.0, SX),
+        # a coupling near the float range: the law's m2 constants overflow
+        (0.06, 1.0, 80.0, [[1e308, 1e308], [1e308, -1e308]]),
+    ], ids=["start-beyond-the-safe-range", "non-finite-constants"])
+    def test_sweep_without_a_law_is_the_closed_form(self, slope, gap, duration, A):
+        sweep = q.linear_sweep(slope, gap, duration, A)
+        assert sweep._law is _closed_form
+        kernel = kernel_path(sweep)
+        for t in (0.0, 0.3 * duration, 0.4 * duration, 0.6 * duration, duration):
+            got, want = q.frame_at(sweep, t), q.frame_at(kernel, t)
+            assert field_bits(got) == field_bits(want), t
+
     def test_numpy_times_give_the_same_frames(self):
         # a numpy scalar t, as scipy's solvers pass, makes numpy scalars of b_z and its sign test
         sweep = q.linear_sweep(0.06, 1.0, 80.0, SX)
@@ -799,7 +813,7 @@ class TestSweepLaw:
     def test_frames_outside_the_safe_range_are_the_closed_forms(self):
         # |q| is subnormal at t = +-1e10: the kernel's frame, bit for bit
         sweep = q.linear_sweep(1.0, 1e-300, 10.0, SX)
-        assert sweep._law is not None
+        assert sweep._law is not _closed_form
         for t in (1e10, -1e10):
             assert field_bits(q.frame_at(sweep, t)) == field_bits(q.frame_at(kernel_path(sweep), t))
         with pytest.raises(q.GaugeUndefined, match=re.escape("vanishes at t = 1e+24:")):
@@ -811,7 +825,7 @@ class TestSweepLaw:
         sweep = q.linear_sweep(0.06, 1.0, 80.0, SX)
         B = [[0.2, complex(0.5, -0.7)], [complex(0.5, 0.7), -0.4]]
         other = dataclasses.replace(sweep, coupling_A=B)
-        assert sweep._law is not None and other._law is None
+        assert sweep._law is not _closed_form and other._law is _closed_form
         for t in (0.0, 37.0, 40.0, 75.5):
             f, ref = q.frame_at(other, t), q.frame_at(kernel_path(other), t)
             assert field_bits(f) == field_bits(ref)
@@ -932,6 +946,16 @@ class TestSampledPaths:
                 q.frame_at(path, t)
             with pytest.raises(q.OutOfRange):
                 path.fields(t)
+
+    @pytest.mark.parametrize("ts, bs, message", [
+        ([0.0, 1.0, 1.0, 2.0], np.ones((4, 3)), "sampled path times must be strictly increasing"),
+        ([0.0, 2.0, 1.0, 3.0], np.ones((4, 3)), "sampled path times must be strictly increasing"),
+        ([0.0, 1.0, 2.0, 3.0], np.ones((4, 2)), "b_values must have shape (n_times, 3)"),
+        ([0.0, 1.0, 2.0, 3.0], np.ones((3, 3)), "b_values must have shape (n_times, 3)"),
+    ], ids=["repeated-time", "decreasing-time", "two-components", "too-few-fields"])
+    def test_samples_rejected(self, ts, bs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            q.sampled_path(ts, bs, SX)
 
     def test_validation(self):
         with pytest.raises(ValueError):

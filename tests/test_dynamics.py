@@ -13,12 +13,13 @@ import pytest
 from scipy.linalg import expm
 
 import qsteer as q
+from qsteer.control import _closed_form
 from qsteer.dynamics import (_MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, _tableau,
                              integrate)
 from qsteer.errors import GAP_FLOOR
 
 import superadiabatic_reference as sa
-from conftest import SX, SZ, random_frame, random_state, steady_state_oracle
+from conftest import SX, SZ, random_frame, random_state, static_frame, steady_state_oracle
 from stepper_reference import integrate_dp5, integrate_rk4
 from test_control import eig, field_bits, kernel_path, static_path
 
@@ -47,7 +48,7 @@ class TestDensityState:
     def test_purity(self, state, expected):
         # the purity integrate records at t0, here under a zero generator
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=1.0)
-        traj = q.integrate(lambda t, s, f: (0.0, 0j), state, cfg)
+        traj = q.integrate(lambda t, s, f: (0.0, 0j), state, cfg, static_frame)
         assert traj.samples[0].purity == pytest.approx(expected)
 
 
@@ -106,7 +107,7 @@ def rhs_full_written_out(state, frame, sd):
     :func:`qsteer.rhs_full`, which regroups them in real arithmetic.
     """
     w01 = frame.omega01
-    s_plus, s_minus, s_zero = sd(frame.omega01), sd(-frame.omega01), sd(0.0)
+    s_plus, s_minus, s_zero = sd._formula(w01), sd._formula(-w01), sd._formula(0.0)
     m1 = frame.m1
     m2 = complex(frame.m2)
     wge = complex(frame.w_ge)
@@ -308,7 +309,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0, record_stride=1000)
         traj = integrate(
             lambda t, s, f: q.rhs_nonsteered(s, r, 2 * math.pi),
-            q.DensityState(0.5, 0.5), cfg,
+            q.DensityState(0.5, 0.5), cfg, static_frame,
         )
         assert abs(complex(traj.final.state.rho_ge) - 0.5) < 1e-8
         assert traj.final.state.rho_gg == pytest.approx(0.5, abs=1e-12)
@@ -318,7 +319,7 @@ class TestIntegrate:
         r = q.rates(0.0, 1.0, 1.0, sd)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0, record_stride=10)
         traj = integrate(
-            lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.0, 0j), cfg
+            lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.0, 0j), cfg, static_frame
         )
         for sample in traj.samples:
             assert sample.state.rho_gg == pytest.approx(1 - math.exp(-sample.t), abs=1e-8)
@@ -348,7 +349,7 @@ class TestIntegrate:
             cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=2.0, dt=2.0 / n, record_stride=n)
             traj = integrate(
                 lambda t, s, f: q.rhs_nonsteered(s, r, 2.0),
-                q.DensityState(0.3, complex(0.2, -0.1)), cfg,
+                q.DensityState(0.3, complex(0.2, -0.1)), cfg, static_frame,
             )
             ge = complex(traj.final.state.rho_ge)
             errs.append(
@@ -377,16 +378,16 @@ class TestIntegrate:
         tau = 1.0 / (r.gamma_ge + r.gamma_eg)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=20 * tau, record_stride=1000)
         traj = integrate(
-            lambda t, s, f: q.rhs_nonsteered(s, r, w01), q.DensityState(0.1, 0.2j), cfg
+            lambda t, s, f: q.rhs_nonsteered(s, r, w01), q.DensityState(0.1, 0.2j), cfg, static_frame
         )
-        expected = sd(w01) / (sd(w01) + sd(-w01))
+        expected = sd._formula(w01) / (sd._formula(w01) + sd._formula(-w01))
         assert traj.final.state.rho_gg == pytest.approx(expected, abs=1e-6)
 
     def test_nonfinite_detected(self):
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.1)
         with pytest.raises(q.NonFiniteState):
             integrate(
-                lambda t, s, f: (math.inf, 0j), q.DensityState(1.0, 0j), cfg
+                lambda t, s, f: (math.inf, 0j), q.DensityState(1.0, 0j), cfg, static_frame
             )
 
     def test_step_rejection_limit(self):
@@ -397,7 +398,7 @@ class TestIntegrate:
         with pytest.raises(q.StepRejectionLimit, match="61 consecutive rejections at t = 0$"):
             integrate(
                 lambda t, s, f: (1e300 if next(calls) % 2 else -1e300, 0j),
-                q.DensityState(1.0, 0j), cfg,
+                q.DensityState(1.0, 0j), cfg, static_frame,
             )
 
     def test_scaled_error_whose_square_overflows_is_a_rejection(self, cone_path):
@@ -416,7 +417,7 @@ class TestIntegrate:
         with pytest.raises(q.NonFiniteState, match="error estimate at t = "):
             integrate(
                 lambda t, s, f: (0.0, complex(math.nan, 0.0) if t > 1.0 else 0j),
-                q.DensityState(1.0, 0j), cfg,
+                q.DensityState(1.0, 0j), cfg, static_frame,
             )
 
     def test_step_below_float_spacing_raises(self):
@@ -429,7 +430,7 @@ class TestIntegrate:
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
         with pytest.raises(q.StepRejectionLimit, match="does not advance t = 0.5$"):
-            integrate(rhs, q.DensityState(1.0, 0j), cfg)
+            integrate(rhs, q.DensityState(1.0, 0j), cfg, static_frame)
 
     def test_positivity_monitor_warns_but_never_clamps(self):
         # an artificial generator that inflates purity past the threshold
@@ -437,7 +438,7 @@ class TestIntegrate:
         with pytest.warns(RuntimeWarning, match="purity"):
             traj = integrate(
                 lambda t, s, f: (0.0, 0.01 * complex(s.rho_ge)),
-                q.DensityState(1.0, 0.01), cfg,
+                q.DensityState(1.0, 0.01), cfg, static_frame,
             )
         assert traj.max_positivity_violation > TOL_POSITIVITY
         assert traj.work.t_max_positivity_violation == traj.final.t  # |rho_ge| only grows
@@ -450,7 +451,7 @@ class TestIntegrate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = integrate(
-                lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9, 0.1j), cfg
+                lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9, 0.1j), cfg, static_frame
             )
         assert traj.max_positivity_violation == 0.0
         assert traj.work.t_max_positivity_violation is None
@@ -481,7 +482,7 @@ class TestSweepLawEndToEnd:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=80.0, rtol=1e-9, atol=1e-12,
                              record_stride=10)
         sweep = q.linear_sweep(slope, 1.0, 80.0, A)
-        assert sweep._law is not None
+        assert sweep._law is not _closed_form
         law, kernel = (integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
                                  frame_provider=lambda t, p=path: q.frame_at(p, t),
                                  track_phases=track_phases)
@@ -644,7 +645,7 @@ class TestNonFiniteStates:
     def test_at_t0(self, component, x, method):
         cfg = q.SolverConfig(method=method, t0=0.0, t1=1.0, dt=0.1)
         with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 0$"):
-            integrate(lambda t, s, f: (0.0, 0j), self.state(component, x), cfg)
+            integrate(lambda t, s, f: (0.0, 0j), self.state(component, x), cfg, static_frame)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("component", COMPONENTS)
@@ -666,7 +667,8 @@ class TestNonFiniteStates:
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=18.0, dt=6.0)
         seen = []
         with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 12$"):
-            integrate(lambda t, s, f: seen.append(s) or rhs(t, s, f), q.DensityState(1.0, 0j), cfg)
+            integrate(lambda t, s, f: seen.append(s) or rhs(t, s, f), q.DensityState(1.0, 0j), cfg,
+                      static_frame)
         # the state that failed is non-finite in the chosen component alone: it is the stage
         # state of the step's last stage, evaluated at the step's solution
         failed = seen[-1]
@@ -681,7 +683,7 @@ class TestNonFiniteStates:
     def test_finite_state_whose_purity_overflows_is_reported(self):
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.5)
         with pytest.warns(RuntimeWarning, match="purity exceeded 1 by inf"):
-            traj = integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1e200, 0j), cfg)
+            traj = integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1e200, 0j), cfg, static_frame)
         assert traj.max_positivity_violation == math.inf
         assert traj.work.t_max_positivity_violation == 0.0
         assert [s.purity for s in traj.samples] == [math.inf] * 3
@@ -722,6 +724,17 @@ class TestSolverConfig:
         kwargs = {"method": "rk45_adaptive", "t0": 0.0, "t1": 1.0, field: value}
         with pytest.raises(ValueError, match=f"^{field} must"):
             q.SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"method": "euler"}, "unknown method 'euler'"),
+        ({"method": "rk45_adaptive", "t0": 1.0}, "t1 must exceed t0"),
+        ({"method": "rk4_fixed", "t0": 1.5, "dt": 0.1}, "t1 must exceed t0"),
+        ({"method": "rk45_adaptive", "rtol": 0.0}, "rk45_adaptive requires rtol, atol > 0"),
+        ({"method": "rk45_adaptive", "atol": -1e-12}, "rk45_adaptive requires rtol, atol > 0"),
+    ], ids=["unknown-method", "empty-window", "reversed-window", "zero-rtol", "negative-atol"])
+    def test_method_window_and_tolerances_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            q.SolverConfig(**{"t0": 0.0, "t1": 1.0, **kwargs})
 
     def test_window_beyond_the_float_range_rejected(self):
         # both ends are finite, their difference is not
@@ -1012,15 +1025,6 @@ class TestSolverWork:
             integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1.0), cfg,
                       frame_provider=lambda t: make_frame(w_gg=1e3), track_phases=True)
 
-    def test_frame_free_generator_evaluates_no_frame(self):
-        r = q.rates(0.0, 1.0, 1.0, q.flat(0.5))
-        cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0)
-        traj = integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9), cfg)
-        assert traj.work.frame_evals == 0
-        assert traj.max_alpha == 0.0
-        assert all(math.isnan(s.alpha) and math.isnan(s.omega01) for s in traj.samples)
-        assert traj.work.rhs_evals == 6 * (traj.work.accepted_steps + traj.work.rejected_steps) + 1
-
     @pytest.mark.parametrize("method, accepted, rejected, final", [
         ("rk45_adaptive", 752, 23,
          ("0x1.c17de4a5beb4ap-1", "-0x1.086687f67b68fp-8", "0x1.4a2ff8964dbe9p-6")),
@@ -1028,13 +1032,13 @@ class TestSolverWork:
          ("0x1.c17de4adf4ba6p-1", "-0x1.0865d9034478bp-8", "0x1.4a300dc035128p-6")),
     ])
     def test_stepper_arithmetic_is_pinned(self, method, accepted, rejected, final):
-        # a frame-free thermal run with rho_ge != 0 (m1 != 0 couples it to rho_gg):
+        # a static-frame thermal run with rho_ge != 0 (m1 != 0 couples it to rho_gg):
         # the step counts and the final state's bits pin the stepper's float
         # operations, the stage sums and the error norm, independently of any frame
         r = q.rates(0.3, complex(0.8, -0.4), 1.0, q.ohmic_thermal(0.1, 0.5, 20.0))
         cfg = q.SolverConfig(method=method, t0=0.0, t1=40.0, rtol=1e-9, atol=1e-12, dt=0.05)
         traj = integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0),
-                         q.DensityState(0.7, complex(0.2, -0.1)), cfg)
+                         q.DensityState(0.7, complex(0.2, -0.1)), cfg, static_frame)
         assert (traj.work.accepted_steps, traj.work.rejected_steps) == (accepted, rejected)
         fs = traj.final.state
         assert (fs.rho_gg.hex(), fs.rho_ge.real.hex(), fs.rho_ge.imag.hex()) == final
