@@ -77,9 +77,9 @@ class SpectralDensity:
 
     The model's formula is bound to its parameters once, at construction, as
     a partial of a module-level function, so the object pickles; S(omega)
-    is ``_formula(omega)``, and the library samples it through ``at_gap``. The params
-    of a tabulated model are its grid and its values, as tuples of floats.
-    ``at_gap`` calls the bound formula directly, so a new gap costs two
+    is ``_formula(omega)``. The params of a tabulated model are its grid and
+    its values, as tuples of floats. The library samples S through
+    ``at_gap``, which calls the bound formula directly, so a new gap costs two
     formula calls; it keeps S(0) and, for each of the last three distinct
     nonzero gaps, the gap's samples with its difference quotients. The
     bound formula and that memo take no part in equality. The memo is

@@ -402,8 +402,9 @@ def integrate(
 
     ``rhs`` returns (d rho_gg/dt, d rho_ge/dt); ``frame_provider`` maps a
     time to the :class:`~qsteer.control.AdiabaticFrame` passed through to
-    ``rhs`` and recorded with each sample. The stepper carries the state as that same pair, a float
-    and a complex, and keeps each stage's returned pair as its slope. Each
+    ``rhs`` and read for each sample's alpha and omega01. The stepper
+    carries the state as that same pair, a float and a complex, and keeps
+    each stage's returned pair as its slope. Each
     attempted step is one call of its tableau's compiled attempt (see
     ``_tableau``), straight-line code generated once from the tableau's rows,
     which sums each stage state term by term in stage order. Both
