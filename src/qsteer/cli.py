@@ -739,14 +739,14 @@ def _run_member(task):
     if variant == "nonsteered":
         frame0 = frame_at(path, sc.solver.t0)
         r0 = rates(frame0.m1, frame0.m2, frame0.omega01, sd)
-        traj = integrate(lambda t, s, f: rhs_nonsteered(s, r0, frame0.omega01),
+        traj = integrate(lambda s, f: rhs_nonsteered(s, r0, frame0.omega01),
                          initial, sc.solver, frame_provider=lambda t: frame0)
     elif variant == "secular":
-        traj = integrate(lambda t, s, f: rhs_secular(s, rates(f.m1, f.m2, f.omega01, sd), f.omega01),
+        traj = integrate(lambda s, f: rhs_secular(s, rates(f.m1, f.m2, f.omega01, sd), f.omega01),
                          initial, sc.solver, frame_provider=lambda t: frame_at(path, t))
     else:
         # the optimal-phase run is the plain run seen in the rotated basis
-        traj = integrate(lambda t, s, f: rhs_full(s, f, sd), initial,
+        traj = integrate(lambda s, f: rhs_full(s, f, sd), initial,
                          sc.solver, frame_provider=lambda t: frame_at(path, t),
                          track_phases=sc.optimal_phase)
     solved = time.monotonic()

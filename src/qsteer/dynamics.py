@@ -303,13 +303,14 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
     of a step from the state (g, ge) at t, whose slope is k0 and frame f0. It
     returns the last stage's state (the step's solution), the error sums
     dt * sum of e * k over the error row (0.0 and 0j without one), the last
-    stage's slope and the tuple of stage frames. A stage at time t + c * dt
-    has the state (g, ge) + sum of (a * dt) * k over its row's nonzero
-    entries, summed left to right in stage order from (g, ge); the error sums
-    start from 0.0 and 0j. A stage whose node equals the previous stage's
-    reuses its time and frame, so the provider is called once per distinct
-    node: DP5's last two stages and RK4's last two (c = 1), and RK4's middle
-    two (c = 1/2).
+    stage's slope and the tuple of stage frames. A stage's state is
+    (g, ge) + sum of (a * dt) * k over its row's nonzero entries, summed
+    left to right in stage order from (g, ge); the error sums start from 0.0
+    and 0j. Its frame is ``provider(t + c * dt)``, and its slope is
+    ``rhs((g_s, ge_s), frame)``: the stage time goes to the provider alone.
+    A stage whose node equals the previous stage's reuses its frame, so the
+    provider is called once per distinct node: DP5's last two stages and
+    RK4's last two (c = 1), and RK4's middle two (c = 1/2).
 
     ``phases(frames)`` takes an attempt's stage frames and returns the b-row
     sums of the frames' w_gg and w_ee, then the error row's (the constant 0.0
@@ -320,9 +321,7 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
     if not all(math.isfinite(x) for row in (nodes, *rows, err or ()) for x in row):
         raise ValueError("tableau entries must be finite")  # each is written as a float literal
     last = len(nodes) - 1
-    src = ["def attempt(rhs, provider, t, dt, g, ge, k0, f0,"
-           " new=tuple.__new__, State=DensityState):",
-           "    kg0, kge0 = k0"]
+    src = ["def attempt(rhs, provider, t, dt, g, ge, k0, f0):", "    kg0, kge0 = k0"]
 
     def sums(row, g0, ge0):
         """``a_j = coef * dt`` lines for one row; its two sums, left to right from (g0, ge0)."""
@@ -331,19 +330,17 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
         return (" + ".join([g0] + [f"a{j} * kg{j}" for j, _ in terms]),
                 " + ".join([ge0] + [f"a{j} * kge{j}" for j, _ in terms]))
 
-    times, frames = ["t"], ["f0"]
+    frames = ["f0"]
     for s in range(1, last + 1):
         g_s, ge_s = sums(rows[s], "g", "ge")
         src += [f"    g{s} = {g_s}", f"    ge{s} = {ge_s}"]
         if nodes[s] == nodes[s - 1]:
-            times.append(times[-1])
             frames.append(frames[-1])
         else:
-            src += [f"    t{s} = t + {nodes[s]!r} * dt", f"    f{s} = provider(t{s})"]
-            times.append(f"t{s}")
+            src.append(f"    f{s} = provider(t + {nodes[s]!r} * dt)")
             frames.append(f"f{s}")
         slope = f"k{s}" if s == last else f"kg{s}, kge{s}"
-        src.append(f"    {slope} = rhs({times[s]}, new(State, (g{s}, ge{s})), {frames[s]})")
+        src.append(f"    {slope} = rhs((g{s}, ge{s}), {frames[s]})")
     if err and err[last] != 0.0:  # the error row weights the last slope
         src.append(f"    kg{last}, kge{last} = k{last}")
     err_g, err_ge = sums(err or (), "0.0", "0j")
@@ -353,7 +350,7 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
     src += ["def phases(frames):",
             f"    {', '.join(f'f{s}' for s in range(last + 1))} = frames",
             f"    return {', '.join(phase)}"]
-    namespace = {"DensityState": DensityState}
+    namespace = {}
     exec(compile("\n".join(src), "<tableau attempt>", "exec"), namespace)
     return _Tableau(tuple(nodes), tuple(rows), None if err is None else tuple(err),
                     namespace["attempt"], namespace["phases"])
@@ -398,13 +395,15 @@ def integrate(
     frame_provider: Callable,
     track_phases: bool = False,
 ) -> Trajectory:
-    """Integrate d(state)/dt = rhs(t, state, frame) over [cfg.t0, cfg.t1].
+    """Integrate d(state)/dt = rhs(state, frame) over [cfg.t0, cfg.t1].
 
-    ``rhs`` returns (d rho_gg/dt, d rho_ge/dt); ``frame_provider`` maps a
-    time to the :class:`~qsteer.control.AdiabaticFrame` passed through to
-    ``rhs`` and read for each sample's alpha and omega01. The stepper
-    carries the state as that same pair, a float and a complex, and keeps
-    each stage's returned pair as its slope. Each
+    ``frame_provider`` maps a time to the
+    :class:`~qsteer.control.AdiabaticFrame` passed through to ``rhs`` and
+    read for each sample's alpha and omega01; ``rhs`` sees time only through
+    it. ``state`` is the plain pair (rho_gg, rho_ge), a float and a complex,
+    as the stepper carries it, and ``rhs`` returns (d rho_gg/dt,
+    d rho_ge/dt), which the stepper keeps as the stage's slope. ``initial``
+    and each sample's ``state`` are DensityState. Each
     attempted step is one call of its tableau's compiled attempt (see
     ``_tableau``), straight-line code generated once from the tableau's rows,
     which sums each stage state term by term in stage order. Both
@@ -458,9 +457,8 @@ def integrate(
     """
     # One call of the tableau's compiled attempt evaluates a step's stages: each stage's
     # state, its frame (the provider's, or the previous stage's at the same t) and the
-    # generator, whose (d rho_gg, d rho_ge) is the slope. A state handed to the
-    # generator is built by tuple.__new__, which skips the NamedTuple's Python-level
-    # __new__ and still gives a DensityState.
+    # generator, whose (d rho_gg, d rho_ge) is the slope. A sample's DensityState is
+    # built by tuple.__new__, which skips the NamedTuple's Python-level __new__.
     new = tuple.__new__
     sqrt, isfinite, inf = math.sqrt, math.isfinite, math.inf
     nodes, _, err, attempt, phases = _METHODS[cfg.method]
@@ -503,7 +501,7 @@ def integrate(
     t = cfg.t0
     lam = lam_err = (0.0, 0.0)
     frame = frame_provider(t)
-    k = rhs(t, new(DensityState, (g, ge)), frame)
+    k = rhs((g, ge), frame)
     n_rhs = n_frames = 1
     accept(t, g, ge, frame, lam, True)
 
@@ -647,7 +645,7 @@ def _wrap(x: float) -> float:
     return y - math.pi
 
 
-def _zero_generator(t, state, frame):
+def _zero_generator(state, frame):
     return 0.0, 0j
 
 

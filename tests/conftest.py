@@ -97,6 +97,11 @@ def static_frame(t):
     return STATIC_FRAME
 
 
+def clock_frame(t):
+    """A frame provider for a generator that reads only the time: STATIC_FRAME with m1 = t."""
+    return STATIC_FRAME._replace(m1=t)
+
+
 @pytest.fixture
 def cone_path():
     """Reference steered scenario: cone at theta = pi/3, drive rate 0.05, A = sigma_x."""

@@ -124,7 +124,7 @@ def integrate_dp5(rhs, initial, cfg, frame_provider, track_phases=False) -> Traj
     y = (initial.rho_gg, complex(initial.rho_ge))
     lam = lam_err = (0.0, 0.0)
     frames = [frame_provider(t)]
-    ks = [rhs(t, DensityState(*y), frames[0])]
+    ks = [rhs(y, frames[0])]
     n_rhs = n_frames = 1
     accept(t, *y, frames[0], lam, True)
 
@@ -144,7 +144,7 @@ def integrate_dp5(rhs, initial, cfg, frame_provider, track_phases=False) -> Traj
                 frames.append(frame_provider(t + C[s] * dt))
                 n_frames += 1
             stage = weighted(y, ks, A[s], dt)
-            ks.append(rhs(t + C[s] * dt, DensityState(*stage), frames[s]))
+            ks.append(rhs(stage, frames[s]))
         n_rhs += 6
         y_new = stage  # the last stage's state, at c = 1, is the 5th-order solution
         norm = error_norm(*y, *y_new, *weighted((0.0, 0j), ks, E, dt), cfg.atol, cfg.rtol)
@@ -193,17 +193,17 @@ def integrate_rk4(rhs, initial, cfg, frame_provider, track_phases=False) -> Traj
     y = (initial.rho_gg, complex(initial.rho_ge))
     lam = (0.0, 0.0)
     f0 = frame_provider(t)
-    k0 = rhs(t, DensityState(*y), f0)
+    k0 = rhs(y, f0)
     accept(t, *y, f0, lam, True)
     for i in range(1, n + 1):
         t_half, t_end = t + 0.5 * dt, t + 1.0 * dt
         f_half = frame_provider(t_half)
-        k1 = rhs(t_half, DensityState(*weighted(y, [k0], (0.5,), dt)), f_half)
-        k2 = rhs(t_half, DensityState(*weighted(y, [k0, k1], (0.0, 0.5), dt)), f_half)
+        k1 = rhs(weighted(y, [k0], (0.5,), dt), f_half)
+        k2 = rhs(weighted(y, [k0, k1], (0.0, 0.5), dt), f_half)
         f_end = frame_provider(t_end)
-        k3 = rhs(t_end, DensityState(*weighted(y, [k0, k1, k2], (0.0, 0.0, 1.0), dt)), f_end)
+        k3 = rhs(weighted(y, [k0, k1, k2], (0.0, 0.0, 1.0), dt), f_end)
         y = weighted(y, [k0, k1, k2, k3], RK4_B, dt)
-        k0 = rhs(t_end, DensityState(*y), f_end)
+        k0 = rhs(y, f_end)
         if track_phases:
             lam = advance_phases(lam, [f0, f_half, f_half, f_end], RK4_B, dt)
         f0 = f_end

@@ -231,7 +231,7 @@ class TestAtGap:
             return f
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2 * path.duration, rtol=1e-10)
-        traj = q.integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+        traj = q.integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
                            frame_provider=frames)
         assert traj.work.frame_evals > 500 and 1 <= len(gaps) <= 3
         assert len(calls) == 2 * len(gaps) + 1
@@ -250,7 +250,7 @@ class TestAtGap:
             return f
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=duration, rtol=1e-9)
-        traj = q.integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+        traj = q.integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
                            frame_provider=frames)
         assert calls[2] == 0.0 and calls.count(0.0) == 1
         pairs = calls[:2] + calls[3:]

@@ -19,7 +19,7 @@ from qsteer.dynamics import (_MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySam
 from qsteer.errors import GAP_FLOOR
 
 import superadiabatic_reference as sa
-from conftest import SX, SZ, random_frame, random_state, static_frame, steady_state_oracle
+from conftest import SX, SZ, clock_frame, random_frame, random_state, static_frame, steady_state_oracle
 from stepper_reference import integrate_dp5, integrate_rk4
 from test_control import eig, field_bits, kernel_path, static_path
 
@@ -48,7 +48,7 @@ class TestDensityState:
     def test_purity(self, state, expected):
         # the purity integrate records at t0, here under a zero generator
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=1.0)
-        traj = q.integrate(lambda t, s, f: (0.0, 0j), state, cfg, static_frame)
+        traj = q.integrate(lambda s, f: (0.0, 0j), state, cfg, static_frame)
         assert traj.samples[0].purity == pytest.approx(expected)
 
 
@@ -308,7 +308,7 @@ class TestIntegrate:
         r = q.rates(0.0, 0.0, 1.0, q.flat(0.0))
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0, record_stride=1000)
         traj = integrate(
-            lambda t, s, f: q.rhs_nonsteered(s, r, 2 * math.pi),
+            lambda s, f: q.rhs_nonsteered(s, r, 2 * math.pi),
             q.DensityState(0.5, 0.5), cfg, static_frame,
         )
         assert abs(complex(traj.final.state.rho_ge) - 0.5) < 1e-8
@@ -319,7 +319,7 @@ class TestIntegrate:
         r = q.rates(0.0, 1.0, 1.0, sd)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0, record_stride=10)
         traj = integrate(
-            lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.0, 0j), cfg, static_frame
+            lambda s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.0, 0j), cfg, static_frame
         )
         for sample in traj.samples:
             assert sample.state.rho_gg == pytest.approx(1 - math.exp(-sample.t), abs=1e-8)
@@ -348,7 +348,7 @@ class TestIntegrate:
         for n in (50, 100, 200):
             cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=2.0, dt=2.0 / n, record_stride=n)
             traj = integrate(
-                lambda t, s, f: q.rhs_nonsteered(s, r, 2.0),
+                lambda s, f: q.rhs_nonsteered(s, r, 2.0),
                 q.DensityState(0.3, complex(0.2, -0.1)), cfg, static_frame,
             )
             ge = complex(traj.final.state.rho_ge)
@@ -366,7 +366,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=cone_path.duration / 2, record_stride=20)
         sd = q.flat(0.0)
         traj = integrate(
-            lambda t, s, f: q.rhs_full(s, f, sd),
+            lambda s, f: q.rhs_full(s, f, sd),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(cone_path, t),
         )
         assert max(abs(s.purity - 1.0) for s in traj.samples) < 1e-9
@@ -378,7 +378,7 @@ class TestIntegrate:
         tau = 1.0 / (r.gamma_ge + r.gamma_eg)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=20 * tau, record_stride=1000)
         traj = integrate(
-            lambda t, s, f: q.rhs_nonsteered(s, r, w01), q.DensityState(0.1, 0.2j), cfg, static_frame
+            lambda s, f: q.rhs_nonsteered(s, r, w01), q.DensityState(0.1, 0.2j), cfg, static_frame
         )
         expected = sd._formula(w01) / (sd._formula(w01) + sd._formula(-w01))
         assert traj.final.state.rho_gg == pytest.approx(expected, abs=1e-6)
@@ -387,7 +387,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.1)
         with pytest.raises(q.NonFiniteState):
             integrate(
-                lambda t, s, f: (math.inf, 0j), q.DensityState(1.0, 0j), cfg, static_frame
+                lambda s, f: (math.inf, 0j), q.DensityState(1.0, 0j), cfg, static_frame
             )
 
     def test_step_rejection_limit(self):
@@ -397,7 +397,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0)
         with pytest.raises(q.StepRejectionLimit, match="61 consecutive rejections at t = 0$"):
             integrate(
-                lambda t, s, f: (1e300 if next(calls) % 2 else -1e300, 0j),
+                lambda s, f: (1e300 if next(calls) % 2 else -1e300, 0j),
                 q.DensityState(1.0, 0j), cfg, static_frame,
             )
 
@@ -408,7 +408,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0, rtol=1e-300, atol=1e-300)
         with pytest.raises(q.StepRejectionLimit, match="61 consecutive rejections at t = 0$"):
             integrate(
-                lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+                lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
                 frame_provider=lambda t: q.frame_at(cone_path, t),
             )
 
@@ -416,28 +416,28 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
         with pytest.raises(q.NonFiniteState, match="error estimate at t = "):
             integrate(
-                lambda t, s, f: (0.0, complex(math.nan, 0.0) if t > 1.0 else 0j),
-                q.DensityState(1.0, 0j), cfg, static_frame,
+                lambda s, f: (0.0, complex(math.nan, 0.0) if f.m1 > 1.0 else 0j),
+                q.DensityState(1.0, 0j), cfg, clock_frame,
             )
 
     def test_step_below_float_spacing_raises(self):
         # the jump at t = 0.5 is rejected until the step no longer moves t
         calls = itertools.count()
 
-        def rhs(t, s, f):
+        def rhs(s, f):
             assert next(calls) < 10_000, "the stepper stalled"
-            return 0.0, (1e200j if t > 0.5 else 0j)
+            return 0.0, (1e200j if f.m1 > 0.5 else 0j)
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
         with pytest.raises(q.StepRejectionLimit, match="does not advance t = 0.5$"):
-            integrate(rhs, q.DensityState(1.0, 0j), cfg, static_frame)
+            integrate(rhs, q.DensityState(1.0, 0j), cfg, clock_frame)
 
     def test_positivity_monitor_warns_but_never_clamps(self):
         # an artificial generator that inflates purity past the threshold
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.01)
         with pytest.warns(RuntimeWarning, match="purity"):
             traj = integrate(
-                lambda t, s, f: (0.0, 0.01 * complex(s.rho_ge)),
+                lambda s, f: (0.0, 0.01 * complex(s[1])),
                 q.DensityState(1.0, 0.01), cfg, static_frame,
             )
         assert traj.max_positivity_violation > TOL_POSITIVITY
@@ -451,7 +451,7 @@ class TestIntegrate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = integrate(
-                lambda t, s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9, 0.1j), cfg, static_frame
+                lambda s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9, 0.1j), cfg, static_frame
             )
         assert traj.max_positivity_violation == 0.0
         assert traj.work.t_max_positivity_violation is None
@@ -460,7 +460,7 @@ class TestIntegrate:
         sd = q.flat(0.2)
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=5.0, dt=0.01, record_stride=17)
         traj = integrate(
-            lambda t, s, f: q.rhs_full(s, f, sd),
+            lambda s, f: q.rhs_full(s, f, sd),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(cone_path, t),
         )
         ts = [s.t for s in traj.samples]
@@ -483,7 +483,7 @@ class TestSweepLawEndToEnd:
                              record_stride=10)
         sweep = q.linear_sweep(slope, 1.0, 80.0, A)
         assert sweep._law is not _closed_form
-        law, kernel = (integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+        law, kernel = (integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
                                  frame_provider=lambda t, p=path: q.frame_at(p, t),
                                  track_phases=track_phases)
                        for path in (sweep, kernel_path(sweep)))
@@ -511,7 +511,7 @@ class TestLandauZener:
         sd = q.flat(0.0)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=duration, rtol=1e-11,
                              record_stride=sys.maxsize)
-        traj = integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+        traj = integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
                          frame_provider=lambda t: q.frame_at(sweep, t))
         p_lz = math.exp(-math.pi * gap**2 / (2.0 * rate))
         assert traj.final.t == duration
@@ -520,11 +520,11 @@ class TestLandauZener:
 
 
 class TestStageContract:
-    """What integrate hands the generator: a real DensityState and the provider's own frame."""
+    """What integrate hands the generator: the plain pair (rho_gg, rho_ge) and the provider's frame."""
 
     @pytest.mark.parametrize("method", sorted(_METHODS))
     @pytest.mark.parametrize("track_phases", [False, True])
-    def test_every_rhs_call_gets_a_density_state_and_a_provided_frame(self, method, track_phases):
+    def test_every_rhs_call_gets_a_plain_pair_and_a_provided_frame(self, method, track_phases):
         path = q.rotating_cone(1.0, 1.0, 0.3, SX)
         sd = q.flat(0.05)
         provided, calls = [], []
@@ -533,9 +533,11 @@ class TestStageContract:
             provided.append(q.frame_at(path, t))
             return provided[-1]
 
-        def rhs(t, s, f):
-            assert isinstance(s, q.DensityState) and type(s) is q.DensityState
-            assert s == (s.rho_gg, s.rho_ge) and s._asdict() == {"rho_gg": s[0], "rho_ge": s[1]}
+        def rhs(*args):
+            assert len(args) == 2  # no stage time
+            s, f = args
+            assert type(s) is tuple and len(s) == 2
+            assert type(s[0]) is float and type(s[1]) is complex
             calls.append(f)
             return q.rhs_full(s, f, sd)
 
@@ -595,7 +597,7 @@ class TestReferenceStepper:
         sd = q.zero_temperature_ohmic(0.1, 20.0)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=t1, rtol=rtol, atol=1e-12,
                              record_stride=3)
-        got, want = (run(lambda t, s, f: q.rhs_full(s, f, sd), initial, cfg,
+        got, want = (run(lambda s, f: q.rhs_full(s, f, sd), initial, cfg,
                          lambda t: q.frame_at(path, t), track_phases)
                      for run in (integrate, integrate_dp5))
         assert got.work == want.work
@@ -617,7 +619,7 @@ class TestReferenceStepper:
         path = make_path()
         sd = q.zero_temperature_ohmic(0.1, 20.0)
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=t1, dt=0.07, record_stride=3)
-        got, want = (run(lambda t, s, f: q.rhs_full(s, f, sd), initial, cfg,
+        got, want = (run(lambda s, f: q.rhs_full(s, f, sd), initial, cfg,
                          lambda t: q.frame_at(path, t), track_phases)
                      for run in (integrate, integrate_rk4))
         assert got.work == want.work
@@ -645,7 +647,7 @@ class TestNonFiniteStates:
     def test_at_t0(self, component, x, method):
         cfg = q.SolverConfig(method=method, t0=0.0, t1=1.0, dt=0.1)
         with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 0$"):
-            integrate(lambda t, s, f: (0.0, 0j), self.state(component, x), cfg, static_frame)
+            integrate(lambda s, f: (0.0, 0j), self.state(component, x), cfg, static_frame)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("component", COMPONENTS)
@@ -656,10 +658,10 @@ class TestNonFiniteStates:
         # the stage state has overflowed, so inf and -inf terms meet in one sum
         big = -1e308 if x < 0 else 1e308
 
-        def rhs(t, s, f):
-            if not t > 6.0:
+        def rhs(s, f):
+            if not f.m1 > 6.0:
                 return 0.0, 0j
-            overflowed = not all(map(math.isfinite, (s.rho_gg, s.rho_ge.real, s.rho_ge.imag)))
+            overflowed = not all(map(math.isfinite, (s[0], s[1].real, s[1].imag)))
             v = -big if math.isnan(x) and overflowed else big
             return {"rho_gg": (v, 0j), "re_rho_ge": (0.0, complex(v, 0.0)),
                     "im_rho_ge": (0.0, complex(0.0, v))}[component]
@@ -667,13 +669,12 @@ class TestNonFiniteStates:
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=18.0, dt=6.0)
         seen = []
         with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 12$"):
-            integrate(lambda t, s, f: seen.append(s) or rhs(t, s, f), q.DensityState(1.0, 0j), cfg,
-                      static_frame)
+            integrate(lambda s, f: seen.append(s) or rhs(s, f), q.DensityState(1.0, 0j), cfg,
+                      clock_frame)
         # the state that failed is non-finite in the chosen component alone: it is the stage
         # state of the step's last stage, evaluated at the step's solution
-        failed = seen[-1]
-        values = {"rho_gg": failed.rho_gg, "re_rho_ge": failed.rho_ge.real,
-                  "im_rho_ge": failed.rho_ge.imag}
+        failed_gg, failed_ge = seen[-1]
+        values = {"rho_gg": failed_gg, "re_rho_ge": failed_ge.real, "im_rho_ge": failed_ge.imag}
         for name, value in values.items():
             if name == component:
                 assert value == x or (math.isnan(x) and math.isnan(value)), name
@@ -683,7 +684,7 @@ class TestNonFiniteStates:
     def test_finite_state_whose_purity_overflows_is_reported(self):
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.5)
         with pytest.warns(RuntimeWarning, match="purity exceeded 1 by inf"):
-            traj = integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1e200, 0j), cfg, static_frame)
+            traj = integrate(lambda s, f: (0.0, 0j), q.DensityState(1e200, 0j), cfg, static_frame)
         assert traj.max_positivity_violation == math.inf
         assert traj.work.t_max_positivity_violation == 0.0
         assert [s.purity for s in traj.samples] == [math.inf] * 3
@@ -801,9 +802,10 @@ class TestTableaus:
     @pytest.mark.parametrize("method", sorted(_METHODS))
     def test_attempt_is_the_rows_term_by_term(self, method):
         # one compiled attempt and its phases against the rows read term by term: each
-        # stage's time, its state summed left to right from (g, ge), one provider call per
-        # distinct node, the error sums from 0.0 and 0j, and the phase sums from 0.0 over
-        # the stage frames; slopes and frames are distinct per stage
+        # stage's frame, provided at the stage's time, its state a plain pair summed left to
+        # right from (g, ge), one provider call per distinct node, the error sums from 0.0
+        # and 0j, and the phase sums from 0.0 over the stage frames; slopes and frames are
+        # distinct per stage
         nodes, rows, err, attempt, phases = _METHODS[method]
         t, dt, g, ge = 0.3, 0.07, 0.8, complex(0.1, -0.2)
         calls, provided = [], []
@@ -811,9 +813,11 @@ class TestTableaus:
         def slope(s):
             return 0.1 * s - 0.5, complex(0.3 / s, -0.2 * s)
 
-        def rhs(ts, state, frame):
-            assert type(state) is q.DensityState
-            calls.append((ts, state, frame))
+        def rhs(*args):
+            assert len(args) == 2  # no stage time
+            state, frame = args
+            assert type(state) is tuple
+            calls.append((state, frame))
             return slope(len(calls))
 
         def provider(ts):
@@ -831,7 +835,7 @@ class TestTableaus:
                     y_g += a * dt * ks[j][0]
                     y_ge += a * dt * ks[j][1]
             want_frames.append(want_frames[-1] if nodes[s] == nodes[s - 1] else ("frame", ts))
-            assert calls[s - 1] == (ts, (y_g, y_ge), want_frames[-1])
+            assert calls[s - 1] == ((y_g, y_ge), want_frames[-1])
             ks.append(slope(s))
         assert (g_new, ge_new) == (y_g, y_ge) and k_last == ks[-1]
         assert frames == tuple(want_frames)
@@ -868,7 +872,7 @@ class TestSolverWork:
             calls["frame"] += 1
             return q.frame_at(cone_path, t)
 
-        def rhs(t, s, f):
+        def rhs(s, f):
             calls["rhs"] += 1
             return q.rhs_full(s, f, sd)
 
@@ -890,29 +894,32 @@ class TestSolverWork:
         assert 0.0 < w.dt_min <= w.dt_max <= cfg.t1 / 10  # the default step cap
 
     def test_rk45_attempt_evaluates_five_distinct_frame_times(self, cone_path):
-        # the last two DP5 stages share the node c = 1: one frame, two RHS calls
-        frame_times, rhs_calls = [], []
+        # the last two DP5 stages share the node c = 1: one frame, two RHS calls; a stage's
+        # time is the one its frame was provided at
+        frame_times, provided, rhs_frames = [], [], []
         sd = q.flat(0.2)
 
         def provider(t):
             frame_times.append(t)
-            return q.frame_at(cone_path, t)
+            provided.append(q.frame_at(cone_path, t))
+            return provided[-1]
 
-        def rhs(t, s, f):
-            rhs_calls.append((t, f))
+        def rhs(s, f):
+            rhs_frames.append(f)
             return q.rhs_full(s, f, sd)
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=cone_path.duration / 4, rtol=1e-11)
         w = integrate(rhs, q.DensityState(0.9, 0.1j), cfg, frame_provider=provider).work
         attempts = w.accepted_steps + w.rejected_steps
         assert w.rejected_steps > 0
-        assert len(frame_times) == 5 * attempts + 1 and len(rhs_calls) == 6 * attempts + 1
+        assert len(frame_times) == 5 * attempts + 1 and len(rhs_frames) == 6 * attempts + 1
+        time_of = {id(f): t for t, f in zip(frame_times, provided)}  # every frame stays alive
         for k in range(attempts):
             times = frame_times[1 + 5 * k: 6 + 5 * k]
             assert len(set(times)) == 5
-            stages = rhs_calls[1 + 6 * k: 7 + 6 * k]
-            assert [t for t, _ in stages[:5]] == times
-            assert stages[5][0] == stages[4][0] and stages[5][1] is stages[4][1]
+            stages = rhs_frames[1 + 6 * k: 7 + 6 * k]
+            assert [time_of[id(f)] for f in stages[:5]] == times
+            assert stages[5] is stages[4]
 
     def test_rk45_records_the_frame_at_the_record_time(self, cone_path):
         _, provider, rhs = self.counted(cone_path)
@@ -948,7 +955,7 @@ class TestSolverWork:
             frame_times.append(t)
             return q.frame_at(q.rotating_cone(1.0, 0.9, 0.3, SX), t)
 
-        traj = integrate(lambda t, s, f: q.rhs_full(s, f, q.flat(0.1)), q.DensityState(1.0, 0j),
+        traj = integrate(lambda s, f: q.rhs_full(s, f, q.flat(0.1)), q.DensityState(1.0, 0j),
                          cfg, frame_provider=provider)
         assert n == 100 and traj.work.accepted_steps == n
         assert traj.work.frame_evals == 2 * n + 1 == len(frame_times)
@@ -973,7 +980,7 @@ class TestSolverWork:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     traj = integrate(
-                        lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+                        lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
                         frame_provider=lambda t: q.frame_at(cone_path, t), track_phases=track_phases,
                     )
                 worst.append((
@@ -994,7 +1001,7 @@ class TestSolverWork:
         # embedded 4th-order ones degree 3, so the estimate is zero to rounding for
         # degree 3 and the 4th-order weights' true error for degree 4
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
-        traj = integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+        traj = integrate(lambda s, f: (0.0, 0j), q.DensityState(1.0), cfg,
                          frame_provider=lambda t: make_frame(w_gg=t ** degree, w_ee=-2.0 * t),
                          track_phases=True)
         exact = 2.0 ** (degree + 1) / (degree + 1)
@@ -1008,7 +1015,7 @@ class TestSolverWork:
     def test_phase_quadrature_error_needs_phases_and_an_error_row(self, cone_path):
         for method, track_phases in (("rk45_adaptive", False), ("rk4_fixed", True)):
             cfg = q.SolverConfig(method=method, t0=0.0, t1=10.0, dt=0.5)
-            traj = integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+            traj = integrate(lambda s, f: (0.0, 0j), q.DensityState(1.0), cfg,
                              frame_provider=lambda t: q.frame_at(cone_path, t),
                              track_phases=track_phases)
             assert traj.phase_quadrature_error is None
@@ -1022,7 +1029,7 @@ class TestSolverWork:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0)
         with pytest.raises(q.NonFiniteState,
                            match="^the optimal phase's error estimate overflows the float range$"):
-            integrate(lambda t, s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+            integrate(lambda s, f: (0.0, 0j), q.DensityState(1.0), cfg,
                       frame_provider=lambda t: make_frame(w_gg=1e3), track_phases=True)
 
     @pytest.mark.parametrize("method, accepted, rejected, final", [
@@ -1037,7 +1044,7 @@ class TestSolverWork:
         # operations, the stage sums and the error norm, independently of any frame
         r = q.rates(0.3, complex(0.8, -0.4), 1.0, q.ohmic_thermal(0.1, 0.5, 20.0))
         cfg = q.SolverConfig(method=method, t0=0.0, t1=40.0, rtol=1e-9, atol=1e-12, dt=0.05)
-        traj = integrate(lambda t, s, f: q.rhs_nonsteered(s, r, 1.0),
+        traj = integrate(lambda s, f: q.rhs_nonsteered(s, r, 1.0),
                          q.DensityState(0.7, complex(0.2, -0.1)), cfg, static_frame)
         assert (traj.work.accepted_steps, traj.work.rejected_steps) == (accepted, rejected)
         fs = traj.final.state
@@ -1049,7 +1056,7 @@ class TestTrajectoryCsv:
         sd = q.flat(0.1)
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.05, record_stride=5)
         traj = integrate(
-            lambda t, s, f: q.rhs_full(s, f, sd),
+            lambda s, f: q.rhs_full(s, f, sd),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(cone_path, t),
         )
         fn = tmp_path / "traj.csv"
@@ -1120,7 +1127,7 @@ def full_cone_rho_gg(theta, omega, sd):
     """The same loop by rhs_full in the adiabatic frame, from the ground state, at rtol 1e-12."""
     cone = q.rotating_cone(1.0, theta, omega, SZ)
     cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=cone.duration, rtol=1e-12, atol=1e-15)
-    traj = integrate(lambda t, s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+    traj = integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
                      frame_provider=lambda t: q.frame_at(cone, t))
     return traj.final.state.rho_gg
 
