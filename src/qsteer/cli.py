@@ -635,7 +635,8 @@ def _read_data_files(scenario: Scenario) -> tuple:
     spectrum is range-checked; a Berry run has none. A sampled path is built
     once to check its rows (plain floats, so they pickle), from which each
     member builds its own; its fields are read at both window ends, so a
-    window that leaves its samples is reported too. A data file that cannot
+    window that leaves its samples is reported too, under the key that set
+    that end. A data file that cannot
     be read or holds no valid path or spectrum raises ValidationError naming
     its key.
     """
@@ -648,11 +649,14 @@ def _read_data_files(scenario: Scenario) -> tuple:
         except (OSError, ValueError, csv.Error) as exc:
             problems.append(f"path.csv_file {path['csv_file']}: {exc}")
         else:
-            for key, t in (("t0_time", scenario.solver.t0), ("t1_time", scenario.solver.t1)):
+            t0, t1 = scenario.solver.t0, scenario.solver.t1
+            # without solver.t1_time, _build_solver ends the window at t0 + path.duration_time
+            end = "path.duration_time" if t1 == t0 + path.get("duration_time", math.nan) else "solver.t1_time"
+            for key, t in (("solver.t0_time", t0), (end, t1)):
                 try:
                     sampled.fields(t)
                 except OutOfRange as exc:
-                    problems.append(f"solver.{key}: {exc} in path.csv_file {path['csv_file']}")
+                    problems.append(f"{key}: {exc} in path.csv_file {path['csv_file']}")
     if scenario.mode != "berry" and bath["model"] != "tabulated":
         sd = _construct(_BATHS, "model", bath)
     elif scenario.mode != "berry":

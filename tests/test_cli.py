@@ -968,6 +968,17 @@ class TestMain:
         assert codes == [0] * len(scalar) and not loaded
         assert array_codes == [0] * len(arrays) and loaded_after
 
+    def test_jobs_through_main_matches_the_serial_run(self, tmp_path, capsys):
+        fn = self.write_config(tmp_path)
+        dirs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs_{jobs}"
+            assert main(["compare", "--config", str(fn), "--out", str(out), "--jobs", jobs]) == 0
+            dirs.append(Path(capsys.readouterr().out.strip()))
+        serial, parallel = ({p.name: p.read_bytes() for p in d.glob("*.csv")} for d in dirs)
+        assert sorted(serial) == ["full.csv", "nonsteered.csv", "secular.csv", "summary.csv"]
+        assert parallel == serial
+
     @pytest.mark.parametrize("value", ["0", "-1", "abc"])
     def test_invalid_jobs_exit_2(self, tmp_path, capsys, value):
         fn = self.write_config(tmp_path)
@@ -1045,6 +1056,21 @@ class TestMain:
         assert err.startswith("scenario invalid:")
         assert (f"  - {problem} is outside the path's samples [0.0, 3.0] in path.csv_file "
                 f"{path_csv}\n") in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_duration_past_a_sampled_path_names_the_duration(self, tmp_path, capsys, command):
+        # without solver.t1_time the window ends at t0 + path.duration_time, so the end
+        # outside the samples is reported under the key the file sets
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
+        text = SAMPLED_WITHOUT_DURATION.replace(
+            "csv_file: path.csv", f"csv_file: {path_csv}\n  duration_time: 30")
+        fn = self.write_config(tmp_path, text)
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("scenario invalid:\n  - path.duration_time: t = 30.0 is outside the path's "
+                       f"samples [0.0, 3.0] in path.csv_file {path_csv}\n")
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command, grid", [
