@@ -635,10 +635,9 @@ def _read_data_files(scenario: Scenario) -> tuple:
     spectrum is range-checked; a Berry run has none. A sampled path is built
     once to check its rows (plain floats, so they pickle), from which each
     member builds its own; its fields are read at both window ends, so a
-    window that leaves its samples is reported too, under the key that set
-    that end. A data file that cannot
-    be read or holds no valid path or spectrum raises ValidationError naming
-    its key.
+    window that leaves its samples is reported, under the key that set that
+    end. A data file that cannot be read or holds no valid path or spectrum
+    raises ValidationError naming its key.
     """
     path, bath = scenario.path, scenario.bath
     problems, sd, rows, sampled = [], None, None, None

@@ -303,14 +303,13 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
     of a step from the state (g, ge) at t, whose slope is k0 and frame f0. It
     returns the last stage's state (the step's solution), the error sums
     dt * sum of e * k over the error row (0.0 and 0j without one), the last
-    stage's slope and the tuple of stage frames. A stage's state is
-    (g, ge) + sum of (a * dt) * k over its row's nonzero entries, summed
-    left to right in stage order from (g, ge); the error sums start from 0.0
-    and 0j. Its frame is ``provider(t + c * dt)``, and its slope is
-    ``rhs((g_s, ge_s), frame)``: the stage time goes to the provider alone.
-    A stage whose node equals the previous stage's reuses its frame, so the
-    provider is called once per distinct node: DP5's last two stages and
-    RK4's last two (c = 1), and RK4's middle two (c = 1/2).
+    stage's slope and the tuple of stage frames. A stage's state is (g, ge)
+    + sum of (a * dt) * k over its row's nonzero entries, summed left to
+    right in stage order from (g, ge), and its slope rhs((g_s, ge_s), frame)
+    with the frame provider(t + c * dt); the error sums start from 0.0 and
+    0j. A stage whose node equals the previous stage's reuses its frame, so
+    the provider is called once per distinct node: DP5's last two stages
+    and RK4's last two (c = 1), and RK4's middle two (c = 1/2).
 
     ``phases(frames)`` takes an attempt's stage frames and returns the b-row
     sums of the frames' w_gg and w_ee, then the error row's (the constant 0.0
@@ -397,13 +396,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate d(state)/dt = rhs(state, frame) over [cfg.t0, cfg.t1].
 
-    ``frame_provider`` maps a time to the
-    :class:`~qsteer.control.AdiabaticFrame` passed through to ``rhs`` and
-    read for each sample's alpha and omega01; ``rhs`` sees time only through
-    it. ``state`` is the plain pair (rho_gg, rho_ge), a float and a complex,
-    as the stepper carries it, and ``rhs`` returns (d rho_gg/dt,
-    d rho_ge/dt), which the stepper keeps as the stage's slope. ``initial``
-    and each sample's ``state`` are DensityState. Each
+    ``state`` is the plain pair (rho_gg, rho_ge), a float and a complex, and
+    ``rhs`` returns its derivative, each stage's slope. ``frame_provider``
+    maps a time to the :class:`~qsteer.control.AdiabaticFrame` passed to
+    ``rhs``, its only view of time, and read for each sample's alpha and
+    omega01. Each
     attempted step is one call of its tableau's compiled attempt (see
     ``_tableau``), straight-line code generated once from the tableau's rows,
     which sums each stage state term by term in stage order. Both
@@ -457,8 +454,8 @@ def integrate(
     """
     # One call of the tableau's compiled attempt evaluates a step's stages: each stage's
     # state, its frame (the provider's, or the previous stage's at the same t) and the
-    # generator, whose (d rho_gg, d rho_ge) is the slope. A sample's DensityState is
-    # built by tuple.__new__, which skips the NamedTuple's Python-level __new__.
+    # generator, whose (d rho_gg, d rho_ge) is the slope. tuple.__new__ builds a sample's
+    # DensityState without the NamedTuple's Python-level __new__.
     new = tuple.__new__
     sqrt, isfinite, inf = math.sqrt, math.isfinite, math.inf
     nodes, _, err, attempt, phases = _METHODS[cfg.method]

@@ -1040,37 +1040,25 @@ class TestMain:
         assert "bath.s0_rate: must be positive" in err
         assert "run.berry_theta_grid_rad: required non-empty list for berry mode" in err
 
-    @pytest.mark.parametrize("window, problem", [
-        ("t1_time: 30.0", "solver.t1_time: t = 30.0"),
-        ("t0_time: -5.0\n  t1_time: 3.0", "solver.t0_time: t = -5.0"),
-    ], ids=["past-the-last-sample", "before-the-first-sample"])
+    @pytest.mark.parametrize("after, window, problem", [
+        ("dt_time: 0.02", "t1_time: 30.0", "solver.t1_time: t = 30.0"),
+        ("dt_time: 0.02", "t0_time: -5.0\n  t1_time: 3.0", "solver.t0_time: t = -5.0"),
+        # without solver.t1_time the window ends at t0 + path.duration_time, the key named
+        ("csv_file: path.csv", "duration_time: 30", "path.duration_time: t = 30.0"),
+    ], ids=["past-the-last-sample", "before-the-first-sample", "duration-past-the-last-sample"])
     @pytest.mark.parametrize("command", ["simulate", "validate"])
-    def test_window_outside_a_sampled_path_exit_1(self, tmp_path, capsys, window, problem, command):
+    def test_window_outside_a_sampled_path_exit_1(self, tmp_path, capsys, after, window, problem,
+                                                   command):
         # the path's own fields are read at both window ends before any run directory
         path_csv = tmp_path / "path.csv"
         path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
-        text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {path_csv}")
-        fn = self.write_config(tmp_path, text.replace("  dt_time: 0.02", f"  dt_time: 0.02\n  {window}"))
+        text = SAMPLED_WITHOUT_DURATION.replace(f"  {after}", f"  {after}\n  {window}")
+        fn = self.write_config(tmp_path, text.replace("csv_file: path.csv", f"csv_file: {path_csv}"))
         assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("scenario invalid:")
         assert (f"  - {problem} is outside the path's samples [0.0, 3.0] in path.csv_file "
                 f"{path_csv}\n") in err
-        assert not (tmp_path / "runs").exists()
-
-    @pytest.mark.parametrize("command", ["simulate", "validate"])
-    def test_duration_past_a_sampled_path_names_the_duration(self, tmp_path, capsys, command):
-        # without solver.t1_time the window ends at t0 + path.duration_time, so the end
-        # outside the samples is reported under the key the file sets
-        path_csv = tmp_path / "path.csv"
-        path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
-        text = SAMPLED_WITHOUT_DURATION.replace(
-            "csv_file: path.csv", f"csv_file: {path_csv}\n  duration_time: 30")
-        fn = self.write_config(tmp_path, text)
-        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
-        err = capsys.readouterr().err
-        assert err == ("scenario invalid:\n  - path.duration_time: t = 30.0 is outside the path's "
-                       f"samples [0.0, 3.0] in path.csv_file {path_csv}\n")
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command, grid", [
