@@ -520,11 +520,12 @@ class TestLandauZener:
 
 
 class TestStageContract:
-    """What integrate hands the generator: the plain pair (rho_gg, rho_ge) and the provider's frame."""
+    """What integrate hands the generator: the density state as the plain pair (rho_gg, rho_ge), and the
+    provider's frame."""
 
     @pytest.mark.parametrize("method", sorted(_METHODS))
     @pytest.mark.parametrize("track_phases", [False, True])
-    def test_every_rhs_call_gets_a_plain_pair_and_a_provided_frame(self, method, track_phases):
+    def test_every_rhs_call_gets_a_density_state_and_a_provided_frame(self, method, track_phases):
         path = q.rotating_cone(1.0, 1.0, 0.3, SX)
         sd = q.flat(0.05)
         provided, calls = [], []
