@@ -50,7 +50,6 @@ from .control import (
     _HERMITIAN_TOL,
     ControlPath,
     _hermitian_residual,
-    _peak_gap,
     frame_at,
     linear_sweep,
     rotating_cone,
@@ -78,7 +77,8 @@ class Scenario:
 
     ``path`` and ``bath`` hold the checked keys of their YAML sections.
     ``history_samples`` is read by nothing; it is kept, and hashed, so that
-    the hashes of scenarios that set it do not move.
+    the hashes of scenarios that set it do not move. ``window_end`` is the
+    key that set ``solver.t1``, which messages name; it is not hashed.
     """
 
     path: dict
@@ -92,6 +92,7 @@ class Scenario:
     sweep_periods: tuple = ()
     berry_thetas: tuple = ()
     history_samples: int = 4097
+    window_end: str = "solver.t1_time"
 
     def canonical_dict(self) -> dict:
         def c2l(z):
@@ -370,35 +371,38 @@ def _build_coupling(data, problems):
 _PERIOD_OVERFLOWS = "path.drive_omega_rad_per_time: one drive period overflows; set path.duration_time"
 
 
-def _build_solver(data, path, problems) -> Optional[SolverConfig]:
-    """The solver section; without ``t1_time`` the window is the duration of ``path``.
+def _build_solver(data, path, problems) -> tuple:
+    """The solver section and the key that ends its window, or None for the section.
 
-    ``path`` is None when the path section is invalid, which is reported there.
+    Without ``t1_time`` the window is the duration of ``path``, and the key
+    is the path's. ``path`` is None when the path section is invalid, which
+    is reported there.
     """
+    end = "solver.t1_time"
     cfg = _section("solver", data, "method", _SOLVERS, problems, default="rk45_adaptive")
     if cfg is None or path is None and "t1_time" not in cfg:
-        return None
+        return None, end
     t0 = cfg.setdefault("t0_time", 0.0)
     if "t1_time" not in cfg:
         duration = _path_duration(path)
         if duration is None:
             problems.append("solver.t1_time: required when the path has no path.duration_time")
-            return None
+            return None, end
         if not math.isfinite(duration):
             problems.append(_PERIOD_OVERFLOWS)
-            return None
+            return None, end
         cfg["t1_time"] = t0 + duration
+        end = "path.duration_time" if "duration_time" in path else "path.drive_omega_rad_per_time"
     if not cfg["t1_time"] > t0:
         problems.append("solver.t1_time: must exceed solver.t0_time")
-        return None
+        return None, end
     try:
-        return _construct(_SOLVERS, "method", cfg, method=cfg["method"])
+        return _construct(_SOLVERS, "method", cfg, method=cfg["method"]), end
     except ValueError as exc:
         problems.append(f"solver: {exc}")
-        if (data or {}).get("t1_time") is None:  # the path set the window
-            key = "duration_time" if "duration_time" in path else "drive_omega_rad_per_time"
-            problems.append(f"path.{key}: sets that solver window, as solver.t1_time is not given")
-        return None
+        if end != "solver.t1_time":
+            problems.append(f"{end}: sets that solver window, as solver.t1_time is not given")
+        return None, end
 
 
 def _mode_problems(mode, path, solver, optimal_phase, sweep_periods, berry_thetas) -> list:
@@ -520,7 +524,7 @@ def load_scenario(text, mode: Optional[str] = None) -> Scenario:
                           "positive numbers", "be finite positive numbers", problems)
     berry_thetas = _grid(run, "berry_theta_grid_rad", lambda v: 0 <= v <= math.pi,
                          "angles in [0, pi]", "lie in [0, pi]", problems)
-    solver = _build_solver(data.get("solver"), path, problems)
+    solver, window_end = _build_solver(data.get("solver"), path, problems)
     problems.extend(_mode_problems(mode, path, solver, optimal_phase, sweep_periods, berry_thetas))
 
     if problems:
@@ -537,6 +541,7 @@ def load_scenario(text, mode: Optional[str] = None) -> Scenario:
         sweep_periods=sweep_periods,
         berry_thetas=berry_thetas,
         history_samples=history_samples,
+        window_end=window_end,
     )
     problems = _member_problems(scenario)
     if problems:
@@ -597,27 +602,13 @@ def build_path(cfg: dict, coupling, rows=None) -> ControlPath:
     return _construct(_PATHS, "kind", cfg, rows, coupling_A=coupling)
 
 
-def _check_spectrum_range(scenario: Scenario, sd: SpectralDensity,
-                          sampled: Optional[ControlPath]) -> None:
+def _check_spectrum_range(solver: SolverConfig, sd: SpectralDensity, path: ControlPath) -> None:
     """Raise OutOfRange if the run's tabulated spectrum sd misses [-w, w].
 
-    Rates sample S at +-omega01 and 0, and w is the path's largest gap over
-    the solver window: a cone's field_energy, a linear sweep's gap at the
-    window end farthest from mid-path, or the largest |b| of ``sampled``, the
-    built sampled path, between its knots as well as at them. A sampled path
-    whose rows failed (``sampled`` None) is reported under path.csv_file.
+    Rates sample S at +-omega01 and 0, and w is the built path's largest gap
+    over the solver window, the bound its constructor gives.
     """
-    path, solver = scenario.path, scenario.solver
-    if path["kind"] == "sampled":
-        if sampled is None:
-            return
-        w = _peak_gap(sampled, solver.t0, solver.t1)
-    elif path["kind"] == "rotating_cone":
-        w = path["field_energy"]
-    else:
-        mid = path["duration_time"] / 2
-        far = max(abs(solver.t0 - mid), abs(solver.t1 - mid))
-        w = math.hypot(path["gap_energy"], path["slope_energy_per_time"] * far)
+    w = path._gap_bound(solver.t0, solver.t1)
     # the frames' |b| can exceed the bound by an ulp (a cone's gap reads 1 + 2.2e-16 at
     # field_energy 1), so a grid that ends exactly at the bound is not enough
     w *= 1.0 + 4.0 * sys.float_info.epsilon
@@ -632,28 +623,27 @@ def _read_data_files(scenario: Scenario) -> tuple:
     """The run's spectrum and a sampled path's rows, reading each data file once.
 
     ``validate`` and every run call this before any run directory exists. The
-    spectrum is range-checked; a Berry run has none. A sampled path is built
-    once to check its rows (plain floats, so they pickle), from which each
-    member builds its own; its fields are read at both window ends, so a
-    window that leaves its samples is reported, under the key that set that
-    end. A data file that cannot be read or holds no valid path or spectrum
-    raises ValidationError naming its key.
+    spectrum is range-checked on the run's first member, whose path is built
+    for it unless sampled (a sweep member sets its own drive rate); a Berry
+    run has none. A sampled path is built once to check its rows (plain
+    floats, so they pickle), from which each member builds its own; its
+    fields are read at both window ends, so a window that leaves its samples
+    is reported, under the key that set that end. A data file that cannot be
+    read or holds no valid path or spectrum raises ValidationError naming
+    its key.
     """
-    path, bath = scenario.path, scenario.bath
-    problems, sd, rows, sampled = [], None, None, None
+    path, bath, solver = scenario.path, scenario.bath, scenario.solver
+    problems, sd, rows, built = [], None, None, None
     if path["kind"] == "sampled":
         try:
             rows = _read_csv(path["csv_file"], ("t", "b_x", "b_y", "b_z"))
-            sampled = build_path(path, scenario.coupling, rows)
+            built = build_path(path, scenario.coupling, rows)
         except (OSError, ValueError, csv.Error) as exc:
             problems.append(f"path.csv_file {path['csv_file']}: {exc}")
         else:
-            t0, t1 = scenario.solver.t0, scenario.solver.t1
-            # without solver.t1_time, _build_solver ends the window at t0 + path.duration_time
-            end = "path.duration_time" if t1 == t0 + path.get("duration_time", math.nan) else "solver.t1_time"
-            for key, t in (("solver.t0_time", t0), (end, t1)):
+            for key, t in (("solver.t0_time", solver.t0), (scenario.window_end, solver.t1)):
                 try:
-                    sampled.fields(t)
+                    built.fields(t)
                 except OutOfRange as exc:
                     problems.append(f"{key}: {exc} in path.csv_file {path['csv_file']}")
     if scenario.mode != "berry" and bath["model"] != "tabulated":
@@ -661,7 +651,11 @@ def _read_data_files(scenario: Scenario) -> tuple:
     elif scenario.mode != "berry":
         try:
             sd = _construct(_BATHS, "model", bath, _read_csv(bath["csv_file"], ("omega", "S")))
-            _check_spectrum_range(scenario, sd, sampled)
+            if path["kind"] != "sampled":
+                first = _members(scenario)[0][0]
+                built, solver = build_path(first.path, first.coupling), first.solver
+            if built is not None:  # a sampled path whose rows failed is reported above
+                _check_spectrum_range(solver, sd, built)
         except (OSError, ValueError, csv.Error, OutOfRange) as exc:
             problems.append(f"bath.csv_file {bath['csv_file']}: {exc}")
     if problems:

@@ -60,8 +60,8 @@ form's, and so is every error.
 Pure Python
 -----------
 :class:`ControlPath`, the analytic paths and :func:`frame_at` are pure
-Python. numpy and scipy are imported inside :func:`sampled_path` and
-:func:`_peak_gap` alone, so a run on an analytic path loads neither.
+Python. numpy and scipy are imported inside :func:`sampled_path` alone, and
+its path's gap bound uses them, so a run on an analytic path loads neither.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class ControlPath:
     :func:`linear_sweep` sets its own. Like ``_anchors`` it is not an init
     argument, so ``dataclasses.replace`` copies get the closed form; as it
     takes the path as an argument, no law holds a reference to its path.
-    ``_spline``, likewise, is the cubic spline of a path built by
-    :func:`sampled_path`, which :func:`_peak_gap` maximises.
+    ``_gap_bound``, likewise, is set by each path constructor: a function
+    of (t0, t1) that gives the path's largest gap |b| over that window.
     """
 
     fields: Callable[[float], tuple[Vec3, Vec3]]
@@ -104,7 +104,7 @@ class ControlPath:
     _anchors: Optional[tuple[int, int]] = field(default=None, init=False, repr=False)
     _A_traceless: Optional[tuple[complex, complex, complex]] = field(default=None, init=False, repr=False)
     _law: Callable[[ControlPath, float], AdiabaticFrame] = field(init=False, repr=False, compare=False)
-    _spline: Optional[object] = field(default=None, init=False, repr=False)
+    _gap_bound: Optional[Callable[[float, float], float]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         A = _coupling_matrix(self.coupling_A)
@@ -211,13 +211,15 @@ def rotating_cone(
 
     path = ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
     path._law = _cone_law(path, omega)
+    path._gap_bound = lambda t0, t1: Omega
     return path
 
 
 def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> ControlPath:
     """Landau-Zener style sweep: b = (gap, 0, slope * (t - duration/2)).
 
-    The avoided crossing of width ``gap`` sits at mid-path. The path carries
+    The avoided crossing of width ``gap`` sits at mid-path, so over a window
+    the gap is largest at the end farther from it. The path carries
     the sweep's frame law (see the module notes), built from the closed form
     at t = 0; where that fails there, or a slope of magnitude below 2^-60
     could make its steering product underflow, the path keeps the general
@@ -232,8 +234,13 @@ def linear_sweep(slope: float, gap: float, duration: float, coupling_A) -> Contr
     def fields(t: float) -> tuple[Vec3, Vec3]:
         return (gap, 0.0, slope * (t - duration / 2)), (0.0, 0.0, slope)
 
+    def gap_bound(t0: float, t1: float) -> float:
+        mid = duration / 2
+        return math.hypot(gap, slope * max(abs(t0 - mid), abs(t1 - mid)))
+
     path = ControlPath(fields=fields, coupling_A=coupling_A, duration=duration)
     path._law = _sweep_law(path, slope, gap, duration / 2)
+    path._gap_bound = gap_bound
     return path
 
 
@@ -242,10 +249,13 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
 
     ``fields`` raises OutOfRange outside the sample times, which are widened
     by 4 ulps of the larger end: a stage at a window's end can land an ulp
-    past it.
+    past it. The gap bound is the largest |b| over the window, clipped to the
+    sample times. On each spline piece |b|^2 is a polynomial, so its maximum
+    lies at the window's ends or at a real root of d|b|^2/dt = 2 b.b_dot, a
+    quintic built from the spline's own coefficients.
     """
     import numpy as np
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicSpline, PPoly
 
     times = np.asarray(times, dtype=float)
     b_values = np.asarray(b_values, dtype=float)
@@ -268,31 +278,20 @@ def sampled_path(times, b_values, coupling_A) -> ControlPath:
         dx, dy, dz = dspline(t)
         return (float(bx), float(by), float(bz)), (float(dx), float(dy), float(dz))
 
+    def gap_bound(t0: float, t1: float) -> float:
+        c, dc = spline.c, dspline.c  # highest power first; pieces x components
+        dot = np.zeros((6, c.shape[1]))
+        for i in range(4):
+            for j in range(3):
+                dot[i + j] += (c[i] * dc[j]).sum(axis=-1)
+        lo, hi = np.clip((t0, t1), spline.x[0], spline.x[-1])
+        roots = PPoly(dot, spline.x).roots(discontinuity=False, extrapolate=False)
+        ts = np.concatenate((roots[(lo <= roots) & (roots <= hi)], (lo, hi)))  # NaN roots drop out
+        return float(np.sqrt((spline(ts) ** 2).sum(axis=-1)).max())
+
     path = ControlPath(fields=fields, coupling_A=coupling_A, duration=t_last - t0, t_start=t0)
-    path._spline = spline
+    path._gap_bound = gap_bound
     return path
-
-
-def _peak_gap(path: ControlPath, t0: float, t1: float) -> float:
-    """The largest |b| of a sampled path over [t0, t1], clipped to its sample times.
-
-    On each spline piece |b|^2 is a polynomial, so its maximum lies at the
-    window's ends or at a real root of d|b|^2/dt = 2 b.b_dot, a quintic built
-    from the spline's own coefficients.
-    """
-    import numpy as np
-    from scipy.interpolate import PPoly
-
-    spline = path._spline
-    c, dc = spline.c, spline.derivative().c  # highest power first; pieces x components
-    dot = np.zeros((6, c.shape[1]))
-    for i in range(4):
-        for j in range(3):
-            dot[i + j] += (c[i] * dc[j]).sum(axis=-1)
-    lo, hi = np.clip((t0, t1), spline.x[0], spline.x[-1])
-    roots = PPoly(dot, spline.x).roots(discontinuity=False, extrapolate=False)
-    ts = np.concatenate((roots[(lo <= roots) & (roots <= hi)], (lo, hi)))  # NaN roots drop out
-    return float(np.sqrt((spline(ts) ** 2).sum(axis=-1)).max())
 
 
 def hs_norm(w_gg: float, w_ee: float, w_ge: complex) -> float:

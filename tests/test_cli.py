@@ -1040,20 +1040,24 @@ class TestMain:
         assert "bath.s0_rate: must be positive" in err
         assert "run.berry_theta_grid_rad: required non-empty list for berry mode" in err
 
-    @pytest.mark.parametrize("after, window, problem", [
-        ("dt_time: 0.02", "t1_time: 30.0", "solver.t1_time: t = 30.0"),
-        ("dt_time: 0.02", "t0_time: -5.0\n  t1_time: 3.0", "solver.t0_time: t = -5.0"),
+    @pytest.mark.parametrize("path_keys, window, problem", [
+        ("", "\n  t1_time: 30.0", "solver.t1_time: t = 30.0"),
+        ("", "\n  t0_time: -5.0\n  t1_time: 3.0", "solver.t0_time: t = -5.0"),
         # without solver.t1_time the window ends at t0 + path.duration_time, the key named
-        ("csv_file: path.csv", "duration_time: 30", "path.duration_time: t = 30.0"),
-    ], ids=["past-the-last-sample", "before-the-first-sample", "duration-past-the-last-sample"])
+        ("\n  duration_time: 30", "", "path.duration_time: t = 30.0"),
+        # with it, solver.t1_time ends the window, even where t1 = t0 + duration_time
+        ("\n  duration_time: 30", "\n  t1_time: 30", "solver.t1_time: t = 30.0"),
+        ("\n  duration_time: 30", "\n  t0_time: 5\n  t1_time: 35", "solver.t1_time: t = 35.0"),
+    ], ids=["past-the-last-sample", "before-the-first-sample", "duration-past-the-last-sample",
+            "window-and-duration-past-the-last-sample", "shifted-window-and-duration"])
     @pytest.mark.parametrize("command", ["simulate", "validate"])
-    def test_window_outside_a_sampled_path_exit_1(self, tmp_path, capsys, after, window, problem,
+    def test_window_outside_a_sampled_path_exit_1(self, tmp_path, capsys, path_keys, window, problem,
                                                    command):
         # the path's own fields are read at both window ends before any run directory
         path_csv = tmp_path / "path.csv"
         path_csv.write_text("t,bx,by,bz\n0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n")
-        text = SAMPLED_WITHOUT_DURATION.replace(f"  {after}", f"  {after}\n  {window}")
-        fn = self.write_config(tmp_path, text.replace("csv_file: path.csv", f"csv_file: {path_csv}"))
+        text = SAMPLED_WITHOUT_DURATION.replace("csv_file: path.csv", f"csv_file: {path_csv}{path_keys}")
+        fn = self.write_config(tmp_path, text.replace("  dt_time: 0.02", f"  dt_time: 0.02{window}"))
         assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("scenario invalid:")
@@ -1167,7 +1171,8 @@ class TestMain:
             assert out.returncode == 0, out.stderr.decode(errors="replace")
         assert len(list((tmp_path / "runs").iterdir())) == 1
 
-    @pytest.mark.parametrize("command, run_section, path, grid, need", [
+    # ``appended`` follows the config's last section, solver, so it can add solver keys
+    @pytest.mark.parametrize("command, appended, path, grid, need", [
         ("simulate", "", None, "omega,S\n0,0.1\n3,0.2\n", "[-1, 1]"),
         # a cone's gap can read field_energy + 1 ulp, so a grid ending there is short
         ("simulate", "", None, "-1,0.1\n1,0.1\n", "[-1, 1]"),
@@ -1176,16 +1181,19 @@ class TestMain:
         # the sweep's gap reaches sqrt(0.5^2 + (0.5 * 5)^2) at the window's ends
         ("simulate", "", "kind: linear_sweep\n  slope_energy_per_time: 0.5\n  gap_energy: 0.5\n"
          "  duration_time: 10.0", "-2.5,0.1\n2.5,0.1\n", "[-2.54951, 2.54951]"),
-    ], ids=["cone", "cone-at-bound", "compare", "sweep-mode", "linear-sweep"])
+        # over the window [4, 6] the gap reaches only sqrt(0.5^2 + (0.5 * 1)^2)
+        ("simulate", "  t0_time: 4.0\n  t1_time: 6.0\n", "kind: linear_sweep\n  slope_energy_per_time: 0.5\n  gap_energy: 0.5\n"
+         "  duration_time: 10.0", "-0.7,0.1\n0.7,0.1\n", "[-0.707107, 0.707107]"),
+    ], ids=["cone", "cone-at-bound", "compare", "sweep-mode", "linear-sweep", "linear-sweep-window"])
     def test_spectrum_range_checked_before_any_member(self, tmp_path, capsys, command,
-                                                       run_section, path, grid, need):
+                                                       appended, path, grid, need):
         data = tmp_path / "spectrum.csv"
         data.write_text(grid)
         text = MINIMAL_CONE.replace("model: flat\n  s0_rate: 0.1", f"model: tabulated\n  csv_file: {data}")
         if path is not None:
             text = text.replace("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
                                 "  drive_omega_rad_per_time: 0.2", path)
-        fn = self.write_config(tmp_path, text + run_section)
+        fn = self.write_config(tmp_path, text + appended)
         for argv in (["validate"], [command, "--out", str(tmp_path / "runs")]):
             assert main(argv + ["--config", str(fn)]) == 1
             err = capsys.readouterr().err

@@ -981,3 +981,25 @@ class TestSampledPaths:
         ]:
             with pytest.raises(ValueError, match=message):
                 q.sampled_path(ts, bs, A)
+
+
+# knots with |b| up to sqrt(5): the spline through the step from b_z = 1 to 2 overshoots
+STEP_KNOTS = [[1, 0, 1], [1, 0, 1], [1, 0, 2], [1, 0, 2], [1, 0, 1], [1, 0, 1]]
+
+
+@pytest.mark.parametrize("make, t0, t1", [
+    (lambda: q.rotating_cone(1.5, 1.0, 0.3, SX), 2.0, 7.0),
+    (lambda: q.linear_sweep(0.5, 0.5, 10.0, SX), 0.0, 10.0),
+    (lambda: q.linear_sweep(0.5, 0.5, 10.0, SX), 4.0, 6.0),  # leaves out both far ends
+    (lambda: q.linear_sweep(-0.5, 0.5, 10.0, SX), 1.0, 4.0),
+    (lambda: q.sampled_path(np.arange(6.0), STEP_KNOTS, SX), 0.0, 5.0),
+    (lambda: q.sampled_path(np.arange(6.0), STEP_KNOTS, SX), 0.0, 2.0),
+], ids=["cone", "sweep", "sweep-mid-window", "sweep-early-window", "sampled", "sampled-before-the-step"])
+def test_each_path_bounds_its_gap_over_a_window(make, t0, t1):
+    # the constructor's bound is the largest |b| over [t0, t1], to the 4 ulps that the
+    # spectrum range check widens it by
+    path = make()
+    bound = path._gap_bound(t0, t1)
+    peak = max(math.hypot(*path.fields(t)[0]) for t in np.linspace(t0, t1, 2001))
+    assert peak <= bound * (1.0 + 4.0 * np.finfo(float).eps)
+    assert peak == pytest.approx(bound, rel=1e-6)
