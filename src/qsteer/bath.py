@@ -6,7 +6,8 @@ weight drives decay, negative-frequency weight drives excitation, and a
 thermal bath obeys detailed balance S(-omega) = exp(-omega/T) S(omega)
 (k_B = 1). Rate formulas keep only the real parts of the bath integrals;
 the principal-value (Lamb shift) contributions are dropped throughout.
-:func:`rates` builds every RateSet from a frame's coupling elements.
+:func:`rates` builds the full RateSet from a frame's coupling elements, and
+:func:`_secular_rates` the secular truncation's, whose cross rates are zero.
 
 Every model is pure Python, the tabulated one included: it interpolates by
 numpy.interp's own formula on a bisect lookup, so it gives np.interp's floats
@@ -227,6 +228,24 @@ class RateSet(NamedTuple):
     gamma_beta: complex
 
 
+def _secular_rates(frame, sd: SpectralDensity) -> RateSet:
+    """The secular truncation's RateSet for ``frame``: no cross rates.
+
+    ``frame`` holds AdiabaticFrame's fields in its order. gamma_ge, gamma_eg
+    and gamma_phi are :func:`rates`' own, by the same gap check and float
+    operations; the five cross rates are 0j.
+    """
+    omega01, _, _, _, m1, m2 = frame
+    if not omega01 > GAP_FLOOR:
+        raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    s_plus, s_minus, s_zero, _, _, _, _ = sd.at_gap(omega01)
+    m2 = complex(m2)
+    mod2 = m2.real * m2.real + m2.imag * m2.imag
+    # in field order; tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(RateSet, (mod2 * s_minus, mod2 * s_plus, 0j, 0j, 0j,
+                                   2.0 * m1 * m1 * s_zero, 0j, 0j))
+
+
 def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSet:
     """Transition rates for gap omega01 under the traceless coupling convention.
 
@@ -240,21 +259,19 @@ def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSe
         gamma_alpha  = m2^2 S(omega01) / 2
         gamma_beta   = m2^2 S(-omega01) / 2
     """
-    if not omega01 > GAP_FLOOR:
-        raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
+    # gamma_ge, gamma_eg and gamma_phi are _secular_rates' own; at_gap then reads its memo
+    g_ge, g_eg, _, _, _, g_phi, _, _ = _secular_rates((omega01, 0.0, 0.0, 0j, m1, m2), sd)
     s_plus, s_minus, s_zero, _, _, _, _ = sd.at_gap(omega01)
     m2 = complex(m2)
-    mod2 = m2.real * m2.real + m2.imag * m2.imag
     cross = -m1 * m2
     m2_sq = m2 * m2
-    # in field order; tuple.__new__ skips the NamedTuple's Python-level __new__
     return tuple.__new__(RateSet, (
-        mod2 * s_minus,                      # gamma_ge
-        mod2 * s_plus,                       # gamma_eg
+        g_ge,
+        g_eg,
         m2.conjugate() * (2.0 * m1) * s_zero,  # gamma_tilde0
         cross * s_plus,                      # gamma_tilde_plus
         cross * s_minus,                     # gamma_tilde_minus
-        2.0 * m1 * m1 * s_zero,              # gamma_phi
+        g_phi,
         m2_sq * s_plus / 2.0,                # gamma_alpha
         m2_sq * s_minus / 2.0,               # gamma_beta
     ))

@@ -40,6 +40,7 @@ except ImportError:
 from . import __version__
 from .bath import (
     SpectralDensity,
+    _secular_rates,
     flat,
     ohmic_thermal,
     rates,
@@ -394,7 +395,9 @@ def _build_solver(data, path, problems) -> tuple:
         cfg["t1_time"] = t0 + duration
         end = "path.duration_time" if "duration_time" in path else "path.drive_omega_rad_per_time"
     if not cfg["t1_time"] > t0:
-        problems.append("solver.t1_time: must exceed solver.t0_time")
+        problems.append("solver.t1_time: must exceed solver.t0_time" if end == "solver.t1_time" else
+                        f"{end}: sets the window end t1 = {cfg['t1_time']:g}, which does not exceed "
+                        f"solver.t0_time = {t0:g}, as solver.t1_time is not given")
         return None, end
     try:
         return _construct(_SOLVERS, "method", cfg, method=cfg["method"]), end
@@ -739,7 +742,7 @@ def _run_member(task):
         traj = integrate(lambda s, f: rhs_nonsteered(s, r0, frame0.omega01),
                          initial, sc.solver, frame_provider=lambda t: frame0)
     elif variant == "secular":
-        traj = integrate(lambda s, f: rhs_secular(s, rates(f.m1, f.m2, f.omega01, sd), f.omega01),
+        traj = integrate(lambda s, f: rhs_secular(s, _secular_rates(f, sd), f.omega01),
                          initial, sc.solver, frame_provider=lambda t: frame_at(path, t))
     else:
         # the optimal-phase run is the plain run seen in the rotated basis

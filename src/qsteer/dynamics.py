@@ -71,9 +71,9 @@ def rhs_nonsteered(state: DensityState, r: RateSet, omega01: float):
 def rhs_secular(state: DensityState, r: RateSet, omega01: float):
     """Secular truncation: populations and coherences fully decoupled.
 
-    Keeps only G_ge, G_eg in the population sector and the precession plus
-    the decay rate (G_ge + G_eg)/2 + G_phi in the coherence sector; all cross
-    rates and every drive contribution are dropped.
+    Reads only gamma_ge, gamma_eg and gamma_phi of ``r``: G_ge, G_eg in the
+    population sector, the precession plus the decay rate (G_ge + G_eg)/2 +
+    G_phi in the coherence sector; cross rates and drive terms are dropped.
     """
     rgg, rge = state
     g_ge, g_eg, g_phi = r.gamma_ge, r.gamma_eg, r.gamma_phi

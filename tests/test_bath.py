@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsteer as q
+from qsteer.bath import _secular_rates
 from qsteer.cli import _read_data_files, load_scenario
+from qsteer.errors import GAP_FLOOR
 
 import superadiabatic_reference as sa
-from conftest import SX
+from conftest import SX, random_frame
 
 
 class TestSpectralDensity:
@@ -374,6 +376,39 @@ class TestGapTermsKept:
                 got = q.rates(frame.m1, frame.m2, gap, sd)
                 assert complex_bits(got) == complex_bits(rates_from_samples(frame.m1, frame.m2, *samples))
                 assert calls == new_samples
+
+
+class TestSecularRates:
+    """_secular_rates is rates() with its five cross rates dropped."""
+
+    @pytest.mark.parametrize("model", BATHS)
+    def test_kept_rates_are_rates_bit_for_bit_and_cross_rates_zero(self, model):
+        sd, ref = BATHS[model](), BATHS[model]()
+        rng = np.random.default_rng(11)
+        frames = [random_frame(rng) for _ in range(40)]
+        # an int or float m2, or an int m1, gives the floats of its complex or float equivalent
+        frames += [f._replace(m2=m2) for f in frames[:3] for m2 in (0, 1, -2, 0.0, -0.0, 0.3, -0.7)]
+        frames += [f._replace(m1=m1) for f in frames[:3] for m1 in (0, 1, -2)]
+        for frame in frames:
+            got = _secular_rates(frame, sd)
+            want = q.rates(frame.m1, frame.m2, frame.omega01, ref)
+            assert type(got) is q.RateSet
+            assert bits((got.gamma_ge, got.gamma_eg, got.gamma_phi)) == bits(
+                (want.gamma_ge, want.gamma_eg, want.gamma_phi))
+            cross = (got.gamma_tilde0, got.gamma_tilde_plus, got.gamma_tilde_minus,
+                     got.gamma_alpha, got.gamma_beta)
+            assert all(type(c) is complex for c in cross)
+            assert complex_bits(cross) == complex_bits((0j,) * 5)
+
+    @pytest.mark.parametrize("gap", [GAP_FLOOR, GAP_FLOOR / 2, 0.0, -0.0, -1.0, math.nan])
+    def test_gap_at_or_below_the_floor_raises_rates_message(self, gap):
+        with pytest.raises(q.GapCollapse) as want:
+            q.rates(0.3, 1.0, gap, q.flat(0.2))
+        sd = q.flat(0.2)
+        calls = count_samples(sd)
+        with pytest.raises(q.GapCollapse, match=f"^{re.escape(str(want.value))}$"):
+            _secular_rates(q.AdiabaticFrame(gap, 0.0, 0.0, 0j, 0.3, 1.0), sd)
+        assert calls == []
 
 
 class TestRates:

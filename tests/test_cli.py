@@ -443,6 +443,16 @@ class TestRun:
         assert lines[0].startswith("variant,")
         assert [ln.split(",")[0] for ln in lines[1:]] == ["full", "secular", "nonsteered"]
 
+    def test_compare_calls_rates_once_for_the_nonsteered_frame(self, tmp_path, monkeypatch):
+        # the secular member builds its three rates per stage without rates(); the
+        # non-steered member calls it once, on its frame at t0
+        calls = []
+        monkeypatch.setattr(cli, "rates", lambda *args: calls.append(args) or q.rates(*args))
+        sc = scenario_from_file(CONFIG_DIR / "cone_thermal_compare.yaml")
+        run(sc, out_dir=tmp_path, jobs=1)
+        f0 = q.frame_at(build_path(sc.path, sc.coupling), sc.solver.t0)
+        assert [args[:3] for args in calls] == [(f0.m1, f0.m2, f0.omega01)]
+
     def test_sweep_mode_summary(self, tmp_path):
         text = MINIMAL_CONE + "run:\n  mode: sweep\n  sweep_periods_time: [20, 40]\n"
         art = run(load_scenario(text), out_dir=tmp_path)
@@ -1063,6 +1073,27 @@ class TestMain:
         assert err.startswith("scenario invalid:")
         assert (f"  - {problem} is outside the path's samples [0.0, 3.0] in path.csv_file "
                 f"{path_csv}\n") in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("path_keys, key", [
+        ("kind: linear_sweep\n  gap_energy: 0.2\n  slope_energy_per_time: 0.5\n  duration_time: 1.0",
+         "path.duration_time"),
+        ("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+         "  drive_omega_rad_per_time: 0.2", "path.drive_omega_rad_per_time"),
+    ], ids=["sweep-duration", "cone-drive-period"])
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_window_end_rounding_to_t0_names_the_key_that_set_it(self, tmp_path, capsys, path_keys,
+                                                                  key, command):
+        # without solver.t1_time the window ends at t0 + the path's duration, which rounds
+        # back to t0 = 1e20: the key that set that end is named, not solver.t1_time
+        text = MINIMAL_CONE.replace(
+            "kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+            "  drive_omega_rad_per_time: 0.2", path_keys)
+        fn = self.write_config(tmp_path, text.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t0_time: 1.0e+20"))
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == (
+            f"scenario invalid:\n  - {key}: sets the window end t1 = 1e+20, which does not exceed "
+            "solver.t0_time = 1e+20, as solver.t1_time is not given\n")
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command, grid", [
