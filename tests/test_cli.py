@@ -1075,20 +1075,17 @@ class TestMain:
                 f"{path_csv}\n") in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("path_keys, key", [
-        ("kind: linear_sweep\n  gap_energy: 0.2\n  slope_energy_per_time: 0.5\n  duration_time: 1.0",
-         "path.duration_time"),
-        ("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
-         "  drive_omega_rad_per_time: 0.2", "path.drive_omega_rad_per_time"),
+    @pytest.mark.parametrize("text, key", [
+        (MINIMAL_CONE.replace("kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
+                              "  drive_omega_rad_per_time: 0.2", "kind: linear_sweep\n  gap_energy: 0.2\n"
+                              "  slope_energy_per_time: 0.5\n  duration_time: 1.0"), "path.duration_time"),
+        (MINIMAL_CONE, "path.drive_omega_rad_per_time"),
     ], ids=["sweep-duration", "cone-drive-period"])
     @pytest.mark.parametrize("command", ["simulate", "validate"])
-    def test_window_end_rounding_to_t0_names_the_key_that_set_it(self, tmp_path, capsys, path_keys,
-                                                                  key, command):
+    def test_window_end_rounding_to_t0_names_the_key_that_set_it(self, tmp_path, capsys, text, key,
+                                                                  command):
         # without solver.t1_time the window ends at t0 + the path's duration, which rounds
         # back to t0 = 1e20: the key that set that end is named, not solver.t1_time
-        text = MINIMAL_CONE.replace(
-            "kind: rotating_cone\n  field_energy: 1.0\n  theta_rad: 1.0471975511965976\n"
-            "  drive_omega_rad_per_time: 0.2", path_keys)
         fn = self.write_config(tmp_path, text.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t0_time: 1.0e+20"))
         assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 1
         assert capsys.readouterr().err == (
