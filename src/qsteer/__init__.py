@@ -28,6 +28,7 @@ from .dynamics import (
     SolverConfig,
     Trajectory,
     berry_phase,
+    from_pair,
     integrate,
     phase_shifted_frame,
     rhs_full,

@@ -60,16 +60,17 @@ from .dynamics import (
     _METHODS,
     DensityState,
     SolverConfig,
+    _rhs_full,
     berry_phase,
+    from_pair,
     integrate,
-    rhs_full,
     rhs_nonsteered,
     rhs_secular,
 )
 from .errors import OutOfRange, ParseError, QSteerError, ValidationError
 
-# Not called here; perfbench's tracer and its self-tests patch this name.
-from .dynamics import phase_shifted_frame  # noqa: F401
+# Not called here; perfbench's tracer and its self-tests patch these names.
+from .dynamics import phase_shifted_frame, rhs_full  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -739,14 +740,14 @@ def _run_member(task):
     if variant == "nonsteered":
         frame0 = frame_at(path, sc.solver.t0)
         r0 = rates(frame0.m1, frame0.m2, frame0.omega01, sd)
-        traj = integrate(lambda s, f: rhs_nonsteered(s, r0, frame0.omega01),
+        traj = integrate(from_pair(lambda s, f: rhs_nonsteered(s, r0, frame0.omega01)),
                          initial, sc.solver, frame_provider=lambda t: frame0)
     elif variant == "secular":
-        traj = integrate(lambda s, f: rhs_secular(s, _secular_rates(f, sd), f.omega01),
+        traj = integrate(from_pair(lambda s, f: rhs_secular(s, _secular_rates(f, sd), f.omega01)),
                          initial, sc.solver, frame_provider=lambda t: frame_at(path, t))
     else:
         # the optimal-phase run is the plain run seen in the rotated basis
-        traj = integrate(lambda s, f: rhs_full(s, f, sd), initial,
+        traj = integrate(lambda g, r, i, f: _rhs_full(g, r, i, f, sd), initial,
                          sc.solver, frame_provider=lambda t: frame_at(path, t),
                          track_phases=sc.optimal_phase)
     solved = time.monotonic()

@@ -2,13 +2,17 @@
 
 The reduced state is stored as (rho_gg, rho_ge): trace one and Hermiticity
 are structural (rho_ee and rho_eg are derived), so the only monitored
-invariant is positivity. Weak-coupling (Redfield-class) generators may
-transiently push the purity above one; that is reported, never clamped,
-because clamping would hide violations of the weak-coupling assumption.
+invariant is positivity. The stepper carries it as three floats (rho_gg,
+Re rho_ge, Im rho_ge) and calls its generator on them; :func:`from_pair`
+adapts a generator written on the pair. Weak-coupling (Redfield-class)
+generators may transiently push the purity above one; that is reported,
+never clamped, because clamping would hide violations of the weak-coupling
+assumption.
 
 Three generators are provided: the non-steered nonsecular equation, its
 secular truncation (comparison baseline) and the full linear-order equation
-for steered frames.
+for steered frames. Each takes and returns the pair; the full equation's
+arithmetic is one body on the three floats, which ``rhs_full`` wraps.
 
 Multiplying the basis states by e^{i lambda_g(t)}, e^{i lambda_e(t)} shifts
 the w diagonals by the phase velocities and turns w_ge, m2 and rho_ge by
@@ -98,14 +102,19 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity):
     inputs' parts is scaled by a float first, so an int or float rho_ge, m2
     or w_ge gives the floats of its complex equivalent.
     """
+    rgg, rge = state
+    dgg, dge_r, dge_i = _rhs_full(rgg, rge.real, rge.imag, frame, sd)
+    return dgg, complex(dge_r, dge_i)
+
+
+def _rhs_full(rgg, rr, ri, frame, sd: SpectralDensity):
+    """:func:`rhs_full` on the state's three floats: (d rho_gg, d Re rho_ge, d Im rho_ge)."""
     w01, w_gg, w_ee, wge, m1, m2 = frame
     if not w01 > GAP_FLOOR:
         raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
     s_plus, s_minus, s_zero, s_sum, k1, k2x2, k3 = sd.at_gap(w01)
-    rgg, rge = state
     m2r, m2i = m2.real, m2.imag
     wr, wi = wge.real, wge.imag
-    rr, ri = rge.real, rge.imag
 
     k1x2 = 2.0 * k1
     # Re(conj(m2) w_ge) and Re(conj(m2) rho_ge), led by the product of imaginary parts:
@@ -130,7 +139,22 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity):
     e_r = w01 + (w_ee - w_gg)
     dge_r = p * m2r + q * m2i - c_w * wr - e_w * wi - c_r * rr - e_r * ri
     dge_i = p * m2i - q * m2r - c_w * wi + e_w * wr - c_r * ri + e_r * rr
-    return dgg, complex(dge_r, dge_i)
+    return dgg, dge_r, dge_i
+
+
+def from_pair(rhs: Callable) -> Callable:
+    """The stepper's form ``(g, r, i, frame) -> (dg, dr, di)`` of a pair-form generator.
+
+    ``rhs(state, frame)`` takes the plain pair (rho_gg, rho_ge) and returns
+    (d rho_gg, d rho_ge), as :func:`rhs_nonsteered` and :func:`rhs_secular`
+    do; the adapter hands it the pair (g, complex(r, i)) and returns the
+    derivative's three floats.
+    """
+    def floats(g, r, i, frame):
+        dgg, dge = rhs((g, complex(r, i)), frame)
+        return dgg, dge.real, dge.imag
+
+    return floats
 
 
 # ----------------------------------------------------------------------
@@ -299,17 +323,18 @@ class _Tableau(NamedTuple):
 def _tableau(nodes, rows, err=None) -> _Tableau:
     """A tableau, its ``attempt``: one step's stages as straight-line code, and its ``phases``.
 
-    ``attempt(rhs, provider, t, dt, g, ge, k0, f0)`` evaluates stages 1, 2, ...
-    of a step from the state (g, ge) at t, whose slope is k0 and frame f0. It
-    returns the last stage's state (the step's solution), the error sums
-    dt * sum of e * k over the error row (0.0 and 0j without one), the last
-    stage's slope and the tuple of stage frames. A stage's state is (g, ge)
-    + sum of (a * dt) * k over its row's nonzero entries, summed left to
-    right in stage order from (g, ge), and its slope rhs((g_s, ge_s), frame)
-    with the frame provider(t + c * dt); the error sums start from 0.0 and
-    0j. A stage whose node equals the previous stage's reuses its frame, so
-    the provider is called once per distinct node: DP5's last two stages
-    and RK4's last two (c = 1), and RK4's middle two (c = 1/2).
+    ``attempt(rhs, provider, t, dt, g, r, i, k0, f0)`` evaluates stages 1, 2,
+    ... of a step from the state (g, r, i) at t, whose slope is k0 and frame
+    f0. It returns the last stage's state (the step's solution), the error
+    sums dt * sum of e * k over the error row (three 0.0 without one), the
+    last stage's slope and the tuple of stage frames. A stage's state is
+    (g, r, i) + sum of (a * dt) * k over its row's nonzero entries, each of
+    the three summed left to right in stage order from the state, and its
+    slope rhs(g_s, r_s, i_s, frame) with the frame provider(t + c * dt); the
+    error sums start from 0.0. A stage whose node equals the previous
+    stage's reuses its frame, so the provider is called once per distinct
+    node: DP5's last two stages and RK4's last two (c = 1), and RK4's middle
+    two (c = 1/2).
 
     ``phases(frames)`` takes an attempt's stage frames and returns the b-row
     sums of the frames' w_gg and w_ee, then the error row's (the constant 0.0
@@ -320,30 +345,30 @@ def _tableau(nodes, rows, err=None) -> _Tableau:
     if not all(math.isfinite(x) for row in (nodes, *rows, err or ()) for x in row):
         raise ValueError("tableau entries must be finite")  # each is written as a float literal
     last = len(nodes) - 1
-    src = ["def attempt(rhs, provider, t, dt, g, ge, k0, f0):", "    kg0, kge0 = k0"]
+    src = ["def attempt(rhs, provider, t, dt, g, r, i, k0, f0):", "    kg0, kr0, ki0 = k0"]
 
-    def sums(row, g0, ge0):
-        """``a_j = coef * dt`` lines for one row; its two sums, left to right from (g0, ge0)."""
+    def sums(row, y0):
+        """``a_j = coef * dt`` lines for one row; its three sums, left to right from ``y0``."""
         terms = _terms(row)
         src.extend(f"    a{j} = {a!r} * dt" for j, a in terms)
-        return (" + ".join([g0] + [f"a{j} * kg{j}" for j, _ in terms]),
-                " + ".join([ge0] + [f"a{j} * kge{j}" for j, _ in terms]))
+        return tuple(" + ".join([y] + [f"a{j} * k{c}{j}" for j, _ in terms])
+                     for c, y in zip("gri", y0))
 
     frames = ["f0"]
     for s in range(1, last + 1):
-        g_s, ge_s = sums(rows[s], "g", "ge")
-        src += [f"    g{s} = {g_s}", f"    ge{s} = {ge_s}"]
+        src += [f"    {c}{s} = {y}" for c, y in zip("gri", sums(rows[s], "gri"))]
         if nodes[s] == nodes[s - 1]:
             frames.append(frames[-1])
         else:
             src.append(f"    f{s} = provider(t + {nodes[s]!r} * dt)")
             frames.append(f"f{s}")
-        slope = f"k{s}" if s == last else f"kg{s}, kge{s}"
-        src.append(f"    {slope} = rhs((g{s}, ge{s}), {frames[s]})")
+        slope = f"k{s}" if s == last else f"kg{s}, kr{s}, ki{s}"
+        src.append(f"    {slope} = rhs(g{s}, r{s}, i{s}, {frames[s]})")
     if err and err[last] != 0.0:  # the error row weights the last slope
-        src.append(f"    kg{last}, kge{last} = k{last}")
-    err_g, err_ge = sums(err or (), "0.0", "0j")
-    src.append(f"    return g{last}, ge{last}, {err_g}, {err_ge}, k{last}, ({', '.join(frames)})")
+        src.append(f"    kg{last}, kr{last}, ki{last} = k{last}")
+    err_sums = sums(err or (), ("0.0",) * 3)
+    src.append(f"    return g{last}, r{last}, i{last}, {', '.join(err_sums)}, k{last}, "
+               f"({', '.join(frames)})")
     phase = [" + ".join(["0.0"] + [f"{c!r} * f{j}.{w}" for j, c in _terms(row)])
              for row in (rows[last], err or ()) for w in ("w_gg", "w_ee")]
     src += ["def phases(frames):",
@@ -394,19 +419,21 @@ def integrate(
     frame_provider: Callable,
     track_phases: bool = False,
 ) -> Trajectory:
-    """Integrate d(state)/dt = rhs(state, frame) over [cfg.t0, cfg.t1].
+    """Integrate d(state)/dt = rhs(g, r, i, frame) over [cfg.t0, cfg.t1].
 
-    ``state`` is the plain pair (rho_gg, rho_ge), a float and a complex, and
-    ``rhs`` returns its derivative, each stage's slope. ``frame_provider``
-    maps a time to the :class:`~qsteer.control.AdiabaticFrame` passed to
-    ``rhs``, its only view of time, and read for each sample's alpha and
-    omega01. Each
+    The stepper carries the state as three floats, g = rho_gg, r = Re rho_ge
+    and i = Im rho_ge, and ``rhs(g, r, i, frame)`` returns their derivatives
+    (dg, dr, di), each stage's slope; :func:`from_pair` gives that form for a
+    generator on the pair (rho_gg, rho_ge). ``initial`` and each sample's
+    ``state`` are :class:`DensityState`. ``frame_provider`` maps a time to
+    the :class:`~qsteer.control.AdiabaticFrame` passed to ``rhs``, its only
+    view of time, and read for each sample's alpha and omega01. Each
     attempted step is one call of its tableau's compiled attempt (see
     ``_tableau``), straight-line code generated once from the tableau's rows,
-    which sums each stage state term by term in stage order. Both
-    methods are first same as last: a step's last stage is evaluated at its
-    solution and is the next step's first, and its frame is also the one
-    recorded there. The provider is called once per distinct stage time: a
+    which sums each of a stage state's three floats term by term in stage
+    order. Both methods are first same as last: a step's last stage is
+    evaluated at its solution and is the next step's first, and its frame is
+    also the one recorded there. The provider is called once per distinct stage time: a
     stage whose tableau node equals the previous stage's reuses that stage's
     frame, and every ``rhs`` call gets its stage's frame. "rk45_adaptive"
     evaluates six stages per attempted step, and its last two share t + dt,
@@ -443,8 +470,9 @@ def integrate(
     d lambda/dt = -w_diag) from the tableau's compiled ``phases``: the b-row
     sums over each accepted step's stage frames. The phases stay out of the
     error norm, so steps and rho_gg equal the plain run's exactly. At each
-    record point rho_ge is rotated by e^{i(lambda_e - lambda_g)}; in that basis
-    the w diagonals vanish, so alpha is hs_norm(0, 0, w_ge) / omega01. This is
+    record point rho_ge = complex(r, i) is rotated by
+    e^{i(lambda_e - lambda_g)}; in that basis the w diagonals vanish, so
+    alpha is hs_norm(0, 0, w_ge) / omega01. This is
     the optimal-phase run only for generators covariant under the basis phase,
     as ``rhs_full`` is. A phase that is not finite at a record point raises
     NonFiniteState naming t. "rk45_adaptive" also accumulates the phases with
@@ -454,8 +482,8 @@ def integrate(
     """
     # One call of the tableau's compiled attempt evaluates a step's stages: each stage's
     # state, its frame (the provider's, or the previous stage's at the same t) and the
-    # generator, whose (d rho_gg, d rho_ge) is the slope. tuple.__new__ builds a sample's
-    # DensityState without the NamedTuple's Python-level __new__.
+    # generator, whose (d rho_gg, d Re rho_ge, d Im rho_ge) is the slope. tuple.__new__
+    # builds a sample's DensityState without the NamedTuple's Python-level __new__.
     new = tuple.__new__
     sqrt, isfinite, inf = math.sqrt, math.isfinite, math.inf
     nodes, _, err, attempt, phases = _METHODS[cfg.method]
@@ -467,13 +495,13 @@ def integrate(
     max_violation, max_excited, max_alpha = 0.0, -math.inf, 0.0
     track_error = track_phases and err is not None
 
-    def accept(t, g, ge, frame, lam, keep):
+    def accept(t, g, r, i, frame, lam, keep):
         """Check one accepted state, fold it into the run's maxima and, if ``keep``, record it."""
         nonlocal t_worst, max_violation, max_excited, max_alpha
         # Tr rho^2 = rho_gg^2 + rho_ee^2 + 2 |rho_ge|^2, finite whenever the state is
-        p = g * g + (1.0 - g) * (1.0 - g) + 2.0 * (ge.real * ge.real + ge.imag * ge.imag)
+        p = g * g + (1.0 - g) * (1.0 - g) + 2.0 * (r * r + i * i)
         if not p < inf:  # a non-finite component, or a finite state whose sum overflows
-            if not (isfinite(g) and isfinite(ge.real) and isfinite(ge.imag)):
+            if not (isfinite(g) and isfinite(r) and isfinite(i)):
                 raise NonFiniteState(f"non-finite state at t = {t:g}")
         if p - 1.0 > max_violation:
             max_violation = p - 1.0
@@ -487,6 +515,7 @@ def integrate(
         if alpha > max_alpha:
             max_alpha = alpha
         if keep:
+            ge = complex(r, i)
             if track_phases:
                 if not math.isfinite(lam[1] - lam[0]):  # finite only if both phases are
                     raise NonFiniteState(f"the optimal phase overflows the float range at t = {t:g}")
@@ -494,13 +523,14 @@ def integrate(
             traj.samples.append(TrajectorySample(
                 t, new(DensityState, (g, ge)), alpha, omega01, lam[0], lam[1], p))
 
-    g, ge = initial.rho_gg, complex(initial.rho_ge)
+    ge = complex(initial.rho_ge)
+    g, r, i = initial.rho_gg, ge.real, ge.imag
     t = cfg.t0
     lam = lam_err = (0.0, 0.0)
     frame = frame_provider(t)
-    k = rhs((g, ge), frame)
+    k = rhs(g, r, i, frame)
     n_rhs = n_frames = 1
-    accept(t, g, ge, frame, lam, True)
+    accept(t, g, r, i, frame, lam, True)
 
     span = t1 - cfg.t0
     if err is None:
@@ -524,8 +554,9 @@ def integrate(
                 dt = t1 - t
             if t + dt == t:
                 raise StepRejectionLimit(f"step {dt:g} does not advance t = {t:g}")
-        # the last stage state is the step's solution, so (g_new, ge_new) is its result
-        g_new, ge_new, err_g, err_ge, k_new, frames = attempt(rhs, frame_provider, t, dt, g, ge, k, frame)
+        # the last stage state is the step's solution, so (g_new, r_new, i_new) is its result
+        g_new, r_new, i_new, err_g, err_r, err_i, k_new, frames = attempt(
+            rhs, frame_provider, t, dt, g, r, i, k, frame)
         n_rhs += last
         n_frames += frames_per_attempt
         if err is None:
@@ -535,17 +566,15 @@ def integrate(
             # and max make: max keeps |y| unless |y_new| is larger, so a NaN |y| stays
             x, y = (g if g >= 0.0 else -g), (g_new if g_new >= 0.0 else -g_new)
             scale_g = atol + rtol * (y if y > x else x)
-            x, y = ge.real, ge_new.real
-            x, y = (x if x >= 0.0 else -x), (y if y >= 0.0 else -y)
+            x, y = (r if r >= 0.0 else -r), (r_new if r_new >= 0.0 else -r_new)
             scale_r = atol + rtol * (y if y > x else x)
-            x, y = ge.imag, ge_new.imag
-            x, y = (x if x >= 0.0 else -x), (y if y >= 0.0 else -y)
+            x, y = (i if i >= 0.0 else -i), (i_new if i_new >= 0.0 else -i_new)
             scale_i = atol + rtol * (y if y > x else x)
             try:  # a scaled error whose square overflows, as at tolerances near 1e-300, rejects
                 norm = sqrt((
                     (err_g / scale_g) ** 2
-                    + (err_ge.real / scale_r) ** 2
-                    + (err_ge.imag / scale_i) ** 2
+                    + (err_r / scale_r) ** 2
+                    + (err_i / scale_i) ** 2
                 ) / 3)
             except OverflowError:
                 norm = inf
@@ -560,14 +589,14 @@ def integrate(
             accepted += 1
             t = t + dt if n_steps is None else cfg.t0 + accepted * dt
             done = t >= t_end or accepted == n_steps
-            g, ge = g_new, ge_new
+            g, r, i = g_new, r_new, i_new
             rejections = 0
             if dt < dt_lo:
                 dt_lo = dt
             if dt > dt_hi:
                 dt_hi = dt
             k, frame = k_new, frames[last]
-            accept(t, g, ge, frame, lam, accepted % cfg.record_stride == 0 or done)
+            accept(t, g, r, i, frame, lam, accepted % cfg.record_stride == 0 or done)
         elif math.isnan(norm):
             raise NonFiniteState(f"non-finite error estimate at t = {t:g}")
         else:
@@ -642,8 +671,8 @@ def _wrap(x: float) -> float:
     return y - math.pi
 
 
-def _zero_generator(state, frame):
-    return 0.0, 0j
+def _zero_generator(g, r, i, frame):
+    return 0.0, 0.0, 0.0
 
 
 def berry_phase(path, solver: Optional[SolverConfig] = None) -> BerryPhases:

@@ -11,6 +11,9 @@ names them. :func:`integrate_rk4` does it for "rk4_fixed", with the classical
 weights written out. The tests check that each gives ``integrate``'s
 trajectory bit for bit.
 
+Both carry the state as the three floats (rho_gg, Re rho_ge, Im rho_ge) and
+call the generator as ``rhs(g, r, i, frame)``, as ``integrate`` does.
+
 The controller: the first step is min(dt_max, span/100), dt_max defaults to
 span/10, and each attempt takes min(dt * grow, dt_max, t1 - t). The error
 norm is the RMS of the scaled errors of rho_gg, Re rho_ge and Im rho_ge, each
@@ -49,26 +52,28 @@ RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
 
 def weighted(y, ks, row, dt):
     """y + dt * sum of row[j] * ks[j], term by term in stage order, skipping zero weights."""
-    g, ge = y
-    for a, (kg, kge) in zip(row, ks):
+    g, r, i = y
+    for a, (kg, kr, ki) in zip(row, ks):
         if a != 0.0:
             adt = a * dt
             g += adt * kg
-            ge += adt * kge
-    return g, ge
+            r += adt * kr
+            i += adt * ki
+    return g, r, i
 
 
-def error_norm(g, ge, g_new, ge_new, err_g, err_ge, atol, rtol):
+def error_norm(y, y_new, err, atol, rtol):
     """RMS of the scaled errors of rho_gg, Re rho_ge and Im rho_ge, in that order.
 
     A scaled error whose square overflows, as at tolerances near 1e-300, gives
     an infinite norm: a rejection.
     """
+    (g, r, i), (g_new, r_new, i_new), (err_g, err_r, err_i) = y, y_new, err
     try:
         return math.sqrt((
             (err_g / (atol + rtol * max(abs(g), abs(g_new)))) ** 2
-            + (err_ge.real / (atol + rtol * max(abs(ge.real), abs(ge_new.real)))) ** 2
-            + (err_ge.imag / (atol + rtol * max(abs(ge.imag), abs(ge_new.imag)))) ** 2
+            + (err_r / (atol + rtol * max(abs(r), abs(r_new)))) ** 2
+            + (err_i / (atol + rtol * max(abs(i), abs(i_new)))) ** 2
         ) / 3)
     except OverflowError:
         return math.inf
@@ -85,17 +90,17 @@ def advance_phases(lam, frames, row, dt):
 
 
 def recorder(traj, track_phases):
-    """``accept(t, g, ge, frame, lam, keep)``, checking one accepted point as integrate does.
+    """``accept(t, g, r, i, frame, lam, keep)``, checking one accepted point as integrate does.
 
     It folds the point into ``traj``'s maxima and, if ``keep``, appends its
     sample; the returned dict holds the worst purity excess and its time.
     """
     worst = {"violation": 0.0, "t": None}
 
-    def accept(t, g, ge, frame, lam, keep):
-        if not (math.isfinite(g) and math.isfinite(ge.real) and math.isfinite(ge.imag)):
+    def accept(t, g, r, i, frame, lam, keep):
+        if not (math.isfinite(g) and math.isfinite(r) and math.isfinite(i)):
             raise NonFiniteState(f"non-finite state at t = {t:g}")
-        p = g * g + (1.0 - g) * (1.0 - g) + 2.0 * (ge.real * ge.real + ge.imag * ge.imag)
+        p = g * g + (1.0 - g) * (1.0 - g) + 2.0 * (r * r + i * i)
         if p - 1.0 > worst["violation"]:
             worst["violation"], worst["t"] = p - 1.0, t
         traj.max_excited_population = max(traj.max_excited_population, 1.0 - g)
@@ -105,6 +110,7 @@ def recorder(traj, track_phases):
             raise NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
         traj.max_alpha = max(traj.max_alpha, alpha)
         if keep:
+            ge = complex(r, i)
             if track_phases:
                 if not math.isfinite(lam[1] - lam[0]):
                     raise NonFiniteState(f"the optimal phase overflows the float range at t = {t:g}")
@@ -121,10 +127,11 @@ def integrate_dp5(rhs, initial, cfg, frame_provider, track_phases=False) -> Traj
     traj = Trajectory()
     accept, worst = recorder(traj, track_phases)
     t, span = cfg.t0, cfg.t1 - cfg.t0
-    y = (initial.rho_gg, complex(initial.rho_ge))
+    ge = complex(initial.rho_ge)
+    y = (initial.rho_gg, ge.real, ge.imag)
     lam = lam_err = (0.0, 0.0)
     frames = [frame_provider(t)]
-    ks = [rhs(y, frames[0])]
+    ks = [rhs(*y, frames[0])]
     n_rhs = n_frames = 1
     accept(t, *y, frames[0], lam, True)
 
@@ -144,10 +151,10 @@ def integrate_dp5(rhs, initial, cfg, frame_provider, track_phases=False) -> Traj
                 frames.append(frame_provider(t + C[s] * dt))
                 n_frames += 1
             stage = weighted(y, ks, A[s], dt)
-            ks.append(rhs(stage, frames[s]))
+            ks.append(rhs(*stage, frames[s]))
         n_rhs += 6
         y_new = stage  # the last stage's state, at c = 1, is the 5th-order solution
-        norm = error_norm(*y, *y_new, *weighted((0.0, 0j), ks, E, dt), cfg.atol, cfg.rtol)
+        norm = error_norm(y, y_new, weighted((0.0, 0.0, 0.0), ks, E, dt), cfg.atol, cfg.rtol)
         factor = 0.9 * norm ** -0.2 if norm > 0 else 5.0
         grow = min(5.0, max(0.2, factor))
         if norm <= 1.0:
@@ -190,20 +197,21 @@ def integrate_rk4(rhs, initial, cfg, frame_provider, track_phases=False) -> Traj
     n = max(1, round(span / cfg.dt))
     dt = span / n
     t = t0
-    y = (initial.rho_gg, complex(initial.rho_ge))
+    ge = complex(initial.rho_ge)
+    y = (initial.rho_gg, ge.real, ge.imag)
     lam = (0.0, 0.0)
     f0 = frame_provider(t)
-    k0 = rhs(y, f0)
+    k0 = rhs(*y, f0)
     accept(t, *y, f0, lam, True)
     for i in range(1, n + 1):
         t_half, t_end = t + 0.5 * dt, t + 1.0 * dt
         f_half = frame_provider(t_half)
-        k1 = rhs(weighted(y, [k0], (0.5,), dt), f_half)
-        k2 = rhs(weighted(y, [k0, k1], (0.0, 0.5), dt), f_half)
+        k1 = rhs(*weighted(y, [k0], (0.5,), dt), f_half)
+        k2 = rhs(*weighted(y, [k0, k1], (0.0, 0.5), dt), f_half)
         f_end = frame_provider(t_end)
-        k3 = rhs(weighted(y, [k0, k1, k2], (0.0, 0.0, 1.0), dt), f_end)
+        k3 = rhs(*weighted(y, [k0, k1, k2], (0.0, 0.0, 1.0), dt), f_end)
         y = weighted(y, [k0, k1, k2, k3], RK4_B, dt)
-        k0 = rhs(y, f_end)
+        k0 = rhs(*y, f_end)
         if track_phases:
             lam = advance_phases(lam, [f0, f_half, f_half, f_end], RK4_B, dt)
         f0 = f_end

@@ -61,7 +61,8 @@ def test_criterion_02_thermal_fixed_point():
     sd = q.tabulated([-1.0, 0.0, 1.0], [1.0, 1.5, 2.0])
     r = q.rates(0.0, 1.0, 1.0, sd)
     cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=30.0, record_stride=500)
-    traj = integrate(lambda s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.1, 0.2j), cfg,
+    traj = integrate(q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, 1.0)),
+                     q.DensityState(0.1, 0.2j), cfg,
                      static_frame)
     err = abs(traj.final.state.rho_gg - 2.0 / 3.0)
     elapsed = time.perf_counter() - started
@@ -84,7 +85,7 @@ def test_criterion_03_detailed_balance():
                 method="rk45_adaptive", t0=0.0, t1=25 * tau, record_stride=10_000
             )
             traj = integrate(
-                lambda s, f: q.rhs_nonsteered(s, r, omega01),
+                q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, omega01)),
                 q.DensityState(0.3, 0.1 + 0.1j), cfg, static_frame,
             )
             gg = traj.final.state.rho_gg
@@ -144,7 +145,7 @@ def test_criterion_05_zero_temperature_robustness():
         path = cone(math.pi / 3, 2 * math.pi / period)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=period, record_stride=1)
         traj = integrate(
-            lambda s, f: q.rhs_full(s, f, sd),
+            q.from_pair(lambda s, f: q.rhs_full(s, f, sd)),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(path, t),
         )
         peaks.append(max(1.0 - s.state.rho_gg for s in traj.samples))
@@ -236,7 +237,7 @@ def test_criterion_08_local_gauge_invariance():
 
     cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=t1, dt=t1 / 8192, record_stride=8)
     run = lambda provider: integrate(
-        lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+        q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0, 0j), cfg,
         frame_provider=provider, track_phases=True,
     )
     traj_plain = run(lambda t: q.frame_at(path, t))
@@ -263,7 +264,7 @@ def test_criterion_09_unitary_purity():
     sd = q.flat(0.0)
     cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=path.duration, record_stride=1)
     traj = integrate(
-        lambda s, f: q.rhs_full(s, f, sd),
+        q.from_pair(lambda s, f: q.rhs_full(s, f, sd)),
         q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(path, t),
     )
     drift = max(abs(s.purity - 1.0) for s in traj.samples)
@@ -302,7 +303,7 @@ def test_criterion_10_rk4_convergence_order():
     for n in (50, 100, 200, 400):
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=2.0, dt=2.0 / n, record_stride=n)
         traj = integrate(
-            lambda s, f: q.rhs_nonsteered(s, r, omega01),
+            q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, omega01)),
             q.DensityState(0.3, complex(0.2, -0.1)), cfg, static_frame,
         )
         ge = complex(traj.final.state.rho_ge)
@@ -330,11 +331,11 @@ def test_criterion_11_secular_divergence():
     cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=path.duration, record_stride=100)
     provider = lambda t: q.frame_at(path, t)
     traj_full = integrate(
-        lambda s, f: q.rhs_full(s, f, sd),
+        q.from_pair(lambda s, f: q.rhs_full(s, f, sd)),
         q.DensityState(1.0, 0j), cfg, frame_provider=provider,
     )
     traj_sec = integrate(
-        lambda s, f: q.rhs_secular(s, q.rates(f.m1, f.m2, f.omega01, sd), f.omega01),
+        q.from_pair(lambda s, f: q.rhs_secular(s, q.rates(f.m1, f.m2, f.omega01, sd), f.omega01)),
         q.DensityState(1.0, 0j), cfg, frame_provider=provider,
     )
     gap = abs(traj_full.final.state.rho_gg - traj_sec.final.state.rho_gg)

@@ -233,7 +233,7 @@ class TestAtGap:
             return f
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2 * path.duration, rtol=1e-10)
-        traj = q.integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+        traj = q.integrate(q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0), cfg,
                            frame_provider=frames)
         assert traj.work.frame_evals > 500 and 1 <= len(gaps) <= 3
         assert len(calls) == 2 * len(gaps) + 1
@@ -252,7 +252,7 @@ class TestAtGap:
             return f
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=duration, rtol=1e-9)
-        traj = q.integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+        traj = q.integrate(q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0), cfg,
                            frame_provider=frames)
         assert calls[2] == 0.0 and calls.count(0.0) == 1
         pairs = calls[:2] + calls[3:]
@@ -379,7 +379,8 @@ class TestGapTermsKept:
 
 
 class TestSecularRates:
-    """_secular_rates is rates() with its five cross rates dropped."""
+    """_secular_rates is rates() with its five cross rates dropped, and its three rates are the
+    paper's formulas."""
 
     @pytest.mark.parametrize("model", BATHS)
     def test_kept_rates_are_rates_bit_for_bit_and_cross_rates_zero(self, model):
@@ -395,6 +396,13 @@ class TestSecularRates:
             assert type(got) is q.RateSet
             assert bits((got.gamma_ge, got.gamma_eg, got.gamma_phi)) == bits(
                 (want.gamma_ge, want.gamma_eg, want.gamma_phi))
+            # |m2|^2 S(-omega), |m2|^2 S(omega) and 2 m1^2 S(0), written out with rates()' float
+            # operations in their order, on samples from the bound formula, not from at_gap
+            w, m1, m2 = frame.omega01, frame.m1, complex(frame.m2)
+            s_plus, s_minus, s_zero = ref._formula(w), ref._formula(-w), ref._formula(0.0)
+            mod2 = m2.real * m2.real + m2.imag * m2.imag
+            assert bits((got.gamma_ge, got.gamma_eg, got.gamma_phi)) == bits(
+                (mod2 * s_minus, mod2 * s_plus, 2.0 * m1 * m1 * s_zero))
             cross = (got.gamma_tilde0, got.gamma_tilde_plus, got.gamma_tilde_minus,
                      got.gamma_alpha, got.gamma_beta)
             assert all(type(c) is complex for c in cross)

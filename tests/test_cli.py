@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,9 +16,11 @@ import pytest
 import yaml
 
 import qsteer as q
-from qsteer import cli
+from qsteer import cli, dynamics
 from qsteer.cli import build_path, load_scenario, main, run, scenario_from_file
 from qsteer.dynamics import _METHODS
+
+import golden
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
@@ -74,6 +77,36 @@ BENCHMARK_CLI = ("frame_at", "rates", "integrate", "rhs_full", "rhs_secular", "r
 ])
 def test_benchmark_reads_this_name(module, name):
     assert callable(getattr(module, name, None))
+
+
+def count_integrations(monkeypatch) -> list:
+    """Count the generator and frame-provider calls of every integration a run makes.
+
+    ``integrate`` is replaced where ``cli`` and ``berry_phase`` look it up, by
+    one that wraps the generator and the frame provider it is given in
+    counters. Returns the list that receives one {"rhs": R, "frame": F} per
+    integration, in call order.
+    """
+    counts = []
+    inner = dynamics.integrate
+
+    def counted(rhs, initial, cfg, frame_provider, track_phases=False):
+        c = {"rhs": 0, "frame": 0}
+        counts.append(c)
+
+        def rhs_counted(*args):
+            c["rhs"] += 1
+            return rhs(*args)
+
+        def provider_counted(t):
+            c["frame"] += 1
+            return frame_provider(t)
+
+        return inner(rhs_counted, initial, cfg, provider_counted, track_phases)
+
+    monkeypatch.setattr(cli, "integrate", counted)
+    monkeypatch.setattr(dynamics, "integrate", counted)
+    return counts
 
 
 class TestLoadScenario:
@@ -453,6 +486,24 @@ class TestRun:
         f0 = q.frame_at(build_path(sc.path, sc.coupling), sc.solver.t0)
         assert [args[:3] for args in calls] == [(f0.m1, f0.m2, f0.omega01)]
 
+    def test_compare_nonsteered_member_runs_on_the_frame_at_t0(self, tmp_path):
+        # with t0_time 5 the non-steered member's one frame, and the rates built from it, are
+        # the cone's at t = 5, which differ from those at t = 0: its CSV is a direct
+        # integration of rhs_nonsteered on them
+        text = MINIMAL_CONE.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t0_time: 5.0")
+        sc = load_scenario(text + "run:\n  mode: compare\n")
+        art = run(sc, out_dir=tmp_path)
+        path, (sd, _) = build_path(sc.path, sc.coupling), cli._read_data_files(sc)
+        f0 = q.frame_at(path, 5.0)
+        assert sc.solver.t0 == 5.0 and q.frame_at(path, 0.0).m1 != f0.m1
+        r0 = q.rates(f0.m1, f0.m2, f0.omega01, sd)
+        traj = q.integrate(q.from_pair(lambda s, f: q.rhs_nonsteered(s, r0, f0.omega01)),
+                           q.DensityState(sc.initial_rho_gg, sc.initial_rho_ge), sc.solver,
+                           frame_provider=lambda t: f0)
+        want = io.StringIO()
+        traj.write_csv(want)
+        assert (art.run_dir / "nonsteered.csv").read_text() == want.getvalue()
+
     def test_sweep_mode_summary(self, tmp_path):
         text = MINIMAL_CONE + "run:\n  mode: sweep\n  sweep_periods_time: [20, 40]\n"
         art = run(load_scenario(text), out_dir=tmp_path)
@@ -588,22 +639,42 @@ class TestRun:
     @pytest.mark.filterwarnings("ignore:purity exceeded")
     @pytest.mark.parametrize("config", ["cone_zero_temperature", "period_sweep"])
     def test_solver_work_counts_the_generator_and_frame_calls(self, tmp_path, monkeypatch, config):
-        # perfbench's tracer and CI's 6 (F - n) == 5 (R - n) identity count calls of
-        # cli.rhs_full and cli.frame_at: one generator call per stage, one frame per
-        # distinct stage time, so the counts are the members' solver_work summed
-        calls = dict.fromkeys(("rhs_full", "frame_at"), 0)
-        for name in calls:
-            def counted(*args, _name=name, _inner=getattr(cli, name)):
-                calls[_name] += 1
-                return _inner(*args)
-            monkeypatch.setattr(cli, name, counted)
+        # one generator call per stage and one frame per distinct stage time: the calls of the
+        # generator and the frame provider each member's integration gets are its solver_work
+        counts = count_integrations(monkeypatch)
         art = run(scenario_from_file(CONFIG_DIR / f"{config}.yaml"), out_dir=tmp_path)
         work = art.metadata["solver_work"].values()
-        assert calls == {"rhs_full": sum(w["rhs_evals"] for w in work),
-                         "frame_at": sum(w["frame_evals"] for w in work)}
+        assert [(c["rhs"], c["frame"]) for c in counts] == [(w["rhs_evals"], w["frame_evals"])
+                                                             for w in work]
+        assert {"rhs": sum(c["rhs"] for c in counts), "frame": sum(c["frame"] for c in counts)} == {
+            "rhs": sum(w["rhs_evals"] for w in work), "frame": sum(w["frame_evals"] for w in work)}
         for w in work:
             attempts = w["accepted_steps"] + w["rejected_steps"]
             assert (w["rhs_evals"], w["frame_evals"]) == (6 * attempts + 1, 5 * attempts + 1)
+
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    @pytest.mark.parametrize("workload", ["cone_steer", "param_grid", "optimal_phase"])
+    def test_one_frame_per_distinct_stage_time_on_the_benchmark_workloads(
+            self, tmp_path, monkeypatch, workload):
+        # every member of the workload at seed 1, generated by perfbench/workloads.py and run
+        # by load_scenario -> run: each DP5 integration makes 1 + 6 generator calls and
+        # 1 + 5 frames per attempt (the last two stages share t + dt), so with F frames, R
+        # generator calls and n integrations, 6 (F - n) == 5 (R - n) exactly; each member's
+        # counts are the rhs_evals and frame_evals of its metadata.json. param_grid runs cones
+        # and Berry loops, cone_steer and optimal_phase cones and Landau-Zener sweeps on their
+        # frame laws, and optimal_phase tracks the phases on the same stage frames
+        counts = count_integrations(monkeypatch)
+        for member in golden._workloads().generate(workload, 1):
+            sc = load_scenario(member.text)
+            first = len(counts)
+            art = run(sc, out_dir=tmp_path)
+            work = json.loads((art.run_dir / "metadata.json").read_text())["solver_work"]
+            names = [name for _, _, name, _ in cli._members(sc)]
+            assert len(counts) - first == len(names) > 0
+            for name, c in zip(names, counts[first:]):
+                assert (c["rhs"], c["frame"]) == (work[name]["rhs_evals"], work[name]["frame_evals"])
+        R, F, n = sum(c["rhs"] for c in counts), sum(c["frame"] for c in counts), len(counts)
+        assert 6 * (F - n) == 5 * (R - n)
 
     @pytest.mark.parametrize("run_block", [
         "mode: simulate", "mode: compare", "mode: sweep\n  sweep_periods_time: [20, 40]",
@@ -1387,6 +1458,27 @@ class TestMain:
         assert f"run.sweep_periods_time: period 5e-324: {message}" in err
         assert "period 10.0" not in err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.filterwarnings("ignore:purity exceeded")
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_tabulated_sweep_on_a_cone_whose_own_period_overflows_exit_0(self, tmp_path, capsys,
+                                                                         command):
+        # the spectrum's range is checked on the first member's cone, which turns at its own
+        # period's rate; the scenario's cone, at 1e-310, has no finite period, and with
+        # solver.t1_time given and no path.duration_time no run builds it
+        omegas = [-4.0 + k / 5 for k in range(41)]
+        (tmp_path / "spec.csv").write_text(
+            "omega,S\n" + "".join(f"{w!r},{0.01 * max(w, 0.0)!r}\n" for w in omegas))
+        text = data_file_scenario("bath", tmp_path / "spec.csv").replace(
+            "drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 1.0e-310").replace(
+            "  dt_time: 0.02", "  dt_time: 0.02\n  t1_time: 10.0")
+        mode = "  mode: sweep\n" if command == "validate" else ""
+        fn = self.write_config(tmp_path, text + f"run:\n{mode}  sweep_periods_time: [20.0, 40.0]\n")
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "sweep":
+            (run_dir,) = (tmp_path / "runs").iterdir()
+            assert len((run_dir / "summary.csv").read_text().splitlines()) == 3
 
     @staticmethod
     def assert_clean_run_directory(out):

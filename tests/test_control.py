@@ -352,8 +352,8 @@ class TestLocalAlpha:
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=path.duration, dt=path.duration / 2)
         for track_phases in (False, True):
             with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
-                q.integrate(lambda s, f: q.rhs_full(s, f, q.flat(0.0)), q.DensityState(1.0),
-                            cfg, frame_provider=lambda t: q.frame_at(path, t),
+                q.integrate(q.from_pair(lambda s, f: q.rhs_full(s, f, q.flat(0.0))),
+                            q.DensityState(1.0), cfg, frame_provider=lambda t: q.frame_at(path, t),
                             track_phases=track_phases)
         with pytest.raises(q.NonFiniteState, match="alpha overflows at t = 0$"):
             q.berry_phase(path)
@@ -372,7 +372,7 @@ class TestLocalAlpha:
             q.frame_at(path, 0.0)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=path.duration)
         with pytest.raises(q.NonFiniteState, match=message):
-            q.integrate(lambda s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+            q.integrate(lambda g, r, i, f: (0.0, 0.0, 0.0), q.DensityState(1.0), cfg,
                         frame_provider=lambda t: q.frame_at(path, t))
         with pytest.raises(q.NonFiniteState, match=message):
             sample_history(path, 0.0, path.duration, 5)

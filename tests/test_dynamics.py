@@ -14,8 +14,8 @@ from scipy.linalg import expm
 
 import qsteer as q
 from qsteer.control import _closed_form
-from qsteer.dynamics import (_MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, _tableau,
-                             integrate)
+from qsteer.dynamics import (_MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, _rhs_full,
+                             _tableau, integrate)
 from qsteer.errors import GAP_FLOOR
 
 import superadiabatic_reference as sa
@@ -48,7 +48,7 @@ class TestDensityState:
     def test_purity(self, state, expected):
         # the purity integrate records at t0, here under a zero generator
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=1.0)
-        traj = q.integrate(lambda s, f: (0.0, 0j), state, cfg, static_frame)
+        traj = q.integrate(lambda g, r, i, f: (0.0, 0.0, 0.0), state, cfg, static_frame)
         assert traj.samples[0].purity == pytest.approx(expected)
 
 
@@ -203,6 +203,29 @@ class TestRhsFull:
             q.rhs_full(q.DensityState(1.0, 0j), f, q.flat(1.0))
 
 
+class TestFullBody:
+    """rhs_full packs and unpacks the pair around _rhs_full, the float body the CLI's full member
+    calls."""
+
+    @pytest.mark.parametrize("sd", BATHS, ids=lambda sd: sd.model)
+    def test_adapter_and_float_body_bit_for_bit(self, rng, sd):
+        # an int, float or complex rho_ge, zero and signed zeros among them: rhs_full gives
+        # the floats the body gives on complex(rho_ge)'s parts, the ones the stepper carries,
+        # and from_pair(rhs_full) gives them back as three floats
+        stepper_form = q.from_pair(lambda s, f: q.rhs_full(s, f, sd))
+        for k in range(200):
+            f = random_frame(rng, with_w=k % 4 != 0)
+            s = random_state(rng)
+            for rgg, rge in ((s.rho_gg, s.rho_ge), *((s.rho_gg if k % 2 else 1, x) for x in NUMBERS),
+                             (s.rho_gg, complex(-0.0, 0.0)), (s.rho_gg, complex(0.0, -0.0))):
+                ge = complex(rge)
+                want = tuple(map(float.hex, _rhs_full(rgg, ge.real, ge.imag, f, sd)))
+                dgg, dge = q.rhs_full(q.DensityState(rgg, rge), f, sd)
+                assert type(dge) is complex
+                assert (dgg.hex(), dge.real.hex(), dge.imag.hex()) == want
+                assert tuple(map(float.hex, stepper_form(rgg, ge.real, ge.imag, f))) == want
+
+
 # the functions that check a gap against GAP_FLOOR, each called at the gap omega01
 GAP_CHECKED = {
     "rhs_full": lambda w: q.rhs_full(q.DensityState(1.0), zero_w_frame(0.2, 1.0, w), q.flat(1.0)),
@@ -308,7 +331,7 @@ class TestIntegrate:
         r = q.rates(0.0, 0.0, 1.0, q.flat(0.0))
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0, record_stride=1000)
         traj = integrate(
-            lambda s, f: q.rhs_nonsteered(s, r, 2 * math.pi),
+            q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, 2 * math.pi)),
             q.DensityState(0.5, 0.5), cfg, static_frame,
         )
         assert abs(complex(traj.final.state.rho_ge) - 0.5) < 1e-8
@@ -319,7 +342,8 @@ class TestIntegrate:
         r = q.rates(0.0, 1.0, 1.0, sd)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0, record_stride=10)
         traj = integrate(
-            lambda s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.0, 0j), cfg, static_frame
+            q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, 1.0)), q.DensityState(0.0, 0j), cfg,
+            static_frame,
         )
         for sample in traj.samples:
             assert sample.state.rho_gg == pytest.approx(1 - math.exp(-sample.t), abs=1e-8)
@@ -348,7 +372,7 @@ class TestIntegrate:
         for n in (50, 100, 200):
             cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=2.0, dt=2.0 / n, record_stride=n)
             traj = integrate(
-                lambda s, f: q.rhs_nonsteered(s, r, 2.0),
+                q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, 2.0)),
                 q.DensityState(0.3, complex(0.2, -0.1)), cfg, static_frame,
             )
             ge = complex(traj.final.state.rho_ge)
@@ -366,7 +390,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=cone_path.duration / 2, record_stride=20)
         sd = q.flat(0.0)
         traj = integrate(
-            lambda s, f: q.rhs_full(s, f, sd),
+            q.from_pair(lambda s, f: q.rhs_full(s, f, sd)),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(cone_path, t),
         )
         assert max(abs(s.purity - 1.0) for s in traj.samples) < 1e-9
@@ -378,7 +402,8 @@ class TestIntegrate:
         tau = 1.0 / (r.gamma_ge + r.gamma_eg)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=20 * tau, record_stride=1000)
         traj = integrate(
-            lambda s, f: q.rhs_nonsteered(s, r, w01), q.DensityState(0.1, 0.2j), cfg, static_frame
+            q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, w01)), q.DensityState(0.1, 0.2j), cfg,
+            static_frame,
         )
         expected = sd._formula(w01) / (sd._formula(w01) + sd._formula(-w01))
         assert traj.final.state.rho_gg == pytest.approx(expected, abs=1e-6)
@@ -387,7 +412,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.1)
         with pytest.raises(q.NonFiniteState):
             integrate(
-                lambda s, f: (math.inf, 0j), q.DensityState(1.0, 0j), cfg, static_frame
+                lambda g, r, i, f: (math.inf, 0.0, 0.0), q.DensityState(1.0, 0j), cfg, static_frame
             )
 
     def test_step_rejection_limit(self):
@@ -397,7 +422,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0)
         with pytest.raises(q.StepRejectionLimit, match="61 consecutive rejections at t = 0$"):
             integrate(
-                lambda s, f: (1e300 if next(calls) % 2 else -1e300, 0j),
+                lambda g, r, i, f: (1e300 if next(calls) % 2 else -1e300, 0.0, 0.0),
                 q.DensityState(1.0, 0j), cfg, static_frame,
             )
 
@@ -408,7 +433,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=5.0, rtol=1e-300, atol=1e-300)
         with pytest.raises(q.StepRejectionLimit, match="61 consecutive rejections at t = 0$"):
             integrate(
-                lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+                q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0, 0j), cfg,
                 frame_provider=lambda t: q.frame_at(cone_path, t),
             )
 
@@ -416,7 +441,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
         with pytest.raises(q.NonFiniteState, match="error estimate at t = "):
             integrate(
-                lambda s, f: (0.0, complex(math.nan, 0.0) if f.m1 > 1.0 else 0j),
+                lambda g, r, i, f: (0.0, math.nan if f.m1 > 1.0 else 0.0, 0.0),
                 q.DensityState(1.0, 0j), cfg, clock_frame,
             )
 
@@ -424,9 +449,9 @@ class TestIntegrate:
         # the jump at t = 0.5 is rejected until the step no longer moves t
         calls = itertools.count()
 
-        def rhs(s, f):
+        def rhs(g, r, i, f):
             assert next(calls) < 10_000, "the stepper stalled"
-            return 0.0, (1e200j if f.m1 > 0.5 else 0j)
+            return 0.0, 0.0, (1e200 if f.m1 > 0.5 else 0.0)
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
         with pytest.raises(q.StepRejectionLimit, match="does not advance t = 0.5$"):
@@ -437,7 +462,7 @@ class TestIntegrate:
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.01)
         with pytest.warns(RuntimeWarning, match="purity"):
             traj = integrate(
-                lambda s, f: (0.0, 0.01 * complex(s[1])),
+                lambda g, r, i, f: (0.0, 0.01 * r, 0.01 * i),
                 q.DensityState(1.0, 0.01), cfg, static_frame,
             )
         assert traj.max_positivity_violation > TOL_POSITIVITY
@@ -451,7 +476,8 @@ class TestIntegrate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = integrate(
-                lambda s, f: q.rhs_nonsteered(s, r, 1.0), q.DensityState(0.9, 0.1j), cfg, static_frame
+                q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, 1.0)), q.DensityState(0.9, 0.1j),
+                cfg, static_frame,
             )
         assert traj.max_positivity_violation == 0.0
         assert traj.work.t_max_positivity_violation is None
@@ -460,7 +486,7 @@ class TestIntegrate:
         sd = q.flat(0.2)
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=5.0, dt=0.01, record_stride=17)
         traj = integrate(
-            lambda s, f: q.rhs_full(s, f, sd),
+            q.from_pair(lambda s, f: q.rhs_full(s, f, sd)),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(cone_path, t),
         )
         ts = [s.t for s in traj.samples]
@@ -483,8 +509,8 @@ class TestSweepLawEndToEnd:
                              record_stride=10)
         sweep = q.linear_sweep(slope, 1.0, 80.0, A)
         assert sweep._law is not _closed_form
-        law, kernel = (integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
-                                 frame_provider=lambda t, p=path: q.frame_at(p, t),
+        law, kernel = (integrate(q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0),
+                                 cfg, frame_provider=lambda t, p=path: q.frame_at(p, t),
                                  track_phases=track_phases)
                        for path in (sweep, kernel_path(sweep)))
         assert law.work.accepted_steps == kernel.work.accepted_steps
@@ -511,7 +537,7 @@ class TestLandauZener:
         sd = q.flat(0.0)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=duration, rtol=1e-11,
                              record_stride=sys.maxsize)
-        traj = integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0), cfg,
+        traj = integrate(q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0), cfg,
                          frame_provider=lambda t: q.frame_at(sweep, t))
         p_lz = math.exp(-math.pi * gap**2 / (2.0 * rate))
         assert traj.final.t == duration
@@ -520,8 +546,8 @@ class TestLandauZener:
 
 
 class TestStageContract:
-    """What integrate hands the generator: the density state as the plain pair (rho_gg, rho_ge), and the
-    provider's frame."""
+    """What integrate hands the generator: the density state as three floats (rho_gg, Re rho_ge,
+    Im rho_ge), and the provider's frame."""
 
     @pytest.mark.parametrize("method", sorted(_METHODS))
     @pytest.mark.parametrize("track_phases", [False, True])
@@ -535,12 +561,11 @@ class TestStageContract:
             return provided[-1]
 
         def rhs(*args):
-            assert len(args) == 2  # no stage time
-            s, f = args
-            assert type(s) is tuple and len(s) == 2
-            assert type(s[0]) is float and type(s[1]) is complex
+            assert len(args) == 4  # no stage time
+            g, r, i, f = args
+            assert type(g) is float and type(r) is float and type(i) is float
             calls.append(f)
-            return q.rhs_full(s, f, sd)
+            return _rhs_full(g, r, i, f, sd)
 
         cfg = q.SolverConfig(method=method, t0=0.0, t1=3.0, dt=0.05, record_stride=7)
         traj = integrate(rhs, q.DensityState(1.0, 0j), cfg, frame_provider=provider,
@@ -598,7 +623,7 @@ class TestReferenceStepper:
         sd = q.zero_temperature_ohmic(0.1, 20.0)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=t1, rtol=rtol, atol=1e-12,
                              record_stride=3)
-        got, want = (run(lambda s, f: q.rhs_full(s, f, sd), initial, cfg,
+        got, want = (run(q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), initial, cfg,
                          lambda t: q.frame_at(path, t), track_phases)
                      for run in (integrate, integrate_dp5))
         assert got.work == want.work
@@ -620,7 +645,7 @@ class TestReferenceStepper:
         path = make_path()
         sd = q.zero_temperature_ohmic(0.1, 20.0)
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=t1, dt=0.07, record_stride=3)
-        got, want = (run(lambda s, f: q.rhs_full(s, f, sd), initial, cfg,
+        got, want = (run(q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), initial, cfg,
                          lambda t: q.frame_at(path, t), track_phases)
                      for run in (integrate, integrate_rk4))
         assert got.work == want.work
@@ -648,7 +673,8 @@ class TestNonFiniteStates:
     def test_at_t0(self, component, x, method):
         cfg = q.SolverConfig(method=method, t0=0.0, t1=1.0, dt=0.1)
         with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 0$"):
-            integrate(lambda s, f: (0.0, 0j), self.state(component, x), cfg, static_frame)
+            integrate(lambda g, r, i, f: (0.0, 0.0, 0.0), self.state(component, x), cfg,
+                      static_frame)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("component", COMPONENTS)
@@ -670,8 +696,8 @@ class TestNonFiniteStates:
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=18.0, dt=6.0)
         seen = []
         with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 12$"):
-            integrate(lambda s, f: seen.append(s) or rhs(s, f), q.DensityState(1.0, 0j), cfg,
-                      clock_frame)
+            integrate(q.from_pair(lambda s, f: seen.append(s) or rhs(s, f)), q.DensityState(1.0, 0j),
+                      cfg, clock_frame)
         # the state that failed is non-finite in the chosen component alone: it is the stage
         # state of the step's last stage, evaluated at the step's solution
         failed_gg, failed_ge = seen[-1]
@@ -685,7 +711,8 @@ class TestNonFiniteStates:
     def test_finite_state_whose_purity_overflows_is_reported(self):
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.5)
         with pytest.warns(RuntimeWarning, match="purity exceeded 1 by inf"):
-            traj = integrate(lambda s, f: (0.0, 0j), q.DensityState(1e200, 0j), cfg, static_frame)
+            traj = integrate(lambda g, r, i, f: (0.0, 0.0, 0.0), q.DensityState(1e200, 0j), cfg,
+                             static_frame)
         assert traj.max_positivity_violation == math.inf
         assert traj.work.t_max_positivity_violation == 0.0
         assert [s.purity for s in traj.samples] == [math.inf] * 3
@@ -803,50 +830,48 @@ class TestTableaus:
     @pytest.mark.parametrize("method", sorted(_METHODS))
     def test_attempt_is_the_rows_term_by_term(self, method):
         # one compiled attempt and its phases against the rows read term by term: each
-        # stage's frame, provided at the stage's time, its state a plain pair summed left to
-        # right from (g, ge), one provider call per distinct node, the error sums from 0.0
-        # and 0j, and the phase sums from 0.0 over the stage frames; slopes and frames are
+        # stage's frame, provided at the stage's time, its state three floats each summed left
+        # to right from (g, r, i), one provider call per distinct node, the error sums from
+        # 0.0, and the phase sums from 0.0 over the stage frames; slopes and frames are
         # distinct per stage
         nodes, rows, err, attempt, phases = _METHODS[method]
-        t, dt, g, ge = 0.3, 0.07, 0.8, complex(0.1, -0.2)
+        t, dt, y = 0.3, 0.07, (0.8, 0.1, -0.2)
         calls, provided = [], []
 
         def slope(s):
-            return 0.1 * s - 0.5, complex(0.3 / s, -0.2 * s)
+            return 0.1 * s - 0.5, 0.3 / s, -0.2 * s
 
         def rhs(*args):
-            assert len(args) == 2  # no stage time
-            state, frame = args
-            assert type(state) is tuple
-            calls.append((state, frame))
+            assert len(args) == 4  # no stage time
+            calls.append(args)
             return slope(len(calls))
 
         def provider(ts):
             provided.append(ts)
             return ("frame", ts)
 
-        k0, f0 = (-0.4, complex(0.25, 0.5)), ("frame", t)
-        g_new, ge_new, err_g, err_ge, k_last, frames = attempt(rhs, provider, t, dt, g, ge, k0, f0)
+        k0, f0 = (-0.4, 0.25, 0.5), ("frame", t)
+        *y_new, err_g, err_r, err_i, k_last, frames = attempt(rhs, provider, t, dt, *y, k0, f0)
         ks, want_frames = [k0], [f0]
         for s in range(1, len(nodes)):
             ts = t + nodes[s] * dt
-            y_g, y_ge = g, ge
+            y_s = list(y)
             for j, a in enumerate(rows[s]):
                 if a != 0.0:
-                    y_g += a * dt * ks[j][0]
-                    y_ge += a * dt * ks[j][1]
+                    for c in range(3):
+                        y_s[c] += a * dt * ks[j][c]
             want_frames.append(want_frames[-1] if nodes[s] == nodes[s - 1] else ("frame", ts))
-            assert calls[s - 1] == ((y_g, y_ge), want_frames[-1])
+            assert calls[s - 1] == (*y_s, want_frames[-1])
             ks.append(slope(s))
-        assert (g_new, ge_new) == (y_g, y_ge) and k_last == ks[-1]
+        assert y_new == y_s and k_last == ks[-1]
         assert frames == tuple(want_frames)
         assert provided == sorted({t + c * dt for c in nodes[1:]})
-        want_err = [0.0, 0j]
+        want_err = [0.0, 0.0, 0.0]
         for j, e in enumerate(err or ()):
             if e != 0.0:
-                want_err[0] += e * dt * ks[j][0]
-                want_err[1] += e * dt * ks[j][1]
-        assert [err_g, err_ge] == want_err
+                for c in range(3):
+                    want_err[c] += e * dt * ks[j][c]
+        assert [x.hex() for x in (err_g, err_r, err_i)] == [x.hex() for x in want_err]
         # (w_gg, w_ee) per stage, where summing RK4's b row in another order changes the floats
         w = [(math.sin(1.1 * s + 0.2), math.cos(1.1 * s - 0.2) / 3) for s in range(len(nodes))]
         stage_frames = tuple(make_frame(w_gg=w_gg, w_ee=w_ee) for w_gg, w_ee in w)
@@ -877,7 +902,7 @@ class TestSolverWork:
             calls["rhs"] += 1
             return q.rhs_full(s, f, sd)
 
-        return calls, provider, rhs
+        return calls, provider, q.from_pair(rhs)
 
     def test_rk45_evaluates_six_stages_per_attempt(self, cone_path):
         calls, provider, rhs = self.counted(cone_path)
@@ -910,7 +935,7 @@ class TestSolverWork:
             return q.rhs_full(s, f, sd)
 
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=cone_path.duration / 4, rtol=1e-11)
-        w = integrate(rhs, q.DensityState(0.9, 0.1j), cfg, frame_provider=provider).work
+        w = integrate(q.from_pair(rhs), q.DensityState(0.9, 0.1j), cfg, frame_provider=provider).work
         attempts = w.accepted_steps + w.rejected_steps
         assert w.rejected_steps > 0
         assert len(frame_times) == 5 * attempts + 1 and len(rhs_frames) == 6 * attempts + 1
@@ -956,8 +981,8 @@ class TestSolverWork:
             frame_times.append(t)
             return q.frame_at(q.rotating_cone(1.0, 0.9, 0.3, SX), t)
 
-        traj = integrate(lambda s, f: q.rhs_full(s, f, q.flat(0.1)), q.DensityState(1.0, 0j),
-                         cfg, frame_provider=provider)
+        traj = integrate(q.from_pair(lambda s, f: q.rhs_full(s, f, q.flat(0.1))),
+                         q.DensityState(1.0, 0j), cfg, frame_provider=provider)
         assert n == 100 and traj.work.accepted_steps == n
         assert traj.work.frame_evals == 2 * n + 1 == len(frame_times)
         want = [t0] + [t0 + i * dt for i in range(1, n + 1) if i % stride == 0 or i == n]
@@ -981,7 +1006,7 @@ class TestSolverWork:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     traj = integrate(
-                        lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+                        q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0, 0j), cfg,
                         frame_provider=lambda t: q.frame_at(cone_path, t), track_phases=track_phases,
                     )
                 worst.append((
@@ -1002,7 +1027,7 @@ class TestSolverWork:
         # embedded 4th-order ones degree 3, so the estimate is zero to rounding for
         # degree 3 and the 4th-order weights' true error for degree 4
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=2.0)
-        traj = integrate(lambda s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+        traj = integrate(lambda g, r, i, f: (0.0, 0.0, 0.0), q.DensityState(1.0), cfg,
                          frame_provider=lambda t: make_frame(w_gg=t ** degree, w_ee=-2.0 * t),
                          track_phases=True)
         exact = 2.0 ** (degree + 1) / (degree + 1)
@@ -1016,7 +1041,7 @@ class TestSolverWork:
     def test_phase_quadrature_error_needs_phases_and_an_error_row(self, cone_path):
         for method, track_phases in (("rk45_adaptive", False), ("rk4_fixed", True)):
             cfg = q.SolverConfig(method=method, t0=0.0, t1=10.0, dt=0.5)
-            traj = integrate(lambda s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+            traj = integrate(lambda g, r, i, f: (0.0, 0.0, 0.0), q.DensityState(1.0), cfg,
                              frame_provider=lambda t: q.frame_at(cone_path, t),
                              track_phases=track_phases)
             assert traj.phase_quadrature_error is None
@@ -1030,7 +1055,7 @@ class TestSolverWork:
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=1.0)
         with pytest.raises(q.NonFiniteState,
                            match="^the optimal phase's error estimate overflows the float range$"):
-            integrate(lambda s, f: (0.0, 0j), q.DensityState(1.0), cfg,
+            integrate(lambda g, r, i, f: (0.0, 0.0, 0.0), q.DensityState(1.0), cfg,
                       frame_provider=lambda t: make_frame(w_gg=1e3), track_phases=True)
 
     @pytest.mark.parametrize("method, accepted, rejected, final", [
@@ -1045,7 +1070,7 @@ class TestSolverWork:
         # operations, the stage sums and the error norm, independently of any frame
         r = q.rates(0.3, complex(0.8, -0.4), 1.0, q.ohmic_thermal(0.1, 0.5, 20.0))
         cfg = q.SolverConfig(method=method, t0=0.0, t1=40.0, rtol=1e-9, atol=1e-12, dt=0.05)
-        traj = integrate(lambda s, f: q.rhs_nonsteered(s, r, 1.0),
+        traj = integrate(q.from_pair(lambda s, f: q.rhs_nonsteered(s, r, 1.0)),
                          q.DensityState(0.7, complex(0.2, -0.1)), cfg, static_frame)
         assert (traj.work.accepted_steps, traj.work.rejected_steps) == (accepted, rejected)
         fs = traj.final.state
@@ -1057,7 +1082,7 @@ class TestTrajectoryCsv:
         sd = q.flat(0.1)
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.05, record_stride=5)
         traj = integrate(
-            lambda s, f: q.rhs_full(s, f, sd),
+            q.from_pair(lambda s, f: q.rhs_full(s, f, sd)),
             q.DensityState(1.0, 0j), cfg, frame_provider=lambda t: q.frame_at(cone_path, t),
         )
         fn = tmp_path / "traj.csv"
@@ -1128,7 +1153,7 @@ def full_cone_rho_gg(theta, omega, sd):
     """The same loop by rhs_full in the adiabatic frame, from the ground state, at rtol 1e-12."""
     cone = q.rotating_cone(1.0, theta, omega, SZ)
     cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=cone.duration, rtol=1e-12, atol=1e-15)
-    traj = integrate(lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+    traj = integrate(q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0, 0j), cfg,
                      frame_provider=lambda t: q.frame_at(cone, t))
     return traj.final.state.rho_gg
 

@@ -61,7 +61,7 @@ def tracked_phases(path, t1, dt, record_stride):
     sd = q.flat(0.1)
     cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=t1, dt=dt, record_stride=record_stride)
     return q.integrate(
-        lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+        q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0, 0j), cfg,
         frame_provider=lambda t: q.frame_at(path, t), track_phases=True,
     ).samples
 
@@ -430,7 +430,7 @@ class TestPhaseShiftedFrame:
         sd = q.flat(0.1)
         cfg = q.SolverConfig(method="rk45_adaptive", t0=0.0, t1=path.duration, record_stride=5)
         run = lambda track: q.integrate(
-            lambda s, f: q.rhs_full(s, f, sd), q.DensityState(1.0, 0j), cfg,
+            q.from_pair(lambda s, f: q.rhs_full(s, f, sd)), q.DensityState(1.0, 0j), cfg,
             frame_provider=lambda t: q.frame_at(path, t), track_phases=track,
         ).samples
         plain, tracked = run(False), run(True)
@@ -448,7 +448,7 @@ class TestPhaseShiftedFrame:
         sd = q.flat(0.4)
         t1 = cone_path.duration
         cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=t1, dt=t1 / 8192, record_stride=32)
-        rhs = lambda s, f: q.rhs_full(s, f, sd)
+        rhs = q.from_pair(lambda s, f: q.rhs_full(s, f, sd))
 
         def shifted_frame(t):
             f = q.frame_at(cone_path, t)
