@@ -60,6 +60,7 @@ from .dynamics import (
     _METHODS,
     DensityState,
     SolverConfig,
+    _frozen_affine,
     _rhs_full,
     berry_phase,
     from_pair,
@@ -740,8 +741,9 @@ def _run_member(task):
     if variant == "nonsteered":
         frame0 = frame_at(path, sc.solver.t0)
         r0 = rates(frame0.m1, frame0.m2, frame0.omega01, sd)
-        traj = integrate(from_pair(lambda s, f: rhs_nonsteered(s, r0, frame0.omega01)),
-                         initial, sc.solver, frame_provider=lambda t: frame0)
+        nonsteered = from_pair(lambda s, f: rhs_nonsteered(s, r0, frame0.omega01))
+        traj = integrate(_frozen_affine(nonsteered, frame0), initial, sc.solver,
+                         frame_provider=lambda t: frame0)
     elif variant == "secular":
         traj = integrate(from_pair(lambda s, f: rhs_secular(s, _secular_rates(f, sd), f.omega01)),
                          initial, sc.solver, frame_provider=lambda t: frame_at(path, t))

@@ -157,6 +157,28 @@ def from_pair(rhs: Callable) -> Callable:
     return floats
 
 
+def _frozen_affine(rhs: Callable, frame) -> Callable:
+    """The constant affine map y' = c0 + M0 y of a stepper-form generator on one fixed frame.
+
+    ``rhs(g, r, i, frame)`` is probed four times, at the zero state (c0) and
+    at the unit states of g, r and i (column j of M0 is that slope minus
+    c0), and never again. The returned generator ignores its frame and sums
+    each row as c0 + M0[0] g + M0[1] r + M0[2] i, left to right; it agrees
+    with an affine ``rhs`` to the rounding of the probes' differences.
+    """
+    c = cg, cr, ci = rhs(0.0, 0.0, 0.0, frame)
+    (gg, rg, ig), (gr, rr, ir), (gi, ri, ii) = (
+        [d - c0 for d, c0 in zip(rhs(*unit, frame), c)]
+        for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+
+    def affine(g, r, i, frame):
+        return (cg + gg * g + gr * r + gi * i,
+                cr + rg * g + rr * r + ri * i,
+                ci + ig * g + ir * r + ii * i)
+
+    return affine
+
+
 # ----------------------------------------------------------------------
 # basis phases
 # ----------------------------------------------------------------------

@@ -486,10 +486,28 @@ class TestRun:
         f0 = q.frame_at(build_path(sc.path, sc.coupling), sc.solver.t0)
         assert [args[:3] for args in calls] == [(f0.m1, f0.m2, f0.omega01)]
 
+    def test_compare_probes_the_nonsteered_generator_four_times(self, tmp_path, monkeypatch):
+        # the non-steered member is rhs_nonsteered's constant affine map, built from four
+        # probes; its rhs_evals counts the stepper's calls of that map, not the probes
+        calls = {"rates": 0, "rhs_nonsteered": 0}
+
+        def counted(name, inner):
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name, getattr(q, name)))
+        art = run(scenario_from_file(CONFIG_DIR / "cone_thermal_compare.yaml"), out_dir=tmp_path)
+        assert calls == {"rates": 1, "rhs_nonsteered": 4}
+        work = json.loads((art.run_dir / "metadata.json").read_text())["solver_work"]["nonsteered.csv"]
+        assert work["rhs_evals"] == 6 * (work["accepted_steps"] + work["rejected_steps"]) + 1
+
     def test_compare_nonsteered_member_runs_on_the_frame_at_t0(self, tmp_path):
         # with t0_time 5 the non-steered member's one frame, and the rates built from it, are
         # the cone's at t = 5, which differ from those at t = 0: its CSV is a direct
-        # integration of rhs_nonsteered on them
+        # integration of rhs_nonsteered's constant affine map on them
         text = MINIMAL_CONE.replace("  dt_time: 0.02", "  dt_time: 0.02\n  t0_time: 5.0")
         sc = load_scenario(text + "run:\n  mode: compare\n")
         art = run(sc, out_dir=tmp_path)
@@ -497,8 +515,9 @@ class TestRun:
         f0 = q.frame_at(path, 5.0)
         assert sc.solver.t0 == 5.0 and q.frame_at(path, 0.0).m1 != f0.m1
         r0 = q.rates(f0.m1, f0.m2, f0.omega01, sd)
-        traj = q.integrate(q.from_pair(lambda s, f: q.rhs_nonsteered(s, r0, f0.omega01)),
-                           q.DensityState(sc.initial_rho_gg, sc.initial_rho_ge), sc.solver,
+        frozen = dynamics._frozen_affine(
+            q.from_pair(lambda s, f: q.rhs_nonsteered(s, r0, f0.omega01)), f0)
+        traj = q.integrate(frozen, q.DensityState(sc.initial_rho_gg, sc.initial_rho_ge), sc.solver,
                            frame_provider=lambda t: f0)
         want = io.StringIO()
         traj.write_csv(want)
@@ -1561,6 +1580,34 @@ class TestMain:
         assert capsys.readouterr().err == f"run failed: {message}\n"
         meta = self.assert_clean_run_directory(tmp_path / "runs")
         assert meta["status"] == f"failed: {message}"
+
+    @pytest.mark.parametrize("rates", [
+        *(pytest.param(lambda m1, m2, w, sd, k=k: q.rates(m1 * k, m2 * k, w, sd), id=f"coupling_x{k:g}")
+          for k in (1e150, 1e160, 1e300)),
+        pytest.param(lambda *args: q.rates(*args)._replace(gamma_tilde0=complex(math.nan, 0.0)),
+                     id="nan_cross_rate"),
+    ])
+    @pytest.mark.parametrize("config", ["shipped_thermal", "minimal_rk4"])
+    def test_nonsteered_rates_not_finite_exit_2(self, tmp_path, capsys, monkeypatch, rates, config):
+        # only the non-steered member reads cli.rates, so it alone fails, with the exception
+        # and message of an integration of rhs_nonsteered itself on those rates
+        text = ((CONFIG_DIR / "cone_thermal_compare.yaml").read_text() if config == "shipped_thermal"
+                else MINIMAL_CONE + "run:\n  mode: compare\n")
+        fn = self.write_config(tmp_path, text)
+        sc = scenario_from_file(fn)
+        f0 = q.frame_at(build_path(sc.path, sc.coupling), sc.solver.t0)
+        r0 = rates(f0.m1, f0.m2, f0.omega01, cli._read_data_files(sc)[0])
+        with pytest.raises(q.NonFiniteState) as want:
+            q.integrate(q.from_pair(lambda s, f: q.rhs_nonsteered(s, r0, f0.omega01)),
+                        q.DensityState(sc.initial_rho_gg, sc.initial_rho_ge), sc.solver,
+                        frame_provider=lambda t: f0)
+        monkeypatch.setattr(cli, "rates", rates)
+        assert main(["compare", "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        message = str(want.value)
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+        meta = self.assert_clean_run_directory(tmp_path / "runs")
+        assert meta["status"] == f"failed: {message}"
+        assert list(meta["solver_work"]) == ["full.csv", "secular.csv"]
 
     @pytest.mark.parametrize("old, new", [
         ("  record_stride: 10\n", "  record_stride: 10\n  dt_max_time: 1.0e-300\n"),

@@ -14,8 +14,8 @@ from scipy.linalg import expm
 
 import qsteer as q
 from qsteer.control import _closed_form
-from qsteer.dynamics import (_MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, _rhs_full,
-                             _tableau, integrate)
+from qsteer.dynamics import (_MAX_STEPS, _METHODS, TOL_POSITIVITY, TrajectorySample, _frozen_affine,
+                             _rhs_full, _tableau, integrate)
 from qsteer.errors import GAP_FLOOR
 
 import superadiabatic_reference as sa
@@ -224,6 +224,54 @@ class TestFullBody:
                 assert type(dge) is complex
                 assert (dgg.hex(), dge.real.hex(), dge.imag.hex()) == want
                 assert tuple(map(float.hex, stepper_form(rgg, ge.real, ge.imag, f))) == want
+
+
+def nonsteered_written_out(state, r, omega01):
+    """The terms of rhs_nonsteered as its docstring writes them: (terms of dgg, terms of dge)."""
+    rgg, rge = state
+    g_ge, g_eg, g_t0, g_tp, g_tm, g_phi, g_alpha, g_beta = r
+    return ([-(g_ge + g_eg) * rgg, (g_t0 * rge).real, g_eg],
+            [1j * omega01 * rge, -(g_tp + g_tm) * rgg, -(g_eg / 2 + g_ge / 2 + g_phi) * rge,
+             (g_alpha + g_beta) * rge.conjugate(), g_tp])
+
+
+class TestFrozenAffine:
+    """_frozen_affine: the compare mode's non-steered member as its constant map c0 + M0 y."""
+
+    @pytest.mark.parametrize("sd", BATHS, ids=lambda sd: sd.model)
+    def test_agrees_with_the_pair_generator(self, rng, sd):
+        # the map's entries are differences of probes, so it meets rhs_nonsteered through
+        # from_pair to a few ulps of the largest written-out term (4 measured), not of the sum
+        tilted = q.rotating_cone(1.0, 1.0, 0.05, [[0.3, 1.0], [1.0, -0.3]])
+        for k in range(100):
+            f = random_frame(rng) if k % 2 else q.frame_at(tilted, rng.uniform(-60.0, 60.0))
+            r0 = q.rates(f.m1, f.m2, f.omega01, sd)
+            pair = q.from_pair(lambda s, frame: q.rhs_nonsteered(s, r0, f.omega01))
+            frozen = _frozen_affine(pair, f)
+            s = random_state(rng)
+            for rgg, rge in ((s.rho_gg, s.rho_ge), (s.rho_gg, 0j), (s.rho_gg, complex(-0.0, 0.0)),
+                             (s.rho_gg, complex(0.0, -0.0)), (-0.0, complex(-0.0, -0.0)),
+                             (1.0, s.rho_ge), (0.0, 0j)):
+                terms_gg, terms_ge = nonsteered_written_out((rgg, rge), r0, f.omega01)
+                tol_gg = 8 * math.ulp(max(map(abs, terms_gg)))
+                tol_ge = 8 * math.ulp(max(map(abs, terms_ge)))
+                want = pair(rgg, rge.real, rge.imag, f)
+                got = frozen(rgg, rge.real, rge.imag, f)
+                assert all(type(x) is float for x in got)
+                assert abs(got[0] - want[0]) <= tol_gg
+                assert abs(got[1] - want[1]) <= tol_ge and abs(got[2] - want[2]) <= tol_ge
+
+    def test_probes_four_times_when_built_and_never_after(self, rng):
+        f = random_frame(rng)
+        r0 = q.rates(f.m1, f.m2, f.omega01, BATHS[1])
+        pair = q.from_pair(lambda s, frame: q.rhs_nonsteered(s, r0, f.omega01))
+        calls = []
+        frozen = _frozen_affine(lambda *args: calls.append(args) or pair(*args), f)
+        assert calls == [(0.0, 0.0, 0.0, f), (1.0, 0.0, 0.0, f), (0.0, 1.0, 0.0, f), (0.0, 0.0, 1.0, f)]
+        for _ in range(100):
+            s = random_state(rng)
+            frozen(s.rho_gg, s.rho_ge.real, s.rho_ge.imag, random_frame(rng))
+        assert len(calls) == 4
 
 
 # the functions that check a gap against GAP_FLOOR, each called at the gap omega01
