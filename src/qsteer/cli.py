@@ -719,7 +719,8 @@ def _run_member(task):
     loop, the loop's) and write (the trajectory CSV). A Berry loop keeps its
     state fixed, so it reports no positivity; its alpha is the optimal
     basis's. ``max_quadrature_error`` is the phase quadrature error of a run
-    that tracks phases with an error row.
+    that tracks phases with an error row. The non-steered member integrates
+    ``rhs_nonsteered``'s constant affine map (four probes, not in ``rhs_evals``).
     """
     (sc, variant, name, labels), run_dir, sd, samples = task
     started = time.monotonic()

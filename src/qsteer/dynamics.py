@@ -12,7 +12,8 @@ assumption.
 Three generators are provided: the non-steered nonsecular equation, its
 secular truncation (comparison baseline) and the full linear-order equation
 for steered frames. Each takes and returns the pair; the full equation's
-arithmetic is one body on the three floats, which ``rhs_full`` wraps.
+arithmetic is one body on the three floats, which ``rhs_full`` wraps. On a
+fixed frame a generator is one affine map, which :func:`_frozen_affine` builds.
 
 Multiplying the basis states by e^{i lambda_g(t)}, e^{i lambda_e(t)} shifts
 the w diagonals by the phase velocities and turns w_ge, m2 and rho_ge by
@@ -155,28 +156,6 @@ def from_pair(rhs: Callable) -> Callable:
         return dgg, dge.real, dge.imag
 
     return floats
-
-
-def _frozen_affine(rhs: Callable, frame) -> Callable:
-    """The constant affine map y' = c0 + M0 y of a stepper-form generator on one fixed frame.
-
-    ``rhs(g, r, i, frame)`` is probed four times, at the zero state (c0) and
-    at the unit states of g, r and i (column j of M0 is that slope minus
-    c0), and never again. The returned generator ignores its frame and sums
-    each row as c0 + M0[0] g + M0[1] r + M0[2] i, left to right; it agrees
-    with an affine ``rhs`` to the rounding of the probes' differences.
-    """
-    c = cg, cr, ci = rhs(0.0, 0.0, 0.0, frame)
-    (gg, rg, ig), (gr, rr, ir), (gi, ri, ii) = (
-        [d - c0 for d, c0 in zip(rhs(*unit, frame), c)]
-        for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-
-    def affine(g, r, i, frame):
-        return (cg + gg * g + gr * r + gi * i,
-                cr + rg * g + rr * r + ri * i,
-                ci + ig * g + ir * r + ii * i)
-
-    return affine
 
 
 # ----------------------------------------------------------------------
@@ -735,3 +714,23 @@ def berry_phase(path, solver: Optional[SolverConfig] = None) -> BerryPhases:
     dg, de = traj.final.lambda_g, traj.final.lambda_e
     return BerryPhases(dg, de, _wrap(dg), _wrap(de), traj.phase_quadrature_error, gap,
                        traj.max_alpha, traj.work)
+
+
+def _frozen_affine(rhs: Callable, frame) -> Callable:
+    """The constant affine map y' = c0 + M0 y of a stepper-form ``rhs`` on one fixed frame.
+
+    ``rhs`` is probed four times and never again: at the zero state (c0) and at the unit
+    states of g, r and i (M0's columns, each that slope minus c0). The map ignores its
+    frame and sums each row from c0, then its g, r and i terms, left to right.
+    """
+    c = cg, cr, ci = rhs(0.0, 0.0, 0.0, frame)
+    (gg, rg, ig), (gr, rr, ir), (gi, ri, ii) = (
+        [d - c0 for d, c0 in zip(rhs(*unit, frame), c)]
+        for unit in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+
+    def affine(g, r, i, frame):
+        return (cg + gg * g + gr * r + gi * i,
+                cr + rg * g + rr * r + ri * i,
+                ci + ig * g + ir * r + ii * i)
+
+    return affine
