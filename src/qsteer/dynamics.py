@@ -454,10 +454,9 @@ def integrate(
     2 * steps + 1 frame evaluations.
     Purity is checked at t0 and at every accepted step, independent of
     ``record_stride``, against 1 + 1e-6; the worst excess is reported on the
-    trajectory (with a warning), never corrected. A state there that is not
-    finite raises NonFiniteState naming t; the purity sum is the check, and
-    only a sum that is not finite looks at the components, so a finite state
-    whose sum overflows is reported as an infinite excess. The trajectory's
+    trajectory (with a warning), never corrected. A purity sum there that is
+    not finite raises NonFiniteState naming t: a component is not finite, or
+    the state is so far out of range that its sum overflows. The trajectory's
     ``max_excited_population`` and ``max_alpha`` range over the same points,
     alpha in the reported basis, computed once per point and kept by its
     sample; an infinite alpha raises NonFiniteState naming t.
@@ -486,7 +485,7 @@ def integrate(
     # generator, whose (d rho_gg, d Re rho_ge, d Im rho_ge) is the slope. tuple.__new__
     # builds a sample's DensityState without the NamedTuple's Python-level __new__.
     new = tuple.__new__
-    sqrt, isfinite, inf = math.sqrt, math.isfinite, math.inf
+    sqrt, inf = math.sqrt, math.inf
     nodes, _, err, attempt, phases = _METHODS[cfg.method]
     last = len(nodes) - 1  # stages per attempt, and RHS calls
     frames_per_attempt = sum(nodes[s] != nodes[s - 1] for s in range(1, len(nodes)))
@@ -499,11 +498,10 @@ def integrate(
     def accept(t, g, r, i, frame, lam, keep):
         """Check one accepted state, fold it into the run's maxima and, if ``keep``, record it."""
         nonlocal t_worst, max_violation, max_excited, max_alpha
-        # Tr rho^2 = rho_gg^2 + rho_ee^2 + 2 |rho_ge|^2, finite whenever the state is
+        # Tr rho^2 = rho_gg^2 + rho_ee^2 + 2 |rho_ge|^2
         p = g * g + (1.0 - g) * (1.0 - g) + 2.0 * (r * r + i * i)
-        if not p < inf:  # a non-finite component, or a finite state whose sum overflows
-            if not (isfinite(g) and isfinite(r) and isfinite(i)):
-                raise NonFiniteState(f"non-finite state at t = {t:g}")
+        if not p < inf:  # a non-finite component, or a finite one whose sum overflows
+            raise NonFiniteState(f"non-finite state at t = {t:g}")
         if p - 1.0 > max_violation:
             max_violation = p - 1.0
             t_worst = t

@@ -1581,6 +1581,21 @@ class TestMain:
         meta = self.assert_clean_run_directory(tmp_path / "runs")
         assert meta["status"] == f"failed: {message}"
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_purity_sum_beyond_the_float_range_exit_2(self, tmp_path, capsys, command):
+        # one rk4 step of 1 on a flat bath of rate 1e50 leaves a finite state whose purity sum
+        # overflows: a failed run like any other non-finite state, not an infinite excess
+        text = MINIMAL_CONE.replace("s0_rate: 0.1", "s0_rate: 1.0e+50").replace(
+            "drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 0.2\n  duration_time: 1.0"
+        ).replace("dt_time: 0.02", "dt_time: 1000.0")
+        fn = self.write_config(tmp_path, text)
+        assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: non-finite state at t =")
+        assert "Traceback" not in err
+        meta = self.assert_clean_run_directory(tmp_path / "runs")
+        assert meta["status"].startswith("failed:")
+
     @pytest.mark.parametrize("rates", [
         *(pytest.param(lambda m1, m2, w, sd, k=k: q.rates(m1 * k, m2 * k, w, sd), id=f"coupling_x{k:g}")
           for k in (1e150, 1e160, 1e300)),

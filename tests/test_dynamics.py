@@ -706,7 +706,8 @@ class TestReferenceStepper:
 
 
 class TestNonFiniteStates:
-    """An accepted state is checked for finiteness; a finite one whose purity overflows is not."""
+    """An accepted state must have a finite purity sum: a non-finite component, or a finite
+    one so large that the sum overflows, raises NonFiniteState naming t."""
 
     COMPONENTS = ("rho_gg", "re_rho_ge", "im_rho_ge")
 
@@ -716,7 +717,8 @@ class TestNonFiniteStates:
                 "im_rho_ge": q.DensityState(1.0, complex(0.0, x))}[component]
 
     @pytest.mark.parametrize("method", sorted(_METHODS))
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e200, -1e200],
+                             ids=["nan", "inf", "-inf", "1e200", "-1e200"])
     @pytest.mark.parametrize("component", COMPONENTS)
     def test_at_t0(self, component, x, method):
         cfg = q.SolverConfig(method=method, t0=0.0, t1=1.0, dt=0.1)
@@ -755,16 +757,6 @@ class TestNonFiniteStates:
                 assert value == x or (math.isnan(x) and math.isnan(value)), name
             else:
                 assert math.isfinite(value), name
-
-    def test_finite_state_whose_purity_overflows_is_reported(self):
-        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.5)
-        with pytest.warns(RuntimeWarning, match="purity exceeded 1 by inf"):
-            traj = integrate(lambda g, r, i, f: (0.0, 0.0, 0.0), q.DensityState(1e200, 0j), cfg,
-                             static_frame)
-        assert traj.max_positivity_violation == math.inf
-        assert traj.work.t_max_positivity_violation == 0.0
-        assert [s.purity for s in traj.samples] == [math.inf] * 3
-        assert traj.final.state.rho_gg == 1e200
 
 
 # int, float and complex values of every type the generators take, zeros of both signs
