@@ -1584,7 +1584,7 @@ class TestMain:
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_purity_sum_beyond_the_float_range_exit_2(self, tmp_path, capsys, command):
         # one rk4 step of 1 on a flat bath of rate 1e50 leaves a finite state whose purity sum
-        # overflows: a failed run like any other non-finite state, not an infinite excess
+        # overflows: a failed run, as for a non-finite component
         text = MINIMAL_CONE.replace("s0_rate: 0.1", "s0_rate: 1.0e+50").replace(
             "drive_omega_rad_per_time: 0.2", "drive_omega_rad_per_time: 0.2\n  duration_time: 1.0"
         ).replace("dt_time: 0.02", "dt_time: 1000.0")
