@@ -758,6 +758,24 @@ class TestNonFiniteStates:
             else:
                 assert math.isfinite(value), name
 
+    def test_finite_state_whose_purity_overflows_is_reported(self):
+        # a slope of 1e200 in rho_gg leaves the finite state rho_gg = 5e199 after the first
+        # step of 0.5: its purity sum overflows, so it fails there as a non-finite state,
+        # with no purity-excess warning on the way
+        seen = []
+
+        def rhs(g, r, i, f):
+            seen.append((g, r, i))
+            return 1e200, 0.0, 0.0
+
+        cfg = q.SolverConfig(method="rk4_fixed", t0=0.0, t1=1.0, dt=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(q.NonFiniteState, match=r"^non-finite state at t = 0.5$"):
+                integrate(rhs, q.DensityState(1.0, 0j), cfg, static_frame)
+        assert len(seen) == 5 and seen[-1] == (5e199, 0.0, 0.0)
+        assert all(math.isfinite(x) for state in seen for x in state)
+
 
 # int, float and complex values of every type the generators take, zeros of both signs
 NUMBERS = (0, 1, -2, 0.0, -0.0, 0.3, -0.7, 0j, complex(-0.0, -0.0), 0.2 - 0.5j)
