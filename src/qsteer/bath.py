@@ -231,15 +231,16 @@ class RateSet(NamedTuple):
 def _secular_rates(frame, sd: SpectralDensity) -> RateSet:
     """The secular truncation's RateSet for ``frame``: no cross rates.
 
-    ``frame`` holds AdiabaticFrame's fields in its order. gamma_ge, gamma_eg
-    and gamma_phi are :func:`rates`' own, by the same gap check and float
-    operations; the five cross rates are 0j.
+    ``frame`` holds AdiabaticFrame's fields in its order, and its m2 is read
+    as it is, with no complex() copy; :func:`rates` takes complex(m2) of its
+    own argument before it calls this. gamma_ge, gamma_eg and gamma_phi are
+    rates()' own, by the same gap check and float operations; the five cross
+    rates are 0j.
     """
     omega01, _, _, _, m1, m2 = frame
     if not omega01 > GAP_FLOOR:
         raise GapCollapse(f"omega01 = {omega01:.3e} <= gap floor {GAP_FLOOR:.0e}")
     s_plus, s_minus, s_zero, _, _, _, _ = sd.at_gap(omega01)
-    m2 = complex(m2)
     mod2 = m2.real * m2.real + m2.imag * m2.imag
     # in field order; tuple.__new__ skips the NamedTuple's Python-level __new__
     return tuple.__new__(RateSet, (mod2 * s_minus, mod2 * s_plus, 0j, 0j, 0j,
@@ -259,10 +260,10 @@ def rates(m1: float, m2: complex, omega01: float, sd: SpectralDensity) -> RateSe
         gamma_alpha  = m2^2 S(omega01) / 2
         gamma_beta   = m2^2 S(-omega01) / 2
     """
+    m2 = complex(m2)
     # gamma_ge, gamma_eg and gamma_phi are _secular_rates' own; at_gap then reads its memo
     g_ge, g_eg, _, _, _, g_phi, _, _ = _secular_rates((omega01, 0.0, 0.0, 0j, m1, m2), sd)
     s_plus, s_minus, s_zero, _, _, _, _ = sd.at_gap(omega01)
-    m2 = complex(m2)
     cross = -m1 * m2
     m2_sq = m2 * m2
     return tuple.__new__(RateSet, (

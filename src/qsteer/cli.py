@@ -23,6 +23,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -50,6 +51,7 @@ from .bath import (
 from .control import (
     _HERMITIAN_TOL,
     ControlPath,
+    _frame_provider,
     _hermitian_residual,
     frame_at,
     linear_sweep,
@@ -219,6 +221,7 @@ def _parses(text) -> bool:
 def _read_csv(csv_path, names) -> list:
     """The rows of a UTF-8 data file, each as the floats of its first len(names) fields.
 
+    A leading byte-order mark is dropped, as a BOM-prefixed YAML config's is.
     The first non-empty row is skipped as a header if none of those fields
     parses as a number; any other row that does not parse, a first row with a
     typo among numbers included, and any row with fewer fields than names,
@@ -226,7 +229,7 @@ def _read_csv(csv_path, names) -> list:
     """
     need = f"{', '.join(names[:-1])} and {names[-1]}"
     rows = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(row for row in reader if row):
             if len(row) < len(names):
@@ -747,12 +750,11 @@ def _run_member(task):
                          frame_provider=lambda t: frame0)
     elif variant == "secular":
         traj = integrate(from_pair(lambda s, f: rhs_secular(s, _secular_rates(f, sd), f.omega01)),
-                         initial, sc.solver, frame_provider=lambda t: frame_at(path, t))
+                         initial, sc.solver, frame_provider=_frame_provider(path))
     else:
         # the optimal-phase run is the plain run seen in the rotated basis
-        traj = integrate(lambda g, r, i, f: _rhs_full(g, r, i, f, sd), initial,
-                         sc.solver, frame_provider=lambda t: frame_at(path, t),
-                         track_phases=sc.optimal_phase)
+        traj = integrate(partial(_rhs_full, sd), initial, sc.solver,
+                         frame_provider=_frame_provider(path), track_phases=sc.optimal_phase)
     solved = time.monotonic()
     with open(run_dir / name, "w") as fh:
         traj.write_csv(fh)

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import GAP_FLOOR, GapCollapse, GaugeUndefined, NonFiniteState, OutOfRange, QSteerError
@@ -582,3 +583,14 @@ def _closed_form(path: ControlPath, t: float) -> AdiabaticFrame:
         raise _frame_error(t, b, r) from None
     # tuple.__new__ skips the NamedTuple's Python-level __new__; the result is an AdiabaticFrame
     return tuple.__new__(AdiabaticFrame, (r, w_gg, w_ee, complex(wr, wi), m1, complex(m2_r, m2_i)))
+
+
+def _frame_provider(path: ControlPath) -> Callable[[float], AdiabaticFrame]:
+    """``frame_at(path, t)`` as a function of t alone: the path's frame law bound to the path.
+
+    A partial of ``path._law``, so each frame is one call of the law, with no
+    Python-level call between the caller and it; the frames are
+    :func:`frame_at`'s bit for bit. It is the frame provider that
+    :func:`~qsteer.dynamics.integrate` gets for a steered path.
+    """
+    return partial(path._law, path)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .bath import RateSet, SpectralDensity
-from .control import frame_at, hs_norm
+from .control import _frame_provider
 from .errors import GAP_FLOOR, GapCollapse, LoopNotClosed, NonFiniteState, StepRejectionLimit
 
 TOL_POSITIVITY = 1e-6
@@ -104,12 +104,17 @@ def rhs_full(state: DensityState, frame, sd: SpectralDensity):
     or w_ge gives the floats of its complex equivalent.
     """
     rgg, rge = state
-    dgg, dge_r, dge_i = _rhs_full(rgg, rge.real, rge.imag, frame, sd)
+    dgg, dge_r, dge_i = _rhs_full(sd, rgg, rge.real, rge.imag, frame)
     return dgg, complex(dge_r, dge_i)
 
 
-def _rhs_full(rgg, rr, ri, frame, sd: SpectralDensity):
-    """:func:`rhs_full` on the state's three floats: (d rho_gg, d Re rho_ge, d Im rho_ge)."""
+def _rhs_full(sd: SpectralDensity, rgg, rr, ri, frame):
+    """:func:`rhs_full` on the state's three floats: (d rho_gg, d Re rho_ge, d Im rho_ge).
+
+    The spectrum comes first, so ``partial(_rhs_full, sd)`` is the stepper's
+    form ``(g, r, i, frame)`` of the generator on ``sd`` with no Python-level
+    call between the stepper and this body.
+    """
     w01, w_gg, w_ee, wge, m1, m2 = frame
     if not w01 > GAP_FLOOR:
         raise GapCollapse(f"omega01 = {w01:.3e} <= gap floor {GAP_FLOOR:.0e}")
@@ -428,7 +433,11 @@ def integrate(
     generator on the pair (rho_gg, rho_ge). ``initial`` and each sample's
     ``state`` are :class:`DensityState`. ``frame_provider`` maps a time to
     the :class:`~qsteer.control.AdiabaticFrame` passed to ``rhs``, its only
-    view of time, and read for each sample's alpha and omega01. Each
+    view of time, and read for each sample's alpha and omega01. A stage
+    costs one call of each: for a steered path the CLI passes the path's
+    frame law bound to the path (``control._frame_provider``) and the full
+    member ``partial(_rhs_full, sd)``, so no Python-level call lies between
+    the stepper and the law or the generator body. Each
     attempted step is one call of its tableau's compiled attempt (see
     ``_tableau``), straight-line code generated once from the tableau's rows,
     which sums each of a stage state's three floats term by term in stage
@@ -458,8 +467,10 @@ def integrate(
     not finite raises NonFiniteState naming t: a component is not finite, or
     the state is so far out of range that its sum overflows. The trajectory's
     ``max_excited_population`` and ``max_alpha`` range over the same points,
-    alpha in the reported basis, computed once per point and kept by its
-    sample; an infinite alpha raises NonFiniteState naming t.
+    alpha in the reported basis, computed once per point from the frame's
+    fields by :func:`~qsteer.control.hs_norm`'s float operations (its hypot
+    fallback included), so it is the frame's ``alpha`` bit for bit, and kept
+    by its sample; an infinite alpha raises NonFiniteState naming t.
     ``Trajectory.work`` reports the steps, evaluations and step sizes used.
     A NaN "rk45_adaptive" error estimate raises NonFiniteState (an infinite
     one is a rejection), and a step too small to advance t raises
@@ -507,9 +518,17 @@ def integrate(
             t_worst = t
         if 1.0 - g > max_excited:
             max_excited = 1.0 - g
-        omega01 = frame.omega01  # the optimal phase zeroes w's diagonals, keeps |w_ge|
-        alpha = hs_norm(0.0, 0.0, frame.w_ge) / omega01 if track_phases else frame.alpha
-        if not alpha < math.inf:
+        # alpha = hs_norm(w_gg, w_ee, w_ge) / omega01 by hs_norm's float operations, inline;
+        # the optimal phase zeroes w's diagonals and keeps |w_ge|
+        omega01, w_gg, w_ee, w_ge, _, _ = frame
+        if track_phases:
+            w_gg = w_ee = 0.0
+        wr, wi = w_ge.real, w_ge.imag
+        norm = sqrt(w_gg * w_gg + w_ee * w_ee + 2.0 * (wr * wr + wi * wi))
+        if not norm < inf:  # hypot only where the squares overflow (or NaN)
+            norm = math.hypot(w_gg, w_ee, wr, wr, wi, wi)
+        alpha = norm / omega01
+        if not alpha < inf:
             raise NonFiniteState(f"the local adiabatic parameter alpha overflows at t = {t:g}")
         if alpha > max_alpha:
             max_alpha = alpha
@@ -708,7 +727,7 @@ def berry_phase(path, solver: Optional[SolverConfig] = None) -> BerryPhases:
     else:
         cfg = dataclasses.replace(solver, t0=t0, t1=t1, record_stride=sys.maxsize)
     traj = integrate(_zero_generator, DensityState(1.0), cfg,
-                     frame_provider=lambda t: frame_at(path, t), track_phases=True)
+                     frame_provider=_frame_provider(path), track_phases=True)
     dg, de = traj.final.lambda_g, traj.final.lambda_e
     return BerryPhases(dg, de, _wrap(dg), _wrap(de), traj.phase_quadrature_error, gap,
                        traj.max_alpha, traj.work)

@@ -388,12 +388,18 @@ class TestSecularRates:
         rng = np.random.default_rng(11)
         frames = [random_frame(rng) for _ in range(40)]
         # an int or float m2, or an int m1, gives the floats of its complex or float equivalent
-        frames += [f._replace(m2=m2) for f in frames[:3] for m2 in (0, 1, -2, 0.0, -0.0, 0.3, -0.7)]
+        frames += [f._replace(m2=m2) for f in frames[:3]
+                   for m2 in (0, 1, -2, 3, -5, 2**40 + 1, 0.0, -0.0, 0.3, -0.7, 1e200, -1e-200)]
         frames += [f._replace(m1=m1) for f in frames[:3] for m1 in (0, 1, -2)]
         for frame in frames:
             got = _secular_rates(frame, sd)
             want = q.rates(frame.m1, frame.m2, frame.omega01, ref)
             assert type(got) is q.RateSet
+            # _secular_rates reads m2 as it is and rates() takes complex(m2): both give the
+            # floats of the complex m2
+            as_complex = frame._replace(m2=complex(frame.m2))
+            assert complex_bits(got) == complex_bits(_secular_rates(as_complex, sd))
+            assert complex_bits(want) == complex_bits(q.rates(frame.m1, as_complex.m2, frame.omega01, ref))
             assert bits((got.gamma_ge, got.gamma_eg, got.gamma_phi)) == bits(
                 (want.gamma_ge, want.gamma_eg, want.gamma_phi))
             # |m2|^2 S(-omega), |m2|^2 S(omega) and 2 m1^2 S(0), written out with rates()' float

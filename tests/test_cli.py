@@ -1287,6 +1287,26 @@ class TestMain:
             assert out.returncode == 0, out.stderr.decode(errors="replace")
         assert len(list((tmp_path / "runs").iterdir())) == 1
 
+    @pytest.mark.parametrize("section, rows", [
+        ("path", "0,1,0,1\n1,1,0.1,1\n2,1,0.2,1\n3,1,0.3,1\n"),
+        ("bath", "-3,0.01\n0,0.1\n3,0.2\n"),
+    ], ids=["sampled-path", "spectrum"])
+    def test_data_file_with_a_byte_order_mark(self, tmp_path, capsys, section, rows):
+        # a headerless data file that starts with a UTF-8 byte-order mark, as some spreadsheet
+        # exports write it, gives the rows of the same file without one, as a config with a
+        # BOM loads like one without
+        data, plain = tmp_path / "data.csv", tmp_path / "plain.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        plain.write_text(rows)
+        names = ("t", "b_x", "b_y", "b_z") if section == "path" else ("omega", "S")
+        assert cli._read_csv(data, names) == cli._read_csv(plain, names)
+        fn = tmp_path / "scenario.yaml"
+        fn.write_bytes(b"\xef\xbb\xbf" + data_file_scenario(section, data).encode())
+        for command in ("validate", "simulate"):
+            assert main([command, "--config", str(fn), "--out", str(tmp_path / "runs")]) == 0
+            assert capsys.readouterr().err == ""
+        assert len(list((tmp_path / "runs").iterdir())) == 1
+
     # ``appended`` follows the config's last section, solver, so it can add solver keys
     @pytest.mark.parametrize("command, appended, path, grid, need", [
         ("simulate", "", None, "omega,S\n0,0.1\n3,0.2\n", "[-1, 1]"),

@@ -832,6 +832,73 @@ class TestSweepLaw:
             assert f.m2 != q.frame_at(sweep, t).m2
 
 
+def provider_outcome(provider, t):
+    """The provider's frame at t, or the type and message of what it raised."""
+    try:
+        return provider(t)
+    except (q.QSteerError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def cone_samples(n=401):
+    cone = q.rotating_cone(1.3, 0.9, 0.21, SX)
+    ts = [cone.duration * k / (n - 1) for k in range(n)]
+    return q.sampled_path(ts, [cone.fields(t)[0] for t in ts], SX)
+
+
+class TestFrameProvider:
+    """The stepper's frame provider is frame_at's frames bit for bit, errors included."""
+
+    @pytest.mark.parametrize("make, has_law", [
+        (lambda: q.rotating_cone(1.3, 0.9, 0.21, SX), True),
+        (lambda: q.rotating_cone(0.8, 2.4, -0.37, [[0.2, complex(0.5, -0.7)], [complex(0.5, 0.7), -0.4]]),
+         True),
+        (lambda: q.linear_sweep(0.06, 1.0, 80.0, SX), True),
+        (lambda: q.linear_sweep(-0.035, 0.5, 60.0, SZ), True),
+        (cone_samples, False),
+        (lambda: kernel_path(q.rotating_cone(1.3, 0.9, 0.21, SX)), False),
+    ], ids=["cone", "cone-complex-coupling", "sweep", "sweep-sz", "sampled", "hand-built"])
+    def test_random_times_bit_for_bit(self, make, has_law):
+        from qsteer.control import _frame_provider
+
+        path = make()
+        assert (path._law is not _closed_form) == has_law
+        provider = _frame_provider(path)
+        rng = np.random.default_rng(4404)
+        for t in path.t_start + path.duration * rng.random(300):
+            t = float(t)
+            got = provider(t)
+            assert type(got) is q.AdiabaticFrame
+            assert field_bits(got) == field_bits(q.frame_at(path, t)), t
+
+    @pytest.mark.parametrize("make, ts, has_law", [
+        # the normalisation overflows at some times only, so the cone keeps the closed form
+        (lambda: q.rotating_cone(7.966886661578431e153, 2.0, 0.1, SX),
+         tuple(0.37 * i for i in range(60)), False),
+        # below the slope floor the sweep keeps the closed form
+        (lambda: q.linear_sweep(1e-120, 1e-200, 1e112, SX), (0.0, 5e111, 1e125, 1e126), False),
+        # the sweep law hands frames outside its safe range to the closed form, and at 1e24
+        # the anchored component vanishes
+        (lambda: q.linear_sweep(1.0, 1e-300, 10.0, SX), (4.0, 6.0, 1e10, -1e10, 1e24), True),
+    ], ids=["near-overflow-cone", "slope-below-2^-60", "sweep-outside-its-safe-range"])
+    def test_closed_form_fallbacks_bit_for_bit(self, make, ts, has_law):
+        from qsteer.control import _frame_provider
+
+        path = make()
+        assert (path._law is not _closed_form) == has_law
+        provider = _frame_provider(path)
+        raised = 0
+        for t in ts:
+            got, want = provider_outcome(provider, t), outcome(path, t)
+            if isinstance(want, q.AdiabaticFrame):
+                assert type(got) is q.AdiabaticFrame
+                assert field_bits(got) == field_bits(want), t
+            else:
+                assert got == want, t
+                raised += 1
+        assert raised >= 1
+
+
 class TestSampleHistory:
     """The history's columns are frame_at's fields at the sample times."""
 

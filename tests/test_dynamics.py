@@ -219,7 +219,7 @@ class TestFullBody:
             for rgg, rge in ((s.rho_gg, s.rho_ge), *((s.rho_gg if k % 2 else 1, x) for x in NUMBERS),
                              (s.rho_gg, complex(-0.0, 0.0)), (s.rho_gg, complex(0.0, -0.0))):
                 ge = complex(rge)
-                want = tuple(map(float.hex, _rhs_full(rgg, ge.real, ge.imag, f, sd)))
+                want = tuple(map(float.hex, _rhs_full(sd, rgg, ge.real, ge.imag, f)))
                 dgg, dge = q.rhs_full(q.DensityState(rgg, rge), f, sd)
                 assert type(dge) is complex
                 assert (dgg.hex(), dge.real.hex(), dge.imag.hex()) == want
@@ -613,7 +613,7 @@ class TestStageContract:
             g, r, i, f = args
             assert type(g) is float and type(r) is float and type(i) is float
             calls.append(f)
-            return _rhs_full(g, r, i, f, sd)
+            return _rhs_full(sd, g, r, i, f)
 
         cfg = q.SolverConfig(method=method, t0=0.0, t1=3.0, dt=0.05, record_stride=7)
         traj = integrate(rhs, q.DensityState(1.0, 0j), cfg, frame_provider=provider,
